@@ -50,10 +50,10 @@ func resolveDecideWorkers(specWorkers int) int {
 	return w
 }
 
-// shardCount mirrors the engine's shard arithmetic (dist.Engine.step):
-// contiguous chunks of ceil(n/workers), so the work partition — and
-// therefore the per-shard observer events — is a deterministic function
-// of (n, workers).
+// shardCount is the stage kernels' shard arithmetic: contiguous chunks
+// of ceil(n/workers), so the work partition — and therefore the
+// per-shard observer events — is a deterministic function of
+// (n, workers).
 func shardCount(n, workers int) int {
 	if n == 0 {
 		return 0
@@ -71,7 +71,7 @@ func shardCount(n, workers int) int {
 // runShards partitions [0, n) into shardCount(n, workers) contiguous
 // ranges and runs body on each, bracketing every shard with the
 // observer's ShardStart/ShardEnd hooks (the same contract as the
-// engine's pooled schedule: distinct shard indices may run
+// engine's concurrent range step: distinct shard indices may run
 // concurrently, each on exactly one goroutine). ko, when non-nil,
 // additionally receives the per-shard kernel-span brackets with
 // items = range width (callers pass the observer's KernelObserver side

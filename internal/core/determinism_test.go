@@ -4,40 +4,38 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/dist"
 	"repro/internal/gen"
+	"repro/internal/proctest"
 )
 
 // TestDistributedPruneDeterministicAcrossModes runs the full pruning
-// phase (an E4/E6-style workload) under the pooled, per-node-goroutine,
-// and sequential engine schedules and requires bit-for-bit identical
-// outcomes: same layers, parents, rounds, and traffic counters.
+// phase (an E4/E6-style workload) under GOMAXPROCS 1, 2, and 4 — one,
+// two, and four concurrently stepped engine ranges — and requires
+// bit-for-bit identical outcomes: same layers, parents, rounds, and
+// traffic counters.
 func TestDistributedPruneDeterministicAcrossModes(t *testing.T) {
 	g := gen.RandomChordal(150, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 9)
-	run := func(m dist.ExecMode) *PruneOutcome {
-		old := dist.DefaultMode
-		dist.DefaultMode = m
-		defer func() { dist.DefaultMode = old }()
-		out, err := DistributedPrune(g, 2)
+	var ref *PruneOutcome
+	proctest.Sweep(func(procs int) {
+		got, err := DistributedPrune(g, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	ref := run(dist.ModeSequential)
-	for _, m := range []dist.ExecMode{dist.ModePooled, dist.ModePerNode} {
-		got := run(m)
+		if procs == 1 {
+			ref = got
+			return
+		}
 		if got.Rounds != ref.Rounds || got.Iterations != ref.Iterations ||
 			got.Messages != ref.Messages || got.Volume != ref.Volume {
-			t.Fatalf("mode %d: counters (rounds=%d iter=%d msgs=%d vol=%d), want (%d,%d,%d,%d)",
-				m, got.Rounds, got.Iterations, got.Messages, got.Volume,
+			t.Fatalf("procs %d: counters (rounds=%d iter=%d msgs=%d vol=%d), want (%d,%d,%d,%d)",
+				procs, got.Rounds, got.Iterations, got.Messages, got.Volume,
 				ref.Rounds, ref.Iterations, ref.Messages, ref.Volume)
 		}
 		if !reflect.DeepEqual(got.Layer, ref.Layer) {
-			t.Fatalf("mode %d: layer assignment differs from sequential", m)
+			t.Fatalf("procs %d: layer assignment differs from GOMAXPROCS 1", procs)
 		}
 		if !reflect.DeepEqual(got.Parent, ref.Parent) {
-			t.Fatalf("mode %d: parent assignment differs from sequential", m)
+			t.Fatalf("procs %d: parent assignment differs from GOMAXPROCS 1", procs)
 		}
-	}
+	})
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -8,26 +9,26 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/proctest"
 )
 
 // TestEmptyGraphAllModes: a node-count-0 network must terminate
-// immediately with an empty output map under every schedule.
+// immediately with an empty output map under every GOMAXPROCS setting.
 func TestEmptyGraphAllModes(t *testing.T) {
 	g := graph.New()
-	for _, mode := range []ExecMode{ModePooled, ModePerNode, ModeSequential} {
+	proctest.Sweep(func(procs int) {
 		eng := NewEngine(g, func(v graph.ID) Protocol {
 			t.Fatal("factory called for empty graph")
 			return nil
 		})
-		eng.Mode = mode
 		res, err := eng.Run(5)
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("procs %d: %v", procs, err)
 		}
 		if res.Rounds != 0 || len(res.Outputs) != 0 || res.Messages != 0 {
-			t.Errorf("mode %v: empty graph ran %d rounds, %d outputs", mode, res.Rounds, len(res.Outputs))
+			t.Errorf("procs %d: empty graph ran %d rounds, %d outputs", procs, res.Rounds, len(res.Outputs))
 		}
-	}
+	})
 }
 
 // TestRunTwiceErrors: protocols hold terminal state after a run, so a
@@ -72,8 +73,7 @@ func (o *shardsObserver) RoundEnd(stats RoundStats) {
 }
 func (o *shardsObserver) RunEnd(rounds int) {}
 
-// gomaxprocsProtocol shrinks GOMAXPROCS mid-run (from node 0, round 2)
-// to force the pooled schedule's shard count to change between rounds.
+// gomaxprocsProtocol shrinks GOMAXPROCS mid-run (from node 0, round 2).
 type gomaxprocsProtocol struct {
 	id     graph.ID
 	rounds int
@@ -94,79 +94,69 @@ func (p *gomaxprocsProtocol) Round(ctx *Context, inbox []Message) {
 func (p *gomaxprocsProtocol) Done() bool  { return p.rounds >= p.limit }
 func (p *gomaxprocsProtocol) Output() any { return nil }
 
-// TestShardsConsistentUnderGOMAXPROCSChange is the regression test for
-// RoundStats.Shards being recomputed at RoundEnd: a GOMAXPROCS change
-// between a round's step and its collect made RoundStart and RoundEnd
-// disagree about the shard count. The engine must report the count the
-// step actually used.
+// TestShardsConsistentUnderGOMAXPROCSChange: the engine fixes its node
+// ranges when Run starts, so a GOMAXPROCS change mid-run must not move
+// the shard count — every RoundStart and RoundEnd of the run reports
+// the count the run started with.
 func TestShardsConsistentUnderGOMAXPROCSChange(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
-	obs := &shardsObserver{startByRnd: make(map[int]int), endByRnd: make(map[int]int)}
-	eng := NewEngine(gen.Cycle(100), func(v graph.ID) Protocol {
-		return &gomaxprocsProtocol{id: v, limit: 5, target: 2}
-	})
-	eng.Mode = ModePooled
-	eng.Observer = obs
-	if _, err := eng.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	for round, start := range obs.startByRnd {
-		if end, ok := obs.endByRnd[round]; !ok || end != start {
-			t.Errorf("round %d: RoundStart announced %d shards, RoundEnd reported %d", round, start, end)
+	proctest.With(4, func() {
+		obs := &shardsObserver{startByRnd: make(map[int]int), endByRnd: make(map[int]int)}
+		eng := NewEngine(gen.Cycle(100), func(v graph.ID) Protocol {
+			return &gomaxprocsProtocol{id: v, limit: 5, target: 2}
+		})
+		eng.Observer = obs
+		res, err := eng.Run(10)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The change must actually have taken: 100 nodes over 4 procs is 4
-	// shards, over 2 procs it is 2 — if every round saw the same count
-	// the regression scenario was never exercised.
-	distinct := make(map[int]bool)
-	for _, s := range obs.startByRnd {
-		distinct[s] = true
-	}
-	if len(distinct) < 2 {
-		t.Skipf("GOMAXPROCS change did not alter shard count (counts %v); machine too narrow to exercise the regression", distinct)
-	}
+		if got := runtime.GOMAXPROCS(0); got != 2 {
+			t.Fatalf("GOMAXPROCS is %d after the run, want the protocol's 2", got)
+		}
+		if len(obs.startByRnd) != res.Rounds+1 || len(obs.endByRnd) != res.Rounds+1 {
+			t.Fatalf("%d RoundStarts and %d RoundEnds for %d steps", len(obs.startByRnd), len(obs.endByRnd), res.Rounds+1)
+		}
+		for round := 0; round <= res.Rounds; round++ {
+			if start, end := obs.startByRnd[round], obs.endByRnd[round]; start != 4 || end != 4 {
+				t.Errorf("round %d: RoundStart announced %d shards, RoundEnd reported %d, want the run's 4", round, start, end)
+			}
+		}
+	})
 }
 
 // TestDoneFlipContinuesRun: oscillating nodes next to a late-settling
 // node force the run through repeated Done→not-Done transitions (the
 // negative delta path) while the run keeps going; the counter must not
-// drift under any schedule.
+// drift under any GOMAXPROCS setting.
 func TestDoneFlipContinuesRun(t *testing.T) {
 	g := gen.Cycle(12)
-	for _, mode := range []ExecMode{ModePooled, ModePerNode, ModeSequential} {
+	proctest.Sweep(func(procs int) {
 		eng := NewEngine(g, func(v graph.ID) Protocol {
 			return &oscillatingProtocol{settle: 7}
 		})
-		eng.Mode = mode
 		res, err := eng.Run(20)
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("procs %d: %v", procs, err)
 		}
 		if res.Rounds != 0 {
 			// All-oscillator networks are Done right after Init (round 0
 			// counts as even); this pins the baseline the mixed case
 			// below must beat.
-			t.Fatalf("mode %v: homogeneous oscillators stopped at round %d, want 0", mode, res.Rounds)
+			t.Fatalf("procs %d: homogeneous oscillators stopped at round %d, want 0", procs, res.Rounds)
 		}
-	}
-	for _, mode := range []ExecMode{ModePooled, ModePerNode, ModeSequential} {
-		eng := NewEngine(g, func(v graph.ID) Protocol {
+		eng = NewEngine(g, func(v graph.ID) Protocol {
 			if v == 0 {
 				return &holdProtocol{until: 7}
 			}
 			return &oscillatingProtocol{settle: 7}
 		})
-		eng.Mode = mode
-		res, err := eng.Run(20)
+		res, err = eng.Run(20)
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("procs %d: %v", procs, err)
 		}
 		if res.Rounds != 7 {
-			t.Errorf("mode %v: mixed network stopped at round %d, want 7 (done counter drifted through the flips)", mode, res.Rounds)
+			t.Errorf("procs %d: mixed network stopped at round %d, want 7 (done counter drifted through the flips)", procs, res.Rounds)
 		}
-	}
+	})
 }
 
 // holdProtocol is not Done until a fixed round, sending nothing.
@@ -181,22 +171,88 @@ func (p *holdProtocol) Done() bool                          { return p.rounds >=
 func (p *holdProtocol) Output() any                         { return p.rounds }
 
 // TestSendToNonNodeAllModes: the Send panic must be recovered and
-// surfaced as an error from Run under every schedule — in pooled mode a
-// panicking worker previously left the WaitGroup hanging.
+// surfaced as an error from Run under every GOMAXPROCS setting — a
+// panicking worker must not leave the range WaitGroup hanging.
 func TestSendToNonNodeAllModes(t *testing.T) {
 	g := gen.Path(50)
-	for _, mode := range []ExecMode{ModePooled, ModePerNode, ModeSequential} {
+	proctest.Sweep(func(procs int) {
 		eng := NewEngine(g, func(v graph.ID) Protocol {
 			return &badSenderProtocol{}
 		})
-		eng.Mode = mode
 		_, err := eng.Run(10)
 		if err == nil {
-			t.Fatalf("mode %v: send to a non-node did not error", mode)
+			t.Fatalf("procs %d: send to a non-node did not error", procs)
 		}
 		if !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "not a node of the network") {
-			t.Errorf("mode %v: error %q does not describe the panic", mode, err)
+			t.Errorf("procs %d: error %q does not describe the panic", procs, err)
 		}
+	})
+}
+
+// panicProtocol panics in round 1, naming its node, when armed; unarmed
+// nodes finish in round 1.
+type panicProtocol struct {
+	id   graph.ID
+	arm  bool
+	done bool
+}
+
+func (p *panicProtocol) Init(ctx *Context) {}
+func (p *panicProtocol) Round(ctx *Context, inbox []Message) {
+	if p.arm {
+		panic(fmt.Sprintf("node %d exploded", p.id))
+	}
+	p.done = true
+}
+func (p *panicProtocol) Done() bool  { return p.done }
+func (p *panicProtocol) Output() any { return nil }
+
+// panicArmed are the snapshot indices panicProgram arms: far apart, so
+// every multi-range split puts them in different ranges.
+var panicArmed = map[int]bool{10: true, 90: true}
+
+// panicProgram hosts panicProtocol in the partitioned runtime. Its
+// nodes send nothing and output nothing, so the codecs are trivial.
+type panicProgram struct{ ix *graph.Indexed }
+
+func (p panicProgram) NewNode(i int) Protocol {
+	return &panicProtocol{id: p.ix.IDOf(i), arm: panicArmed[i]}
+}
+func (panicProgram) EncodePayload(any) ([]byte, error)          { return nil, nil }
+func (panicProgram) DecodePayload([]byte) (any, error)          { return nil, nil }
+func (panicProgram) EncodeOutput(int, Protocol) ([]byte, error) { return nil, nil }
+func (panicProgram) DecodeOutput(int, []byte) (any, error)      { return nil, nil }
+
+func init() {
+	RegisterProgram("panic-test", func(ix *graph.Indexed, _ []byte) (Program, error) {
+		return panicProgram{ix: ix}, nil
+	})
+}
+
+// TestConcurrentPanicsReportLowestIndex: when nodes in different ranges
+// panic in the same round, Run reports the lower-index node's panic —
+// the same error text for every GOMAXPROCS setting and for the
+// partitioned runtime, because range errors merge in range order.
+func TestConcurrentPanicsReportLowestIndex(t *testing.T) {
+	ix := graph.NewIndexed(gen.Path(100))
+	want := fmt.Sprintf("dist: node program panicked: node %d exploded", ix.IDOf(10))
+	proctest.Sweep(func(procs int) {
+		for attempt := 0; attempt < 20; attempt++ {
+			eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
+				i, _ := ix.IndexOf(v)
+				return &panicProtocol{id: v, arm: panicArmed[i]}
+			})
+			if _, err := eng.Run(5); err == nil || err.Error() != want {
+				t.Fatalf("procs %d: err = %v, want %q", procs, err, want)
+			}
+		}
+	})
+	c, err := NewCoordinator(ix, NewLocalPartition(ix, 3), "panic-test", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(5); err == nil || err.Error() != want {
+		t.Fatalf("partitioned: err = %v, want %q", err, want)
 	}
 }
 

@@ -7,15 +7,14 @@ import (
 	"repro/internal/graph"
 )
 
-// Coordinator drives one partitioned program run over a Partition,
-// implementing the LOCAL engine's round/observer/faults contracts: the
-// same step sequence, the same termination and crash-blocked checks in
-// the same order, the same error strings, and the same per-round
-// RoundStats/FaultStats — so traces, experiment tables, and fault plans
-// are byte-identical between LOCAL and partitioned execution (only
-// RoundStats.Shards, which describes the schedule and is excluded from
-// deterministic trace comparison, reports the shard count instead of
-// the worker-pool width).
+// Coordinator drives one partitioned program run over a Partition
+// through the run loop the LOCAL engine uses (runLoop): the same step
+// sequence, termination and crash-blocked checks, error strings, and
+// per-round RoundStats/FaultStats — so traces, experiment tables, and
+// fault plans are byte-identical between LOCAL and partitioned
+// execution (only RoundStats.Shards, which describes the schedule and is
+// excluded from deterministic trace comparison, reports the shard count
+// instead of the engine's range count).
 type Coordinator struct {
 	ix      *graph.Indexed
 	part    *Partition
@@ -28,8 +27,7 @@ type Coordinator struct {
 	Faults      *Faults
 	SkipOutputs bool
 
-	prog    Program
-	crashAt []int // by snapshot index; nil without a crash schedule
+	prog Program
 
 	outByIdx []any
 	ran      bool
@@ -63,53 +61,6 @@ func NewCoordinator(ix *graph.Indexed, part *Partition, program string, params [
 	return &Coordinator{ix: ix, part: part, program: program, params: params, prog: prog}, nil
 }
 
-// initFaults mirrors Engine.initFaults: validate the crash schedule and
-// build the global crash tables the coordinator uses for the per-round
-// Crashed lists. It also rejects hand-built fault plans that did not
-// come from ParseFaults — without the (Spec, Seed) pair the schedule
-// cannot be reproduced on the shards.
-func (c *Coordinator) initFaults() error {
-	f := c.Faults
-	if !f.active() {
-		return nil
-	}
-	if f.Spec == "" {
-		return fmt.Errorf("dist: partitioned runs need a ParseFaults-built schedule (hand-built Faults carry no spec to ship to shards)")
-	}
-	if len(f.Crash) == 0 {
-		return nil
-	}
-	n := c.ix.NumNodes()
-	c.crashAt = make([]int, n)
-	for i := range c.crashAt {
-		c.crashAt[i] = -1
-	}
-	for v, r := range f.Crash {
-		i, ok := c.ix.IndexOf(v)
-		if !ok {
-			return fmt.Errorf("dist: fault plan crashes node %d, which is not a node of the network", v)
-		}
-		c.crashAt[i] = r
-	}
-	return nil
-}
-
-// markCrashes mirrors Engine.markCrashes for the coordinator's own
-// Crashed-list bookkeeping (shards mark their local ranges themselves).
-func (c *Coordinator) markCrashes(step int) []graph.ID {
-	if c.crashAt == nil {
-		return nil
-	}
-	var crashed []graph.ID
-	for i, r := range c.crashAt {
-		if r == step {
-			crashed = append(crashed, c.ix.IDOf(i))
-		}
-	}
-	sortIDs(crashed)
-	return crashed
-}
-
 // meterDelta samples every metered link and returns the bytes moved
 // since the previous sample.
 func (c *Coordinator) meterDelta() (dIn, dOut int64, metered bool) {
@@ -127,20 +78,59 @@ func (c *Coordinator) meterDelta() (dIn, dOut int64, metered bool) {
 	return dIn, dOut, metered
 }
 
-// step runs one partitioned step: broadcast Step to every shard, await
-// results in shard order, route the cross-shard blocks, deliver, and
-// await the inbox high-water acks. It aggregates the shard counters
-// into the run result and fires the observer exactly like the LOCAL
-// engine's step+collect.
-func (c *Coordinator) step(round int, res *Result, crashed []graph.ID) (doneTotal, deadNotDone int, blockedIdx int32, blockedRound int, err error) {
+// Run executes the partitioned program until every node is Done, or
+// fails after maxRounds rounds.
+func (c *Coordinator) Run(maxRounds int) (*Result, error) {
+	return runLoop("Coordinator", &c.ran, c.ix, c.Observer, maxRounds, c)
+}
+
+// start implements stepper: it rejects hand-built fault plans that did
+// not come from ParseFaults — without the (Spec, Seed) pair the
+// schedule cannot be reproduced on the shards — builds the crash table,
+// and starts the run on every shard.
+func (c *Coordinator) start() (*crashTable, error) {
+	faultSpec, faultSeed := "", uint64(0)
+	if f := c.Faults; f.active() {
+		if f.Spec == "" {
+			return nil, fmt.Errorf("dist: partitioned runs need a ParseFaults-built schedule (hand-built Faults carry no spec to ship to shards)")
+		}
+		faultSpec, faultSeed = f.Spec, f.Seed
+	}
+	// The coordinator's crash table only feeds the per-round Crashed
+	// lists; the shards consult their own copies.
+	crash, err := newCrashTable(c.ix, c.Faults)
+	if err != nil {
+		return nil, err
+	}
+	for s, l := range c.part.Links {
+		err := l.Start(ShardConfig{
+			Lo: c.part.Ranges[s].Lo, Hi: c.part.Ranges[s].Hi,
+			Program: c.program, Params: c.params,
+			FaultSpec: faultSpec, FaultSeed: faultSeed,
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	c.meterDelta() // baseline: Start/Session traffic is not a round's
+	return &crash, nil
+}
+
+// step implements stepper for one partitioned step: broadcast Step to
+// every shard, await results in shard order, route the cross-shard
+// blocks, deliver, and await the inbox high-water acks. It aggregates
+// the shard counters into the run result and fires the observer exactly
+// like the LOCAL engine's step.
+func (c *Coordinator) step(round int, crashed []graph.ID, res *Result) (stepState, error) {
 	obs := c.Observer
 	links := c.part.Links
+	st := stepState{blockedIdx: -1}
 	if obs != nil {
 		obs.RoundStart(round, len(links))
 	}
 	for _, l := range links {
 		if err := l.Step(round); err != nil {
-			return 0, 0, -1, 0, err
+			return st, err
 		}
 	}
 	results := make([]*ShardStepResult, len(links))
@@ -148,7 +138,7 @@ func (c *Coordinator) step(round int, res *Result, crashed []graph.ID) (doneTota
 	for s, l := range links {
 		r, err := l.StepResult()
 		if err != nil {
-			return 0, 0, -1, 0, err
+			return st, err
 		}
 		if r.Err != "" && failure == nil {
 			failure = errors.New(r.Err)
@@ -156,17 +146,16 @@ func (c *Coordinator) step(round int, res *Result, crashed []graph.ID) (doneTota
 		results[s] = r
 	}
 	if failure != nil {
-		return 0, 0, -1, 0, failure
+		return st, failure
 	}
 
 	msgs, vol := 0, 0
 	fs := FaultStats{Round: round, Crashed: crashed}
-	blockedIdx = -1
 	for _, r := range results {
-		doneTotal += r.Done
-		deadNotDone += r.DeadNotDone
-		if r.BlockedIdx >= 0 && blockedIdx < 0 {
-			blockedIdx, blockedRound = r.BlockedIdx, r.BlockedRound
+		st.done += r.Done
+		st.deadNotDone += r.DeadNotDone
+		if r.BlockedIdx >= 0 && st.blockedIdx < 0 {
+			st.blockedIdx, st.blockedRound = r.BlockedIdx, r.BlockedRound
 		}
 		msgs += r.Messages
 		vol += r.Volume
@@ -191,31 +180,21 @@ func (c *Coordinator) step(round int, res *Result, crashed []graph.ID) (doneTota
 	}
 	for s, l := range links {
 		if err := l.Deliver(round, route[s]); err != nil {
-			return 0, 0, -1, 0, err
+			return st, err
 		}
 	}
 	maxInbox := 0
 	for _, l := range links {
 		mi, err := l.DeliverResult()
 		if err != nil {
-			return 0, 0, -1, 0, err
+			return st, err
 		}
 		if mi > maxInbox {
 			maxInbox = mi
 		}
 	}
 
-	res.Messages += msgs
-	res.Volume += vol
-	if c.Faults.active() && fs.any() {
-		res.Dropped += fs.Dropped
-		res.Duplicated += fs.Duplicated
-		res.DeadLetters += fs.DeadLetters
-		res.Stall += fs.Stall
-		if fo, ok := obs.(FaultObserver); ok {
-			fo.FaultRound(fs)
-		}
-	}
+	chargeStep(obs, res, msgs, vol, &fs)
 	if obs != nil {
 		if wo, ok := obs.(WireObserver); ok {
 			if dIn, dOut, metered := c.meterDelta(); metered {
@@ -228,82 +207,30 @@ func (c *Coordinator) step(round int, res *Result, crashed []graph.ID) (doneTota
 			Shards:   len(links),
 			Messages: msgs,
 			Volume:   vol,
-			Done:     doneTotal,
+			Done:     st.done,
 			MaxInbox: maxInbox,
 		})
 	}
-	return doneTotal, deadNotDone, blockedIdx, blockedRound, nil
+	return st, nil
 }
 
-// Run executes the partitioned program until every node is Done, or
-// fails after maxRounds rounds, following Engine.Run's control flow
-// decision for decision.
-func (c *Coordinator) Run(maxRounds int) (*Result, error) {
-	if c.ran {
-		return nil, fmt.Errorf("dist: Coordinator.Run called twice; protocol state is terminal after a run — build a new coordinator")
-	}
-	c.ran = true
-	if err := c.initFaults(); err != nil {
-		return nil, err
-	}
+// finish implements stepper: gather and decode every shard's outputs.
+func (c *Coordinator) finish(res *Result) error {
 	n := c.ix.NumNodes()
-	faultSpec, faultSeed := "", uint64(0)
-	if c.Faults.active() {
-		faultSpec, faultSeed = c.Faults.Spec, c.Faults.Seed
-	}
-	for s, l := range c.part.Links {
-		err := l.Start(ShardConfig{
-			Lo: c.part.Ranges[s].Lo, Hi: c.part.Ranges[s].Hi,
-			Program: c.program, Params: c.params,
-			FaultSpec: faultSpec, FaultSeed: faultSeed,
-			MaxRounds: maxRounds,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	c.meterDelta() // baseline: Start/Session traffic is not a round's
-
-	obs := c.Observer
-	if obs != nil {
-		obs.RunStart(n, c.ix.NumEdges())
-	}
-	res := &Result{}
-	crashed := c.markCrashes(0)
-	doneTotal, deadNotDone, blockedIdx, blockedRound, err := c.step(0, res, crashed)
-	if err != nil {
-		return nil, err
-	}
-	for doneTotal != n {
-		if deadNotDone > 0 && doneTotal+deadNotDone == n {
-			return nil, fmt.Errorf("dist: node %d crashed at round %d and cannot finish; all surviving nodes are done",
-				c.ix.IDOf(int(blockedIdx)), blockedRound)
-		}
-		if res.Rounds >= maxRounds {
-			return nil, fmt.Errorf("protocol did not terminate within %d rounds", maxRounds)
-		}
-		res.Rounds++
-		crashed = c.markCrashes(res.Rounds)
-		doneTotal, deadNotDone, blockedIdx, blockedRound, err = c.step(res.Rounds, res, crashed)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	c.outByIdx = make([]any, n)
 	for s, l := range c.part.Links {
 		data, err := l.Outputs()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rg := c.part.Ranges[s]
 		if len(data) != int(rg.Hi-rg.Lo) {
-			return nil, fmt.Errorf("dist: shard %d returned %d outputs for range [%d, %d)", s, len(data), rg.Lo, rg.Hi)
+			return fmt.Errorf("dist: shard %d returned %d outputs for range [%d, %d)", s, len(data), rg.Lo, rg.Hi)
 		}
 		for j, d := range data {
 			out, err := c.prog.DecodeOutput(int(rg.Lo)+j, d)
 			if err != nil {
-				return nil, fmt.Errorf("dist: output decoding failed for index %d: %w", int(rg.Lo)+j, err)
+				return fmt.Errorf("dist: output decoding failed for index %d: %w", int(rg.Lo)+j, err)
 			}
 			c.outByIdx[int(rg.Lo)+j] = out
 		}
@@ -314,10 +241,7 @@ func (c *Coordinator) Run(maxRounds int) (*Result, error) {
 			res.Outputs[v] = c.outByIdx[i]
 		}
 	}
-	if obs != nil {
-		obs.RunEnd(res.Rounds)
-	}
-	return res, nil
+	return nil
 }
 
 // OutputsByIndex returns every node's decoded output by snapshot index.

@@ -1,20 +1,13 @@
 package dist
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/proctest"
 )
-
-// withMode runs fn with DefaultMode temporarily set to m.
-func withMode(t *testing.T, m ExecMode, fn func()) {
-	t.Helper()
-	old := DefaultMode
-	DefaultMode = m
-	defer func() { DefaultMode = old }()
-	fn()
-}
 
 // floodFingerprint captures everything observable about a flood run: the
 // engine counters and, per node, the exact record sequence (node, dist)
@@ -70,9 +63,9 @@ func compareFloodRuns(t *testing.T, name string, want, got floodFingerprint) {
 }
 
 // TestFloodDeterministicAcrossModes checks the central engine guarantee:
-// the pooled, per-node-goroutine, and sequential schedules produce
-// bit-for-bit identical results — same counters, same per-node record
-// sequences — on an E4/E6-style chordal workload.
+// one, two, and four concurrently stepped node ranges (GOMAXPROCS 1, 2,
+// 4) produce bit-for-bit identical results — same counters, same
+// per-node record sequences — on an E4/E6-style chordal workload.
 func TestFloodDeterministicAcrossModes(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"chordal": gen.RandomChordal(200, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 11),
@@ -82,12 +75,14 @@ func TestFloodDeterministicAcrossModes(t *testing.T) {
 	for name, g := range graphs {
 		for _, radius := range []int{1, 3, 6} {
 			var ref floodFingerprint
-			withMode(t, ModeSequential, func() { ref = floodRun(t, g, radius) })
-			for _, m := range []ExecMode{ModePooled, ModePerNode} {
-				var got floodFingerprint
-				withMode(t, m, func() { got = floodRun(t, g, radius) })
-				compareFloodRuns(t, name, ref, got)
-			}
+			proctest.Sweep(func(procs int) {
+				got := floodRun(t, g, radius)
+				if procs == 1 {
+					ref = got
+					return
+				}
+				compareFloodRuns(t, fmt.Sprintf("%s/r%d/procs%d", name, radius, procs), ref, got)
+			})
 		}
 	}
 }
@@ -158,8 +153,10 @@ func (p *countingProtocol) Round(ctx *Context, inbox []Message) {
 func (p *countingProtocol) Done() bool  { return p.rounds >= p.limit }
 func (p *countingProtocol) Output() any { return p.sum }
 
-// TestEngineStressAllModes drives all three schedules over several
-// graphs; run with -race this doubles as the engine's data-race gate.
+// TestEngineStressAllModes drives the engine over several graphs under
+// the GOMAXPROCS sweep, whose last setting (4) steps four ranges
+// concurrently on any machine; run with -race this doubles as the
+// engine's data-race gate.
 func TestEngineStressAllModes(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.Cycle(97),
@@ -168,25 +165,24 @@ func TestEngineStressAllModes(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		var ref map[graph.ID]any
-		for _, m := range []ExecMode{ModeSequential, ModePooled, ModePerNode} {
+		proctest.Sweep(func(procs int) {
 			eng := NewEngine(g, func(v graph.ID) Protocol {
 				return &countingProtocol{limit: 8}
 			})
-			eng.Mode = m
 			res, err := eng.Run(10)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ref == nil {
+			if procs == 1 {
 				ref = res.Outputs
-				continue
+				return
 			}
 			for v, want := range ref {
 				if res.Outputs[v] != want {
-					t.Fatalf("graph %d mode %d node %d: output %v, want %v",
-						gi, m, v, res.Outputs[v], want)
+					t.Fatalf("graph %d procs %d node %d: output %v, want %v",
+						gi, procs, v, res.Outputs[v], want)
 				}
 			}
-		}
+		})
 	}
 }

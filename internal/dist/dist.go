@@ -9,12 +9,11 @@
 // indices, inboxes are per-node slices reused across rounds, and messages
 // are delivered by walking senders in index order, which yields the
 // deterministic (sender, queue position) delivery order without sorting.
-// Per-round work is sharded over a bounded worker pool sized by
-// GOMAXPROCS; node programs execute genuinely concurrently but interact
-// only through messages delivered at round boundaries, so every schedule
-// produces identical results. The legacy goroutine-per-node schedule and
-// a sequential schedule are kept for determinism cross-checks and
-// debugging.
+// At the start of a run the node range is split into GOMAXPROCS
+// contiguous ranges, stepped concurrently every round by the same range
+// kernel (kernel.go) that the partitioned runtime runs once per shard;
+// node programs interact only through messages delivered at round
+// boundaries, so every range count produces identical results.
 package dist
 
 import (
@@ -22,9 +21,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
-	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
@@ -58,49 +55,28 @@ type Protocol interface {
 // empty inbox is guaranteed to be a no-op: no state change, no sends.
 // That holds for choreographies that drain every enabled action at the
 // end of each step (so progress is driven entirely by received
-// messages). When every node's protocol implements it, the engine skips
-// the Round call for nodes with empty inboxes, making idle rounds cost
-// O(active nodes) instead of O(n) protocol invocations — with outputs,
-// message schedules, and round counts identical by construction.
+// messages). When every protocol of a node range implements it, the
+// range step skips the Round call for nodes with empty inboxes, making
+// idle rounds cost O(active nodes) instead of O(n) protocol invocations
+// — with outputs, message schedules, and round counts identical by
+// construction.
 type Quiescent interface {
 	QuiescentRound()
 }
 
-// ExecMode selects how the engine schedules per-node work within a round.
-// Every mode produces identical results; they differ only in scheduling.
-type ExecMode int
-
-const (
-	// ModePooled shards the node range over a bounded worker pool sized
-	// by GOMAXPROCS. This is the default: it scales to 10^5-node graphs
-	// without paying one goroutine per node per round.
-	ModePooled ExecMode = iota
-	// ModePerNode launches one goroutine per node per round (the legacy
-	// schedule, kept for determinism cross-checks).
-	ModePerNode
-	// ModeSequential runs all nodes on the calling goroutine (useful
-	// under -race or for bisecting nondeterminism suspicions).
-	ModeSequential
-)
-
-// DefaultMode is the schedule NewEngine assigns to new engines. The
-// determinism cross-check tests override it temporarily; production code
-// leaves it alone.
-var DefaultMode = ModePooled
-
 // RoundStats is the per-round summary handed to a RoundObserver at each
 // round boundary. Every field except Shards is a pure function of
-// (graph, protocol) and therefore identical across all ExecModes; Shards
-// describes the schedule that happened to run the round.
+// (graph, protocol) and therefore identical for every range count and
+// runtime; Shards describes the schedule that happened to run the round.
 type RoundStats struct {
 	// Round is the step index: 0 for the Init step, then the 1-based
 	// communication round.
 	Round int
 	// Nodes is the network size.
 	Nodes int
-	// Shards is the number of worker shards the schedule used for this
-	// round (1 in sequential mode, 0 in per-node mode, where shard
-	// boundaries do not exist).
+	// Shards is the number of node ranges the round ran as: the
+	// engine's range count, fixed at the start of the run, or the
+	// partition's shard count.
 	Shards int
 	// Messages counts the point-to-point messages queued during this
 	// round (delivered at the next round boundary).
@@ -134,8 +110,8 @@ type RoundObserver interface {
 	// RoundStart fires before the round's node programs run. shards is
 	// the worker-shard count of RoundStats.Shards.
 	RoundStart(round, shards int)
-	// ShardStart/ShardEnd bracket one worker shard's per-node work
-	// within the round (pooled and sequential schedules only).
+	// ShardStart/ShardEnd bracket one node range's work within the
+	// round (LOCAL engine runs only).
 	ShardStart(shard int)
 	ShardEnd(shard int)
 	// RoundEnd fires after the round's messages are delivered.
@@ -289,12 +265,7 @@ type Result struct {
 type Engine struct {
 	ix    *graph.Indexed
 	progs []Protocol // by node index
-	// Mode selects the per-round schedule; all modes give identical
-	// results.
-	Mode ExecMode
-	// Sequential forces ModeSequential regardless of Mode (legacy knob,
-	// kept for existing callers).
-	Sequential bool
+
 	// Observer, when non-nil, receives per-round events (see
 	// RoundObserver). Nil — the default — is the zero-cost fast path:
 	// no callback, no inbox high-water scan, no extra allocation.
@@ -308,37 +279,29 @@ type Engine struct {
 	// index-space flood collection) set it to skip the n-entry map build.
 	SkipOutputs bool
 
-	// done[i] mirrors progs[i].Done() after the node's latest step;
-	// doneCount is the number of true entries. Maintained inside the
-	// round loop so termination needs no O(n) rescan per round.
-	done      []bool
-	doneCount atomic.Int64
-
 	// ran guards against a second Run: progs hold terminal protocol
 	// state after a run, so rerunning them would report a bogus 0-round
 	// success.
 	ran bool
 
-	// crashAt[i] is the step at which node i fail-stops (-1 = never);
-	// dead[i] flips once that step is reached. Both nil without a crash
-	// schedule.
-	crashAt []int
-	dead    []bool
+	// Per-run state, built by start. ranges are the contiguous node
+	// ranges stepped each round, views into ctxs, progs, and done (the
+	// nodes' Done flags); cur/next are the per-node inboxes by node
+	// index, double-buffered so the backing arrays are reused across
+	// rounds; curRound is the step index the contexts report.
+	ctxs      []Context
+	done      []bool
+	ranges    []nodeRange
+	crash     crashTable
+	cur, next [][]Message
+	curRound  int32
 
 	// deliver is collect's per-receiver message-count scratch, used to
 	// reserve each inbox exactly once per round instead of growing it by
-	// repeated append-doubling.
+	// repeated append-doubling; touched is its list of this round's
+	// receivers.
 	deliver []int32
-
-	// quiescent is true when every node's protocol implements Quiescent;
-	// curRound is the step index shared with the contexts; skipInbox,
-	// when non-nil, is the current round's inbox buffer — runRange
-	// passes over nodes whose inbox is empty; touched is collect's
-	// scratch list of this round's receivers.
-	quiescent bool
-	curRound  int32
-	skipInbox [][]Message
-	touched   []int32
+	touched []int32
 
 	// inboxSlab holds the fault-free path's inbox backing arrays: each
 	// round's inboxes are carved out of one slab sized by the counting
@@ -346,12 +309,6 @@ type Engine struct {
 	// rewritten while its slices are being consumed.
 	inboxSlab [2][]Message
 	slabIdx   int
-
-	// failMu/failErr capture the first node-program panic of the run;
-	// worker goroutines recover so a panicking node cannot deadlock the
-	// pool, and Run surfaces the failure as an error.
-	failMu  sync.Mutex
-	failErr error
 }
 
 // NewEngine creates an engine running factory(v) on every node v of g.
@@ -363,19 +320,10 @@ func NewEngine(g *graph.Graph, factory func(v graph.ID) Protocol) *Engine {
 // callers that run many protocols over the same graph (e.g. iterated
 // pruning) pay the snapshot cost once.
 func NewEngineIndexed(ix *graph.Indexed, factory func(v graph.ID) Protocol) *Engine {
-	e := &Engine{
-		ix:    ix,
-		progs: make([]Protocol, ix.NumNodes()),
-		Mode:  DefaultMode,
-	}
-	quiescent := ix.NumNodes() > 0
+	e := &Engine{ix: ix, progs: make([]Protocol, ix.NumNodes())}
 	for i, v := range ix.IDs() {
 		e.progs[i] = factory(v)
-		if _, ok := e.progs[i].(Quiescent); !ok {
-			quiescent = false
-		}
 	}
-	e.quiescent = quiescent
 	return e
 }
 
@@ -385,267 +333,100 @@ func NewEngineIndexed(ix *graph.Indexed, factory func(v graph.ID) Protocol) *Eng
 // terminal state afterwards, so a second Run returns an error instead of
 // a bogus 0-round success.
 func (e *Engine) Run(maxRounds int) (*Result, error) {
-	if e.ran {
-		return nil, fmt.Errorf("dist: Engine.Run called twice; protocol state is terminal after a run — build a new engine")
-	}
-	e.ran = true
-	if err := e.initFaults(); err != nil {
+	return runLoop("Engine", &e.ran, e.ix, e.Observer, maxRounds, e)
+}
+
+// start implements stepper: it builds the crash table, the contexts and
+// inboxes, and the node ranges — SplitRange over GOMAXPROCS, fixed for
+// the whole run, so every round of a run reports the same shard count.
+func (e *Engine) start() (*crashTable, error) {
+	crash, err := newCrashTable(e.ix, e.Faults)
+	if err != nil {
 		return nil, err
 	}
+	e.crash = crash
 	n := e.ix.NumNodes()
-	ctxs := make([]Context, n)
-	for i := range ctxs {
-		ctxs[i] = Context{
-			id:     e.ix.IDOf(i),
-			idx:    int32(i),
-			nbrIDs: e.ix.NeighborIDs(i),
-			nbrIdx: e.ix.NeighborIndices(i),
-			ix:     e.ix,
-			round:  &e.curRound,
-		}
-	}
-	// cur/next are per-node inboxes indexed by node index, double-buffered
-	// so the backing arrays are reused across rounds.
-	cur := make([][]Message, n)
-	next := make([][]Message, n)
-
-	obs := e.Observer
+	e.ctxs = make([]Context, n)
 	e.done = make([]bool, n)
-	e.doneCount.Store(0)
-	if obs != nil {
-		obs.RunStart(n, e.ix.NumEdges())
+	e.cur = make([][]Message, n)
+	e.next = make([][]Message, n)
+	parts := SplitRange(n, runtime.GOMAXPROCS(0))
+	e.ranges = make([]nodeRange, len(parts))
+	for k, p := range parts {
+		e.ranges[k] = newNodeRange(e.ix, int(p.Lo), e.progs[p.Lo:p.Hi], e.ctxs[p.Lo:p.Hi], e.done[p.Lo:p.Hi], &e.curRound)
 	}
+	return &e.crash, nil
+}
 
-	res := &Result{}
-	e.curRound = 0
-	crashed := e.markCrashes(0)
-	shards := e.step(obs, 0, func(i int) {
-		e.progs[i].Init(&ctxs[i])
-	})
-	if err := e.failure(); err != nil {
-		return nil, err
+// step implements stepper: run every range, merge the range error slots
+// in range order (so the lowest-index panic wins under any range
+// count), then deliver.
+func (e *Engine) step(round int, crashed []graph.ID, res *Result) (stepState, error) {
+	e.curRound = int32(round)
+	if round > 0 {
+		e.cur, e.next = e.next, e.cur
 	}
-	e.collect(obs, 0, shards, ctxs, next, res, crashed)
-
-	for e.doneCount.Load() != int64(n) {
-		if v, r, blocked := e.crashBlocked(); blocked {
-			return nil, fmt.Errorf("dist: node %d crashed at round %d and cannot finish; all surviving nodes are done", v, r)
+	e.stepRanges(round)
+	st := stepState{}
+	for k := range e.ranges {
+		r := &e.ranges[k]
+		if r.err != nil {
+			return st, r.err
 		}
-		if res.Rounds >= maxRounds {
-			return nil, fmt.Errorf("protocol did not terminate within %d rounds", maxRounds)
-		}
-		res.Rounds++
-		cur, next = next, cur
-		e.curRound = int32(res.Rounds)
-		if e.quiescent {
-			e.skipInbox = cur
-		}
-		crashed = e.markCrashes(res.Rounds)
-		shards = e.step(obs, res.Rounds, func(i int) {
-			// Truncate the inbox as it is consumed (the slice view handed
-			// to Round keeps its own length), so collect never needs an
-			// O(n) truncation pass on the fault-free path.
-			inbox := cur[i]
-			cur[i] = cur[i][:0]
-			e.progs[i].Round(&ctxs[i], inbox)
-		})
-		if err := e.failure(); err != nil {
-			return nil, err
-		}
-		e.collect(obs, res.Rounds, shards, ctxs, next, res, crashed)
+		st.done += r.doneCount
 	}
+	e.collect(round, st.done, crashed, res)
+	st.deadNotDone, st.blockedIdx, st.blockedRound = e.crash.blocked(0, e.done)
+	return st, nil
+}
 
+// stepRanges runs the round's node programs: one range inline on the
+// calling goroutine, several concurrently, one goroutine each. Ranges
+// are disjoint and node programs touch only their own state and
+// context, so every range count is race-free and equivalent.
+//
+//chordalvet:hotpath budget=0 in-process round step: runs once per round per protocol
+func (e *Engine) stepRanges(round int) {
+	if e.Observer != nil {
+		e.Observer.RoundStart(round, len(e.ranges))
+	}
+	if len(e.ranges) == 1 {
+		e.stepRange(0, round, nil)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(e.ranges))
+	for k := range e.ranges {
+		go e.stepRange(k, round, &wg)
+	}
+	wg.Wait()
+}
+
+// stepRange runs range k through the shared range step, bracketed by
+// the observer's shard hooks; wg, when non-nil, is signalled at the end.
+func (e *Engine) stepRange(k, round int, wg *sync.WaitGroup) {
+	if wg != nil {
+		defer wg.Done()
+	}
+	r := &e.ranges[k]
+	if e.Observer != nil {
+		e.Observer.ShardStart(k)
+	}
+	r.step(round, e.cur[r.lo:r.lo+len(r.progs)], e.crash.dead)
+	if e.Observer != nil {
+		e.Observer.ShardEnd(k)
+	}
+}
+
+// finish implements stepper: build the ID-keyed outputs unless skipped.
+func (e *Engine) finish(res *Result) error {
 	if !e.SkipOutputs {
-		res.Outputs = make(map[graph.ID]any, n)
+		res.Outputs = make(map[graph.ID]any, len(e.progs))
 		for i, v := range e.ix.IDs() {
 			res.Outputs[v] = e.progs[i].Output()
 		}
 	}
-	if obs != nil {
-		obs.RunEnd(res.Rounds)
-	}
-	return res, nil
-}
-
-// step runs fn for every node index according to the engine mode,
-// tracking per-node Done transitions so the run loop never rescans, and
-// returns the worker-shard count it actually used (1 sequential, 0
-// per-node) so RoundEnd reports the same figure RoundStart announced
-// even if GOMAXPROCS changes mid-run. Shards are contiguous index
-// ranges, so the work partition is deterministic; node programs touch
-// only their own state and context, so any schedule is race-free and
-// equivalent. The observer's round/shard hooks bracket the work
-// (per-node mode reports zero shards: with one goroutine per node there
-// is no shard boundary worth timing).
-//
-//chordalvet:hotpath budget=3 engine round loop: runs once per round per protocol
-func (e *Engine) step(obs RoundObserver, round int, fn func(i int)) int {
-	n := len(e.progs)
-	mode := e.Mode
-	if e.Sequential {
-		mode = ModeSequential
-	}
-	switch mode {
-	case ModeSequential:
-		if obs != nil {
-			obs.RoundStart(round, 1)
-		}
-		e.runShard(obs, 0, 0, n, fn)
-		return 1
-	case ModePerNode:
-		if obs != nil {
-			obs.RoundStart(round, 0)
-		}
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for i := 0; i < n; i++ {
-			go func(i int) {
-				defer wg.Done()
-				if err := e.runRange(i, i+1, fn); err != nil {
-					e.recordFailure(err)
-				}
-			}(i)
-		}
-		wg.Wait()
-		return 0
-	default: // ModePooled
-		workers := runtime.GOMAXPROCS(0)
-		if workers > n {
-			workers = n
-		}
-		if workers <= 1 {
-			if obs != nil {
-				obs.RoundStart(round, 1)
-			}
-			e.runShard(obs, 0, 0, n, fn)
-			return 1
-		}
-		chunk := (n + workers - 1) / workers
-		shards := (n + chunk - 1) / chunk
-		if obs != nil {
-			obs.RoundStart(round, shards)
-		}
-		var wg sync.WaitGroup
-		shard := 0
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			wg.Add(1)
-			go func(shard, lo, hi int) {
-				defer wg.Done()
-				e.runShard(obs, shard, lo, hi, fn)
-			}(shard, lo, hi)
-			shard++
-		}
-		wg.Wait()
-		return shards
-	}
-}
-
-// runShard executes one contiguous index range on the calling goroutine,
-// bracketing it with the observer's shard hooks and capturing any
-// node-program failure.
-func (e *Engine) runShard(obs RoundObserver, shard, lo, hi int, fn func(i int)) {
-	if obs != nil {
-		obs.ShardStart(shard)
-	}
-	if err := e.runRange(lo, hi, fn); err != nil {
-		e.recordFailure(err)
-	}
-	if obs != nil {
-		obs.ShardEnd(shard)
-	}
-}
-
-// runRange executes fn for each node index in [lo, hi), skipping crashed
-// nodes, folding the per-node Done checks into the loop so they run in
-// parallel with the round work, and publishing the range's done-delta
-// with a single atomic add (flushed even on panic, so partial progress
-// stays counted). A panicking node program is recovered into an error:
-// the worker must return normally or the pool's WaitGroup would deadlock
-// the run.
-func (e *Engine) runRange(lo, hi int, fn func(i int)) (err error) {
-	delta := 0
-	defer func() {
-		if delta != 0 {
-			e.doneCount.Add(int64(delta))
-		}
-		if r := recover(); r != nil {
-			err = fmt.Errorf("dist: node program panicked: %v", r)
-		}
-	}()
-	for i := lo; i < hi; i++ {
-		if e.dead != nil && e.dead[i] {
-			continue
-		}
-		if e.skipInbox != nil && len(e.skipInbox[i]) == 0 {
-			// Empty inbox on a Quiescent protocol: the call would be a
-			// no-op, so neither state nor Done can change.
-			continue
-		}
-		fn(i)
-		if d := e.progs[i].Done(); d != e.done[i] {
-			e.done[i] = d
-			if d {
-				delta++
-			} else {
-				delta--
-			}
-		}
-	}
 	return nil
-}
-
-// deliverFaulty routes one expanded message copy through the fault
-// schedule: dead-letter to crashed receivers, then the plan's
-// drop/delay/dup decision keyed by (round, sender index, queue
-// position).
-func (e *Engine) deliverFaulty(msg Message, to int32, round, sender, pos, sz int, perturb bool, plan fault.Plan, next [][]Message, fs *FaultStats, msgs, vol *int) {
-	// Messages queued in step round are delivered at step round+1; a
-	// receiver that crashes at or before that step never reads them.
-	if e.crashAt != nil && e.crashAt[to] >= 0 && e.crashAt[to] <= round+1 {
-		fs.DeadLetters++
-		return
-	}
-	var act fault.Action
-	if perturb {
-		act = plan.Decide(round, sender, pos)
-	}
-	if act.Drop {
-		fs.Dropped++
-		return
-	}
-	if act.Delay > fs.Stall {
-		fs.Stall = act.Delay
-	}
-	next[to] = append(next[to], msg)
-	*msgs++
-	*vol += sz
-	if act.Dup {
-		fs.Duplicated++
-		next[to] = append(next[to], msg)
-		*msgs++
-		*vol += sz
-	}
-}
-
-// recordFailure keeps the first node-program failure of the run; Run
-// checks for one after every step.
-func (e *Engine) recordFailure(err error) {
-	e.failMu.Lock()
-	if e.failErr == nil {
-		e.failErr = err
-	}
-	e.failMu.Unlock()
-}
-
-// failure returns the captured node-program failure, if any.
-func (e *Engine) failure() error {
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
-	return e.failErr
 }
 
 // collect moves queued messages into next-round inboxes. Walking senders
@@ -654,19 +435,19 @@ func (e *Engine) failure() error {
 // engine produced with a global stable sort — without sorting. Inbox
 // slices are truncated and refilled in place, so steady-state rounds
 // allocate nothing. With an observer attached it also reports the
-// round's message/volume deltas and the inbox high-water mark; shards is
-// the count step actually used, so RoundStart and RoundEnd always agree.
+// round's message/volume deltas and the inbox high-water mark.
 //
-// With a fault schedule attached, delivery runs on this single driving
-// goroutine in the same (sender, queue position) order, so each
-// message's fault coordinates — and hence the whole schedule — are
-// identical under every ExecMode. Without one, the loop is the original
-// branch-free path.
-func (e *Engine) collect(obs RoundObserver, round, shards int, ctxs []Context, next [][]Message, res *Result, crashed []graph.ID) {
+// With a fault schedule attached, delivery is the shared routing walk
+// on this single driving goroutine, in the same (sender, queue
+// position) order the shard runners use, so each message's fault
+// coordinates — and hence the whole schedule — are identical for every
+// range count and runtime. Without one, the loop is the branch-free
+// counting-pass path.
+func (e *Engine) collect(round, done int, crashed []graph.ID, res *Result) {
+	ctxs, next := e.ctxs, e.next
 	msgs, vol := 0, 0
 	var fs FaultStats
-	faulty := e.Faults.active()
-	if !faulty {
+	if !e.Faults.active() {
 		// Counting pass: reserve every receiving inbox at its exact fill
 		// before delivering, so a round's delivery performs at most one
 		// allocation per inbox whose high-water mark rises (instead of a
@@ -716,10 +497,7 @@ func (e *Engine) collect(obs RoundObserver, round, shards int, ctxs []Context, n
 		for i := range ctxs {
 			c := &ctxs[i]
 			for k, msg := range c.outbox {
-				sz := 1
-				if s, ok := msg.Payload.(Sizer); ok {
-					sz = s.PayloadSize()
-				}
+				sz := payloadSize(msg.Payload)
 				if to := c.targets[k]; to >= 0 {
 					next[to] = append(next[to], msg)
 					msgs++
@@ -741,44 +519,12 @@ func (e *Engine) collect(obs RoundObserver, round, shards int, ctxs []Context, n
 		}
 		fs.Round = round
 		fs.Crashed = crashed
-		plan := e.Faults.Plan
-		perturb := plan.Perturbs()
-		for i := range ctxs {
-			c := &ctxs[i]
-			// pos is the queue position over the expanded send sequence —
-			// a Broadcast counts one position per neighbor — so fault
-			// coordinates match the uncompressed outbox exactly.
-			pos := 0
-			for k, msg := range c.outbox {
-				sz := 1
-				if s, ok := msg.Payload.(Sizer); ok {
-					sz = s.PayloadSize()
-				}
-				if to := c.targets[k]; to >= 0 {
-					e.deliverFaulty(msg, to, round, i, pos, sz, perturb, plan, next, &fs, &msgs, &vol)
-					pos++
-					continue
-				}
-				for _, u := range c.nbrIdx {
-					e.deliverFaulty(msg, u, round, i, pos, sz, perturb, plan, next, &fs, &msgs, &vol)
-					pos++
-				}
-			}
-			c.outbox = c.outbox[:0]
-			c.targets = c.targets[:0]
-		}
+		msgs, vol = routeWalk(ctxs, 0, round, e.Faults, &e.crash, &fs, func(_ int, to int32, msg Message, _ int) {
+			next[to] = append(next[to], msg)
+		})
 	}
-	res.Messages += msgs
-	res.Volume += vol
-	if faulty && fs.any() {
-		res.Dropped += fs.Dropped
-		res.Duplicated += fs.Duplicated
-		res.DeadLetters += fs.DeadLetters
-		res.Stall += fs.Stall
-		if fo, ok := obs.(FaultObserver); ok {
-			fo.FaultRound(fs)
-		}
-	}
+	obs := e.Observer
+	chargeStep(obs, res, msgs, vol, &fs)
 	if obs != nil {
 		maxInbox := 0
 		for i := range next {
@@ -789,10 +535,10 @@ func (e *Engine) collect(obs RoundObserver, round, shards int, ctxs []Context, n
 		obs.RoundEnd(RoundStats{
 			Round:    round,
 			Nodes:    len(ctxs),
-			Shards:   shards,
+			Shards:   len(e.ranges),
 			Messages: msgs,
 			Volume:   vol,
-			Done:     int(e.doneCount.Load()),
+			Done:     done,
 			MaxInbox: maxInbox,
 		})
 	}

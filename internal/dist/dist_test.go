@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/proctest"
 )
 
 // echoProtocol floods a counter for a fixed number of rounds.
@@ -32,25 +33,24 @@ func (p *echoProtocol) Output() any { return p.sum }
 
 func TestEngineRoundsAndDelivery(t *testing.T) {
 	g := gen.Cycle(6)
-	for _, sequential := range []bool{true, false} {
+	proctest.Sweep(func(procs int) {
 		eng := NewEngine(g, func(v graph.ID) Protocol {
 			return &echoProtocol{target: 3}
 		})
-		eng.Sequential = sequential
 		res, err := eng.Run(10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Rounds != 3 {
-			t.Fatalf("sequential=%v: rounds = %d, want 3", sequential, res.Rounds)
+			t.Fatalf("procs %d: rounds = %d, want 3", procs, res.Rounds)
 		}
 		// Each node receives 2 messages per round for 3 rounds.
 		for v, out := range res.Outputs {
 			if out.(int) != 6 {
-				t.Fatalf("sequential=%v: node %d sum = %d, want 6", sequential, v, out)
+				t.Fatalf("procs %d: node %d sum = %d, want 6", procs, v, out)
 			}
 		}
-	}
+	})
 }
 
 func TestEngineTimeout(t *testing.T) {
@@ -65,24 +65,25 @@ func TestEngineTimeout(t *testing.T) {
 
 func TestEngineConcurrentMatchesSequential(t *testing.T) {
 	g := gen.RandomChordal(40, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 7)
-	run := func(sequential bool) map[graph.ID]any {
+	var seq map[graph.ID]any
+	proctest.Sweep(func(procs int) {
 		eng := NewEngine(g, func(v graph.ID) Protocol {
 			return &echoProtocol{target: 4}
 		})
-		eng.Sequential = sequential
 		res, err := eng.Run(10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Outputs
-	}
-	seq := run(true)
-	con := run(false)
-	for v := range seq {
-		if seq[v] != con[v] {
-			t.Fatalf("node %d: sequential %v != concurrent %v", v, seq[v], con[v])
+		if procs == 1 {
+			seq = res.Outputs
+			return
 		}
-	}
+		for v := range seq {
+			if seq[v] != res.Outputs[v] {
+				t.Fatalf("node %d: one range %v != %d ranges %v", v, seq[v], procs, res.Outputs[v])
+			}
+		}
+	})
 }
 
 func TestCollectBallsExactBalls(t *testing.T) {

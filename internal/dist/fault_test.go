@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/proctest"
 )
 
 // faultRecorder implements RoundObserver + FaultObserver, capturing the
@@ -104,7 +105,8 @@ func TestDupAndDelayAbsorbed(t *testing.T) {
 
 // TestFaultScheduleDeterministicAcrossModes: same (graph, protocol,
 // seed, plan) must produce identical results — including the fault
-// counters and the per-round fault stream — under all three schedules.
+// counters and the per-round fault stream — under every GOMAXPROCS
+// setting.
 func TestFaultScheduleDeterministicAcrossModes(t *testing.T) {
 	g := gen.RandomChordal(150, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 5)
 	radius := 3
@@ -119,27 +121,28 @@ func TestFaultScheduleDeterministicAcrossModes(t *testing.T) {
 	}
 	var refRes *Result
 	var refRec *faultRecorder
-	withMode(t, ModeSequential, func() { refRes, refRec = run() })
-	for _, m := range []ExecMode{ModePooled, ModePerNode} {
-		var gotRes *Result
-		var gotRec *faultRecorder
-		withMode(t, m, func() { gotRes, gotRec = run() })
+	proctest.Sweep(func(procs int) {
+		gotRes, gotRec := run()
+		if procs == 1 {
+			refRes, refRec = gotRes, gotRec
+			return
+		}
 		if gotRes.Dropped != refRes.Dropped || gotRes.Duplicated != refRes.Duplicated ||
 			gotRes.Stall != refRes.Stall || gotRes.Messages != refRes.Messages ||
 			gotRes.Volume != refRes.Volume {
-			t.Fatalf("mode %d: fault counters diverged: %+v vs %+v", m, gotRes, refRes)
+			t.Fatalf("procs %d: fault counters diverged: %+v vs %+v", procs, gotRes, refRes)
 		}
 		if len(gotRec.faults) != len(refRec.faults) {
-			t.Fatalf("mode %d: %d fault rounds, want %d", m, len(gotRec.faults), len(refRec.faults))
+			t.Fatalf("procs %d: %d fault rounds, want %d", procs, len(gotRec.faults), len(refRec.faults))
 		}
 		for i := range refRec.faults {
 			w, g := refRec.faults[i], gotRec.faults[i]
 			if w.Round != g.Round || w.Dropped != g.Dropped || w.Duplicated != g.Duplicated ||
 				w.Stall != g.Stall || w.DeadLetters != g.DeadLetters {
-				t.Fatalf("mode %d fault round %d: %+v, want %+v", m, i, g, w)
+				t.Fatalf("procs %d fault round %d: %+v, want %+v", procs, i, g, w)
 			}
 		}
-	}
+	})
 }
 
 // TestFaultRoundSumsMatchResult: the per-round FaultStats stream must

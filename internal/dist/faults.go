@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -14,8 +13,9 @@ import (
 // message by fault.Plan) plus a crash schedule mapping node IDs to the
 // round at which they fail-stop. A nil *Faults on the engine keeps the
 // existing zero-cost delivery path; a non-nil plan is consulted once per
-// queued message at the round boundary, on the single goroutine that
-// drives delivery, so the schedule is identical under every ExecMode.
+// queued message copy at the round boundary, by the shared routing walk
+// at global (round, sender index, queue position) coordinates, so the
+// schedule is identical for every range count and runtime.
 //
 // Semantics in the round-synchronous LOCAL model:
 //
@@ -140,80 +140,4 @@ func (fs *FaultStats) any() bool {
 // events produce no callback, so fault-free traces are unchanged.
 type FaultObserver interface {
 	FaultRound(stats FaultStats)
-}
-
-// initFaults validates the crash schedule against the snapshot and
-// builds the per-index crash tables. Called by Run before the Init step.
-func (e *Engine) initFaults() error {
-	e.crashAt = nil
-	e.dead = nil
-	f := e.Faults
-	if !f.active() || len(f.Crash) == 0 {
-		return nil
-	}
-	n := e.ix.NumNodes()
-	e.crashAt = make([]int, n)
-	for i := range e.crashAt {
-		e.crashAt[i] = -1 // never crashes
-	}
-	e.dead = make([]bool, n)
-	for v, r := range f.Crash {
-		i, ok := e.ix.IndexOf(v)
-		if !ok {
-			return fmt.Errorf("dist: fault plan crashes node %d, which is not a node of the network", v)
-		}
-		e.crashAt[i] = r
-	}
-	return nil
-}
-
-// markCrashes flips nodes whose crash round is step into the dead set
-// and returns them in ID order (node index order = ID order). A dead
-// node that was not Done counts against termination; crashBlocked turns
-// that into a diagnosable error instead of a maxRounds timeout.
-func (e *Engine) markCrashes(step int) []graph.ID {
-	if e.crashAt == nil {
-		return nil
-	}
-	var crashed []graph.ID
-	for i, r := range e.crashAt {
-		if r == step {
-			e.dead[i] = true
-			crashed = append(crashed, e.ix.IDOf(i))
-		}
-	}
-	sortIDs(crashed)
-	return crashed
-}
-
-// crashBlocked reports the first crashed-but-not-Done node when every
-// live node is Done, i.e. when the run can never terminate.
-func (e *Engine) crashBlocked() (graph.ID, int, bool) {
-	if e.dead == nil {
-		return 0, 0, false
-	}
-	deadNotDone := 0
-	first := -1
-	for i := range e.dead {
-		if e.dead[i] && !e.done[i] {
-			deadNotDone++
-			if first < 0 {
-				first = i
-			}
-		}
-	}
-	if deadNotDone == 0 {
-		return 0, 0, false
-	}
-	if int(e.doneCount.Load())+deadNotDone == len(e.progs) {
-		return e.ix.IDOf(first), e.crashAt[first], true
-	}
-	return 0, 0, false
-}
-
-// sortIDs sorts a crash list into ID order. markCrashes already emits in
-// index order, which equals ID order for snapshots built from sorted
-// node lists; this keeps the reported order canonical regardless.
-func sortIDs(ids []graph.ID) {
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/proctest"
 )
 
 // recordingObserver captures every engine callback. It is test-local so
@@ -55,7 +56,7 @@ func (r *recordingObserver) SetPhase(name string) {
 }
 
 // scheduleFree strips the schedule-dependent Shards field, leaving only
-// the values promised identical across ExecModes.
+// the values promised identical for every range count and runtime.
 func scheduleFree(stats []RoundStats) []RoundStats {
 	out := append([]RoundStats(nil), stats...)
 	for i := range out {
@@ -64,69 +65,64 @@ func scheduleFree(stats []RoundStats) []RoundStats {
 	return out
 }
 
-// TestObserverDeterministicAcrossModes runs the same protocol under all
-// three schedules and requires identical event counts and values — every
-// RoundStats field except Shards is a pure function of (graph, protocol).
+// TestObserverDeterministicAcrossModes runs the same protocol under the
+// GOMAXPROCS sweep and requires identical event counts and values —
+// every RoundStats field except Shards is a pure function of (graph,
+// protocol) — plus the schedule shape: one range per GOMAXPROCS, each
+// bracketed by matching shard events every step.
 func TestObserverDeterministicAcrossModes(t *testing.T) {
 	g := gen.RandomChordal(60, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 9)
-	run := func(mode ExecMode) *recordingObserver {
+	var ref *recordingObserver
+	proctest.Sweep(func(procs int) {
 		rec := newRecordingObserver()
 		eng := NewEngine(g, func(v graph.ID) Protocol {
 			return &echoProtocol{target: 4}
 		})
-		eng.Mode = mode
 		eng.Observer = rec
 		if _, err := eng.Run(10); err != nil {
 			t.Fatal(err)
 		}
-		return rec
-	}
-	pooled := run(ModePooled)
-	perNode := run(ModePerNode)
-	seq := run(ModeSequential)
-
-	for _, rec := range []*recordingObserver{pooled, perNode, seq} {
 		if rec.runNodes != g.NumNodes() || rec.runEdges != g.NumEdges() {
-			t.Errorf("RunStart saw n=%d m=%d, want n=%d m=%d", rec.runNodes, rec.runEdges, g.NumNodes(), g.NumEdges())
+			t.Errorf("procs %d: RunStart saw n=%d m=%d, want n=%d m=%d", procs, rec.runNodes, rec.runEdges, g.NumNodes(), g.NumEdges())
 		}
 		if len(rec.runEnds) != 1 {
-			t.Fatalf("RunEnd fired %d times, want 1", len(rec.runEnds))
+			t.Fatalf("procs %d: RunEnd fired %d times, want 1", procs, len(rec.runEnds))
 		}
 		// One RoundStart and one RoundEnd per step (Init = round 0).
-		if len(rec.rounds) != rec.runEnds[0]+1 || len(rec.roundStarts) != len(rec.rounds) {
-			t.Errorf("got %d RoundEnds and %d RoundStarts for %d rounds", len(rec.rounds), len(rec.roundStarts), rec.runEnds[0])
+		steps := rec.runEnds[0] + 1
+		if len(rec.rounds) != steps || len(rec.roundStarts) != steps {
+			t.Errorf("procs %d: got %d RoundEnds and %d RoundStarts for %d steps", procs, len(rec.rounds), len(rec.roundStarts), steps)
 		}
-	}
-	if !reflect.DeepEqual(scheduleFree(pooled.rounds), scheduleFree(seq.rounds)) {
-		t.Errorf("pooled and sequential traces differ:\n%+v\nvs\n%+v", pooled.rounds, seq.rounds)
-	}
-	if !reflect.DeepEqual(scheduleFree(perNode.rounds), scheduleFree(seq.rounds)) {
-		t.Errorf("per-node and sequential traces differ:\n%+v\nvs\n%+v", perNode.rounds, seq.rounds)
-	}
-	// Schedule shape: sequential runs exactly one shard per round;
-	// per-node reports zero shards and no shard events.
-	for _, st := range seq.rounds {
-		if st.Shards != 1 {
-			t.Errorf("sequential round %d: shards=%d, want 1", st.Round, st.Shards)
+		for _, st := range rec.rounds {
+			if st.Shards != procs {
+				t.Errorf("procs %d round %d: shards=%d, want %d", procs, st.Round, st.Shards, procs)
+			}
 		}
-	}
-	if len(perNode.shardStarts) != 0 || len(perNode.shardEnds) != 0 {
-		t.Errorf("per-node mode fired shard events: %v", perNode.shardStarts)
-	}
-	for shard, n := range pooled.shardStarts {
-		if pooled.shardEnds[shard] != n {
-			t.Errorf("shard %d: %d starts but %d ends", shard, n, pooled.shardEnds[shard])
+		if len(rec.shardStarts) != procs {
+			t.Errorf("procs %d: shard events for %d shards, want %d", procs, len(rec.shardStarts), procs)
 		}
-	}
+		for shard, n := range rec.shardStarts {
+			if n != steps || rec.shardEnds[shard] != n {
+				t.Errorf("procs %d shard %d: %d starts and %d ends, want %d each", procs, shard, n, rec.shardEnds[shard], steps)
+			}
+		}
+		if procs == 1 {
+			ref = rec
+			return
+		}
+		if !reflect.DeepEqual(scheduleFree(rec.rounds), scheduleFree(ref.rounds)) {
+			t.Errorf("procs %d and procs 1 traces differ:\n%+v\nvs\n%+v", procs, rec.rounds, ref.rounds)
+		}
+	})
 	// The per-round Done counts are monotone and end at n.
-	last := seq.rounds[len(seq.rounds)-1]
+	last := ref.rounds[len(ref.rounds)-1]
 	if last.Done != g.NumNodes() {
 		t.Errorf("final Done=%d, want %d", last.Done, g.NumNodes())
 	}
-	for i := 1; i < len(seq.rounds); i++ {
-		if seq.rounds[i].Done < seq.rounds[i-1].Done {
+	for i := 1; i < len(ref.rounds); i++ {
+		if ref.rounds[i].Done < ref.rounds[i-1].Done {
 			t.Errorf("Done regressed from %d to %d at round %d (echo protocol never un-finishes)",
-				seq.rounds[i-1].Done, seq.rounds[i].Done, i)
+				ref.rounds[i-1].Done, ref.rounds[i].Done, i)
 		}
 	}
 }
@@ -257,7 +253,6 @@ func TestSendTargetClasses(t *testing.T) {
 		}
 		return &sendEverywhereProtocol{far: far, got: make(map[graph.ID]int)}
 	})
-	eng.Mode = ModeSequential
 	res, err := eng.Run(10)
 	if err != nil {
 		t.Fatal(err)
@@ -286,15 +281,13 @@ func TestSendTargetClasses(t *testing.T) {
 }
 
 // TestSendUnknownTarget pins the Send error contract: the node-program
-// panic is recovered by the engine and surfaced as an error from Run —
-// under every ExecMode, without deadlocking the worker pool (see also
-// adversarial_test.go for the full mode matrix).
+// panic is recovered by the engine and surfaced as an error from Run
+// (adversarial_test.go repeats it under the GOMAXPROCS sweep).
 func TestSendUnknownTarget(t *testing.T) {
 	g := gen.Path(3)
 	eng := NewEngine(g, func(v graph.ID) Protocol {
 		return &badSenderProtocol{}
 	})
-	eng.Mode = ModeSequential
 	_, err := eng.Run(10)
 	if err == nil {
 		t.Fatal("send to a non-node did not surface an error from Run")
@@ -339,23 +332,22 @@ func (p *oscillatingProtocol) Output() any { return p.rounds }
 // run stops only when all nodes are simultaneously Done after a round).
 func TestDoneCounterOscillation(t *testing.T) {
 	g := gen.Cycle(4)
-	for _, mode := range []ExecMode{ModePooled, ModePerNode, ModeSequential} {
+	proctest.Sweep(func(procs int) {
 		// settle=5 (odd): nodes report done after even rounds 2 and 4
 		// but un-done after 1, 3; all settle for good at round 5.
 		eng := NewEngine(g, func(v graph.ID) Protocol {
 			return &oscillatingProtocol{settle: 5}
 		})
-		eng.Mode = mode
 		res, err := eng.Run(20)
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("procs %d: %v", procs, err)
 		}
 		// All nodes report Done after round 2 already (rounds=2 is even),
 		// so the run stops there — the point is the counter must agree.
 		for v, out := range res.Outputs {
 			if out.(int) != res.Rounds {
-				t.Errorf("mode %v: node %d ran %d rounds, engine says %d", mode, v, out, res.Rounds)
+				t.Errorf("procs %d: node %d ran %d rounds, engine says %d", procs, v, out, res.Rounds)
 			}
 		}
-	}
+	})
 }

@@ -12,7 +12,8 @@ import (
 // engine's nodes are split into contiguous snapshot-index ranges, each
 // range is hosted by a ShardRunner (in-process or in a child OS process
 // behind internal/wire), and a coordinator (coordinator.go) drives the
-// same round/observer/faults contracts as Engine.Run over ShardLinks.
+// engine's run loop over ShardLinks. Both sides run the round kernel of
+// kernel.go, the one the LOCAL engine runs.
 //
 // Determinism is preserved by construction. The LOCAL engine delivers
 // each inbox sorted by (sender index, queue position), achieved by
@@ -21,10 +22,10 @@ import (
 // message blocks in shard order (shards are contiguous ascending
 // ranges, so shard order IS sender-index order), and the receiving
 // shard splices its own locally-staged block between the lower- and
-// higher-shard blocks. Fault schedules are decided sender-side with
-// global (round, sender index, queue position) coordinates — the same
-// pure function the LOCAL engine consults — so a partitioned run
-// produces byte-identical outputs, fault counters, and round stats.
+// higher-shard blocks. Fault schedules are decided sender-side, by the
+// routing walk the LOCAL engine uses, at global (round, sender index,
+// queue position) coordinates, so a partitioned run produces
+// byte-identical outputs, fault counters, and round stats.
 
 // PartMsg is one message copy crossing a shard boundary: global sender
 // and receiver snapshot indices plus the program-encoded payload.
@@ -47,7 +48,6 @@ type ShardConfig struct {
 	Params    []byte
 	FaultSpec string
 	FaultSeed uint64
-	MaxRounds int
 }
 
 // ShardStepResult is what a shard reports after executing one step: its
@@ -61,7 +61,8 @@ type ShardStepResult struct {
 	Done int
 	// DeadNotDone counts crashed-but-unfinished local nodes; BlockedIdx
 	// is the smallest such global index (-1 when none) and BlockedRound
-	// its crash round — the coordinator's crash-blocked diagnosis.
+	// its crash round — crashTable.blocked over the shard's range, summed
+	// by the coordinator into the run loop's crash-blocked diagnosis.
 	DeadNotDone  int
 	BlockedIdx   int32
 	BlockedRound int
@@ -165,8 +166,8 @@ func SplitRange(n, parts int) []PartRange {
 	if parts < 1 {
 		parts = 1
 	}
-	if parts > n && n > 0 {
-		parts = n
+	if parts > n {
+		parts = max(n, 1)
 	}
 	out := make([]PartRange, parts)
 	chunk, rem := n/parts, n%parts

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/proctest"
 )
 
 // sameKnowledge compares two ball collections by content: same node
@@ -110,7 +111,7 @@ func TestRetransAbsorbsDupAndDelay(t *testing.T) {
 }
 
 // TestRetransDeterministicAcrossModes: the faulty retransmitting run is
-// as schedule-independent as everything else.
+// as independent of the GOMAXPROCS setting as everything else.
 func TestRetransDeterministicAcrossModes(t *testing.T) {
 	g := gen.RandomChordal(100, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 31)
 	f := &Faults{Plan: fault.Plan{Seed: 13, Drop: 0.25}}
@@ -126,16 +127,17 @@ func TestRetransDeterministicAcrossModes(t *testing.T) {
 	}
 	var refK map[graph.ID]*Knowledge
 	var refFP fp
-	withMode(t, ModeSequential, func() { refK, refFP = run() })
-	for _, m := range []ExecMode{ModePooled, ModePerNode} {
-		var gotK map[graph.ID]*Knowledge
-		var gotFP fp
-		withMode(t, m, func() { gotK, gotFP = run() })
-		if gotFP != refFP {
-			t.Fatalf("mode %d: %+v, want %+v", m, gotFP, refFP)
+	proctest.Sweep(func(procs int) {
+		gotK, gotFP := run()
+		if procs == 1 {
+			refK, refFP = gotK, gotFP
+			return
 		}
-		sameKnowledge(t, "modes", refK, gotK)
-	}
+		if gotFP != refFP {
+			t.Fatalf("procs %d: %+v, want %+v", procs, gotFP, refFP)
+		}
+		sameKnowledge(t, "procs", refK, gotK)
+	})
 }
 
 // TestRetransBudgetExhaustion: an impossible budget fails with the

@@ -3,34 +3,24 @@ package dist
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
 // ShardRunner hosts one contiguous node range of a partitioned run. It
-// executes the range's protocols step by step under the coordinator's
-// direction, mirroring the LOCAL engine's semantics exactly: nodes run
-// in index order (the sequential schedule — all schedules are
-// observationally identical), inboxes are truncated as they are
-// consumed, Quiescent protocols skip empty-inbox rounds, crashed nodes
-// stop executing, and every outgoing copy is routed through the fault
-// schedule sender-side with global coordinates.
+// executes the range step by step under the coordinator's direction
+// through the same kernel as the LOCAL engine — one nodeRange stepped on
+// the calling goroutine (a shard host is single-threaded), the shared
+// crash table, and the shared routing walk, whose sink stages
+// local-destination copies and encodes remote ones.
 type ShardRunner struct {
 	ix     *graph.Indexed
 	lo, hi int32
 	prog   Program
 
-	progs     []Protocol // by local offset i-lo
-	ctxs      []Context
-	curRound  int32
-	quiescent bool
-
-	done      []bool // by local offset
-	doneCount int
-
-	faults  *Faults
-	crashAt []int  // by GLOBAL index; nil without a crash schedule
-	dead    []bool // by local offset
+	nodes    nodeRange
+	curRound int32
+	faults   *Faults
+	crash    crashTable
 
 	inbox  [][]Message // by local offset; the current round's inboxes
 	staged [][]Message // by local offset; local-destination copies of the step
@@ -52,55 +42,23 @@ func NewShardRunner(ix *graph.Indexed, cfg ShardConfig) (*ShardRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ShardRunner{
-		ix:   ix,
-		lo:   cfg.Lo,
-		hi:   cfg.Hi,
-		prog: prog,
-	}
+	r := &ShardRunner{ix: ix, lo: cfg.Lo, hi: cfg.Hi, prog: prog}
 	if cfg.FaultSpec != "" {
-		f, err := ParseFaults(cfg.FaultSpec, cfg.FaultSeed)
-		if err != nil {
+		if r.faults, err = ParseFaults(cfg.FaultSpec, cfg.FaultSeed); err != nil {
 			return nil, err
 		}
-		r.faults = f
+	}
+	if r.crash, err = newCrashTable(ix, r.faults); err != nil {
+		return nil, err
 	}
 	local := int(cfg.Hi - cfg.Lo)
-	r.progs = make([]Protocol, local)
-	r.ctxs = make([]Context, local)
-	r.done = make([]bool, local)
+	progs := make([]Protocol, local)
+	for j := range progs {
+		progs[j] = prog.NewNode(int(cfg.Lo) + j)
+	}
+	r.nodes = newNodeRange(ix, int(cfg.Lo), progs, make([]Context, local), make([]bool, local), &r.curRound)
 	r.inbox = make([][]Message, local)
 	r.staged = make([][]Message, local)
-	r.quiescent = local > 0
-	for j := range r.progs {
-		i := int(cfg.Lo) + j
-		r.progs[j] = prog.NewNode(i)
-		if _, ok := r.progs[j].(Quiescent); !ok {
-			r.quiescent = false
-		}
-		r.ctxs[j] = Context{
-			id:     ix.IDOf(i),
-			idx:    int32(i),
-			nbrIDs: ix.NeighborIDs(i),
-			nbrIdx: ix.NeighborIndices(i),
-			ix:     ix,
-			round:  &r.curRound,
-		}
-	}
-	if r.faults != nil && len(r.faults.Crash) > 0 {
-		r.crashAt = make([]int, n)
-		for i := range r.crashAt {
-			r.crashAt[i] = -1
-		}
-		r.dead = make([]bool, local)
-		for v, round := range r.faults.Crash {
-			i, ok := ix.IndexOf(v)
-			if !ok {
-				return nil, fmt.Errorf("dist: fault plan crashes node %d, which is not a node of the network", v)
-			}
-			r.crashAt[i] = round
-		}
-	}
 	return r, nil
 }
 
@@ -113,143 +71,46 @@ func NewShardRunner(ix *graph.Indexed, cfg ShardConfig) (*ShardRunner, error) {
 func (r *ShardRunner) Step(round int) *ShardStepResult {
 	r.curRound = int32(round)
 	r.stepped = true
-	if r.crashAt != nil {
-		for j := range r.dead {
-			if r.crashAt[int(r.lo)+j] == round {
-				r.dead[j] = true
-			}
-		}
-	}
+	r.crash.mark(round)
 	res := &ShardStepResult{Round: round, BlockedIdx: -1}
-	if err := r.runNodes(round); err != nil {
-		res.Err = err.Error()
+	r.nodes.step(round, r.inbox, r.crash.dead)
+	if r.nodes.err != nil {
+		res.Err = r.nodes.err.Error()
 		return res
 	}
 	r.route(round, res)
-	res.Done = r.doneCount
-	if r.dead != nil {
-		for j := range r.dead {
-			if r.dead[j] && !r.done[j] {
-				res.DeadNotDone++
-				if res.BlockedIdx < 0 {
-					res.BlockedIdx = r.lo + int32(j)
-					res.BlockedRound = r.crashAt[int(r.lo)+j]
-				}
-			}
-		}
-	}
+	res.Done = r.nodes.doneCount
+	res.DeadNotDone, res.BlockedIdx, res.BlockedRound = r.crash.blocked(int(r.lo), r.nodes.done)
 	return res
 }
 
-// runNodes runs the step's protocol calls in local index order with the
-// engine's panic recovery: a panicking node program aborts the
-// remaining range and surfaces as the engine-formatted error.
-func (r *ShardRunner) runNodes(round int) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("dist: node program panicked: %v", rec)
-		}
-	}()
-	for j := range r.progs {
-		if r.dead != nil && r.dead[j] {
-			continue
-		}
-		if round == 0 {
-			r.progs[j].Init(&r.ctxs[j])
-		} else {
-			if r.quiescent && len(r.inbox[j]) == 0 {
-				continue
-			}
-			inbox := r.inbox[j]
-			r.inbox[j] = r.inbox[j][:0]
-			r.progs[j].Round(&r.ctxs[j], inbox)
-		}
-		if d := r.progs[j].Done(); d != r.done[j] {
-			r.done[j] = d
-			if d {
-				r.doneCount++
-			} else {
-				r.doneCount--
-			}
-		}
-	}
-	return nil
-}
-
-// route walks the step's outboxes in sender order, expanding broadcasts
-// over neighbor rows, and delivers each copy through the fault schedule
-// with global (round, sender, queue position) coordinates — the LOCAL
-// engine's exact delivery pass, with remote copies encoded instead of
-// appended.
+// route runs the shared routing walk over the range's outboxes with a
+// sink that stages local-destination copies and encodes remote ones —
+// once per outbox entry, so broadcast copies share the encoding.
 func (r *ShardRunner) route(round int, res *ShardStepResult) {
 	r.out = r.out[:0]
-	var plan fault.Plan
-	perturb := false
-	if r.faults.active() {
-		plan = r.faults.Plan
-		perturb = plan.Perturbs()
-	}
-	for j := range r.ctxs {
-		c := &r.ctxs[j]
-		sender := int(r.lo) + j
-		pos := 0
-		var encErr error
-		for k, msg := range c.outbox {
-			sz := 1
-			if s, ok := msg.Payload.(Sizer); ok {
-				sz = s.PayloadSize()
-			}
-			var enc []byte // lazily encoded once per outbox entry
-			deliver := func(to int32) {
-				if r.crashAt != nil && r.crashAt[to] >= 0 && r.crashAt[to] <= round+1 {
-					res.DeadLetters++
-					return
-				}
-				var act fault.Action
-				if perturb {
-					act = plan.Decide(round, sender, pos)
-				}
-				if act.Drop {
-					res.Dropped++
-					return
-				}
-				if act.Delay > res.Stall {
-					res.Stall = act.Delay
-				}
-				copies := 1
-				if act.Dup {
-					res.Duplicated++
-					copies = 2
-				}
-				for range copies {
-					if to >= r.lo && to < r.hi {
-						off := to - r.lo
-						r.staged[off] = append(r.staged[off], msg)
-					} else {
-						if enc == nil && encErr == nil {
-							enc, encErr = r.prog.EncodePayload(msg.Payload)
-						}
-						r.out = append(r.out, PartMsg{From: int32(sender), To: to, Data: enc})
-					}
-					res.Messages++
-					res.Volume += sz
-				}
-			}
-			if to := c.targets[k]; to >= 0 {
-				deliver(to)
-				pos++
-			} else {
-				for _, u := range c.nbrIdx {
-					deliver(u)
-					pos++
-				}
+	var fs FaultStats
+	var enc []byte
+	var encErr error
+	encoded := -1 // the outbox entry enc belongs to
+	res.Messages, res.Volume = routeWalk(r.nodes.ctxs, int(r.lo), round, r.faults, &r.crash, &fs, func(from int, to int32, msg Message, entry int) {
+		if to >= r.lo && to < r.hi {
+			off := to - r.lo
+			r.staged[off] = append(r.staged[off], msg)
+			return
+		}
+		if entry != encoded {
+			encoded = entry
+			var err error
+			if enc, err = r.prog.EncodePayload(msg.Payload); err != nil && encErr == nil {
+				encErr = err
 			}
 		}
-		c.outbox = c.outbox[:0]
-		c.targets = c.targets[:0]
-		if encErr != nil && res.Err == "" {
-			res.Err = fmt.Sprintf("dist: shard payload encoding failed: %v", encErr)
-		}
+		r.out = append(r.out, PartMsg{From: int32(from), To: to, Data: enc})
+	})
+	res.Dropped, res.Duplicated, res.DeadLetters, res.Stall = fs.Dropped, fs.Duplicated, fs.DeadLetters, fs.Stall
+	if encErr != nil {
+		res.Err = fmt.Sprintf("dist: shard payload encoding failed: %v", encErr)
 	}
 	res.Msgs = r.out
 }
@@ -310,9 +171,9 @@ func (r *ShardRunner) Deliver(incoming []PartMsg) (int, error) {
 
 // Outputs encodes every local node's final output, by local offset.
 func (r *ShardRunner) Outputs() ([][]byte, error) {
-	out := make([][]byte, len(r.progs))
-	for j := range r.progs {
-		data, err := r.prog.EncodeOutput(int(r.lo)+j, r.progs[j])
+	out := make([][]byte, len(r.nodes.progs))
+	for j, p := range r.nodes.progs {
+		data, err := r.prog.EncodeOutput(int(r.lo)+j, p)
 		if err != nil {
 			return nil, fmt.Errorf("dist: shard output encoding failed for index %d: %w", int(r.lo)+j, err)
 		}

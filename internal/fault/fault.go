@@ -4,8 +4,9 @@
 // per-message decision is a pure function of (seed, round, sender index,
 // queue position). The engine asks the plan one question per queued
 // message at the round boundary; because the answer depends only on
-// those coordinates, every ExecMode (and every rerun) sees the identical
-// fault schedule, so faulty runs stay as reproducible as clean ones.
+// those coordinates, every range count, runtime, and rerun sees the
+// identical fault schedule, so faulty runs stay as reproducible as clean
+// ones.
 //
 // Randomness comes from a private SplitMix64 finalizer chained over the
 // decision coordinates rather than from math/rand, both to keep the

@@ -9,19 +9,11 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/proctest"
 )
 
-// withMode runs fn with dist.DefaultMode temporarily overridden.
-func withMode(t *testing.T, m dist.ExecMode, fn func()) {
-	t.Helper()
-	old := dist.DefaultMode
-	dist.DefaultMode = m
-	defer func() { dist.DefaultMode = old }()
-	fn()
-}
-
-// canonicalFaultTrace runs a faulty flood under the current DefaultMode
-// and returns the canonical JSONL trace bytes.
+// canonicalFaultTrace runs a faulty flood and returns the canonical
+// JSONL trace bytes.
 func canonicalFaultTrace(t *testing.T, g *graph.Graph, radius int, f *dist.Faults) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -39,8 +31,8 @@ func canonicalFaultTrace(t *testing.T, g *graph.Graph, radius int, f *dist.Fault
 
 // TestFaultTraceByteIdenticalAcrossModes is the acceptance gate for
 // deterministic fault injection: the same (graph, protocol, seed, plan)
-// must yield byte-identical canonical JSONL traces under ModePooled,
-// ModePerNode, and ModeSequential.
+// must yield byte-identical canonical JSONL traces under GOMAXPROCS 1,
+// 2, and 4, i.e. one, two, and four concurrently stepped node ranges.
 func TestFaultTraceByteIdenticalAcrossModes(t *testing.T) {
 	g := gen.RandomChordal(180, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 37)
 	plans := map[string]*dist.Faults{
@@ -50,17 +42,18 @@ func TestFaultTraceByteIdenticalAcrossModes(t *testing.T) {
 	}
 	for name, f := range plans {
 		var ref []byte
-		withMode(t, dist.ModeSequential, func() { ref = canonicalFaultTrace(t, g, 3, f) })
-		if len(ref) == 0 {
-			t.Fatalf("%s: empty trace", name)
-		}
-		for _, m := range []dist.ExecMode{dist.ModePooled, dist.ModePerNode} {
-			var got []byte
-			withMode(t, m, func() { got = canonicalFaultTrace(t, g, 3, f) })
-			if !bytes.Equal(ref, got) {
-				t.Errorf("%s: trace under mode %d differs from sequential:\n%s\nvs\n%s", name, m, got, ref)
+		proctest.Sweep(func(procs int) {
+			got := canonicalFaultTrace(t, g, 3, f)
+			if procs == 1 {
+				if ref = got; len(ref) == 0 {
+					t.Fatalf("%s: empty trace", name)
+				}
+				return
 			}
-		}
+			if !bytes.Equal(ref, got) {
+				t.Errorf("%s: trace under GOMAXPROCS %d differs from GOMAXPROCS 1:\n%s\nvs\n%s", name, procs, got, ref)
+			}
+		})
 	}
 }
 

@@ -66,8 +66,9 @@ const (
 
 // Event is one JSONL trace record and one row of the Collector's
 // in-memory table. All fields except the wall/busy timings are pure
-// functions of (graph, protocol) and identical across engine ExecModes;
-// Shards describes the schedule and timings describe the hardware.
+// functions of (graph, protocol) and identical for every engine range
+// count and runtime; Shards describes the schedule and timings describe
+// the hardware.
 type Event struct {
 	V     int    `json:"v"`
 	Kind  string `json:"kind"`
@@ -189,7 +190,7 @@ type Collector struct {
 
 	// canonical strips the schedule/hardware fields (shards, wall and
 	// busy times) from events so traces of the same (graph, protocol,
-	// seed, plan) are byte-identical across ExecModes and machines.
+	// seed, plan) are byte-identical across range counts and machines.
 	canonical bool
 
 	// In-flight round state. Written by the engine's driving goroutine;
@@ -362,8 +363,8 @@ func (c *Collector) closePhaseLocked() {
 // and wall/busy timings are zeroed in every subsequent event, leaving
 // only fields that are pure functions of (graph, protocol, seed, fault
 // plan). Two canonical traces of the same inputs are byte-identical
-// regardless of ExecMode, GOMAXPROCS, or hardware — this is what the
-// cross-mode determinism gate diffs.
+// regardless of GOMAXPROCS (the engine's range count), runtime, or
+// hardware — this is what the determinism gates diff.
 func (c *Collector) SetCanonical(on bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

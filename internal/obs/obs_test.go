@@ -15,6 +15,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/peel"
+	"repro/internal/proctest"
 )
 
 // pingProtocol floods a counter to neighbors for a fixed number of
@@ -191,14 +192,15 @@ func TestCollectorShardBusyTimes(t *testing.T) {
 	eng := dist.NewEngine(pathGraph(64), func(v graph.ID) dist.Protocol {
 		return &pingProtocol{rounds: 2}
 	})
-	eng.Mode = dist.ModeSequential
 	eng.Observer = c
-	if _, err := eng.Run(100); err != nil {
-		t.Fatalf("engine: %v", err)
-	}
+	proctest.With(1, func() {
+		if _, err := eng.Run(100); err != nil {
+			t.Fatalf("engine: %v", err)
+		}
+	})
 	for i, ev := range c.Events() {
 		if ev.Shards != 1 {
-			t.Errorf("event %d: shards=%d, want 1 in sequential mode", i, ev.Shards)
+			t.Errorf("event %d: shards=%d, want 1 under GOMAXPROCS 1", i, ev.Shards)
 		}
 		if len(ev.BusyNS) != 1 || ev.BusyNS[0] <= 0 {
 			t.Errorf("event %d: BusyNS=%v, want one positive entry", i, ev.BusyNS)
