@@ -59,6 +59,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphOps$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzRecognize$$' -fuzztime 10s ./internal/interval
 	$(GO) test -run '^$$' -fuzz '^FuzzChordalPipeline$$' -fuzztime 10s ./internal/interval
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStepResult$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDeliver$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOutputs$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzShardDeliverBlock$$' -fuzztime 10s ./internal/dist
 
 # The full CI gate: compile, vet, chordalvet (with SARIF artifact and
 # baseline diff), the analysis wall-clock gate, race-detect the
@@ -147,23 +152,31 @@ tracestat-smoke:
 
 # Partitioned-runtime smoke: the byte-identity gate for out-of-process
 # execution. The same-seed quick workload runs once on the in-process
-# LOCAL engine and once on 2 shard-host child processes; `tracestat
-# diff` must find zero divergence in the deterministic round/layer
-# records (the partitioned trace legitimately differs in timings and
-# wire_in_b/wire_out_b, which diff excludes). A second faulted pair
-# pins the same identity under an active dup/delay/drop schedule.
+# LOCAL engine and once each on 2 and 3 shard-host child processes;
+# `tracestat diff` must find zero divergence in the deterministic
+# round/layer records (the partitioned traces legitimately differ in
+# timings and wire_in_b/wire_out_b, which diff excludes). With 3 shards
+# the middle shard splices blocks from both sides around its own
+# copies. A second set of faulted runs pins the same identity under an
+# active dup/delay/drop schedule.
 partition-smoke:
 	mkdir -p partition-smoke
 	$(GO) run ./cmd/experiments -quick -trace partition-smoke/local.jsonl
 	$(GO) run ./cmd/experiments -quick -trace partition-smoke/part2.jsonl -partitions 2
-	$(GO) run ./cmd/tracestat check partition-smoke/local.jsonl partition-smoke/part2.jsonl
+	$(GO) run ./cmd/experiments -quick -trace partition-smoke/part3.jsonl -partitions 3
+	$(GO) run ./cmd/tracestat check partition-smoke/local.jsonl partition-smoke/part2.jsonl partition-smoke/part3.jsonl
 	$(GO) run ./cmd/tracestat diff partition-smoke/local.jsonl partition-smoke/part2.jsonl
+	$(GO) run ./cmd/tracestat diff partition-smoke/local.jsonl partition-smoke/part3.jsonl
 	$(GO) run ./cmd/experiments -quick -trace partition-smoke/local-faulty.jsonl \
 		-faults drop=0.2,dup=0.2,delay=2 -fault-seed 7
 	$(GO) run ./cmd/experiments -quick -trace partition-smoke/part2-faulty.jsonl \
 		-faults drop=0.2,dup=0.2,delay=2 -fault-seed 7 -partitions 2
-	$(GO) run ./cmd/tracestat check partition-smoke/local-faulty.jsonl partition-smoke/part2-faulty.jsonl
+	$(GO) run ./cmd/experiments -quick -trace partition-smoke/part3-faulty.jsonl \
+		-faults drop=0.2,dup=0.2,delay=2 -fault-seed 7 -partitions 3
+	$(GO) run ./cmd/tracestat check partition-smoke/local-faulty.jsonl partition-smoke/part2-faulty.jsonl \
+		partition-smoke/part3-faulty.jsonl
 	$(GO) run ./cmd/tracestat diff partition-smoke/local-faulty.jsonl partition-smoke/part2-faulty.jsonl
+	$(GO) run ./cmd/tracestat diff partition-smoke/local-faulty.jsonl partition-smoke/part3-faulty.jsonl
 
 # Full experiment tables as recorded in EXPERIMENTS.md (slow).
 experiments:

@@ -40,19 +40,11 @@ type Coordinator struct {
 // program is instantiated coordinator-side too — with the exact
 // (params, snapshot) every shard receives — to decode outputs.
 func NewCoordinator(ix *graph.Indexed, part *Partition, program string, params []byte) (*Coordinator, error) {
-	n := int32(ix.NumNodes())
 	if len(part.Links) == 0 || len(part.Links) != len(part.Ranges) {
 		return nil, fmt.Errorf("dist: partition has %d links for %d ranges", len(part.Links), len(part.Ranges))
 	}
-	want := int32(0)
-	for s, rg := range part.Ranges {
-		if rg.Lo != want || rg.Hi <= rg.Lo {
-			return nil, fmt.Errorf("dist: partition range %d is [%d, %d), want contiguous from %d", s, rg.Lo, rg.Hi, want)
-		}
-		want = rg.Hi
-	}
-	if want != n {
-		return nil, fmt.Errorf("dist: partition covers [0, %d), snapshot has %d nodes", want, n)
+	if err := checkRanges(part.Ranges, ix.NumNodes()); err != nil {
+		return nil, err
 	}
 	prog, err := NewProgram(program, ix, params)
 	if err != nil {
@@ -104,7 +96,7 @@ func (c *Coordinator) start() (*crashTable, error) {
 	}
 	for s, l := range c.part.Links {
 		err := l.Start(ShardConfig{
-			Lo: c.part.Ranges[s].Lo, Hi: c.part.Ranges[s].Hi,
+			Shard: s, Ranges: c.part.Ranges,
 			Program: c.program, Params: c.params,
 			FaultSpec: faultSpec, FaultSeed: faultSeed,
 		})
@@ -117,10 +109,12 @@ func (c *Coordinator) start() (*crashTable, error) {
 }
 
 // step implements stepper for one partitioned step: broadcast Step to
-// every shard, await results in shard order, route the cross-shard
-// blocks, deliver, and await the inbox high-water acks. It aggregates
-// the shard counters into the run result and fires the observer exactly
-// like the LOCAL engine's step.
+// every shard, await the results in shard order, relay every block to
+// its destination shard, and await the inbox high-water acks. The
+// coordinator never reads a block: results[s].Blocks[d] goes to shard d
+// as it came from shard s. It aggregates the shard counters into the
+// run result and fires the observer exactly like the LOCAL engine's
+// step.
 func (c *Coordinator) step(round int, crashed []graph.ID, res *Result) (stepState, error) {
 	obs := c.Observer
 	links := c.part.Links
@@ -128,25 +122,24 @@ func (c *Coordinator) step(round int, crashed []graph.ID, res *Result) (stepStat
 	if obs != nil {
 		obs.RoundStart(round, len(links))
 	}
-	for _, l := range links {
-		if err := l.Step(round); err != nil {
-			return st, err
-		}
-	}
 	results := make([]*ShardStepResult, len(links))
-	var failure error
-	for s, l := range links {
-		r, err := l.StepResult()
-		if err != nil {
-			return st, err
-		}
-		if r.Err != "" && failure == nil {
-			failure = errors.New(r.Err)
-		}
-		results[s] = r
-	}
-	if failure != nil {
-		return st, failure
+	err := exchange(links,
+		func(_ int, l ShardLink) error { return l.Step(round) },
+		func(s int, l ShardLink) error {
+			r, err := l.StepResult()
+			switch {
+			case err != nil:
+				return err
+			case r.Err != "":
+				return errors.New(r.Err)
+			case len(r.Blocks) != len(links):
+				return fmt.Errorf("dist: shard %d returned %d blocks for %d shards", s, len(r.Blocks), len(links))
+			}
+			results[s] = r
+			return nil
+		})
+	if err != nil {
+		return st, err
 	}
 
 	msgs, vol := 0, 0
@@ -167,31 +160,22 @@ func (c *Coordinator) step(round int, crashed []graph.ID, res *Result) (stepStat
 		}
 	}
 
-	// Route: for each destination shard, concatenate the per-source
-	// blocks in shard order. Source blocks are in sender order and
-	// shards are ascending contiguous ranges, so each destination
-	// receives its copies in global sender order.
-	route := make([][]PartMsg, len(links))
-	for _, r := range results {
-		for _, m := range r.Msgs {
-			d := c.part.shardOf(m.To)
-			route[d] = append(route[d], m)
-		}
-	}
-	for s, l := range links {
-		if err := l.Deliver(round, route[s]); err != nil {
-			return st, err
-		}
-	}
 	maxInbox := 0
-	for _, l := range links {
-		mi, err := l.DeliverResult()
-		if err != nil {
-			return st, err
-		}
-		if mi > maxInbox {
-			maxInbox = mi
-		}
+	inbound := make([][]byte, len(links)) // the blocks for one shard, by source
+	err = exchange(links,
+		func(d int, l ShardLink) error {
+			for s, r := range results {
+				inbound[s] = r.Blocks[d]
+			}
+			return l.Deliver(round, inbound)
+		},
+		func(_ int, l ShardLink) error {
+			mi, err := l.DeliverResult()
+			maxInbox = max(maxInbox, mi)
+			return err
+		})
+	if err != nil {
+		return st, err
 	}
 
 	chargeStep(obs, res, msgs, vol, &fs)
@@ -212,6 +196,32 @@ func (c *Coordinator) step(round int, crashed []graph.ID, res *Result) (stepStat
 		})
 	}
 	return st, nil
+}
+
+// exchange runs one request/reply phase over every link: send to each
+// link in shard order, stopping at the first send failure, then await
+// the reply of every link that was sent a request, in shard order — so
+// a failure never leaves a reply queued on a link for the next run to
+// misread. It returns the lowest shard's error, the rule node-program
+// panics follow too.
+func exchange(links []ShardLink, send, await func(s int, l ShardLink) error) error {
+	sent, sendErr := len(links), error(nil)
+	for s, l := range links {
+		if err := send(s, l); err != nil {
+			sent, sendErr = s, err
+			break
+		}
+	}
+	var first error
+	for s, l := range links[:sent] {
+		if err := await(s, l); err != nil && first == nil {
+			first = err
+		}
+	}
+	if first != nil {
+		return first
+	}
+	return sendErr
 }
 
 // finish implements stepper: gather and decode every shard's outputs.

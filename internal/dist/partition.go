@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/graph"
@@ -18,32 +17,41 @@ import (
 // Determinism is preserved by construction. The LOCAL engine delivers
 // each inbox sorted by (sender index, queue position), achieved by
 // walking senders in index order. Here every shard routes its own
-// senders in index order, the coordinator concatenates the per-shard
-// message blocks in shard order (shards are contiguous ascending
-// ranges, so shard order IS sender-index order), and the receiving
-// shard splices its own locally-staged block between the lower- and
-// higher-shard blocks. Fault schedules are decided sender-side, by the
-// routing walk the LOCAL engine uses, at global (round, sender index,
-// queue position) coordinates, so a partitioned run produces
-// byte-identical outputs, fault counters, and round stats.
+// senders in index order into one block per destination shard, the
+// coordinator relays every block unread to its destination, and the
+// receiving shard splices its own locally-staged copies between the
+// lower- and higher-shard blocks (shards are contiguous ascending
+// ranges, so shard order IS sender-index order). Fault schedules are
+// decided sender-side, by the routing walk the LOCAL engine uses, at
+// global (round, sender index, queue position) coordinates, so a
+// partitioned run produces byte-identical outputs, fault counters, and
+// round stats.
+//
+// Block format. A block is a sequence of entries, one per outbox entry
+// (one Send or Broadcast call) with at least one copy for the
+// destination shard, in sender order:
+//
+//	uvarint sender         global snapshot index
+//	uvarint count          number of copies, ≥ 1
+//	uvarint target × count global snapshot indices, in queue order
+//	uvarint length         payload length
+//	byte    payload × length
+//
+// The payload is encoded once per entry and written once per destination
+// shard; a duplicated copy is its target listed twice in a row. The
+// receiving shard decodes each entry's payload once and appends the same
+// Message to every target it lists, just as the LOCAL engine shares one
+// payload across the copies of a broadcast.
 
-// PartMsg is one message copy crossing a shard boundary: global sender
-// and receiver snapshot indices plus the program-encoded payload.
-// Duplicated copies appear as adjacent entries, exactly as the LOCAL
-// engine appends them.
-type PartMsg struct {
-	From int32
-	To   int32
-	Data []byte
-}
-
-// ShardConfig configures one program run on a shard: the shard's node
-// range, the registered program to instantiate, its opaque parameters,
-// and the fault schedule as the (spec, seed) pair it is a pure function
-// of — each side re-parses locally, so no schedule state crosses the
-// wire.
+// ShardConfig configures one program run on a shard: which shard of the
+// partition it is (Ranges[Shard] is its node range; the other ranges
+// map a target index to the shard hosting it), the registered program
+// to instantiate, its opaque parameters, and the fault schedule as the
+// (spec, seed) pair it is a pure function of — each side re-parses
+// locally, so no schedule state crosses the wire.
 type ShardConfig struct {
-	Lo, Hi    int32
+	Shard     int
+	Ranges    []PartRange
 	Program   string
 	Params    []byte
 	FaultSpec string
@@ -53,8 +61,8 @@ type ShardConfig struct {
 // ShardStepResult is what a shard reports after executing one step: its
 // local termination state, the step's sender-side accounting (every
 // delivered copy is counted by its sender, so coordinator sums equal
-// the LOCAL engine's counters), and the remote-bound messages in sender
-// order.
+// the LOCAL engine's counters), and the remote-bound copies as one
+// block per destination shard.
 type ShardStepResult struct {
 	Round int
 	// Done is the shard's count of nodes whose protocol reports Done.
@@ -73,8 +81,11 @@ type ShardStepResult struct {
 	Duplicated  int
 	DeadLetters int
 	Stall       int
-	// Msgs are the copies addressed outside [Lo, Hi), in sender order.
-	Msgs []PartMsg
+	// Blocks holds the step's remote-bound copies, indexed by
+	// destination shard, in the block format above; the shard's own
+	// entry is empty. The slices alias the runner's buffers: they stay
+	// valid until the shard's next Step, and must not be modified.
+	Blocks [][]byte
 	// Err carries a node-program panic ("dist: node program panicked:
 	// ..."), formatted exactly like the LOCAL engine's failure.
 	Err string
@@ -94,9 +105,11 @@ type ShardLink interface {
 	Step(round int) error
 	// StepResult awaits the result of the step begun by Step.
 	StepResult() (*ShardStepResult, error)
-	// Deliver hands the shard the remote copies addressed to it, in
-	// global sender order, for splicing with its locally staged block.
-	Deliver(round int, msgs []PartMsg) error
+	// Deliver hands the shard the blocks addressed to it, one per
+	// source shard in shard order (its own entry empty), for splicing
+	// with its locally staged copies. The link does not retain blocks
+	// after Deliver returns.
+	Deliver(round int, blocks [][]byte) error
 	// DeliverResult awaits the delivery ack and returns the shard's
 	// post-delivery inbox high-water mark.
 	DeliverResult() (maxInbox int, err error)
@@ -141,10 +154,20 @@ type Partition struct {
 // Parts returns the number of shards.
 func (p *Partition) Parts() int { return len(p.Links) }
 
-// shardOf returns the shard hosting global index to. Ranges are
-// contiguous and ascending, so binary search resolves it.
-func (p *Partition) shardOf(to int32) int {
-	return sort.Search(len(p.Ranges), func(s int) bool { return p.Ranges[s].Hi > to })
+// checkRanges verifies that ranges are non-empty, contiguous, ascending
+// and exhaustive over [0, n).
+func checkRanges(ranges []PartRange, n int) error {
+	want := int32(0)
+	for s, rg := range ranges {
+		if rg.Lo != want || rg.Hi <= rg.Lo {
+			return fmt.Errorf("dist: partition range %d is [%d, %d), want contiguous from %d", s, rg.Lo, rg.Hi, want)
+		}
+		want = rg.Hi
+	}
+	if int(want) != n {
+		return fmt.Errorf("dist: partition covers [0, %d), snapshot has %d nodes", want, n)
+	}
+	return nil
 }
 
 // Close closes every link, returning the first error.
@@ -199,9 +222,15 @@ type Program interface {
 	// index i.
 	NewNode(i int) Protocol
 	// EncodePayload serializes an outgoing payload. It is called once
-	// per outbox entry (broadcast copies share the encoding).
+	// per outbox entry with copies on other shards (broadcast copies
+	// share the encoding).
 	EncodePayload(p any) ([]byte, error)
-	// DecodePayload rebuilds a payload on the receiving side.
+	// DecodePayload rebuilds a payload on the receiving side. It is
+	// called once per outbox entry per destination shard, and the
+	// result is shared by every local recipient of the entry — like a
+	// LOCAL broadcast's payload — so it must be immutable, as Message
+	// already requires. data aliases the transport's buffer and is only
+	// valid during the call.
 	DecodePayload(data []byte) (any, error)
 	// EncodeOutput serializes node i's final output from its protocol.
 	EncodeOutput(i int, p Protocol) ([]byte, error)

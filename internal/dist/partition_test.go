@@ -308,7 +308,7 @@ func TestShardRunnerDeliverBeforeStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewShardRunner(ix, ShardConfig{Lo: 0, Hi: 3, Program: "flood", Params: params})
+	r, err := NewShardRunner(ix, ShardConfig{Shard: 0, Ranges: SplitRange(ix.NumNodes(), 2), Program: "flood", Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}

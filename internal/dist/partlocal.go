@@ -68,11 +68,11 @@ func (l *LocalLink) StepResult() (*ShardStepResult, error) {
 }
 
 // Deliver implements ShardLink.
-func (l *LocalLink) Deliver(round int, msgs []PartMsg) error {
+func (l *LocalLink) Deliver(round int, blocks [][]byte) error {
 	if l.runner == nil {
 		return fmt.Errorf("dist: link used before Start")
 	}
-	l.deliverHi, l.deliverEr = l.runner.Deliver(msgs)
+	l.deliverHi, l.deliverEr = l.runner.Deliver(blocks)
 	l.delivered = true
 	return nil
 }

@@ -26,6 +26,12 @@ type Link struct {
 	in, out int64
 	shard   int
 	closed  bool
+
+	// Frame buffers: stepBuf holds the last stepResult frame, whose
+	// blocks the coordinator relays after the link's next receive, so
+	// it is reused only by the next StepResult; buf serves every other
+	// reply. head is the scratch a binary frame's head is built in.
+	stepBuf, buf, head []byte
 }
 
 func newLink(conn net.Conn) *Link {
@@ -39,37 +45,53 @@ func newLink(conn net.Conn) *Link {
 // Shard returns the shard index the peer announced in its hello.
 func (l *Link) Shard() int { return l.shard }
 
-func (l *Link) send(kind byte, body any) error {
-	n, err := writeFrame(l.bw, kind, body)
-	l.out += int64(n)
-	if err != nil {
-		return fmt.Errorf("wire: shard %d: %w", l.shard, err)
-	}
-	return nil
-}
-
-func (l *Link) recv(want byte, msg any) error {
-	kind, body, n, err := readFrame(l.br)
-	l.in += int64(n)
-	if err != nil {
-		return fmt.Errorf("wire: shard %d: %w", l.shard, err)
-	}
-	if kind != want {
-		return fmt.Errorf("wire: shard %d sent frame kind %d, want %d", l.shard, kind, want)
-	}
-	if msg == nil {
+// wrap labels err with the link's shard; nil stays nil.
+func (l *Link) wrap(err error) error {
+	if err == nil {
 		return nil
 	}
-	if err := decodeBody(body, msg); err != nil {
-		return fmt.Errorf("wire: shard %d: %w", l.shard, err)
+	return fmt.Errorf("wire: shard %d: %w", l.shard, err)
+}
+
+// send writes one frame of head and blocks (see writeFrame).
+func (l *Link) send(kind byte, head []byte, blocks [][]byte) error {
+	n, err := writeFrame(l.bw, kind, head, blocks)
+	l.out += int64(n)
+	return l.wrap(err)
+}
+
+func (l *Link) sendGob(kind byte, body any) error {
+	n, err := writeGobFrame(l.bw, kind, body)
+	l.out += int64(n)
+	return l.wrap(err)
+}
+
+// recv reads one frame of kind want into *buf and returns its body,
+// which aliases *buf.
+func (l *Link) recv(want byte, buf *[]byte) ([]byte, error) {
+	kind, body, n, err := readFrame(l.br, buf)
+	l.in += int64(n)
+	if err != nil {
+		return nil, l.wrap(err)
 	}
-	return nil
+	if kind != want {
+		return nil, fmt.Errorf("wire: shard %d sent frame kind %d, want %d", l.shard, kind, want)
+	}
+	return body, nil
+}
+
+func (l *Link) recvGob(want byte, msg any) error {
+	body, err := l.recv(want, &l.buf)
+	if err != nil {
+		return err
+	}
+	return l.wrap(decodeGob(body, msg))
 }
 
 // readHello awaits the child's hello frame.
 func (l *Link) readHello() (int, error) {
 	var h helloMsg
-	if err := l.recv(kindHello, &h); err != nil {
+	if err := l.recvGob(kindHello, &h); err != nil {
 		return 0, err
 	}
 	return h.Shard, nil
@@ -78,12 +100,12 @@ func (l *Link) readHello() (int, error) {
 // beginSession ships a snapshot's CSR to the shard; awaitSession awaits
 // the rebuild ack. Split so Cluster.Partition pipelines over shards.
 func (l *Link) beginSession(ids []graph.ID, rowPtr, colIdx []int32) error {
-	return l.send(kindSession, sessionMsg{IDs: ids, RowPtr: rowPtr, ColIdx: colIdx})
+	return l.sendGob(kindSession, sessionMsg{IDs: ids, RowPtr: rowPtr, ColIdx: colIdx})
 }
 
 func (l *Link) awaitSession() error {
 	var ok okMsg
-	if err := l.recv(kindSessionOK, &ok); err != nil {
+	if err := l.recvGob(kindSessionOK, &ok); err != nil {
 		return err
 	}
 	if ok.Err != "" {
@@ -94,11 +116,11 @@ func (l *Link) awaitSession() error {
 
 // Start implements dist.ShardLink.
 func (l *Link) Start(cfg dist.ShardConfig) error {
-	if err := l.send(kindStart, startMsg{Cfg: cfg}); err != nil {
+	if err := l.sendGob(kindStart, startMsg{Cfg: cfg}); err != nil {
 		return err
 	}
 	var ok okMsg
-	if err := l.recv(kindStartOK, &ok); err != nil {
+	if err := l.recvGob(kindStartOK, &ok); err != nil {
 		return err
 	}
 	if ok.Err != "" {
@@ -109,48 +131,67 @@ func (l *Link) Start(cfg dist.ShardConfig) error {
 
 // Step implements dist.ShardLink.
 func (l *Link) Step(round int) error {
-	return l.send(kindStep, stepMsg{Round: round})
+	l.head = appendStep(l.head[:0], round)
+	return l.send(kindStep, l.head, nil)
 }
 
-// StepResult implements dist.ShardLink.
+// StepResult implements dist.ShardLink. The result's blocks alias the
+// link's step buffer, which the next StepResult reuses.
 func (l *Link) StepResult() (*dist.ShardStepResult, error) {
-	var msg stepResultMsg
-	if err := l.recv(kindStepResult, &msg); err != nil {
+	body, err := l.recv(kindStepResult, &l.stepBuf)
+	if err != nil {
 		return nil, err
 	}
-	return &msg.Res, nil
+	res, err := decodeStepResult(body)
+	if err != nil {
+		return nil, l.wrap(err)
+	}
+	return res, nil
 }
 
-// Deliver implements dist.ShardLink.
-func (l *Link) Deliver(round int, msgs []dist.PartMsg) error {
-	return l.send(kindDeliver, deliverMsg{Round: round, Msgs: msgs})
+// Deliver implements dist.ShardLink: the blocks are written to the
+// socket as they are.
+func (l *Link) Deliver(round int, blocks [][]byte) error {
+	l.head = appendDeliver(l.head[:0], round, len(blocks))
+	return l.send(kindDeliver, l.head, blocks)
 }
 
 // DeliverResult implements dist.ShardLink.
 func (l *Link) DeliverResult() (int, error) {
-	var msg deliverOKMsg
-	if err := l.recv(kindDeliverOK, &msg); err != nil {
+	body, err := l.recv(kindDeliverOK, &l.buf)
+	if err != nil {
 		return 0, err
 	}
-	if msg.Err != "" {
-		return 0, errors.New(msg.Err)
+	maxInbox, errText, err := decodeDeliverOK(body)
+	if err != nil {
+		return 0, l.wrap(err)
 	}
-	return msg.MaxInbox, nil
+	if errText != "" {
+		return 0, errors.New(errText)
+	}
+	return maxInbox, nil
 }
 
-// Outputs implements dist.ShardLink.
+// Outputs implements dist.ShardLink. The outputs are read into a buffer
+// of their own: a run's outputs are its largest frame, and a buffer
+// kept for the next run would stay live in between.
 func (l *Link) Outputs() ([][]byte, error) {
-	if err := l.send(kindOutputs, nil); err != nil {
+	if err := l.send(kindOutputs, nil, nil); err != nil {
 		return nil, err
 	}
-	var msg outputsDataMsg
-	if err := l.recv(kindOutputsData, &msg); err != nil {
+	var buf []byte
+	body, err := l.recv(kindOutputsData, &buf)
+	if err != nil {
 		return nil, err
 	}
-	if msg.Err != "" {
-		return nil, errors.New(msg.Err)
+	data, errText, err := decodeOutputs(body)
+	if err != nil {
+		return nil, l.wrap(err)
 	}
-	return msg.Data, nil
+	if errText != "" {
+		return nil, errors.New(errText)
+	}
+	return data, nil
 }
 
 // Close implements dist.ShardLink: a best-effort shutdown frame, then
@@ -160,7 +201,7 @@ func (l *Link) Close() error {
 		return nil
 	}
 	l.closed = true
-	_ = l.send(kindShutdown, nil)
+	_ = l.send(kindShutdown, nil, nil)
 	return l.conn.Close()
 }
 

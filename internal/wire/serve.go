@@ -23,7 +23,7 @@ func RunShard(addr string, shard int) error {
 	}
 	defer conn.Close()
 	bw := bufio.NewWriterSize(conn, 1<<16)
-	if _, err := writeFrame(bw, kindHello, helloMsg{Shard: shard}); err != nil {
+	if _, err := writeGobFrame(bw, kindHello, helloMsg{Shard: shard}); err != nil {
 		return err
 	}
 	return ServeConn(conn, bw)
@@ -39,10 +39,7 @@ func ServeConn(conn net.Conn, bw *bufio.Writer) error {
 	br := bufio.NewReaderSize(conn, 1<<16)
 	var ix *graph.Indexed
 	var runner *dist.ShardRunner
-	reply := func(kind byte, msg any) error {
-		_, err := writeFrame(bw, kind, msg)
-		return err
-	}
+	var buf, head []byte // the request frame buffer, and reply-head scratch
 	errStr := func(err error) string {
 		if err == nil {
 			return ""
@@ -50,7 +47,7 @@ func ServeConn(conn net.Conn, bw *bufio.Writer) error {
 		return err.Error()
 	}
 	for {
-		kind, body, _, err := readFrame(br)
+		kind, body, _, err := readFrame(br, &buf)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -60,7 +57,7 @@ func ServeConn(conn net.Conn, bw *bufio.Writer) error {
 		switch kind {
 		case kindSession:
 			var msg sessionMsg
-			if err := decodeBody(body, &msg); err != nil {
+			if err := decodeGob(body, &msg); err != nil {
 				return err
 			}
 			six, serr := graph.NewIndexedFromCSR(msg.IDs, msg.RowPtr, msg.ColIdx)
@@ -68,12 +65,10 @@ func ServeConn(conn net.Conn, bw *bufio.Writer) error {
 				ix = six
 				runner = nil
 			}
-			if err := reply(kindSessionOK, okMsg{Err: errStr(serr)}); err != nil {
-				return err
-			}
+			_, err = writeGobFrame(bw, kindSessionOK, okMsg{Err: errStr(serr)})
 		case kindStart:
 			var msg startMsg
-			if err := decodeBody(body, &msg); err != nil {
+			if err := decodeGob(body, &msg); err != nil {
 				return err
 			}
 			var serr error
@@ -82,45 +77,43 @@ func ServeConn(conn net.Conn, bw *bufio.Writer) error {
 			} else {
 				runner, serr = dist.NewShardRunner(ix, msg.Cfg)
 			}
-			if err := reply(kindStartOK, okMsg{Err: errStr(serr)}); err != nil {
-				return err
-			}
+			_, err = writeGobFrame(bw, kindStartOK, okMsg{Err: errStr(serr)})
 		case kindStep:
-			var msg stepMsg
-			if err := decodeBody(body, &msg); err != nil {
-				return err
+			round, derr := decodeStep(body)
+			if derr != nil {
+				return derr
 			}
 			if runner == nil {
 				return fmt.Errorf("wire: step before a start")
 			}
-			res := runner.Step(msg.Round)
-			if err := reply(kindStepResult, stepResultMsg{Res: *res}); err != nil {
-				return err
-			}
+			res := runner.Step(round)
+			head = appendStepResult(head[:0], res)
+			_, err = writeFrame(bw, kindStepResult, head, res.Blocks)
 		case kindDeliver:
-			var msg deliverMsg
-			if err := decodeBody(body, &msg); err != nil {
-				return err
+			_, blocks, derr := decodeDeliver(body)
+			if derr != nil {
+				return derr
 			}
 			if runner == nil {
 				return fmt.Errorf("wire: deliver before a start")
 			}
-			maxInbox, derr := runner.Deliver(msg.Msgs)
-			if err := reply(kindDeliverOK, deliverOKMsg{MaxInbox: maxInbox, Err: errStr(derr)}); err != nil {
-				return err
-			}
+			maxInbox, rerr := runner.Deliver(blocks)
+			head = appendDeliverOK(head[:0], maxInbox, errStr(rerr))
+			_, err = writeFrame(bw, kindDeliverOK, head, nil)
 		case kindOutputs:
 			if runner == nil {
 				return fmt.Errorf("wire: outputs before a start")
 			}
 			data, oerr := runner.Outputs()
-			if err := reply(kindOutputsData, outputsDataMsg{Data: data, Err: errStr(oerr)}); err != nil {
-				return err
-			}
+			head = appendOutputs(head[:0], errStr(oerr), len(data))
+			_, err = writeFrame(bw, kindOutputsData, head, data)
 		case kindShutdown:
 			return nil
 		default:
 			return fmt.Errorf("wire: unexpected frame kind %d", kind)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }

@@ -3,9 +3,12 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,51 +25,137 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func TestFrameRoundTrip(t *testing.T) {
+// frameBytes writes one frame of head and blocks and returns it.
+func frameBytes(t testing.TB, kind byte, head []byte, blocks [][]byte) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	n, err := writeFrame(bw, kindStep, stepMsg{Round: 7})
+	n, err := writeFrame(bw, kind, head, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != buf.Len() {
 		t.Fatalf("writeFrame reported %d bytes, wrote %d", n, buf.Len())
 	}
-	n2, err := writeFrame(bw, kindShutdown, nil)
-	if err != nil {
-		t.Fatal(err)
+	return buf.Bytes()
+}
+
+// sameBlocks reports whether a and b hold the same byte strings.
+func sameBlocks(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	if n2 != 5 {
-		t.Fatalf("bodyless frame is %d bytes, want 5", n2)
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
 	}
-	br := bufio.NewReader(&buf)
-	kind, body, size, err := readFrame(br)
-	if err != nil {
-		t.Fatal(err)
+	return true
+}
+
+func sameStepResult(a, b *dist.ShardStepResult) bool {
+	x, y := *a, *b
+	x.Blocks, y.Blocks = nil, nil
+	return reflect.DeepEqual(x, y) && sameBlocks(a.Blocks, b.Blocks)
+}
+
+// TestFrameRoundTrip writes one gob frame, every binary frame and a
+// bodyless frame into one stream and reads them back: kinds, on-wire
+// sizes and decoded bodies must survive.
+func TestFrameRoundTrip(t *testing.T) {
+	blocks := [][]byte{{1, 2, 3}, nil, bytes.Repeat([]byte{7}, 300)}
+	res := &dist.ShardStepResult{Round: 4, Done: 9, DeadNotDone: 1, BlockedIdx: -1, BlockedRound: 2,
+		Messages: 1 << 40, Volume: 77, Dropped: 3, Duplicated: 4, DeadLetters: 5, Stall: 6,
+		Err: "boom", Blocks: blocks}
+	var stream bytes.Buffer
+	var sizes []int
+	for _, f := range [][]byte{
+		func() []byte {
+			var buf bytes.Buffer
+			bw := bufio.NewWriter(&buf)
+			if _, err := writeGobFrame(bw, kindHello, helloMsg{Shard: 3}); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}(),
+		frameBytes(t, kindStep, appendStep(nil, 7), nil),
+		frameBytes(t, kindStepResult, appendStepResult(nil, res), res.Blocks),
+		frameBytes(t, kindDeliver, appendDeliver(nil, 7, len(blocks)), blocks),
+		frameBytes(t, kindDeliverOK, appendDeliverOK(nil, 12, "bad block"), nil),
+		frameBytes(t, kindOutputsData, appendOutputs(nil, "", len(blocks)), blocks),
+		frameBytes(t, kindShutdown, nil, nil),
+	} {
+		stream.Write(f)
+		sizes = append(sizes, len(f))
 	}
-	if kind != kindStep || size != n {
-		t.Fatalf("read (kind %d, %d bytes), want (kind %d, %d bytes)", kind, size, kindStep, n)
+	if sizes[len(sizes)-1] != 5 {
+		t.Fatalf("bodyless frame is %d bytes, want 5", sizes[len(sizes)-1])
 	}
-	var msg stepMsg
-	if err := decodeBody(body, &msg); err != nil {
-		t.Fatal(err)
+	br := bufio.NewReader(&stream)
+	var buf []byte
+	next := func(want byte, i int) []byte {
+		t.Helper()
+		kind, body, size, err := readFrame(br, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != want || size != sizes[i] {
+			t.Fatalf("frame %d: read (kind %d, %d bytes), want (kind %d, %d bytes)", i, kind, size, want, sizes[i])
+		}
+		return body
 	}
-	if msg.Round != 7 {
-		t.Fatalf("round %d, want 7", msg.Round)
+	var hello helloMsg
+	if err := decodeGob(next(kindHello, 0), &hello); err != nil || hello.Shard != 3 {
+		t.Fatalf("hello %+v, %v", hello, err)
 	}
-	kind, body, _, err = readFrame(br)
-	if err != nil {
-		t.Fatal(err)
+	if round, err := decodeStep(next(kindStep, 1)); err != nil || round != 7 {
+		t.Fatalf("step round %d, %v", round, err)
 	}
-	if kind != kindShutdown || len(body) != 0 {
-		t.Fatalf("read (kind %d, %d body bytes), want bodyless shutdown", kind, len(body))
+	if got, err := decodeStepResult(next(kindStepResult, 2)); err != nil || !sameStepResult(got, res) {
+		t.Fatalf("step result %+v, %v; want %+v", got, err, res)
+	}
+	if round, got, err := decodeDeliver(next(kindDeliver, 3)); err != nil || round != 7 || !sameBlocks(got, blocks) {
+		t.Fatalf("deliver (%d, %v), %v", round, got, err)
+	}
+	if mi, text, err := decodeDeliverOK(next(kindDeliverOK, 4)); err != nil || mi != 12 || text != "bad block" {
+		t.Fatalf("deliverOK (%d, %q), %v", mi, text, err)
+	}
+	if got, text, err := decodeOutputs(next(kindOutputsData, 5)); err != nil || text != "" || !sameBlocks(got, blocks) {
+		t.Fatalf("outputs (%v, %q), %v", got, text, err)
+	}
+	if body := next(kindShutdown, 6); len(body) != 0 {
+		t.Fatalf("shutdown frame has %d body bytes", len(body))
+	}
+	if _, _, _, err := readFrame(br, &buf); !errors.Is(err, io.EOF) {
+		t.Fatalf("read past the stream: %v", err)
 	}
 }
 
 func TestReadFrameRejectsOversizedLength(t *testing.T) {
 	raw := []byte{0xff, 0xff, 0xff, 0xff, kindStep}
-	if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(raw))); err == nil {
+	var buf []byte
+	if _, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(raw)), &buf); err == nil {
 		t.Fatal("oversized frame length accepted")
+	}
+}
+
+// A stream that ends inside a frame is a truncation, not the clean EOF
+// ServeConn treats as a shutdown; and a large announced length must not
+// be allocated before the bytes arrive.
+func TestReadFrameTruncatedIsNotEOF(t *testing.T) {
+	for _, raw := range [][]byte{
+		{0, 0, 0, 9},
+		{0, 0, 0, 9, kindStep, 1},
+		{0x3f, 0xff, 0xff, 0xff, kindDeliver, 1, 2, 3},
+	} {
+		var buf []byte
+		_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(raw)), &buf)
+		if err == nil || errors.Is(err, io.EOF) {
+			t.Fatalf("% x: %v, want a truncation error", raw, err)
+		}
+		if cap(buf) > 1<<17 {
+			t.Fatalf("% x: reader allocated %d bytes for a truncated frame", raw, cap(buf))
+		}
 	}
 }
 
@@ -90,7 +179,7 @@ func servedPartition(t *testing.T, ix *graph.Indexed, parts int) (*dist.Partitio
 			}
 			defer conn.Close()
 			bw := bufio.NewWriterSize(conn, 1<<16)
-			if _, err := writeFrame(bw, kindHello, helloMsg{Shard: shard}); err != nil {
+			if _, err := writeGobFrame(bw, kindHello, helloMsg{Shard: shard}); err != nil {
 				done <- err
 				return
 			}
