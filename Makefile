@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-budgets lint-bench lint-diff race fuzz-smoke ci bench-smoke bench bench-json bench-compare trace-smoke chaos-smoke tracestat-smoke partition-smoke experiments
+.PHONY: all build test vet lint lint-budgets lint-bench lint-diff race fuzz-smoke bench-check ci bench-smoke bench bench-json bench-compare trace-smoke chaos-smoke tracestat-smoke partition-smoke experiments
 
 all: build test
 
@@ -64,13 +64,22 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDeliver$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOutputs$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShardDeliverBlock$$' -fuzztime 10s ./internal/dist
+	$(GO) test -run '^$$' -fuzz '^FuzzFloodPayload$$' -fuzztime 10s ./internal/dist
+	$(GO) test -run '^$$' -fuzz '^FuzzRetransPayload$$' -fuzztime 10s ./internal/dist
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKnowledge$$' -fuzztime 10s ./internal/dist
+
+# The benchmark is its own Go module (bench/go.mod), so the root build,
+# vet, test and lint never compile it. Vet and test it from its own
+# directory, so an API change that breaks `bash bench/run.sh` fails CI.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The full CI gate: compile, vet, chordalvet (with SARIF artifact and
 # baseline diff), the analysis wall-clock gate, race-detect the
-# concurrent core, run the whole test suite, then the fault-injection
-# and trace-analysis smokes. .github/workflows/ci.yml runs exactly this
-# target.
-ci: build vet lint lint-bench race test chaos-smoke tracestat-smoke partition-smoke bench-compare
+# concurrent core, run the whole test suite and the benchmark module's,
+# then the fault-injection and trace-analysis smokes.
+# .github/workflows/ci.yml runs exactly this target.
+ci: build vet lint lint-bench race test bench-check chaos-smoke tracestat-smoke partition-smoke bench-compare
 
 # Quick-mode benchmark smoke: one iteration of the substrate and
 # experiment benchmarks plus the 20k-node end-to-end pipeline, with

@@ -15,8 +15,17 @@ import (
 // it is what downstream map-free iteration sees.
 type floodFingerprint struct {
 	rounds, messages, volume int
-	recs                     map[graph.ID][]NodeInfo
+	recs                     map[graph.ID][]graph.ID
 	dists                    map[graph.ID][]int32
+}
+
+// recordIDs returns k's records as node IDs, in discovery order.
+func recordIDs(k *Knowledge) []graph.ID {
+	ids := make([]graph.ID, len(k.recs))
+	for i, idx := range k.recs {
+		ids[i] = k.snap.IDOf(int(idx))
+	}
+	return ids
 }
 
 func floodRun(t *testing.T, g *graph.Graph, radius int) floodFingerprint {
@@ -29,11 +38,11 @@ func floodRun(t *testing.T, g *graph.Graph, radius int) floodFingerprint {
 		rounds:   res.Rounds,
 		messages: res.Messages,
 		volume:   res.Volume,
-		recs:     make(map[graph.ID][]NodeInfo, len(know)),
+		recs:     make(map[graph.ID][]graph.ID, len(know)),
 		dists:    make(map[graph.ID][]int32, len(know)),
 	}
 	for v, k := range know {
-		fp.recs[v] = k.recs
+		fp.recs[v] = recordIDs(k)
 		fp.dists[v] = k.dist
 	}
 	return fp
@@ -54,9 +63,9 @@ func compareFloodRuns(t *testing.T, name string, want, got floodFingerprint) {
 			t.Fatalf("%s node %d: %d records, want %d", name, v, len(gr), len(wr))
 		}
 		for i := range wr {
-			if wr[i].Node != gr[i].Node || want.dists[v][i] != got.dists[v][i] {
+			if wr[i] != gr[i] || want.dists[v][i] != got.dists[v][i] {
 				t.Fatalf("%s node %d record %d: (%d,d=%d), want (%d,d=%d)",
-					name, v, i, gr[i].Node, got.dists[v][i], wr[i].Node, want.dists[v][i])
+					name, v, i, gr[i], got.dists[v][i], wr[i], want.dists[v][i])
 			}
 		}
 	}
@@ -115,12 +124,12 @@ func TestFloodDedupModesAgree(t *testing.T) {
 		}
 		fp := floodFingerprint{
 			rounds: res.Rounds, messages: res.Messages, volume: res.Volume,
-			recs:  make(map[graph.ID][]NodeInfo),
+			recs:  make(map[graph.ID][]graph.ID),
 			dists: make(map[graph.ID][]int32),
 		}
 		for v, o := range res.Outputs {
 			k := o.(*Knowledge)
-			fp.recs[v] = k.recs
+			fp.recs[v] = recordIDs(k)
 			fp.dists[v] = k.dist
 		}
 		return fp

@@ -54,11 +54,11 @@ func TestNilAndZeroFaultsEquivalent(t *testing.T) {
 	}
 	got := floodFingerprint{
 		rounds: res.Rounds, messages: res.Messages, volume: res.Volume,
-		recs:  make(map[graph.ID][]NodeInfo),
+		recs:  make(map[graph.ID][]graph.ID),
 		dists: make(map[graph.ID][]int32),
 	}
 	for v, k := range know {
-		got.recs[v] = k.recs
+		got.recs[v] = recordIDs(k)
 		got.dists[v] = k.dist
 	}
 	compareFloodRuns(t, "zero-plan", ref, got)
@@ -95,8 +95,8 @@ func TestDupAndDelayAbsorbed(t *testing.T) {
 		if len(k.recs) != len(wantRecs) {
 			t.Fatalf("node %d: %d records under dup/delay, want %d", v, len(k.recs), len(wantRecs))
 		}
-		for i := range wantRecs {
-			if k.recs[i].Node != wantRecs[i].Node || k.dist[i] != wantDists[i] {
+		for i, id := range recordIDs(k) {
+			if id != wantRecs[i] || k.dist[i] != wantDists[i] {
 				t.Fatalf("node %d record %d diverged under dup/delay", v, i)
 			}
 		}

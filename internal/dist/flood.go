@@ -2,37 +2,35 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
 
-// NodeInfo is the unit of knowledge the full-information flooding protocol
-// disseminates: a node's identity, its full adjacency list, and an
-// arbitrary annotation (e.g. its layer number).
+// NodeInfo is one known node as the by-ID accessor InfoOf reports it:
+// identity, full adjacency list and annotation. No flood stores or
+// sends one — a record is the node's snapshot index (see Knowledge) —
+// so InfoOf builds it on demand from the snapshot and the run's note
+// table.
 type NodeInfo struct {
 	Node graph.ID
 	Adj  []graph.ID
 	Note any
-	// idx is the node's dense index in the engine's graph snapshot; it
-	// travels with the record so receivers can dedup with a bitmap
-	// instead of a hash lookup, and so index-space consumers (the
-	// pruning decide kernel's view.Ball) can fetch the record's CSR
-	// adjacency row straight from the shared snapshot — the record
-	// itself stays three words plus the index, since flooding copies
-	// every record through many inboxes.
-	idx int32
 }
 
 // Knowledge is what a node has learned after r rounds of flooding: the
 // info of every node at distance at most r, with distances. Records are
-// stored in discovery order (distances nondecreasing, center first);
-// by-ID lookups go through a position map that is built lazily, so
-// flood-only workloads never pay for it. Knowledge is not safe for
-// concurrent use.
+// snapshot indices stored in discovery order (distances nondecreasing,
+// center first) — in memory exactly as on the partitioned runtime's
+// wire — so a ball holds no pointers and the GC never scans one.
+// Identity and adjacency resolve through the snapshot, annotations
+// through the run's note table; by-ID lookups go through a position map
+// that is built lazily, so flood-only workloads never pay for it.
+// Knowledge is not safe for concurrent use.
 type Knowledge struct {
 	Center graph.ID
 	Radius int
-	recs   []NodeInfo
+	recs   []int32 // snapshot indices, discovery order
 	dist   []int32 // aligned with recs
 	pos    map[graph.ID]int32
 	// seen is the flood protocol's dense dedup bitmap by snapshot index,
@@ -47,12 +45,14 @@ type Knowledge struct {
 	// KnownIdx and CoversComponent resolve through it, so index-space
 	// consumers never trigger the lazy position map regardless of n.
 	known IdxSet
-	// snap is the engine snapshot the flood ran on. Every record carries
-	// its snapshot index, so index-space accessors (RecordAt, KnownIdx,
-	// the bitmap CoversComponent) resolve adjacency rows through the
-	// snapshot's CSR instead of shipping a second slice per record.
-	// Non-nil for all protocol-built knowledge.
+	// snap is the engine snapshot the flood ran on: records resolve
+	// their identity and adjacency through it. Non-nil for all
+	// protocol-built knowledge.
 	snap *graph.Indexed
+	// notes is the run's annotation table by snapshot index, shared by
+	// every knowledge of the run and never written after the flood
+	// starts (nil = no annotations).
+	notes []any
 	// maxDist is the largest distance at which the flood still learned a
 	// new node.
 	maxDist int
@@ -64,8 +64,8 @@ type Knowledge struct {
 func (k *Knowledge) ensurePos() map[graph.ID]int32 {
 	if k.pos == nil {
 		k.pos = make(map[graph.ID]int32, len(k.recs))
-		for i, rec := range k.recs {
-			k.pos[rec.Node] = int32(i)
+		for i, idx := range k.recs {
+			k.pos[k.snap.IDOf(int(idx))] = int32(i)
 		}
 	}
 	return k.pos
@@ -84,7 +84,7 @@ func (k *Knowledge) RecordCount() int { return len(k.recs) }
 // distance discovery order with the center first. Only meaningful when
 // IndexReady reports true.
 func (k *Knowledge) RecordAt(i int) (idx int32, dist int32, adj []int32) {
-	idx = k.recs[i].idx
+	idx = k.recs[i]
 	return idx, k.dist[i], k.snap.NeighborIndices(int(idx))
 }
 
@@ -105,12 +105,7 @@ func (k *Knowledge) KnownIdx(i int32) bool {
 	if k.known.Len() > 0 {
 		return k.known.Has(i)
 	}
-	for j := range k.recs {
-		if k.recs[j].idx == i {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(k.recs, i)
 }
 
 // Known reports whether v is within the collected ball.
@@ -129,13 +124,15 @@ func (k *Knowledge) DistOf(v graph.ID) (int, bool) {
 	return int(k.dist[i]), true
 }
 
-// InfoOf returns the record of a known node.
+// InfoOf returns the record of a known node, built from the snapshot
+// and the run's note table.
 func (k *Knowledge) InfoOf(v graph.ID) (NodeInfo, bool) {
 	i, ok := k.ensurePos()[v]
 	if !ok {
 		return NodeInfo{}, false
 	}
-	return k.recs[i], true
+	idx := k.recs[i]
+	return NodeInfo{Node: v, Adj: k.snap.NeighborIDs(int(idx)), Note: k.noteAt(idx)}, true
 }
 
 // CoversComponent reports whether the knowledge provably covers the
@@ -165,7 +162,7 @@ func (k *Knowledge) InfoOf(v graph.ID) (NodeInfo, bool) {
 func (k *Knowledge) CoversComponent() bool {
 	if k.seen != nil && k.snap != nil {
 		for i := len(k.recs) - 1; i >= 0; i-- {
-			for _, u := range k.snap.NeighborIndices(int(k.recs[i].idx)) {
+			for _, u := range k.snap.NeighborIndices(int(k.recs[i])) {
 				if k.seen[u>>6]&(1<<(uint(u)&63)) == 0 {
 					return false
 				}
@@ -175,7 +172,7 @@ func (k *Knowledge) CoversComponent() bool {
 	}
 	if k.known.Len() > 0 && k.snap != nil {
 		for i := len(k.recs) - 1; i >= 0; i-- {
-			for _, u := range k.snap.NeighborIndices(int(k.recs[i].idx)) {
+			for _, u := range k.snap.NeighborIndices(int(k.recs[i])) {
 				if !k.known.Has(u) {
 					return false
 				}
@@ -185,7 +182,7 @@ func (k *Knowledge) CoversComponent() bool {
 	}
 	pos := k.ensurePos()
 	for i := len(k.recs) - 1; i >= 0; i-- {
-		for _, u := range k.recs[i].Adj {
+		for _, u := range k.snap.NeighborIDs(int(k.recs[i])) {
 			if _, ok := pos[u]; !ok {
 				return false
 			}
@@ -195,8 +192,9 @@ func (k *Knowledge) CoversComponent() bool {
 }
 
 // BallGraph returns the subgraph induced by the known nodes at distance at
-// most r from the center. Because each known node carries its full
-// adjacency list, the induced subgraph is exact for r <= Radius.
+// most r from the center. Because each known node's full adjacency list
+// resolves through the snapshot, the induced subgraph is exact for
+// r <= Radius.
 func (k *Knowledge) BallGraph(r int) *graph.Graph {
 	return k.FilteredBallGraph(r, func(graph.ID) bool { return true })
 }
@@ -211,31 +209,33 @@ func (k *Knowledge) BallGraph(r int) *graph.Graph {
 func (k *Knowledge) FilteredBallGraph(r int, keep func(graph.ID) bool) *graph.Graph {
 	g := graph.New()
 	pos := k.ensurePos()
-	for i, rec := range k.recs {
+	for i, idx := range k.recs {
 		if int(k.dist[i]) > r {
 			break
 		}
-		if keep(rec.Node) {
-			g.AddNode(rec.Node)
+		if v := k.snap.IDOf(int(idx)); keep(v) {
+			g.AddNode(v)
 		}
 	}
-	for i, rec := range k.recs {
+	for i, idx := range k.recs {
 		if int(k.dist[i]) > r {
 			break
 		}
-		if !keep(rec.Node) {
+		v := k.snap.IDOf(int(idx))
+		if !keep(v) {
 			continue
 		}
-		for _, u := range rec.Adj {
+		for _, u := range k.snap.NeighborIDs(int(idx)) {
 			if j, ok := pos[u]; ok && int(k.dist[j]) <= r && keep(u) {
-				g.AddEdge(rec.Node, u)
+				g.AddEdge(v, u)
 			}
 		}
 	}
 	return g
 }
 
-// Note returns the annotation of a known node (nil if unknown).
+// Note returns the annotation of a known node (nil if unknown): its
+// entry in the note table as it stood when the flood ran.
 func (k *Knowledge) Note(v graph.ID) any {
 	if info, ok := k.InfoOf(v); ok {
 		return info.Note
@@ -243,10 +243,19 @@ func (k *Knowledge) Note(v graph.ID) any {
 	return nil
 }
 
-// infoBatch is the flood message payload; its size is its record count.
+// noteAt returns the annotation of the node at snapshot index idx.
+func (k *Knowledge) noteAt(idx int32) any {
+	if k.notes == nil {
+		return nil
+	}
+	return k.notes[idx]
+}
+
+// infoBatch is the flood message payload: the snapshot indices of the
+// records the sender learned last round. Its size is its record count.
 // Batches travel as *infoBatch so queueing a payload never boxes a slice
 // header into an allocation.
-type infoBatch []NodeInfo
+type infoBatch []int32
 
 // PayloadSize implements Sizer.
 func (b *infoBatch) PayloadSize() int { return len(*b) }
@@ -260,8 +269,8 @@ func (b *infoBatch) PayloadSize() int { return len(*b) }
 const seenBitmapMaxN = 1 << 14
 
 // floodProtocol implements incremental full-information flooding: each
-// round a node forwards only the NodeInfo records it learned in the
-// previous round, so total communication is proportional to the knowledge
+// round a node forwards only the records it learned in the previous
+// round, so total communication is proportional to the knowledge
 // gathered rather than quadratic in it. Fresh records are the tail of the
 // knowledge's record slice appended this round; the outgoing batch is a
 // capacity-capped view of that tail, so no separate fresh buffer exists.
@@ -275,17 +284,19 @@ type floodProtocol struct {
 	seen   []uint64 // dense dedup bitmap by snapshot index; nil for big n
 }
 
-func newFloodProtocol(v graph.ID, idx int, ix *graph.Indexed, note any, radius, sizeHint int) *floodProtocol {
+// newFloodProtocol builds node v's flood; notes is the run's note table
+// by snapshot index (nil = no annotations), shared with its knowledge.
+func newFloodProtocol(v graph.ID, idx int, ix *graph.Indexed, notes []any, radius, sizeHint int) *floodProtocol {
 	n := ix.NumNodes()
-	self := NodeInfo{Node: v, Adj: ix.NeighborIDs(idx), Note: note, idx: int32(idx)}
 	k := &Knowledge{
 		Center: v,
 		Radius: radius,
-		recs:   make([]NodeInfo, 0, sizeHint),
+		recs:   make([]int32, 0, sizeHint),
 		dist:   make([]int32, 0, sizeHint),
 		snap:   ix,
+		notes:  notes,
 	}
-	k.recs = append(k.recs, self)
+	k.recs = append(k.recs, int32(idx))
 	k.dist = append(k.dist, 0)
 	p := &floodProtocol{radius: radius, know: k}
 	if n <= seenBitmapMaxN {
@@ -311,6 +322,9 @@ func (p *floodProtocol) Init(ctx *Context) {
 	}
 }
 
+// Round accepts the unseen records of every batch and forwards them.
+//
+//chordalvet:hotpath budget=5 per-round flood step: record and distance appends, the broadcast, the sparse set's growth
 func (p *floodProtocol) Round(ctx *Context, inbox []Message) {
 	if p.round >= p.radius {
 		return
@@ -319,17 +333,17 @@ func (p *floodProtocol) Round(ctx *Context, inbox []Message) {
 	k := p.know
 	start := len(k.recs)
 	for _, m := range inbox {
-		for _, info := range *m.Payload.(*infoBatch) {
+		for _, idx := range *m.Payload.(*infoBatch) {
 			if p.seen != nil {
-				w, b := info.idx>>6, uint64(1)<<(uint(info.idx)&63)
+				w, b := idx>>6, uint64(1)<<(uint(idx)&63)
 				if p.seen[w]&b != 0 {
 					continue
 				}
 				p.seen[w] |= b
-			} else if !k.known.Add(info.idx) {
+			} else if !k.known.Add(idx) {
 				continue
 			}
-			k.recs = append(k.recs, info)
+			k.recs = append(k.recs, idx)
 			k.dist = append(k.dist, int32(p.round))
 		}
 	}
@@ -398,16 +412,14 @@ func CollectBalls(g *graph.Graph, radius int, notes map[graph.ID]any) (map[graph
 }
 
 // CollectBallsStats is CollectBalls with the full engine result (rounds,
-// message count, volume in NodeInfo records) for bandwidth measurements.
+// message count, volume in records) for bandwidth measurements.
 func CollectBallsStats(g *graph.Graph, radius int, notes map[graph.ID]any) (map[graph.ID]*Knowledge, *Result, error) {
 	return CollectBallsIndexed(graph.NewIndexed(g), radius, notes)
 }
 
 // CollectBallsIndexed is CollectBallsStats on an existing snapshot,
 // letting iterated callers (the pruning phase) pay the snapshot cost
-// once. Adjacency lists in the disseminated NodeInfo records are shared
-// views into the snapshot, so collection allocates no per-node adjacency
-// copies.
+// once.
 func CollectBallsIndexed(ix *graph.Indexed, radius int, notes map[graph.ID]any) (map[graph.ID]*Knowledge, *Result, error) {
 	return CollectBallsIndexedObserved(ix, radius, notes, nil)
 }
@@ -426,16 +438,7 @@ func CollectBallsIndexedObserved(ix *graph.Indexed, radius int, notes map[graph.
 // and crashes surface as engine errors — callers that must survive drops
 // use CollectBallsRetrans instead.
 func CollectBallsIndexedFaulty(ix *graph.Indexed, radius int, notes map[graph.ID]any, o RoundObserver, f *Faults) (map[graph.ID]*Knowledge, *Result, error) {
-	var noteOf []any
-	if len(notes) > 0 {
-		noteOf = make([]any, ix.NumNodes())
-		for v, note := range notes {
-			if i, ok := ix.IndexOf(v); ok {
-				noteOf[i] = note
-			}
-		}
-	}
-	ks, res, err := collectBalls(ix, radius, noteOf, o, f, false)
+	ks, res, err := collectBalls(ix, radius, noteTable(ix, notes), o, f, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -446,15 +449,33 @@ func CollectBallsIndexedFaulty(ix *graph.Indexed, radius int, notes map[graph.ID
 	return out, res, nil
 }
 
+// noteTable converts an ID-keyed annotation map into the index-keyed
+// table the protocols share (nil when there are no annotations).
+func noteTable(ix *graph.Indexed, notes map[graph.ID]any) []any {
+	if len(notes) == 0 {
+		return nil
+	}
+	noteOf := make([]any, ix.NumNodes())
+	for v, note := range notes {
+		if i, ok := ix.IndexOf(v); ok {
+			noteOf[i] = note
+		}
+	}
+	return noteOf
+}
+
 // CollectBallsByIndex is the index-space collection path: notes[i]
 // annotates the node at snapshot index i (a nil slice means no
 // annotations), and the returned knowledge slice is indexed the same
 // way. The ID-keyed variants above are wrappers over it; iterated
 // big-n callers — the pruning phase floods a million-node snapshot once
 // per iteration — use it directly, so neither an n-entry note map nor
-// an n-entry output map is ever built.
+// an n-entry output map is ever built. The table is copied once per
+// run, so a caller that keeps annotating after the flood (the pruning
+// phase records each iteration's layers in it) never changes what the
+// finished knowledge reports.
 func CollectBallsByIndex(ix *graph.Indexed, radius int, notes []any, o RoundObserver, f *Faults) ([]*Knowledge, *Result, error) {
-	return collectBalls(ix, radius, notes, o, f, true)
+	return collectBalls(ix, radius, slices.Clone(notes), o, f, true)
 }
 
 // collectBalls runs the flood engine and hands each node's knowledge
@@ -471,12 +492,8 @@ func collectBalls(ix *graph.Indexed, radius int, notes []any, o RoundObserver, f
 	ps := make([]*floodProtocol, n)
 	eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
 		i, _ := ix.IndexOf(v)
-		var note any
-		if notes != nil {
-			note = notes[i]
-		}
 		hint := ballSizeHint(ix.Degree(i), avgDeg, radius, n)
-		ps[i] = newFloodProtocol(v, i, ix, note, radius, hint)
+		ps[i] = newFloodProtocol(v, i, ix, notes, radius, hint)
 		return ps[i]
 	})
 	eng.Observer = o

@@ -56,17 +56,16 @@ func samePartKnowledge(t *testing.T, at string, a, b *Knowledge) {
 	if len(a.recs) != len(b.recs) {
 		t.Fatalf("%s: %d records != %d records", at, len(a.recs), len(b.recs))
 	}
-	for i := range a.recs {
-		ra, rb := a.recs[i], b.recs[i]
-		if ra.Node != rb.Node || ra.idx != rb.idx || a.dist[i] != b.dist[i] {
-			t.Fatalf("%s: record %d (%d@%d idx %d) != (%d@%d idx %d)",
-				at, i, ra.Node, a.dist[i], ra.idx, rb.Node, b.dist[i], rb.idx)
+	for i, ra := range a.recs {
+		rb := b.recs[i]
+		if ra != rb || a.dist[i] != b.dist[i] {
+			t.Fatalf("%s: record %d (idx %d@%d) != (idx %d@%d)", at, i, ra, a.dist[i], rb, b.dist[i])
 		}
-		if !reflect.DeepEqual(ra.Note, rb.Note) {
-			t.Fatalf("%s: record %d note %v != %v", at, i, ra.Note, rb.Note)
-		}
-		if !reflect.DeepEqual(ra.Adj, rb.Adj) {
-			t.Fatalf("%s: record %d adjacency diverges", at, i)
+		id := a.snap.IDOf(int(ra))
+		ia, _ := a.InfoOf(id)
+		ib, _ := b.InfoOf(id)
+		if !reflect.DeepEqual(ia, ib) {
+			t.Fatalf("%s: record %d info %v != %v", at, i, ia, ib)
 		}
 	}
 	n := int32(a.snap.NumNodes())

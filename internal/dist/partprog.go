@@ -10,13 +10,12 @@ import (
 )
 
 // This file adapts the flooding protocols to the partitioned runtime.
-// Both flood variants disseminate NodeInfo records, and a record is a
-// pure function of its snapshot index: Node and Adj come from the CSR
-// snapshot every shard holds, and Note comes from the per-run note
-// table shipped in the program parameters. So the wire format of a
-// record is just the index — payload codecs move int32s, not adjacency
-// lists, and the decoded record is bit-identical to the one the LOCAL
-// engine would have delivered (shared snapshot views included).
+// Both flood variants disseminate records that are snapshot indices, in
+// memory as on the wire: identity and adjacency come from the CSR
+// snapshot every shard holds, and annotations from the per-run note
+// table shipped in the program parameters. So the payload codecs move
+// the records' int32s unchanged, and a decoded payload is bit-identical
+// to the one the LOCAL engine would have delivered.
 
 // floodNotes is the wire form of a flood note table. Prune annotations
 // are iteration numbers, so the codec supports exactly nil-or-int
@@ -111,23 +110,14 @@ func readI32(b []byte) (int32, []byte, error) {
 	return int32(binary.LittleEndian.Uint32(b)), b[4:], nil
 }
 
-// rebuildInfo reconstructs the NodeInfo the LOCAL engine would deliver
-// for snapshot index idx: identity and adjacency resolve through the
-// shared snapshot, the note through the per-run table.
-func rebuildInfo(ix *graph.Indexed, notes []any, idx int32) (NodeInfo, error) {
-	if idx < 0 || int(idx) >= ix.NumNodes() {
-		return NodeInfo{}, fmt.Errorf("dist: record index %d out of range [0, %d)", idx, ix.NumNodes())
+// readIdx reads a record's snapshot index, rejecting one outside the
+// snapshot.
+func readIdx(ix *graph.Indexed, b []byte) (int32, []byte, error) {
+	idx, rest, err := readI32(b)
+	if err == nil && (idx < 0 || int(idx) >= ix.NumNodes()) {
+		err = fmt.Errorf("dist: record index %d out of range [0, %d)", idx, ix.NumNodes())
 	}
-	var note any
-	if notes != nil {
-		note = notes[idx]
-	}
-	return NodeInfo{
-		Node: ix.IDOf(int(idx)),
-		Adj:  ix.NeighborIDs(int(idx)),
-		Note: note,
-		idx:  idx,
-	}, nil
+	return idx, rest, err
 }
 
 // encodeKnowledge flattens a flood result to (maxDist, [idx, dist]...):
@@ -137,8 +127,8 @@ func encodeKnowledge(k *Knowledge) []byte {
 	out := make([]byte, 0, 8+8*len(k.recs))
 	out = appendI32(out, int32(k.maxDist))
 	out = appendI32(out, int32(len(k.recs)))
-	for i := range k.recs {
-		out = appendI32(out, k.recs[i].idx)
+	for i, idx := range k.recs {
+		out = appendI32(out, idx)
 		out = appendI32(out, k.dist[i])
 	}
 	return out
@@ -149,7 +139,10 @@ func encodeKnowledge(k *Knowledge) []byte {
 // used: the plain flood's dense bitmap at n ≤ seenBitmapMaxN, the
 // sparse index set otherwise and for all retransmitted knowledge — so
 // downstream index-space consumers take the same code paths as on a
-// LOCAL run.
+// LOCAL run. It accepts only what a flood can produce — the center
+// first at distance 0, distinct in-range indices, distances
+// nondecreasing and at most radius, maxDist the last record's distance
+// — because the ball decoders downstream rely on that discovery order.
 func decodeKnowledge(ix *graph.Indexed, notes []any, center, radius int, bitmapRegime bool, data []byte) (*Knowledge, error) {
 	maxDist, data, err := readI32(data)
 	if err != nil {
@@ -159,16 +152,17 @@ func decodeKnowledge(ix *graph.Indexed, notes []any, center, radius int, bitmapR
 	if err != nil {
 		return nil, err
 	}
-	if count < 0 || len(data) != int(count)*8 {
+	if count < 1 || len(data) != int(count)*8 {
 		return nil, fmt.Errorf("dist: knowledge record block has %d bytes for %d records", len(data), count)
 	}
 	n := ix.NumNodes()
 	k := &Knowledge{
 		Center:  ix.IDOf(center),
 		Radius:  radius,
-		recs:    make([]NodeInfo, 0, count),
+		recs:    make([]int32, 0, count),
 		dist:    make([]int32, 0, count),
 		snap:    ix,
+		notes:   notes,
 		maxDist: int(maxDist),
 	}
 	if bitmapRegime && n <= seenBitmapMaxN {
@@ -176,9 +170,10 @@ func decodeKnowledge(ix *graph.Indexed, notes []any, center, radius int, bitmapR
 	} else {
 		k.known.Reserve(int(count))
 	}
-	for range int(count) {
+	last := int32(0)
+	for i := range int(count) {
 		var idx, dist int32
-		idx, data, err = readI32(data)
+		idx, data, err = readIdx(ix, data)
 		if err != nil {
 			return nil, err
 		}
@@ -186,17 +181,27 @@ func decodeKnowledge(ix *graph.Indexed, notes []any, center, radius int, bitmapR
 		if err != nil {
 			return nil, err
 		}
-		info, err := rebuildInfo(ix, notes, idx)
-		if err != nil {
-			return nil, err
+		switch {
+		case i == 0 && (idx != int32(center) || dist != 0):
+			return nil, fmt.Errorf("dist: knowledge of %d starts with record %d at distance %d", center, idx, dist)
+		case dist < last || int(dist) > radius:
+			return nil, fmt.Errorf("dist: knowledge record %d has distance %d after %d (radius %d)", i, dist, last, radius)
 		}
-		k.recs = append(k.recs, info)
-		k.dist = append(k.dist, dist)
 		if k.seen != nil {
-			k.seen[idx>>6] |= 1 << (uint(idx) & 63)
-		} else {
-			k.known.Add(idx)
+			w, b := idx>>6, uint64(1)<<(uint(idx)&63)
+			if k.seen[w]&b != 0 {
+				return nil, fmt.Errorf("dist: knowledge record %d repeats index %d", i, idx)
+			}
+			k.seen[w] |= b
+		} else if !k.known.Add(idx) {
+			return nil, fmt.Errorf("dist: knowledge record %d repeats index %d", i, idx)
 		}
+		k.recs = append(k.recs, idx)
+		k.dist = append(k.dist, dist)
+		last = dist
+	}
+	if maxDist != last {
+		return nil, fmt.Errorf("dist: knowledge header maxDist %d, last record at distance %d", maxDist, last)
 	}
 	return k, nil
 }
@@ -223,13 +228,9 @@ func newFloodProgram(ix *graph.Indexed, params []byte) (Program, error) {
 }
 
 func (f *floodProgram) NewNode(i int) Protocol {
-	var note any
-	if f.notes != nil {
-		note = f.notes[i]
-	}
 	n := f.ix.NumNodes()
 	hint := ballSizeHint(f.ix.Degree(i), f.avgDeg, f.radius, n)
-	return newFloodProtocol(f.ix.IDOf(i), i, f.ix, note, f.radius, hint)
+	return newFloodProtocol(f.ix.IDOf(i), i, f.ix, f.notes, f.radius, hint)
 }
 
 func (f *floodProgram) EncodePayload(p any) ([]byte, error) {
@@ -238,8 +239,8 @@ func (f *floodProgram) EncodePayload(p any) ([]byte, error) {
 		return nil, fmt.Errorf("dist: flood payload is %T, want *infoBatch", p)
 	}
 	out := make([]byte, 0, 4*len(*batch))
-	for i := range *batch {
-		out = appendI32(out, (*batch)[i].idx)
+	for _, idx := range *batch {
+		out = appendI32(out, idx)
 	}
 	return out, nil
 }
@@ -248,18 +249,12 @@ func (f *floodProgram) DecodePayload(data []byte) (any, error) {
 	if len(data)%4 != 0 {
 		return nil, fmt.Errorf("dist: flood batch has %d bytes, not a multiple of 4", len(data))
 	}
-	batch := make(infoBatch, 0, len(data)/4)
-	for len(data) > 0 {
-		idx, rest, err := readI32(data)
-		if err != nil {
+	batch := make(infoBatch, len(data)/4)
+	for i := range batch {
+		var err error
+		if batch[i], data, err = readIdx(f.ix, data); err != nil {
 			return nil, err
 		}
-		data = rest
-		info, err := rebuildInfo(f.ix, f.notes, idx)
-		if err != nil {
-			return nil, err
-		}
-		batch = append(batch, info)
 	}
 	return &batch, nil
 }
@@ -293,11 +288,7 @@ func newRetransProgram(ix *graph.Indexed, params []byte) (Program, error) {
 }
 
 func (f *retransProgram) NewNode(i int) Protocol {
-	var note any
-	if f.notes != nil {
-		note = f.notes[i]
-	}
-	return newRetransProtocol(f.ix.IDOf(i), i, f.ix, note, f.radius)
+	return newRetransProtocol(f.ix.IDOf(i), i, f.ix, f.notes, f.radius)
 }
 
 // Retrans payload wire format: a kind byte (0 = data batch, 1 = ack)
@@ -314,7 +305,7 @@ func (f *retransProgram) EncodePayload(p any) ([]byte, error) {
 		out := make([]byte, 1, 1+8*len(pl.Recs))
 		out[0] = retransKindBatch
 		for i := range pl.Recs {
-			out = appendI32(out, pl.Recs[i].Info.idx)
+			out = appendI32(out, pl.Recs[i].Idx)
 			out = appendI32(out, pl.Recs[i].Hops)
 		}
 		return out, nil
@@ -341,40 +332,31 @@ func (f *retransProgram) DecodePayload(data []byte) (any, error) {
 	count := len(body) / 8
 	switch kind {
 	case retransKindBatch:
-		batch := &retransBatch{Recs: make([]retransRec, 0, count)}
-		for len(body) > 0 {
-			var idx, hops int32
+		batch := &retransBatch{Recs: make([]retransRec, count)}
+		for i := range batch.Recs {
+			r := &batch.Recs[i]
 			var err error
-			idx, body, err = readI32(body)
-			if err != nil {
+			if r.Idx, body, err = readIdx(f.ix, body); err != nil {
 				return nil, err
 			}
-			hops, body, err = readI32(body)
-			if err != nil {
+			if r.Hops, body, err = readI32(body); err != nil {
 				return nil, err
 			}
-			info, err := rebuildInfo(f.ix, f.notes, idx)
-			if err != nil {
-				return nil, err
-			}
-			batch.Recs = append(batch.Recs, retransRec{Info: info, Hops: hops})
 		}
 		return batch, nil
 	case retransKindAck:
 		ack := &retransAck{Idxs: make([]int32, count), Hops: make([]int32, count)}
 		for i := range ack.Idxs {
-			v, rest, err := readI32(body)
-			if err != nil {
+			var err error
+			if ack.Idxs[i], body, err = readIdx(f.ix, body); err != nil {
 				return nil, err
 			}
-			ack.Idxs[i], body = v, rest
 		}
 		for i := range ack.Hops {
-			v, rest, err := readI32(body)
-			if err != nil {
+			var err error
+			if ack.Hops[i], body, err = readI32(body); err != nil {
 				return nil, err
 			}
-			ack.Hops[i], body = v, rest
 		}
 		return ack, nil
 	default:

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -22,16 +23,16 @@ import (
 //
 // All per-record bookkeeping lives in slot space: each node numbers the
 // records it learns 0, 1, 2, … in acceptance order, an IdxMap resolves
-// a record's snapshot index to its slot, and the distance/info/queue
+// a record's snapshot index to its slot, and the index/distance/queue
 // state are dense slices indexed by slot. The only hashing on the
 // record path is that single idx→slot probe; everything else — the
 // Bellman-Ford relax, the obligation flags, the retransmit walk — is
 // array indexing.
 
-// retransRec is one disseminated record: a node's info plus the hop
-// distance the receiver would know it at.
+// retransRec is one disseminated record: a node's snapshot index plus
+// the hop distance the receiver would know it at.
 type retransRec struct {
-	Info NodeInfo
+	Idx  int32
 	Hops int32
 }
 
@@ -80,30 +81,32 @@ func (q *retransQueue) ensure(n int) {
 type retransProtocol struct {
 	v      graph.ID
 	ix     *graph.Indexed
+	notes  []any // the run's note table, handed to the knowledge
 	radius int
 	nbrs   []graph.ID
 	nbrPos map[graph.ID]int
 
 	// slotOf maps a record's snapshot index to its slot; infos and best
-	// are the record store and Bellman-Ford distances by slot. Slot 0 is
-	// always the node's own record.
+	// are the snapshot indices and Bellman-Ford distances by slot. Slot
+	// 0 is always the node's own record.
 	slotOf IdxMap
-	infos  []NodeInfo
+	infos  []int32
 	best   []int32
 
 	queues       []retransQueue
 	pendingCount int
 }
 
-func newRetransProtocol(v graph.ID, idx int, ix *graph.Indexed, note any, radius int) *retransProtocol {
+func newRetransProtocol(v graph.ID, idx int, ix *graph.Indexed, notes []any, radius int) *retransProtocol {
 	adj := ix.NeighborIDs(idx)
 	p := &retransProtocol{
 		v:      v,
 		ix:     ix,
+		notes:  notes,
 		radius: radius,
 		nbrs:   adj,
 		nbrPos: make(map[graph.ID]int, len(adj)),
-		infos:  []NodeInfo{{Node: v, Adj: adj, Note: note, idx: int32(idx)}},
+		infos:  []int32{int32(idx)},
 		best:   []int32{0},
 		queues: make([]retransQueue, len(adj)),
 	}
@@ -154,19 +157,18 @@ func (p *retransProtocol) Round(ctx *Context, inbox []Message) {
 				Hops: make([]int32, 0, len(pl.Recs)),
 			}
 			for _, rec := range pl.Recs {
-				ri := rec.Info.idx
+				ri := rec.Idx
 				slot, known := p.slotOf.Get(ri)
 				if !known {
 					slot = int32(len(p.infos))
 					p.slotOf.Put(ri, slot)
-					p.infos = append(p.infos, rec.Info)
+					p.infos = append(p.infos, ri)
 					p.best = append(p.best, rec.Hops)
 					if int(rec.Hops) < p.radius {
 						p.enqueueExcept(fromQ, slot)
 					}
 				} else if rec.Hops < p.best[slot] {
 					p.best[slot] = rec.Hops
-					p.infos[slot] = rec.Info
 					if int(rec.Hops) < p.radius {
 						p.enqueueExcept(fromQ, slot)
 					}
@@ -212,7 +214,7 @@ func (p *retransProtocol) retransmit(ctx *Context) {
 		batch := &retransBatch{Recs: make([]retransRec, 0, q.count)}
 		for _, slot := range q.order {
 			if q.pending[slot] {
-				batch.Recs = append(batch.Recs, retransRec{Info: p.infos[slot], Hops: p.best[slot] + 1})
+				batch.Recs = append(batch.Recs, retransRec{Idx: p.infos[slot], Hops: p.best[slot] + 1})
 			}
 		}
 		ctx.Send(u, batch)
@@ -225,7 +227,7 @@ func (p *retransProtocol) retransmit(ctx *Context) {
 func (p *retransProtocol) Done() bool { return p.pendingCount == 0 }
 
 // Output rebuilds a Knowledge equivalent to the fault-free flood's: the
-// record slice sorted by (hops, id) restores the nondecreasing-distance
+// records sorted by (hops, id) restore the nondecreasing-distance
 // invariant FilteredBallGraph relies on, with the center first. The
 // knowledge gets the sparse index set as its membership structure, so
 // CoversComponent and KnownIdx take the index-space path like the plain
@@ -239,27 +241,21 @@ func (p *retransProtocol) Output() any {
 		if p.best[a] != p.best[b] {
 			return int(p.best[a] - p.best[b])
 		}
-		na, nb := p.infos[a].Node, p.infos[b].Node
-		if na < nb {
-			return -1
-		}
-		if na > nb {
-			return 1
-		}
-		return 0
+		return cmp.Compare(p.ix.IDOf(int(p.infos[a])), p.ix.IDOf(int(p.infos[b])))
 	})
 	k := &Knowledge{
 		Center: p.v,
 		Radius: p.radius,
-		recs:   make([]NodeInfo, 0, len(slots)),
+		recs:   make([]int32, 0, len(slots)),
 		dist:   make([]int32, 0, len(slots)),
 		snap:   p.ix,
+		notes:  p.notes,
 	}
 	k.known.Reserve(len(slots))
 	for _, s := range slots {
 		k.recs = append(k.recs, p.infos[s])
 		k.dist = append(k.dist, p.best[s])
-		k.known.Add(p.infos[s].idx)
+		k.known.Add(p.infos[s])
 		if int(p.best[s]) > k.maxDist {
 			k.maxDist = int(p.best[s])
 		}
@@ -277,9 +273,10 @@ func (p *retransProtocol) Output() any {
 // balls.
 func CollectBallsRetrans(g *graph.Graph, radius, budget int, notes map[graph.ID]any, f *Faults, o RoundObserver) (map[graph.ID]*Knowledge, *Result, error) {
 	ix := graph.NewIndexed(g)
+	noteOf := noteTable(ix, notes)
 	eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
 		i, _ := ix.IndexOf(v)
-		return newRetransProtocol(v, i, ix, notes[v], radius)
+		return newRetransProtocol(v, i, ix, noteOf, radius)
 	})
 	eng.Observer = o
 	eng.Faults = f

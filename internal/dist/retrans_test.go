@@ -27,11 +27,11 @@ func sameKnowledge(t *testing.T, name string, want, got map[graph.ID]*Knowledge)
 		if gk.Size() != wk.Size() {
 			t.Fatalf("%s node %d: ball size %d, want %d", name, v, gk.Size(), wk.Size())
 		}
-		for _, rec := range wk.recs {
-			wd, _ := wk.DistOf(rec.Node)
-			gd, ok := gk.DistOf(rec.Node)
+		for _, u := range recordIDs(wk) {
+			wd, _ := wk.DistOf(u)
+			gd, ok := gk.DistOf(u)
 			if !ok || gd != wd {
-				t.Fatalf("%s node %d: dist to %d = %d (known=%v), want %d", name, v, rec.Node, gd, ok, wd)
+				t.Fatalf("%s node %d: dist to %d = %d (known=%v), want %d", name, v, u, gd, ok, wd)
 			}
 		}
 	}
