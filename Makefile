@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphOps$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzRecognize$$' -fuzztime 10s ./internal/interval
 	$(GO) test -run '^$$' -fuzz '^FuzzChordalPipeline$$' -fuzztime 10s ./internal/interval
+	$(GO) test -run '^$$' -fuzz '^FuzzIntervalDiameter$$' -fuzztime 10s ./internal/interval
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStepResult$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDeliver$$' -fuzztime 10s ./internal/wire
@@ -67,6 +68,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFloodPayload$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzRetransPayload$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKnowledge$$' -fuzztime 10s ./internal/dist
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 10s ./internal/dist
+	$(GO) test -run '^$$' -fuzz '^FuzzCorrectionParams$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCorrectionPayload$$' -fuzztime 10s ./internal/core
 
 # The benchmark is its own Go module (bench/go.mod), so the root build,
 # vet, test and lint never compile it. Vet and test it from its own

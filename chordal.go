@@ -179,6 +179,8 @@ func MaxIndependentSetDistributed(g *Graph, eps float64) (*MISResult, error) {
 
 // MaxIndependentSetInterval computes a (1+ε)-approximate maximum
 // independent set of an interval graph (Algorithm 5, Theorems 5–6).
+// On a graph that is not interval it fails when removing the dominated
+// vertices leaves a component that is not proper interval.
 func MaxIndependentSetInterval(g *Graph, eps float64) (*IntervalMISResult, error) {
 	idBound := 1
 	for _, v := range g.Nodes() {

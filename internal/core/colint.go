@@ -108,7 +108,7 @@ func ColIntGraph(g *graph.Graph, path []graph.Set, k, idBound int) (*IntervalCol
 		for v, c := range colors {
 			res.Colors[v] = c
 		}
-		if cost := sub.Diameter() + 1; cost > maxBlockCost {
+		if cost := interval.Diameter(sub, subPath) + 1; cost > maxBlockCost {
 			maxBlockCost = cost
 		}
 	}

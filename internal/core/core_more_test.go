@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +189,29 @@ func TestMISIntervalEdgeCases(t *testing.T) {
 	// Invalid epsilon.
 	if _, err := MISInterval(gen.Path(3), 0, 3); err == nil {
 		t.Fatal("expected error for eps=0")
+	}
+}
+
+// TestMISIntervalRejectsNonIntervalInput pins MISInterval's behavior
+// outside its contract. The spider with three legs of length 3 is a
+// tree, so chordal, but not interval; removing dominated nodes (the
+// legs' middle nodes) leaves a claw, which has no umbrella ordering.
+// Every proper component needs one for the diameter test, so the call
+// fails although the component is far too small for the large-component
+// branch.
+func TestMISIntervalRejectsNonIntervalInput(t *testing.T) {
+	g := graph.New()
+	for leg := 0; leg < 3; leg++ {
+		prev := graph.ID(0)
+		for j := 1; j <= 3; j++ {
+			v := graph.ID(3*leg + j)
+			g.AddEdge(prev, v)
+			prev = v
+		}
+	}
+	_, err := MISInterval(g, 0.5, g.NumNodes())
+	if err == nil || !strings.Contains(err.Error(), "not proper interval after reduction") {
+		t.Fatalf("MISInterval on a non-interval tree: err = %v, want the not-proper-interval error", err)
 	}
 }
 

@@ -71,10 +71,8 @@ func newCorrectionProgram(ix *graph.Indexed, params []byte) (dist.Program, error
 	if err := gob.NewDecoder(bytes.NewReader(params)).Decode(&w); err != nil {
 		return nil, fmt.Errorf("correction: decoding params: %w", err)
 	}
-	n := ix.NumNodes()
-	if len(w.HasParent) != n || len(w.NodeGOff) != n+1 {
-		return nil, fmt.Errorf("correction: params describe %d/%d nodes, snapshot has %d",
-			len(w.HasParent), len(w.NodeGOff), n)
+	if err := w.validate(ix.NumNodes()); err != nil {
+		return nil, err
 	}
 	sh := &corrShared{
 		groups:   make([]corrGroup, len(w.Groups)),
@@ -86,6 +84,43 @@ func newCorrectionProgram(ix *graph.Indexed, params []byte) (dist.Program, error
 		sh.groups[i] = corrGroup{layer: g.Layer, kidOff: g.KidOff, kidEnd: g.KidEnd, gateOff: g.GateOff, gateEnd: g.GateEnd}
 	}
 	return &correctionProgram{sh: sh, hasParent: w.HasParent, nodeGOff: w.NodeGOff, ttl: w.TTL}, nil
+}
+
+// validate checks decoded params against an n-node snapshot, so that
+// a malformed blob fails here instead of as a node-program panic
+// mid-run: every slab range and index the choreography will read must
+// be in bounds.
+func (w *corrParamsWire) validate(n int) error {
+	if len(w.HasParent) != n || len(w.NodeGOff) != n+1 {
+		return fmt.Errorf("correction: params describe %d/%d nodes, snapshot has %d",
+			len(w.HasParent), len(w.NodeGOff), n)
+	}
+	if len(w.KidIdx) != len(w.KidColor) {
+		return fmt.Errorf("correction: %d children but %d child colors", len(w.KidIdx), len(w.KidColor))
+	}
+	if w.TTL < 0 {
+		return fmt.Errorf("correction: negative TTL %d", w.TTL)
+	}
+	for i, off := range w.NodeGOff {
+		if off < 0 || int(off) > len(w.Groups) || (i > 0 && off < w.NodeGOff[i-1]) {
+			return fmt.Errorf("correction: node group offset %d is %d, want nondecreasing within [0, %d]", i, off, len(w.Groups))
+		}
+	}
+	for i, g := range w.Groups {
+		if g.KidOff < 0 || g.KidOff > g.KidEnd || int(g.KidEnd) > len(w.KidIdx) ||
+			g.GateOff < 0 || g.GateOff > g.GateEnd || int(g.GateEnd) > len(w.Gates) {
+			return fmt.Errorf("correction: group %d has kid range [%d, %d) of %d and gate range [%d, %d) of %d",
+				i, g.KidOff, g.KidEnd, len(w.KidIdx), g.GateOff, g.GateEnd, len(w.Gates))
+		}
+	}
+	for _, slab := range [][]int32{w.KidIdx, w.Gates} {
+		for _, v := range slab {
+			if v < 0 || int(v) >= n {
+				return fmt.Errorf("correction: node index %d out of range [0, %d)", v, n)
+			}
+		}
+	}
+	return nil
 }
 
 func (p *correctionProgram) NewNode(i int) dist.Protocol {

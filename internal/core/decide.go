@@ -310,6 +310,14 @@ type decideScratch struct {
 	walked     []int32
 	ends       []int32
 	memRows    []int32
+
+	// The member-restricted anchor BFS: visited marks stamped per BFS
+	// (bfsStamp counts BFS runs across centers, so nothing is reset per
+	// BFS), distances by row, and the queue.
+	bfsMark  []int32
+	bfsDist  []int32
+	bfsQueue []int32
+	bfsStamp int32
 }
 
 // beginCenter resets the scratch for a new center over the given ball.
@@ -338,6 +346,12 @@ func (sc *decideScratch) beginCenter(cache *cliqueCache, ball *view.Ball, horizo
 		}
 		sc.epoch = 0
 	}
+	if sc.bfsStamp == math.MaxInt32 {
+		for i := range sc.bfsMark {
+			sc.bfsMark[i] = 0
+		}
+		sc.bfsStamp = 0
+	}
 	sc.epoch++
 	sc.cliqueIDs = sc.cliqueIDs[:0]
 	sc.own = sc.own[:0]
@@ -348,6 +362,8 @@ func (sc *decideScratch) beginCenter(cache *cliqueCache, ball *view.Ball, horizo
 	if nr := ball.NumRows(); len(sc.memMark) < nr {
 		sc.memMark = growMarks(sc.memMark, nr)
 		sc.anchorMark = growMarks(sc.anchorMark, nr)
+		sc.bfsMark = growMarks(sc.bfsMark, nr)
+		sc.bfsDist = growMarks(sc.bfsDist, nr)
 	}
 }
 
@@ -547,14 +563,24 @@ func (sc *decideScratch) memberRows(cliques []int32) []int32 {
 }
 
 // walkedDiameter computes the anchored diameter of the walked path: the
-// maximum ball distance from a member of the two extreme cliques to any
-// walked node. For pairs below the 3k threshold, ball distances equal
-// true distances (shortest paths fit inside the 10k ball). Membership
-// is rebuilt from the walked slice alone — the walk's inWalked marks
-// also hold consumed frontier/branch cliques, which are not part of the
-// path being measured.
+// maximum distance from a member of the two extreme cliques to any
+// member of the walked cliques, unreachable members ignored. For pairs
+// below the 3k threshold, ball distances equal true distances (shortest
+// paths fit inside the 10k ball). Membership is rebuilt from the walked
+// slice alone — the walk's inWalked marks also hold consumed
+// frontier/branch cliques, which are not part of the path being
+// measured.
+//
+// Each anchor's BFS stays inside the members M (memberBFS): the walked
+// cliques are trusted, so they form a path W of the true clique forest
+// of G_i, and a node x outside M has all its cliques in one subtree of
+// the forest minus W, hanging off W through one separator clique S that
+// holds every M-neighbor of x. A member-to-member path that leaves M
+// therefore leaves and re-enters through S and shortcuts to one edge,
+// so member distances in the ball equal those in the ball restricted
+// to M.
 func (sc *decideScratch) walkedDiameter() int {
-	members := sc.memberRows(sc.walked)
+	members := len(sc.memberRows(sc.walked))
 	for _, ci := range sc.walked {
 		sc.inDiam[ci] = sc.epoch
 	}
@@ -577,15 +603,47 @@ func (sc *decideScratch) walkedDiameter() int {
 				continue
 			}
 			sc.anchorMark[r] = sc.epoch
-			sc.AnchorBFS(sc.ball, r)
-			for _, mr := range members {
-				if d := int(sc.DistA[mr]); d > best {
-					best = d
-				}
+			if d := sc.memberBFS(r, members); d > best {
+				best = d
 			}
 		}
 	}
 	return best
+}
+
+// anchoredDiameterProbe, when non-nil, receives every anchored diameter
+// the kernel measures, with the scratch still holding the walk that
+// produced it. Tests install it to check walkedDiameter against a
+// whole-ball BFS; it must be safe for concurrent use.
+var anchoredDiameterProbe func(sc *decideScratch, d int)
+
+// memberBFS runs a BFS from the member row src over the ball rows of
+// the current member set (memMark) and returns the largest distance it
+// reaches. It stops as soon as all member rows are reached; visited
+// marks carry a per-BFS stamp, so no per-BFS reset is needed.
+func (sc *decideScratch) memberBFS(src int32, members int) int {
+	sc.bfsStamp++
+	stamp := sc.bfsStamp
+	q := sc.bfsQueue
+	q = q[:0]
+	q = append(q, src)
+	sc.bfsMark[src] = stamp
+	sc.bfsDist[src] = 0
+	for h := 0; h < len(q) && len(q) < members; h++ {
+		v := q[h]
+		d := sc.bfsDist[v] + 1
+		for _, u := range sc.ball.Row(v) {
+			if sc.memMark[u] != sc.epoch || sc.bfsMark[u] == stamp {
+				continue
+			}
+			sc.bfsMark[u] = stamp
+			sc.bfsDist[u] = d
+			q = append(q, u)
+		}
+	}
+	sc.bfsQueue = q
+	// BFS appends rows in nondecreasing distance order.
+	return int(sc.bfsDist[q[len(q)-1]])
 }
 
 // decideCenter determines, purely from the center's G_i-restricted ball
@@ -663,9 +721,11 @@ func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, ids []
 	} else {
 		// Internal (or frontier-extended) path: peel iff anchored
 		// diameter reaches the threshold within the walked portion.
-		if sc.walkedDiameter() >= rule.diamThreshold {
-			peelMe = true
+		d := sc.walkedDiameter()
+		if anchoredDiameterProbe != nil {
+			anchoredDiameterProbe(sc, d)
 		}
+		peelMe = d >= rule.diamThreshold
 	}
 	if !peelMe {
 		return false, -1, nil

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -159,4 +161,118 @@ func TestDecideKernelRaceStress(t *testing.T) {
 	if len(out.Layer) != g.NumNodes() {
 		t.Fatalf("decided %d of %d nodes", len(out.Layer), g.NumNodes())
 	}
+}
+
+// wholeBallAnchoredDiameter is the reference walkedDiameter replaces:
+// a BFS over the whole ball from every member of the walk's extreme
+// cliques, maximized over the walked members it reaches. It reads only
+// the walk (sc.walked, the forest rows, the ball), never the kernel's
+// epoch marks.
+func wholeBallAnchoredDiameter(sc *decideScratch) int {
+	inWalk := make(map[int32]bool, len(sc.walked))
+	for _, ci := range sc.walked {
+		inWalk[ci] = true
+	}
+	rowsOf := func(ci int32) []int32 {
+		var rows []int32
+		for _, uIdx := range sc.cache.memberIdx[sc.cliqueIDs[ci]] {
+			if r := sc.ball.RowOf(uIdx); r >= 0 {
+				rows = append(rows, r)
+			}
+		}
+		return rows
+	}
+	var members []int32
+	for _, ci := range sc.walked {
+		members = append(members, rowsOf(ci)...)
+	}
+	best := 0
+	for _, ci := range sc.walked {
+		inside := 0
+		for _, nb := range sc.adjRows[ci] {
+			if inWalk[nb] {
+				inside++
+			}
+		}
+		if inside > 1 {
+			continue
+		}
+		for _, src := range rowsOf(ci) {
+			dist := make([]int, sc.ball.NumRows())
+			for i := range dist {
+				dist[i] = -1
+			}
+			dist[src] = 0
+			queue := []int32{src}
+			for h := 0; h < len(queue); h++ {
+				for _, u := range sc.ball.Row(queue[h]) {
+					if dist[u] < 0 {
+						dist[u] = dist[queue[h]] + 1
+						queue = append(queue, u)
+					}
+				}
+			}
+			for _, r := range members {
+				if dist[r] > best {
+					best = dist[r]
+				}
+			}
+		}
+	}
+	return best
+}
+
+// TestAnchoredDiameterMatchesWholeBall pins the member-restricted
+// anchored diameter to the whole-ball BFS it replaced, on every decide
+// the pruning phase makes over each generator family, fault-free and
+// under a lossy, duplicating, delaying schedule (whose truncated balls
+// stress the clipped-view path; the prune may fail afterwards, but every
+// diameter it measured must still match).
+func TestAnchoredDiameterMatchesWholeBall(t *testing.T) {
+	hub, _ := gen.RelabelRandom(gen.HubTree(3, 12), 4)
+	families := map[string]*graph.Graph{
+		"chordal":     gen.RandomChordal(150, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 3),
+		"interval":    gen.RandomInterval(120, 60, 2.5, 5),
+		"tree":        gen.Tree(150, 7),
+		"path":        gen.Path(120),
+		"ktree":       gen.KTree(120, 3, 9),
+		"subtree":     gen.RandomChordalSubtree(150, 3, 6, 11),
+		"hubtree":     hub,
+		"caterpillar": gen.Caterpillar(60, 2),
+	}
+	faults, err := dist.ParseFaults("drop=0.2,dup=0.2,delay=2", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	checked, mismatched := 0, 0
+	anchoredDiameterProbe = func(sc *decideScratch, d int) {
+		want := wholeBallAnchoredDiameter(sc)
+		mu.Lock()
+		defer mu.Unlock()
+		checked++
+		if d != want && mismatched < 5 {
+			mismatched++
+			t.Errorf("anchored diameter %d, whole-ball BFS says %d", d, want)
+		}
+	}
+	defer func() { anchoredDiameterProbe = nil }()
+	for name, g := range families {
+		for _, f := range []*dist.Faults{nil, faults} {
+			before := checked
+			_, err := DistributedPruneSpec(g, PruneSpec{DiamThreshold: 6, Radius: 20, Faults: f})
+			if err != nil && f == nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			// An interval graph's clique forest is a single path, peeled
+			// whole as a pendant path: it never reaches the diameter rule.
+			if f == nil && checked == before && name != "interval" {
+				t.Errorf("%s: the prune measured no anchored diameter", name)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no anchored diameter was measured")
+	}
+	t.Logf("%d anchored diameters checked", checked)
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/chordal"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/interval"
 	"repro/internal/peel"
 )
 
@@ -311,7 +312,9 @@ func componentIS(g *graph.Graph, h *graph.Graph, rec peel.PathRecord, d int, las
 		ih := AbsorbingMIS(h, g, anchor)
 		return ih, 2*(d-1) + 2, true, nil
 	}
-	im, err := MISInterval(h, eps/8, idBound)
+	// The record's clique path, restricted to H, is a model of H.
+	path := interval.RestrictCliquePath(peel.LayerCliquePath(rec), h.HasNode)
+	im, err := misInterval(h, path, eps/8, idBound)
 	if err != nil {
 		return nil, 0, false, err
 	}

@@ -38,8 +38,24 @@ func MISIntervalK(eps float64) int {
 // G^k), and exact maximum independent sets are computed in the segments
 // between consecutive members and beyond the extremes.
 //
-// idBound bounds node IDs (for the symmetry-breaking palette).
+// idBound bounds node IDs (for the symmetry-breaking palette). Every
+// proper component needs an umbrella ordering, which also drives the
+// diameter test, so a component that is not proper interval after the
+// reduction (g was not an interval graph) is an error even when it is
+// small.
 func MISInterval(g *graph.Graph, eps float64, idBound int) (*IntervalMISResult, error) {
+	return misInterval(g, nil, eps, idBound)
+}
+
+// misInterval is MISInterval given path, a clique-path model of g, for
+// the diameter tests: restricted to a proper component it models that
+// induced subgraph, and interval.Diameter ignores the nodes outside it,
+// so one model serves every component. With a nil path, the test is one
+// BFS from the first node of the component's umbrella ordering: that
+// node lies only in the first clique order[0..r(0)] of the ordering's
+// clique path, so its interval ends first and its eccentricity is the
+// diameter (the lemma at interval.Diameter).
+func misInterval(g *graph.Graph, path []graph.Set, eps float64, idBound int) (*IntervalMISResult, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("epsilon must be positive, got %v", eps)
 	}
@@ -51,7 +67,19 @@ func MISInterval(g *graph.Graph, eps float64, idBound int) (*IntervalMISResult, 
 
 	for _, comp := range proper.Components() {
 		sub := proper.InducedSubgraph(comp)
-		diam := sub.Diameter()
+		var order []graph.ID // sub's umbrella ordering, once computed
+		diam := 0
+		if path != nil {
+			diam = interval.Diameter(sub, path)
+		} else {
+			var err error
+			if order, err = umbrellaOrder(sub); err != nil {
+				return nil, err
+			}
+			for _, d := range sub.BFSDistances(order[0]) {
+				diam = max(diam, d)
+			}
+		}
 		if diam <= 10*k {
 			// A coordinator sees the whole component within 10k+1 hops.
 			exact, err := chordal.MaximumIndependentSet(sub)
@@ -63,7 +91,13 @@ func MISInterval(g *graph.Graph, eps float64, idBound int) (*IntervalMISResult, 
 			res.Set = res.Set.Union(exact)
 			continue
 		}
-		segRounds, err := misLargeComponent(sub, k, idBound, res)
+		if order == nil {
+			var err error
+			if order, err = umbrellaOrder(sub); err != nil {
+				return nil, err
+			}
+		}
+		segRounds, err := misLargeComponent(sub, order, k, idBound, res)
 		if err != nil {
 			return nil, err
 		}
@@ -75,12 +109,19 @@ func MISInterval(g *graph.Graph, eps float64, idBound int) (*IntervalMISResult, 
 	return res, nil
 }
 
-// misLargeComponent handles one large proper-interval component.
-func misLargeComponent(sub *graph.Graph, k, idBound int, res *IntervalMISResult) (int, error) {
+// umbrellaOrder is interval.UmbrellaOrder on a proper component, with
+// the component-level error wording.
+func umbrellaOrder(sub *graph.Graph) ([]graph.ID, error) {
 	order, err := interval.UmbrellaOrder(sub)
 	if err != nil {
-		return 0, fmt.Errorf("component is not proper interval after reduction: %w", err)
+		return nil, fmt.Errorf("component is not proper interval after reduction: %w", err)
 	}
+	return order, nil
+}
+
+// misLargeComponent handles one large proper-interval component, given
+// its umbrella ordering.
+func misLargeComponent(sub *graph.Graph, order []graph.ID, k, idBound int, res *IntervalMISResult) (int, error) {
 	pos := interval.PositionsOf(order)
 	rounds := 0
 

@@ -6,14 +6,16 @@
 // the number of communication rounds.
 //
 // The engine runs on a frozen graph.Indexed snapshot: nodes are dense
-// indices, inboxes are per-node slices reused across rounds, and messages
-// are delivered by walking senders in index order, which yields the
-// deterministic (sender, queue position) delivery order without sorting.
-// At the start of a run the node range is split into GOMAXPROCS
-// contiguous ranges, stepped concurrently every round by the same range
-// kernel (kernel.go) that the partitioned runtime runs once per shard;
-// node programs interact only through messages delivered at round
-// boundaries, so every range count produces identical results.
+// indices, and every inbox holds its messages in the deterministic
+// (sender, queue position) order, built without sorting. At the start of
+// a run the snapshot's BFS order is split into GOMAXPROCS contiguous
+// ranges, stepped concurrently every round by the same range kernel
+// (kernel.go) that the partitioned runtime runs once per shard. On a
+// fault-free round each node pulls its inbox from its neighbors'
+// previous-round output inside that step; rounds with a fault plan or a
+// send beyond the neighborhood are delivered by the shared routing walk
+// instead. Node programs interact only through messages delivered at
+// round boundaries, so every range count produces identical results.
 package dist
 
 import (
@@ -161,20 +163,31 @@ type KernelObserver interface {
 }
 
 // Context is a node's interface to the network during Init/Round calls.
-// The outbox stores one entry per Send or Broadcast call: targets[k] is
-// the receiver's index for a Send, or broadcastTarget for a Broadcast,
-// which collect expands over the neighbor row at delivery. Queue
+// A step's queue stores one entry per Send or Broadcast call: targets[k]
+// is the receiver's index for a Send, or broadcastTarget for a
+// Broadcast, which delivery expands over the neighbor row. Queue
 // positions — the fault schedule's coordinates — are counted over the
 // expanded sequence, so the compressed representation is invisible to
 // fault plans.
 type Context struct {
-	id      graph.ID
-	idx     int32 // own dense index in the snapshot
-	nbrIDs  []graph.ID
-	nbrIdx  []int32
-	ix      *graph.Indexed
-	round   *int32 // engine's current step, shared by all contexts
-	outbox  []Message
+	id     graph.ID
+	idx    int32 // own dense index in the snapshot
+	nbrIDs []graph.ID
+	nbrIdx []int32
+	ix     *graph.Indexed
+	round  *int32 // engine's current step, shared by all contexts
+	// out holds the node's queues by step parity: step r appends to
+	// out[r&1], which neighbors pulling in step r+1 read while that step
+	// appends to the other one.
+	out [2]outQueue
+	// far records a Send to the node itself or to a non-neighbor, which
+	// the engine must deliver by pushing rather than by pulls.
+	far bool
+}
+
+// outQueue is one step's queued entries: messages and their targets.
+type outQueue struct {
+	msgs    []Message
 	targets []int32
 }
 
@@ -211,15 +224,18 @@ func (c *Context) Send(to graph.ID, payload any) {
 		j = c.nbrIdx[p]
 	} else if to == c.id {
 		j = c.idx
+		c.far = true
 	} else {
 		ji, ok := c.ix.IndexOf(to)
 		if !ok {
 			panic(fmt.Sprintf("dist: node %d sent to %d, which is not a node of the network", c.id, to))
 		}
 		j = int32(ji)
+		c.far = true
 	}
-	c.outbox = append(c.outbox, Message{From: c.id, Payload: payload})
-	c.targets = append(c.targets, j)
+	q := &c.out[*c.round&1]
+	q.msgs = append(q.msgs, Message{From: c.id, Payload: payload})
+	q.targets = append(q.targets, j)
 }
 
 // Broadcast queues the same payload to every neighbor. It stores a
@@ -229,8 +245,9 @@ func (c *Context) Broadcast(payload any) {
 	if len(c.nbrIdx) == 0 {
 		return
 	}
-	c.outbox = append(c.outbox, Message{From: c.id, Payload: payload})
-	c.targets = append(c.targets, broadcastTarget)
+	q := &c.out[*c.round&1]
+	q.msgs = append(q.msgs, Message{From: c.id, Payload: payload})
+	q.targets = append(q.targets, broadcastTarget)
 }
 
 // Sizer lets payload types report a size in abstract units (e.g. record
@@ -284,31 +301,23 @@ type Engine struct {
 	// success.
 	ran bool
 
-	// Per-run state, built by start. ranges are the contiguous node
-	// ranges stepped each round, views into ctxs, progs, and done (the
-	// nodes' Done flags); cur/next are the per-node inboxes by node
-	// index, double-buffered so the backing arrays are reused across
-	// rounds; curRound is the step index the contexts report.
-	ctxs      []Context
-	done      []bool
-	ranges    []nodeRange
-	crash     crashTable
-	cur, next [][]Message
-	curRound  int32
-
-	// deliver is collect's per-receiver message-count scratch, used to
-	// reserve each inbox exactly once per round instead of growing it by
-	// repeated append-doubling; touched is its list of this round's
-	// receivers.
-	deliver []int32
-	touched []int32
-
-	// inboxSlab holds the fault-free path's inbox backing arrays: each
-	// round's inboxes are carved out of one slab sized by the counting
-	// pass, double-buffered in step with cur/next so a slab is never
-	// rewritten while its slices are being consumed.
-	inboxSlab [2][]Message
-	slabIdx   int
+	// Per-run state, built by start and laid out by the snapshot's BFS
+	// order: ctxs, steps (the protocols) and done (their Done flags)
+	// are by BFS position, and pos maps a snapshot index to its
+	// position. ranges are contiguous chunks of positions, stepped each
+	// round; curRound is the step index the contexts report. On a
+	// fault-free run, board carries each step's output to the next
+	// step's pulls; in holds the inboxes the push path fills instead (by
+	// position, allocated on first use).
+	ctxs     []Context
+	steps    []Protocol
+	done     []bool
+	pos      []int32
+	ranges   []nodeRange
+	crash    crashTable
+	board    pullBoard
+	in       [][]Message
+	curRound int32
 }
 
 // NewEngine creates an engine running factory(v) on every node v of g.
@@ -318,11 +327,13 @@ func NewEngine(g *graph.Graph, factory func(v graph.ID) Protocol) *Engine {
 
 // NewEngineIndexed creates an engine on an existing snapshot, letting
 // callers that run many protocols over the same graph (e.g. iterated
-// pruning) pay the snapshot cost once.
+// pruning) pay the snapshot cost once. The factory is called in the
+// snapshot's BFS order, the order the engine steps nodes in, so the
+// protocol state of graph neighbors is allocated close together.
 func NewEngineIndexed(ix *graph.Indexed, factory func(v graph.ID) Protocol) *Engine {
 	e := &Engine{ix: ix, progs: make([]Protocol, ix.NumNodes())}
-	for i, v := range ix.IDs() {
-		e.progs[i] = factory(v)
+	for _, i := range ix.BFSOrder() {
+		e.progs[i] = factory(ix.IDOf(int(i)))
 	}
 	return e
 }
@@ -337,8 +348,10 @@ func (e *Engine) Run(maxRounds int) (*Result, error) {
 }
 
 // start implements stepper: it builds the crash table, the contexts and
-// inboxes, and the node ranges — SplitRange over GOMAXPROCS, fixed for
-// the whole run, so every round of a run reports the same shard count.
+// the delivery state in BFS order, and the node ranges — SplitRange over
+// GOMAXPROCS chunks of that order, fixed for the whole run, so every
+// round of a run reports the same shard count. Most of a node's
+// neighbors then sit in its own range, next to it.
 func (e *Engine) start() (*crashTable, error) {
 	crash, err := newCrashTable(e.ix, e.Faults)
 	if err != nil {
@@ -346,37 +359,58 @@ func (e *Engine) start() (*crashTable, error) {
 	}
 	e.crash = crash
 	n := e.ix.NumNodes()
+	order := e.ix.BFSOrder()
 	e.ctxs = make([]Context, n)
+	e.steps = make([]Protocol, n)
 	e.done = make([]bool, n)
-	e.cur = make([][]Message, n)
-	e.next = make([][]Message, n)
+	e.pos = make([]int32, n)
+	for x, i := range order {
+		e.pos[i] = int32(x)
+		e.ctxs[x] = newContext(e.ix, i, &e.curRound)
+		e.steps[x] = e.progs[i]
+	}
+	var board *pullBoard
+	if e.Faults.active() {
+		e.in = make([][]Message, n)
+	} else {
+		e.board = newPullBoard(e.ix, e.ctxs, e.pos)
+		board = &e.board
+	}
 	parts := SplitRange(n, runtime.GOMAXPROCS(0))
 	e.ranges = make([]nodeRange, len(parts))
 	for k, p := range parts {
-		e.ranges[k] = newNodeRange(e.ix, int(p.Lo), e.progs[p.Lo:p.Hi], e.ctxs[p.Lo:p.Hi], e.done[p.Lo:p.Hi], &e.curRound)
+		e.ranges[k] = nodeRange{
+			progs:     e.steps[p.Lo:p.Hi],
+			ctxs:      e.ctxs[p.Lo:p.Hi],
+			done:      e.done[p.Lo:p.Hi],
+			quiescent: allQuiescent(e.steps[p.Lo:p.Hi]),
+			board:     board,
+			pos0:      int(p.Lo),
+		}
 	}
 	return &e.crash, nil
 }
 
-// step implements stepper: run every range, merge the range error slots
-// in range order (so the lowest-index panic wins under any range
-// count), then deliver.
+// step implements stepper: run every range, take the lowest-index
+// panic over all ranges (so the error never depends on the range count
+// or the step order), then deliver.
 func (e *Engine) step(round int, crashed []graph.ID, res *Result) (stepState, error) {
 	e.curRound = int32(round)
-	if round > 0 {
-		e.cur, e.next = e.next, e.cur
-	}
 	e.stepRanges(round)
 	st := stepState{}
+	var failed *nodeRange
 	for k := range e.ranges {
 		r := &e.ranges[k]
-		if r.err != nil {
-			return st, r.err
+		if r.err != nil && (failed == nil || r.errIdx < failed.errIdx) {
+			failed = r
 		}
 		st.done += r.doneCount
 	}
-	e.collect(round, st.done, crashed, res)
-	st.deadNotDone, st.blockedIdx, st.blockedRound = e.crash.blocked(0, e.done)
+	if failed != nil {
+		return st, failed.err
+	}
+	e.deliver(round, st.done, crashed, res)
+	st.deadNotDone, st.blockedIdx, st.blockedRound = e.crash.blocked(e.ctxs, e.done)
 	return st, nil
 }
 
@@ -412,7 +446,11 @@ func (e *Engine) stepRange(k, round int, wg *sync.WaitGroup) {
 	if e.Observer != nil {
 		e.Observer.ShardStart(k)
 	}
-	r.step(round, e.cur[r.lo:r.lo+len(r.progs)], e.crash.dead)
+	var inbox [][]Message
+	if e.in != nil {
+		inbox = e.in[r.pos0 : r.pos0+len(r.progs)]
+	}
+	r.step(round, inbox, e.crash.dead)
 	if e.Observer != nil {
 		e.Observer.ShardEnd(k)
 	}
@@ -429,112 +467,56 @@ func (e *Engine) finish(res *Result) error {
 	return nil
 }
 
-// collect moves queued messages into next-round inboxes. Walking senders
-// in increasing node index (= increasing ID) order delivers every inbox
-// already sorted by (sender, queue position) — the order the legacy
-// engine produced with a global stable sort — without sorting. Inbox
-// slices are truncated and refilled in place, so steady-state rounds
-// allocate nothing. With an observer attached it also reports the
-// round's message/volume deltas and the inbox high-water mark.
-//
-// With a fault schedule attached, delivery is the shared routing walk
-// on this single driving goroutine, in the same (sender, queue
+// deliver completes step round's delivery. When the step ran without a
+// fault plan and every send went to a neighbor, the next step pulls
+// each inbox from the board inside its range step, so all that is left
+// here is to charge the counters the ranges summed sender-side.
+// Otherwise — a fault plan, a self-send, or a send to a non-neighbor —
+// every copy is pushed into the next step's inboxes by the shared
+// routing walk, on this single driving goroutine, in the (sender, queue
 // position) order the shard runners use, so each message's fault
 // coordinates — and hence the whole schedule — are identical for every
-// range count and runtime. Without one, the loop is the branch-free
-// counting-pass path.
-func (e *Engine) collect(round, done int, crashed []graph.ID, res *Result) {
-	ctxs, next := e.ctxs, e.next
-	msgs, vol := 0, 0
+// range count and runtime. Both paths deliver each inbox in (sender,
+// queue position) order. With an observer attached it also reports the
+// round's message/volume deltas and the inbox high-water mark.
+func (e *Engine) deliver(round, done int, crashed []graph.ID, res *Result) {
+	msgs, vol, far := 0, 0, false
+	for k := range e.ranges {
+		r := &e.ranges[k]
+		msgs, vol, far = msgs+r.msgs, vol+r.vol, far || r.far
+		r.msgs, r.vol, r.far = 0, 0, false
+	}
 	var fs FaultStats
-	if !e.Faults.active() {
-		// Counting pass: reserve every receiving inbox at its exact fill
-		// before delivering, so a round's delivery performs at most one
-		// allocation per inbox whose high-water mark rises (instead of a
-		// doubling ramp), and the delivery appends never move memory.
-		// Inboxes were truncated as the step consumed them, so only this
-		// round's receivers — the touched list — need any work at all.
-		if e.deliver == nil {
-			e.deliver = make([]int32, len(next))
-		}
-		cnt := e.deliver
-		touched := e.touched[:0]
-		total := 0
-		for i := range ctxs {
-			c := &ctxs[i]
-			for _, to := range c.targets {
-				if to >= 0 {
-					total++
-					if cnt[to] == 0 {
-						touched = append(touched, to)
-					}
-					cnt[to]++
-					continue
-				}
-				total += len(c.nbrIdx)
-				for _, u := range c.nbrIdx {
-					if cnt[u] == 0 {
-						touched = append(touched, u)
-					}
-					cnt[u]++
-				}
-			}
-		}
-		e.touched = touched
-		e.slabIdx ^= 1
-		slab := e.inboxSlab[e.slabIdx]
-		if cap(slab) < total {
-			slab = make([]Message, 0, total)
-			e.inboxSlab[e.slabIdx] = slab
-		}
-		pos := 0
-		for _, to := range touched {
-			c := int(cnt[to])
-			cnt[to] = 0
-			next[to] = slab[pos : pos : pos+c]
-			pos += c
-		}
-		for i := range ctxs {
-			c := &ctxs[i]
-			for k, msg := range c.outbox {
-				sz := payloadSize(msg.Payload)
-				if to := c.targets[k]; to >= 0 {
-					next[to] = append(next[to], msg)
-					msgs++
-					vol += sz
-					continue
-				}
-				for _, u := range c.nbrIdx {
-					next[u] = append(next[u], msg)
-				}
-				msgs += len(c.nbrIdx)
-				vol += sz * len(c.nbrIdx)
-			}
-			c.outbox = c.outbox[:0]
-			c.targets = c.targets[:0]
-		}
-	} else {
-		for i := range next {
-			next[i] = next[i][:0]
+	active := e.Faults.active()
+	e.board.pulling = !active && !far
+	if !e.board.pulling {
+		if e.in == nil {
+			e.in = make([][]Message, len(e.ctxs))
 		}
 		fs.Round = round
 		fs.Crashed = crashed
-		msgs, vol = routeWalk(ctxs, 0, round, e.Faults, &e.crash, &fs, func(_ int, to int32, msg Message, _ int) {
-			next[to] = append(next[to], msg)
+		in, pos := e.in, e.pos
+		m, v := routeWalk(e.ctxs, pos, round, e.Faults, &e.crash, &fs, func(_ int, to int32, msg Message, _ int) {
+			in[pos[to]] = append(in[pos[to]], msg)
 		})
+		if active {
+			msgs, vol = m, v
+		}
 	}
 	obs := e.Observer
 	chargeStep(obs, res, msgs, vol, &fs)
 	if obs != nil {
 		maxInbox := 0
-		for i := range next {
-			if len(next[i]) > maxInbox {
-				maxInbox = len(next[i])
+		if e.board.pulling {
+			maxInbox = e.board.maxInbox(round)
+		} else {
+			for _, in := range e.in {
+				maxInbox = max(maxInbox, len(in))
 			}
 		}
 		obs.RoundEnd(RoundStats{
 			Round:    round,
-			Nodes:    len(ctxs),
+			Nodes:    len(e.ctxs),
 			Shards:   len(e.ranges),
 			Messages: msgs,
 			Volume:   vol,

@@ -150,3 +150,52 @@ func TestCollectBallsDisconnected(t *testing.T) {
 		t.Fatalf("node 10 knows %d nodes, want 2", know[10].Size())
 	}
 }
+
+// ballSizeHintLoop is the per-hop loop ballSizeHint replaced, kept as
+// its oracle.
+func ballSizeHintLoop(deg, avgDeg, radius, n int) int {
+	if deg == 0 || radius == 0 {
+		return 1
+	}
+	grow := avgDeg - 1
+	if grow < 1 {
+		grow = 1
+	}
+	s, f := 1, deg
+	for r := 0; r < radius; r++ {
+		s += f
+		if s >= n || s >= maxBallHint {
+			break
+		}
+		if f > n/grow {
+			f = n
+		} else {
+			f *= grow
+		}
+	}
+	if s > n {
+		s = n
+	}
+	if s > maxBallHint {
+		s = maxBallHint
+	}
+	return s
+}
+
+// TestBallSizeHintMatchesLoop pins the O(1) presize estimate to the
+// per-hop loop it replaced over the whole grid the flood can ask about
+// in practice, so presizes — and allocation totals — are unchanged.
+func TestBallSizeHintMatchesLoop(t *testing.T) {
+	ns := []int{0, 1, 2, 3, 5, 9, 17, 100, 1000, maxBallHint - 1, maxBallHint, maxBallHint + 1, 5000, 1 << 16, 1 << 20}
+	for deg := 0; deg <= 8; deg++ {
+		for avg := 0; avg <= 8; avg++ {
+			for radius := 0; radius <= 500; radius++ {
+				for _, n := range ns {
+					if got, want := ballSizeHint(deg, avg, radius, n), ballSizeHintLoop(deg, avg, radius, n); got != want {
+						t.Fatalf("ballSizeHint(deg %d, avgDeg %d, radius %d, n %d) = %d, loop gives %d", deg, avg, radius, n, got, want)
+					}
+				}
+			}
+		}
+	}
+}

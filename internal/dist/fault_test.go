@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -287,7 +288,45 @@ func TestParseFaults(t *testing.T) {
 	if _, err := ParseFaults("drop=2", 1); err == nil {
 		t.Error("bad spec accepted")
 	}
+	// A NaN rate is not a probability: it must not parse into a plan
+	// whose drop never fires, nor be misreported as an inactive spec.
+	for _, spec := range []string{"drop=NaN,dup=0.5", "drop=NaN"} {
+		if f, err := ParseFaults(spec, 1); err == nil || IsInactive(err) || !strings.Contains(err.Error(), "not a probability") {
+			t.Errorf("ParseFaults(%q) = (%+v, %v), want a not-a-probability error", spec, f, err)
+		}
+	}
 	if IsInactive(fmt.Errorf("other")) {
 		t.Error("IsInactive matched an unrelated error")
 	}
+}
+
+// FuzzParseFaults: no spec panics the parser; an accepted spec has every
+// rate in [0,1] and a non-negative delay and crash rounds; and re-parsing
+// the spec the plan records reproduces the same plan, which is what the
+// partitioned runtime relies on when shards re-parse it.
+func FuzzParseFaults(f *testing.F) {
+	f.Add("drop=0.2,dup=0.2,delay=2", uint64(7))
+	f.Add("drop=NaN,dup=0.5", uint64(1))
+	f.Add("drop=0.5,crash=7@3,crash=-2@0", uint64(9))
+	f.Add("dup=1e-300", uint64(0))
+	f.Add(" delay=1 ", uint64(3))
+	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+		fs, err := ParseFaults(spec, seed)
+		if err != nil || fs == nil {
+			return
+		}
+		p := fs.Plan
+		if !(p.Drop >= 0 && p.Drop <= 1) || !(p.Dup >= 0 && p.Dup <= 1) || p.MaxDelay < 0 {
+			t.Fatalf("ParseFaults(%q) accepted plan %+v", spec, p)
+		}
+		for v, r := range fs.Crash {
+			if r < 0 {
+				t.Fatalf("ParseFaults(%q) accepted crash %d@%d", spec, v, r)
+			}
+		}
+		again, err := ParseFaults(fs.Spec, fs.Seed)
+		if err != nil || !reflect.DeepEqual(again, fs) {
+			t.Fatalf("re-parsing %q: (%+v, %v), want %+v", fs.Spec, again, err, fs)
+		}
+	})
 }

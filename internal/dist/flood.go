@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -370,31 +371,37 @@ const maxBallHint = 1 << 12
 // that, capped at n and at maxBallHint. Using the average rather than
 // the maximum degree matters at scale — one hub must not inflate every
 // node's presize. Only a capacity hint; correctness never depends on it.
+//
+// With grow = avgDeg−1 (at least 1), the estimate after r hops is
+// 1 + deg·(1 + grow + … + grow^(r−1)). Arithmetic growth (grow = 1) is
+// evaluated in closed form; geometric growth at least doubles the sum
+// every hop, so it passes maxBallHint within bits.Len(maxBallHint) hops
+// whatever the radius. Either way the cost is O(1), not O(radius).
 func ballSizeHint(deg, avgDeg, radius, n int) int {
 	if deg == 0 || radius == 0 {
 		return 1
 	}
-	grow := avgDeg - 1
-	if grow < 1 {
-		grow = 1
+	limit := min(n, maxBallHint)
+	grow := max(avgDeg-1, 1)
+	if grow == 1 {
+		// min(1 + radius·deg, limit), compared by division so the
+		// product cannot overflow.
+		if radius > (limit-1)/deg {
+			return limit
+		}
+		return 1 + radius*deg
 	}
 	s, f := 1, deg
-	for r := 0; r < radius; r++ {
+	for range min(radius, bits.Len(maxBallHint)) {
 		s += f
-		if s >= n || s >= maxBallHint {
-			break
+		if s >= limit {
+			return limit
 		}
 		if f > n/grow {
-			f = n
+			f = n // overflow guard: the next hop passes n anyway
 		} else {
 			f *= grow
 		}
-	}
-	if s > n {
-		s = n
-	}
-	if s > maxBallHint {
-		s = maxBallHint
 	}
 	return s
 }

@@ -14,14 +14,17 @@ import (
 // ShardRunner/Coordinator (one range per shard). It holds the only code
 // that runs node programs (nodeRange.step), the fail-stop crash table,
 // the sender-order routing walk in which the fault schedule is decided,
-// and the synchronous run loop. LOCAL and partitioned runs are
-// byte-identical because they run this code, not two copies of it.
+// the synchronous run loop, and the pull board through which the LOCAL
+// engine's fault-free steps deliver inside the range step. LOCAL and
+// partitioned runs are byte-identical because they run this code, not
+// two copies of it.
 
-// nodeRange is one contiguous range of a run's nodes, starting at
-// global snapshot index lo: the nodes' protocols, contexts and Done
-// flags by offset from lo, the range's Done count, and its error slot.
+// nodeRange is one range of a run's nodes, stepped in array order: the
+// nodes' protocols, contexts and Done flags, aligned (each context
+// carries its node's global snapshot index). A shard runner's range is
+// contiguous in index order; the LOCAL engine's ranges are chunks of
+// the snapshot's BFS order, starting at BFS position pos0.
 type nodeRange struct {
-	lo        int
 	progs     []Protocol
 	ctxs      []Context
 	done      []bool
@@ -29,8 +32,22 @@ type nodeRange struct {
 	// quiescent is true when every protocol of the range implements
 	// Quiescent, so empty-inbox Round calls can be skipped.
 	quiescent bool
-	// err is the node-program panic that aborted the range's last step.
-	err error
+	// err is the lowest-index node-program panic of the range's last
+	// step, and errIdx that node's index.
+	err    error
+	errIdx int32
+
+	// board is the LOCAL engine's in-step delivery board on fault-free
+	// runs (nil otherwise): every step publishes each node's output to
+	// it, and a pulling step builds each inbox from it, in pulled.
+	board  *pullBoard
+	pos0   int
+	pulled []Message
+	// msgs, vol and far are the board steps' sender-side accounting:
+	// the step's copies and their volume, and whether any node sent to
+	// itself or to a non-neighbor.
+	msgs, vol int
+	far       bool
 }
 
 // newNodeRange wraps progs, the protocols of global indices lo, lo+1,
@@ -38,67 +55,241 @@ type nodeRange struct {
 // contexts. done holds the range's Done flags, all false; round is the
 // step counter the contexts report.
 func newNodeRange(ix *graph.Indexed, lo int, progs []Protocol, ctxs []Context, done []bool, round *int32) nodeRange {
-	r := nodeRange{lo: lo, progs: progs, ctxs: ctxs, done: done, quiescent: len(progs) > 0}
-	for j, p := range progs {
-		i := lo + j
-		ctxs[j] = Context{
-			id:     ix.IDOf(i),
-			idx:    int32(i),
-			nbrIDs: ix.NeighborIDs(i),
-			nbrIdx: ix.NeighborIndices(i),
-			ix:     ix,
-			round:  round,
-		}
+	for j := range progs {
+		ctxs[j] = newContext(ix, int32(lo+j), round)
+	}
+	return nodeRange{progs: progs, ctxs: ctxs, done: done, quiescent: allQuiescent(progs)}
+}
+
+// allQuiescent reports whether progs is non-empty and every protocol in
+// it implements Quiescent.
+func allQuiescent(progs []Protocol) bool {
+	for _, p := range progs {
 		if _, ok := p.(Quiescent); !ok {
-			r.quiescent = false
+			return false
 		}
 	}
-	return r
+	return len(progs) > 0
+}
+
+// newContext is the network context of the node at snapshot index i.
+func newContext(ix *graph.Indexed, i int32, round *int32) Context {
+	return Context{
+		id:     ix.IDOf(int(i)),
+		idx:    i,
+		nbrIDs: ix.NeighborIDs(int(i)),
+		nbrIdx: ix.NeighborIndices(int(i)),
+		ix:     ix,
+		round:  round,
+	}
 }
 
 // step runs step round (0 = Init) on every live node of the range in
-// index order: Init, or Round with the node's inbox (by offset from lo),
-// truncated as it is consumed so delivery never needs a truncation
-// pass. Crashed nodes (dead, by global index; nil without crashes) are
-// skipped, and so are empty-inbox nodes of a quiescent range, whose call
-// would be a no-op. Done transitions update the range's count. A
-// panicking node program aborts the rest of the range into r.err, so
-// the error a step reports is always its lowest-index failure.
+// array order: Init, or Round with the node's inbox — pulled from the
+// board when it is pulling, otherwise inbox[j], truncated as it is
+// consumed so delivery never needs a truncation pass. Crashed nodes
+// (dead, by global index; nil without crashes) are skipped, and so are
+// empty-inbox nodes of a quiescent range, whose call would be a no-op.
+// Done transitions update the range's count. A panicking node program
+// ends its own step only: the range carries on after it and keeps the
+// lowest panicking index in r.err, so the error a step reports never
+// depends on the step order.
 //
 //chordalvet:hotpath budget=0 shared range step: runs every node program of both runtimes
 func (r *nodeRange) step(round int, inbox [][]Message, dead []bool) {
-	defer r.recoverPanic()
-	for j, p := range r.progs {
-		if dead != nil && dead[r.lo+j] {
+	for at := 0; at < len(r.progs); {
+		at = r.stepFrom(at, round, inbox, dead)
+	}
+}
+
+// stepFrom steps the range's nodes from position at on and returns the
+// end position, or — when a node program panics — the position after
+// it, the panic recorded by recoverAt.
+func (r *nodeRange) stepFrom(at, round int, inbox [][]Message, dead []bool) (next int) {
+	defer r.recoverAt(&next)
+	par := round & 1
+	for next = at; next < len(r.progs); next++ {
+		c := &r.ctxs[next]
+		if dead != nil && dead[c.idx] {
 			continue
 		}
+		// The queue of this parity last held step round−2's output, long
+		// consumed: reuse it.
+		q := &c.out[par]
+		q.msgs, q.targets = q.msgs[:0], q.targets[:0]
+		p := r.progs[next]
 		if round == 0 {
-			p.Init(&r.ctxs[j])
+			p.Init(c)
 		} else {
-			in := inbox[j]
+			var in []Message
+			if r.board != nil && r.board.pulling {
+				r.pulled = r.board.pull(r.pos0+next, round, r.pulled)
+				in = r.pulled
+			} else {
+				in = inbox[next]
+				inbox[next] = in[:0]
+			}
 			if r.quiescent && len(in) == 0 {
+				if r.board != nil {
+					r.publish(r.pos0+next, c, par)
+				}
 				continue
 			}
-			inbox[j] = in[:0]
-			p.Round(&r.ctxs[j], in)
+			p.Round(c, in)
 		}
-		if d := p.Done(); d != r.done[j] {
-			r.done[j] = d
+		if d := p.Done(); d != r.done[next] {
+			r.done[next] = d
 			if d {
 				r.doneCount++
 			} else {
 				r.doneCount--
 			}
 		}
+		if r.board != nil {
+			r.publish(r.pos0+next, c, par)
+		}
+	}
+	return next
+}
+
+// recoverAt turns a node-program panic at position *at into the range's
+// error, unless a lower index already panicked this step, and moves *at
+// past the node so the step resumes after it. A worker must return
+// normally, or the engine's WaitGroup would hang.
+func (r *nodeRange) recoverAt(at *int) {
+	if rec := recover(); rec != nil {
+		if i := r.ctxs[*at].idx; r.err == nil || i < r.errIdx {
+			r.err = fmt.Errorf("dist: node program panicked: %v", rec)
+			r.errIdx = i
+		}
+		*at++
 	}
 }
 
-// recoverPanic turns a node-program panic into the range's error. A
-// worker must return normally, or the engine's WaitGroup would hang.
-func (r *nodeRange) recoverPanic() {
-	if rec := recover(); rec != nil {
-		r.err = fmt.Errorf("dist: node program panicked: %v", rec)
+// publish posts the step output of node c, at BFS position pos, to the
+// board's slot for this parity and charges its copies and volume
+// sender-side, exactly as the routing walk counts them without a fault
+// plan.
+func (r *nodeRange) publish(pos int, c *Context, par int) {
+	q := &c.out[par]
+	s := &r.board.slots[par][pos]
+	switch {
+	case len(q.msgs) == 0:
+		*s = outSlot{}
+	case len(q.msgs) == 1 && q.targets[0] == broadcastTarget:
+		*s = outSlot{msg: q.msgs[0], kind: slotBroadcast}
+	default:
+		*s = outSlot{kind: slotQueue}
 	}
+	for k, m := range q.msgs {
+		copies := 1
+		if q.targets[k] == broadcastTarget {
+			copies = len(c.nbrIdx)
+		}
+		r.msgs += copies
+		r.vol += copies * payloadSize(m.Payload)
+	}
+	if c.far {
+		r.far = true
+		c.far = false
+	}
+}
+
+// pullBoard is the LOCAL engine's in-step delivery state on fault-free
+// runs, laid out by BFS position. Every step writes each node's output
+// to the slots of its round parity; when that step's sends all went to
+// neighbors, the next step pulls each node's inbox from its neighbors'
+// slots of the other parity inside the range step, so no delivery pass
+// runs between steps. The slots and queues a step reads are never the
+// ones it writes, which is what lets the ranges pull concurrently.
+type pullBoard struct {
+	// slots[p][x] is the output of the node at position x in the last
+	// step of parity p.
+	slots [2][]outSlot
+	// nbr[nbrPtr[x]:nbrPtr[x+1]] are the positions of the neighbors of
+	// the node at position x, in ascending index order.
+	nbrPtr, nbr []int32
+	// ctxs are the engine's contexts, by position.
+	ctxs []Context
+	// pulling reports that the step about to run pulls its inboxes.
+	pulling bool
+	// counted is maxInbox's scratch inbox.
+	counted []Message
+}
+
+// newPullBoard lays the board out over ctxs, the contexts of the
+// snapshot's nodes in the BFS order whose inverse is pos.
+func newPullBoard(ix *graph.Indexed, ctxs []Context, pos []int32) pullBoard {
+	n := len(ctxs)
+	b := pullBoard{
+		slots:  [2][]outSlot{make([]outSlot, n), make([]outSlot, n)},
+		nbrPtr: make([]int32, n+1),
+		nbr:    make([]int32, 0, 2*ix.NumEdges()),
+		ctxs:   ctxs,
+	}
+	for x := range ctxs {
+		for _, u := range ctxs[x].nbrIdx {
+			b.nbr = append(b.nbr, pos[u])
+		}
+		b.nbrPtr[x+1] = int32(len(b.nbr))
+	}
+	return b
+}
+
+// Slot kinds: a node sent nothing, exactly one Broadcast (held in the
+// slot itself), or anything else (read from its context's queue).
+const (
+	slotNone uint8 = iota
+	slotBroadcast
+	slotQueue
+)
+
+// outSlot is one node's published step output: the common case of a
+// single Broadcast inline, so a pull reads one dense array.
+type outSlot struct {
+	msg  Message
+	kind uint8
+}
+
+// pull builds the inbox of the node at position x for step round from
+// its neighbors' outputs of step round−1, into buf: neighbors in
+// ascending index order (which is ascending ID order) and each
+// neighbor's entries addressed to the node — Broadcasts and Sends to
+// it — in queue order. That is exactly the (sender, queue position)
+// order the routing walk delivers, because on a pulling step every copy
+// went to a neighbor.
+//
+//chordalvet:hotpath budget=0 in-step pull delivery: runs for every node of every pulling step
+func (b *pullBoard) pull(x, round int, buf []Message) []Message {
+	buf = buf[:0]
+	par := (round - 1) & 1
+	slots, self := b.slots[par], b.ctxs[x].idx
+	for _, y := range b.nbr[b.nbrPtr[x]:b.nbrPtr[x+1]] {
+		switch s := &slots[y]; s.kind {
+		case slotBroadcast:
+			buf = append(buf, s.msg)
+		case slotQueue:
+			q := &b.ctxs[y].out[par]
+			for k, to := range q.targets {
+				if to == broadcastTarget || to == self {
+					buf = append(buf, q.msgs[k])
+				}
+			}
+		}
+	}
+	return buf
+}
+
+// maxInbox is the largest inbox the pulls of step round+1 will build:
+// the RoundStats high-water mark of step round's delivery, counted only
+// for observers.
+func (b *pullBoard) maxInbox(round int) int {
+	most := 0
+	for x := range b.ctxs {
+		b.counted = b.pull(x, round+1, b.counted)
+		most = max(most, len(b.counted))
+	}
+	return most
 }
 
 // crashTable is a run's fail-stop schedule in snapshot-index space. The
@@ -157,19 +348,19 @@ func (t *crashTable) deadLetter(to int32, round int) bool {
 	return t.at != nil && t.at[to] >= 0 && t.at[to] <= round+1
 }
 
-// blocked diagnoses nodes lo, lo+1, …, whose Done flags are done: how
+// blocked diagnoses the nodes of ctxs, whose Done flags are done: how
 // many crashed before finishing, the lowest such index (-1 when none),
 // and its crash step. The run can never terminate once every node is
 // either Done or one of these.
-func (t *crashTable) blocked(lo int, done []bool) (deadNotDone int, first int32, step int) {
+func (t *crashTable) blocked(ctxs []Context, done []bool) (deadNotDone int, first int32, step int) {
 	first = -1
 	if t.dead == nil {
 		return 0, first, 0
 	}
 	for j, d := range done {
-		if i := lo + j; t.dead[i] && !d {
-			if deadNotDone == 0 {
-				first, step = int32(i), t.at[i]
+		if i := ctxs[j].idx; t.dead[i] && !d {
+			if first < 0 || i < first {
+				first, step = i, t.at[i]
 			}
 			deadNotDone++
 		}
@@ -186,17 +377,18 @@ func payloadSize(p any) int {
 }
 
 // routeWalk is the sender-order delivery pass of one step, shared by the
-// engine's faulty path and the shard runner. It walks the outboxes of
-// ctxs, global sender indices lo, lo+1, …, in order, expands every
+// engine's push path and the shard runner. It walks the step's queues of
+// ctxs in ascending sender index — ctxs[walk[0]], ctxs[walk[1]], …, or
+// ctxs in order when walk is nil — expands every
 // Broadcast over the neighbor row, and routes each copy through the
 // crash table and the fault plan at global (round, sender index, queue
 // position) coordinates, positions counted over the expanded sequence.
 // sink receives every delivered copy, twice in a row for a duplicate;
-// entry numbers the outbox entry a copy came from, so sinks can share
+// entry numbers the queue entry a copy came from, so sinks can share
 // per-entry work. Drops, duplicates, dead letters and stall go to fs and
-// delivered copies to msgs/vol, all charged sender-side. The outboxes
-// are reset.
-func routeWalk(ctxs []Context, lo, round int, f *Faults, crash *crashTable, fs *FaultStats,
+// delivered copies to msgs/vol, all charged sender-side. The queues are
+// reset.
+func routeWalk(ctxs []Context, walk []int32, round int, f *Faults, crash *crashTable, fs *FaultStats,
 	sink func(from int, to int32, msg Message, entry int)) (msgs, vol int) {
 	var plan fault.Plan
 	perturb := f != nil && f.Plan.Perturbs()
@@ -205,14 +397,19 @@ func routeWalk(ctxs []Context, lo, round int, f *Faults, crash *crashTable, fs *
 	}
 	var one [1]int32
 	entry := 0
+	par := round & 1
 	for j := range ctxs {
 		c := &ctxs[j]
-		sender := lo + j
+		if walk != nil {
+			c = &ctxs[walk[j]]
+		}
+		q := &c.out[par]
+		sender := int(c.idx)
 		pos := 0
-		for k, msg := range c.outbox {
+		for k, msg := range q.msgs {
 			sz := payloadSize(msg.Payload)
 			targets := c.nbrIdx
-			if to := c.targets[k]; to >= 0 {
+			if to := q.targets[k]; to >= 0 {
 				one[0] = to
 				targets = one[:]
 			}
@@ -247,8 +444,7 @@ func routeWalk(ctxs []Context, lo, round int, f *Faults, crash *crashTable, fs *
 			}
 			entry++
 		}
-		c.outbox = c.outbox[:0]
-		c.targets = c.targets[:0]
+		q.msgs, q.targets = q.msgs[:0], q.targets[:0]
 	}
 	return msgs, vol
 }

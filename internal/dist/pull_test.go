@@ -1,0 +1,120 @@
+package dist
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/proctest"
+)
+
+// inboxLogProtocol sends a round-dependent mix — nothing, one Broadcast
+// (the board's inline slot), or several Broadcasts and neighbor Sends
+// (its queue path), plus self-sends in round 3, which make the engine
+// push round 3's delivery between pulled rounds — and logs every inbox
+// it receives, sender and payload, in delivery order.
+type inboxLogProtocol struct {
+	rounds, limit int
+	log           []string
+}
+
+func (p *inboxLogProtocol) send(ctx *Context) {
+	nbrs := ctx.Neighbors()
+	switch (ctx.Round() + int(ctx.ID())) % 4 {
+	case 1:
+		ctx.Broadcast(ctx.Round())
+	case 2:
+		ctx.Broadcast(-ctx.Round())
+		for i, u := range nbrs {
+			if i < 2 {
+				ctx.Send(u, 1000+i)
+			}
+		}
+	case 3:
+		if len(nbrs) > 0 {
+			ctx.Send(nbrs[len(nbrs)-1], 2000)
+		}
+		ctx.Broadcast(3000)
+		ctx.Broadcast(3001)
+	}
+	if ctx.Round() == 3 && ctx.ID()%5 == 0 {
+		ctx.Send(ctx.ID(), "self")
+	}
+}
+
+func (p *inboxLogProtocol) Init(ctx *Context) { p.send(ctx) }
+func (p *inboxLogProtocol) Round(ctx *Context, inbox []Message) {
+	p.rounds++
+	line := fmt.Sprintf("r%d:", ctx.Round())
+	for _, m := range inbox {
+		line += fmt.Sprintf(" %d/%v", m.From, m.Payload)
+	}
+	p.log = append(p.log, line)
+	if p.rounds < p.limit {
+		p.send(ctx)
+	}
+}
+func (p *inboxLogProtocol) Done() bool  { return p.rounds >= p.limit }
+func (p *inboxLogProtocol) Output() any { return p.log }
+
+// TestPullDeliveryMatchesPush pins the in-step pull delivery to the
+// routing walk's push delivery: a delay-only fault plan, which changes
+// neither the content nor the order of any inbox, forces every round
+// through the push path, and the inbox logs and RoundStats (MaxInbox
+// included) must match the fault-free run's — pulled rounds around one
+// pushed round — exactly, under every GOMAXPROCS of the sweep. The
+// graph is relabelled, so the BFS order the engine steps in is far
+// from index order.
+func TestPullDeliveryMatchesPush(t *testing.T) {
+	g, _ := gen.RelabelRandom(gen.RandomChordal(90, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 5), 8)
+	g.AddNode(10_000) // an isolated node, which never sends
+	run := func(f *Faults) (map[graph.ID]any, []RoundStats) {
+		rec := newRecordingObserver()
+		eng := NewEngine(g, func(graph.ID) Protocol { return &inboxLogProtocol{limit: 7} })
+		eng.Observer = rec
+		eng.Faults = f
+		res, err := eng.Run(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Outputs, scheduleFree(rec.rounds)
+	}
+	proctest.Sweep(func(procs int) {
+		pullOut, pullStats := run(nil)
+		pushOut, pushStats := run(&Faults{Plan: fault.Plan{Seed: 3, MaxDelay: 1}})
+		if !reflect.DeepEqual(pullOut, pushOut) {
+			for v, want := range pushOut {
+				if got := pullOut[v]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("procs %d node %d: pulled inboxes\n%v\npushed inboxes\n%v", procs, v, got, want)
+				}
+			}
+		}
+		if !reflect.DeepEqual(pullStats, pushStats) {
+			t.Fatalf("procs %d: pull RoundStats %+v, push %+v", procs, pullStats, pushStats)
+		}
+	})
+}
+
+// TestPanicLowestIndexUnderBFSOrder: the engine steps each range in BFS
+// order, so a higher-index panic can run first; the step must still
+// report the lowest panicking index. On the path 0-5-1-4-2-3 the BFS
+// order from node 0 reaches index 4 before index 2.
+func TestPanicLowestIndexUnderBFSOrder(t *testing.T) {
+	g := graph.FromEdges(nil, [][2]graph.ID{{0, 5}, {5, 1}, {1, 4}, {4, 2}, {2, 3}})
+	ix := graph.NewIndexed(g)
+	if got := ix.BFSOrder(); !reflect.DeepEqual(got, []int32{0, 5, 1, 4, 2, 3}) {
+		t.Fatalf("BFS order %v", got)
+	}
+	proctest.Sweep(func(procs int) {
+		eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
+			return &panicProtocol{id: v, arm: v == 2 || v == 4}
+		})
+		want := "dist: node program panicked: node 2 exploded"
+		if _, err := eng.Run(5); err == nil || err.Error() != want {
+			t.Fatalf("procs %d: err = %v, want %q", procs, err, want)
+		}
+	})
+}

@@ -94,7 +94,7 @@ func (r *ShardRunner) Step(round int) *ShardStepResult {
 	}
 	r.route(round, res)
 	res.Done = r.nodes.doneCount
-	res.DeadNotDone, res.BlockedIdx, res.BlockedRound = r.crash.blocked(int(r.lo), r.nodes.done)
+	res.DeadNotDone, res.BlockedIdx, res.BlockedRound = r.crash.blocked(r.nodes.ctxs, r.nodes.done)
 	return res
 }
 
@@ -135,7 +135,7 @@ func (r *ShardRunner) route(round int, res *ShardStepResult) {
 		}
 	}
 	var fs FaultStats
-	res.Messages, res.Volume = routeWalk(r.nodes.ctxs, int(r.lo), round, r.faults, &r.crash, &fs, func(from int, to int32, msg Message, entry int) {
+	res.Messages, res.Volume = routeWalk(r.nodes.ctxs, nil, round, r.faults, &r.crash, &fs, func(from int, to int32, msg Message, entry int) {
 		if to >= r.lo && to < r.hi {
 			off := to - r.lo
 			r.staged[off] = append(r.staged[off], msg)

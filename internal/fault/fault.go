@@ -128,7 +128,9 @@ func Parse(spec string, seed uint64) (Plan, map[int64]int, error) {
 		switch key {
 		case "drop", "dup":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
+			// Written as a negated range test so NaN, which fails every
+			// comparison, is rejected too.
+			if err != nil || !(f >= 0 && f <= 1) {
 				return Plan{}, nil, fmt.Errorf("fault: %s=%q is not a probability in [0,1]", key, val)
 			}
 			if key == "drop" {

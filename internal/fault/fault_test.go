@@ -109,6 +109,12 @@ func TestParse(t *testing.T) {
 			crash: map[int64]int{4: 2, 17: 0},
 		},
 		{spec: "drop=1.5", wantErr: true},
+		// NaN fails every comparison, so a plain range test let it through
+		// as a drop rate that never fires.
+		{spec: "drop=NaN", wantErr: true},
+		{spec: "dup=nan", wantErr: true},
+		{spec: "drop=NaN,dup=0.5", wantErr: true},
+		{spec: "dup=+Inf", wantErr: true},
 		{spec: "drop=-0.1", wantErr: true},
 		{spec: "delay=-1", wantErr: true},
 		{spec: "crash=4", wantErr: true},

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Indexed is a frozen, index-based snapshot of a Graph: the n nodes are
@@ -22,6 +23,9 @@ type Indexed struct {
 	rowPtr []int32      // CSR row pointers, len n+1
 	colIdx []int32      // neighbor indices, sorted ascending within a row
 	colID  []ID         // neighbor IDs, aligned with colIdx
+
+	bfsOnce  sync.Once
+	bfsOrder []int32 // BFSOrder's result, computed on first use
 }
 
 // NewIndexed takes a snapshot of g. The snapshot orders nodes by
@@ -176,4 +180,36 @@ func (ix *Indexed) HasEdge(i, j int) bool {
 	row := ix.NeighborIndices(i)
 	_, found := slices.BinarySearch(row, int32(j))
 	return found
+}
+
+// BFSOrder returns every node index once, in breadth-first order:
+// components in ascending order of their smallest index, each searched
+// from that index with neighbors taken in ascending order. Graph
+// neighbors mostly land close together in it, which is what the LOCAL
+// engine lays its node ranges and protocol state out by. It is computed
+// once per snapshot, on first use, and safe for concurrent callers; the
+// slice is shared and must not be modified.
+func (ix *Indexed) BFSOrder() []int32 {
+	ix.bfsOnce.Do(func() {
+		n := len(ix.ids)
+		order := make([]int32, 0, n)
+		seen := make([]bool, n)
+		for s := range n {
+			if seen[s] {
+				continue
+			}
+			seen[s] = true
+			order = append(order, int32(s))
+			for h := len(order) - 1; h < len(order); h++ {
+				for _, u := range ix.NeighborIndices(int(order[h])) {
+					if !seen[u] {
+						seen[u] = true
+						order = append(order, u)
+					}
+				}
+			}
+		}
+		ix.bfsOrder = order
+	})
+	return ix.bfsOrder
 }

@@ -72,3 +72,27 @@ func FuzzChordalPipeline(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIntervalDiameter builds an interval model from fuzzed bytes (a
+// start and a length per node, so models with many components, nested
+// and touching intervals all occur) and checks Diameter over its clique
+// path against graph.Diameter's BFS from every node.
+func FuzzIntervalDiameter(f *testing.F) {
+	f.Add([]byte{0, 2, 1, 2, 3, 1})
+	f.Add([]byte{0, 9, 1, 0, 3, 0, 5, 0, 8, 0})
+	f.Add([]byte{0, 1, 2, 1, 4, 1, 20, 1, 21, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 80 {
+			data = data[:80]
+		}
+		var ivs []gen.Interval
+		for i := 0; i+1 < len(data); i += 2 {
+			lo := float64(data[i] % 64)
+			ivs = append(ivs, gen.Interval{Node: graph.ID(i / 2), Lo: lo, Hi: lo + float64(data[i+1]%8)})
+		}
+		g := gen.FromIntervals(ivs)
+		if got, want := Diameter(g, CliquePathFromModel(ivs)), g.Diameter(); got != want {
+			t.Fatalf("Diameter = %d, BFS oracle %d, model %v", got, want, ivs)
+		}
+	})
+}

@@ -7,6 +7,7 @@ package interval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/gen"
@@ -298,4 +299,62 @@ func RemoveDominated(g *graph.Graph) *graph.Graph {
 func IsProperInterval(g *graph.Graph) bool {
 	_, err := UmbrellaOrder(g)
 	return err == nil
+}
+
+// Diameter returns the diameter of the interval graph g — the largest
+// eccentricity within any connected component, 0 for graphs with at
+// most one node, exactly graph.Diameter's value — given path, a
+// clique-path model of g or of a graph g is an induced subgraph of:
+// each node's cliques are consecutive and two nodes are adjacent
+// exactly when they share a clique (maximality is not needed; nodes
+// outside g are ignored). It runs one BFS per component, from the node
+// whose last clique comes first, so the cost is O(n + m + |path|)
+// instead of a BFS from every node.
+//
+// Why one BFS suffices: let u be a node of the component whose interval
+// ends first, and x, y two nodes whose distance realizes the diameter,
+// x's interval ending no later than y's. If x ≁ y, any shortest u–y
+// path covers the point where x's interval ends, and some path node
+// other than u contains it — were u the only one, u's successor on the
+// path would contain it too, since its interval meets u's and ends no
+// earlier. That node is x or a neighbor of x and is strictly closer to
+// y than u, so dist(x, y) ≤ dist(u, y) ≤ ecc(u).
+func Diameter(g *graph.Graph, path []graph.Set) int {
+	// Nodes by ascending last occurrence: walking the path backwards
+	// meets each node first at its last clique.
+	order := make([]graph.ID, 0, g.NumNodes())
+	seen := make(map[graph.ID]bool, g.NumNodes())
+	for i := len(path) - 1; i >= 0; i-- {
+		for _, v := range path[i] {
+			if !seen[v] && g.HasNode(v) {
+				seen[v] = true
+				order = append(order, v)
+			}
+		}
+	}
+	slices.Reverse(order)
+	dist := make(map[graph.ID]int, g.NumNodes())
+	var queue []graph.ID
+	diam := 0
+	for _, src := range order {
+		if _, done := dist[src]; done {
+			continue
+		}
+		dist[src] = 0
+		queue = append(queue[:0], src)
+		for h := 0; h < len(queue); h++ {
+			v := queue[h]
+			d := dist[v] + 1
+			g.ForEachNeighbor(v, func(u graph.ID) {
+				if _, ok := dist[u]; !ok {
+					dist[u] = d
+					queue = append(queue, u)
+				}
+			})
+		}
+		if d := dist[queue[len(queue)-1]]; d > diam {
+			diam = d
+		}
+	}
+	return diam
 }

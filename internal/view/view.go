@@ -190,24 +190,18 @@ func (b *Ball) InducedGraph(ids []graph.ID, rows []int32) *graph.Graph {
 
 // Scratch bundles a worker-private Ball with the BFS working storage
 // the decide kernel needs alongside it: one scratch per worker, reused
-// across centers. The BFS methods take the ball explicitly because a
+// across centers. The BFS method takes the ball explicitly because a
 // worker alternates between its private ball and an iteration-shared
 // read-only one.
 type Scratch struct {
 	Priv  Ball    // worker-private ball, rebuilt per center as needed
 	DistC []int32 // center BFS distances by row; -1 = unreachable
-	DistA []int32 // anchor BFS distances by row; -1 = unreachable
 	queue []int32
 }
 
 // CenterBFS fills DistC with BFS distances from the given row over b.
 func (s *Scratch) CenterBFS(b *Ball, row int32) {
 	s.DistC = ballBFS(b, row, s.DistC, &s.queue)
-}
-
-// AnchorBFS fills DistA with BFS distances from the given row over b.
-func (s *Scratch) AnchorBFS(b *Ball, row int32) {
-	s.DistA = ballBFS(b, row, s.DistA, &s.queue)
 }
 
 // ballBFS is a plain-array BFS over the ball CSR. Neighbor order only
