@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-budgets lint-bench lint-diff race fuzz-smoke bench-check ci bench-smoke bench bench-json bench-compare trace-smoke chaos-smoke tracestat-smoke partition-smoke experiments
+.PHONY: all build test vet lint lint-budgets lint-bench lint-diff race fuzz-smoke bench-check ci bench-smoke bench bench-json bench-compare trace-smoke chaos-smoke tracestat-smoke partition-smoke experiments netloc
 
 all: build test
 
@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFloodPayload$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzRetransPayload$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeKnowledge$$' -fuzztime 10s ./internal/dist
+	$(GO) test -run '^$$' -fuzz '^FuzzFloodParams$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrectionParams$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrectionPayload$$' -fuzztime 10s ./internal/core
@@ -194,3 +195,10 @@ partition-smoke:
 # Full experiment tables as recorded in EXPERIMENTS.md (slow).
 experiments:
 	$(GO) run ./cmd/experiments
+
+# Go lines added, removed and net against NETLOC_BASE (default HEAD),
+# split into non-test and _test.go files: the figure a refactor reports
+# in CHANGES.md. Untracked files count once staged.
+NETLOC_BASE ?= HEAD
+netloc:
+	scripts/netloc.sh $(NETLOC_BASE)

@@ -130,7 +130,7 @@ func BenchmarkFloodBallCollection(b *testing.B) {
 	g := RandomChordalGraph(1000, 4, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := dist.CollectBalls(g, 20, nil); err != nil {
+		if _, _, err := dist.Flood(graph.NewIndexed(g), 20, dist.RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -269,7 +269,7 @@ func BenchmarkCorrectionPhaseN100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunCorrectionPhase(g, layer, parent, colors, 4); err != nil {
+		if _, err := core.RunCorrectionPhase(g, layer, parent, colors, 4, dist.RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -382,7 +382,7 @@ func BenchmarkFloodRadius(b *testing.B) {
 		b.Run(fmt.Sprintf("r=%d", radius), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := dist.CollectBalls(g, radius, nil); err != nil {
+				if _, _, err := dist.Flood(graph.NewIndexed(g), radius, dist.RunOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -400,7 +400,7 @@ func BenchmarkFloodN100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := dist.CollectBalls(g, 4, nil); err != nil {
+		if _, _, err := dist.Flood(graph.NewIndexed(g), 4, dist.RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -275,12 +275,7 @@ func run(alg string, eps float64, in, out, genKind string, n, maxClique int, see
 		if collector != nil {
 			peelTrace = collector.PeelTrace()
 		}
-		var res *core.ChordalColoring
-		if part != nil {
-			res, err = core.ColorChordalDistributedFaultyPart(g, eps, observer, peelTrace, faultPlan, part)
-		} else {
-			res, err = core.ColorChordalDistributedFaulty(g, eps, observer, peelTrace, faultPlan)
-		}
+		res, err := core.ColorChordalDistributedFaultyPart(g, eps, observer, peelTrace, faultPlan, part)
 		if err != nil {
 			return err
 		}
@@ -301,12 +296,7 @@ func run(alg string, eps float64, in, out, genKind string, n, maxClique int, see
 		if collector != nil {
 			peelTrace = collector.PeelTrace()
 		}
-		var res *core.ChordalMISResult
-		if part != nil {
-			res, err = core.MISChordalDistributedFaultyPart(g, eps, observer, peelTrace, faultPlan, part)
-		} else {
-			res, err = core.MISChordalDistributedFaulty(g, eps, observer, peelTrace, faultPlan)
-		}
+		res, err := core.MISChordalDistributedFaultyPart(g, eps, observer, peelTrace, faultPlan, part)
 		if err != nil {
 			return err
 		}

@@ -141,10 +141,10 @@ func run(quick bool, only, trace string, metrics bool, partitions int, faults st
 				}
 				return err
 			}
-			if err := exp.FaultTraceRunCollectorPart(c, quick, plan, partFor); err != nil {
+			if err := exp.FaultTraceRunCollector(c, quick, plan, partFor); err != nil {
 				return err
 			}
-		} else if err := exp.TraceRunCollectorPart(c, quick, partFor); err != nil {
+		} else if err := exp.TraceRunCollector(c, quick, partFor); err != nil {
 			return err
 		}
 		if metrics {

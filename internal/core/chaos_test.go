@@ -22,7 +22,7 @@ func TestColorChordalAbsorbsDupAndDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &dist.Faults{Plan: fault.Plan{Seed: 21, Dup: 0.3, MaxDelay: 2}}
-	got, err := ColorChordalDistributedFaulty(g, 0.5, nil, nil, f)
+	got, err := ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestColorChordalAbsorbsDupAndDelay(t *testing.T) {
 func TestColorChordalDropDiverges(t *testing.T) {
 	g := figures.Fig1()
 	f := &dist.Faults{Plan: fault.Plan{Seed: 2, Drop: 0.3}}
-	col, err := ColorChordalDistributedFaulty(g, 0.5, nil, nil, f)
+	col, err := ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 	if err == nil {
 		// An undetected-corruption escape would return a coloring built
 		// from truncated balls; the contract is a diagnosable error.
@@ -60,7 +60,7 @@ func TestColorChordalDropDiverges(t *testing.T) {
 func TestColorChordalCrashErrors(t *testing.T) {
 	g := figures.Fig1()
 	f := &dist.Faults{Crash: map[graph.ID]int{7: 2}}
-	_, err := ColorChordalDistributedFaulty(g, 0.5, nil, nil, f)
+	_, err := ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 	if err == nil {
 		t.Fatal("crash of node 7 produced no error")
 	}
@@ -78,7 +78,7 @@ func TestMISChordalAbsorbsDupAndDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &dist.Faults{Plan: fault.Plan{Seed: 33, Dup: 0.25, MaxDelay: 3}}
-	got, err := MISChordalDistributedFaulty(g, 0.5, nil, nil, f)
+	got, err := MISChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMISChordalAbsorbsDupAndDelay(t *testing.T) {
 func TestMISChordalDropDiverges(t *testing.T) {
 	g := gen.KTree(60, 1, 47)
 	f := &dist.Faults{Plan: fault.Plan{Seed: 8, Drop: 0.5}}
-	res, err := MISChordalDistributedFaulty(g, 0.5, nil, nil, f)
+	res, err := MISChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 	if err == nil {
 		t.Fatalf("50%% drop produced no error (got MIS of %d)", len(res.Set))
 	}
@@ -117,12 +117,12 @@ func TestCorrectionPhaseAbsorbsDup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanRounds, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, want.Colors, EffectiveK(0.5))
+	cleanRounds, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, want.Colors, EffectiveK(0.5), dist.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := &dist.Faults{Plan: fault.Plan{Seed: 14, Dup: 0.4}}
-	faultRounds, err := RunCorrectionPhaseFaulty(g, outcome.Layer, outcome.Parent, want.Colors, EffectiveK(0.5), nil, f)
+	faultRounds, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, want.Colors, EffectiveK(0.5), dist.RunOpts{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,78 +152,72 @@ func (c *correctionNode) tryCorrect(ctx *dist.Context) {
 func (c *correctionNode) Done() bool  { return c.final && c.pendingAt >= c.gEnd-c.gOff }
 func (c *correctionNode) Output() any { return c.final }
 
-// RunCorrectionPhase executes the correction choreography on the LOCAL
-// engine. Inputs: the layer map and parent map from the pruning phase and
-// the final colors (each parent's local Lemma-10 result); every node they
-// mention must be a node of g. It returns the measured rounds of the
+// RunCorrectionPhase executes the correction choreography. Inputs: the
+// layer map and parent map from the pruning phase and the final colors
+// (each parent's local Lemma-10 result); every node they mention must be
+// a node of g. opts attaches an observer and a fault schedule and picks
+// the runtime. The choreography dedups every message kind
+// (seenFinal/seenSet), so duplication and delay leave the corrected
+// coloring untouched; dropped messages stall it and surface as the
+// did-not-terminate error. It returns the measured rounds of the
 // asynchronous schedule.
-func RunCorrectionPhase(g *graph.Graph, layer map[graph.ID]int, parent map[graph.ID]graph.ID, finalColors map[graph.ID]int, k int) (int, error) {
-	return RunCorrectionPhaseObserved(g, layer, parent, finalColors, k, nil)
-}
-
-// RunCorrectionPhaseObserved is RunCorrectionPhase with a RoundObserver
-// attached to the correction engine (nil behaves identically).
-func RunCorrectionPhaseObserved(g *graph.Graph, layer map[graph.ID]int, parent map[graph.ID]graph.ID, finalColors map[graph.ID]int, k int, o dist.RoundObserver) (int, error) {
-	return RunCorrectionPhaseFaulty(g, layer, parent, finalColors, k, o, nil)
-}
-
-// RunCorrectionPhaseFaulty is RunCorrectionPhaseObserved with a fault
-// schedule attached to the correction engine. The choreography dedups
-// every message kind (seenFinal/seenSet), so duplication and delay leave
-// the corrected coloring untouched; dropped messages stall the
-// choreography and surface as the engine's did-not-terminate error.
-func RunCorrectionPhaseFaulty(g *graph.Graph, layer map[graph.ID]int, parent map[graph.ID]graph.ID, finalColors map[graph.ID]int, k int, o dist.RoundObserver, f *dist.Faults) (int, error) {
-	pre := correctionPrecompute(g, layer, parent, finalColors, k, o)
-	ix := pre.ix
-	n := ix.NumNodes()
-	nodes := make([]correctionNode, n)
-	eng := dist.NewEngineIndexed(ix, func(v graph.ID) dist.Protocol {
-		i, _ := ix.IndexOf(v)
-		nodes[i] = pre.node(int32(i))
-		return &nodes[i]
-	})
-	eng.Observer = o
-	eng.Faults = f
-	res, err := eng.Run(pre.maxRounds)
+func RunCorrectionPhase(g *graph.Graph, layer map[graph.ID]int, parent map[graph.ID]graph.ID, finalColors map[graph.ID]int, k int, opts dist.RunOpts) (int, error) {
+	ix, prog := correctionPrecompute(g, layer, parent, finalColors, k, opts.Observer)
+	outs, res, err := dist.Run(ix, prog, opts, 20*(g.NumNodes()+10)*(k+5))
 	if err != nil {
 		return 0, fmt.Errorf("correction phase: %w", err)
 	}
-	for _, v := range ix.IDs() {
-		if !res.Outputs[v].(bool) {
-			return 0, fmt.Errorf("node %d never finalized", v)
+	for i, final := range outs {
+		if !final.(bool) {
+			return 0, fmt.Errorf("node %d never finalized", ix.IDOf(i))
 		}
 	}
 	return res.Rounds, nil
 }
 
-// corrPre is the precomputed shared state of one correction run — the
-// part of the choreography that is a pure function of its inputs and
-// runs coordinator-side in every execution mode (the "correction-setup"
-// kernel shards stay in the coordinator's trace, LOCAL or partitioned).
-type corrPre struct {
-	ix        *graph.Indexed
+// correctionProgram is one correction run as a dist.Program: the shared
+// state of the choreography, a pure function of its inputs. The
+// coordinator computes it (correctionPrecompute), so the
+// "correction-setup" kernel spans stay in its trace whichever runtime
+// runs the nodes; shards rebuild it from its Params.
+type correctionProgram struct {
 	sh        *corrShared
 	hasParent []bool
 	nodeGOff  []int32
 	ttl       int
-	maxRounds int
+	// slab holds the node slots NewNode has not handed out yet; made
+	// counts the nodes it has built.
+	slab []correctionNode
+	made int
 }
 
-// node builds the protocol state of the node at snapshot index i.
-func (pre *corrPre) node(i int32) correctionNode {
-	return correctionNode{
-		sh:        pre.sh,
-		idx:       i,
-		hasParent: pre.hasParent[i],
-		ttl:       pre.ttl,
-		gOff:      pre.nodeGOff[i],
-		gEnd:      pre.nodeGOff[i+1],
+// corrSlabChunk caps how many node slots NewNode allocates at a time.
+const corrSlabChunk = 1024
+
+// NewNode implements dist.Program. Nodes come from slabs of up to
+// corrSlabChunk slots, never more than the nodes not yet built, so a
+// run's nodes cost a handful of allocations rather than one each.
+func (p *correctionProgram) NewNode(i int) dist.Protocol {
+	if len(p.slab) == 0 {
+		p.slab = make([]correctionNode, min(corrSlabChunk, len(p.hasParent)-p.made))
 	}
+	p.made++
+	node := &p.slab[0]
+	p.slab = p.slab[1:]
+	*node = correctionNode{
+		sh:        p.sh,
+		idx:       int32(i),
+		hasParent: p.hasParent[i],
+		ttl:       p.ttl,
+		gOff:      p.nodeGOff[i],
+		gEnd:      p.nodeGOff[i+1],
+	}
+	return node
 }
 
-// correctionPrecompute flattens the layer/parent/color maps into the
-// shared index-space slabs the choreography runs on.
-func correctionPrecompute(g *graph.Graph, layer map[graph.ID]int, parent map[graph.ID]graph.ID, finalColors map[graph.ID]int, k int, o dist.RoundObserver) *corrPre {
+// correctionPrecompute snapshots g and flattens the layer/parent/color
+// maps into the shared index-space slabs the choreography runs on.
+func correctionPrecompute(g *graph.Graph, layer map[graph.ID]int, parent map[graph.ID]graph.ID, finalColors map[graph.ID]int, k int, o dist.RoundObserver) (*graph.Indexed, *correctionProgram) {
 	ix := graph.NewIndexed(g)
 	n := ix.NumNodes()
 	ids := ix.IDs()
@@ -323,12 +317,5 @@ func correctionPrecompute(g *graph.Graph, layer map[graph.ID]int, parent map[gra
 		groups[gi].gateEnd = int32(len(gates))
 	}
 	sh := &corrShared{groups: groups, kidIdx: kidIdx, kidColor: kidColor, gates: gates}
-	return &corrPre{
-		ix:        ix,
-		sh:        sh,
-		hasParent: hasParent,
-		nodeGOff:  nodeGOff,
-		ttl:       k + 5,
-		maxRounds: 20 * (g.NumNodes() + 10) * (k + 5),
-	}
+	return ix, &correctionProgram{sh: sh, hasParent: hasParent, nodeGOff: nodeGOff, ttl: k + 5}
 }

@@ -10,17 +10,15 @@ import (
 	"repro/internal/graph"
 )
 
-// This file runs the correction choreography on the partitioned
-// runtime. The choreography's shared state (corrShared plus the
-// per-node parent/group tables) is precomputed coordinator-side — so
-// the "correction-setup" kernel spans stay in the coordinator's trace
-// exactly as on a LOCAL run — and shipped to the shards as the
-// program's parameters. Payloads are value types (finalMsg /
+// This file holds the correction program's codecs: what a partitioned
+// run ships across the process boundary. The choreography's shared
+// state (corrShared plus the per-node parent/group tables) travels as
+// the program's params. Payloads are value types (finalMsg /
 // setColorMsg) with no Sizer, matching the LOCAL engine's unit volume
 // accounting; the codec preserves the concrete types so the protocol's
 // type switch behaves identically on both sides of the wire.
 
-// corrGroupWire / corrParamsWire are the gob form of corrPre.
+// corrGroupWire / corrParamsWire are the gob form of a correctionProgram.
 type corrGroupWire struct {
 	Layer            int32
 	KidOff, KidEnd   int32
@@ -37,33 +35,25 @@ type corrParamsWire struct {
 	TTL       int
 }
 
-func encodeCorrectionParams(pre *corrPre) ([]byte, error) {
+// Params implements dist.Program.
+func (p *correctionProgram) Params() (string, []byte, error) {
 	w := corrParamsWire{
-		Groups:    make([]corrGroupWire, len(pre.sh.groups)),
-		KidIdx:    pre.sh.kidIdx,
-		KidColor:  pre.sh.kidColor,
-		Gates:     pre.sh.gates,
-		HasParent: pre.hasParent,
-		NodeGOff:  pre.nodeGOff,
-		TTL:       pre.ttl,
+		Groups:    make([]corrGroupWire, len(p.sh.groups)),
+		KidIdx:    p.sh.kidIdx,
+		KidColor:  p.sh.kidColor,
+		Gates:     p.sh.gates,
+		HasParent: p.hasParent,
+		NodeGOff:  p.nodeGOff,
+		TTL:       p.ttl,
 	}
-	for i, g := range pre.sh.groups {
+	for i, g := range p.sh.groups {
 		w.Groups[i] = corrGroupWire{Layer: g.layer, KidOff: g.kidOff, KidEnd: g.kidEnd, GateOff: g.gateOff, GateEnd: g.gateEnd}
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, fmt.Errorf("correction: encoding params: %w", err)
+		return "", nil, fmt.Errorf("correction: encoding params: %w", err)
 	}
-	return buf.Bytes(), nil
-}
-
-// correctionProgram adapts the correction choreography to
-// dist.Program.
-type correctionProgram struct {
-	sh        *corrShared
-	hasParent []bool
-	nodeGOff  []int32
-	ttl       int
+	return "correction", buf.Bytes(), nil
 }
 
 func newCorrectionProgram(ix *graph.Indexed, params []byte) (dist.Program, error) {
@@ -121,18 +111,6 @@ func (w *corrParamsWire) validate(n int) error {
 		}
 	}
 	return nil
-}
-
-func (p *correctionProgram) NewNode(i int) dist.Protocol {
-	node := correctionNode{
-		sh:        p.sh,
-		idx:       int32(i),
-		hasParent: p.hasParent[i],
-		ttl:       p.ttl,
-		gOff:      p.nodeGOff[i],
-		gEnd:      p.nodeGOff[i+1],
-	}
-	return &node
 }
 
 // Payload wire format: a kind byte, then fixed-width little-endian
@@ -206,31 +184,4 @@ func (p *correctionProgram) DecodeOutput(i int, data []byte) (any, error) {
 
 func init() {
 	dist.RegisterProgram("correction", newCorrectionProgram)
-}
-
-// RunCorrectionPhasePart is RunCorrectionPhaseFaulty executed on a
-// partition: precompute and trace kernels stay coordinator-side, the
-// choreography itself runs on the shards.
-func RunCorrectionPhasePart(p *dist.Partition, g *graph.Graph, layer map[graph.ID]int, parent map[graph.ID]graph.ID, finalColors map[graph.ID]int, k int, o dist.RoundObserver, f *dist.Faults) (int, error) {
-	pre := correctionPrecompute(g, layer, parent, finalColors, k, o)
-	params, err := encodeCorrectionParams(pre)
-	if err != nil {
-		return 0, err
-	}
-	c, err := dist.NewCoordinator(pre.ix, p, "correction", params)
-	if err != nil {
-		return 0, err
-	}
-	c.Observer = o
-	c.Faults = f
-	res, err := c.Run(pre.maxRounds)
-	if err != nil {
-		return 0, fmt.Errorf("correction phase: %w", err)
-	}
-	for _, v := range pre.ix.IDs() {
-		if !res.Outputs[v].(bool) {
-			return 0, fmt.Errorf("node %d never finalized", v)
-		}
-	}
-	return res.Rounds, nil
 }

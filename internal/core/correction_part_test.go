@@ -95,7 +95,7 @@ func TestCorrectionParamsValidation(t *testing.T) {
 }
 
 // realCorrectionRun returns the snapshot and the params blob that
-// RunCorrectionPhasePart ships for a real pipeline run, plus the payload
+// RunCorrectionPhase ships to a partition for a real pipeline run, plus the payload
 // bytes its shards put on the wire in the first two steps.
 func realCorrectionRun(t testing.TB) (*graph.Indexed, []byte, [][]byte) {
 	t.Helper()
@@ -109,15 +109,15 @@ func realCorrectionRun(t testing.TB) (*graph.Indexed, []byte, [][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := correctionPrecompute(g, outcome.Layer, outcome.Parent, col.Colors, k, nil)
-	params, err := encodeCorrectionParams(pre)
+	ix, prog := correctionPrecompute(g, outcome.Layer, outcome.Parent, col.Colors, k, nil)
+	_, params, err := prog.Params()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranges := dist.SplitRange(pre.ix.NumNodes(), 2)
+	ranges := dist.SplitRange(ix.NumNodes(), 2)
 	var payloads [][]byte
 	for shard := range ranges {
-		r, err := dist.NewShardRunner(pre.ix, dist.ShardConfig{Shard: shard, Ranges: ranges, Program: "correction", Params: params})
+		r, err := dist.NewShardRunner(ix, dist.ShardConfig{Shard: shard, Ranges: ranges, Program: "correction", Params: params})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func realCorrectionRun(t testing.TB) (*graph.Indexed, []byte, [][]byte) {
 	if len(payloads) == 0 {
 		t.Fatal("the correction run put no payload on the wire")
 	}
-	return pre.ix, params, payloads
+	return ix, params, payloads
 }
 
 // blockPayloads splits a shard block (entries of sender, target count,

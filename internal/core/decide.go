@@ -147,9 +147,7 @@ func runShards(n, workers int, o dist.RoundObserver, ko dist.KernelObserver, bod
 // Concurrency: prepopulate computes every undecided node's view in a
 // deterministic two-phase pass (parallel pure compute, then sequential
 // interning in node order), after which the cache is read-only — the
-// parallel decide stage shares it without locks. The lazy node path
-// remains only for the private per-ball caches the radius < 2 fallback
-// builds, which are single-goroutine by construction.
+// parallel decide stage shares it without locks.
 type cliqueCache struct {
 	gi        *graph.Graph
 	ix        *graph.Indexed // the index space memberIdx lives in
@@ -171,7 +169,7 @@ type nodeCliques struct {
 	err   error
 }
 
-//chordalvet:coldpath cache construction, once per iteration or on the rare private fallback
+//chordalvet:coldpath cache construction, once per iteration
 func newCliqueCache(gi *graph.Graph, ix *graph.Indexed) *cliqueCache {
 	return &cliqueCache{
 		gi:    gi,
@@ -252,23 +250,15 @@ func (cc *cliqueCache) prepopulate(nodes []graph.ID, workers int) {
 	}
 }
 
-// node returns u's cached view, computing it on demand on the private-
-// cache fallback path. A recorded error surfaces here, at the first
-// center walk that needs the failed node — the same attribution the
-// sequential lazy computation produced.
+// node returns u's prepopulated view. Every node a center walk reaches
+// is a node of gi, and prepopulate covered all of them. A recorded
+// error surfaces here, at the first center walk that needs the failed
+// node — the same attribution the sequential lazy computation produced.
 func (cc *cliqueCache) node(u graph.ID) (*nodeCliques, error) {
-	if nv, ok := cc.views[u]; ok {
-		if nv.err != nil {
-			return nil, nv.err
-		}
-		return nv, nil
-	}
-	nv := cc.computeNode(u)
+	nv := cc.views[u]
 	if nv.err != nil {
 		return nil, nv.err
 	}
-	cc.internNode(nv)
-	cc.views[u] = nv
 	return nv, nil
 }
 
@@ -649,9 +639,8 @@ func (sc *decideScratch) memberBFS(src int32, members int) int {
 // decideCenter determines, purely from the center's G_i-restricted ball
 // view, whether it is peeled in the current iteration under the given
 // rule, and if so returns its parent (-1 = ⊥). ball must contain the
-// center at snapshot index vIdx; ids is the cache index space's
-// index -> ID table.
-func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, ids []graph.ID, v graph.ID, vIdx int32, rule decideRule, radius int) (bool, graph.ID, error) {
+// center at snapshot index vIdx.
+func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, v graph.ID, vIdx int32, rule decideRule, radius int) (bool, graph.ID, error) {
 	sc.beginCenter(cache, ball, radius)
 	sc.CenterBFS(ball, ball.RowOf(vIdx))
 	if err := sc.ensureNode(v, vIdx); err != nil {
@@ -713,7 +702,7 @@ func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, ids []
 		// paths are measured exactly.
 		rows := sc.memberRows(sc.walked)
 		sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-		alpha, err := chordal.IndependenceNumber(ball.InducedGraph(ids, rows))
+		alpha, err := chordal.IndependenceNumber(ball.InducedGraph(cache.ix.IDs(), rows))
 		if err != nil {
 			return false, -1, err
 		}
@@ -759,28 +748,17 @@ func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, ids []
 
 // decideOne decides a single center, choosing its view: the iteration-
 // shared G_i ball when the center's knowledge provably covers its
-// component, an index-space rebuild of its own ball otherwise, or — on
-// the radius < 2 fallback, where the cache sharing argument does not
-// apply — a private map-built ball graph with a private cache, exactly
-// the old per-center construction.
-func decideOne(sc *decideScratch, cache *cliqueCache, sharedBall *view.Ball, ix *graph.Indexed, know *dist.Knowledge, undecidedIdx []bool, undecided func(graph.ID) bool, v graph.ID, vIdx int32, rule decideRule, radius int) (bool, graph.ID, error) {
-	if cache != nil && know.IndexReady() {
-		if know.CoversComponent() {
-			// The ball provably covers v's entire component, so the
-			// shared remaining-graph view IS the component's share of
-			// G_i (other components stay invisible: they are
-			// unreachable in the center BFS, hence untrusted).
-			return decideCenter(sc, cache, sharedBall, ix.IDs(), v, vIdx, rule, radius)
-		}
-		sc.Priv.BuildFromSource(know, ix.NumNodes(), radius, undecidedIdx)
-		return decideCenter(sc, cache, &sc.Priv, ix.IDs(), v, vIdx, rule, radius)
+// component, an index-space rebuild of its own ball otherwise.
+func decideOne(sc *decideScratch, cache *cliqueCache, sharedBall *view.Ball, ix *graph.Indexed, know *dist.Knowledge, undecidedIdx []bool, v graph.ID, vIdx int32, rule decideRule, radius int) (bool, graph.ID, error) {
+	if know.CoversComponent() {
+		// The ball provably covers v's entire component, so the shared
+		// remaining-graph view IS the component's share of G_i (other
+		// components stay invisible: they are unreachable in the center
+		// BFS, hence untrusted).
+		return decideCenter(sc, cache, sharedBall, v, vIdx, rule, radius)
 	}
-	ballGi := know.FilteredBallGraph(radius, undecided)
-	bix := graph.NewIndexed(ballGi)
-	priv := newCliqueCache(ballGi, bix)
-	sc.Priv.BuildFromIndexed(bix, nil)
-	localIdx, _ := bix.IndexOf(v)
-	return decideCenter(sc, priv, &sc.Priv, bix.IDs(), v, int32(localIdx), rule, radius)
+	sc.Priv.BuildFromSource(know, ix.NumNodes(), radius, undecidedIdx)
+	return decideCenter(sc, cache, &sc.Priv, v, vIdx, rule, radius)
 }
 
 // decideResult is one shard's per-center output slot.
@@ -806,8 +784,8 @@ type decideResult struct {
 // stage as one "decide" kernel span with per-shard busy/item counts
 // (the span closes even on error, so partial launches stay visible).
 //
-//chordalvet:hotpath budget=33 decide kernel: per-center work must stay on scratch reuse
-func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, cache *cliqueCache, sharedBall *view.Ball, scratches []*decideScratch, centers []int32, undecidedIdx []bool, undecided func(graph.ID) bool, rule decideRule, radius, workers int, o dist.RoundObserver, results []decideResult) ([]decideResult, error) {
+//chordalvet:hotpath budget=29 decide kernel: per-center work must stay on scratch reuse
+func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, cache *cliqueCache, sharedBall *view.Ball, scratches []*decideScratch, centers []int32, undecidedIdx []bool, rule decideRule, radius, workers int, o dist.RoundObserver, results []decideResult) ([]decideResult, error) {
 	n := len(centers)
 	shards := shardCount(n, workers)
 	if cap(results) < n {
@@ -830,7 +808,7 @@ func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, cache *cliqueCach
 		for pos := lo; pos < hi; pos++ {
 			vIdx := centers[pos]
 			v := ids[vIdx]
-			peel, parent, err := decideOne(sc, cache, sharedBall, ix, know[vIdx], undecidedIdx, undecided, v, vIdx, rule, radius)
+			peel, parent, err := decideOne(sc, cache, sharedBall, ix, know[vIdx], undecidedIdx, v, vIdx, rule, radius)
 			if err != nil {
 				errPos[shard] = pos
 				errs[shard] = err

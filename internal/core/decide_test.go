@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -260,7 +262,7 @@ func TestAnchoredDiameterMatchesWholeBall(t *testing.T) {
 	for name, g := range families {
 		for _, f := range []*dist.Faults{nil, faults} {
 			before := checked
-			_, err := DistributedPruneSpec(g, PruneSpec{DiamThreshold: 6, Radius: 20, Faults: f})
+			_, err := DistributedPruneSpec(g, PruneSpec{DiamThreshold: 6, Radius: 20, RunOpts: dist.RunOpts{Faults: f}})
 			if err != nil && f == nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -275,4 +277,25 @@ func TestAnchoredDiameterMatchesWholeBall(t *testing.T) {
 		t.Fatal("no anchored diameter was measured")
 	}
 	t.Logf("%d anchored diameters checked", checked)
+}
+
+// TestPruneRejectsRadiusBelowTwo: the decide kernel needs a knowledge
+// radius of at least 2, which the 3× threshold check admits below only
+// with DiamThreshold 0. Such a spec fails up front with an error naming
+// the radius, instead of flooding and then reporting that an iteration
+// peeled nothing.
+func TestPruneRejectsRadiusBelowTwo(t *testing.T) {
+	k3 := graph.New()
+	k3.AddEdge(1, 2)
+	k3.AddEdge(2, 3)
+	k3.AddEdge(1, 3)
+	for _, radius := range []int{0, 1} {
+		for name, g := range map[string]*graph.Graph{"K3": k3, "path": gen.Path(8), "star": gen.Star(6)} {
+			_, err := DistributedPruneSpec(g, PruneSpec{Radius: radius})
+			want := fmt.Sprintf("radius %d too small", radius)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s at radius %d: %v, want an error containing %q", name, radius, err, want)
+			}
+		}
+	}
 }

@@ -98,30 +98,23 @@ func MISChordalDistributed(g *graph.Graph, eps float64) (*ChordalMISResult, erro
 // phase-labeled per iteration, and peelTrace (may be nil) receives the
 // centralized cross-check peel's per-layer events.
 func MISChordalDistributedObserved(g *graph.Graph, eps float64, o dist.RoundObserver, peelTrace func(peel.LayerEvent)) (*ChordalMISResult, error) {
-	return MISChordalDistributedFaulty(g, eps, o, peelTrace, nil)
+	return misChordalDistributed(g, eps, dist.RunOpts{Observer: o}, peelTrace)
 }
 
-// MISChordalDistributedFaulty is MISChordalDistributedObserved with a
-// fault schedule attached to every pruning flood. Duplication and delay
-// are absorbed (the MIS is byte-identical to the fault-free run); drops
-// corrupt the pruning layers and are caught by the centralized
-// cross-check below, and crashes surface as engine errors.
-func MISChordalDistributedFaulty(g *graph.Graph, eps float64, o dist.RoundObserver, peelTrace func(peel.LayerEvent), f *dist.Faults) (*ChordalMISResult, error) {
-	return misChordalDistributed(g, eps, o, peelTrace, f, nil)
-}
-
-// MISChordalDistributedFaultyPart is MISChordalDistributedFaulty with
-// the pruning floods executed on a partition (shard hosts that may live
-// in other processes). The post-prune stages are centralized either way,
-// so the MIS is byte-identical to the LOCAL run on the same seed.
+// MISChordalDistributedFaultyPart is MISChordalDistributedObserved with
+// a fault schedule attached to every pruning flood and the floods
+// executed on part (shard hosts that may live in other processes), or
+// on the in-process engine when part is nil. The post-prune stages are
+// centralized either way, so the MIS is byte-identical to the LOCAL run
+// on the same seed. Duplication and delay are absorbed (the MIS is
+// byte-identical to the fault-free run); drops corrupt the pruning
+// layers and are caught by the centralized cross-check, and crashes
+// surface as runtime errors.
 func MISChordalDistributedFaultyPart(g *graph.Graph, eps float64, o dist.RoundObserver, peelTrace func(peel.LayerEvent), f *dist.Faults, part *dist.Partition) (*ChordalMISResult, error) {
-	if part == nil {
-		return nil, fmt.Errorf("partitioned MIS needs a partition")
-	}
-	return misChordalDistributed(g, eps, o, peelTrace, f, part)
+	return misChordalDistributed(g, eps, dist.RunOpts{Observer: o, Faults: f, Part: part}, peelTrace)
 }
 
-func misChordalDistributed(g *graph.Graph, eps float64, o dist.RoundObserver, peelTrace func(peel.LayerEvent), f *dist.Faults, part *dist.Partition) (*ChordalMISResult, error) {
+func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelTrace func(peel.LayerEvent)) (*ChordalMISResult, error) {
 	if eps <= 0 || eps >= 1 {
 		return nil, fmt.Errorf("epsilon must be in (0,1), got %v", eps)
 	}
@@ -131,14 +124,13 @@ func misChordalDistributed(g *graph.Graph, eps float64, o dist.RoundObserver, pe
 		Radius:        3*(2*d+3) + 2,
 		MaxIterations: iterations,
 		FinalAlpha:    d,
-		Observer:      o,
-		Faults:        f,
-		Part:          part,
+		RunOpts:       opts,
 	}
 	outcome, err := DistributedPruneSpec(g, spec)
 	if err != nil {
 		return nil, fmt.Errorf("distributed prune: %w", err)
 	}
+	o := opts.Observer
 	po, _ := o.(peel.KernelObserver)
 	peeled, err := peel.Run(g, peel.Options{
 		InternalDiameter: 2*d + 3,

@@ -84,7 +84,7 @@ func TestPartitionedColoringMatchesLocal(t *testing.T) {
 			at := fmt.Sprintf("%q/parts=%d", spec, parts)
 			lf, pf := parseFaultsPair(t, spec, 29)
 			lObs, pObs := &traceRecorder{}, &traceRecorder{}
-			want, err := ColorChordalDistributedFaulty(g, 0.5, lObs, nil, lf)
+			want, err := ColorChordalDistributedFaultyPart(g, 0.5, lObs, nil, lf, nil)
 			if err != nil {
 				t.Fatalf("%s: local: %v", at, err)
 			}
@@ -119,7 +119,7 @@ func TestPartitionedColoringDropDivergesIdentically(t *testing.T) {
 	g := gen.KTree(60, 1, 47)
 	ix := graph.NewIndexed(g)
 	lf, pf := parseFaultsPair(t, "drop=0.5", 8)
-	_, lerr := ColorChordalDistributedFaulty(g, 0.5, nil, nil, lf)
+	_, lerr := ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, lf, nil)
 	if lerr == nil {
 		t.Fatal("50% drop produced no local error")
 	}
@@ -141,7 +141,7 @@ func TestPartitionedMISMatchesLocal(t *testing.T) {
 			at := fmt.Sprintf("%q/parts=%d", spec, parts)
 			lf, pf := parseFaultsPair(t, spec, 33)
 			lObs, pObs := &traceRecorder{}, &traceRecorder{}
-			want, err := MISChordalDistributedFaulty(g, 0.5, lObs, nil, lf)
+			want, err := MISChordalDistributedFaultyPart(g, 0.5, lObs, nil, lf, nil)
 			if err != nil {
 				t.Fatalf("%s: local: %v", at, err)
 			}
@@ -182,11 +182,11 @@ func TestPartitionedCorrectionMatchesLocal(t *testing.T) {
 			at := fmt.Sprintf("%q/parts=%d", spec, parts)
 			lf, pf := parseFaultsPair(t, spec, 14)
 			lObs, pObs := &traceRecorder{}, &traceRecorder{}
-			want, err := RunCorrectionPhaseFaulty(g, outcome.Layer, outcome.Parent, col.Colors, k, lObs, lf)
+			want, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, col.Colors, k, dist.RunOpts{Observer: lObs, Faults: lf})
 			if err != nil {
 				t.Fatalf("%s: local: %v", at, err)
 			}
-			got, err := RunCorrectionPhasePart(dist.NewLocalPartition(ix, parts), g, outcome.Layer, outcome.Parent, col.Colors, k, pObs, pf)
+			got, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, col.Colors, k, dist.RunOpts{Observer: pObs, Faults: pf, Part: dist.NewLocalPartition(ix, parts)})
 			if err != nil {
 				t.Fatalf("%s: partitioned: %v", at, err)
 			}

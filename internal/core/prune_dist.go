@@ -17,7 +17,7 @@ type PruneOutcome struct {
 	Parent     map[graph.ID]graph.ID // parent per Definition 1; absent = ⊥
 	Rounds     int
 	Iterations int
-	// Messages and Volume (in NodeInfo records) measure the flooding
+	// Messages and Volume (in flood records) measure the flooding
 	// traffic of the whole pruning phase — LOCAL allows unbounded
 	// messages; this is what the protocol actually used.
 	Messages int
@@ -41,25 +41,20 @@ type PruneSpec struct {
 	// iteration's internal-path rule to "independence number ≥ FinalAlpha"
 	// (Algorithm 6's last iteration).
 	FinalAlpha int
-	// Observer, when non-nil, is attached to every flooding engine run.
-	// If it also implements dist.PhaseSetter, each iteration's flood is
-	// labeled "prune-iNN" so traces resolve the phase structure.
-	Observer dist.RoundObserver
-	// Faults, when non-nil, attaches the fault schedule to every
-	// flooding engine run. The plain flood tolerates duplication and
-	// delay; dropped messages shrink balls and typically surface as a
-	// Lemma-12 divergence in the callers' centralized cross-check.
-	Faults *dist.Faults
+	// RunOpts is passed to every flood. An Observer that also implements
+	// dist.PhaseSetter sees each iteration's flood labeled "prune-iNN",
+	// so traces resolve the phase structure. The plain flood tolerates
+	// duplicated and delayed messages; dropped ones shrink balls and
+	// typically surface as a Lemma-12 divergence in the callers'
+	// centralized cross-check. With a Part, the floods run on its shards
+	// and the results are identical by construction: the decide kernel
+	// and all other stages stay in this process.
+	dist.RunOpts
 	// DecideWorkers bounds the decide kernel's worker count: 0 falls
 	// back to DefaultDecideWorkers (and then GOMAXPROCS), 1 forces the
 	// sequential schedule. The decision outcome is bit-identical for
 	// every value; only wall time changes.
 	DecideWorkers int
-	// Part, when non-nil, runs every flood on the partitioned runtime
-	// (shards host index ranges; see dist.Coordinator) instead of the
-	// in-process engine. Results are identical by construction — the
-	// decide kernel and all other stages stay coordinator-side.
-	Part *dist.Partition
 }
 
 // DistributedPrune runs the PruneTree subroutine of Algorithm 2 with
@@ -82,6 +77,9 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 	if spec.FinalAlpha > 0 && spec.Radius < 2*spec.FinalAlpha+16 {
 		return nil, fmt.Errorf("radius %d too small for α-threshold %d", spec.Radius, spec.FinalAlpha)
 	}
+	if spec.Radius < 2 {
+		return nil, fmt.Errorf("radius %d too small: the decide kernel needs a knowledge radius of at least 2", spec.Radius)
+	}
 	out := &PruneOutcome{
 		Layer:  make(map[graph.ID]int, g.NumNodes()),
 		Parent: make(map[graph.ID]graph.ID),
@@ -94,10 +92,6 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 	// views, the iteration-shared G_i ball, and one scratch per worker
 	// shard (see decide.go).
 	workers := resolveDecideWorkers(spec.DecideWorkers)
-	// noteOf[i] is the flood annotation of the node at snapshot index i:
-	// its layer once decided, nil while undecided. Maintained in place as
-	// layers are assigned, so no per-iteration note map is ever built.
-	noteOf := make([]any, ix.NumNodes())
 	undecidedIdx := make([]bool, ix.NumNodes())
 	centers := make([]int32, 0, ix.NumNodes())
 	undecidedAll := make([]graph.ID, 0, ix.NumNodes())
@@ -116,14 +110,7 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 		if ps, ok := spec.Observer.(dist.PhaseSetter); ok {
 			ps.SetPhase(fmt.Sprintf("prune-i%02d", iteration))
 		}
-		var know []*dist.Knowledge
-		var stats *dist.Result
-		var err error
-		if spec.Part != nil {
-			know, stats, err = dist.CollectBallsByIndexPart(spec.Part, ix, spec.Radius, noteOf, spec.Observer, spec.Faults)
-		} else {
-			know, stats, err = dist.CollectBallsByIndex(ix, spec.Radius, noteOf, spec.Observer, spec.Faults)
-		}
+		know, stats, err := dist.Flood(ix, spec.Radius, spec.RunOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -138,14 +125,10 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 		if last && spec.FinalAlpha > 0 {
 			rule.alphaThreshold = spec.FinalAlpha
 		}
-		undecided := func(u graph.ID) bool {
-			_, done := out.Layer[u]
-			return !done
-		}
 		centers = centers[:0]
 		undecidedAll = undecidedAll[:0]
 		for i, v := range nodes {
-			if undecided(v) {
+			if _, done := out.Layer[v]; !done {
 				undecidedIdx[i] = true
 				centers = append(centers, int32(i))
 				undecidedAll = append(undecidedAll, v)
@@ -159,13 +142,9 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 		// trusting u performs identically (see cliqueCache). The cache is
 		// pre-populated deterministically and the shared G_i ball built
 		// up front, so the decide workers only ever read them.
-		gi := g.InducedSubgraph(undecidedAll)
-		var cache *cliqueCache
-		if spec.Radius >= 2 {
-			cache = newCliqueCache(gi, ix)
-			cache.prepopulate(undecidedAll, workers)
-			sharedBall.BuildFromIndexed(ix, undecidedIdx)
-		}
+		cache := newCliqueCache(g.InducedSubgraph(undecidedAll), ix)
+		cache.prepopulate(undecidedAll, workers)
+		sharedBall.BuildFromIndexed(ix, undecidedIdx)
 		for s := shardCount(len(centers), workers); len(scratches) < s; {
 			scratches = append(scratches, &decideScratch{})
 		}
@@ -174,7 +153,7 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 		}
 		var derr error
 		results, derr = runDecideStage(ix, know, cache, &sharedBall, scratches,
-			centers, undecidedIdx, undecided, rule, spec.Radius, workers, spec.Observer, results)
+			centers, undecidedIdx, rule, spec.Radius, workers, spec.Observer, results)
 		if derr != nil {
 			de := derr.(*decideError)
 			return nil, fmt.Errorf("iteration %d node %d: %w", iteration, de.node, de.err)
@@ -194,7 +173,6 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 			}
 			v := nodes[ci]
 			out.Layer[v] = iteration
-			noteOf[ci] = iteration
 			if parent := results[pos].parent; parent >= 0 {
 				out.Parent[v] = parent
 			}
@@ -226,42 +204,35 @@ func ColorChordalDistributed(g *graph.Graph, eps float64) (*ChordalColoring, err
 // choreography, labeled "correction" — and peelTrace (may be nil)
 // receives the centralized cross-check peel's per-layer events.
 func ColorChordalDistributedObserved(g *graph.Graph, eps float64, o dist.RoundObserver, peelTrace func(peel.LayerEvent)) (*ChordalColoring, error) {
-	return ColorChordalDistributedFaulty(g, eps, o, peelTrace, nil)
+	return colorChordalDistributed(g, eps, dist.RunOpts{Observer: o}, peelTrace)
 }
 
-// ColorChordalDistributedFaulty is ColorChordalDistributedObserved with
-// a fault schedule attached to every engine run (the pruning floods and
-// the correction choreography). Duplication and delay are absorbed — the
-// coloring is byte-identical to the fault-free run — while drops and
-// crashes surface as errors: the Lemma-12 cross-check against the
-// centralized peel catches corrupted pruning, and the engine reports
-// crashes directly.
-func ColorChordalDistributedFaulty(g *graph.Graph, eps float64, o dist.RoundObserver, peelTrace func(peel.LayerEvent), f *dist.Faults) (*ChordalColoring, error) {
-	return colorChordalDistributed(g, eps, o, peelTrace, f, nil)
-}
-
-// ColorChordalDistributedFaultyPart is ColorChordalDistributedFaulty
-// with the message-passing phases (the pruning floods and the correction
-// choreography) executed on a partition — shard hosts that may live in
-// other processes. Everything else (decide kernel, centralized
-// cross-check, coloring) stays in this process, and the result is
-// byte-identical to the LOCAL run on the same seed by construction.
+// ColorChordalDistributedFaultyPart is ColorChordalDistributedObserved
+// with a fault schedule attached to every message-passing run (the
+// pruning floods and the correction choreography) and those runs
+// executed on part — shard hosts that may live in other processes — or
+// on the in-process engine when part is nil. Everything else (decide
+// kernel, centralized cross-check, coloring) stays in this process, and
+// the result is byte-identical to the LOCAL run on the same seed by
+// construction. Duplication and delay are absorbed — the coloring is
+// byte-identical to the fault-free run — while drops and crashes
+// surface as errors: the Lemma-12 cross-check against the centralized
+// peel catches corrupted pruning, and the runtime reports crashes
+// directly.
 func ColorChordalDistributedFaultyPart(g *graph.Graph, eps float64, o dist.RoundObserver, peelTrace func(peel.LayerEvent), f *dist.Faults, part *dist.Partition) (*ChordalColoring, error) {
-	if part == nil {
-		return nil, fmt.Errorf("partitioned coloring needs a partition")
-	}
-	return colorChordalDistributed(g, eps, o, peelTrace, f, part)
+	return colorChordalDistributed(g, eps, dist.RunOpts{Observer: o, Faults: f, Part: part}, peelTrace)
 }
 
-func colorChordalDistributed(g *graph.Graph, eps float64, o dist.RoundObserver, peelTrace func(peel.LayerEvent), f *dist.Faults, part *dist.Partition) (*ChordalColoring, error) {
+func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelTrace func(peel.LayerEvent)) (*ChordalColoring, error) {
 	if eps <= 0 {
 		return nil, fmt.Errorf("epsilon must be positive, got %v", eps)
 	}
 	k := EffectiveK(eps)
-	outcome, err := DistributedPruneSpec(g, PruneSpec{DiamThreshold: 3 * k, Radius: 10 * k, Observer: o, Faults: f, Part: part})
+	outcome, err := DistributedPruneSpec(g, PruneSpec{DiamThreshold: 3 * k, Radius: 10 * k, RunOpts: opts})
 	if err != nil {
 		return nil, fmt.Errorf("distributed prune: %w", err)
 	}
+	o := opts.Observer
 	po, _ := o.(peel.KernelObserver)
 	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, Trace: peelTrace, NoForests: true, Observer: po})
 	if err != nil {
@@ -293,12 +264,7 @@ func colorChordalDistributed(g *graph.Graph, eps float64, o dist.RoundObserver, 
 	if ps, ok := o.(dist.PhaseSetter); ok {
 		ps.SetPhase("correction")
 	}
-	var corrRounds int
-	if part != nil {
-		corrRounds, err = RunCorrectionPhasePart(part, g, outcome.Layer, outcome.Parent, col.Colors, k, o, f)
-	} else {
-		corrRounds, err = RunCorrectionPhaseFaulty(g, outcome.Layer, outcome.Parent, col.Colors, k, o, f)
-	}
+	corrRounds, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, col.Colors, k, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/peel"
@@ -189,7 +190,7 @@ func TestCorrectionPhaseDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, col.Colors, k)
+	rounds, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, col.Colors, k, dist.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

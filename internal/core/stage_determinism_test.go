@@ -53,7 +53,7 @@ func TestColoringPipelineDeterministicAcrossStageWorkers(t *testing.T) {
 			var col *ChordalColoring
 			var err error
 			withStageWorkers(t, w, func() {
-				col, err = ColorChordalDistributedFaulty(g, 0.5, nil, nil, f)
+				col, err = ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 			})
 			if err != nil {
 				t.Fatalf("faults=%v workers=%d: %v", f != nil, w, err)
@@ -90,7 +90,7 @@ func TestMISPipelineDeterministicAcrossStageWorkers(t *testing.T) {
 			var res *ChordalMISResult
 			var err error
 			withStageWorkers(t, w, func() {
-				res, err = MISChordalDistributedFaulty(g, 0.5, nil, nil, f)
+				res, err = MISChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 			})
 			if err != nil {
 				t.Fatalf("faults=%v workers=%d: %v", f != nil, w, err)
@@ -132,7 +132,7 @@ func TestCorrectionPhaseDeterministicAcrossStageWorkers(t *testing.T) {
 		for _, w := range stageWorkerSweep() {
 			var rounds int
 			withStageWorkers(t, w, func() {
-				rounds, err = RunCorrectionPhaseFaulty(g, out.Layer, out.Parent, col.Colors, 3, nil, f)
+				rounds, err = RunCorrectionPhase(g, out.Layer, out.Parent, col.Colors, 3, dist.RunOpts{Faults: f})
 			})
 			if err != nil {
 				t.Fatalf("faults=%v workers=%d: %v", f != nil, w, err)

@@ -218,6 +218,7 @@ type panicProgram struct{ ix *graph.Indexed }
 func (p panicProgram) NewNode(i int) Protocol {
 	return &panicProtocol{id: p.ix.IDOf(i), arm: panicArmed[i]}
 }
+func (panicProgram) Params() (string, []byte, error)            { return "panic-test", nil, nil }
 func (panicProgram) EncodePayload(any) ([]byte, error)          { return nil, nil }
 func (panicProgram) DecodePayload([]byte) (any, error)          { return nil, nil }
 func (panicProgram) EncodeOutput(int, Protocol) ([]byte, error) { return nil, nil }
@@ -247,11 +248,7 @@ func TestConcurrentPanicsReportLowestIndex(t *testing.T) {
 			}
 		}
 	})
-	c, err := NewCoordinator(ix, NewLocalPartition(ix, 3), "panic-test", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(5); err == nil || err.Error() != want {
+	if _, _, err := Run(ix, panicProgram{ix: ix}, RunOpts{Part: NewLocalPartition(ix, 3)}, 5); err == nil || err.Error() != want {
 		t.Fatalf("partitioned: err = %v, want %q", err, want)
 	}
 }
@@ -286,12 +283,14 @@ func TestCoversComponentBoundary(t *testing.T) {
 		{"path3-r2", path3, 2, map[graph.ID]bool{1: true, 2: true, 3: true}},
 	}
 	for _, tc := range cases {
-		know, _, err := CollectBalls(tc.g, tc.radius, nil)
+		ix := graph.NewIndexed(tc.g)
+		know, _, err := Flood(ix, tc.radius, RunOpts{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for v, want := range tc.want {
-			if got := know[v].CoversComponent(); got != want {
+			i, _ := ix.IndexOf(v)
+			if got := know[i].CoversComponent(); got != want {
 				t.Errorf("%s: node %d CoversComponent() = %v, want %v", tc.name, v, got, want)
 			}
 		}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/graph"
 )
 
-// Coordinator drives one partitioned program run over a Partition
+// coordinator drives one partitioned program run over opts.Part
 // through the run loop the LOCAL engine uses (runLoop): the same step
 // sequence, termination and crash-blocked checks, error strings, and
 // per-round RoundStats/FaultStats — so traces, experiment tables, and
@@ -15,49 +15,43 @@ import (
 // execution (only RoundStats.Shards, which describes the schedule and is
 // excluded from deterministic trace comparison, reports the shard count
 // instead of the engine's range count).
-type Coordinator struct {
-	ix      *graph.Indexed
-	part    *Partition
+type coordinator struct {
+	ix   *graph.Indexed
+	opts RunOpts
+	// prog is the caller's program, which decodes the shards' outputs;
+	// the shards rebuild it from (program, params).
+	prog    Program
 	program string
 	params  []byte
 
-	// Observer, Faults, and SkipOutputs mirror the Engine fields of the
-	// same names.
-	Observer    RoundObserver
-	Faults      *Faults
-	SkipOutputs bool
-
-	prog Program
-
-	outByIdx []any
-	ran      bool
+	outs []any // by snapshot index, after a successful run
+	ran  bool
 
 	wireIn, wireOut int64
 }
 
-// NewCoordinator prepares a partitioned run of the named program over
-// ix. The partition's ranges must cover [0, n) contiguously. The
-// program is instantiated coordinator-side too — with the exact
-// (params, snapshot) every shard receives — to decode outputs.
-func NewCoordinator(ix *graph.Indexed, part *Partition, program string, params []byte) (*Coordinator, error) {
+// newCoordinator prepares a partitioned run of prog over ix. The
+// partition's ranges must cover [0, n) contiguously.
+func newCoordinator(ix *graph.Indexed, prog Program, opts RunOpts) (*coordinator, error) {
+	part := opts.Part
 	if len(part.Links) == 0 || len(part.Links) != len(part.Ranges) {
 		return nil, fmt.Errorf("dist: partition has %d links for %d ranges", len(part.Links), len(part.Ranges))
 	}
 	if err := checkRanges(part.Ranges, ix.NumNodes()); err != nil {
 		return nil, err
 	}
-	prog, err := NewProgram(program, ix, params)
+	program, params, err := prog.Params()
 	if err != nil {
 		return nil, err
 	}
-	return &Coordinator{ix: ix, part: part, program: program, params: params, prog: prog}, nil
+	return &coordinator{ix: ix, opts: opts, prog: prog, program: program, params: params}, nil
 }
 
 // meterDelta samples every metered link and returns the bytes moved
 // since the previous sample.
-func (c *Coordinator) meterDelta() (dIn, dOut int64, metered bool) {
+func (c *coordinator) meterDelta() (dIn, dOut int64, metered bool) {
 	var in, out int64
-	for _, l := range c.part.Links {
+	for _, l := range c.opts.Part.Links {
 		if m, ok := l.(WireMeter); ok {
 			metered = true
 			li, lo := m.WireBytes()
@@ -70,19 +64,19 @@ func (c *Coordinator) meterDelta() (dIn, dOut int64, metered bool) {
 	return dIn, dOut, metered
 }
 
-// Run executes the partitioned program until every node is Done, or
+// run executes the partitioned program until every node is Done, or
 // fails after maxRounds rounds.
-func (c *Coordinator) Run(maxRounds int) (*Result, error) {
-	return runLoop("Coordinator", &c.ran, c.ix, c.Observer, maxRounds, c)
+func (c *coordinator) run(maxRounds int) (*Result, error) {
+	return runLoop("Coordinator", &c.ran, c.ix, c.opts.Observer, maxRounds, c)
 }
 
 // start implements stepper: it rejects hand-built fault plans that did
 // not come from ParseFaults — without the (Spec, Seed) pair the
 // schedule cannot be reproduced on the shards — builds the crash table,
 // and starts the run on every shard.
-func (c *Coordinator) start() (*crashTable, error) {
+func (c *coordinator) start() (*crashTable, error) {
 	faultSpec, faultSeed := "", uint64(0)
-	if f := c.Faults; f.active() {
+	if f := c.opts.Faults; f.active() {
 		if f.Spec == "" {
 			return nil, fmt.Errorf("dist: partitioned runs need a ParseFaults-built schedule (hand-built Faults carry no spec to ship to shards)")
 		}
@@ -90,13 +84,13 @@ func (c *Coordinator) start() (*crashTable, error) {
 	}
 	// The coordinator's crash table only feeds the per-round Crashed
 	// lists; the shards consult their own copies.
-	crash, err := newCrashTable(c.ix, c.Faults)
+	crash, err := newCrashTable(c.ix, c.opts.Faults)
 	if err != nil {
 		return nil, err
 	}
-	for s, l := range c.part.Links {
+	for s, l := range c.opts.Part.Links {
 		err := l.Start(ShardConfig{
-			Shard: s, Ranges: c.part.Ranges,
+			Shard: s, Ranges: c.opts.Part.Ranges,
 			Program: c.program, Params: c.params,
 			FaultSpec: faultSpec, FaultSeed: faultSeed,
 		})
@@ -115,9 +109,9 @@ func (c *Coordinator) start() (*crashTable, error) {
 // as it came from shard s. It aggregates the shard counters into the
 // run result and fires the observer exactly like the LOCAL engine's
 // step.
-func (c *Coordinator) step(round int, crashed []graph.ID, res *Result) (stepState, error) {
-	obs := c.Observer
-	links := c.part.Links
+func (c *coordinator) step(round int, crashed []graph.ID, res *Result) (stepState, error) {
+	obs := c.opts.Observer
+	links := c.opts.Part.Links
 	st := stepState{blockedIdx: -1}
 	if obs != nil {
 		obs.RoundStart(round, len(links))
@@ -224,16 +218,16 @@ func exchange(links []ShardLink, send, await func(s int, l ShardLink) error) err
 	return sendErr
 }
 
-// finish implements stepper: gather and decode every shard's outputs.
-func (c *Coordinator) finish(res *Result) error {
-	n := c.ix.NumNodes()
-	c.outByIdx = make([]any, n)
-	for s, l := range c.part.Links {
+// finish implements stepper: gather every shard's outputs and decode
+// them with the caller's program, by snapshot index.
+func (c *coordinator) finish(*Result) error {
+	c.outs = make([]any, c.ix.NumNodes())
+	for s, l := range c.opts.Part.Links {
 		data, err := l.Outputs()
 		if err != nil {
 			return err
 		}
-		rg := c.part.Ranges[s]
+		rg := c.opts.Part.Ranges[s]
 		if len(data) != int(rg.Hi-rg.Lo) {
 			return fmt.Errorf("dist: shard %d returned %d outputs for range [%d, %d)", s, len(data), rg.Lo, rg.Hi)
 		}
@@ -242,18 +236,8 @@ func (c *Coordinator) finish(res *Result) error {
 			if err != nil {
 				return fmt.Errorf("dist: output decoding failed for index %d: %w", int(rg.Lo)+j, err)
 			}
-			c.outByIdx[int(rg.Lo)+j] = out
-		}
-	}
-	if !c.SkipOutputs {
-		res.Outputs = make(map[graph.ID]any, n)
-		for i, v := range c.ix.IDs() {
-			res.Outputs[v] = c.outByIdx[i]
+			c.outs[int(rg.Lo)+j] = out
 		}
 	}
 	return nil
 }
-
-// OutputsByIndex returns every node's decoded output by snapshot index.
-// Valid after a successful Run, regardless of SkipOutputs.
-func (c *Coordinator) OutputsByIndex() []any { return c.outByIdx }

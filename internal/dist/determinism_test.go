@@ -30,10 +30,7 @@ func recordIDs(k *Knowledge) []graph.ID {
 
 func floodRun(t *testing.T, g *graph.Graph, radius int) floodFingerprint {
 	t.Helper()
-	know, res, err := CollectBallsStats(g, radius, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	know, res := floodByID(t, g, radius, RunOpts{})
 	fp := floodFingerprint{
 		rounds:   res.Rounds,
 		messages: res.Messages,
@@ -108,7 +105,7 @@ func TestFloodDedupModesAgree(t *testing.T) {
 	run := func(forceMap bool) floodFingerprint {
 		eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
 			i, _ := ix.IndexOf(v)
-			p := newFloodProtocol(v, i, ix, nil, radius, 8)
+			p := newFloodProtocol(v, i, ix, radius, 8)
 			if forceMap {
 				// Disable the bitmap so dedup falls back to the sparse
 				// index set, as it would for n > seenBitmapMaxN.

@@ -5,6 +5,14 @@
 // send an unbounded message to each neighbor; the cost of an algorithm is
 // the number of communication rounds.
 //
+// A message-passing program (Program) runs through Run, the one place
+// that chooses a runtime: the in-process Engine, or the shards of a
+// Partition, which may live in other processes. Either way Run returns
+// each node's output by snapshot index, with identical counters, fault
+// schedules and observer streams. The package's own programs are the
+// distance-r flood (Flood) and its retransmitting variant
+// (FloodRetrans).
+//
 // The engine runs on a frozen graph.Indexed snapshot: nodes are dense
 // indices, and every inbox holds its messages in the deterministic
 // (sender, queue position) order, built without sorting. At the start of
@@ -291,10 +299,10 @@ type Engine struct {
 	// schedule (see Faults). Nil — the default — keeps the unperturbed
 	// delivery loop with no per-message decision.
 	Faults *Faults
-	// SkipOutputs, when true, leaves Result.Outputs nil. Callers that
-	// keep their own by-index references to the protocols (the
-	// index-space flood collection) set it to skip the n-entry map build.
-	SkipOutputs bool
+
+	// byIndex, set by Run, leaves Result.Outputs nil: Run reads the
+	// outputs from progs by snapshot index instead.
+	byIndex bool
 
 	// ran guards against a second Run: progs hold terminal protocol
 	// state after a run, so rerunning them would report a bogus 0-round
@@ -331,11 +339,63 @@ func NewEngine(g *graph.Graph, factory func(v graph.ID) Protocol) *Engine {
 // snapshot's BFS order, the order the engine steps nodes in, so the
 // protocol state of graph neighbors is allocated close together.
 func NewEngineIndexed(ix *graph.Indexed, factory func(v graph.ID) Protocol) *Engine {
+	return newEngine(ix, func(i int) Protocol { return factory(ix.IDOf(i)) })
+}
+
+// newEngine creates an engine running newNode(i) on the node at every
+// snapshot index i, called in BFS order.
+func newEngine(ix *graph.Indexed, newNode func(i int) Protocol) *Engine {
 	e := &Engine{ix: ix, progs: make([]Protocol, ix.NumNodes())}
 	for _, i := range ix.BFSOrder() {
-		e.progs[i] = factory(ix.IDOf(int(i)))
+		e.progs[i] = newNode(int(i))
 	}
 	return e
+}
+
+// RunOpts groups what every run of a message-passing program takes
+// besides the program itself.
+type RunOpts struct {
+	// Observer, when non-nil, receives per-round events (see
+	// RoundObserver).
+	Observer RoundObserver
+	// Faults, when non-nil, attaches a deterministic fault-injection
+	// schedule (see Faults).
+	Faults *Faults
+	// Part, when non-nil, runs the program on the partition's shards
+	// instead of the in-process engine.
+	Part *Partition
+}
+
+// Run executes prog on every node of ix until every node is Done, or
+// fails after maxRounds rounds, and returns each node's output by
+// snapshot index. With opts.Part nil the in-process Engine steps
+// prog.NewNode protocols; otherwise prog.Params ships the program to the
+// partition's shards and prog decodes the outputs they return. Outputs,
+// counters, fault schedules and observer streams are identical either
+// way.
+func Run(ix *graph.Indexed, prog Program, opts RunOpts, maxRounds int) ([]any, *Result, error) {
+	if opts.Part != nil {
+		c, err := newCoordinator(ix, prog, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := c.run(maxRounds)
+		if err != nil {
+			return nil, nil, err
+		}
+		return c.outs, res, nil
+	}
+	e := newEngine(ix, prog.NewNode)
+	e.Observer, e.Faults, e.byIndex = opts.Observer, opts.Faults, true
+	res, err := e.Run(maxRounds)
+	if err != nil {
+		return nil, nil, err
+	}
+	outs := make([]any, len(e.progs))
+	for i, p := range e.progs {
+		outs[i] = p.Output()
+	}
+	return outs, res, nil
 }
 
 // Run executes the protocol until every node is Done, or fails after
@@ -456,9 +516,10 @@ func (e *Engine) stepRange(k, round int, wg *sync.WaitGroup) {
 	}
 }
 
-// finish implements stepper: build the ID-keyed outputs unless skipped.
+// finish implements stepper: build the ID-keyed outputs, unless Run
+// collects them by index.
 func (e *Engine) finish(res *Result) error {
-	if !e.SkipOutputs {
+	if !e.byIndex {
 		res.Outputs = make(map[graph.ID]any, len(e.progs))
 		for i, v := range e.ix.IDs() {
 			res.Outputs[v] = e.progs[i].Output()

@@ -86,15 +86,42 @@ func TestEngineConcurrentMatchesSequential(t *testing.T) {
 	})
 }
 
+// floodIDs floods g and keys the knowledge by node ID, the form most
+// assertions read.
+func floodIDs(g *graph.Graph, radius int, opts RunOpts) (map[graph.ID]*Knowledge, *Result, error) {
+	ix := graph.NewIndexed(g)
+	ks, res, err := Flood(ix, radius, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return byID(ix, ks), res, nil
+}
+
+// floodByID is floodIDs failing the test on error.
+func floodByID(t testing.TB, g *graph.Graph, radius int, opts RunOpts) (map[graph.ID]*Knowledge, *Result) {
+	t.Helper()
+	know, res, err := floodIDs(g, radius, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return know, res
+}
+
+// byID keys knowledge by snapshot index as knowledge by node ID.
+func byID(ix *graph.Indexed, ks []*Knowledge) map[graph.ID]*Knowledge {
+	out := make(map[graph.ID]*Knowledge, len(ks))
+	for i, k := range ks {
+		out[ix.IDOf(i)] = k
+	}
+	return out
+}
+
 func TestCollectBallsExactBalls(t *testing.T) {
 	g := gen.RandomChordal(30, gen.ChordalOpts{MaxCliqueSize: 3, AttachFull: 0.5}, 3)
 	for _, radius := range []int{0, 1, 2, 4} {
-		know, rounds, err := CollectBalls(g, radius, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rounds != radius {
-			t.Fatalf("radius %d: rounds = %d", radius, rounds)
+		know, res := floodByID(t, g, radius, RunOpts{})
+		if res.Rounds != radius {
+			t.Fatalf("radius %d: rounds = %d", radius, res.Rounds)
 		}
 		for _, v := range g.Nodes() {
 			k := know[v]
@@ -120,29 +147,10 @@ func TestCollectBallsExactBalls(t *testing.T) {
 	}
 }
 
-func TestCollectBallsNotes(t *testing.T) {
-	g := gen.Path(5)
-	notes := map[graph.ID]any{0: "a", 4: "b"}
-	know, _, err := CollectBalls(g, 4, notes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := know[2]
-	if k.Note(0) != "a" || k.Note(4) != "b" {
-		t.Fatalf("notes not propagated: %v, %v", k.Note(0), k.Note(4))
-	}
-	if k.Note(1) != nil {
-		t.Fatal("unexpected note on node 1")
-	}
-}
-
 func TestCollectBallsDisconnected(t *testing.T) {
 	g := gen.Path(4)
 	g.AddEdge(10, 11)
-	know, _, err := CollectBalls(g, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	know, _ := floodByID(t, g, 5, RunOpts{})
 	if know[0].Known(10) {
 		t.Fatal("knowledge crossed components")
 	}

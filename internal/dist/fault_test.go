@@ -48,8 +48,7 @@ func TestNilAndZeroFaultsEquivalent(t *testing.T) {
 	ref := floodRun(t, g, 3)
 
 	rec := &faultRecorder{}
-	ix := graph.NewIndexed(g)
-	know, res, err := CollectBallsIndexedFaulty(ix, 3, nil, rec, &Faults{})
+	know, res, err := floodIDs(g, 3, RunOpts{Observer: rec, Faults: &Faults{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestDupAndDelayAbsorbed(t *testing.T) {
 	ref := floodRun(t, g, radius)
 
 	f := &Faults{Plan: fault.Plan{Seed: 11, Dup: 0.3, MaxDelay: 3}}
-	know, res, err := CollectBallsIndexedFaulty(graph.NewIndexed(g), radius, nil, nil, f)
+	know, res, err := floodIDs(g, radius, RunOpts{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +113,7 @@ func TestFaultScheduleDeterministicAcrossModes(t *testing.T) {
 	run := func() (*Result, *faultRecorder) {
 		rec := &faultRecorder{}
 		f := &Faults{Plan: fault.Plan{Seed: 99, Drop: 0.1, Dup: 0.1, MaxDelay: 2}}
-		_, res, err := CollectBallsIndexedFaulty(graph.NewIndexed(g), radius, nil, rec, f)
+		_, res, err := floodIDs(g, radius, RunOpts{Observer: rec, Faults: f})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +151,7 @@ func TestFaultRoundSumsMatchResult(t *testing.T) {
 	g := gen.KTree(100, 3, 13)
 	rec := &faultRecorder{}
 	f := &Faults{Plan: fault.Plan{Seed: 3, Drop: 0.2, Dup: 0.2, MaxDelay: 4}}
-	_, res, err := CollectBallsIndexedFaulty(graph.NewIndexed(g), 3, nil, rec, f)
+	_, res, err := floodIDs(g, 3, RunOpts{Observer: rec, Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +175,7 @@ func TestFaultRoundSumsMatchResult(t *testing.T) {
 func TestCrashBlocksRun(t *testing.T) {
 	g := gen.Path(6)
 	f := &Faults{Crash: map[graph.ID]int{2: 1}}
-	_, _, err := CollectBallsIndexedFaulty(graph.NewIndexed(g), 4, nil, nil, f)
+	_, _, err := floodIDs(g, 4, RunOpts{Faults: f})
 	if err == nil {
 		t.Fatal("crashed node did not fail the run")
 	}
@@ -234,7 +233,7 @@ func TestDropCorruptsPlainFlood(t *testing.T) {
 	radius := 3
 	ref := floodRun(t, g, radius)
 	f := &Faults{Plan: fault.Plan{Seed: 17, Drop: 0.4}}
-	know, res, err := CollectBallsIndexedFaulty(graph.NewIndexed(g), radius, nil, nil, f)
+	know, res, err := floodIDs(g, radius, RunOpts{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,15 @@ import (
 	"repro/internal/graph"
 )
 
-// Faults attaches a deterministic fault-injection schedule to an Engine:
-// a message-perturbation plan (drop / duplicate / delay, decided per
+// Faults attaches a deterministic fault-injection schedule to a run
+// (RunOpts.Faults, or Engine.Faults for engine-only programs): a
+// message-perturbation plan (drop / duplicate / delay, decided per
 // message by fault.Plan) plus a crash schedule mapping node IDs to the
-// round at which they fail-stop. A nil *Faults on the engine keeps the
-// existing zero-cost delivery path; a non-nil plan is consulted once per
-// queued message copy at the round boundary, by the shared routing walk
-// at global (round, sender index, queue position) coordinates, so the
-// schedule is identical for every range count and runtime.
+// round at which they fail-stop. A nil *Faults keeps the zero-cost
+// delivery path; a non-nil plan is consulted once per queued message
+// copy at the round boundary, by the shared routing walk at global
+// (round, sender index, queue position) coordinates, so the schedule is
+// identical for every range count and runtime.
 //
 // Semantics in the round-synchronous LOCAL model:
 //
@@ -30,7 +31,7 @@ import (
 //   - Drop removes the message entirely. Protocols built for the
 //     failure-free model are expected to corrupt or diverge — loudly
 //     (cross-checks downstream turn this into diagnosable errors) — and
-//     CollectBallsRetrans exists to tolerate it.
+//     FloodRetrans exists to tolerate it.
 //   - A node crashed at round r executes steps 0..r-1 (Init is step 0)
 //     and nothing afterwards; messages queued to it from step r-1 onwards
 //     (i.e. delivered at step r or later) become dead letters. If the

@@ -3,30 +3,18 @@ package dist
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"repro/internal/graph"
 )
-
-// NodeInfo is one known node as the by-ID accessor InfoOf reports it:
-// identity, full adjacency list and annotation. No flood stores or
-// sends one — a record is the node's snapshot index (see Knowledge) —
-// so InfoOf builds it on demand from the snapshot and the run's note
-// table.
-type NodeInfo struct {
-	Node graph.ID
-	Adj  []graph.ID
-	Note any
-}
 
 // Knowledge is what a node has learned after r rounds of flooding: the
 // info of every node at distance at most r, with distances. Records are
 // snapshot indices stored in discovery order (distances nondecreasing,
 // center first) — in memory exactly as on the partitioned runtime's
 // wire — so a ball holds no pointers and the GC never scans one.
-// Identity and adjacency resolve through the snapshot, annotations
-// through the run's note table; by-ID lookups go through a position map
-// that is built lazily, so flood-only workloads never pay for it.
+// Identity and adjacency resolve through the snapshot; by-ID lookups go
+// through a position map that is built lazily, so flood-only workloads
+// never pay for it.
 // Knowledge is not safe for concurrent use.
 type Knowledge struct {
 	Center graph.ID
@@ -34,26 +22,18 @@ type Knowledge struct {
 	recs   []int32 // snapshot indices, discovery order
 	dist   []int32 // aligned with recs
 	pos    map[graph.ID]int32
-	// seen is the flood protocol's dense dedup bitmap by snapshot index,
-	// handed over to the knowledge it built (nil in the sparse-set regime
-	// and for retransmitted knowledge). CoversComponent and KnownIdx
-	// reuse it so small-n pruning never allocates a per-center position
+	// Exactly one of seen and known is the membership set by snapshot
+	// index: seen is the plain flood's dense dedup bitmap, handed over to
+	// the knowledge it built at n ≤ seenBitmapMaxN; known is the sparse
+	// set it dedups with above that bound, and the one retransmitted
+	// knowledge carries at every n. KnownIdx and CoversComponent resolve
+	// through it, so index-space consumers never build the lazy position
 	// map.
-	seen []uint64
-	// known is the sparse dedup set by snapshot index — the big-n
-	// counterpart of seen, populated by the flood protocol above
-	// seenBitmapMaxN and by the retransmitting protocol's rebuild.
-	// KnownIdx and CoversComponent resolve through it, so index-space
-	// consumers never trigger the lazy position map regardless of n.
+	seen  []uint64
 	known IdxSet
-	// snap is the engine snapshot the flood ran on: records resolve
-	// their identity and adjacency through it. Non-nil for all
-	// protocol-built knowledge.
+	// snap is the snapshot the flood ran on: records resolve their
+	// identity and adjacency through it.
 	snap *graph.Indexed
-	// notes is the run's annotation table by snapshot index, shared by
-	// every knowledge of the run and never written after the flood
-	// starts (nil = no annotations).
-	notes []any
 	// maxDist is the largest distance at which the flood still learned a
 	// new node.
 	maxDist int
@@ -82,31 +62,20 @@ func (k *Knowledge) RecordCount() int { return len(k.recs) }
 // RecordAt returns record i's snapshot index, its hop distance from the
 // center, and its adjacency row in snapshot-index space (a shared view —
 // read-only), implementing view.Source. Records are in nondecreasing-
-// distance discovery order with the center first. Only meaningful when
-// IndexReady reports true.
+// distance discovery order with the center first.
 func (k *Knowledge) RecordAt(i int) (idx int32, dist int32, adj []int32) {
 	idx = k.recs[i]
 	return idx, k.dist[i], k.snap.NeighborIndices(int(idx))
 }
 
-// IndexReady reports whether the knowledge can resolve records in
-// snapshot-index space, i.e. whether RecordAt and KnownIdx are usable.
-// True for all knowledge built by the flooding protocols.
-func (k *Knowledge) IndexReady() bool { return k.snap != nil }
-
 // KnownIdx reports whether the node at snapshot index i is within the
-// collected ball. In the dense-bitmap regime this is a single bit test
-// with no map build; in the sparse-set regime a single probe; otherwise
-// it falls back to a record scan. Only meaningful when IndexReady
-// reports true.
+// collected ball: a single bit test in the dense-bitmap regime, a single
+// probe in the sparse-set one, with no map build either way.
 func (k *Knowledge) KnownIdx(i int32) bool {
 	if k.seen != nil {
 		return k.seen[i>>6]&(1<<(uint(i)&63)) != 0
 	}
-	if k.known.Len() > 0 {
-		return k.known.Has(i)
-	}
-	return slices.Contains(k.recs, i)
+	return k.known.Has(i)
 }
 
 // Known reports whether v is within the collected ball.
@@ -123,17 +92,6 @@ func (k *Knowledge) DistOf(v graph.ID) (int, bool) {
 		return 0, false
 	}
 	return int(k.dist[i]), true
-}
-
-// InfoOf returns the record of a known node, built from the snapshot
-// and the run's note table.
-func (k *Knowledge) InfoOf(v graph.ID) (NodeInfo, bool) {
-	i, ok := k.ensurePos()[v]
-	if !ok {
-		return NodeInfo{}, false
-	}
-	idx := k.recs[i]
-	return NodeInfo{Node: v, Adj: k.snap.NeighborIDs(int(idx)), Note: k.noteAt(idx)}, true
 }
 
 // CoversComponent reports whether the knowledge provably covers the
@@ -154,14 +112,12 @@ func (k *Knowledge) InfoOf(v graph.ID) (NodeInfo, bool) {
 // answer stays near-O(1). False means only that the ball was clipped,
 // never that coverage is uncertain.
 //
-// Whenever the flood's own dedup structure survives — the dense bitmap
-// at n ≤ seenBitmapMaxN, the sparse index set above it — the scan runs
-// in snapshot-index space against it, so the per-center position map is
-// never built: the pruning phase calls this once per undecided center
-// per iteration, and the index-space paths keep that allocation-free at
-// every n.
+// The scan runs in snapshot-index space against the flood's own
+// membership set, so the per-center position map is never built: the
+// pruning phase calls this once per undecided center per iteration, and
+// the index-space path keeps that allocation-free at every n.
 func (k *Knowledge) CoversComponent() bool {
-	if k.seen != nil && k.snap != nil {
+	if k.seen != nil {
 		for i := len(k.recs) - 1; i >= 0; i-- {
 			for _, u := range k.snap.NeighborIndices(int(k.recs[i])) {
 				if k.seen[u>>6]&(1<<(uint(u)&63)) == 0 {
@@ -171,20 +127,9 @@ func (k *Knowledge) CoversComponent() bool {
 		}
 		return true
 	}
-	if k.known.Len() > 0 && k.snap != nil {
-		for i := len(k.recs) - 1; i >= 0; i-- {
-			for _, u := range k.snap.NeighborIndices(int(k.recs[i])) {
-				if !k.known.Has(u) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	pos := k.ensurePos()
 	for i := len(k.recs) - 1; i >= 0; i-- {
-		for _, u := range k.snap.NeighborIDs(int(k.recs[i])) {
-			if _, ok := pos[u]; !ok {
+		for _, u := range k.snap.NeighborIndices(int(k.recs[i])) {
+			if !k.known.Has(u) {
 				return false
 			}
 		}
@@ -206,7 +151,7 @@ func (k *Knowledge) BallGraph(r int) *graph.Graph {
 // Records are stored in nondecreasing distance order, so both passes stop
 // at the first record beyond r.
 //
-//chordalvet:coldpath map-built ball graph, used only on the radius<2 decide fallback
+//chordalvet:coldpath map-built reference ball graph for tests; the decide kernel builds CSR views instead
 func (k *Knowledge) FilteredBallGraph(r int, keep func(graph.ID) bool) *graph.Graph {
 	g := graph.New()
 	pos := k.ensurePos()
@@ -233,23 +178,6 @@ func (k *Knowledge) FilteredBallGraph(r int, keep func(graph.ID) bool) *graph.Gr
 		}
 	}
 	return g
-}
-
-// Note returns the annotation of a known node (nil if unknown): its
-// entry in the note table as it stood when the flood ran.
-func (k *Knowledge) Note(v graph.ID) any {
-	if info, ok := k.InfoOf(v); ok {
-		return info.Note
-	}
-	return nil
-}
-
-// noteAt returns the annotation of the node at snapshot index idx.
-func (k *Knowledge) noteAt(idx int32) any {
-	if k.notes == nil {
-		return nil
-	}
-	return k.notes[idx]
 }
 
 // infoBatch is the flood message payload: the snapshot indices of the
@@ -285,9 +213,9 @@ type floodProtocol struct {
 	seen   []uint64 // dense dedup bitmap by snapshot index; nil for big n
 }
 
-// newFloodProtocol builds node v's flood; notes is the run's note table
-// by snapshot index (nil = no annotations), shared with its knowledge.
-func newFloodProtocol(v graph.ID, idx int, ix *graph.Indexed, notes []any, radius, sizeHint int) *floodProtocol {
+// newFloodProtocol builds node v's flood, presizing its records for
+// sizeHint nodes.
+func newFloodProtocol(v graph.ID, idx int, ix *graph.Indexed, radius, sizeHint int) *floodProtocol {
 	n := ix.NumNodes()
 	k := &Knowledge{
 		Center: v,
@@ -295,7 +223,6 @@ func newFloodProtocol(v graph.ID, idx int, ix *graph.Indexed, notes []any, radiu
 		recs:   make([]int32, 0, sizeHint),
 		dist:   make([]int32, 0, sizeHint),
 		snap:   ix,
-		notes:  notes,
 	}
 	k.recs = append(k.recs, int32(idx))
 	k.dist = append(k.dist, 0)
@@ -406,113 +333,50 @@ func ballSizeHint(deg, avgDeg, radius, n int) int {
 	return s
 }
 
-// CollectBalls runs full-information flooding for radius rounds on g, with
-// optional per-node annotations, and returns each node's Knowledge. The
-// second return value is the number of communication rounds used (always
-// radius).
-func CollectBalls(g *graph.Graph, radius int, notes map[graph.ID]any) (map[graph.ID]*Knowledge, int, error) {
-	out, res, err := CollectBallsStats(g, radius, notes)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, res.Rounds, nil
+// floodProgram is the incremental flood as a Program: one run's radius
+// and the average degree its size hints grow by.
+type floodProgram struct {
+	ix     *graph.Indexed
+	radius int
+	avgDeg int
 }
 
-// CollectBallsStats is CollectBalls with the full engine result (rounds,
-// message count, volume in records) for bandwidth measurements.
-func CollectBallsStats(g *graph.Graph, radius int, notes map[graph.ID]any) (map[graph.ID]*Knowledge, *Result, error) {
-	return CollectBallsIndexed(graph.NewIndexed(g), radius, notes)
-}
-
-// CollectBallsIndexed is CollectBallsStats on an existing snapshot,
-// letting iterated callers (the pruning phase) pay the snapshot cost
-// once.
-func CollectBallsIndexed(ix *graph.Indexed, radius int, notes map[graph.ID]any) (map[graph.ID]*Knowledge, *Result, error) {
-	return CollectBallsIndexedObserved(ix, radius, notes, nil)
-}
-
-// CollectBallsIndexedObserved is CollectBallsIndexed with a RoundObserver
-// attached to the flooding engine (nil behaves exactly like
-// CollectBallsIndexed).
-func CollectBallsIndexedObserved(ix *graph.Indexed, radius int, notes map[graph.ID]any, o RoundObserver) (map[graph.ID]*Knowledge, *Result, error) {
-	return CollectBallsIndexedFaulty(ix, radius, notes, o, nil)
-}
-
-// CollectBallsIndexedFaulty is CollectBallsIndexedObserved with a fault
-// schedule attached to the flooding engine. The protocol itself has no
-// retransmission: duplicates are absorbed by its dedup and delays by the
-// round-synchronous model, but drops silently shrink the collected balls
-// and crashes surface as engine errors — callers that must survive drops
-// use CollectBallsRetrans instead.
-func CollectBallsIndexedFaulty(ix *graph.Indexed, radius int, notes map[graph.ID]any, o RoundObserver, f *Faults) (map[graph.ID]*Knowledge, *Result, error) {
-	ks, res, err := collectBalls(ix, radius, noteTable(ix, notes), o, f, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make(map[graph.ID]*Knowledge, len(ks))
-	for i, v := range ix.IDs() {
-		out[v] = ks[i]
-	}
-	return out, res, nil
-}
-
-// noteTable converts an ID-keyed annotation map into the index-keyed
-// table the protocols share (nil when there are no annotations).
-func noteTable(ix *graph.Indexed, notes map[graph.ID]any) []any {
-	if len(notes) == 0 {
-		return nil
-	}
-	noteOf := make([]any, ix.NumNodes())
-	for v, note := range notes {
-		if i, ok := ix.IndexOf(v); ok {
-			noteOf[i] = note
-		}
-	}
-	return noteOf
-}
-
-// CollectBallsByIndex is the index-space collection path: notes[i]
-// annotates the node at snapshot index i (a nil slice means no
-// annotations), and the returned knowledge slice is indexed the same
-// way. The ID-keyed variants above are wrappers over it; iterated
-// big-n callers — the pruning phase floods a million-node snapshot once
-// per iteration — use it directly, so neither an n-entry note map nor
-// an n-entry output map is ever built. The table is copied once per
-// run, so a caller that keeps annotating after the flood (the pruning
-// phase records each iteration's layers in it) never changes what the
-// finished knowledge reports.
-func CollectBallsByIndex(ix *graph.Indexed, radius int, notes []any, o RoundObserver, f *Faults) ([]*Knowledge, *Result, error) {
-	return collectBalls(ix, radius, slices.Clone(notes), o, f, true)
-}
-
-// collectBalls runs the flood engine and hands each node's knowledge
-// back by snapshot index. skipOutputs elides the engine's ID-keyed
-// Result.Outputs map (the protocols themselves are the by-index output
-// channel); the ID-keyed wrappers keep it populated for callers that
-// read the Result directly.
-func collectBalls(ix *graph.Indexed, radius int, notes []any, o RoundObserver, f *Faults, skipOutputs bool) ([]*Knowledge, *Result, error) {
-	n := ix.NumNodes()
+func newFloodProgram(ix *graph.Indexed, radius int) *floodProgram {
 	avgDeg := 0
-	if n > 0 {
+	if n := ix.NumNodes(); n > 0 {
 		avgDeg = 2 * ix.NumEdges() / n
 	}
-	ps := make([]*floodProtocol, n)
-	eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
-		i, _ := ix.IndexOf(v)
-		hint := ballSizeHint(ix.Degree(i), avgDeg, radius, n)
-		ps[i] = newFloodProtocol(v, i, ix, notes, radius, hint)
-		return ps[i]
-	})
-	eng.Observer = o
-	eng.Faults = f
-	eng.SkipOutputs = skipOutputs
-	res, err := eng.Run(radius + 1)
+	return &floodProgram{ix: ix, radius: radius, avgDeg: avgDeg}
+}
+
+// NewNode implements Program.
+func (f *floodProgram) NewNode(i int) Protocol {
+	hint := ballSizeHint(f.ix.Degree(i), f.avgDeg, f.radius, f.ix.NumNodes())
+	return newFloodProtocol(f.ix.IDOf(i), i, f.ix, f.radius, hint)
+}
+
+// Flood runs full-information flooding for radius rounds on ix and
+// returns each node's knowledge by snapshot index, with the run's
+// counters (Rounds is always radius). The flood has no retransmission:
+// duplicates are absorbed by its dedup and delays by the
+// round-synchronous model, but drops silently shrink the collected
+// balls and crashes surface as errors — FloodRetrans survives drops.
+func Flood(ix *graph.Indexed, radius int, opts RunOpts) ([]*Knowledge, *Result, error) {
+	if radius < 0 {
+		return nil, nil, fmt.Errorf("flooding: radius %d is negative", radius)
+	}
+	outs, res, err := Run(ix, newFloodProgram(ix, radius), opts, radius+1)
 	if err != nil {
 		return nil, nil, fmt.Errorf("flooding: %w", err)
 	}
-	out := make([]*Knowledge, n)
-	for i, p := range ps {
-		out[i] = p.know
+	return knowledgeOf(outs), res, nil
+}
+
+// knowledgeOf converts a flood run's outputs to knowledge.
+func knowledgeOf(outs []any) []*Knowledge {
+	ks := make([]*Knowledge, len(outs))
+	for i, o := range outs {
+		ks[i] = o.(*Knowledge)
 	}
-	return out, res, nil
+	return ks
 }

@@ -11,7 +11,7 @@ import (
 
 // This file is the round kernel both runtimes execute: the LOCAL Engine
 // (every node range in one process) and the partitioned
-// ShardRunner/Coordinator (one range per shard). It holds the only code
+// ShardRunner/coordinator (one range per shard). It holds the only code
 // that runs node programs (nodeRange.step), the fail-stop crash table,
 // the sender-order routing walk in which the fault schedule is decided,
 // the synchronous run loop, and the pull board through which the LOCAL
@@ -491,7 +491,7 @@ type stepper interface {
 
 // runLoop executes a run until every node is Done, or fails after
 // maxRounds rounds: the synchronous LOCAL round sequence both
-// Engine.Run and Coordinator.Run drive. name ("Engine", "Coordinator")
+// Engine.Run and the partitioned coordinator drive. name ("Engine", "Coordinator")
 // labels the Run-twice error; ran guards the single run a runtime gets,
 // since protocols hold terminal state afterwards. The crash-blocked
 // check precedes the maxRounds check, so a run that can no longer

@@ -1,25 +1,41 @@
 package dist
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// forceMapPath returns a copy of k with the dedup bitmap and sparse
-// index set detached and the position map unbuilt, so CoversComponent
-// and KnownIdx take the reference map/scan paths.
-func forceMapPath(k *Knowledge) *Knowledge {
-	kc := *k
-	kc.seen = nil
-	kc.known = IdxSet{}
-	kc.pos = nil
-	return &kc
+// coversByMap is the position-map reference for CoversComponent: the
+// known set is closed under adjacency, checked by ID through Known.
+func coversByMap(k *Knowledge) bool {
+	for _, idx := range k.recs {
+		for _, u := range k.snap.NeighborIDs(int(idx)) {
+			if !k.Known(u) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// knownByScan is the record-scan reference for KnownIdx.
+func knownByScan(k *Knowledge, i int32) bool { return slices.Contains(k.recs, i) }
+
+// floodIndexed floods ix and keys the knowledge by node ID.
+func floodIndexed(t *testing.T, ix *graph.Indexed, radius int) map[graph.ID]*Knowledge {
+	t.Helper()
+	ks, _, err := Flood(ix, radius, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return byID(ix, ks)
 }
 
 // TestCoversComponentBitmapMatchesMapPath checks that the dense-bitmap
-// fast path of CoversComponent agrees with the position-map path on
+// path of CoversComponent agrees with the position-map reference on
 // both answers: balls that cover their component (radius beyond the
 // diameter) and balls the radius clips.
 func TestCoversComponentBitmapMatchesMapPath(t *testing.T) {
@@ -29,10 +45,7 @@ func TestCoversComponentBitmapMatchesMapPath(t *testing.T) {
 	g.AddEdge(5001, 5002)
 	for _, radius := range []int{0, 1, 2, 3, 50} {
 		ix := graph.NewIndexed(g)
-		know, _, err := CollectBallsIndexed(ix, radius, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		know := floodIndexed(t, ix, radius)
 		covered, clipped := 0, 0
 		for _, v := range ix.IDs() {
 			k := know[v]
@@ -43,7 +56,7 @@ func TestCoversComponentBitmapMatchesMapPath(t *testing.T) {
 			if k.pos != nil {
 				t.Fatalf("radius %d: bitmap CoversComponent of %d built the position map", radius, v)
 			}
-			if want := forceMapPath(k).CoversComponent(); got != want {
+			if want := coversByMap(k); got != want {
 				t.Fatalf("radius %d: CoversComponent of %d: bitmap %v, map path %v", radius, v, got, want)
 			}
 			if got {
@@ -63,24 +76,17 @@ func TestCoversComponentBitmapMatchesMapPath(t *testing.T) {
 }
 
 // TestKnownIdxBitmapAndScanAgree checks KnownIdx's bit-test path against
-// the record-scan fallback and against Known on IDs, for clipped balls.
+// a record scan and against Known on IDs, for clipped balls.
 func TestKnownIdxBitmapAndScanAgree(t *testing.T) {
 	g := gen.Tree(90, 7)
 	ix := graph.NewIndexed(g)
-	know, _, err := CollectBallsIndexed(ix, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	know := floodIndexed(t, ix, 3)
 	ids := ix.IDs()
 	for _, v := range ids {
 		k := know[v]
-		if !k.IndexReady() {
-			t.Fatalf("knowledge of %d not index-ready", v)
-		}
-		scan := forceMapPath(k)
 		for i := range ids {
 			bit := k.KnownIdx(int32(i))
-			if slow := scan.KnownIdx(int32(i)); bit != slow {
+			if slow := knownByScan(k, int32(i)); bit != slow {
 				t.Fatalf("center %d idx %d: bitmap KnownIdx %v, scan %v", v, i, bit, slow)
 			}
 			if byID := k.Known(ids[i]); bit != byID {
@@ -91,27 +97,27 @@ func TestKnownIdxBitmapAndScanAgree(t *testing.T) {
 }
 
 // TestRetransKnowledgeIndexReady checks that retransmission-protocol
-// knowledge is index-ready (the decide kernel consumes it through
-// view.Source) while carrying no bitmap — its CoversComponent goes
-// through the sparse index set, agreeing with the position-map path.
+// knowledge resolves in index space (the decide kernel consumes it
+// through view.Source) while carrying no bitmap — its CoversComponent
+// goes through the sparse index set, agreeing with the position-map
+// reference.
 func TestRetransKnowledgeIndexReady(t *testing.T) {
 	g := gen.Path(40)
-	know, _, err := CollectBallsRetrans(g, 4, 50, nil, nil, nil)
+	ix := graph.NewIndexed(g)
+	ks, _, err := FloodRetrans(ix, 4, 50, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	know := byID(ix, ks)
 	for _, v := range g.Nodes() {
 		k := know[v]
-		if !k.IndexReady() {
-			t.Fatalf("retrans knowledge of %d not index-ready", v)
-		}
 		if k.seen != nil {
 			t.Fatalf("retrans knowledge of %d unexpectedly carries a dedup bitmap", v)
 		}
 		if k.known.Len() != k.Size() {
 			t.Fatalf("retrans knowledge of %d: index set has %d entries, want %d", v, k.known.Len(), k.Size())
 		}
-		if got, want := k.CoversComponent(), forceMapPath(k).CoversComponent(); got != want {
+		if got, want := k.CoversComponent(), coversByMap(k); got != want {
 			t.Fatalf("retrans CoversComponent of %d: %v vs %v", v, got, want)
 		}
 	}
@@ -128,10 +134,7 @@ func TestBigNSparseSetRegime(t *testing.T) {
 	g.AddEdge(1_000_000, 1_000_001)
 	g.AddEdge(1_000_001, 1_000_002)
 	ix := graph.NewIndexed(g)
-	know, _, err := CollectBallsIndexed(ix, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	know := floodIndexed(t, ix, 3)
 	ids := ix.IDs()
 	covered, clipped := 0, 0
 	for _, v := range []graph.ID{0, 77, seenBitmapMaxN / 2, 1_000_000, 1_000_001} {
@@ -146,7 +149,7 @@ func TestBigNSparseSetRegime(t *testing.T) {
 		if k.pos != nil {
 			t.Fatalf("index-space CoversComponent of %d built the position map", v)
 		}
-		if want := forceMapPath(k).CoversComponent(); got != want {
+		if want := coversByMap(k); got != want {
 			t.Fatalf("CoversComponent of %d: sparse set %v, map path %v", v, got, want)
 		}
 		if got {
@@ -154,14 +157,13 @@ func TestBigNSparseSetRegime(t *testing.T) {
 		} else {
 			clipped++
 		}
-		scan := forceMapPath(k)
 		for _, u := range []graph.ID{0, v, 1_000_000, 1_000_002, graph.ID(seenBitmapMaxN - 1)} {
 			i, ok := ix.IndexOf(u)
 			if !ok {
 				t.Fatalf("probe node %d missing from snapshot", u)
 			}
 			set := k.KnownIdx(int32(i))
-			if slow := scan.KnownIdx(int32(i)); set != slow {
+			if slow := knownByScan(k, int32(i)); set != slow {
 				t.Fatalf("center %d idx %d: sparse KnownIdx %v, scan %v", v, i, set, slow)
 			}
 			if byID := k.Known(ids[i]); set != byID {

@@ -10,9 +10,10 @@ import (
 // This file defines the partitioned runtime's transport abstraction: the
 // engine's nodes are split into contiguous snapshot-index ranges, each
 // range is hosted by a ShardRunner (in-process or in a child OS process
-// behind internal/wire), and a coordinator (coordinator.go) drives the
-// engine's run loop over ShardLinks. Both sides run the round kernel of
-// kernel.go, the one the LOCAL engine runs.
+// behind internal/wire), and when Run is given a partition, a
+// coordinator (coordinator.go) drives the engine's run loop over
+// ShardLinks. Both sides run the round kernel of kernel.go, the one the
+// LOCAL engine runs.
 //
 // Determinism is preserved by construction. The LOCAL engine delivers
 // each inbox sorted by (sender index, queue position), achieved by
@@ -206,11 +207,13 @@ func SplitRange(n, parts int) []PartRange {
 	return out
 }
 
-// Program adapts one protocol family to the partitioned runtime: it
-// builds per-node protocols from shared per-run state and translates
-// payloads and outputs across the process boundary. A Program is built
-// identically on the coordinator and on every shard from the same
-// (name, params, snapshot), so both sides agree on every codec.
+// Program is a message-passing program: one protocol family plus the
+// per-run state its nodes share, and the codecs that carry its
+// payloads and outputs across the process boundary. Run steps the
+// caller's Program on the LOCAL engine, or ships it to a partition's
+// shards by its Params; each shard rebuilds it from (name, params,
+// snapshot) through the registry, and the coordinator decodes the
+// shards' outputs with the caller's own value.
 //
 // Codec contract: DecodePayload(EncodePayload(p)) must be semantically
 // identical to p — same concrete type (protocol type switches must
@@ -221,6 +224,10 @@ type Program interface {
 	// NewNode returns the protocol for the node at global snapshot
 	// index i.
 	NewNode(i int) Protocol
+	// Params returns the registered name and the opaque parameters the
+	// program's ProgramFactory rebuilds it from. Run calls it only for
+	// partitioned runs.
+	Params() (name string, params []byte, err error)
 	// EncodePayload serializes an outgoing payload. It is called once
 	// per outbox entry with copies on other shards (broadcast copies
 	// share the encoding).
@@ -239,8 +246,8 @@ type Program interface {
 }
 
 // ProgramFactory builds a Program for one run over the given snapshot.
-// params is the program's opaque configuration, produced by the
-// coordinator-side caller and shipped verbatim to every shard.
+// params is the program's opaque configuration, produced by its Params
+// on the coordinator and shipped verbatim to every shard.
 type ProgramFactory func(ix *graph.Indexed, params []byte) (Program, error)
 
 var (

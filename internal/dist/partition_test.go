@@ -45,7 +45,7 @@ func newPartRecorder() *partRecorder {
 
 // sameKnowledge requires a and b to agree on every observable field:
 // identity, record sequence (order matters — downstream ball decoding
-// walks records in discovery order), distances, notes, and index-space
+// walks records in discovery order), distances, and index-space
 // membership.
 func samePartKnowledge(t *testing.T, at string, a, b *Knowledge) {
 	t.Helper()
@@ -60,12 +60,6 @@ func samePartKnowledge(t *testing.T, at string, a, b *Knowledge) {
 		rb := b.recs[i]
 		if ra != rb || a.dist[i] != b.dist[i] {
 			t.Fatalf("%s: record %d (idx %d@%d) != (idx %d@%d)", at, i, ra, a.dist[i], rb, b.dist[i])
-		}
-		id := a.snap.IDOf(int(ra))
-		ia, _ := a.InfoOf(id)
-		ib, _ := b.InfoOf(id)
-		if !reflect.DeepEqual(ia, ib) {
-			t.Fatalf("%s: record %d info %v != %v", at, i, ia, ib)
 		}
 	}
 	n := int32(a.snap.NumNodes())
@@ -93,16 +87,6 @@ func sameResult(t *testing.T, at string, a, b *Result) {
 	}
 }
 
-func testNotes(ix *graph.Indexed) []any {
-	notes := make([]any, ix.NumNodes())
-	for i := range notes {
-		if i%3 == 0 {
-			notes[i] = i * 7
-		}
-	}
-	return notes
-}
-
 func TestPartitionedFloodMatchesLocal(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"chordal": gen.RandomChordal(120, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 11),
@@ -110,17 +94,16 @@ func TestPartitionedFloodMatchesLocal(t *testing.T) {
 	}
 	for name, g := range graphs {
 		ix := graph.NewIndexed(g)
-		notes := testNotes(ix)
 		for _, radius := range []int{0, 1, 4} {
 			lObs := newPartRecorder()
-			lKs, lRes, err := CollectBallsByIndex(ix, radius, notes, lObs, nil)
+			lKs, lRes, err := Flood(ix, radius, RunOpts{Observer: lObs})
 			if err != nil {
 				t.Fatalf("%s r=%d: local flood: %v", name, radius, err)
 			}
 			for _, parts := range []int{1, 2, 3, 5} {
 				pObs := newPartRecorder()
 				part := NewLocalPartition(ix, parts)
-				pKs, pRes, err := CollectBallsByIndexPart(part, ix, radius, notes, pObs, nil)
+				pKs, pRes, err := Flood(ix, radius, RunOpts{Observer: pObs, Part: part})
 				if err != nil {
 					t.Fatalf("%s r=%d p=%d: partitioned flood: %v", name, radius, parts, err)
 				}
@@ -162,7 +145,7 @@ func TestPartitionedFloodFaultyMatchesLocal(t *testing.T) {
 			t.Fatalf("%q: %v", spec, err)
 		}
 		lObs := newPartRecorder()
-		lKs, lRes, err := CollectBallsByIndex(ix, 3, nil, lObs, f)
+		lKs, lRes, err := Flood(ix, 3, RunOpts{Observer: lObs, Faults: f})
 		if err != nil {
 			t.Fatalf("%q: local flood: %v", spec, err)
 		}
@@ -173,7 +156,7 @@ func TestPartitionedFloodFaultyMatchesLocal(t *testing.T) {
 			}
 			pObs := newPartRecorder()
 			part := NewLocalPartition(ix, parts)
-			pKs, pRes, err := CollectBallsByIndexPart(part, ix, 3, nil, pObs, pf)
+			pKs, pRes, err := Flood(ix, 3, RunOpts{Observer: pObs, Faults: pf, Part: part})
 			if err != nil {
 				t.Fatalf("%q p=%d: partitioned flood: %v", spec, parts, err)
 			}
@@ -201,7 +184,7 @@ func TestPartitionedCrashBlockedMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, lErr := CollectBallsByIndex(ix, 3, nil, nil, f)
+	_, _, lErr := Flood(ix, 3, RunOpts{Faults: f})
 	if lErr == nil {
 		t.Fatal("local flood survived a crashed node")
 	}
@@ -210,7 +193,7 @@ func TestPartitionedCrashBlockedMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	part := NewLocalPartition(ix, 3)
-	_, _, pErr := CollectBallsByIndexPart(part, ix, 3, nil, nil, pf)
+	_, _, pErr := Flood(ix, 3, RunOpts{Faults: pf, Part: part})
 	if pErr == nil {
 		t.Fatal("partitioned flood survived a crashed node")
 	}
@@ -237,18 +220,18 @@ func TestPartitionedRetransMatchesLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		lKsMap, lRes, err := CollectBallsRetrans(g, radius, budget, nil, f, nil)
+		lKs, lRes, err := FloodRetrans(ix, radius, budget, RunOpts{Faults: f})
 		if err != nil {
 			t.Fatalf("%q: local retrans: %v", spec, err)
 		}
 		part := NewLocalPartition(ix, 4)
-		pKs, pRes, err := CollectBallsRetransPart(part, ix, radius, budget, nil, nil, pf)
+		pKs, pRes, err := FloodRetrans(ix, radius, budget, RunOpts{Faults: pf, Part: part})
 		if err != nil {
 			t.Fatalf("%q: partitioned retrans: %v", spec, err)
 		}
 		sameResult(t, spec, lRes, pRes)
-		for i, v := range ix.IDs() {
-			samePartKnowledge(t, spec, lKsMap[v], pKs[i])
+		for i := range lKs {
+			samePartKnowledge(t, spec, lKs[i], pKs[i])
 		}
 	}
 }
@@ -257,7 +240,7 @@ func TestPartitionedRejectsHandBuiltFaults(t *testing.T) {
 	ix := graph.NewIndexed(gen.Path(10))
 	part := NewLocalPartition(ix, 2)
 	f := &Faults{Crash: map[graph.ID]int{ix.IDOf(0): 1}} // no Spec
-	_, _, err := CollectBallsByIndexPart(part, ix, 2, nil, nil, f)
+	_, _, err := Flood(ix, 2, RunOpts{Faults: f, Part: part})
 	if err == nil || !strings.Contains(err.Error(), "ParseFaults-built") {
 		t.Fatalf("hand-built Faults accepted: %v", err)
 	}
@@ -265,19 +248,14 @@ func TestPartitionedRejectsHandBuiltFaults(t *testing.T) {
 
 func TestPartitionedRunTwice(t *testing.T) {
 	ix := graph.NewIndexed(gen.Path(10))
-	part := NewLocalPartition(ix, 2)
-	params, err := encodeFloodParams(ix.NumNodes(), 1, 0, nil)
+	c, err := newCoordinator(ix, newFloodProgram(ix, 1), RunOpts{Part: NewLocalPartition(ix, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCoordinator(ix, part, "flood", params)
-	if err != nil {
+	if _, err := c.run(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(2); err == nil || !strings.Contains(err.Error(), "called twice") {
+	if _, err := c.run(2); err == nil || !strings.Contains(err.Error(), "called twice") {
 		t.Fatalf("second Run: %v", err)
 	}
 }
@@ -303,7 +281,7 @@ func TestSplitRange(t *testing.T) {
 
 func TestShardRunnerDeliverBeforeStep(t *testing.T) {
 	ix := graph.NewIndexed(gen.Path(6))
-	params, err := encodeFloodParams(ix.NumNodes(), 1, 0, nil)
+	_, params, err := newFloodProgram(ix, 1).Params()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,99 +1,41 @@
 package dist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 )
 
-// This file adapts the flooding protocols to the partitioned runtime.
-// Both flood variants disseminate records that are snapshot indices, in
-// memory as on the wire: identity and adjacency come from the CSR
-// snapshot every shard holds, and annotations from the per-run note
-// table shipped in the program parameters. So the payload codecs move
-// the records' int32s unchanged, and a decoded payload is bit-identical
-// to the one the LOCAL engine would have delivered.
+// This file holds the flood programs' codecs: what a partitioned run
+// ships across the process boundary. Both floods disseminate records
+// that are snapshot indices, in memory as on the wire: identity and
+// adjacency come from the CSR snapshot every shard holds. So the
+// payload codecs move the records' int32s unchanged, a decoded payload
+// is bit-identical to the one the LOCAL engine would have delivered,
+// and the params are the radius alone.
 
-// floodNotes is the wire form of a flood note table. Prune annotations
-// are iteration numbers, so the codec supports exactly nil-or-int
-// notes; richer annotations would silently diverge between LOCAL and
-// partitioned runs and are rejected loudly instead.
-type floodNotes struct {
-	Set []bool
-	Val []int64
+// radiusParams implements Params for both floods: the program name and
+// the radius as one little-endian int32.
+func radiusParams(name string, radius int) (string, []byte, error) {
+	if radius < 0 || radius > math.MaxInt32 {
+		return "", nil, fmt.Errorf("dist: flood radius %d does not fit the params codec", radius)
+	}
+	return name, appendI32(nil, int32(radius)), nil
 }
 
-type floodParamsWire struct {
-	Radius int
-	Budget int // retrans only: engine round budget
-	Notes  floodNotes
-}
-
-func encodeNotes(n int, notes []any) (floodNotes, error) {
-	var fn floodNotes
-	if notes == nil {
-		return fn, nil
+// decodeRadius is the inverse of radiusParams' encoding. It rejects
+// short input, trailing bytes and a negative radius.
+func decodeRadius(params []byte) (int, error) {
+	if len(params) != 4 {
+		return 0, fmt.Errorf("dist: flood params have %d bytes, want 4", len(params))
 	}
-	if len(notes) != n {
-		return fn, fmt.Errorf("dist: note table has %d entries for %d nodes", len(notes), n)
+	r, _, _ := readI32(params)
+	if r < 0 {
+		return 0, fmt.Errorf("dist: flood params carry negative radius %d", r)
 	}
-	fn.Set = make([]bool, n)
-	fn.Val = make([]int64, n)
-	for i, v := range notes {
-		if v == nil {
-			continue
-		}
-		iv, ok := v.(int)
-		if !ok {
-			return fn, fmt.Errorf("dist: note %d is %T; partitioned floods carry nil-or-int notes only", i, v)
-		}
-		fn.Set[i] = true
-		fn.Val[i] = int64(iv)
-	}
-	return fn, nil
-}
-
-func (fn *floodNotes) table(n int) ([]any, error) {
-	if fn.Set == nil {
-		return nil, nil
-	}
-	if len(fn.Set) != n || len(fn.Val) != n {
-		return nil, fmt.Errorf("dist: note table has %d/%d entries for %d nodes", len(fn.Set), len(fn.Val), n)
-	}
-	notes := make([]any, n)
-	for i, set := range fn.Set {
-		if set {
-			notes[i] = int(fn.Val[i])
-		}
-	}
-	return notes, nil
-}
-
-func encodeFloodParams(n, radius, budget int, notes []any) ([]byte, error) {
-	fn, err := encodeNotes(n, notes)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(floodParamsWire{Radius: radius, Budget: budget, Notes: fn}); err != nil {
-		return nil, fmt.Errorf("dist: encoding flood params: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeFloodParams(ix *graph.Indexed, params []byte) (radius, budget int, notes []any, err error) {
-	var w floodParamsWire
-	if err := gob.NewDecoder(bytes.NewReader(params)).Decode(&w); err != nil {
-		return 0, 0, nil, fmt.Errorf("dist: decoding flood params: %w", err)
-	}
-	notes, err = w.Notes.table(ix.NumNodes())
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return w.Radius, w.Budget, notes, nil
+	return int(r), nil
 }
 
 // appendI32 / readI32 are the payload codecs' primitive: fixed-width
@@ -121,8 +63,8 @@ func readIdx(ix *graph.Indexed, b []byte) (int32, []byte, error) {
 }
 
 // encodeKnowledge flattens a flood result to (maxDist, [idx, dist]...):
-// everything else in a Knowledge is derivable from the snapshot, the
-// note table, and the record regime.
+// everything else in a Knowledge is derivable from the snapshot and the
+// record regime.
 func encodeKnowledge(k *Knowledge) []byte {
 	out := make([]byte, 0, 8+8*len(k.recs))
 	out = appendI32(out, int32(k.maxDist))
@@ -143,7 +85,7 @@ func encodeKnowledge(k *Knowledge) []byte {
 // first at distance 0, distinct in-range indices, distances
 // nondecreasing and at most radius, maxDist the last record's distance
 // — because the ball decoders downstream rely on that discovery order.
-func decodeKnowledge(ix *graph.Indexed, notes []any, center, radius int, bitmapRegime bool, data []byte) (*Knowledge, error) {
+func decodeKnowledge(ix *graph.Indexed, center, radius int, bitmapRegime bool, data []byte) (*Knowledge, error) {
 	maxDist, data, err := readI32(data)
 	if err != nil {
 		return nil, err
@@ -162,7 +104,6 @@ func decodeKnowledge(ix *graph.Indexed, notes []any, center, radius int, bitmapR
 		recs:    make([]int32, 0, count),
 		dist:    make([]int32, 0, count),
 		snap:    ix,
-		notes:   notes,
 		maxDist: int(maxDist),
 	}
 	if bitmapRegime && n <= seenBitmapMaxN {
@@ -206,32 +147,8 @@ func decodeKnowledge(ix *graph.Indexed, notes []any, center, radius int, bitmapR
 	return k, nil
 }
 
-// floodProgram runs the incremental flood (flood.go) under the
-// partitioned runtime.
-type floodProgram struct {
-	ix     *graph.Indexed
-	radius int
-	notes  []any
-	avgDeg int
-}
-
-func newFloodProgram(ix *graph.Indexed, params []byte) (Program, error) {
-	radius, _, notes, err := decodeFloodParams(ix, params)
-	if err != nil {
-		return nil, err
-	}
-	avgDeg := 0
-	if n := ix.NumNodes(); n > 0 {
-		avgDeg = 2 * ix.NumEdges() / n
-	}
-	return &floodProgram{ix: ix, radius: radius, notes: notes, avgDeg: avgDeg}, nil
-}
-
-func (f *floodProgram) NewNode(i int) Protocol {
-	n := f.ix.NumNodes()
-	hint := ballSizeHint(f.ix.Degree(i), f.avgDeg, f.radius, n)
-	return newFloodProtocol(f.ix.IDOf(i), i, f.ix, f.notes, f.radius, hint)
-}
+// Params implements Program.
+func (f *floodProgram) Params() (string, []byte, error) { return radiusParams("flood", f.radius) }
 
 func (f *floodProgram) EncodePayload(p any) ([]byte, error) {
 	batch, ok := p.(*infoBatch)
@@ -268,28 +185,11 @@ func (f *floodProgram) EncodeOutput(i int, p Protocol) ([]byte, error) {
 }
 
 func (f *floodProgram) DecodeOutput(i int, data []byte) (any, error) {
-	return decodeKnowledge(f.ix, f.notes, i, f.radius, true, data)
+	return decodeKnowledge(f.ix, i, f.radius, true, data)
 }
 
-// retransProgram runs the retransmitting flood (retrans.go) under the
-// partitioned runtime.
-type retransProgram struct {
-	ix     *graph.Indexed
-	radius int
-	notes  []any
-}
-
-func newRetransProgram(ix *graph.Indexed, params []byte) (Program, error) {
-	radius, _, notes, err := decodeFloodParams(ix, params)
-	if err != nil {
-		return nil, err
-	}
-	return &retransProgram{ix: ix, radius: radius, notes: notes}, nil
-}
-
-func (f *retransProgram) NewNode(i int) Protocol {
-	return newRetransProtocol(f.ix.IDOf(i), i, f.ix, f.notes, f.radius)
-}
+// Params implements Program.
+func (f *retransProgram) Params() (string, []byte, error) { return radiusParams("retrans", f.radius) }
 
 // Retrans payload wire format: a kind byte (0 = data batch, 1 = ack)
 // followed by fixed-width int32 fields — (idx, hops) pairs for a batch,
@@ -375,63 +275,22 @@ func (f *retransProgram) EncodeOutput(i int, p Protocol) ([]byte, error) {
 func (f *retransProgram) DecodeOutput(i int, data []byte) (any, error) {
 	// Retransmitted knowledge always uses the sparse index set (the
 	// rebuild in Output does), regardless of n.
-	return decodeKnowledge(f.ix, f.notes, i, f.radius, false, data)
+	return decodeKnowledge(f.ix, i, f.radius, false, data)
 }
 
 func init() {
-	RegisterProgram("flood", newFloodProgram)
-	RegisterProgram("retrans", newRetransProgram)
-}
-
-// CollectBallsByIndexPart is CollectBallsByIndex executed on a
-// partition: the same flood, the same observer stream, the same fault
-// semantics, with the shards doing the work. notes must be nil-or-int
-// per entry (see floodNotes).
-func CollectBallsByIndexPart(p *Partition, ix *graph.Indexed, radius int, notes []any, o RoundObserver, f *Faults) ([]*Knowledge, *Result, error) {
-	params, err := encodeFloodParams(ix.NumNodes(), radius, 0, notes)
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := NewCoordinator(ix, p, "flood", params)
-	if err != nil {
-		return nil, nil, err
-	}
-	c.Observer = o
-	c.Faults = f
-	c.SkipOutputs = true
-	res, err := c.Run(radius + 1)
-	if err != nil {
-		return nil, nil, fmt.Errorf("flooding: %w", err)
-	}
-	return knowledgeByIndex(c), res, nil
-}
-
-// CollectBallsRetransPart is the retransmitting flood executed on a
-// partition, by snapshot index.
-func CollectBallsRetransPart(p *Partition, ix *graph.Indexed, radius, budget int, notes []any, o RoundObserver, f *Faults) ([]*Knowledge, *Result, error) {
-	params, err := encodeFloodParams(ix.NumNodes(), radius, budget, notes)
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := NewCoordinator(ix, p, "retrans", params)
-	if err != nil {
-		return nil, nil, err
-	}
-	c.Observer = o
-	c.Faults = f
-	c.SkipOutputs = true
-	res, err := c.Run(budget)
-	if err != nil {
-		return nil, nil, fmt.Errorf("retransmitting flood: %w", err)
-	}
-	return knowledgeByIndex(c), res, nil
-}
-
-func knowledgeByIndex(c *Coordinator) []*Knowledge {
-	outs := c.OutputsByIndex()
-	ks := make([]*Knowledge, len(outs))
-	for i, o := range outs {
-		ks[i] = o.(*Knowledge)
-	}
-	return ks
+	RegisterProgram("flood", func(ix *graph.Indexed, params []byte) (Program, error) {
+		radius, err := decodeRadius(params)
+		if err != nil {
+			return nil, err
+		}
+		return newFloodProgram(ix, radius), nil
+	})
+	RegisterProgram("retrans", func(ix *graph.Indexed, params []byte) (Program, error) {
+		radius, err := decodeRadius(params)
+		if err != nil {
+			return nil, err
+		}
+		return &retransProgram{ix: ix, radius: radius}, nil
+	})
 }

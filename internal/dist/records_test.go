@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -27,7 +28,7 @@ func TestFloodBytesPerRecord(t *testing.T) {
 	ix := graph.NewIndexed(gen.HubTree(3, 40))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	ks, _, err := CollectBallsByIndex(ix, 100, nil, nil, nil)
+	ks, _, err := Flood(ix, 100, RunOpts{})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -40,55 +41,6 @@ func TestFloodBytesPerRecord(t *testing.T) {
 	t.Logf("%d nodes, %d records, %.1f B/record", ix.NumNodes(), recs, perRec)
 	if perRec > 40 {
 		t.Fatalf("flood allocated %.1f B per accepted record, want ≤ 40", perRec)
-	}
-}
-
-// TestFloodNotesSnapshotAtFloodTime: a knowledge reports each node's
-// annotation as it stood when the flood ran, even after the caller
-// rewrites its table — the pruning phase records every iteration's
-// layers in the table it floods with. LOCAL and partitioned runs agree.
-func TestFloodNotesSnapshotAtFloodTime(t *testing.T) {
-	g := gen.Path(6)
-	ix := graph.NewIndexed(g)
-	runs := map[string]func(notes []any) ([]*Knowledge, error){
-		"local": func(notes []any) ([]*Knowledge, error) {
-			ks, _, err := CollectBallsByIndex(ix, 3, notes, nil, nil)
-			return ks, err
-		},
-		"part2": func(notes []any) ([]*Knowledge, error) {
-			ks, _, err := CollectBallsByIndexPart(NewLocalPartition(ix, 2), ix, 3, notes, nil, nil)
-			return ks, err
-		},
-	}
-	for name, run := range runs {
-		notes := make([]any, ix.NumNodes())
-		for i := range notes {
-			if i%2 == 0 {
-				notes[i] = i + 100
-			}
-		}
-		ks, err := run(notes)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i := range notes {
-			notes[i] = -1
-		}
-		for ci, k := range ks {
-			for _, idx := range k.recs {
-				v := ix.IDOf(int(idx))
-				var want any
-				if idx%2 == 0 {
-					want = int(idx) + 100
-				}
-				if got := k.Note(v); got != want {
-					t.Fatalf("%s: center %d sees note %v for %d, want the flood-time %v", name, ci, got, v, want)
-				}
-				if info, _ := k.InfoOf(v); info.Note != want {
-					t.Fatalf("%s: center %d InfoOf(%d).Note = %v, want %v", name, ci, v, info.Note, want)
-				}
-			}
-		}
 	}
 }
 
@@ -129,7 +81,7 @@ func TestDecodeKnowledgeRejectsMalformed(t *testing.T) {
 		{"truncated", "bytes for 2 records", knowledgeBytes(1, [2]int32{0, 0}, [2]int32{1, 1})[:20]},
 	} {
 		for _, bitmap := range []bool{true, false} {
-			k, err := decodeKnowledge(ix, nil, center, radius, bitmap, c.data)
+			k, err := decodeKnowledge(ix, center, radius, bitmap, c.data)
 			if err == nil {
 				t.Fatalf("%s (bitmap %v): decoded into %d records, want an error", c.name, bitmap, k.Size())
 			}
@@ -139,7 +91,7 @@ func TestDecodeKnowledgeRejectsMalformed(t *testing.T) {
 		}
 	}
 	ok := knowledgeBytes(2, [2]int32{0, 0}, [2]int32{1, 1}, [2]int32{2, 2})
-	k, err := decodeKnowledge(ix, nil, center, radius, true, ok)
+	k, err := decodeKnowledge(ix, center, radius, true, ok)
 	if err != nil {
 		t.Fatalf("well-formed knowledge rejected: %v", err)
 	}
@@ -208,7 +160,7 @@ func (p *payloadTap) Round(ctx *Context, inbox []Message) {
 func tappedRun(tb testing.TB, program string, radius, budget, limit int) (*graph.Indexed, Program, [][]byte, [][]byte) {
 	tb.Helper()
 	ix := graph.NewIndexed(gen.RandomChordal(30, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 7))
-	params, err := encodeFloodParams(ix.NumNodes(), radius, budget, nil)
+	_, params, err := radiusParams(program, radius)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -296,6 +248,45 @@ func FuzzRetransPayload(f *testing.F) {
 	})
 }
 
+// FuzzFloodParams feeds arbitrary params to the floods' params decoder:
+// it must reject them or return a radius that re-encodes to the same
+// bytes, and a shard runner of either flood built from accepted params
+// must step Init without a node panic — on a path, where a negative
+// radius once made the size hint a negative capacity, and on a denser
+// chordal graph.
+func FuzzFloodParams(f *testing.F) {
+	graphs := []*graph.Indexed{
+		graph.NewIndexed(gen.Path(6)),
+		graph.NewIndexed(gen.RandomChordal(30, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 7)),
+	}
+	for _, r := range []int32{0, 1, 3, 443, math.MaxInt32, -1, math.MinInt32} {
+		f.Add(appendI32(nil, r))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 0})
+	f.Add([]byte{3, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		radius, err := decodeRadius(b)
+		if err != nil {
+			return
+		}
+		for _, program := range []string{"flood", "retrans"} {
+			if _, re, err := radiusParams(program, radius); err != nil || !bytes.Equal(re, b) {
+				t.Fatalf("radius %d re-encodes to %x (%v), want %x", radius, re, err, b)
+			}
+			for _, ix := range graphs {
+				r, err := NewShardRunner(ix, ShardConfig{Shard: 0, Ranges: SplitRange(ix.NumNodes(), 2), Program: program, Params: b})
+				if err != nil {
+					t.Fatalf("%s radius %d: %v", program, radius, err)
+				}
+				if res := r.Step(0); res.Err != "" {
+					t.Fatalf("%s radius %d: %s", program, radius, res.Err)
+				}
+			}
+		}
+	})
+}
+
 // FuzzDecodeKnowledge feeds arbitrary shard output to decodeKnowledge:
 // it must reject it or return a knowledge in discovery order that
 // re-encodes to the same bytes, never panic.
@@ -310,7 +301,7 @@ func FuzzDecodeKnowledge(f *testing.F) {
 	f.Add(uint16(0), true, knowledgeBytes(0, [2]int32{3, 0}, [2]int32{3, 1}, [2]int32{2, 0}))
 	f.Fuzz(func(t *testing.T, center uint16, bitmap bool, b []byte) {
 		c := int(center) % ix.NumNodes()
-		k, err := decodeKnowledge(ix, nil, c, radius, bitmap, b)
+		k, err := decodeKnowledge(ix, c, radius, bitmap, b)
 		if err != nil {
 			return
 		}

@@ -47,6 +47,8 @@ func (p *relayNode) Output() any { return len(p.inbox) }
 
 func (rp *relayProgram) NewNode(i int) Protocol { return &relayNode{idx: i} }
 
+func (rp *relayProgram) Params() (string, []byte, error) { return "relay-test", nil, nil }
+
 func (rp *relayProgram) EncodePayload(p any) ([]byte, error) {
 	rp.encodes++
 	return binary.AppendUvarint(nil, uint64(p.(*relayPayload).From)), nil
@@ -211,7 +213,7 @@ func TestRelaySharesDecodedPayload(t *testing.T) {
 // graph and returns a function that starts fresh runners for it.
 func floodShards(t testing.TB) func(t testing.TB) []*ShardRunner {
 	ix := graph.NewIndexed(gen.RandomChordal(30, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 7))
-	params, err := encodeFloodParams(ix.NumNodes(), 2, 0, nil)
+	_, params, err := radiusParams("flood", 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // accepted Bellman-Ford style (keep the smaller), so duplicated and
 // reordered deliveries are absorbed, and the final Knowledge is
 // identical to the fault-free flood's — the price of drops is paid in
-// extra rounds and messages, which CollectBallsRetrans reports.
+// extra rounds and messages, which FloodRetrans reports.
 //
 // All per-record bookkeeping lives in slot space: each node numbers the
 // records it learns 0, 1, 2, … in acceptance order, an IdxMap resolves
@@ -81,7 +81,6 @@ func (q *retransQueue) ensure(n int) {
 type retransProtocol struct {
 	v      graph.ID
 	ix     *graph.Indexed
-	notes  []any // the run's note table, handed to the knowledge
 	radius int
 	nbrs   []graph.ID
 	nbrPos map[graph.ID]int
@@ -97,12 +96,11 @@ type retransProtocol struct {
 	pendingCount int
 }
 
-func newRetransProtocol(v graph.ID, idx int, ix *graph.Indexed, notes []any, radius int) *retransProtocol {
+func newRetransProtocol(v graph.ID, idx int, ix *graph.Indexed, radius int) *retransProtocol {
 	adj := ix.NeighborIDs(idx)
 	p := &retransProtocol{
 		v:      v,
 		ix:     ix,
-		notes:  notes,
 		radius: radius,
 		nbrs:   adj,
 		nbrPos: make(map[graph.ID]int, len(adj)),
@@ -249,7 +247,6 @@ func (p *retransProtocol) Output() any {
 		recs:   make([]int32, 0, len(slots)),
 		dist:   make([]int32, 0, len(slots)),
 		snap:   p.ix,
-		notes:  p.notes,
 	}
 	k.known.Reserve(len(slots))
 	for _, s := range slots {
@@ -263,30 +260,31 @@ func (p *retransProtocol) Output() any {
 	return k
 }
 
-// CollectBallsRetrans runs the retransmitting flood for at most budget
-// rounds on g under the given fault schedule (nil = fault-free) and
-// returns each node's Knowledge plus the engine result; Result.Rounds
-// tells the caller how many rounds tolerating the faults cost (the
-// fault-free protocol pays radius + 2: the last-hop records still need
-// their ack round-trip). A budget too small for the drop rate surfaces
-// as the engine's did-not-terminate error, not as silently truncated
-// balls.
-func CollectBallsRetrans(g *graph.Graph, radius, budget int, notes map[graph.ID]any, f *Faults, o RoundObserver) (map[graph.ID]*Knowledge, *Result, error) {
-	ix := graph.NewIndexed(g)
-	noteOf := noteTable(ix, notes)
-	eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
-		i, _ := ix.IndexOf(v)
-		return newRetransProtocol(v, i, ix, noteOf, radius)
-	})
-	eng.Observer = o
-	eng.Faults = f
-	res, err := eng.Run(budget)
+// retransProgram is the retransmitting flood as a Program.
+type retransProgram struct {
+	ix     *graph.Indexed
+	radius int
+}
+
+// NewNode implements Program.
+func (f *retransProgram) NewNode(i int) Protocol {
+	return newRetransProtocol(f.ix.IDOf(i), i, f.ix, f.radius)
+}
+
+// FloodRetrans runs the retransmitting flood for at most budget rounds
+// on ix and returns each node's knowledge by snapshot index plus the run
+// result; Result.Rounds tells the caller how many rounds tolerating
+// opts.Faults cost (the fault-free protocol pays radius + 2: the
+// last-hop records still need their ack round-trip). A budget too small
+// for the drop rate surfaces as the did-not-terminate error, not as
+// silently truncated balls.
+func FloodRetrans(ix *graph.Indexed, radius, budget int, opts RunOpts) ([]*Knowledge, *Result, error) {
+	if radius < 0 {
+		return nil, nil, fmt.Errorf("retransmitting flood: radius %d is negative", radius)
+	}
+	outs, res, err := Run(ix, &retransProgram{ix: ix, radius: radius}, opts, budget)
 	if err != nil {
 		return nil, nil, fmt.Errorf("retransmitting flood: %w", err)
 	}
-	out := make(map[graph.ID]*Knowledge, len(res.Outputs))
-	for v, o := range res.Outputs {
-		out[v] = o.(*Knowledge)
-	}
-	return out, res, nil
+	return knowledgeOf(outs), res, nil
 }

@@ -37,6 +37,17 @@ func sameKnowledge(t *testing.T, name string, want, got map[graph.ID]*Knowledge)
 	}
 }
 
+// retransIDs runs the retransmitting flood on g and keys the knowledge
+// by node ID.
+func retransIDs(g *graph.Graph, radius, budget int, opts RunOpts) (map[graph.ID]*Knowledge, *Result, error) {
+	ix := graph.NewIndexed(g)
+	ks, res, err := FloodRetrans(ix, radius, budget, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return byID(ix, ks), res, nil
+}
+
 // TestRetransMatchesFloodFaultFree: with no faults, the retransmitting
 // flood gathers exactly the knowledge the plain flood does, paying the
 // ack round-trip (radius + 2 rounds) for the delivery guarantee.
@@ -48,11 +59,11 @@ func TestRetransMatchesFloodFaultFree(t *testing.T) {
 	}
 	for name, g := range graphs {
 		for _, radius := range []int{0, 1, 3} {
-			want, _, err := CollectBalls(g, radius, nil)
+			want, _, err := floodIDs(g, radius, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, res, err := CollectBallsRetrans(g, radius, 4*radius+10, nil, nil, nil)
+			got, res, err := retransIDs(g, radius, 4*radius+10, RunOpts{})
 			if err != nil {
 				t.Fatalf("%s r=%d: %v", name, radius, err)
 			}
@@ -70,13 +81,13 @@ func TestRetransMatchesFloodFaultFree(t *testing.T) {
 func TestRetransSurvivesDrops(t *testing.T) {
 	g := gen.RandomChordal(150, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 23)
 	radius := 3
-	want, _, err := CollectBalls(g, radius, nil)
+	want, _, err := floodIDs(g, radius, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []float64{0.1, 0.3, 0.5} {
 		f := &Faults{Plan: fault.Plan{Seed: 41, Drop: p}}
-		got, res, err := CollectBallsRetrans(g, radius, 200, nil, f, nil)
+		got, res, err := retransIDs(g, radius, 200, RunOpts{Faults: f})
 		if err != nil {
 			t.Fatalf("drop=%.1f: %v", p, err)
 		}
@@ -95,12 +106,12 @@ func TestRetransSurvivesDrops(t *testing.T) {
 func TestRetransAbsorbsDupAndDelay(t *testing.T) {
 	g := gen.KTree(100, 3, 29)
 	radius := 2
-	want, _, err := CollectBalls(g, radius, nil)
+	want, _, err := floodIDs(g, radius, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := &Faults{Plan: fault.Plan{Seed: 5, Drop: 0.2, Dup: 0.3, MaxDelay: 2}}
-	got, res, err := CollectBallsRetrans(g, radius, 200, nil, f, nil)
+	got, res, err := retransIDs(g, radius, 200, RunOpts{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +130,7 @@ func TestRetransDeterministicAcrossModes(t *testing.T) {
 		rounds, messages, volume, dropped int
 	}
 	run := func() (map[graph.ID]*Knowledge, fp) {
-		know, res, err := CollectBallsRetrans(g, 3, 200, nil, f, nil)
+		know, res, err := retransIDs(g, 3, 200, RunOpts{Faults: f})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,27 +156,11 @@ func TestRetransDeterministicAcrossModes(t *testing.T) {
 func TestRetransBudgetExhaustion(t *testing.T) {
 	g := gen.Path(30)
 	f := &Faults{Plan: fault.Plan{Seed: 1, Drop: 0.5}}
-	_, _, err := CollectBallsRetrans(g, 5, 3, nil, f, nil)
+	_, _, err := retransIDs(g, 5, 3, RunOpts{Faults: f})
 	if err == nil {
 		t.Fatal("budget of 3 rounds under 50% drop succeeded")
 	}
 	if !strings.Contains(err.Error(), "did not terminate") {
 		t.Errorf("error %q is not the budget-exhaustion diagnosis", err)
-	}
-}
-
-// TestRetransNotes: annotations ride along like in the plain flood.
-func TestRetransNotes(t *testing.T) {
-	g := gen.Path(5)
-	notes := map[graph.ID]any{0: "a", 4: "z"}
-	know, _, err := CollectBallsRetrans(g, 2, 20, notes, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := know[2].Note(0); got != "a" {
-		t.Errorf("note of node 0 seen by node 2 = %v, want a", got)
-	}
-	if got := know[3].Note(4); got != "z" {
-		t.Errorf("note of node 4 seen by node 3 = %v, want z", got)
 	}
 }

@@ -87,7 +87,7 @@ func E20FaultMatrix(quick bool) (*Table, error) {
 	}
 	for _, sc := range scenarios {
 		tally := &faultTally{}
-		got, err := core.ColorChordalDistributedFaulty(g, 0.5, tally, nil, sc.f)
+		got, err := core.ColorChordalDistributedFaultyPart(g, 0.5, tally, nil, sc.f, nil)
 		if err != nil {
 			t.AddRow(sc.name, classifyFaultErr(err), "—", "—", tally.dropped, tally.duplicated, tally.stall)
 			continue
@@ -113,7 +113,7 @@ func E20FaultMatrix(quick bool) (*Table, error) {
 }
 
 // E21RetransFlood measures the retransmitting flood under message loss:
-// CollectBallsRetrans must reconstruct exactly the knowledge the plain
+// FloodRetrans must reconstruct exactly the knowledge the plain
 // lossless flood gathers, paying only extra rounds and retransmission
 // traffic. Extra rounds are counted against the protocol's own
 // fault-free run (the p=0 row).
@@ -129,7 +129,8 @@ func E21RetransFlood(quick bool) (*Table, error) {
 		Columns: []string{"drop p", "rounds", "extra rounds", "messages", "dropped", "knowledge"},
 	}
 	g := gen.RandomChordal(n, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 29)
-	want, _, err := dist.CollectBallsStats(g, radius, nil)
+	ix := graph.NewIndexed(g)
+	want, _, err := dist.Flood(ix, radius, dist.RunOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("E21 baseline: %w", err)
 	}
@@ -139,7 +140,7 @@ func E21RetransFlood(quick bool) (*Table, error) {
 		if p > 0 {
 			f = &dist.Faults{Plan: fault.Plan{Seed: 5, Drop: p}}
 		}
-		know, res, err := dist.CollectBallsRetrans(g, radius, budget, nil, f, nil)
+		know, res, err := dist.FloodRetrans(ix, radius, budget, dist.RunOpts{Faults: f})
 		if err != nil {
 			return nil, fmt.Errorf("E21 drop=%.1f: %w", p, err)
 		}
@@ -147,8 +148,8 @@ func E21RetransFlood(quick bool) (*Table, error) {
 			cleanRounds = res.Rounds
 		}
 		match := "exact"
-		for v, w := range want {
-			k := know[v]
+		for i, w := range want {
+			k := know[i]
 			if k.Size() != w.Size() {
 				match = "DIVERGED"
 				break
@@ -186,70 +187,37 @@ func E21RetransFlood(quick bool) (*Table, error) {
 func FaultTraceRun(w io.Writer, quick bool, f *dist.Faults) error {
 	c := obs.NewCollector()
 	c.SetTrace(w)
-	return FaultTraceRunCollector(c, quick, f)
+	return FaultTraceRunCollector(c, quick, f, nil)
 }
+
+// defaultFaultSpec and defaultFaultSeed are the plan FaultTraceRunCollector
+// runs when given none.
+const (
+	defaultFaultSpec        = "drop=0.2,dup=0.2,delay=2"
+	defaultFaultSeed uint64 = 7
+)
 
 // FaultTraceRunCollector runs the fault-trace workload under a
-// caller-configured Collector (see TraceRunCollector). It finishes the
-// collector; the caller must not reuse it.
-func FaultTraceRunCollector(c *obs.Collector, quick bool, f *dist.Faults) error {
-	if f == nil {
-		f = &dist.Faults{Plan: fault.Plan{Seed: 7, Drop: 0.2, Dup: 0.2, MaxDelay: 2}}
-	}
-
-	absorbable := &dist.Faults{Plan: f.Plan}
-	absorbable.Plan.Drop = 0
-	c.SetPhase("fig1-faulty")
-	if _, err := core.ColorChordalDistributedFaulty(figures.Fig1(), 0.5, c, nil, absorbable); err != nil {
-		return fmt.Errorf("fault trace fig1: %w", err)
-	}
-
-	n := 1000
-	if quick {
-		n = 300
-	}
-	g := gen.RandomChordal(n, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 11)
-	c.SetPhase(fmt.Sprintf("retrans-n%d", n))
-	if _, _, err := dist.CollectBallsRetrans(g, 3, 200, nil, f, c); err != nil {
-		return fmt.Errorf("fault trace retrans: %w", err)
-	}
-	return c.Finish()
-}
-
-// defaultFaultSpec is the spec form of FaultTraceRunCollector's default
-// plan; the partitioned workload needs the spec (not just the plan)
-// because shard processes re-derive the schedule from it.
-const defaultFaultSpec = "drop=0.2,dup=0.2,delay=2"
-
-// FaultTraceRunCollectorPart is FaultTraceRunCollector with the
-// message-passing stages executed on partitions supplied by partFor
-// (nil = the in-process engine). Partitioned schedules must come from
+// caller-configured Collector (see TraceRunCollector), with the
+// message-passing stages on partitions supplied by partFor (nil = the
+// in-process engine). Partitioned schedules must come from
 // dist.ParseFaults — the spec is what ships to the shard processes — so
-// the absorbable projection is built by stripping drop/crash from the
-// spec and re-parsing under the same seed.
-func FaultTraceRunCollectorPart(c *obs.Collector, quick bool, f *dist.Faults, partFor Partitioner) error {
-	if partFor == nil {
-		return FaultTraceRunCollector(c, quick, f)
-	}
-	spec, seed := defaultFaultSpec, uint64(7)
-	if f != nil {
-		if f.Spec == "" {
-			return fmt.Errorf("fault trace: partitioned runs need a ParseFaults-built schedule")
+// the absorbable projection carries the spec with drop and crash
+// stripped along with the plan. It finishes the collector; the caller
+// must not reuse it.
+func FaultTraceRunCollector(c *obs.Collector, quick bool, f *dist.Faults, partFor Partitioner) error {
+	if f == nil {
+		var err error
+		if f, err = dist.ParseFaults(defaultFaultSpec, defaultFaultSeed); err != nil {
+			return fmt.Errorf("fault trace: %w", err)
 		}
-		spec, seed = f.Spec, f.Seed
 	}
-	full, err := dist.ParseFaults(spec, seed)
-	if err != nil {
-		return fmt.Errorf("fault trace: %w", err)
-	}
-	absorbable, err := dist.ParseFaults(stripDropCrash(spec), seed)
-	if err != nil && !dist.IsInactive(err) {
-		return fmt.Errorf("fault trace: %w", err)
-	}
+	absorbable := &dist.Faults{Plan: f.Plan, Spec: stripDropCrash(f.Spec), Seed: f.Seed}
+	absorbable.Plan.Drop = 0
 
 	c.SetPhase("fig1-faulty")
 	fig := figures.Fig1()
-	part, err := partFor(graph.NewIndexed(fig))
+	part, err := partFor.of(graph.NewIndexed(fig))
 	if err != nil {
 		return fmt.Errorf("fault trace fig1: %w", err)
 	}
@@ -264,10 +232,10 @@ func FaultTraceRunCollectorPart(c *obs.Collector, quick bool, f *dist.Faults, pa
 	g := gen.RandomChordal(n, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 11)
 	ix := graph.NewIndexed(g)
 	c.SetPhase(fmt.Sprintf("retrans-n%d", n))
-	if part, err = partFor(ix); err != nil {
+	if part, err = partFor.of(ix); err != nil {
 		return fmt.Errorf("fault trace retrans: %w", err)
 	}
-	if _, _, err := dist.CollectBallsRetransPart(part, ix, 3, 200, nil, c, full); err != nil {
+	if _, _, err := dist.FloodRetrans(ix, 3, 200, dist.RunOpts{Observer: c, Faults: f, Part: part}); err != nil {
 		return fmt.Errorf("fault trace retrans: %w", err)
 	}
 	return c.Finish()

@@ -74,46 +74,44 @@ func E19PeelTrace(quick bool) (*Table, error) {
 func TraceRun(w io.Writer, quick bool) error {
 	c := obs.NewCollector()
 	c.SetTrace(w)
-	return TraceRunCollector(c, quick)
-}
-
-// TraceRunCollector runs the trace workload under a caller-configured
-// Collector — `cmd/experiments -metrics` passes one with mem snapshots
-// enabled and renders the aggregate report afterwards. It finishes the
-// collector (closing the last phase span), so the caller must not reuse
-// it for further runs.
-func TraceRunCollector(c *obs.Collector, quick bool) error {
-	return TraceRunCollectorPart(c, quick, nil)
+	return TraceRunCollector(c, quick, nil)
 }
 
 // Partitioner supplies a fresh dist.Partition for a graph snapshot —
 // typically (*wire.Cluster).Partition, which re-sessions the shard-host
 // fleet for each graph a workload visits. It lives here as a plain
-// callback so this package never imports the transport.
+// callback so this package never imports the transport. A nil
+// Partitioner runs everything on the in-process engine.
 type Partitioner func(ix *graph.Indexed) (*dist.Partition, error)
 
-// TraceRunCollectorPart is TraceRunCollector with the message-passing
-// stages optionally executed on partitions supplied by partFor (nil =
-// the in-process engine). The workload visits two graphs, so a
-// cluster-backed partitioner re-sessions its fleet between them; the
-// peel stage is centralized either way.
-func TraceRunCollectorPart(c *obs.Collector, quick bool, partFor Partitioner) error {
+// of returns the partition of ix to run on: nil, the in-process engine,
+// when the partitioner itself is nil.
+func (p Partitioner) of(ix *graph.Indexed) (*dist.Partition, error) {
+	if p == nil {
+		return nil, nil
+	}
+	return p(ix)
+}
+
+// TraceRunCollector runs the trace workload under a caller-configured
+// Collector — `cmd/experiments -metrics` passes one with mem snapshots
+// enabled and renders the aggregate report afterwards — with the
+// message-passing stages on partitions supplied by partFor. The
+// workload visits two graphs, so a cluster-backed partitioner
+// re-sessions its fleet between them; the peel stage is centralized
+// either way. It finishes the collector (closing the last phase span),
+// so the caller must not reuse it for further runs.
+func TraceRunCollector(c *obs.Collector, quick bool, partFor Partitioner) error {
 	// Figure-1 graph: the pruning floods label themselves prune-iNN and
 	// the correction choreography labels itself "correction".
 	c.SetPhase("fig1")
 	fig := figures.Fig1()
-	if partFor == nil {
-		if _, err := core.ColorChordalDistributedObserved(fig, 0.5, c, c.PeelTrace()); err != nil {
-			return fmt.Errorf("trace fig1: %w", err)
-		}
-	} else {
-		part, err := partFor(graph.NewIndexed(fig))
-		if err != nil {
-			return fmt.Errorf("trace fig1: %w", err)
-		}
-		if _, err := core.ColorChordalDistributedFaultyPart(fig, 0.5, c, c.PeelTrace(), nil, part); err != nil {
-			return fmt.Errorf("trace fig1: %w", err)
-		}
+	part, err := partFor.of(graph.NewIndexed(fig))
+	if err != nil {
+		return fmt.Errorf("trace fig1: %w", err)
+	}
+	if _, err := core.ColorChordalDistributedFaultyPart(fig, 0.5, c, c.PeelTrace(), nil, part); err != nil {
+		return fmt.Errorf("trace fig1: %w", err)
 	}
 
 	n := 10000
@@ -123,18 +121,11 @@ func TraceRunCollectorPart(c *obs.Collector, quick bool, partFor Partitioner) er
 	g := gen.RandomChordal(n, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 11)
 	ix := graph.NewIndexed(g)
 	c.SetPhase(fmt.Sprintf("flood-n%d", n))
-	if partFor == nil {
-		if _, _, err := dist.CollectBallsIndexedObserved(ix, 4, nil, c); err != nil {
-			return fmt.Errorf("trace flood: %w", err)
-		}
-	} else {
-		part, err := partFor(ix)
-		if err != nil {
-			return fmt.Errorf("trace flood: %w", err)
-		}
-		if _, _, err := dist.CollectBallsByIndexPart(part, ix, 4, nil, c, nil); err != nil {
-			return fmt.Errorf("trace flood: %w", err)
-		}
+	if part, err = partFor.of(ix); err != nil {
+		return fmt.Errorf("trace flood: %w", err)
+	}
+	if _, _, err := dist.Flood(ix, 4, dist.RunOpts{Observer: c, Part: part}); err != nil {
+		return fmt.Errorf("trace flood: %w", err)
 	}
 	c.SetPhase(fmt.Sprintf("peel-n%d", n))
 	if _, err := peel.Run(g, peel.Options{InternalDiameter: 9, Trace: c.PeelTrace(), Observer: c}); err != nil {

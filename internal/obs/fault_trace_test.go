@@ -20,7 +20,7 @@ func canonicalFaultTrace(t *testing.T, g *graph.Graph, radius int, f *dist.Fault
 	c := NewCollector()
 	c.SetTrace(&buf)
 	c.SetCanonical(true)
-	if _, _, err := dist.CollectBallsIndexedFaulty(graph.NewIndexed(g), radius, nil, c, f); err != nil {
+	if _, _, err := dist.Flood(graph.NewIndexed(g), radius, dist.RunOpts{Observer: c, Faults: f}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Err(); err != nil {

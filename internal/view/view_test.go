@@ -89,7 +89,7 @@ func TestBuildFromSourceMatchesFilteredBallGraph(t *testing.T) {
 	g := gen.RandomChordal(90, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 7)
 	ix := graph.NewIndexed(g)
 	radius := 3 // small enough that many balls are clipped
-	know, _, err := dist.CollectBallsIndexed(ix, radius, nil)
+	know, _, err := dist.Flood(ix, radius, dist.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,7 @@ func TestBuildFromSourceMatchesFilteredBallGraph(t *testing.T) {
 		keep[i] = keepID(v)
 	}
 	var b view.Ball // one ball reused across all centers, as in the kernel
-	for _, v := range ix.IDs() {
-		k := know[v]
-		if !k.IndexReady() {
-			t.Fatalf("knowledge of %d is not index-ready", v)
-		}
+	for _, k := range know {
 		b.BuildFromSource(k, ix.NumNodes(), radius, keep)
 		sameGraph(t, &b, ix.IDs(), k.FilteredBallGraph(radius, keepID))
 	}

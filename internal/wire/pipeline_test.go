@@ -44,7 +44,7 @@ func TestClusterColoringMatchesLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want, err := core.ColorChordalDistributedFaulty(g, 0.5, nil, nil, lf)
+		want, err := core.ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, lf, nil)
 		if err != nil {
 			t.Fatalf("%s: local: %v", at, err)
 		}
@@ -84,7 +84,7 @@ func TestClusterMISMatchesLocal(t *testing.T) {
 		}
 	}()
 	g := gen.RandomChordal(60, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 47)
-	want, err := core.MISChordalDistributedFaulty(g, 0.5, nil, nil, nil)
+	want, err := core.MISChordalDistributedFaultyPart(g, 0.5, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

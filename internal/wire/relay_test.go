@@ -34,6 +34,13 @@ func (p *bcastNode) Output() any { return p.got }
 
 func (b *bcastProgram) NewNode(i int) dist.Protocol { return &bcastNode{idx: i} }
 
+func (b *bcastProgram) Params() (string, []byte, error) {
+	if b.failDecode {
+		return "wire-test-faildecode", nil, nil
+	}
+	return "wire-test-bcast", nil, nil
+}
+
 func (b *bcastProgram) EncodePayload(p any) ([]byte, error) {
 	return binary.AppendVarint(nil, int64(p.(int32))), nil
 }
@@ -76,18 +83,15 @@ func TestFailedDeliverKeepsLinksInSync(t *testing.T) {
 	ix := graph.NewIndexed(g)
 	part, _, cleanup := servedPartition(t, ix, 2)
 	defer cleanup()
-	c, err := dist.NewCoordinator(ix, part, "wire-test-faildecode", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(3); err == nil || !strings.Contains(err.Error(), "bcast payload rejected") {
+	_, _, err := dist.Run(ix, &bcastProgram{failDecode: true}, dist.RunOpts{Part: part}, 3)
+	if err == nil || !strings.Contains(err.Error(), "bcast payload rejected") {
 		t.Fatalf("run with failing decodes: %v", err)
 	}
-	want, wantRes, err := dist.CollectBallsByIndex(ix, 2, nil, nil, nil)
+	want, wantRes, err := dist.Flood(ix, 2, dist.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotRes, err := dist.CollectBallsByIndexPart(part, ix, 2, nil, nil, nil)
+	got, gotRes, err := dist.Flood(ix, 2, dist.RunOpts{Part: part})
 	if err != nil {
 		t.Fatalf("flood after a failed run: %v", err)
 	}
@@ -105,14 +109,11 @@ func TestServedBroadcastCounts(t *testing.T) {
 	ix := graph.NewIndexed(gen.RandomChordal(50, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 9))
 	part, _, cleanup := servedPartition(t, ix, 3)
 	defer cleanup()
-	c, err := dist.NewCoordinator(ix, part, "wire-test-bcast", nil)
+	outs, _, err := dist.Run(ix, &bcastProgram{}, dist.RunOpts{Part: part}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	for i, out := range c.OutputsByIndex() {
+	for i, out := range outs {
 		if out.(int) != ix.Degree(i) {
 			t.Fatalf("node %d heard %d messages, has %d neighbors", i, out, ix.Degree(i))
 		}

@@ -273,12 +273,6 @@ func TestServedLinksMatchLocal(t *testing.T) {
 	g := gen.RandomChordal(90, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 7)
 	ix := graph.NewIndexed(g)
 	n := ix.NumNodes()
-	notes := make([]any, n)
-	for i := range notes {
-		if i%2 == 0 {
-			notes[i] = i
-		}
-	}
 	for _, spec := range []string{"", "drop=0.1,dup=0.2,delay=1"} {
 		var lf, pf *dist.Faults
 		var err error
@@ -290,13 +284,13 @@ func TestServedLinksMatchLocal(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		lKs, lRes, err := dist.CollectBallsByIndex(ix, 3, notes, nil, lf)
+		lKs, lRes, err := dist.Flood(ix, 3, dist.RunOpts{Faults: lf})
 		if err != nil {
 			t.Fatalf("%q: local: %v", spec, err)
 		}
 		part, links, cleanup := servedPartition(t, ix, 3)
 		obs := &wireRecorder{}
-		pKs, pRes, err := dist.CollectBallsByIndexPart(part, ix, 3, notes, obs, pf)
+		pKs, pRes, err := dist.Flood(ix, 3, dist.RunOpts{Observer: obs, Faults: pf, Part: part})
 		if err != nil {
 			t.Fatalf("%q: wire: %v", spec, err)
 		}
@@ -356,7 +350,7 @@ func TestClusterProcessesMatchLocal(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			lKs, lRes, err := dist.CollectBallsByIndex(ix, 2, nil, nil, lf)
+			lKs, lRes, err := dist.Flood(ix, 2, dist.RunOpts{Faults: lf})
 			if err != nil {
 				t.Fatalf("graph %d %q: local: %v", gi, spec, err)
 			}
@@ -364,7 +358,7 @@ func TestClusterProcessesMatchLocal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("graph %d %q: partition: %v", gi, spec, err)
 			}
-			pKs, pRes, err := dist.CollectBallsByIndexPart(part, ix, 2, nil, nil, pf)
+			pKs, pRes, err := dist.Flood(ix, 2, dist.RunOpts{Faults: pf, Part: part})
 			if err != nil {
 				t.Fatalf("graph %d %q: cluster: %v", gi, spec, err)
 			}
