@@ -57,6 +57,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphOps$$' -fuzztime 10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzNewIndexedFromCSR$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzRecognize$$' -fuzztime 10s ./internal/interval
 	$(GO) test -run '^$$' -fuzz '^FuzzChordalPipeline$$' -fuzztime 10s ./internal/interval
 	$(GO) test -run '^$$' -fuzz '^FuzzIntervalDiameter$$' -fuzztime 10s ./internal/interval
@@ -64,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStepResult$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDeliver$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOutputs$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzHandshakeBodies$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzShardDeliverBlock$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzFloodPayload$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzRetransPayload$$' -fuzztime 10s ./internal/dist
@@ -155,6 +157,9 @@ chaos-smoke:
 # produce zero divergence in the deterministic round/layer records;
 # both traces must pass `tracestat check`. The -metrics run's aggregate
 # report lands in ./tracestat-smoke/report.txt, which CI uploads.
+# GOMAXPROCS is the only parallelism setting (engine ranges and kernel
+# shards), so the workload also runs at GOMAXPROCS 1 and 4, whose traces
+# must not diverge either.
 tracestat-smoke:
 	mkdir -p tracestat-smoke
 	$(GO) run ./cmd/experiments -quick -trace tracestat-smoke/a.jsonl
@@ -163,6 +168,10 @@ tracestat-smoke:
 	$(GO) run ./cmd/tracestat check tracestat-smoke/a.jsonl tracestat-smoke/b.jsonl
 	$(GO) run ./cmd/tracestat diff tracestat-smoke/a.jsonl tracestat-smoke/b.jsonl
 	$(GO) run ./cmd/tracestat chrome tracestat-smoke/b.jsonl > tracestat-smoke/chrome.json
+	GOMAXPROCS=1 $(GO) run ./cmd/experiments -quick -trace tracestat-smoke/procs1.jsonl
+	GOMAXPROCS=4 $(GO) run ./cmd/experiments -quick -trace tracestat-smoke/procs4.jsonl
+	$(GO) run ./cmd/tracestat check tracestat-smoke/procs1.jsonl tracestat-smoke/procs4.jsonl
+	$(GO) run ./cmd/tracestat diff tracestat-smoke/procs1.jsonl tracestat-smoke/procs4.jsonl
 
 # Partitioned-runtime smoke: the byte-identity gate for out-of-process
 # execution. The same-seed quick workload runs once on the in-process

@@ -17,6 +17,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/peel"
+	"repro/internal/proctest"
 )
 
 // Each experiment benchmark regenerates one table/figure from DESIGN.md's
@@ -146,19 +147,22 @@ func BenchmarkDistributedPruneN256(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedPruneWorkers sweeps the decide kernel's worker
-// count on the N256 workload; workers=1 is the sequential schedule the
-// parallel shards must match bit-for-bit (see internal/core/decide.go).
+// BenchmarkDistributedPruneWorkers sweeps GOMAXPROCS, which sets the
+// decide kernel's shard count, on the N256 workload; workers=1 is the
+// sequential schedule the parallel shards must match bit-for-bit (see
+// internal/core/decide.go).
 func BenchmarkDistributedPruneWorkers(b *testing.B) {
 	g := RandomChordalGraph(256, 4, 8)
+	spec := core.PruneSpec{DiamThreshold: 9, Radius: 30}
 	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			spec := core.PruneSpec{DiamThreshold: 9, Radius: 30, DecideWorkers: w}
-			for i := 0; i < b.N; i++ {
-				if _, err := core.DistributedPruneSpec(g, spec); err != nil {
-					b.Fatal(err)
+			proctest.With(w, func() {
+				for i := 0; i < b.N; i++ {
+					if _, err := core.DistributedPruneSpec(g, spec); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
+			})
 		})
 	}
 }

@@ -66,13 +66,8 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address for the duration of the run")
-		decideWork = flag.Int("decide-workers", 0, "worker count of the pruning decide kernel (0 = GOMAXPROCS, 1 = sequential; outputs are bit-identical for every value)")
-		workers    = flag.Int("workers", 0, "worker count of the pure-compute pipeline stages: peeling path measurement, per-path coloring, MIS components, correction setup (0 = GOMAXPROCS, 1 = sequential; outputs are bit-identical for every value)")
 	)
 	flag.Parse()
-	core.DefaultDecideWorkers = *decideWork
-	core.DefaultStageWorkers = *workers
-	peel.DefaultWorkers = *workers
 
 	if err := run(*alg, *eps, *in, *out, *genKind, *n, *maxClique, *seed, *partitions,
 		*trace, *metrics, *faults, *faultSeed, *cpuprofile, *memprofile, *pprofAddr); err != nil {

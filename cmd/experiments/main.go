@@ -30,12 +30,10 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/exp"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/peel"
 	"repro/internal/wire"
 )
 
@@ -53,12 +51,7 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for the duration of the run")
-	decideWork := flag.Int("decide-workers", 0, "worker count of the pruning decide kernel (0 = GOMAXPROCS, 1 = sequential; tables are bit-identical for every value)")
-	workers := flag.Int("workers", 0, "worker count of the pure-compute pipeline stages: peeling path measurement, per-path coloring, MIS components, correction setup (0 = GOMAXPROCS, 1 = sequential; tables are bit-identical for every value)")
 	flag.Parse()
-	core.DefaultDecideWorkers = *decideWork
-	core.DefaultStageWorkers = *workers
-	peel.DefaultWorkers = *workers
 
 	if err := run(*quick, *only, *trace, *metrics, *partitions, *faults, *faultSeed, *cpuprofile, *memprofile, *pprofAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

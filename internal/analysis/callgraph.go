@@ -23,10 +23,14 @@ import (
 //     sets to every in-module named type implementing the interface
 //     (class-hierarchy style, an over-approximation);
 //   - function values: flow-insensitive tracking of function literals
-//     and named functions through assignments, composite-literal
-//     fields, and call arguments into the variables, fields, and
-//     parameters they are stored in; a call through such an object
-//     resolves to everything recorded as flowing into it.
+//     and named functions through assignments and composite-literal
+//     fields into the variables and fields they are stored in; a call
+//     through such an object resolves to everything recorded as flowing
+//     into it. A function value passed as an argument to an in-module
+//     declared function is resolved per call site instead: it is an
+//     edge of the calling function, and the callee's call through its
+//     parameter adds no edge, so one runner shared by a hot kernel and
+//     a cold caller never merges their callbacks into either region.
 //
 // Known soundness gaps (documented in DESIGN.md): function values
 // returned from functions, stored in slices/maps/channels, or passed
@@ -127,8 +131,8 @@ type CallGraph struct {
 	Lits map[*ast.FuncLit]*FuncNode
 	// Order lists every node in deterministic (position) order.
 	Order []*FuncNode
-	// flows records which function nodes flow into each variable,
-	// field, or parameter object.
+	// flows records which function nodes flow into each variable or
+	// field object.
 	flows map[types.Object][]*FuncNode
 }
 
@@ -140,7 +144,7 @@ func (cg *CallGraph) NodeOf(fn *types.Func) *FuncNode { return cg.Funcs[fn] }
 func (cg *CallGraph) LitNode(lit *ast.FuncLit) *FuncNode { return cg.Lits[lit] }
 
 // FlowsInto returns every function node recorded as flowing into obj (a
-// variable, struct field, or parameter), in first-occurrence order.
+// variable or struct field), in first-occurrence order.
 func (cg *CallGraph) FlowsInto(obj types.Object) []*FuncNode { return cg.flows[obj] }
 
 // BuildCallGraph constructs the module call graph over the loaded
@@ -243,8 +247,7 @@ func (cg *CallGraph) recordFlow(obj types.Object, nodes []*FuncNode) {
 }
 
 // collectFlows scans one file for function values stored into objects:
-// assignments, var specs, keyed and positional struct literals, and
-// call arguments binding to in-module parameter objects.
+// assignments, var specs, and keyed and positional struct literals.
 func (cg *CallGraph) collectFlows(pkg *Package, file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch v := n.(type) {
@@ -272,8 +275,6 @@ func (cg *CallGraph) collectFlows(pkg *Package, file *ast.File) {
 			}
 		case *ast.CompositeLit:
 			cg.collectLitFlows(pkg, v)
-		case *ast.CallExpr:
-			cg.collectArgFlows(pkg, v)
 		}
 		return true
 	})
@@ -299,32 +300,6 @@ func (cg *CallGraph) collectLitFlows(pkg *Package, lit *ast.CompositeLit) {
 		}
 		if i < st.NumFields() {
 			cg.recordFlow(st.Field(i), cg.funcValueNodes(pkg, el))
-		}
-	}
-}
-
-// collectArgFlows binds function-valued call arguments to the callee's
-// parameter objects when the callee is an in-module declared function
-// (signature parameter objects are the declared *types.Var objects, so
-// they key the same flow table as local assignments).
-func (cg *CallGraph) collectArgFlows(pkg *Package, call *ast.CallExpr) {
-	fn := callTargetFunc(pkg, call)
-	if fn == nil || cg.Funcs[fn] == nil {
-		return
-	}
-	sig := fn.Type().(*types.Signature)
-	params := sig.Params()
-	for i, arg := range call.Args {
-		nodes := cg.funcValueNodes(pkg, arg)
-		if len(nodes) == 0 {
-			continue
-		}
-		j := i
-		if sig.Variadic() && j >= params.Len()-1 {
-			j = params.Len() - 1
-		}
-		if j < params.Len() {
-			cg.recordFlow(params.At(j), nodes)
 		}
 	}
 }
@@ -468,11 +443,21 @@ func (cg *CallGraph) buildEdges(node *FuncNode, impls map[implKey][]*FuncNode) {
 				}
 				return
 			}
-			addUnique(static, cg.Funcs[fn])
+			callee := cg.Funcs[fn]
+			addUnique(static, callee)
+			if callee != nil {
+				// Callbacks run on the caller's behalf: they are its
+				// edges, not the callee's.
+				for _, arg := range call.Args {
+					addUnique(static, cg.funcValueNodes(node.Pkg, arg)...)
+				}
+			}
 			return
 		}
-		// Indirect call: a variable, field, or parameter holding a
-		// function value. Resolve through the flow table.
+		// Indirect call: a variable or field holding a function value,
+		// resolved through the flow table. Arguments never flow into
+		// parameters: the values passed for one are edges of the callers
+		// that pass them.
 		var obj types.Object
 		switch v := fun.(type) {
 		case *ast.Ident:

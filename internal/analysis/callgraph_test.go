@@ -80,12 +80,17 @@ func TestCallGraphFunctionValues(t *testing.T) {
 		t.Errorf("Runner.CallField static targets = %v, want the WireAssign literal too", static)
 	}
 
-	// The callback parameter call resolves to both values passed at
-	// UseApply's call sites: the method value and the named function.
-	applyTwice := nodeByName(t, cg, "ApplyTwice")
-	static = edgeNames(applyTwice.Static)
-	if !static["Doubler.Apply"] || !static["leaf"] {
-		t.Errorf("ApplyTwice static targets = %v, want Doubler.Apply and leaf", static)
+	// Callbacks resolve per call site: the method value and the named
+	// function UseApply passes are UseApply's edges, and ApplyTwice's
+	// call through its parameter adds none, so another caller's
+	// callbacks never merge into UseApply's reach.
+	useApply := nodeByName(t, cg, "UseApply")
+	static = edgeNames(useApply.Static)
+	if !static["ApplyTwice"] || !static["Doubler.Apply"] || !static["leaf"] {
+		t.Errorf("UseApply static targets = %v, want ApplyTwice, Doubler.Apply and leaf", static)
+	}
+	if targets := nodeByName(t, cg, "ApplyTwice").Static; len(targets) != 0 {
+		t.Errorf("ApplyTwice static targets = %v, want none: a parameter call resolves at its callers", edgeNames(targets))
 	}
 }
 

@@ -18,14 +18,17 @@ import (
 // analyzer counts the region's statically visible allocation sites —
 // make, new, &composite, map/slice literals, appends without prealloc
 // evidence, capturing closures, interface boxing — and fails when the
-// count exceeds the committed budget. The budgets in this repo are set
-// to the exact shipped-tree counts, so introducing a single new
-// allocation site inside the decide kernel, the peel workers, the
-// engine round loop, or the view rebuild fails `make lint` before it
-// ever shows up as a B/op regression in BENCH_N.json.
+// count differs from the committed budget. Budgets are exact: a budget
+// above the count would leave slack for a new site to fill silently, so
+// introducing a single new allocation site inside the decide kernel,
+// the peel workers, the engine round loop, or the view rebuild fails
+// `make lint` before it ever shows up as a B/op regression in
+// BENCH_N.json, and so does removing one without lowering the budget.
+// Likewise a coldpath directive on a function no hot-root traversal
+// reaches prunes nothing and is reported, so stale exemptions go.
 var HotAlloc = &Analyzer{
 	Name:      "hotalloc",
-	Doc:       "allocation sites reachable from //chordalvet:hotpath roots exceed the committed budget",
+	Doc:       "allocation sites reachable from //chordalvet:hotpath roots differ from the committed budget, or a coldpath directive prunes nothing",
 	RunModule: runHotAlloc,
 }
 
@@ -36,12 +39,40 @@ func runHotAlloc(mp *ModulePass) {
 			mp.Reportf(root.Pos, "malformed hotpath directive on %s: want //chordalvet:hotpath budget=N", root.Node.Name())
 			continue
 		}
-		if report.Sites <= root.Budget {
-			continue
+		switch {
+		case report.Sites > root.Budget:
+			mp.Reportf(root.Pos, "hot path %s has %d reachable allocation sites, over its budget of %d — per function: %s (raise the budget only with a benchmark justification; prefer scratch reuse or prealloc)",
+				root.Node.Name(), report.Sites, root.Budget, report.Breakdown())
+		case report.Sites < root.Budget:
+			mp.Reportf(root.Pos, "hot path %s has %d reachable allocation sites, under its budget of %d — lower the budget to %d (budgets are exact)",
+				root.Node.Name(), report.Sites, root.Budget, report.Sites)
 		}
-		mp.Reportf(root.Pos, "hot path %s has %d reachable allocation sites, over its budget of %d — per function: %s (raise the budget only with a benchmark justification; prefer scratch reuse or prealloc)",
-			root.Node.Name(), report.Sites, root.Budget, report.Breakdown())
 	}
+	for _, n := range unreachedColdPaths(mp.Facts) {
+		mp.Reportf(mp.Facts.coldpath[n], "coldpath directive on %s prunes nothing: no hot path reaches it — delete the directive", n.Name())
+	}
+}
+
+// unreachedColdPaths returns, in call-graph order, the coldpath-
+// annotated functions that no hot root's traversal meets.
+func unreachedColdPaths(facts *Facts) []*FuncNode {
+	met := make(map[*FuncNode]bool)
+	for _, root := range facts.HotRoots() {
+		facts.Graph.Reachable(root.Node, HotEdges, func(n *FuncNode) bool {
+			if facts.IsColdPath(n) {
+				met[n] = true
+				return true
+			}
+			return false
+		})
+	}
+	var out []*FuncNode
+	for _, n := range facts.Graph.Order {
+		if facts.IsColdPath(n) && !met[n] {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // HotPathReport is one root's budget accounting, exported so

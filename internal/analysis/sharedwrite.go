@@ -18,8 +18,8 @@ import (
 // A literal "executes on a goroutine" when it is spawned directly
 // (`go func(...){...}(...)`) or passed as an argument to a function
 // whose summary says it runs that parameter on a goroutine it spawns —
-// the runShards/runStageRanges runner idiom, resolved through the call
-// graph's RunsParamInGoroutine fixpoint.
+// the dist.RunKernel runner idiom, resolved through the call graph's
+// RunsParamInGoroutine fixpoint.
 var SharedWrite = &Analyzer{
 	Name:      "sharedwrite",
 	Doc:       "worker-goroutine writes to captured slices/maps that are not provably index-partitioned",

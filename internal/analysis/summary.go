@@ -34,10 +34,15 @@ type Summary struct {
 	MutatesParam []bool
 	// SpawnsGoroutine reports a go statement in the function's own body.
 	SpawnsGoroutine bool
+	// CallsParam reports, receiver-first, whether the function calls
+	// the parameter, itself or through a callee it forwards it to.
+	CallsParam []bool
 	// RunsParamInGoroutine reports, receiver-first, whether the
 	// parameter is invoked on a goroutine this function (or a callee it
-	// forwards the parameter to) spawns. This is how sharedwrite finds
-	// worker bodies handed to runners like runShards.
+	// forwards the parameter to) spawns: called inside a spawned
+	// literal, spawned as `go p(…)`, or passed to `go f(…)` where f
+	// calls it. This is how sharedwrite finds worker bodies handed to
+	// runners like dist.RunKernel.
 	RunsParamInGoroutine []bool
 	// ReturnsView reports that the function returns a shared snapshot
 	// view (a shared-view accessor result or a re-slice of one),
@@ -58,7 +63,8 @@ type Facts struct {
 	Graph     *CallGraph
 	summaries map[*FuncNode]*Summary
 	hotRoots  []*HotRoot
-	coldpath  map[*FuncNode]bool
+	// coldpath maps each coldpath-annotated function to its directive.
+	coldpath map[*FuncNode]token.Pos
 }
 
 // SummaryOf returns fn's summary (never nil for graph nodes).
@@ -73,7 +79,10 @@ func (f *Facts) SummaryOf(n *FuncNode) *Summary {
 func (f *Facts) HotRoots() []*HotRoot { return f.hotRoots }
 
 // IsColdPath reports whether n carries a coldpath directive.
-func (f *Facts) IsColdPath(n *FuncNode) bool { return f.coldpath[n] }
+func (f *Facts) IsColdPath(n *FuncNode) bool {
+	_, ok := f.coldpath[n]
+	return ok
+}
 
 // HotRoot is one //chordalvet:hotpath-annotated function.
 type HotRoot struct {
@@ -89,7 +98,7 @@ func BuildFacts(pkgs []*Package) *Facts {
 	f := &Facts{
 		Graph:     cg,
 		summaries: make(map[*FuncNode]*Summary, len(cg.Order)),
-		coldpath:  make(map[*FuncNode]bool),
+		coldpath:  make(map[*FuncNode]token.Pos),
 	}
 	for _, n := range cg.Order {
 		f.summaries[n] = localSummary(n)
@@ -137,6 +146,7 @@ func localSummary(n *FuncNode) *Summary {
 	info := n.Pkg.Info
 	params := n.ParamObjs()
 	s.MutatesParam = make([]bool, len(params))
+	s.CallsParam = make([]bool, len(params))
 	s.RunsParamInGoroutine = make([]bool, len(params))
 	pidx := paramIndexOf(n)
 
@@ -188,6 +198,9 @@ func localSummary(n *FuncNode) *Summary {
 		case *ast.FuncLit:
 			s.Allocs = appendClosureSite(info, s.Allocs, v)
 		case *ast.CallExpr:
+			if i, ok := pidx[identObjInfo(info, v.Fun)]; ok {
+				s.CallsParam[i] = true
+			}
 			summarizeCall(n, s, derived, markAliasMutation, v)
 		}
 	})
@@ -669,7 +682,7 @@ func sharedAccessorCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 }
 
 // fixpoint propagates the transitive summary facts until stable:
-// MutatesParam through call arguments and receivers,
+// MutatesParam through call arguments and receivers, CallsParam and
 // RunsParamInGoroutine through forwarded callbacks, and ReturnsView
 // through wrappers.
 func (f *Facts) fixpoint() {
@@ -746,9 +759,10 @@ func (f *Facts) propagateNode(n *FuncNode) bool {
 
 	inspectOwn(n.Body, func(nd ast.Node) {
 		call, ok := nd.(*ast.CallExpr)
+		spawned := false
 		if !ok {
 			if g, ok := nd.(*ast.GoStmt); ok {
-				call = g.Call
+				call, spawned = g.Call, true
 			} else {
 				return
 			}
@@ -776,13 +790,18 @@ func (f *Facts) propagateNode(n *FuncNode) bool {
 					}
 				}
 			}
-			if cs.RunsParamInGoroutine[j] {
-				if obj := identObjInfo(info, arg); obj != nil {
-					if pi, ok := pidx[obj]; ok && !s.RunsParamInGoroutine[pi] {
-						s.RunsParamInGoroutine[pi] = true
-						changed = true
-					}
-				}
+			pi, ok := pidx[identObjInfo(info, arg)]
+			if !ok {
+				continue
+			}
+			if cs.CallsParam[j] && !s.CallsParam[pi] {
+				s.CallsParam[pi] = true
+				changed = true
+			}
+			// `go f(p)` where f calls p runs p on the spawned goroutine.
+			if (cs.RunsParamInGoroutine[j] || spawned && cs.CallsParam[j]) && !s.RunsParamInGoroutine[pi] {
+				s.RunsParamInGoroutine[pi] = true
+				changed = true
 			}
 		}
 	})
@@ -831,7 +850,7 @@ func (f *Facts) collectDirectives() {
 				}
 			}
 			if _, ok := directiveText(c, "chordalvet:coldpath"); ok {
-				f.coldpath[n] = true
+				f.coldpath[n] = c.Pos()
 			}
 		}
 	}

@@ -36,6 +36,12 @@ func TestSummaryRunsParamInGoroutine(t *testing.T) {
 	if s := summaryByName(t, facts, "runCallback"); !s.SpawnsGoroutine {
 		t.Errorf("runCallback: go statement not summarized")
 	}
+	if s := summaryByName(t, facts, "callNow"); !s.CallsParam[0] || s.RunsParamInGoroutine[0] {
+		t.Errorf("callNow: CallsParam=%v RunsParamInGoroutine=%v, want a synchronous call", s.CallsParam[0], s.RunsParamInGoroutine[0])
+	}
+	if s := summaryByName(t, facts, "spawnNamed"); !s.RunsParamInGoroutine[0] {
+		t.Errorf("spawnNamed: callback passed to go callThenClose(…), which calls it, not summarized as run on a goroutine")
+	}
 }
 
 func TestSummaryAllocKinds(t *testing.T) {

@@ -98,6 +98,23 @@ func runCallback(f func()) {
 // runs-in-goroutine fact propagates.
 func forwardCallback(f func()) { runCallback(f) }
 
+// callNow calls its callback on the caller's goroutine.
+func callNow(f func()) { f() }
+
+// callThenClose calls its callback, then signals done.
+func callThenClose(f func(), done chan struct{}) {
+	f()
+	close(done)
+}
+
+// spawnNamed runs its callback on a goroutine without a literal: the
+// callback is an argument of `go callThenClose(…)`, which calls it.
+func spawnNamed(f func()) {
+	done := make(chan struct{})
+	go callThenClose(f, done)
+	<-done
+}
+
 // allocKinds holds one allocation site of each classified kind.
 func allocKinds(n int) int {
 	m := make(map[int]int)

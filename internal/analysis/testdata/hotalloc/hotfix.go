@@ -1,6 +1,8 @@
 // Package hotfix seeds hot paths with committed allocation budgets:
-// roots within budget stay silent, over-budget regions and malformed
-// directives are reported, and coldpath annotations prune fallbacks.
+// roots at their exact budget stay silent, over- and under-budget
+// regions and malformed directives are reported, coldpath annotations
+// prune fallbacks, and a coldpath directive no hot path reaches is
+// reported as stale.
 package hotfix
 
 import "sync"
@@ -69,3 +71,42 @@ func spawnRoot(res []int) {
 
 //chordalvet:hotpath budget=lots not a number // want `malformed hotpath directive on badRoot: want //chordalvet:hotpath budget=N`
 func badRoot() {}
+
+//chordalvet:hotpath budget=3 slack left behind by a removed site // want `hot path slackRoot has 1 reachable allocation sites, under its budget of 3 — lower the budget to 1`
+func slackRoot(n int) []int {
+	return make([]int, n)
+}
+
+// staleCold is annotated cold, but no hot root calls it.
+//
+//chordalvet:coldpath nothing hot reaches this // want `coldpath directive on staleCold prunes nothing: no hot path reaches it`
+func staleCold() map[int]int {
+	return map[int]int{}
+}
+
+// run is a closure-free runner shared by a hot root and a cold caller:
+// the callback each passes is that caller's own edge, so the cold
+// caller's allocating body stays out of the hot region.
+func run(n int, body func(lo, hi int)) {
+	body(0, n)
+}
+
+// sharedHot's only site is its capturing callback.
+//
+//chordalvet:hotpath budget=1 shared runner: only this root's callback counts
+func sharedHot(out []int) {
+	run(len(out), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = i
+		}
+	})
+}
+
+// coldCaller hands the same runner an allocating callback.
+func coldCaller(n int) int {
+	total := 0
+	run(n, func(lo, hi int) {
+		total += len(make(map[int]int, hi-lo))
+	})
+	return total
+}

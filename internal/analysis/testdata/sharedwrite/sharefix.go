@@ -126,6 +126,41 @@ func goodLocalDerived(out []int, workers int) {
 	})
 }
 
+// runKernel is the closure-free runner: each chunk's goroutine runs a
+// named function with explicit arguments, which calls the body.
+func runKernel(n, shards int, body func(shard, lo, hi int)) {
+	chunk := (n + shards - 1) / shards
+	var wg sync.WaitGroup
+	wg.Add(shards)
+	for s := 0; s < shards; s++ {
+		go runChunk(body, s, s*chunk, min(s*chunk+chunk, n), &wg)
+	}
+	wg.Wait()
+}
+
+func runChunk(body func(shard, lo, hi int), shard, lo, hi int, wg *sync.WaitGroup) {
+	defer wg.Done()
+	body(shard, lo, hi)
+}
+
+// goodKernelStage writes only its own range through the closure-free
+// runner.
+func goodKernelStage(out []int) {
+	runKernel(len(out), 4, func(shard, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = shard
+		}
+	})
+}
+
+// badKernelStage writes a fixed slot from every chunk of the
+// closure-free runner.
+func badKernelStage(out []int) {
+	runKernel(len(out), 4, func(shard, lo, hi int) {
+		out[0] = lo // want `worker goroutine writes the captured slice at a non-partitioned index out`
+	})
+}
+
 // unspawnedLiteral never runs on a goroutine: no discipline applies.
 func unspawnedLiteral(out []int) {
 	write := func() { out[0] = 1 }

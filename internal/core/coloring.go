@@ -51,10 +51,9 @@ func ColorChordal(g *graph.Graph, eps float64) (*ChordalColoring, error) {
 }
 
 // ColorChordalObserved is ColorChordal with metrics hooks: an observer
-// implementing dist.KernelObserver (and peel.KernelObserver — one
-// implementation satisfies both, see obs.Collector) receives per-worker
-// kernel spans from the centralized pipeline's sharded stages: the
-// peeling path measurement and the per-path coloring. Unlike
+// implementing dist.KernelObserver receives per-worker kernel spans
+// from the centralized pipeline's sharded stages: the peeling path
+// measurement and the per-path coloring. Unlike
 // ColorChordalDistributedObserved there are no engine rounds to
 // observe; nil keeps the zero-cost fast path and the result is
 // bit-identical either way.
@@ -63,20 +62,19 @@ func ColorChordalObserved(g *graph.Graph, eps float64, o dist.RoundObserver) (*C
 		return nil, fmt.Errorf("epsilon must be positive, got %v", eps)
 	}
 	k := EffectiveK(eps)
-	po, _ := o.(peel.KernelObserver)
-	res, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, NoForests: true, Observer: po})
+	ko, _ := o.(dist.KernelObserver)
+	res, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, NoForests: true, Observer: ko})
 	if err != nil {
 		return nil, fmt.Errorf("pruning phase: %w", err)
 	}
-	return colorLayers(g, k, res, nil, o)
+	return colorLayers(g, k, res, nil, ko)
 }
 
 // colorLayers runs the coloring and color-correction phases over a peel
 // result. rounds, when non-nil, accumulates the LOCAL round cost of the
-// coloring and correction phases. o, when it implements
-// dist.KernelObserver, receives the per-path coloring stage as a
-// "color-paths" kernel span.
-func colorLayers(g *graph.Graph, k int, peeled *peel.Result, rounds *int, o dist.RoundObserver) (*ChordalColoring, error) {
+// coloring and correction phases. ko, when non-nil, receives the
+// per-path coloring stage as a "color-paths" kernel span.
+func colorLayers(g *graph.Graph, k int, peeled *peel.Result, rounds *int, ko dist.KernelObserver) (*ChordalColoring, error) {
 	out := &ChordalColoring{
 		Colors: make(map[graph.ID]int, g.NumNodes()),
 		K:      k,
@@ -98,9 +96,9 @@ func colorLayers(g *graph.Graph, k int, peeled *peel.Result, rounds *int, o dist
 	// Coloring phase: every peeled path is an interval graph, colored
 	// independently by ColIntGraph. Paths run concurrently in the LOCAL
 	// model; we charge the maximum cost. Each path's coloring is a pure
-	// function of (g, rec, k, idBound), so the paths shard over workers
+	// function of (g, rec, k, idBound), so the paths shard over CPUs
 	// with per-path result slots merged in path order — bit-identical to
-	// the sequential loop for every worker count, including which error
+	// the sequential loop at every GOMAXPROCS, including which error
 	// surfaces first.
 	type pathRef struct {
 		layerIndex int
@@ -118,7 +116,7 @@ func colorLayers(g *graph.Graph, k int, peeled *peel.Result, rounds *int, o dist
 		err error
 	}
 	slots := make([]colorSlot, len(refs))
-	runStageShards("color-paths", len(refs), resolveStageWorkers(0, len(refs)), o, func(lo, hi int) {
+	dist.RunKernel("color-paths", len(refs), dist.KernelShards(len(refs)), ko, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sub := g.InducedSubgraph(refs[i].rec.Nodes)
 			ic, err := ColIntGraph(sub, peel.LayerCliquePath(*refs[i].rec), k, idBound)

@@ -289,6 +289,58 @@ func TestMISChordalQuality(t *testing.T) {
 	}
 }
 
+// shiftIDs returns g with every node ID moved by delta.
+func shiftIDs(g *graph.Graph, delta graph.ID) *graph.Graph {
+	var nodes []graph.ID
+	for _, v := range g.Nodes() {
+		nodes = append(nodes, v+delta)
+	}
+	var edges [][2]graph.ID
+	for _, e := range g.Edges() {
+		edges = append(edges, [2]graph.ID{e[0] + delta, e[1] + delta})
+	}
+	return graph.FromEdges(nodes, edges)
+}
+
+// TestMISChordalShiftedIDs runs both MIS entry points on graphs whose
+// IDs are negative or near 2^40. The pipelines keep per-node state by
+// snapshot index, so the ID range must change neither independence nor
+// the (1+ε) bound (an ID-indexed mask panicked on a negative ID and
+// allocated in proportion to the largest one).
+func TestMISChordalShiftedIDs(t *testing.T) {
+	const eps = 0.5
+	graphs := map[string]*graph.Graph{
+		"path":     gen.Path(300),
+		"chordal":  gen.RandomChordal(120, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 7),
+		"interval": gen.RandomInterval(120, 60, 4, 3),
+	}
+	entries := map[string]func(*graph.Graph, float64) (*ChordalMISResult, error){
+		"MISChordal":            MISChordal,
+		"MISChordalDistributed": MISChordalDistributed,
+	}
+	for name, base := range graphs {
+		for _, delta := range []graph.ID{-100000, 1<<40 - 7} {
+			g := shiftIDs(base, delta)
+			alpha, err := chordal.IndependenceNumber(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for entry, run := range entries {
+				res, err := run(g, eps)
+				if err != nil {
+					t.Fatalf("%s %s shift %d: %v", entry, name, delta, err)
+				}
+				if err := verify.IndependentSet(g, res.Set); err != nil {
+					t.Fatalf("%s %s shift %d: %v", entry, name, delta, err)
+				}
+				if float64(alpha) > (1+eps)*float64(len(res.Set))+1e-9 {
+					t.Fatalf("%s %s shift %d: |I| = %d, α = %d", entry, name, delta, len(res.Set), alpha)
+				}
+			}
+		}
+	}
+}
+
 func TestMISChordalErrors(t *testing.T) {
 	if _, err := MISChordal(gen.Path(5), 0); err == nil {
 		t.Fatal("expected error for eps = 0")

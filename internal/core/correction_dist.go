@@ -284,7 +284,8 @@ func correctionPrecompute(g *graph.Graph, layer map[graph.ID]int, parent map[gra
 	// are pure per-group computations over the snapshot: shard them with
 	// per-group result slots, then flatten in group order.
 	gateSlots := make([][]int32, len(groups))
-	runStageShards("correction-setup", len(groups), resolveStageWorkers(0, len(groups)), o, func(lo, hi int) {
+	ko, _ := o.(dist.KernelObserver)
+	dist.RunKernel("correction-setup", len(groups), dist.KernelShards(len(groups)), ko, func(_, lo, hi int) {
 		var buf []int32
 		for gi := lo; gi < hi; gi++ {
 			grp := &groups[gi]

@@ -2,9 +2,7 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/chordal"
 	"repro/internal/cliquetree"
@@ -31,106 +29,6 @@ import (
 // exactly as the old sort of map keys produced, and the BFS facts the
 // rules consume — center distances, anchored diameters, induced-
 // subgraph independence numbers — are order-independent.
-
-// DefaultDecideWorkers is the process-wide default worker count for the
-// decide kernel when PruneSpec.DecideWorkers is zero; zero means
-// GOMAXPROCS. Command-line front ends set it from -decide-workers.
-var DefaultDecideWorkers int
-
-// resolveDecideWorkers turns a PruneSpec.DecideWorkers value into an
-// actual worker count.
-func resolveDecideWorkers(specWorkers int) int {
-	w := specWorkers
-	if w <= 0 {
-		w = DefaultDecideWorkers
-	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
-// shardCount is the stage kernels' shard arithmetic: contiguous chunks
-// of ceil(n/workers), so the work partition — and therefore the
-// per-shard observer events — is a deterministic function of
-// (n, workers).
-func shardCount(n, workers int) int {
-	if n == 0 {
-		return 0
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return 1
-	}
-	chunk := (n + workers - 1) / workers
-	return (n + chunk - 1) / chunk
-}
-
-// runShards partitions [0, n) into shardCount(n, workers) contiguous
-// ranges and runs body on each, bracketing every shard with the
-// observer's ShardStart/ShardEnd hooks (the same contract as the
-// engine's concurrent range step: distinct shard indices may run
-// concurrently, each on exactly one goroutine). ko, when non-nil,
-// additionally receives the per-shard kernel-span brackets with
-// items = range width (callers pass the observer's KernelObserver side
-// so the assertion happens once per launch, outside the shard loop).
-// workers <= 1 runs on the calling goroutine. The kernel never reads
-// the wall clock — the observer stamps the hooks itself, exactly as
-// with engine rounds.
-func runShards(n, workers int, o dist.RoundObserver, ko dist.KernelObserver, body func(shard, lo, hi int)) {
-	if n == 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if o != nil {
-			o.ShardStart(0)
-		}
-		if ko != nil {
-			ko.KernelShardStart(0)
-		}
-		body(0, 0, n)
-		if ko != nil {
-			ko.KernelShardEnd(0, n)
-		}
-		if o != nil {
-			o.ShardEnd(0)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	shard := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(shard, lo, hi int) {
-			defer wg.Done()
-			if o != nil {
-				o.ShardStart(shard)
-			}
-			if ko != nil {
-				ko.KernelShardStart(shard)
-			}
-			body(shard, lo, hi)
-			if ko != nil {
-				ko.KernelShardEnd(shard, hi-lo)
-			}
-			if o != nil {
-				o.ShardEnd(shard)
-			}
-		}(shard, lo, hi)
-		shard++
-	}
-	wg.Wait()
-}
 
 // cliqueCache shares the per-node Section 3 computations — φ(u), the
 // maximal cliques containing u, and T(u), the MWSF of W_G restricted to
@@ -169,7 +67,6 @@ type nodeCliques struct {
 	err   error
 }
 
-//chordalvet:coldpath cache construction, once per iteration
 func newCliqueCache(gi *graph.Graph, ix *graph.Indexed) *cliqueCache {
 	return &cliqueCache{
 		gi:    gi,
@@ -202,8 +99,6 @@ func (cc *cliqueCache) intern(c graph.Set) int {
 
 // computeNode is the pure part of a node's view: no cache mutation, so
 // prepopulate runs it concurrently.
-//
-//chordalvet:coldpath clique-view computation is amortized once per node; hot centers hit the prepopulated cache
 func (cc *cliqueCache) computeNode(u graph.ID) *nodeCliques {
 	phi, err := cliquetree.MaximalCliquesContaining(cc.gi, u)
 	if err != nil {
@@ -215,7 +110,6 @@ func (cc *cliqueCache) computeNode(u graph.ID) *nodeCliques {
 	}
 }
 
-//chordalvet:coldpath clique interning runs once per node at cache fill, not per center
 func (cc *cliqueCache) internNode(nv *nodeCliques) {
 	nv.ids = make([]int, len(nv.phi))
 	for i, c := range nv.phi {
@@ -228,7 +122,7 @@ func (cc *cliqueCache) internNode(nv *nodeCliques) {
 // interns cliques sequentially in node order so ids are deterministic.
 // After prepopulate the cache is read-only and safe to share across
 // decide workers.
-func (cc *cliqueCache) prepopulate(nodes []graph.ID, workers int) {
+func (cc *cliqueCache) prepopulate(nodes []graph.ID) {
 	// The parallel phase reads gi through Graph.Neighbors, whose sorted-
 	// adjacency cache fills lazily; warm it sequentially first so the
 	// concurrent readers never write it.
@@ -236,7 +130,7 @@ func (cc *cliqueCache) prepopulate(nodes []graph.ID, workers int) {
 		cc.gi.Neighbors(u)
 	}
 	computed := make([]*nodeCliques, len(nodes))
-	runShards(len(nodes), workers, nil, nil, func(_, lo, hi int) {
+	dist.RunKernel("clique-cache", len(nodes), dist.KernelShards(len(nodes)), nil, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			computed[i] = cc.computeNode(nodes[i])
 		}
@@ -769,9 +663,10 @@ type decideResult struct {
 
 // runDecideStage runs the decide kernel for one pruning iteration:
 // centers (snapshot indices of the undecided nodes, ascending) are
-// sharded over workers, decided concurrently, and merged in index
-// order. The returned results are aligned with centers; a non-nil error
-// is the error of the earliest-index failing center and means no result
+// split into shards = dist.KernelShards(len(centers)) contiguous ranges,
+// one scratch each, decided concurrently, and merged in index order.
+// The returned results are aligned with centers; a non-nil error is the
+// error of the earliest-index failing center and means no result
 // should be applied — matching the sequential loop, which stopped at
 // its first error without mutating anything.
 //
@@ -784,10 +679,9 @@ type decideResult struct {
 // stage as one "decide" kernel span with per-shard busy/item counts
 // (the span closes even on error, so partial launches stay visible).
 //
-//chordalvet:hotpath budget=29 decide kernel: per-center work must stay on scratch reuse
-func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, cache *cliqueCache, sharedBall *view.Ball, scratches []*decideScratch, centers []int32, undecidedIdx []bool, rule decideRule, radius, workers int, o dist.RoundObserver, results []decideResult) ([]decideResult, error) {
+//chordalvet:hotpath budget=28 decide kernel: per-center work must stay on scratch reuse
+func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, cache *cliqueCache, sharedBall *view.Ball, scratches []*decideScratch, centers []int32, undecidedIdx []bool, rule decideRule, radius, shards int, o dist.RoundObserver, results []decideResult) ([]decideResult, error) {
 	n := len(centers)
-	shards := shardCount(n, workers)
 	if cap(results) < n {
 		results = make([]decideResult, n)
 	}
@@ -800,10 +694,10 @@ func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, cache *cliqueCach
 		o.RunStart(n, 0)
 		o.RoundStart(0, shards)
 	}
-	if ko != nil {
-		ko.KernelStart("decide", shards)
-	}
-	runShards(n, workers, o, ko, func(shard, lo, hi int) {
+	dist.RunKernel("decide", n, shards, ko, func(shard, lo, hi int) {
+		if o != nil {
+			o.ShardStart(shard)
+		}
 		sc := scratches[shard]
 		for pos := lo; pos < hi; pos++ {
 			vIdx := centers[pos]
@@ -812,14 +706,14 @@ func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, cache *cliqueCach
 			if err != nil {
 				errPos[shard] = pos
 				errs[shard] = err
-				return
+				break
 			}
 			results[pos] = decideResult{peel: peel, parent: parent}
 		}
+		if o != nil {
+			o.ShardEnd(shard)
+		}
 	})
-	if ko != nil {
-		ko.KernelEnd()
-	}
 	// First-error-wins in center index order: shards cover ascending
 	// disjoint ranges, so the first shard with an error holds the
 	// earliest failing center.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,21 +11,15 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/proctest"
 )
-
-// decideWorkerSweep is the satellite determinism matrix: the kernel
-// must be bit-identical at 1 worker (the sequential loop), 2, and
-// GOMAXPROCS.
-func decideWorkerSweep() []int {
-	return []int{1, 2, runtime.GOMAXPROCS(0)}
-}
 
 // TestDecideKernelDeterministicAcrossWorkers requires the parallel
 // decide kernel to produce bit-identical outcomes — layers, parents,
-// iteration and round counts, traffic counters — for every worker
-// count, on workloads covering both view paths: balls that cover their
-// component (shared G_i ball) and balls clipped by the radius
-// (per-center index-space rebuild).
+// iteration and round counts, traffic counters — at GOMAXPROCS 1 (the
+// sequential loop), 2 and 4, on workloads covering both view paths:
+// balls that cover their component (shared G_i ball) and balls clipped
+// by the radius (per-center index-space rebuild).
 func TestDecideKernelDeterministicAcrossWorkers(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		// Small diameter: every ball covers its component.
@@ -39,66 +32,60 @@ func TestDecideKernelDeterministicAcrossWorkers(t *testing.T) {
 		g := g
 		t.Run(name, func(t *testing.T) {
 			var ref *PruneOutcome
-			for _, w := range decideWorkerSweep() {
-				out, err := DistributedPruneSpec(g, PruneSpec{
-					DiamThreshold: 6, Radius: 20, DecideWorkers: w,
-				})
+			proctest.Sweep(func(procs int) {
+				out, err := DistributedPruneSpec(g, PruneSpec{DiamThreshold: 6, Radius: 20})
 				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
+					t.Fatalf("procs=%d: %v", procs, err)
 				}
 				if ref == nil {
 					ref = out
-					continue
+					return
 				}
 				if out.Rounds != ref.Rounds || out.Iterations != ref.Iterations ||
 					out.Messages != ref.Messages || out.Volume != ref.Volume {
-					t.Fatalf("workers=%d: counters (rounds=%d iter=%d msgs=%d vol=%d), want (%d,%d,%d,%d)",
-						w, out.Rounds, out.Iterations, out.Messages, out.Volume,
+					t.Fatalf("procs=%d: counters (rounds=%d iter=%d msgs=%d vol=%d), want (%d,%d,%d,%d)",
+						procs, out.Rounds, out.Iterations, out.Messages, out.Volume,
 						ref.Rounds, ref.Iterations, ref.Messages, ref.Volume)
 				}
 				if !reflect.DeepEqual(out.Layer, ref.Layer) {
-					t.Fatalf("workers=%d: layer assignment differs from workers=1", w)
+					t.Fatalf("procs=%d: layer assignment differs from procs=1", procs)
 				}
 				if !reflect.DeepEqual(out.Parent, ref.Parent) {
-					t.Fatalf("workers=%d: parent assignment differs from workers=1", w)
+					t.Fatalf("procs=%d: parent assignment differs from procs=1", procs)
 				}
-			}
+			})
 		})
 	}
 }
 
-// TestDecideKernelAlphaRuleDeterministicAcrossWorkers sweeps the worker
-// count over the MIS pipeline (Algorithm 6), which exercises the decide
-// kernel's α-rule last iteration on top of the diameter rule, via the
-// DefaultDecideWorkers global the command-line front ends set.
+// TestDecideKernelAlphaRuleDeterministicAcrossWorkers sweeps GOMAXPROCS
+// over the MIS pipeline (Algorithm 6), which exercises the decide
+// kernel's α-rule last iteration on top of the diameter rule.
 func TestDecideKernelAlphaRuleDeterministicAcrossWorkers(t *testing.T) {
 	g := gen.RandomChordal(120, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 5)
-	old := DefaultDecideWorkers
-	defer func() { DefaultDecideWorkers = old }()
 	var ref *ChordalMISResult
-	for _, w := range decideWorkerSweep() {
-		DefaultDecideWorkers = w
+	proctest.Sweep(func(procs int) {
 		out, err := MISChordalDistributed(g, 0.4)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		if ref == nil {
 			ref = out
-			continue
+			return
 		}
 		if out.Rounds != ref.Rounds || out.Iterations != ref.Iterations {
-			t.Fatalf("workers=%d: rounds=%d iter=%d, want rounds=%d iter=%d",
-				w, out.Rounds, out.Iterations, ref.Rounds, ref.Iterations)
+			t.Fatalf("procs=%d: rounds=%d iter=%d, want rounds=%d iter=%d",
+				procs, out.Rounds, out.Iterations, ref.Rounds, ref.Iterations)
 		}
 		if !reflect.DeepEqual(out.Set, ref.Set) {
-			t.Fatalf("workers=%d: MIS differs from workers=1", w)
+			t.Fatalf("procs=%d: MIS differs from procs=1", procs)
 		}
-	}
+	})
 }
 
 // TestDecideKernelErrorDeterministicAcrossWorkers checks first-error-
 // wins semantics: on a non-chordal input the failing center — and hence
-// the error text — must not depend on the worker count. The graph is a
+// the error text — must not depend on GOMAXPROCS. The graph is a
 // C4 wheel: node 4's closed neighborhood contains an induced 4-cycle,
 // so the first center in snapshot-index order whose walk ensures node 4
 // (center 0) reports the failure.
@@ -108,21 +95,19 @@ func TestDecideKernelErrorDeterministicAcrossWorkers(t *testing.T) {
 		{0, 4}, {1, 4}, {2, 4}, {3, 4}, // hub
 	})
 	var ref error
-	for _, w := range decideWorkerSweep() {
-		_, err := DistributedPruneSpec(g, PruneSpec{
-			DiamThreshold: 3, Radius: 10, DecideWorkers: w,
-		})
+	proctest.Sweep(func(procs int) {
+		_, err := DistributedPruneSpec(g, PruneSpec{DiamThreshold: 3, Radius: 10})
 		if err == nil {
-			t.Fatalf("workers=%d: expected a non-chordal error", w)
+			t.Fatalf("procs=%d: expected a non-chordal error", procs)
 		}
 		if ref == nil {
 			ref = err
-			continue
+			return
 		}
 		if err.Error() != ref.Error() {
-			t.Fatalf("workers=%d: error %q, want %q", w, err, ref)
+			t.Fatalf("procs=%d: error %q, want %q", procs, err, ref)
 		}
-	}
+	})
 }
 
 // TestDecideErrorAppliesNothing checks the merge's two-pass contract: a
@@ -151,7 +136,7 @@ func TestDecideErrorAppliesNothing(t *testing.T) {
 }
 
 // TestDecideKernelRaceStress drives the parallel kernel at GOMAXPROCS
-// workers on a workload with several iterations; under `make race` this
+// shards on a workload with several iterations; under `make race` this
 // is the dedicated stress entry for the shared cache, the shared G_i
 // ball, and the per-shard result slots.
 func TestDecideKernelRaceStress(t *testing.T) {

@@ -49,11 +49,10 @@ type ChordalMISOptions struct {
 	// small components with arbitrary maximum independent sets, ablating
 	// the design choice Section 7.1 motivates (experiment E14/ablation).
 	DisableAbsorbing bool
-	// Observer, when it implements dist.KernelObserver (and the
-	// structurally identical peel.KernelObserver), receives per-worker
-	// kernel spans from the sharded stages: the peeling measurement and
-	// the per-component MIS computation. nil keeps the zero-cost fast
-	// path; the result is bit-identical either way.
+	// Observer, when it implements dist.KernelObserver, receives
+	// per-worker kernel spans from the sharded stages: the peeling
+	// measurement and the per-component MIS computation. nil keeps the
+	// zero-cost fast path; the result is bit-identical either way.
 	Observer dist.RoundObserver
 }
 
@@ -64,13 +63,13 @@ func MISChordalWithOptions(g *graph.Graph, eps float64, opts ChordalMISOptions) 
 	}
 	d, iterations := MISChordalParams(eps)
 	res := &ChordalMISResult{D: d, Iterations: iterations}
-	po, _ := opts.Observer.(peel.KernelObserver)
+	ko, _ := opts.Observer.(dist.KernelObserver)
 	peeled, err := peel.Run(g, peel.Options{
 		InternalDiameter: 2*d + 3,
 		MaxIterations:    iterations,
 		FinalAlpha:       d,
 		NoForests:        true,
-		Observer:         po,
+		Observer:         ko,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("peeling: %w", err)
@@ -131,14 +130,14 @@ func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelT
 		return nil, fmt.Errorf("distributed prune: %w", err)
 	}
 	o := opts.Observer
-	po, _ := o.(peel.KernelObserver)
+	ko, _ := o.(dist.KernelObserver)
 	peeled, err := peel.Run(g, peel.Options{
 		InternalDiameter: 2*d + 3,
 		MaxIterations:    iterations,
 		FinalAlpha:       d,
 		Trace:            peelTrace,
 		NoForests:        true,
-		Observer:         po,
+		Observer:         ko,
 	})
 	if err != nil {
 		return nil, err
@@ -168,9 +167,9 @@ func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelT
 // index-keyed slices over one CSR snapshot instead of map-backed induced
 // subgraphs, and the per-component computations — pure functions of
 // (g, h, rec) that never consult the cross-record blocked state — run
-// sharded over workers with per-component result slots merged in
+// sharded over CPUs with per-component result slots merged in
 // component order, so the output is bit-identical to the sequential
-// map-backed loop for every worker count.
+// map-backed loop at every GOMAXPROCS.
 func misFromPeel(g *graph.Graph, peeled *peel.Result, d int, eps float64, opts ChordalMISOptions, res *ChordalMISResult) error {
 	idBound := 1
 	for _, v := range g.Nodes() {
@@ -180,8 +179,10 @@ func misFromPeel(g *graph.Graph, peeled *peel.Result, d int, eps float64, opts C
 	}
 	ix := graph.NewIndexed(g)
 	ids := ix.IDs()
-	// Nodes excluded once a neighbor joins I (Γ_G[I] grows as we go).
-	blocked := make([]bool, idBound)
+	ko, _ := opts.Observer.(dist.KernelObserver)
+	// Nodes excluded once a neighbor joins I (Γ_G[I] grows as we go),
+	// by snapshot index: IDs may be negative or far above n.
+	blocked := make([]bool, ix.NumNodes())
 	inAvail := make([]bool, ix.NumNodes())
 	inComp := make([]bool, ix.NumNodes())
 	var avail, queue []int32
@@ -199,8 +200,7 @@ func misFromPeel(g *graph.Graph, peeled *peel.Result, d int, eps float64, opts C
 		for _, rec := range layer.Paths {
 			avail = avail[:0]
 			for _, v := range rec.Nodes {
-				if int(v) < idBound && !blocked[v] {
-					i, _ := ix.IndexOf(v)
+				if i, _ := ix.IndexOf(v); !blocked[i] {
 					avail = append(avail, int32(i))
 					inAvail[i] = true
 				}
@@ -233,9 +233,8 @@ func misFromPeel(g *graph.Graph, peeled *peel.Result, d int, eps float64, opts C
 				slots = make([]compSlot, len(comps))
 			}
 			slots = slots[:len(comps)]
-			workers := resolveStageWorkers(0, len(comps))
 			recLocal := rec
-			runStageShards("mis-components", len(comps), workers, opts.Observer, func(lo, hi int) {
+			dist.RunKernel("mis-components", len(comps), dist.KernelShards(len(comps)), ko, func(_, lo, hi int) {
 				for ci := lo; ci < hi; ci++ {
 					comp := comps[ci]
 					h := graph.New()
@@ -269,10 +268,11 @@ func misFromPeel(g *graph.Graph, peeled *peel.Result, d int, eps float64, opts C
 				}
 				for _, v := range slot.ih {
 					res.Set = append(res.Set, v)
-					blocked[v] = true
-					g.ForEachNeighbor(v, func(u graph.ID) {
+					i, _ := ix.IndexOf(v)
+					blocked[i] = true
+					for _, u := range ix.NeighborIndices(i) {
 						blocked[u] = true
-					})
+					}
 				}
 			}
 			for _, i := range avail {

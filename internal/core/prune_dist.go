@@ -50,11 +50,6 @@ type PruneSpec struct {
 	// and the results are identical by construction: the decide kernel
 	// and all other stages stay in this process.
 	dist.RunOpts
-	// DecideWorkers bounds the decide kernel's worker count: 0 falls
-	// back to DefaultDecideWorkers (and then GOMAXPROCS), 1 forces the
-	// sequential schedule. The decision outcome is bit-identical for
-	// every value; only wall time changes.
-	DecideWorkers int
 }
 
 // DistributedPrune runs the PruneTree subroutine of Algorithm 2 with
@@ -89,9 +84,8 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 	ix := graph.NewIndexed(g)
 	nodes := ix.IDs()
 	// Decide-kernel state reused across iterations: the undecided-set
-	// views, the iteration-shared G_i ball, and one scratch per worker
+	// views, the iteration-shared G_i ball, and one scratch per kernel
 	// shard (see decide.go).
-	workers := resolveDecideWorkers(spec.DecideWorkers)
 	undecidedIdx := make([]bool, ix.NumNodes())
 	centers := make([]int32, 0, ix.NumNodes())
 	undecidedAll := make([]graph.ID, 0, ix.NumNodes())
@@ -143,9 +137,10 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 		// pre-populated deterministically and the shared G_i ball built
 		// up front, so the decide workers only ever read them.
 		cache := newCliqueCache(g.InducedSubgraph(undecidedAll), ix)
-		cache.prepopulate(undecidedAll, workers)
+		cache.prepopulate(undecidedAll)
 		sharedBall.BuildFromIndexed(ix, undecidedIdx)
-		for s := shardCount(len(centers), workers); len(scratches) < s; {
+		shards := dist.KernelShards(len(centers))
+		for len(scratches) < shards {
 			scratches = append(scratches, &decideScratch{})
 		}
 		if ps, ok := spec.Observer.(dist.PhaseSetter); ok {
@@ -153,7 +148,7 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 		}
 		var derr error
 		results, derr = runDecideStage(ix, know, cache, &sharedBall, scratches,
-			centers, undecidedIdx, rule, spec.Radius, workers, spec.Observer, results)
+			centers, undecidedIdx, rule, spec.Radius, shards, spec.Observer, results)
 		if derr != nil {
 			de := derr.(*decideError)
 			return nil, fmt.Errorf("iteration %d node %d: %w", iteration, de.node, de.err)
@@ -233,8 +228,8 @@ func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, pee
 		return nil, fmt.Errorf("distributed prune: %w", err)
 	}
 	o := opts.Observer
-	po, _ := o.(peel.KernelObserver)
-	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, Trace: peelTrace, NoForests: true, Observer: po})
+	ko, _ := o.(dist.KernelObserver)
+	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, Trace: peelTrace, NoForests: true, Observer: ko})
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +241,7 @@ func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, pee
 		}
 	}
 	rounds := outcome.Rounds
-	col, err := colorLayers(g, k, peeled, &rounds, o)
+	col, err := colorLayers(g, k, peeled, &rounds, ko)
 	if err != nil {
 		return nil, err
 	}

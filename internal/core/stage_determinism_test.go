@@ -2,36 +2,14 @@ package core
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/peel"
+	"repro/internal/proctest"
 )
-
-// withStageWorkers runs fn with the process-wide stage worker defaults
-// (core.DefaultStageWorkers and peel.DefaultWorkers, the pair the CLIs'
-// -workers flag sets) temporarily forced to w.
-func withStageWorkers(t *testing.T, w int, fn func()) {
-	t.Helper()
-	oldStage, oldPeel := DefaultStageWorkers, peel.DefaultWorkers
-	DefaultStageWorkers = w
-	peel.DefaultWorkers = w
-	defer func() {
-		DefaultStageWorkers = oldStage
-		peel.DefaultWorkers = oldPeel
-	}()
-	fn()
-}
-
-// stageWorkerSweep mirrors decideWorkerSweep for the pure-compute
-// pipeline stages: sequential, minimal parallelism, full parallelism.
-func stageWorkerSweep() []int {
-	return []int{1, 2, runtime.GOMAXPROCS(0)}
-}
 
 // absorbablePlan is an E20-style fault schedule the pipelines must
 // absorb byte-identically: duplication and delay perturb the message
@@ -42,80 +20,72 @@ func absorbablePlan() *dist.Faults {
 
 // TestColoringPipelineDeterministicAcrossStageWorkers runs the full
 // distributed coloring pipeline — peeling, per-path coloring, correction
-// choreography — under every stage worker count, fault-free and under an
+// choreography — at GOMAXPROCS 1, 2 and 4, fault-free and under an
 // absorbable fault plan, and requires byte-identical colorings: same
 // layers, same provisional and final colors, same round counts.
 func TestColoringPipelineDeterministicAcrossStageWorkers(t *testing.T) {
 	g := gen.RandomChordal(220, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 33)
 	for _, f := range []*dist.Faults{nil, absorbablePlan()} {
 		var ref *ChordalColoring
-		for _, w := range stageWorkerSweep() {
-			var col *ChordalColoring
-			var err error
-			withStageWorkers(t, w, func() {
-				col, err = ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
-			})
+		proctest.Sweep(func(procs int) {
+			col, err := ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 			if err != nil {
-				t.Fatalf("faults=%v workers=%d: %v", f != nil, w, err)
+				t.Fatalf("faults=%v procs=%d: %v", f != nil, procs, err)
 			}
 			if ref == nil {
 				ref = col
-				continue
+				return
 			}
 			if col.Rounds != ref.Rounds || col.ColorsUsed != ref.ColorsUsed ||
 				col.Layers != ref.Layers || col.Omega != ref.Omega {
-				t.Fatalf("faults=%v workers=%d: (rounds=%d colors=%d layers=%d omega=%d), want (%d,%d,%d,%d)",
-					f != nil, w, col.Rounds, col.ColorsUsed, col.Layers, col.Omega,
+				t.Fatalf("faults=%v procs=%d: (rounds=%d colors=%d layers=%d omega=%d), want (%d,%d,%d,%d)",
+					f != nil, procs, col.Rounds, col.ColorsUsed, col.Layers, col.Omega,
 					ref.Rounds, ref.ColorsUsed, ref.Layers, ref.Omega)
 			}
 			if !reflect.DeepEqual(col.Colors, ref.Colors) {
-				t.Fatalf("faults=%v workers=%d: final colors differ from workers=1", f != nil, w)
+				t.Fatalf("faults=%v procs=%d: final colors differ from procs=1", f != nil, procs)
 			}
 			if !reflect.DeepEqual(col.Provisional, ref.Provisional) {
-				t.Fatalf("faults=%v workers=%d: provisional colors differ from workers=1", f != nil, w)
+				t.Fatalf("faults=%v procs=%d: provisional colors differ from procs=1", f != nil, procs)
 			}
-		}
+		})
 	}
 }
 
 // TestMISPipelineDeterministicAcrossStageWorkers is the MIS counterpart:
 // the distributed Algorithm 6 pipeline must return the identical
-// independent set (membership, not just size) for every stage worker
-// count, fault-free and under the absorbable plan.
+// independent set (membership, not just size) at GOMAXPROCS 1, 2 and 4,
+// fault-free and under the absorbable plan.
 func TestMISPipelineDeterministicAcrossStageWorkers(t *testing.T) {
 	g := gen.RandomChordal(200, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 35)
 	for _, f := range []*dist.Faults{nil, absorbablePlan()} {
 		var ref *ChordalMISResult
-		for _, w := range stageWorkerSweep() {
-			var res *ChordalMISResult
-			var err error
-			withStageWorkers(t, w, func() {
-				res, err = MISChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
-			})
+		proctest.Sweep(func(procs int) {
+			res, err := MISChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 			if err != nil {
-				t.Fatalf("faults=%v workers=%d: %v", f != nil, w, err)
+				t.Fatalf("faults=%v procs=%d: %v", f != nil, procs, err)
 			}
 			if ref == nil {
 				ref = res
-				continue
+				return
 			}
 			if res.Rounds != ref.Rounds || res.Iterations != ref.Iterations ||
 				res.ExactComponents != ref.ExactComponents || res.ApproxComponents != ref.ApproxComponents {
-				t.Fatalf("faults=%v workers=%d: (rounds=%d iters=%d exact=%d approx=%d), want (%d,%d,%d,%d)",
-					f != nil, w, res.Rounds, res.Iterations, res.ExactComponents, res.ApproxComponents,
+				t.Fatalf("faults=%v procs=%d: (rounds=%d iters=%d exact=%d approx=%d), want (%d,%d,%d,%d)",
+					f != nil, procs, res.Rounds, res.Iterations, res.ExactComponents, res.ApproxComponents,
 					ref.Rounds, ref.Iterations, ref.ExactComponents, ref.ApproxComponents)
 			}
 			if !reflect.DeepEqual(res.Set, ref.Set) {
-				t.Fatalf("faults=%v workers=%d: MIS membership differs from workers=1", f != nil, w)
+				t.Fatalf("faults=%v procs=%d: MIS membership differs from procs=1", f != nil, procs)
 			}
-		}
+		})
 	}
 }
 
 // TestCorrectionPhaseDeterministicAcrossStageWorkers isolates the
 // correction choreography: its shared-slab setup (child groups, gate
-// sets) is built by sharded stage workers, and the measured asynchronous
-// schedule must not depend on the worker count — with or without the
+// sets) is built by a sharded kernel, and the measured asynchronous
+// schedule must not depend on GOMAXPROCS — with or without the
 // absorbable fault plan.
 func TestCorrectionPhaseDeterministicAcrossStageWorkers(t *testing.T) {
 	g := gen.RandomChordal(180, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 37)
@@ -129,32 +99,29 @@ func TestCorrectionPhaseDeterministicAcrossStageWorkers(t *testing.T) {
 	}
 	for _, f := range []*dist.Faults{nil, absorbablePlan()} {
 		refRounds := -1
-		for _, w := range stageWorkerSweep() {
-			var rounds int
-			withStageWorkers(t, w, func() {
-				rounds, err = RunCorrectionPhase(g, out.Layer, out.Parent, col.Colors, 3, dist.RunOpts{Faults: f})
-			})
+		proctest.Sweep(func(procs int) {
+			rounds, err := RunCorrectionPhase(g, out.Layer, out.Parent, col.Colors, 3, dist.RunOpts{Faults: f})
 			if err != nil {
-				t.Fatalf("faults=%v workers=%d: %v", f != nil, w, err)
+				t.Fatalf("faults=%v procs=%d: %v", f != nil, procs, err)
 			}
 			if refRounds < 0 {
 				refRounds = rounds
-				continue
+				return
 			}
 			if rounds != refRounds {
-				t.Fatalf("faults=%v workers=%d: %d correction rounds, want %d", f != nil, w, rounds, refRounds)
+				t.Fatalf("faults=%v procs=%d: %d correction rounds, want %d", f != nil, procs, rounds, refRounds)
 			}
-		}
+		})
 	}
 }
 
 // TestStagePipelinesRaceStress drives both full pipelines at GOMAXPROCS
-// stage workers on a larger graph; under -race this is the data-race
-// gate for the sharded stage code paths (peeling measurement, per-path
-// coloring, correction setup, MIS components).
+// 4 on a larger graph; under -race this is the data-race gate for the
+// sharded stage code paths (peeling measurement, per-path coloring,
+// correction setup, MIS components).
 func TestStagePipelinesRaceStress(t *testing.T) {
 	g := gen.RandomChordal(400, gen.ChordalOpts{MaxCliqueSize: 5, AttachFull: 0.5}, 39)
-	withStageWorkers(t, runtime.GOMAXPROCS(0), func() {
+	proctest.With(4, func() {
 		col, err := ColorChordalDistributed(g, 0.5)
 		if err != nil {
 			t.Fatal(err)

@@ -139,12 +139,10 @@ type PhaseSetter interface {
 }
 
 // KernelObserver is optionally implemented by RoundObservers that want
-// per-worker spans from the sharded compute kernels running *outside*
-// the round engine: the pruning decide kernel, the per-path coloring and
-// MIS-component stages, the correction gate-set setup, and the peeling
-// path measurement (internal/peel declares a structurally identical
-// interface so it does not have to import this package; one
-// implementation satisfies both). Kernels type-assert their
+// per-worker spans from the sharded compute kernels RunKernel launches
+// *outside* the round engine: the pruning decide kernel, the per-path
+// coloring and MIS-component stages, the correction gate-set setup, and
+// the peeling path measurement. Kernels type-assert their
 // RoundObserver — a nil or non-implementing observer keeps the
 // documented zero-cost fast path, and the assertion itself never
 // allocates, so the hotalloc budgets of the kernels are unaffected.

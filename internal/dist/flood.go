@@ -150,8 +150,6 @@ func (k *Knowledge) BallGraph(r int) *graph.Graph {
 // BallGraph(r).InducedSubgraph of the kept nodes, built in one pass.
 // Records are stored in nondecreasing distance order, so both passes stop
 // at the first record beyond r.
-//
-//chordalvet:coldpath map-built reference ball graph for tests; the decide kernel builds CSR views instead
 func (k *Knowledge) FilteredBallGraph(r int, keep func(graph.ID) bool) *graph.Graph {
 	g := graph.New()
 	pos := k.ensurePos()

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -69,4 +70,67 @@ func contains(s []ID, v ID) bool {
 		}
 	}
 	return false
+}
+
+// int32s decodes b one signed byte per value: small values keep the
+// fuzzer near the CSR shapes that matter.
+func int32s(b []byte) []int32 {
+	out := make([]int32, len(b))
+	for i, v := range b {
+		out[i] = int32(int8(v))
+	}
+	return out
+}
+
+// FuzzNewIndexedFromCSR feeds arbitrary CSR arrays to the snapshot
+// rebuild a shard host runs on every session frame: it must never
+// panic, and a CSR it accepts must round-trip through ix.CSR() and
+// agree with the snapshot's lookups.
+func FuzzNewIndexedFromCSR(f *testing.F) {
+	bytesOf := func(v []int32) []byte {
+		out := make([]byte, len(v))
+		for i, x := range v {
+			out[i] = byte(int8(x))
+		}
+		return out
+	}
+	ids, rowPtr, colIdx := NewIndexed(FromEdges(nil, [][2]ID{{1, 2}, {2, 3}, {3, 1}, {3, 4}})).CSR()
+	idBytes := make([]int32, len(ids))
+	for i, v := range ids {
+		idBytes[i] = int32(v)
+	}
+	f.Add(bytesOf(idBytes), bytesOf(rowPtr), bytesOf(colIdx))
+	f.Add([]byte{1, 2}, []byte{0, 100, 5}, make([]byte, 5))
+	f.Fuzz(func(t *testing.T, idb, rpb, cib []byte) {
+		ids := make([]ID, len(idb))
+		for i, v := range int32s(idb) {
+			ids[i] = ID(v)
+		}
+		rowPtr, colIdx := int32s(rpb), int32s(cib)
+		ix, err := NewIndexedFromCSR(ids, rowPtr, colIdx)
+		if err != nil {
+			return
+		}
+		ids2, rowPtr2, colIdx2 := ix.CSR()
+		if !slices.Equal(ids2, ids) || !slices.Equal(rowPtr2, rowPtr) || !slices.Equal(colIdx2, colIdx) {
+			t.Fatalf("CSR() = (%v, %v, %v), built from (%v, %v, %v)", ids2, rowPtr2, colIdx2, ids, rowPtr, colIdx)
+		}
+		if _, err := NewIndexedFromCSR(slices.Clone(ids2), slices.Clone(rowPtr2), slices.Clone(colIdx2)); err != nil {
+			t.Fatalf("accepted CSR does not rebuild: %v", err)
+		}
+		for i, v := range ids {
+			if j, ok := ix.IndexOf(v); !ok || j != i {
+				t.Fatalf("IndexOf(%d) = %d, %v, want %d", v, j, ok, i)
+			}
+			row := ix.NeighborIndices(i)
+			if !slices.Equal(row, colIdx[rowPtr[i]:rowPtr[i+1]]) {
+				t.Fatalf("row %d = %v, want %v", i, row, colIdx[rowPtr[i]:rowPtr[i+1]])
+			}
+			for k, u := range ix.NeighborIDs(i) {
+				if u != ids[row[k]] {
+					t.Fatalf("row %d neighbor %d is ID %d, want %d", i, k, u, ids[row[k]])
+				}
+			}
+		}
+	})
 }

@@ -30,8 +30,6 @@ type Indexed struct {
 
 // NewIndexed takes a snapshot of g. The snapshot orders nodes by
 // increasing ID, matching g.Nodes().
-//
-//chordalvet:coldpath snapshot construction runs once per iteration, not per center
 func NewIndexed(g *Graph) *Indexed {
 	ids := g.Nodes()
 	n := len(ids)
@@ -91,6 +89,13 @@ func NewIndexedFromCSR(ids []ID, rowPtr, colIdx []int32) (*Indexed, error) {
 	if rowPtr[0] != 0 || int(rowPtr[n]) != len(colIdx) {
 		return nil, fmt.Errorf("graph: CSR rowPtr spans [%d, %d], want [0, %d]", rowPtr[0], rowPtr[n], len(colIdx))
 	}
+	// Nondecreasing from 0 to len(colIdx) keeps every row in bounds; it
+	// must hold before any row is sliced.
+	for i := 0; i < n; i++ {
+		if rowPtr[i] > rowPtr[i+1] {
+			return nil, fmt.Errorf("graph: CSR rowPtr decreases at row %d", i)
+		}
+	}
 	ix := &Indexed{
 		ids:    ids,
 		index:  make(map[ID]int32, n),
@@ -105,9 +110,6 @@ func NewIndexedFromCSR(ids []ID, rowPtr, colIdx []int32) (*Indexed, error) {
 		ix.index[v] = int32(i)
 	}
 	for i := 0; i < n; i++ {
-		if rowPtr[i] > rowPtr[i+1] {
-			return nil, fmt.Errorf("graph: CSR rowPtr decreases at row %d", i)
-		}
 		row := colIdx[rowPtr[i]:rowPtr[i+1]]
 		for k, j := range row {
 			if j < 0 || int(j) >= n {

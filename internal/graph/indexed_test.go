@@ -139,3 +139,13 @@ func TestNeighborsCacheInvalidation(t *testing.T) {
 		t.Fatalf("Neighbors(42) corrupted by ClosedNeighbors: %v", got)
 	}
 }
+
+// TestNewIndexedFromCSRRejectsRowPtrOutOfBounds: a rowPtr that climbs
+// past len(colIdx) and falls back to it must be rejected before any row
+// is sliced, not panic — a shard host rebuilds every session frame
+// through this call.
+func TestNewIndexedFromCSRRejectsRowPtrOutOfBounds(t *testing.T) {
+	if _, err := NewIndexedFromCSR([]ID{1, 2}, []int32{0, 100, 5}, make([]int32, 5)); err == nil {
+		t.Fatal("rowPtr {0, 100, 5} over 5 columns accepted")
+	}
+}

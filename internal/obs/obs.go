@@ -505,9 +505,9 @@ func (c *Collector) RunEnd(rounds int) {
 	c.run++
 }
 
-// KernelStart implements dist.KernelObserver (and, structurally,
-// peel.KernelObserver): it stamps the launch and pre-sizes the
-// per-shard slots, exactly as RoundStart does for engine rounds.
+// KernelStart implements dist.KernelObserver: it stamps the launch and
+// pre-sizes the per-shard slots, exactly as RoundStart does for engine
+// rounds.
 func (c *Collector) KernelStart(kernel string, shards int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -640,8 +640,7 @@ func (c *Collector) Phases() []PhaseSummary {
 }
 
 // Compile-time check: Collector is a dist observer, fault observer,
-// phase setter, and kernel observer (the peel.KernelObserver check
-// lives in peel.go beside the adapter).
+// phase setter, kernel observer, and wire observer.
 var (
 	_ dist.RoundObserver  = (*Collector)(nil)
 	_ dist.FaultObserver  = (*Collector)(nil)

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/peel"
+	"repro/internal/proctest"
 )
 
 func TestKernelSpanEvents(t *testing.T) {
@@ -236,26 +236,23 @@ func TestV3TraceOmitsEmptyFields(t *testing.T) {
 
 // TestPipelineKernelCoverage asserts the acceptance-criteria list: every
 // sharded kernel in the coloring and MIS pipelines emits per-worker
-// spans through one attached Collector. Worker counts are forced above
-// one so the parallel shard-hook paths run even on single-CPU machines
-// (the sequential paths emit the same spans with one shard).
+// spans through one attached Collector. GOMAXPROCS is forced to 3 so
+// the parallel shard-hook paths run even on single-CPU machines (one
+// shard emits the same spans on the calling goroutine).
 func TestPipelineKernelCoverage(t *testing.T) {
-	oldStage, oldPeel, oldDecide := core.DefaultStageWorkers, peel.DefaultWorkers, core.DefaultDecideWorkers
-	core.DefaultStageWorkers, peel.DefaultWorkers, core.DefaultDecideWorkers = 3, 3, 3
-	defer func() {
-		core.DefaultStageWorkers, peel.DefaultWorkers, core.DefaultDecideWorkers = oldStage, oldPeel, oldDecide
-	}()
 	g := gen.RandomChordal(300, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 11)
 	c := NewCollector()
 	c.SetClock(fakeClock())
-	c.SetPhase("color")
-	if _, err := core.ColorChordalDistributedObserved(g, 0.5, c, nil); err != nil {
-		t.Fatalf("color: %v", err)
-	}
-	c.SetPhase("mis")
-	if _, err := core.MISChordalWithOptions(g, 0.5, core.ChordalMISOptions{Observer: c}); err != nil {
-		t.Fatalf("mis: %v", err)
-	}
+	proctest.With(3, func() {
+		c.SetPhase("color")
+		if _, err := core.ColorChordalDistributedObserved(g, 0.5, c, nil); err != nil {
+			t.Fatalf("color: %v", err)
+		}
+		c.SetPhase("mis")
+		if _, err := core.MISChordalWithOptions(g, 0.5, core.ChordalMISOptions{Observer: c}); err != nil {
+			t.Fatalf("mis: %v", err)
+		}
+	})
 	if err := c.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
 	}

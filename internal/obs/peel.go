@@ -2,11 +2,6 @@ package obs
 
 import "repro/internal/peel"
 
-// Compile-time check: the Collector's kernel hooks satisfy peel's
-// structural copy of dist.KernelObserver too, so one Collector observes
-// the peeling kernel alongside everything else.
-var _ peel.KernelObserver = (*Collector)(nil)
-
 // PeelTrace adapts the Collector into a peel.Options.Trace callback:
 // each peeling iteration becomes one "layer" event in the trace, under
 // the Collector's current phase. Layer events carry no timings — the

@@ -3,11 +3,10 @@ package peel
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/cliquetree"
+	"repro/internal/dist"
 	"repro/internal/graph"
 )
 
@@ -19,30 +18,9 @@ import (
 // (capped diameter, independence number, subpath nodes) with per-worker
 // epoch-stamped scratch. Path measurement is a pure per-path function of
 // the snapshot, the alive mask, and the forest, so paths shard over
-// workers into deterministic per-path result slots: outputs are
-// bit-identical for every worker count and match the map-backed
+// CPUs (dist.RunKernel) into deterministic per-path result slots:
+// outputs are bit-identical at every GOMAXPROCS and match the map-backed
 // reference implementation (runReference) record for record.
-
-// DefaultWorkers is the worker count Run uses when Options.Workers is
-// zero: 0 picks GOMAXPROCS, 1 runs sequentially, n uses n workers. The
-// CLIs expose it as -workers.
-var DefaultWorkers = 0
-
-func resolveWorkers(w, tasks int) int {
-	if w == 0 {
-		w = DefaultWorkers
-	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > tasks {
-		w = tasks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // pathIdx is a maximal binary path in clique-id space (cliquetree.Path
 // without the materialized int slices).
@@ -241,55 +219,13 @@ func (e *engine) peelOnce(iteration int, opts Options, last bool) *Layer {
 	for i := range e.slots {
 		e.slots[i] = pathSlot{}
 	}
-	workers := resolveWorkers(opts.Workers, nPaths)
-	for len(e.scratches) < workers {
+	shards := dist.KernelShards(nPaths)
+	for len(e.scratches) < shards {
 		e.scratches = append(e.scratches, &peelScratch{})
 	}
-	ko := opts.Observer
-	if workers <= 1 {
-		if nPaths > 0 {
-			if ko != nil {
-				ko.KernelStart("peel-measure", 1)
-				ko.KernelShardStart(0)
-			}
-			e.measureRange(0, nPaths, e.scratches[0], diamCap, opts, last)
-			if ko != nil {
-				ko.KernelShardEnd(0, nPaths)
-				ko.KernelEnd()
-			}
-		}
-	} else {
-		chunk := (nPaths + workers - 1) / workers
-		if ko != nil {
-			ko.KernelStart("peel-measure", (nPaths+chunk-1)/chunk)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > nPaths {
-				hi = nPaths
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(w, lo, hi int, s *peelScratch) {
-				defer wg.Done()
-				if ko != nil {
-					ko.KernelShardStart(w)
-				}
-				e.measureRange(lo, hi, s, diamCap, opts, last)
-				if ko != nil {
-					ko.KernelShardEnd(w, hi-lo)
-				}
-			}(w, lo, hi, e.scratches[w])
-		}
-		wg.Wait()
-		if ko != nil {
-			ko.KernelEnd()
-		}
-	}
+	dist.RunKernel("peel-measure", nPaths, shards, opts.Observer, func(shard, lo, hi int) {
+		e.measureRange(lo, hi, e.scratches[shard], diamCap, opts, last)
+	})
 	layer := &Layer{Index: iteration}
 	var peeled []graph.ID
 	for i := range e.slots {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/figures"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/proctest"
 )
 
 // resultsEqual compares two peel results field by field: layers (paths
@@ -178,8 +179,8 @@ func TestCSREngineNoForests(t *testing.T) {
 	resultsEqual(t, "noforests", want, got, false)
 }
 
-// TestCSREngineWorkerSweep checks bit-identical output for every worker
-// count (the per-path slots make sharding invisible).
+// TestCSREngineWorkerSweep checks bit-identical output at every
+// GOMAXPROCS (the per-path slots make sharding invisible).
 func TestCSREngineWorkerSweep(t *testing.T) {
 	counts := []int{1, 2, 3, runtime.GOMAXPROCS(0) + 2}
 	for name, g := range map[string]*graph.Graph{
@@ -191,20 +192,19 @@ func TestCSREngineWorkerSweep(t *testing.T) {
 		if name == "trunc" {
 			opts = Options{InternalDiameter: 5, MaxIterations: 2, FinalAlpha: 2}
 		}
-		base := opts
-		base.Workers = 1
-		want, err := Run(g, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range counts[1:] {
-			o := opts
-			o.Workers = w
-			got, err := Run(g, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resultsEqual(t, fmt.Sprintf("%s/workers=%d", name, w), want, got, true)
+		var want *Result
+		for _, procs := range counts {
+			proctest.With(procs, func() {
+				got, err := Run(g, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+					return
+				}
+				resultsEqual(t, fmt.Sprintf("%s/procs=%d", name, procs), want, got, true)
+			})
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/cliquetree"
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/interval"
 )
@@ -89,38 +90,15 @@ type Options struct {
 	// the layer's nodes are removed. It must not retain references into
 	// the run's internal state (events are plain values, so it cannot).
 	Trace func(LayerEvent)
-	// Workers bounds the path-measurement workers per iteration: 0 uses
-	// DefaultWorkers, 1 runs sequentially. The result is bit-identical
-	// for every worker count.
-	Workers int
 	// Observer, when non-nil, receives one "peel-measure" kernel span
 	// per iteration: per-worker busy times and path counts from the
 	// sharded path-measurement loop. Observability never changes the
 	// schedule or the result.
-	Observer KernelObserver
+	Observer dist.KernelObserver
 	// NoForests skips materializing Result.Forests (map-backed Forest
 	// values built only for callers that inspect them; the peeling
 	// decisions never read them).
 	NoForests bool
-}
-
-// KernelObserver receives per-worker spans from the sharded path
-// measurement: KernelStart/KernelEnd bracket one iteration's launch from
-// the driving goroutine, KernelShardStart/KernelShardEnd bracket one
-// worker's range from its goroutine (distinct shard indices, each on
-// exactly one goroutine per launch; items is the number of paths the
-// shard measured). The kernel never reads the wall clock — the observer
-// stamps the callbacks, exactly as with dist engine rounds.
-//
-// The method set is structurally identical to dist.KernelObserver, on
-// purpose: peel stays free of the simulator package, while one
-// implementation (obs.Collector) satisfies both interfaces and callers
-// holding a dist.RoundObserver convert with a plain type assertion.
-type KernelObserver interface {
-	KernelStart(kernel string, shards int)
-	KernelShardStart(shard int)
-	KernelShardEnd(shard, items int)
-	KernelEnd()
 }
 
 // runReference is the original map-backed implementation of Run, kept as

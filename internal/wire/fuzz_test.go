@@ -3,6 +3,8 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/gob"
+	"net"
 	"testing"
 
 	"repro/internal/dist"
@@ -161,6 +163,72 @@ func FuzzDecodeOutputs(f *testing.F) {
 		}
 		if text2 != text || !sameBlocks(data, data2) {
 			t.Fatalf("outputs (%q, %q) re-decode as (%q, %q)", data, text, data2, text2)
+		}
+	})
+}
+
+// gobBody gob-encodes msg as a frame body.
+func gobBody(t testing.TB, msg any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(msg); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzHandshakeBodies feeds arbitrary hello, session and start bodies
+// through their decode paths: the hello through the coordinator's
+// readHello, the session and start through ServeConn, the shard side,
+// over net.Pipe. Nothing may panic, and the shard must answer each body
+// it reads with its ack or stop with an error.
+func FuzzHandshakeBodies(f *testing.F) {
+	ix := graph.NewIndexed(gen.RandomChordal(12, gen.ChordalOpts{MaxCliqueSize: 3, AttachFull: 0.5}, 5))
+	ids, rowPtr, colIdx := ix.CSR()
+	hello := gobBody(f, helloMsg{Shard: 1})
+	session := gobBody(f, sessionMsg{IDs: ids, RowPtr: rowPtr, ColIdx: colIdx})
+	start := gobBody(f, startMsg{Cfg: dist.ShardConfig{Ranges: dist.SplitRange(ix.NumNodes(), 2), Program: "wire-test-bcast"}})
+	f.Add(hello, session, start)
+	f.Add(hello, gobBody(f, sessionMsg{IDs: []graph.ID{1, 2}, RowPtr: []int32{0, 100, 5}, ColIdx: make([]int32, 5)}), start)
+	f.Add([]byte("not gob"), session[:len(session)/2], start[:len(start)/2])
+	f.Fuzz(func(t *testing.T, hello, session, start []byte) {
+		a, b := net.Pipe()
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			_, _ = writeFrame(bufio.NewWriter(b), kindHello, hello, nil)
+			b.Close()
+		}()
+		_, _ = newLink(a).readHello()
+		a.Close()
+		<-sent
+
+		coord, host := net.Pipe()
+		served := make(chan error, 1)
+		go func() {
+			err := ServeConn(host, bufio.NewWriter(host))
+			host.Close()
+			served <- err
+		}()
+		l := newLink(coord)
+		answered := func(kind, ack byte, body []byte) bool {
+			if _, err := writeFrame(l.bw, kind, body, nil); err != nil {
+				return false
+			}
+			var ok okMsg
+			return l.recvGob(ack, &ok) == nil
+		}
+		both := answered(kindSession, kindSessionOK, session) && answered(kindStart, kindStartOK, start)
+		if both {
+			_, _ = writeFrame(l.bw, kindShutdown, nil, nil)
+		}
+		coord.Close()
+		err := <-served
+		if !both && err == nil {
+			t.Fatalf("a body went unanswered, yet the shard stopped cleanly")
+		}
+		if both && err != nil {
+			t.Fatalf("shard answered both bodies, then failed: %v", err)
 		}
 	})
 }
