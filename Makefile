@@ -46,10 +46,11 @@ lint-diff:
 # that drives it: the engine (dist), the algorithm core, peeling, the
 # experiment harness, the public API, the graph substrate whose Indexed
 # snapshots are shared across the worker pool, the CSR ball views the
-# parallel decide kernel reads concurrently, and the clique-tree stage
-# the pipeline shards.
+# parallel decide kernel reads concurrently, the clique-tree stage
+# the pipeline shards, and the color-reduction and baseline protocols
+# that step on concurrent engine ranges.
 race:
-	$(GO) test -race ./internal/dist ./internal/core ./internal/peel ./internal/exp ./internal/graph ./internal/view ./internal/cliquetree ./internal/obs ./internal/wire ./cmd/tracestat .
+	$(GO) test -race ./internal/dist ./internal/core ./internal/peel ./internal/exp ./internal/graph ./internal/view ./internal/cliquetree ./internal/obs ./internal/wire ./internal/colorreduce ./internal/baseline ./cmd/tracestat .
 
 # Short fuzz runs of every Fuzz* target (10s each) so the fuzzers
 # execute somewhere instead of shipping as dormant seed-corpus tests.
@@ -74,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrectionParams$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrectionPayload$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzReadEvents$$' -fuzztime 10s ./cmd/tracestat
 
 # The benchmark is its own Go module (bench/go.mod), so the root build,
 # vet, test and lint never compile it. Vet and test it from its own

@@ -243,37 +243,44 @@ func BenchmarkMISStageN100k(b *testing.B) {
 // correction horizon). Layers come from a real peel; each node's parent
 // is its smallest higher-layer neighbor, matching the Definition-1
 // parent's shape.
-func correctionInputs(b *testing.B, g *graph.Graph) (map[graph.ID]int, map[graph.ID]graph.ID, map[graph.ID]int) {
+func correctionInputs(b *testing.B, g *graph.Graph) (*core.PruneOutcome, map[graph.ID]int) {
 	b.Helper()
 	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 12})
 	if err != nil {
 		b.Fatal(err)
 	}
-	layer := peeled.NodeLayers()
-	parent := make(map[graph.ID]graph.ID)
-	colors := make(map[graph.ID]int)
-	for _, v := range g.Nodes() {
-		colors[v] = int(v) % 5
-		best := graph.ID(-1)
-		for _, u := range g.Neighbors(v) {
-			if layer[u] > layer[v] && (best < 0 || u < best) {
-				best = u
-			}
-		}
-		if best >= 0 {
-			parent[v] = best
+	ix := graph.NewIndexed(g)
+	n := ix.NumNodes()
+	out := &core.PruneOutcome{Snapshot: ix, Layer: make([]int32, n), Parent: make([]int32, n)}
+	for _, layer := range peeled.Layers {
+		for _, v := range layer.Nodes {
+			i, _ := ix.IndexOf(v)
+			out.Layer[i] = int32(layer.Index)
 		}
 	}
-	return layer, parent, colors
+	colors := make(map[graph.ID]int, n)
+	for i, v := range ix.IDs() {
+		colors[v] = int(v) % 5
+		out.Parent[i] = -1
+		// Neighbor indices ascend with IDs: the first higher-layer
+		// neighbor is the smallest.
+		for _, u := range ix.NeighborIndices(i) {
+			if out.Layer[u] > out.Layer[i] {
+				out.Parent[i] = u
+				break
+			}
+		}
+	}
+	return out, colors
 }
 
 func BenchmarkCorrectionPhaseN100k(b *testing.B) {
 	g := gen.HubTree(11, 20) // ~98k nodes, diameter ≈ depth×chainLen
-	layer, parent, colors := correctionInputs(b, g)
+	out, colors := correctionInputs(b, g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunCorrectionPhase(g, layer, parent, colors, 4, dist.RunOpts{}); err != nil {
+		if _, err := core.RunCorrectionPhase(out, colors, 4, dist.RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,10 +373,10 @@ func BenchmarkEngineRound(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng := dist.NewEngineIndexed(ix, func(v graph.ID) dist.Protocol {
-					return &broadcastProtocol{id: int64(v), limit: rounds}
+				nodes := dist.NodeFunc(func(i int) dist.Protocol {
+					return &broadcastProtocol{id: int64(ix.IDOf(i)), limit: rounds}
 				})
-				if _, err := eng.Run(rounds + 1); err != nil {
+				if _, _, err := dist.Run(ix, nodes, dist.RunOpts{}, rounds+1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -97,7 +97,7 @@ func run(alg string, eps float64, in, out, genKind string, n, maxClique int, see
 		}()
 	}
 	if pprofAddr != "" {
-		shutdown, bound, err := obs.Serve(pprofAddr, nil)
+		shutdown, bound, err := obs.Serve(pprofAddr)
 		if err != nil {
 			return err
 		}

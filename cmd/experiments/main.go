@@ -79,7 +79,7 @@ func run(quick bool, only, trace string, metrics bool, partitions int, faults st
 		}()
 	}
 	if pprofAddr != "" {
-		shutdown, bound, err := obs.Serve(pprofAddr, nil)
+		shutdown, bound, err := obs.Serve(pprofAddr)
 		if err != nil {
 			return err
 		}

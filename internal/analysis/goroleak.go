@@ -10,7 +10,7 @@ import (
 // visible join evidence. The engine's round barrier is the determinism
 // linchpin: a worker that outlives its round can write into buffers the
 // next round has already repartitioned, and a leaked server goroutine
-// keeps the process alive past Engine.Run. Accepted evidence, checked
+// keeps the process alive past dist.Run. Accepted evidence, checked
 // per go statement:
 //
 //   - WaitGroup join: the spawned body calls Done on some object and the

@@ -6,7 +6,7 @@ import (
 )
 
 // InboxEscape flags Protocol.Round implementations that retain the
-// per-round inbox slice past the callback. dist.Engine double-buffers
+// per-round inbox slice past the callback. The dist engine double-buffers
 // inboxes: the slice passed to Round is truncated and refilled with next
 // round's messages as soon as the round barrier passes, so a handler
 // that stores the slice (or a re-slice of it) in its state observes

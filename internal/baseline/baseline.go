@@ -9,7 +9,6 @@ package baseline
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/colorreduce"
 	"repro/internal/dist"
@@ -167,19 +166,19 @@ func (s *lubyState) Output() any { return s.inIS }
 // LubyMIS runs Luby's randomized maximal independent set algorithm on the
 // LOCAL engine and returns the set and the rounds used.
 func LubyMIS(g *graph.Graph, seed int64) (graph.Set, int, error) {
-	eng := dist.NewEngine(g, func(v graph.ID) dist.Protocol {
-		return &lubyState{rng: rand.New(rand.NewSource(seed ^ int64(v)*0x5851f42d4c957f2d))}
-	})
-	res, err := eng.Run(200 + 20*g.NumNodes())
+	ix := graph.NewIndexed(g)
+	outs, res, err := dist.Run(ix, dist.NodeFunc(func(i int) dist.Protocol {
+		return &lubyState{rng: rand.New(rand.NewSource(seed ^ int64(ix.IDOf(i))*0x5851f42d4c957f2d))}
+	}), dist.RunOpts{}, 200+20*g.NumNodes())
 	if err != nil {
 		return nil, 0, fmt.Errorf("luby: %w", err)
 	}
+	// Outputs come by snapshot index, so the set is built in ID order.
 	var out graph.Set
-	for v, o := range res.Outputs {
+	for i, o := range outs {
 		if o.(bool) {
-			out = append(out, v)
+			out = append(out, ix.IDOf(i))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, res.Rounds, nil
 }

@@ -92,19 +92,19 @@ func (s *johanssonState) Output() any { return s.color }
 // on the LOCAL engine; returns the coloring (1-based) and rounds used.
 func JohanssonColoring(g *graph.Graph, seed int64) (map[graph.ID]int, int, error) {
 	palette := g.MaxDegree() + 1
-	eng := dist.NewEngine(g, func(v graph.ID) dist.Protocol {
+	ix := graph.NewIndexed(g)
+	outs, res, err := dist.Run(ix, dist.NodeFunc(func(i int) dist.Protocol {
 		return &johanssonState{
-			rng:     rand.New(rand.NewSource(seed ^ int64(v)*0x5851f42d4c957f2d)),
+			rng:     rand.New(rand.NewSource(seed ^ int64(ix.IDOf(i))*0x5851f42d4c957f2d)),
 			palette: palette,
 		}
-	})
-	res, err := eng.Run(500 + 40*g.NumNodes())
+	}), dist.RunOpts{}, 500+40*g.NumNodes())
 	if err != nil {
 		return nil, 0, fmt.Errorf("johansson coloring: %w", err)
 	}
-	colors := make(map[graph.ID]int, len(res.Outputs))
-	for v, o := range res.Outputs {
-		colors[v] = o.(int)
+	colors := make(map[graph.ID]int, len(outs))
+	for i, o := range outs {
+		colors[ix.IDOf(i)] = o.(int)
 	}
 	return colors, res.Rounds, nil
 }

@@ -190,16 +190,16 @@ func ReduceToDeltaPlusOne(g *graph.Graph, delta, idBound int) (map[graph.ID]int,
 			return nil, 0, fmt.Errorf("node ID %d outside [0, %d)", v, idBound)
 		}
 	}
-	eng := dist.NewEngine(g, func(v graph.ID) dist.Protocol {
-		return newReduceProtocol(v, idBound, delta)
-	})
-	res, err := eng.Run(10000 + idBound)
+	ix := graph.NewIndexed(g)
+	outs, res, err := dist.Run(ix, dist.NodeFunc(func(i int) dist.Protocol {
+		return newReduceProtocol(ix.IDOf(i), idBound, delta)
+	}), dist.RunOpts{}, 10000+idBound)
 	if err != nil {
 		return nil, 0, fmt.Errorf("color reduction: %w", err)
 	}
-	colors := make(map[graph.ID]int, len(res.Outputs))
-	for v, out := range res.Outputs {
-		colors[v] = out.(int)
+	colors := make(map[graph.ID]int, len(outs))
+	for i, out := range outs {
+		colors[ix.IDOf(i)] = out.(int)
 	}
 	return colors, res.Rounds, nil
 }

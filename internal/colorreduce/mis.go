@@ -52,17 +52,17 @@ func MISFromColoring(g *graph.Graph, colors map[graph.ID]int, palette int) (grap
 			return nil, 0, fmt.Errorf("node %d has invalid color", v)
 		}
 	}
-	eng := dist.NewEngine(g, func(v graph.ID) dist.Protocol {
-		return &misProtocol{color: colors[v], palette: palette}
-	})
-	res, err := eng.Run(palette + 1)
+	ix := graph.NewIndexed(g)
+	outs, res, err := dist.Run(ix, dist.NodeFunc(func(i int) dist.Protocol {
+		return &misProtocol{color: colors[ix.IDOf(i)], palette: palette}
+	}), dist.RunOpts{}, palette+1)
 	if err != nil {
 		return nil, 0, fmt.Errorf("mis from coloring: %w", err)
 	}
 	var is graph.Set
-	for v, out := range res.Outputs {
+	for i, out := range outs {
 		if out.(bool) {
-			is = append(is, v)
+			is = append(is, ix.IDOf(i))
 		}
 	}
 	return graph.NewSet(is...), res.Rounds, nil

@@ -117,12 +117,12 @@ func TestCorrectionPhaseAbsorbsDup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanRounds, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, want.Colors, EffectiveK(0.5), dist.RunOpts{})
+	cleanRounds, err := RunCorrectionPhase(outcome, want.Colors, EffectiveK(0.5), dist.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := &dist.Faults{Plan: fault.Plan{Seed: 14, Dup: 0.4}}
-	faultRounds, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, want.Colors, EffectiveK(0.5), dist.RunOpts{Faults: f})
+	faultRounds, err := RunCorrectionPhase(outcome, want.Colors, EffectiveK(0.5), dist.RunOpts{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,20 +67,21 @@ func ColorChordalObserved(g *graph.Graph, eps float64, o dist.RoundObserver) (*C
 	if err != nil {
 		return nil, fmt.Errorf("pruning phase: %w", err)
 	}
-	return colorLayers(g, k, res, nil, ko)
+	return colorLayers(g, graph.NewIndexed(g), k, res, nil, ko)
 }
 
 // colorLayers runs the coloring and color-correction phases over a peel
-// result. rounds, when non-nil, accumulates the LOCAL round cost of the
-// coloring and correction phases. ko, when non-nil, receives the
-// per-path coloring stage as a "color-paths" kernel span.
-func colorLayers(g *graph.Graph, k int, peeled *peel.Result, rounds *int, ko dist.KernelObserver) (*ChordalColoring, error) {
+// result; ix is g's snapshot. rounds, when non-nil, accumulates the
+// LOCAL round cost of the coloring and correction phases. ko, when
+// non-nil, receives the per-path coloring stage as a "color-paths"
+// kernel span.
+func colorLayers(g *graph.Graph, ix *graph.Indexed, k int, peeled *peel.Result, rounds *int, ko dist.KernelObserver) (*ChordalColoring, error) {
 	out := &ChordalColoring{
 		Colors: make(map[graph.ID]int, g.NumNodes()),
 		K:      k,
 		Layers: len(peeled.Layers),
 	}
-	omega, err := chordal.CliqueNumberIndexed(graph.NewIndexed(g))
+	omega, err := chordal.CliqueNumberIndexed(ix)
 	if err != nil {
 		return nil, err
 	}

@@ -335,14 +335,18 @@ func TestDistributedPruneParents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, p := range out.Parent {
-		if out.Layer[p] <= out.Layer[v] {
+	ids := out.Snapshot.IDs()
+	for i, p := range out.Parent {
+		if p < 0 {
+			continue
+		}
+		if out.Layer[p] <= out.Layer[i] {
 			t.Fatalf("parent %d (layer %d) of %d (layer %d) not in higher layer",
-				p, out.Layer[p], v, out.Layer[v])
+				ids[p], out.Layer[p], ids[i], out.Layer[i])
 		}
 		// The parent is within distance k+3.
-		if d := g.Distance(v, p); d > 6 {
-			t.Fatalf("parent %d at distance %d > k+3 from %d", p, d, v)
+		if d := g.Distance(ids[i], ids[p]); d > 6 {
+			t.Fatalf("parent %d at distance %d > k+3 from %d", ids[p], d, ids[i])
 		}
 	}
 }

@@ -152,18 +152,21 @@ func (c *correctionNode) tryCorrect(ctx *dist.Context) {
 func (c *correctionNode) Done() bool  { return c.final && c.pendingAt >= c.gEnd-c.gOff }
 func (c *correctionNode) Output() any { return c.final }
 
-// RunCorrectionPhase executes the correction choreography. Inputs: the
-// layer map and parent map from the pruning phase and the final colors
-// (each parent's local Lemma-10 result); every node they mention must be
-// a node of g. opts attaches an observer and a fault schedule and picks
-// the runtime. The choreography dedups every message kind
-// (seenFinal/seenSet), so duplication and delay leave the corrected
-// coloring untouched; dropped messages stall it and surface as the
-// did-not-terminate error. It returns the measured rounds of the
-// asynchronous schedule.
-func RunCorrectionPhase(g *graph.Graph, layer map[graph.ID]int, parent map[graph.ID]graph.ID, finalColors map[graph.ID]int, k int, opts dist.RunOpts) (int, error) {
-	ix, prog := correctionPrecompute(g, layer, parent, finalColors, k, opts.Observer)
-	outs, res, err := dist.Run(ix, prog, opts, 20*(g.NumNodes()+10)*(k+5))
+// RunCorrectionPhase executes the correction choreography on the
+// pruning outcome's snapshot, with its layers and parents and the final
+// colors (each parent's local Lemma-10 result). opts attaches an
+// observer and a fault schedule and picks the runtime. The
+// choreography dedups every message kind (seenFinal/seenSet), so
+// duplication and delay leave the corrected coloring untouched; dropped
+// messages stall it and surface as the did-not-terminate error. It
+// returns the measured rounds of the asynchronous schedule.
+func RunCorrectionPhase(out *PruneOutcome, finalColors map[graph.ID]int, k int, opts dist.RunOpts) (int, error) {
+	if err := out.checkParents(); err != nil {
+		return 0, fmt.Errorf("correction phase: %w", err)
+	}
+	ix := out.Snapshot
+	prog := correctionPrecompute(out, finalColors, k, opts.Observer)
+	outs, res, err := dist.Run(ix, prog, opts, 20*(ix.NumNodes()+10)*(k+5))
 	if err != nil {
 		return 0, fmt.Errorf("correction phase: %w", err)
 	}
@@ -215,33 +218,54 @@ func (p *correctionProgram) NewNode(i int) dist.Protocol {
 	return node
 }
 
-// correctionPrecompute snapshots g and flattens the layer/parent/color
-// maps into the shared index-space slabs the choreography runs on.
-func correctionPrecompute(g *graph.Graph, layer map[graph.ID]int, parent map[graph.ID]graph.ID, finalColors map[graph.ID]int, k int, o dist.RoundObserver) (*graph.Indexed, *correctionProgram) {
-	ix := graph.NewIndexed(g)
+// checkParents rejects an outcome the correction choreography could
+// never finish, before any round runs: Layer and Parent must cover the
+// snapshot, and every parent must be a node in a strictly higher layer
+// than its child, the shape of Definition 1. A parent outside the
+// snapshot would never send its child a SetColor, and a parent at or
+// below its child's layer (cycles included) would wait on it forever.
+func (out *PruneOutcome) checkParents() error {
+	ix := out.Snapshot
+	n := ix.NumNodes()
+	if len(out.Layer) != n || len(out.Parent) != n {
+		return fmt.Errorf("outcome has %d layers and %d parents for %d nodes", len(out.Layer), len(out.Parent), n)
+	}
+	for i, p := range out.Parent {
+		switch {
+		case p < -1 || int(p) >= n:
+			return fmt.Errorf("node %d has parent index %d outside [0, %d)", ix.IDOf(i), p, n)
+		case p >= 0 && out.Layer[p] <= out.Layer[i]:
+			return fmt.Errorf("node %d in layer %d has parent %d in layer %d, not above it",
+				ix.IDOf(i), out.Layer[i], ix.IDOf(int(p)), out.Layer[p])
+		}
+	}
+	return nil
+}
+
+// correctionPrecompute lays the outcome's parents and the final colors
+// out as the shared index-space slabs the choreography runs on.
+func correctionPrecompute(out *PruneOutcome, finalColors map[graph.ID]int, k int, o dist.RoundObserver) *correctionProgram {
+	ix := out.Snapshot
 	n := ix.NumNodes()
 	ids := ix.IDs()
-	layerOf := make([]int32, n)
-	for i, v := range ids {
-		layerOf[i] = int32(layer[v])
-	}
+	layerOf := out.Layer
 
 	// Flatten the parent relation into (parent, layer desc, child asc)
 	// triples; contiguous runs become the per-parent child groups.
 	type kidRec struct{ p, l, c int32 }
 	hasParent := make([]bool, n)
-	kids := make([]kidRec, 0, len(parent))
-	for child, p := range parent {
-		ci, ok := ix.IndexOf(child)
-		if !ok {
-			continue
+	kidCount := 0
+	for c, p := range out.Parent {
+		if p >= 0 {
+			hasParent[c] = true
+			kidCount++
 		}
-		hasParent[ci] = true
-		pi, ok := ix.IndexOf(p)
-		if !ok {
-			continue
+	}
+	kids := make([]kidRec, 0, kidCount)
+	for c, p := range out.Parent {
+		if p >= 0 {
+			kids = append(kids, kidRec{p, layerOf[c], int32(c)})
 		}
-		kids = append(kids, kidRec{int32(pi), layerOf[ci], int32(ci)})
 	}
 	sort.Slice(kids, func(i, j int) bool {
 		if kids[i].p != kids[j].p {
@@ -318,5 +342,5 @@ func correctionPrecompute(g *graph.Graph, layer map[graph.ID]int, parent map[gra
 		groups[gi].gateEnd = int32(len(gates))
 	}
 	sh := &corrShared{groups: groups, kidIdx: kidIdx, kidColor: kidColor, gates: gates}
-	return ix, &correctionProgram{sh: sh, hasParent: hasParent, nodeGOff: nodeGOff, ttl: k + 5}
+	return &correctionProgram{sh: sh, hasParent: hasParent, nodeGOff: nodeGOff, ttl: k + 5}
 }

@@ -109,7 +109,7 @@ func realCorrectionRun(t testing.TB) (*graph.Indexed, []byte, [][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, prog := correctionPrecompute(g, outcome.Layer, outcome.Parent, col.Colors, k, nil)
+	ix, prog := outcome.Snapshot, correctionPrecompute(outcome, col.Colors, k, nil)
 	_, params, err := prog.Params()
 	if err != nil {
 		t.Fatal(err)

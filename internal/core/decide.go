@@ -532,9 +532,9 @@ func (sc *decideScratch) memberBFS(src int32, members int) int {
 
 // decideCenter determines, purely from the center's G_i-restricted ball
 // view, whether it is peeled in the current iteration under the given
-// rule, and if so returns its parent (-1 = ⊥). ball must contain the
-// center at snapshot index vIdx.
-func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, v graph.ID, vIdx int32, rule decideRule, radius int) (bool, graph.ID, error) {
+// rule, and if so returns its parent's snapshot index (-1 = ⊥). ball
+// must contain the center at snapshot index vIdx.
+func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, v graph.ID, vIdx int32, rule decideRule, radius int) (bool, int32, error) {
 	sc.beginCenter(cache, ball, radius)
 	sc.CenterBFS(ball, ball.RowOf(vIdx))
 	if err := sc.ensureNode(v, vIdx); err != nil {
@@ -616,7 +616,7 @@ func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, v grap
 
 	// Parent (Definition 1): the closest attachment clique within k+3,
 	// distances read off the center BFS already in DistC.
-	parent := graph.ID(-1)
+	parent := int32(-1)
 	bestDist := 1 << 30
 	for e := 0; e < 2; e++ {
 		if attach[e] < 0 {
@@ -633,8 +633,8 @@ func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, v grap
 		}
 		if d <= rule.parentHorizon && d < bestDist {
 			bestDist = d
-			set := cache.sets[cid]
-			parent = set[len(set)-1] // max ID in sorted set
+			// The max-ID member: indices ascend with IDs.
+			parent = cache.memberIdx[cid][len(cache.memberIdx[cid])-1]
 		}
 	}
 	return true, parent, nil
@@ -643,7 +643,7 @@ func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, v grap
 // decideOne decides a single center, choosing its view: the iteration-
 // shared G_i ball when the center's knowledge provably covers its
 // component, an index-space rebuild of its own ball otherwise.
-func decideOne(sc *decideScratch, cache *cliqueCache, sharedBall *view.Ball, ix *graph.Indexed, know *dist.Knowledge, undecidedIdx []bool, v graph.ID, vIdx int32, rule decideRule, radius int) (bool, graph.ID, error) {
+func decideOne(sc *decideScratch, cache *cliqueCache, sharedBall *view.Ball, ix *graph.Indexed, know *dist.Knowledge, undecidedIdx []bool, v graph.ID, vIdx int32, rule decideRule, radius int) (bool, int32, error) {
 	if know.CoversComponent() {
 		// The ball provably covers v's entire component, so the shared
 		// remaining-graph view IS the component's share of G_i (other
@@ -658,7 +658,7 @@ func decideOne(sc *decideScratch, cache *cliqueCache, sharedBall *view.Ball, ix 
 // decideResult is one shard's per-center output slot.
 type decideResult struct {
 	peel   bool
-	parent graph.ID
+	parent int32 // snapshot index; -1 = ⊥
 }
 
 // runDecideStage runs the decide kernel for one pruning iteration:

@@ -145,8 +145,10 @@ func TestDecideKernelRaceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Layer) != g.NumNodes() {
-		t.Fatalf("decided %d of %d nodes", len(out.Layer), g.NumNodes())
+	for i, l := range out.Layer {
+		if l == 0 {
+			t.Fatalf("node %d never decided", out.Snapshot.IDOf(i))
+		}
 	}
 }
 

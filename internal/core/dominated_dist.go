@@ -48,15 +48,15 @@ func (p *dominatedProtocol) Output() any { return p.dominated }
 // protocol and returns the dominated set plus the rounds used (1 exchange
 // after the initial broadcast).
 func DistributedDominated(g *graph.Graph) (graph.Set, int, error) {
-	eng := dist.NewEngine(g, func(graph.ID) dist.Protocol { return &dominatedProtocol{} })
-	res, err := eng.Run(3)
+	ix := graph.NewIndexed(g)
+	outs, res, err := dist.Run(ix, dist.NodeFunc(func(int) dist.Protocol { return &dominatedProtocol{} }), dist.RunOpts{}, 3)
 	if err != nil {
 		return nil, 0, fmt.Errorf("dominated check: %w", err)
 	}
 	var out graph.Set
-	for v, o := range res.Outputs {
+	for i, o := range outs {
 		if o.(bool) {
-			out = append(out, v)
+			out = append(out, ix.IDOf(i))
 		}
 	}
 	return graph.NewSet(out...), res.Rounds, nil

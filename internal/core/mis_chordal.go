@@ -77,7 +77,7 @@ func MISChordalWithOptions(g *graph.Graph, eps float64, opts ChordalMISOptions) 
 	// LOCAL accounting: each iteration collects a Θ(d)-ball to identify
 	// paths and thresholds.
 	res.Rounds = len(peeled.Layers) * (2*d + 4)
-	if err := misFromPeel(g, peeled, d, eps, opts, res); err != nil {
+	if err := misFromPeel(g, graph.NewIndexed(g), peeled, d, eps, opts, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -142,21 +142,11 @@ func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelT
 	if err != nil {
 		return nil, err
 	}
-	central := peeled.NodeLayers()
-	for v, l := range outcome.Layer {
-		if central[v] != l {
-			return nil, fmt.Errorf("distributed/centralized divergence: node %d in layer %d vs %d",
-				v, l, central[v])
-		}
-	}
-	for v := range central {
-		if _, ok := outcome.Layer[v]; !ok {
-			return nil, fmt.Errorf("distributed prune never decided node %d (centralized layer %d)",
-				v, central[v])
-		}
+	if err := outcome.checkLemma12(peeled); err != nil {
+		return nil, err
 	}
 	res := &ChordalMISResult{D: d, Iterations: iterations, Rounds: outcome.Rounds}
-	if err := misFromPeel(g, peeled, d, eps, ChordalMISOptions{Observer: o}, res); err != nil {
+	if err := misFromPeel(g, outcome.Snapshot, peeled, d, eps, ChordalMISOptions{Observer: o}, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -164,20 +154,19 @@ func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelT
 
 // misFromPeel runs Algorithm 6's per-layer independent-set computation
 // over a peel result, accumulating into res. Per-record state lives in
-// index-keyed slices over one CSR snapshot instead of map-backed induced
-// subgraphs, and the per-component computations — pure functions of
-// (g, h, rec) that never consult the cross-record blocked state — run
-// sharded over CPUs with per-component result slots merged in
-// component order, so the output is bit-identical to the sequential
+// index-keyed slices over ix, g's snapshot, instead of map-backed
+// induced subgraphs, and the per-component computations — pure
+// functions of (g, h, rec) that never consult the cross-record blocked
+// state — run sharded over CPUs with per-component result slots merged
+// in component order, so the output is bit-identical to the sequential
 // map-backed loop at every GOMAXPROCS.
-func misFromPeel(g *graph.Graph, peeled *peel.Result, d int, eps float64, opts ChordalMISOptions, res *ChordalMISResult) error {
+func misFromPeel(g *graph.Graph, ix *graph.Indexed, peeled *peel.Result, d int, eps float64, opts ChordalMISOptions, res *ChordalMISResult) error {
 	idBound := 1
 	for _, v := range g.Nodes() {
 		if int(v) >= idBound {
 			idBound = int(v) + 1
 		}
 	}
-	ix := graph.NewIndexed(g)
 	ids := ix.IDs()
 	ko, _ := opts.Observer.(dist.KernelObserver)
 	// Nodes excluded once a neighbor joins I (Γ_G[I] grows as we go),

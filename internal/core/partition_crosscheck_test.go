@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -112,23 +113,57 @@ func TestPartitionedColoringMatchesLocal(t *testing.T) {
 }
 
 // TestPartitionedColoringDropDivergesIdentically: a drop schedule that
-// corrupts the pruning floods must produce the identical diagnosis in
-// both modes — same deterministic schedule, same truncated balls, same
-// error string.
+// corrupts the pruning floods must produce one diagnosis — same
+// deterministic schedule, same truncated balls, same error string — on
+// every LOCAL run and on a partition, for both pipelines. The checks
+// walk nodes in index order, so when several nodes are wrong the error
+// names the lowest index, never whichever node a map range reached
+// first.
 func TestPartitionedColoringDropDivergesIdentically(t *testing.T) {
-	g := gen.KTree(60, 1, 47)
-	ix := graph.NewIndexed(g)
-	lf, pf := parseFaultsPair(t, "drop=0.5", 8)
-	_, lerr := ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, lf, nil)
-	if lerr == nil {
-		t.Fatal("50% drop produced no local error")
+	chordal := func(seed int64) *graph.Graph {
+		return gen.RandomChordal(120, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, seed)
 	}
-	_, perr := ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, pf, dist.NewLocalPartition(ix, 3))
-	if perr == nil {
-		t.Fatal("50% drop produced no partitioned error")
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		spec string
+		seed uint64
+		mis  bool
+		want string // a substring of the diagnosis
+	}{
+		{"ktree", gen.KTree(60, 1, 47), "drop=0.5", 8, false, ""},
+		{"lemma12", chordal(1), "drop=0.02", 1, false, "Lemma 12 violation"},
+		{"no-parent", chordal(2), "drop=0.02", 2, false, "recolored without a parent"},
+		{"mis", chordal(1), "drop=0.05", 1, true, "Lemma 12 violation"},
 	}
-	if lerr.Error() != perr.Error() {
-		t.Fatalf("drop diagnoses diverge:\n  local: %v\n  part:  %v", lerr, perr)
+	for _, tc := range cases {
+		run := func(part *dist.Partition) string {
+			f, err := dist.ParseFaults(tc.spec, tc.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.mis {
+				_, err = MISChordalDistributedFaultyPart(tc.g, 0.5, nil, nil, f, part)
+			} else {
+				_, err = ColorChordalDistributedFaultyPart(tc.g, 0.5, nil, nil, f, part)
+			}
+			if err == nil {
+				t.Fatalf("%s: %s produced no error", tc.name, tc.spec)
+			}
+			return err.Error()
+		}
+		want := run(nil)
+		if !strings.Contains(want, tc.want) {
+			t.Fatalf("%s: diagnosis %q does not contain %q", tc.name, want, tc.want)
+		}
+		for r := 1; r < 8; r++ {
+			if got := run(nil); got != want {
+				t.Fatalf("%s: LOCAL diagnoses diverge:\n  run 0: %s\n  run %d: %s", tc.name, want, r, got)
+			}
+		}
+		if got := run(dist.NewLocalPartition(graph.NewIndexed(tc.g), 3)); got != want {
+			t.Fatalf("%s: drop diagnoses diverge:\n  local: %s\n  part:  %s", tc.name, want, got)
+		}
 	}
 }
 
@@ -176,17 +211,16 @@ func TestPartitionedCorrectionMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := graph.NewIndexed(g)
 	for _, spec := range []string{"", "dup=0.4", "dup=0.2,delay=2"} {
 		for _, parts := range []int{1, 2, 5} {
 			at := fmt.Sprintf("%q/parts=%d", spec, parts)
 			lf, pf := parseFaultsPair(t, spec, 14)
 			lObs, pObs := &traceRecorder{}, &traceRecorder{}
-			want, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, col.Colors, k, dist.RunOpts{Observer: lObs, Faults: lf})
+			want, err := RunCorrectionPhase(outcome, col.Colors, k, dist.RunOpts{Observer: lObs, Faults: lf})
 			if err != nil {
 				t.Fatalf("%s: local: %v", at, err)
 			}
-			got, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, col.Colors, k, dist.RunOpts{Observer: pObs, Faults: pf, Part: dist.NewLocalPartition(ix, parts)})
+			got, err := RunCorrectionPhase(outcome, col.Colors, k, dist.RunOpts{Observer: pObs, Faults: pf, Part: dist.NewLocalPartition(outcome.Snapshot, parts)})
 			if err != nil {
 				t.Fatalf("%s: partitioned: %v", at, err)
 			}

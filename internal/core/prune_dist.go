@@ -10,11 +10,19 @@ import (
 )
 
 // PruneOutcome is the result of the distributed pruning phase
-// (Algorithm 3): the layer assignment, each node's parent for the color
-// correction phase, and the LOCAL rounds consumed.
+// (Algorithm 3) in the index space of the snapshot its floods ran on:
+// the layer assignment, each node's parent for the color correction
+// phase, and the LOCAL rounds consumed.
 type PruneOutcome struct {
-	Layer      map[graph.ID]int      // 1-based layer per node
-	Parent     map[graph.ID]graph.ID // parent per Definition 1; absent = ⊥
+	// Snapshot is the snapshot every flood of the prune ran on; Layer
+	// and Parent are indexed by it.
+	Snapshot *graph.Indexed
+	// Layer is each node's 1-based layer; 0 means never decided (the
+	// remainder of a truncated run).
+	Layer []int32
+	// Parent is each node's parent per Definition 1, as a snapshot
+	// index; -1 means ⊥.
+	Parent     []int32
 	Rounds     int
 	Iterations int
 	// Messages and Volume (in flood records) measure the flooding
@@ -75,28 +83,29 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 	if spec.Radius < 2 {
 		return nil, fmt.Errorf("radius %d too small: the decide kernel needs a knowledge radius of at least 2", spec.Radius)
 	}
-	out := &PruneOutcome{
-		Layer:  make(map[graph.ID]int, g.NumNodes()),
-		Parent: make(map[graph.ID]graph.ID),
-	}
 	// The communication graph never changes across iterations: snapshot it
 	// once and reuse the snapshot for every flood.
 	ix := graph.NewIndexed(g)
+	n := ix.NumNodes()
+	out := &PruneOutcome{Snapshot: ix, Layer: make([]int32, n), Parent: make([]int32, n)}
+	for i := range out.Parent {
+		out.Parent[i] = -1
+	}
 	nodes := ix.IDs()
 	// Decide-kernel state reused across iterations: the undecided-set
 	// views, the iteration-shared G_i ball, and one scratch per kernel
 	// shard (see decide.go).
-	undecidedIdx := make([]bool, ix.NumNodes())
-	centers := make([]int32, 0, ix.NumNodes())
-	undecidedAll := make([]graph.ID, 0, ix.NumNodes())
+	undecidedIdx := make([]bool, n)
+	centers := make([]int32, 0, n)
+	undecidedAll := make([]graph.ID, 0, n)
 	var sharedBall view.Ball
 	var scratches []*decideScratch
 	var results []decideResult
-	for iteration := 1; len(out.Layer) < g.NumNodes(); iteration++ {
+	for iteration, decided := 1, 0; decided < n; iteration++ {
 		if spec.MaxIterations > 0 && iteration > spec.MaxIterations {
 			break
 		}
-		if iteration > g.NumNodes()+1 {
+		if iteration > n+1 {
 			return nil, fmt.Errorf("distributed prune did not terminate")
 		}
 		out.Iterations = iteration
@@ -122,12 +131,10 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 		centers = centers[:0]
 		undecidedAll = undecidedAll[:0]
 		for i, v := range nodes {
-			if _, done := out.Layer[v]; !done {
-				undecidedIdx[i] = true
+			undecidedIdx[i] = out.Layer[i] == 0
+			if undecidedIdx[i] {
 				centers = append(centers, int32(i))
 				undecidedAll = append(undecidedAll, v)
-			} else {
-				undecidedIdx[i] = false
 			}
 		}
 		// G_i, the global remaining graph, and the iteration-wide clique
@@ -154,26 +161,40 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 			return nil, fmt.Errorf("iteration %d node %d: %w", iteration, de.node, de.err)
 		}
 		peeled := 0
-		for i := range results {
-			if results[i].peel {
+		for pos, ci := range centers {
+			if results[pos].peel {
 				peeled++
+				out.Layer[ci] = int32(iteration)
+				out.Parent[ci] = results[pos].parent
 			}
 		}
 		if peeled == 0 && !last {
 			return nil, fmt.Errorf("iteration %d peeled nothing", iteration)
 		}
-		for pos, ci := range centers {
-			if !results[pos].peel {
-				continue
-			}
-			v := nodes[ci]
-			out.Layer[v] = iteration
-			if parent := results[pos].parent; parent >= 0 {
-				out.Parent[v] = parent
-			}
-		}
+		decided += peeled
 	}
 	return out, nil
+}
+
+// checkLemma12 verifies Lemma 12 — the distributed prune produces
+// exactly the centralized layers of peeled — node by node in index
+// order, so a violation always names the lowest-index offender. Layer
+// 0 means never peeled on either side.
+func (out *PruneOutcome) checkLemma12(peeled *peel.Result) error {
+	central := make([]int32, len(out.Layer))
+	for _, layer := range peeled.Layers {
+		for _, v := range layer.Nodes {
+			i, _ := out.Snapshot.IndexOf(v)
+			central[i] = int32(layer.Index)
+		}
+	}
+	for i, l := range out.Layer {
+		if l != central[i] {
+			return fmt.Errorf("Lemma 12 violation: node %d in distributed layer %d, centralized layer %d",
+				out.Snapshot.IDOf(i), l, central[i])
+		}
+	}
+	return nil
 }
 
 // decideRule is the per-iteration peeling rule used by the decide
@@ -233,25 +254,20 @@ func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, pee
 	if err != nil {
 		return nil, err
 	}
-	central := peeled.NodeLayers()
-	for v, l := range outcome.Layer {
-		if central[v] != l {
-			return nil, fmt.Errorf("Lemma 12 violation: node %d in distributed layer %d, centralized layer %d",
-				v, l, central[v])
-		}
+	if err := outcome.checkLemma12(peeled); err != nil {
+		return nil, err
 	}
 	rounds := outcome.Rounds
-	col, err := colorLayers(g, k, peeled, &rounds, ko)
+	col, err := colorLayers(g, outcome.Snapshot, k, peeled, &rounds, ko)
 	if err != nil {
 		return nil, err
 	}
 	// Correction-phase sanity: only nodes with parents may have been
-	// recolored (they are the only ones that receive SetColor).
-	for v, final := range col.Colors {
-		if final != col.Provisional[v] {
-			if _, ok := outcome.Parent[v]; !ok {
-				return nil, fmt.Errorf("node %d recolored without a parent", v)
-			}
+	// recolored (they are the only ones that receive SetColor). The
+	// walk is in index order, so the error names the lowest index.
+	for i, v := range outcome.Snapshot.IDs() {
+		if col.Colors[v] != col.Provisional[v] && outcome.Parent[i] < 0 {
+			return nil, fmt.Errorf("node %d recolored without a parent", v)
 		}
 	}
 	// Run the correction choreography with real messages and charge its
@@ -259,7 +275,7 @@ func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, pee
 	if ps, ok := o.(dist.PhaseSetter); ok {
 		ps.SetPhase("correction")
 	}
-	corrRounds, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, col.Colors, k, opts)
+	corrRounds, err := RunCorrectionPhase(outcome, col.Colors, k, opts)
 	if err != nil {
 		return nil, err
 	}

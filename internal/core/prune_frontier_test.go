@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -43,6 +45,33 @@ func barbell(chainLen int) *graph.Graph {
 	return g
 }
 
+// sameLayers fails the test unless the distributed prune decided
+// exactly the nodes the centralized peel layered, each in its
+// centralized layer. It reads the outcome through Snapshot.IndexOf, so
+// it checks Lemma 12 independently of checkLemma12.
+func sameLayers(t *testing.T, at string, out *PruneOutcome, peeled *peel.Result) {
+	t.Helper()
+	layered := 0
+	for _, layer := range peeled.Layers {
+		for _, v := range layer.Nodes {
+			i, _ := out.Snapshot.IndexOf(v)
+			if int(out.Layer[i]) != layer.Index {
+				t.Fatalf("%snode %d: distributed layer %d, centralized %d", at, v, out.Layer[i], layer.Index)
+			}
+			layered++
+		}
+	}
+	decided := 0
+	for _, l := range out.Layer {
+		if l != 0 {
+			decided++
+		}
+	}
+	if decided != layered {
+		t.Fatalf("%sdistributed prune decided %d nodes, centralized peel layered %d", at, decided, layered)
+	}
+}
+
 // TestDistributedPruneBeyondHorizon exercises the frontier case: with
 // k=3 the knowledge radius is 30, far less than the 200-clique internal
 // chain, so mid-chain nodes must peel themselves via the
@@ -60,18 +89,13 @@ func TestDistributedPruneBeyondHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	central := peeled.NodeLayers()
-	for v, l := range out.Layer {
-		if central[v] != l {
-			t.Fatalf("node %d: distributed layer %d, centralized %d", v, l, central[v])
-		}
-	}
+	sameLayers(t, "", out, peeled)
 	if out.Iterations < 2 {
 		t.Fatalf("expected at least 2 iterations, got %d", out.Iterations)
 	}
 	// Mid-chain nodes (far from both hubs) must be layer 1.
-	if out.Layer[100] != 1 {
-		t.Fatalf("mid-chain node in layer %d, want 1", out.Layer[100])
+	if mid, _ := out.Snapshot.IndexOf(100); out.Layer[mid] != 1 {
+		t.Fatalf("mid-chain node in layer %d, want 1", out.Layer[mid])
 	}
 }
 
@@ -114,12 +138,7 @@ func TestDistributedPruneSpiderKValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		central := peeled.NodeLayers()
-		for v, l := range out.Layer {
-			if central[v] != l {
-				t.Fatalf("k=%d node %d: distributed %d, centralized %d", k, v, l, central[v])
-			}
-		}
+		sameLayers(t, fmt.Sprintf("k=%d ", k), out, peeled)
 	}
 }
 
@@ -138,12 +157,7 @@ func TestDistributedPruneDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	central := peeled.NodeLayers()
-	for v, l := range out.Layer {
-		if central[v] != l {
-			t.Fatalf("node %d: distributed %d, centralized %d", v, l, central[v])
-		}
-	}
+	sameLayers(t, "", out, peeled)
 }
 
 // TestCorrectionPhaseOnHubTree drives the correction choreography through
@@ -186,15 +200,57 @@ func TestCorrectionPhaseDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := colorLayers(g, k, peeled, nil, nil)
+	col, err := colorLayers(g, outcome.Snapshot, k, peeled, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, err := RunCorrectionPhase(g, outcome.Layer, outcome.Parent, col.Colors, k, dist.RunOpts{})
+	rounds, err := RunCorrectionPhase(outcome, col.Colors, k, dist.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rounds < 0 {
 		t.Fatal("negative rounds")
+	}
+}
+
+// TestCorrectionPhaseRejectsMalformedOutcome: parents the choreography
+// could never serve — one outside the snapshot, or two nodes naming
+// each other — are rejected before any round runs, with an error that
+// names the lowest-index offender, instead of stalling until the round
+// cap.
+func TestCorrectionPhaseRejectsMalformedOutcome(t *testing.T) {
+	const n = 500
+	ix := graph.NewIndexed(gen.Path(n))
+	layered := func() *PruneOutcome {
+		out := &PruneOutcome{Snapshot: ix, Layer: make([]int32, n), Parent: make([]int32, n)}
+		for i := range out.Layer {
+			out.Layer[i], out.Parent[i] = 1, -1
+		}
+		return out
+	}
+	outside := layered()
+	outside.Parent[5] = n
+	cycle := layered()
+	cycle.Parent[5], cycle.Parent[6] = 6, 5
+	short := layered()
+	short.Parent = short.Parent[:n-1]
+	cases := []struct {
+		name string
+		out  *PruneOutcome
+		want string
+	}{
+		{"outside", outside, "node 5 has parent index 500 outside [0, 500)"},
+		{"cycle", cycle, "node 5 in layer 1 has parent 6 in layer 1, not above it"},
+		{"short", short, "outcome has 500 layers and 499 parents for 500 nodes"},
+	}
+	for _, tc := range cases {
+		obs := &traceRecorder{}
+		_, err := RunCorrectionPhase(tc.out, map[graph.ID]int{}, 3, dist.RunOpts{Observer: obs})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if len(obs.events) != 0 {
+			t.Fatalf("%s: %d observer events before the error, want none", tc.name, len(obs.events))
+		}
 	}
 }

@@ -100,7 +100,7 @@ func TestCorrectionPhaseDeterministicAcrossStageWorkers(t *testing.T) {
 	for _, f := range []*dist.Faults{nil, absorbablePlan()} {
 		refRounds := -1
 		proctest.Sweep(func(procs int) {
-			rounds, err := RunCorrectionPhase(g, out.Layer, out.Parent, col.Colors, 3, dist.RunOpts{Faults: f})
+			rounds, err := RunCorrectionPhase(out, col.Colors, 3, dist.RunOpts{Faults: f})
 			if err != nil {
 				t.Fatalf("faults=%v procs=%d: %v", f != nil, procs, err)
 			}

@@ -17,37 +17,17 @@ import (
 func TestEmptyGraphAllModes(t *testing.T) {
 	g := graph.New()
 	proctest.Sweep(func(procs int) {
-		eng := NewEngine(g, func(v graph.ID) Protocol {
+		outs, res, err := runIDs(graph.NewIndexed(g), RunOpts{}, 5, func(v graph.ID) Protocol {
 			t.Fatal("factory called for empty graph")
 			return nil
 		})
-		res, err := eng.Run(5)
 		if err != nil {
 			t.Fatalf("procs %d: %v", procs, err)
 		}
-		if res.Rounds != 0 || len(res.Outputs) != 0 || res.Messages != 0 {
-			t.Errorf("procs %d: empty graph ran %d rounds, %d outputs", procs, res.Rounds, len(res.Outputs))
+		if res.Rounds != 0 || len(outs) != 0 || res.Messages != 0 {
+			t.Errorf("procs %d: empty graph ran %d rounds, %d outputs", procs, res.Rounds, len(outs))
 		}
 	})
-}
-
-// TestRunTwiceErrors: protocols hold terminal state after a run, so a
-// second Run must fail loudly instead of reporting a 0-round success.
-func TestRunTwiceErrors(t *testing.T) {
-	g := gen.Cycle(8)
-	eng := NewEngine(g, func(v graph.ID) Protocol {
-		return &countingProtocol{limit: 3}
-	})
-	res, err := eng.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds == 0 {
-		t.Fatal("first run reported 0 rounds")
-	}
-	if _, err := eng.Run(10); err == nil || !strings.Contains(err.Error(), "Run called twice") {
-		t.Fatalf("second Run: err = %v, want 'Run called twice' error", err)
-	}
 }
 
 // shardsObserver records the shard count RoundStart announces and the
@@ -101,11 +81,9 @@ func (p *gomaxprocsProtocol) Output() any { return nil }
 func TestShardsConsistentUnderGOMAXPROCSChange(t *testing.T) {
 	proctest.With(4, func() {
 		obs := &shardsObserver{startByRnd: make(map[int]int), endByRnd: make(map[int]int)}
-		eng := NewEngine(gen.Cycle(100), func(v graph.ID) Protocol {
+		_, res, err := runIDs(graph.NewIndexed(gen.Cycle(100)), RunOpts{Observer: obs}, 10, func(v graph.ID) Protocol {
 			return &gomaxprocsProtocol{id: v, limit: 5, target: 2}
 		})
-		eng.Observer = obs
-		res, err := eng.Run(10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,10 +108,10 @@ func TestShardsConsistentUnderGOMAXPROCSChange(t *testing.T) {
 func TestDoneFlipContinuesRun(t *testing.T) {
 	g := gen.Cycle(12)
 	proctest.Sweep(func(procs int) {
-		eng := NewEngine(g, func(v graph.ID) Protocol {
+		ix := graph.NewIndexed(g)
+		_, res, err := runIDs(ix, RunOpts{}, 20, func(v graph.ID) Protocol {
 			return &oscillatingProtocol{settle: 7}
 		})
-		res, err := eng.Run(20)
 		if err != nil {
 			t.Fatalf("procs %d: %v", procs, err)
 		}
@@ -143,13 +121,12 @@ func TestDoneFlipContinuesRun(t *testing.T) {
 			// below must beat.
 			t.Fatalf("procs %d: homogeneous oscillators stopped at round %d, want 0", procs, res.Rounds)
 		}
-		eng = NewEngine(g, func(v graph.ID) Protocol {
+		_, res, err = runIDs(ix, RunOpts{}, 20, func(v graph.ID) Protocol {
 			if v == 0 {
 				return &holdProtocol{until: 7}
 			}
 			return &oscillatingProtocol{settle: 7}
 		})
-		res, err = eng.Run(20)
 		if err != nil {
 			t.Fatalf("procs %d: %v", procs, err)
 		}
@@ -176,10 +153,9 @@ func (p *holdProtocol) Output() any                         { return p.rounds }
 func TestSendToNonNodeAllModes(t *testing.T) {
 	g := gen.Path(50)
 	proctest.Sweep(func(procs int) {
-		eng := NewEngine(g, func(v graph.ID) Protocol {
+		_, _, err := runIDs(graph.NewIndexed(g), RunOpts{}, 10, func(v graph.ID) Protocol {
 			return &badSenderProtocol{}
 		})
-		_, err := eng.Run(10)
 		if err == nil {
 			t.Fatalf("procs %d: send to a non-node did not error", procs)
 		}
@@ -239,11 +215,7 @@ func TestConcurrentPanicsReportLowestIndex(t *testing.T) {
 	want := fmt.Sprintf("dist: node program panicked: node %d exploded", ix.IDOf(10))
 	proctest.Sweep(func(procs int) {
 		for attempt := 0; attempt < 20; attempt++ {
-			eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
-				i, _ := ix.IndexOf(v)
-				return &panicProtocol{id: v, arm: panicArmed[i]}
-			})
-			if _, err := eng.Run(5); err == nil || err.Error() != want {
+			if _, _, err := Run(ix, panicProgram{ix: ix}, RunOpts{}, 5); err == nil || err.Error() != want {
 				t.Fatalf("procs %d: err = %v, want %q", procs, err, want)
 			}
 		}

@@ -24,9 +24,6 @@ type coordinator struct {
 	program string
 	params  []byte
 
-	outs []any // by snapshot index, after a successful run
-	ran  bool
-
 	wireIn, wireOut int64
 }
 
@@ -62,12 +59,6 @@ func (c *coordinator) meterDelta() (dIn, dOut int64, metered bool) {
 	dIn, dOut = in-c.wireIn, out-c.wireOut
 	c.wireIn, c.wireOut = in, out
 	return dIn, dOut, metered
-}
-
-// run executes the partitioned program until every node is Done, or
-// fails after maxRounds rounds.
-func (c *coordinator) run(maxRounds int) (*Result, error) {
-	return runLoop("Coordinator", &c.ran, c.ix, c.opts.Observer, maxRounds, c)
 }
 
 // start implements stepper: it rejects hand-built fault plans that did
@@ -220,24 +211,24 @@ func exchange(links []ShardLink, send, await func(s int, l ShardLink) error) err
 
 // finish implements stepper: gather every shard's outputs and decode
 // them with the caller's program, by snapshot index.
-func (c *coordinator) finish(*Result) error {
-	c.outs = make([]any, c.ix.NumNodes())
+func (c *coordinator) finish() ([]any, error) {
+	outs := make([]any, c.ix.NumNodes())
 	for s, l := range c.opts.Part.Links {
 		data, err := l.Outputs()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rg := c.opts.Part.Ranges[s]
 		if len(data) != int(rg.Hi-rg.Lo) {
-			return fmt.Errorf("dist: shard %d returned %d outputs for range [%d, %d)", s, len(data), rg.Lo, rg.Hi)
+			return nil, fmt.Errorf("dist: shard %d returned %d outputs for range [%d, %d)", s, len(data), rg.Lo, rg.Hi)
 		}
 		for j, d := range data {
 			out, err := c.prog.DecodeOutput(int(rg.Lo)+j, d)
 			if err != nil {
-				return fmt.Errorf("dist: output decoding failed for index %d: %w", int(rg.Lo)+j, err)
+				return nil, fmt.Errorf("dist: output decoding failed for index %d: %w", int(rg.Lo)+j, err)
 			}
-			c.outs[int(rg.Lo)+j] = out
+			outs[int(rg.Lo)+j] = out
 		}
 	}
-	return nil
+	return outs, nil
 }

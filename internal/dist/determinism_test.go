@@ -103,9 +103,8 @@ func TestFloodDedupModesAgree(t *testing.T) {
 	ix := graph.NewIndexed(g)
 	radius := 4
 	run := func(forceMap bool) floodFingerprint {
-		eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
-			i, _ := ix.IndexOf(v)
-			p := newFloodProtocol(v, i, ix, radius, 8)
+		outs, res, err := Run(ix, NodeFunc(func(i int) Protocol {
+			p := newFloodProtocol(ix.IDOf(i), i, ix, radius, 8)
 			if forceMap {
 				// Disable the bitmap so dedup falls back to the sparse
 				// index set, as it would for n > seenBitmapMaxN.
@@ -114,8 +113,7 @@ func TestFloodDedupModesAgree(t *testing.T) {
 				p.know.known.Add(int32(i))
 			}
 			return p
-		})
-		res, err := eng.Run(radius + 1)
+		}), RunOpts{}, radius+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,10 +122,10 @@ func TestFloodDedupModesAgree(t *testing.T) {
 			recs:  make(map[graph.ID][]graph.ID),
 			dists: make(map[graph.ID][]int32),
 		}
-		for v, o := range res.Outputs {
+		for i, o := range outs {
 			k := o.(*Knowledge)
-			fp.recs[v] = recordIDs(k)
-			fp.dists[v] = k.dist
+			fp.recs[ix.IDOf(i)] = recordIDs(k)
+			fp.dists[ix.IDOf(i)] = k.dist
 		}
 		return fp
 	}
@@ -172,21 +170,20 @@ func TestEngineStressAllModes(t *testing.T) {
 	for gi, g := range graphs {
 		var ref map[graph.ID]any
 		proctest.Sweep(func(procs int) {
-			eng := NewEngine(g, func(v graph.ID) Protocol {
+			outs, _, err := runIDs(graph.NewIndexed(g), RunOpts{}, 10, func(v graph.ID) Protocol {
 				return &countingProtocol{limit: 8}
 			})
-			res, err := eng.Run(10)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if procs == 1 {
-				ref = res.Outputs
+				ref = outs
 				return
 			}
 			for v, want := range ref {
-				if res.Outputs[v] != want {
+				if outs[v] != want {
 					t.Fatalf("graph %d procs %d node %d: output %v, want %v",
-						gi, procs, v, res.Outputs[v], want)
+						gi, procs, v, outs[v], want)
 				}
 			}
 		})

@@ -5,13 +5,13 @@
 // send an unbounded message to each neighbor; the cost of an algorithm is
 // the number of communication rounds.
 //
-// A message-passing program (Program) runs through Run, the one place
-// that chooses a runtime: the in-process Engine, or the shards of a
-// Partition, which may live in other processes. Either way Run returns
-// each node's output by snapshot index, with identical counters, fault
-// schedules and observer streams. The package's own programs are the
-// distance-r flood (Flood) and its retransmitting variant
-// (FloodRetrans).
+// A message-passing program runs through Run, the only way to run a
+// protocol and the one place that chooses a runtime: the in-process
+// engine, or the shards of a Partition, which may live in other
+// processes. Either way Run returns each node's output by snapshot
+// index, with identical counters, fault schedules and observer streams.
+// The package's own programs are the distance-r flood (Flood) and its
+// retransmitting variant (FloodRetrans).
 //
 // The engine runs on a frozen graph.Indexed snapshot: nodes are dense
 // indices, and every inbox holds its messages in the deterministic
@@ -108,12 +108,11 @@ type RoundStats struct {
 // internal/obs for the canonical implementation.
 //
 // Concurrency contract: RunStart, RoundStart, RoundEnd, and RunEnd are
-// called from the goroutine driving Engine.Run. ShardStart/ShardEnd are
+// called from the goroutine driving Run. ShardStart/ShardEnd are
 // called from worker goroutines — calls with distinct shard indices may
 // be concurrent, and each shard index is used by exactly one goroutine
-// per round. Observers are never invoked when the engine's Observer
-// field is nil, and a nil observer adds no per-node work to the round
-// loop.
+// per round. Observers are never invoked when RunOpts.Observer is nil,
+// and a nil observer adds no per-node work to the round loop.
 type RoundObserver interface {
 	// RunStart fires once before the Init step.
 	RunStart(nodes, edges int)
@@ -266,8 +265,6 @@ type Sizer interface {
 type Result struct {
 	// Rounds is the number of communication rounds executed.
 	Rounds int
-	// Outputs maps each node to its protocol output.
-	Outputs map[graph.ID]any
 	// Messages counts point-to-point messages sent over the whole run.
 	Messages int
 	// Volume sums payload sizes (Sizer units; 1 per message otherwise).
@@ -275,7 +272,7 @@ type Result struct {
 	// actually use.
 	Volume int
 
-	// Fault accounting (all zero when Engine.Faults is nil): messages
+	// Fault accounting (all zero when RunOpts.Faults is nil): messages
 	// dropped / duplicated / dead-lettered by the schedule, and the total
 	// synchronizer stall (sum over rounds of the max link delay).
 	Dropped     int
@@ -284,28 +281,20 @@ type Result struct {
 	Stall       int
 }
 
-// Engine executes a Protocol instance on every node of a graph.
-type Engine struct {
+// engine is the in-process runtime: it executes a Protocol instance on
+// every node of a snapshot. Run builds one per LOCAL run.
+type engine struct {
 	ix    *graph.Indexed
 	progs []Protocol // by node index
 
-	// Observer, when non-nil, receives per-round events (see
-	// RoundObserver). Nil — the default — is the zero-cost fast path:
-	// no callback, no inbox high-water scan, no extra allocation.
-	Observer RoundObserver
-	// Faults, when non-nil, attaches a deterministic fault-injection
-	// schedule (see Faults). Nil — the default — keeps the unperturbed
-	// delivery loop with no per-message decision.
-	Faults *Faults
-
-	// byIndex, set by Run, leaves Result.Outputs nil: Run reads the
-	// outputs from progs by snapshot index instead.
-	byIndex bool
-
-	// ran guards against a second Run: progs hold terminal protocol
-	// state after a run, so rerunning them would report a bogus 0-round
-	// success.
-	ran bool
+	// obs, when non-nil, receives per-round events (see RoundObserver).
+	// Nil is the zero-cost fast path: no callback, no inbox high-water
+	// scan, no extra allocation.
+	obs RoundObserver
+	// faults, when non-nil, attaches a deterministic fault-injection
+	// schedule (see Faults). Nil keeps the unperturbed delivery loop
+	// with no per-message decision.
+	faults *Faults
 
 	// Per-run state, built by start and laid out by the snapshot's BFS
 	// order: ctxs, steps (the protocols) and done (their Done flags)
@@ -326,29 +315,31 @@ type Engine struct {
 	curRound int32
 }
 
-// NewEngine creates an engine running factory(v) on every node v of g.
-func NewEngine(g *graph.Graph, factory func(v graph.ID) Protocol) *Engine {
-	return NewEngineIndexed(graph.NewIndexed(g), factory)
-}
-
-// NewEngineIndexed creates an engine on an existing snapshot, letting
-// callers that run many protocols over the same graph (e.g. iterated
-// pruning) pay the snapshot cost once. The factory is called in the
-// snapshot's BFS order, the order the engine steps nodes in, so the
-// protocol state of graph neighbors is allocated close together.
-func NewEngineIndexed(ix *graph.Indexed, factory func(v graph.ID) Protocol) *Engine {
-	return newEngine(ix, func(i int) Protocol { return factory(ix.IDOf(i)) })
-}
-
-// newEngine creates an engine running newNode(i) on the node at every
-// snapshot index i, called in BFS order.
-func newEngine(ix *graph.Indexed, newNode func(i int) Protocol) *Engine {
-	e := &Engine{ix: ix, progs: make([]Protocol, ix.NumNodes())}
+// newEngine creates an engine running nodes.NewNode(i) on the node at
+// every snapshot index i. NewNode is called in the snapshot's BFS
+// order, the order the engine steps nodes in, so the protocol state of
+// graph neighbors is allocated close together.
+func newEngine(ix *graph.Indexed, nodes Nodes, opts RunOpts) *engine {
+	e := &engine{ix: ix, progs: make([]Protocol, ix.NumNodes()), obs: opts.Observer, faults: opts.Faults}
 	for _, i := range ix.BFSOrder() {
-		e.progs[i] = newNode(int(i))
+		e.progs[i] = nodes.NewNode(int(i))
 	}
 	return e
 }
+
+// Nodes builds the protocol every node of a run executes.
+type Nodes interface {
+	// NewNode returns the protocol for the node at global snapshot
+	// index i.
+	NewNode(i int) Protocol
+}
+
+// NodeFunc adapts a function to Nodes, for programs that only ever
+// run in process.
+type NodeFunc func(i int) Protocol
+
+// NewNode implements Nodes.
+func (f NodeFunc) NewNode(i int) Protocol { return f(i) }
 
 // RunOpts groups what every run of a message-passing program takes
 // besides the program itself.
@@ -364,45 +355,27 @@ type RunOpts struct {
 	Part *Partition
 }
 
-// Run executes prog on every node of ix until every node is Done, or
+// Run executes nodes on every node of ix until every node is Done, or
 // fails after maxRounds rounds, and returns each node's output by
-// snapshot index. With opts.Part nil the in-process Engine steps
-// prog.NewNode protocols; otherwise prog.Params ships the program to the
-// partition's shards and prog decodes the outputs they return. Outputs,
-// counters, fault schedules and observer streams are identical either
-// way.
-func Run(ix *graph.Indexed, prog Program, opts RunOpts, maxRounds int) ([]any, *Result, error) {
-	if opts.Part != nil {
-		c, err := newCoordinator(ix, prog, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := c.run(maxRounds)
-		if err != nil {
-			return nil, nil, err
-		}
-		return c.outs, res, nil
+// snapshot index — ascending ID order. It is the only way to run a
+// protocol. With opts.Part nil the in-process engine steps
+// nodes.NewNode protocols; otherwise nodes must be a Program, whose
+// Params ship it to the partition's shards and whose codecs decode the
+// outputs they return. Outputs, counters, fault schedules and observer
+// streams are identical either way.
+func Run(ix *graph.Indexed, nodes Nodes, opts RunOpts, maxRounds int) ([]any, *Result, error) {
+	if opts.Part == nil {
+		return runLoop(ix, opts.Observer, maxRounds, newEngine(ix, nodes, opts))
 	}
-	e := newEngine(ix, prog.NewNode)
-	e.Observer, e.Faults, e.byIndex = opts.Observer, opts.Faults, true
-	res, err := e.Run(maxRounds)
+	prog, ok := nodes.(Program)
+	if !ok {
+		return nil, nil, fmt.Errorf("dist: %T has no codecs, so it cannot run on a partition", nodes)
+	}
+	c, err := newCoordinator(ix, prog, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	outs := make([]any, len(e.progs))
-	for i, p := range e.progs {
-		outs[i] = p.Output()
-	}
-	return outs, res, nil
-}
-
-// Run executes the protocol until every node is Done, or fails after
-// maxRounds rounds. It returns the number of rounds executed and each
-// node's output. An engine runs at most once: the protocols hold
-// terminal state afterwards, so a second Run returns an error instead of
-// a bogus 0-round success.
-func (e *Engine) Run(maxRounds int) (*Result, error) {
-	return runLoop("Engine", &e.ran, e.ix, e.Observer, maxRounds, e)
+	return runLoop(ix, opts.Observer, maxRounds, c)
 }
 
 // start implements stepper: it builds the crash table, the contexts and
@@ -410,8 +383,8 @@ func (e *Engine) Run(maxRounds int) (*Result, error) {
 // GOMAXPROCS chunks of that order, fixed for the whole run, so every
 // round of a run reports the same shard count. Most of a node's
 // neighbors then sit in its own range, next to it.
-func (e *Engine) start() (*crashTable, error) {
-	crash, err := newCrashTable(e.ix, e.Faults)
+func (e *engine) start() (*crashTable, error) {
+	crash, err := newCrashTable(e.ix, e.faults)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +401,7 @@ func (e *Engine) start() (*crashTable, error) {
 		e.steps[x] = e.progs[i]
 	}
 	var board *pullBoard
-	if e.Faults.active() {
+	if e.faults.active() {
 		e.in = make([][]Message, n)
 	} else {
 		e.board = newPullBoard(e.ix, e.ctxs, e.pos)
@@ -452,7 +425,7 @@ func (e *Engine) start() (*crashTable, error) {
 // step implements stepper: run every range, take the lowest-index
 // panic over all ranges (so the error never depends on the range count
 // or the step order), then deliver.
-func (e *Engine) step(round int, crashed []graph.ID, res *Result) (stepState, error) {
+func (e *engine) step(round int, crashed []graph.ID, res *Result) (stepState, error) {
 	e.curRound = int32(round)
 	e.stepRanges(round)
 	st := stepState{}
@@ -478,9 +451,9 @@ func (e *Engine) step(round int, crashed []graph.ID, res *Result) (stepState, er
 // context, so every range count is race-free and equivalent.
 //
 //chordalvet:hotpath budget=0 in-process round step: runs once per round per protocol
-func (e *Engine) stepRanges(round int) {
-	if e.Observer != nil {
-		e.Observer.RoundStart(round, len(e.ranges))
+func (e *engine) stepRanges(round int) {
+	if e.obs != nil {
+		e.obs.RoundStart(round, len(e.ranges))
 	}
 	if len(e.ranges) == 1 {
 		e.stepRange(0, round, nil)
@@ -496,34 +469,31 @@ func (e *Engine) stepRanges(round int) {
 
 // stepRange runs range k through the shared range step, bracketed by
 // the observer's shard hooks; wg, when non-nil, is signalled at the end.
-func (e *Engine) stepRange(k, round int, wg *sync.WaitGroup) {
+func (e *engine) stepRange(k, round int, wg *sync.WaitGroup) {
 	if wg != nil {
 		defer wg.Done()
 	}
 	r := &e.ranges[k]
-	if e.Observer != nil {
-		e.Observer.ShardStart(k)
+	if e.obs != nil {
+		e.obs.ShardStart(k)
 	}
 	var inbox [][]Message
 	if e.in != nil {
 		inbox = e.in[r.pos0 : r.pos0+len(r.progs)]
 	}
 	r.step(round, inbox, e.crash.dead)
-	if e.Observer != nil {
-		e.Observer.ShardEnd(k)
+	if e.obs != nil {
+		e.obs.ShardEnd(k)
 	}
 }
 
-// finish implements stepper: build the ID-keyed outputs, unless Run
-// collects them by index.
-func (e *Engine) finish(res *Result) error {
-	if !e.byIndex {
-		res.Outputs = make(map[graph.ID]any, len(e.progs))
-		for i, v := range e.ix.IDs() {
-			res.Outputs[v] = e.progs[i].Output()
-		}
+// finish implements stepper: collect the outputs by snapshot index.
+func (e *engine) finish() ([]any, error) {
+	outs := make([]any, len(e.progs))
+	for i, p := range e.progs {
+		outs[i] = p.Output()
 	}
-	return nil
+	return outs, nil
 }
 
 // deliver completes step round's delivery. When the step ran without a
@@ -538,7 +508,7 @@ func (e *Engine) finish(res *Result) error {
 // range count and runtime. Both paths deliver each inbox in (sender,
 // queue position) order. With an observer attached it also reports the
 // round's message/volume deltas and the inbox high-water mark.
-func (e *Engine) deliver(round, done int, crashed []graph.ID, res *Result) {
+func (e *engine) deliver(round, done int, crashed []graph.ID, res *Result) {
 	msgs, vol, far := 0, 0, false
 	for k := range e.ranges {
 		r := &e.ranges[k]
@@ -546,7 +516,7 @@ func (e *Engine) deliver(round, done int, crashed []graph.ID, res *Result) {
 		r.msgs, r.vol, r.far = 0, 0, false
 	}
 	var fs FaultStats
-	active := e.Faults.active()
+	active := e.faults.active()
 	e.board.pulling = !active && !far
 	if !e.board.pulling {
 		if e.in == nil {
@@ -555,14 +525,14 @@ func (e *Engine) deliver(round, done int, crashed []graph.ID, res *Result) {
 		fs.Round = round
 		fs.Crashed = crashed
 		in, pos := e.in, e.pos
-		m, v := routeWalk(e.ctxs, pos, round, e.Faults, &e.crash, &fs, func(_ int, to int32, msg Message, _ int) {
+		m, v := routeWalk(e.ctxs, pos, round, e.faults, &e.crash, &fs, func(_ int, to int32, msg Message, _ int) {
 			in[pos[to]] = append(in[pos[to]], msg)
 		})
 		if active {
 			msgs, vol = m, v
 		}
 	}
-	obs := e.Observer
+	obs := e.obs
 	chargeStep(obs, res, msgs, vol, &fs)
 	if obs != nil {
 		maxInbox := 0

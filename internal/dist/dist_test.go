@@ -31,13 +31,26 @@ func (p *echoProtocol) Round(ctx *Context, inbox []Message) {
 func (p *echoProtocol) Done() bool  { return p.rounds >= p.target }
 func (p *echoProtocol) Output() any { return p.sum }
 
+// runIDs runs newNode(v) on every node v of ix through Run and keys the
+// outputs by node ID, the form most assertions read.
+func runIDs(ix *graph.Indexed, opts RunOpts, maxRounds int, newNode func(v graph.ID) Protocol) (map[graph.ID]any, *Result, error) {
+	outs, res, err := Run(ix, NodeFunc(func(i int) Protocol { return newNode(ix.IDOf(i)) }), opts, maxRounds)
+	if err != nil {
+		return nil, nil, err
+	}
+	byID := make(map[graph.ID]any, len(outs))
+	for i, out := range outs {
+		byID[ix.IDOf(i)] = out
+	}
+	return byID, res, nil
+}
+
 func TestEngineRoundsAndDelivery(t *testing.T) {
 	g := gen.Cycle(6)
 	proctest.Sweep(func(procs int) {
-		eng := NewEngine(g, func(v graph.ID) Protocol {
+		outs, res, err := runIDs(graph.NewIndexed(g), RunOpts{}, 10, func(v graph.ID) Protocol {
 			return &echoProtocol{target: 3}
 		})
-		res, err := eng.Run(10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +58,7 @@ func TestEngineRoundsAndDelivery(t *testing.T) {
 			t.Fatalf("procs %d: rounds = %d, want 3", procs, res.Rounds)
 		}
 		// Each node receives 2 messages per round for 3 rounds.
-		for v, out := range res.Outputs {
+		for v, out := range outs {
 			if out.(int) != 6 {
 				t.Fatalf("procs %d: node %d sum = %d, want 6", procs, v, out)
 			}
@@ -55,10 +68,10 @@ func TestEngineRoundsAndDelivery(t *testing.T) {
 
 func TestEngineTimeout(t *testing.T) {
 	g := gen.Path(3)
-	eng := NewEngine(g, func(v graph.ID) Protocol {
+	_, _, err := runIDs(graph.NewIndexed(g), RunOpts{}, 5, func(v graph.ID) Protocol {
 		return &echoProtocol{target: 100}
 	})
-	if _, err := eng.Run(5); err == nil {
+	if err == nil {
 		t.Fatal("expected timeout error")
 	}
 }
@@ -67,20 +80,19 @@ func TestEngineConcurrentMatchesSequential(t *testing.T) {
 	g := gen.RandomChordal(40, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 7)
 	var seq map[graph.ID]any
 	proctest.Sweep(func(procs int) {
-		eng := NewEngine(g, func(v graph.ID) Protocol {
+		outs, _, err := runIDs(graph.NewIndexed(g), RunOpts{}, 10, func(v graph.ID) Protocol {
 			return &echoProtocol{target: 4}
 		})
-		res, err := eng.Run(10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if procs == 1 {
-			seq = res.Outputs
+			seq = outs
 			return
 		}
 		for v := range seq {
-			if seq[v] != res.Outputs[v] {
-				t.Fatalf("node %d: one range %v != %d ranges %v", v, seq[v], procs, res.Outputs[v])
+			if seq[v] != outs[v] {
+				t.Fatalf("node %d: one range %v != %d ranges %v", v, seq[v], procs, outs[v])
 			}
 		}
 	})

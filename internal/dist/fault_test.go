@@ -190,10 +190,9 @@ func TestCrashDeadLetters(t *testing.T) {
 	g := gen.Path(6)
 	rec := &faultRecorder{}
 	f := &Faults{Crash: map[graph.ID]int{2: 1}}
-	eng := NewEngine(g, func(v graph.ID) Protocol { return &countingProtocol{limit: 3} })
-	eng.Observer = rec
-	eng.Faults = f
-	_, err := eng.Run(10)
+	_, _, err := runIDs(graph.NewIndexed(g), RunOpts{Observer: rec, Faults: f}, 10, func(v graph.ID) Protocol {
+		return &countingProtocol{limit: 3}
+	})
 	if err == nil {
 		t.Fatal("want crash error")
 	}
@@ -217,9 +216,9 @@ func TestCrashDeadLetters(t *testing.T) {
 // up front.
 func TestCrashUnknownNode(t *testing.T) {
 	g := gen.Path(3)
-	eng := NewEngine(g, func(v graph.ID) Protocol { return &countingProtocol{limit: 2} })
-	eng.Faults = &Faults{Crash: map[graph.ID]int{99: 1}}
-	_, err := eng.Run(10)
+	_, _, err := runIDs(graph.NewIndexed(g), RunOpts{Faults: &Faults{Crash: map[graph.ID]int{99: 1}}}, 10, func(v graph.ID) Protocol {
+		return &countingProtocol{limit: 2}
+	})
 	if err == nil || !strings.Contains(err.Error(), "not a node of the network") {
 		t.Fatalf("unknown crash node: err = %v", err)
 	}

@@ -9,10 +9,9 @@ import (
 )
 
 // Faults attaches a deterministic fault-injection schedule to a run
-// (RunOpts.Faults, or Engine.Faults for engine-only programs): a
-// message-perturbation plan (drop / duplicate / delay, decided per
-// message by fault.Plan) plus a crash schedule mapping node IDs to the
-// round at which they fail-stop. A nil *Faults keeps the zero-cost
+// (RunOpts.Faults): a message-perturbation plan (drop / duplicate /
+// delay, decided per message by fault.Plan) plus a crash schedule
+// mapping node IDs to the round at which they fail-stop. A nil *Faults keeps the zero-cost
 // delivery path; a non-nil plan is consulted once per queued message
 // copy at the round boundary, by the shared routing walk at global
 // (round, sender index, queue position) coordinates, so the schedule is

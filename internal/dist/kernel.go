@@ -3,13 +3,12 @@ package dist
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
-// This file is the round kernel both runtimes execute: the LOCAL Engine
+// This file is the round kernel both runtimes execute: the LOCAL engine
 // (every node range in one process) and the partitioned
 // ShardRunner/coordinator (one range per shard). It holds the only code
 // that runs node programs (nodeRange.step), the fail-stop crash table,
@@ -485,25 +484,19 @@ type stepper interface {
 	// adding its counters to res; crashed lists the nodes that crash at
 	// this step, in ID order.
 	step(round int, crashed []graph.ID, res *Result) (stepState, error)
-	// finish collects the outputs into res after the final step.
-	finish(res *Result) error
+	// finish returns the outputs by snapshot index after the final step.
+	finish() ([]any, error)
 }
 
 // runLoop executes a run until every node is Done, or fails after
-// maxRounds rounds: the synchronous LOCAL round sequence both
-// Engine.Run and the partitioned coordinator drive. name ("Engine", "Coordinator")
-// labels the Run-twice error; ran guards the single run a runtime gets,
-// since protocols hold terminal state afterwards. The crash-blocked
+// maxRounds rounds: the synchronous LOCAL round sequence both the
+// engine and the partitioned coordinator drive. The crash-blocked
 // check precedes the maxRounds check, so a run that can no longer
 // finish is diagnosed as such rather than as a timeout.
-func runLoop(name string, ran *bool, ix *graph.Indexed, obs RoundObserver, maxRounds int, s stepper) (*Result, error) {
-	if *ran {
-		return nil, fmt.Errorf("dist: %s.Run called twice; protocol state is terminal after a run — build a new %s", name, strings.ToLower(name))
-	}
-	*ran = true
+func runLoop(ix *graph.Indexed, obs RoundObserver, maxRounds int, s stepper) ([]any, *Result, error) {
 	crash, err := s.start()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := ix.NumNodes()
 	if obs != nil {
@@ -513,23 +506,24 @@ func runLoop(name string, ran *bool, ix *graph.Indexed, obs RoundObserver, maxRo
 	st, err := s.step(0, crash.mark(0), res)
 	for err == nil && st.done != n {
 		if st.deadNotDone > 0 && st.done+st.deadNotDone == n {
-			return nil, fmt.Errorf("dist: node %d crashed at round %d and cannot finish; all surviving nodes are done",
+			return nil, nil, fmt.Errorf("dist: node %d crashed at round %d and cannot finish; all surviving nodes are done",
 				ix.IDOf(int(st.blockedIdx)), st.blockedRound)
 		}
 		if res.Rounds >= maxRounds {
-			return nil, fmt.Errorf("protocol did not terminate within %d rounds", maxRounds)
+			return nil, nil, fmt.Errorf("protocol did not terminate within %d rounds", maxRounds)
 		}
 		res.Rounds++
 		st, err = s.step(res.Rounds, crash.mark(res.Rounds), res)
 	}
+	var outs []any
 	if err == nil {
-		err = s.finish(res)
+		outs, err = s.finish()
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if obs != nil {
 		obs.RunEnd(res.Rounds)
 	}
-	return res, nil
+	return outs, res, nil
 }

@@ -66,7 +66,7 @@ func RunKernel(kernel string, n, shards int, ko KernelObserver, body func(shard,
 
 // runKernelShard runs one chunk inside the observer's shard hooks; wg,
 // when non-nil, is signalled at the end. Spawning this named function
-// with explicit arguments, as Engine.stepRanges spawns stepRange, keeps
+// with explicit arguments, as engine.stepRanges spawns stepRange, keeps
 // the launcher free of a capturing closure.
 func runKernelShard(ko KernelObserver, body func(shard, lo, hi int), shard, lo, hi int, wg *sync.WaitGroup) {
 	if wg != nil {

@@ -75,11 +75,9 @@ func TestObserverDeterministicAcrossModes(t *testing.T) {
 	var ref *recordingObserver
 	proctest.Sweep(func(procs int) {
 		rec := newRecordingObserver()
-		eng := NewEngine(g, func(v graph.ID) Protocol {
+		if _, _, err := runIDs(graph.NewIndexed(g), RunOpts{Observer: rec}, 10, func(v graph.ID) Protocol {
 			return &echoProtocol{target: 4}
-		})
-		eng.Observer = rec
-		if _, err := eng.Run(10); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if rec.runNodes != g.NumNodes() || rec.runEdges != g.NumEdges() {
@@ -159,11 +157,9 @@ func (p *sizerProtocol) Output() any { return nil }
 func TestResultVolumeWithSizer(t *testing.T) {
 	g := gen.Cycle(5)
 	rec := newRecordingObserver()
-	eng := NewEngine(g, func(v graph.ID) Protocol {
+	_, res, err := runIDs(graph.NewIndexed(g), RunOpts{Observer: rec}, 10, func(v graph.ID) Protocol {
 		return &sizerProtocol{size: 7}
 	})
-	eng.Observer = rec
-	res, err := eng.Run(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +198,9 @@ func (p *mixedSizeProtocol) Output() any                         { return nil }
 
 func TestResultVolumeMixedPayloads(t *testing.T) {
 	g := gen.Cycle(4)
-	eng := NewEngine(g, func(v graph.ID) Protocol {
+	_, res, err := runIDs(graph.NewIndexed(g), RunOpts{}, 10, func(v graph.ID) Protocol {
 		return &mixedSizeProtocol{}
 	})
-	res, err := eng.Run(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,18 +241,17 @@ func (p *sendEverywhereProtocol) Output() any { return p.got }
 // distant sends must deliver exactly like neighbor sends.
 func TestSendTargetClasses(t *testing.T) {
 	g := gen.Path(6) // IDs 0..5 in a path; 0 and 5 are not adjacent
-	eng := NewEngine(g, func(v graph.ID) Protocol {
+	outs, _, err := runIDs(graph.NewIndexed(g), RunOpts{}, 10, func(v graph.ID) Protocol {
 		far := graph.ID(5)
 		if v == 5 {
 			far = 0
 		}
 		return &sendEverywhereProtocol{far: far, got: make(map[graph.ID]int)}
 	})
-	res, err := eng.Run(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v, out := range res.Outputs {
+	for v, out := range outs {
 		got := out.(map[graph.ID]int)
 		// Self delivery.
 		if got[v] != 1 {
@@ -273,7 +267,7 @@ func TestSendTargetClasses(t *testing.T) {
 	// Distant sends: node 0 heard from 5 and vice versa (each node sent
 	// to its far endpoint).
 	for _, pair := range [][2]graph.ID{{0, 5}, {5, 0}} {
-		got := res.Outputs[pair[0]].(map[graph.ID]int)
+		got := outs[pair[0]].(map[graph.ID]int)
 		if got[pair[1]] != 1 {
 			t.Errorf("node %d: distant message count from %d = %d, want 1", pair[0], pair[1], got[pair[1]])
 		}
@@ -285,10 +279,9 @@ func TestSendTargetClasses(t *testing.T) {
 // (adversarial_test.go repeats it under the GOMAXPROCS sweep).
 func TestSendUnknownTarget(t *testing.T) {
 	g := gen.Path(3)
-	eng := NewEngine(g, func(v graph.ID) Protocol {
+	_, _, err := runIDs(graph.NewIndexed(g), RunOpts{}, 10, func(v graph.ID) Protocol {
 		return &badSenderProtocol{}
 	})
-	_, err := eng.Run(10)
 	if err == nil {
 		t.Fatal("send to a non-node did not surface an error from Run")
 	}
@@ -335,16 +328,15 @@ func TestDoneCounterOscillation(t *testing.T) {
 	proctest.Sweep(func(procs int) {
 		// settle=5 (odd): nodes report done after even rounds 2 and 4
 		// but un-done after 1, 3; all settle for good at round 5.
-		eng := NewEngine(g, func(v graph.ID) Protocol {
+		outs, res, err := runIDs(graph.NewIndexed(g), RunOpts{}, 20, func(v graph.ID) Protocol {
 			return &oscillatingProtocol{settle: 5}
 		})
-		res, err := eng.Run(20)
 		if err != nil {
 			t.Fatalf("procs %d: %v", procs, err)
 		}
 		// All nodes report Done after round 2 already (rounds=2 is even),
 		// so the run stops there — the point is the counter must agree.
-		for v, out := range res.Outputs {
+		for v, out := range outs {
 			if out.(int) != res.Rounds {
 				t.Errorf("procs %d: node %d ran %d rounds, engine says %d", procs, v, out, res.Rounds)
 			}

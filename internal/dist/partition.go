@@ -221,9 +221,7 @@ func SplitRange(n, parts int) []PartRange {
 // payload size (Sizer) is always charged sender-side on the original
 // value, so encoding never affects volume accounting.
 type Program interface {
-	// NewNode returns the protocol for the node at global snapshot
-	// index i.
-	NewNode(i int) Protocol
+	Nodes
 	// Params returns the registered name and the opaque parameters the
 	// program's ProgramFactory rebuilds it from. Run calls it only for
 	// partitioned runs.

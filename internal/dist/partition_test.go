@@ -246,17 +246,35 @@ func TestPartitionedRejectsHandBuiltFaults(t *testing.T) {
 	}
 }
 
-func TestPartitionedRunTwice(t *testing.T) {
+// startSpy is a ShardLink that counts the runs started on it.
+type startSpy struct {
+	ShardLink
+	starts int
+}
+
+func (l *startSpy) Start(cfg ShardConfig) error {
+	l.starts++
+	return l.ShardLink.Start(cfg)
+}
+
+// TestPartitionedRunNeedsCodecs: only a partitioned run needs the
+// Program codecs, so nodes without them run LOCAL, and on a partition
+// fail with an error naming their type before any shard starts.
+func TestPartitionedRunNeedsCodecs(t *testing.T) {
 	ix := graph.NewIndexed(gen.Path(10))
-	c, err := newCoordinator(ix, newFloodProgram(ix, 1), RunOpts{Part: NewLocalPartition(ix, 2)})
-	if err != nil {
-		t.Fatal(err)
+	nodes := NodeFunc(func(int) Protocol { return &countingProtocol{limit: 2} })
+	if _, _, err := Run(ix, nodes, RunOpts{}, 5); err != nil {
+		t.Fatalf("LOCAL run: %v", err)
 	}
-	if _, err := c.run(2); err != nil {
-		t.Fatal(err)
+	part := NewLocalPartition(ix, 2)
+	spy := &startSpy{ShardLink: part.Links[0]}
+	part.Links[0] = spy
+	_, _, err := Run(ix, nodes, RunOpts{Part: part}, 5)
+	if err == nil || !strings.Contains(err.Error(), "dist.NodeFunc has no codecs") {
+		t.Fatalf("partitioned run of a NodeFunc: %v", err)
 	}
-	if _, err := c.run(2); err == nil || !strings.Contains(err.Error(), "called twice") {
-		t.Fatalf("second Run: %v", err)
+	if spy.starts != 0 {
+		t.Fatalf("%d shard runs started before the error", spy.starts)
 	}
 }
 

@@ -73,14 +73,13 @@ func TestPullDeliveryMatchesPush(t *testing.T) {
 	g.AddNode(10_000) // an isolated node, which never sends
 	run := func(f *Faults) (map[graph.ID]any, []RoundStats) {
 		rec := newRecordingObserver()
-		eng := NewEngine(g, func(graph.ID) Protocol { return &inboxLogProtocol{limit: 7} })
-		eng.Observer = rec
-		eng.Faults = f
-		res, err := eng.Run(10)
+		outs, _, err := runIDs(graph.NewIndexed(g), RunOpts{Observer: rec, Faults: f}, 10, func(graph.ID) Protocol {
+			return &inboxLogProtocol{limit: 7}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Outputs, scheduleFree(rec.rounds)
+		return outs, scheduleFree(rec.rounds)
 	}
 	proctest.Sweep(func(procs int) {
 		pullOut, pullStats := run(nil)
@@ -109,11 +108,11 @@ func TestPanicLowestIndexUnderBFSOrder(t *testing.T) {
 		t.Fatalf("BFS order %v", got)
 	}
 	proctest.Sweep(func(procs int) {
-		eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
+		_, _, err := runIDs(ix, RunOpts{}, 5, func(v graph.ID) Protocol {
 			return &panicProtocol{id: v, arm: v == 2 || v == 4}
 		})
 		want := "dist: node program panicked: node 2 exploded"
-		if _, err := eng.Run(5); err == nil || err.Error() != want {
+		if err == nil || err.Error() != want {
 			t.Fatalf("procs %d: err = %v, want %q", procs, err, want)
 		}
 	})

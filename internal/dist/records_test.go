@@ -171,12 +171,11 @@ func tappedRun(tb testing.TB, program string, radius, budget, limit int) (*graph
 	var mu sync.Mutex
 	var payloads [][]byte
 	nodes := make([]Protocol, ix.NumNodes())
-	eng := NewEngineIndexed(ix, func(v graph.ID) Protocol {
-		i, _ := ix.IndexOf(v)
+	tap := NodeFunc(func(i int) Protocol {
 		nodes[i] = prog.NewNode(i)
 		return &payloadTap{Protocol: nodes[i], prog: prog, mu: &mu, out: &payloads}
 	})
-	if _, err := eng.Run(budget); err != nil {
+	if _, _, err := Run(ix, tap, RunOpts{}, budget); err != nil {
 		tb.Fatal(err)
 	}
 	outputs := make([][]byte, len(nodes))

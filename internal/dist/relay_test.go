@@ -162,13 +162,12 @@ func TestRelaySharesDecodedPayload(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		local := &relayProgram{}
-		e := NewEngineIndexed(ix, func(v graph.ID) Protocol {
-			i, _ := ix.IndexOf(v)
-			return local.NewNode(i)
+		local := make([]*relayNode, ix.NumNodes())
+		keep := NodeFunc(func(i int) Protocol {
+			local[i] = &relayNode{idx: i}
+			return local[i]
 		})
-		e.Faults = lf
-		if _, err := e.Run(2); err != nil {
+		if _, _, err := Run(ix, keep, RunOpts{Faults: lf}, 2); err != nil {
 			t.Fatalf("%q: local run: %v", spec, err)
 		}
 
@@ -190,7 +189,7 @@ func TestRelaySharesDecodedPayload(t *testing.T) {
 		}
 		var shared any
 		for j, p := range runners[1].nodes.progs {
-			got, wantIn := p.(*relayNode).inbox, e.progs[1+j].(*relayNode).inbox
+			got, wantIn := p.(*relayNode).inbox, local[1+j].inbox
 			if len(got) != copies || len(wantIn) != copies {
 				t.Fatalf("%q: leaf %d inbox has %d messages, LOCAL %d, want %d", spec, 1+j, len(got), len(wantIn), copies)
 			}

@@ -44,9 +44,9 @@ func classifyFaultErr(err error) string {
 	switch {
 	case strings.Contains(msg, "crashed"):
 		return "crash reported"
-	case strings.Contains(msg, "Lemma 12") || strings.Contains(msg, "divergence"):
+	case strings.Contains(msg, "Lemma 12"):
 		return "divergence detected"
-	case strings.Contains(msg, "peeled nothing") || strings.Contains(msg, "never decided"):
+	case strings.Contains(msg, "peeled nothing"):
 		return "corruption detected"
 	case strings.Contains(msg, "did not terminate") || strings.Contains(msg, "never finalized"):
 		return "stall detected"

@@ -15,7 +15,7 @@ import (
 //
 // An Indexed is immutable and safe for any number of concurrent readers;
 // mutating the source Graph after the snapshot is taken does not affect
-// it. The simulation hot paths (dist.Engine, flooding, pruning) run on
+// it. The simulation hot paths (dist.Run, flooding, pruning) run on
 // snapshots; the mutable Graph remains the construction-time interface.
 type Indexed struct {
 	ids    []ID         // index -> ID, strictly increasing

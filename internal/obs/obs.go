@@ -1,10 +1,10 @@
 // Package obs is the repo's observability layer: per-round tracing,
-// counter/gauge registries, and pprof wiring for the LOCAL simulator.
+// trace summaries, and pprof wiring for the LOCAL simulator.
 //
 // The simulation core (internal/dist, internal/core, internal/peel)
 // never reads the wall clock — the LOCAL model measures time in rounds,
 // and the chordalvet wallclock analyzer enforces the invariant. All
-// timing therefore lives here: dist.Engine invokes a caller-supplied
+// timing therefore lives here: dist.Run invokes a caller-supplied
 // RoundObserver at round boundaries, and the Collector in this package
 // stamps those callbacks with wall times itself. internal/obs is the one
 // package under internal/ that chordalvet sanctions as a clock user.
@@ -209,9 +209,6 @@ type Collector struct {
 	// matching RoundEnd, on the same goroutine, like FaultRound).
 	pendingWire *[3]int64
 
-	// Optional registry kept updated with running totals.
-	reg *Registry
-
 	// start anchors every TNS offset (schema v3); SetClock re-stamps it
 	// so fake-clock tests get small deterministic offsets.
 	start time.Time
@@ -266,14 +263,6 @@ func (c *Collector) SetClock(now func() time.Time) {
 	c.now = now
 	c.start = c.now()
 	c.phaseStart = c.start
-}
-
-// SetRegistry keeps reg's rounds_total / messages_total / volume_total
-// counters and nodes_done gauge updated as events arrive.
-func (c *Collector) SetRegistry(reg *Registry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reg = reg
 }
 
 // SetPhase labels subsequent events with a phase name (implements
@@ -488,12 +477,6 @@ func (c *Collector) RoundEnd(stats dist.RoundStats) {
 	c.phMessages += stats.Messages
 	c.phVolume += stats.Volume
 	c.phHist.Record(ev.WallNS)
-	if c.reg != nil {
-		c.reg.Counter("rounds_total").Add(1)
-		c.reg.Counter("messages_total").Add(int64(stats.Messages))
-		c.reg.Counter("volume_total").Add(int64(stats.Volume))
-		c.reg.Gauge("nodes_done").Set(int64(stats.Done))
-	}
 	c.emit(ev)
 }
 

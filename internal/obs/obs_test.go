@@ -67,11 +67,9 @@ func fakeClock() func() time.Time {
 
 func runPing(t *testing.T, c *Collector, n, rounds int) *dist.Result {
 	t.Helper()
-	eng := dist.NewEngine(pathGraph(n), func(v graph.ID) dist.Protocol {
+	_, res, err := dist.Run(graph.NewIndexed(pathGraph(n)), dist.NodeFunc(func(int) dist.Protocol {
 		return &pingProtocol{rounds: rounds}
-	})
-	eng.Observer = c
-	res, err := eng.Run(100)
+	}), dist.RunOpts{Observer: c}, 100)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -189,12 +187,10 @@ func TestCollectorPhasesAndRuns(t *testing.T) {
 func TestCollectorShardBusyTimes(t *testing.T) {
 	c := NewCollector()
 	c.SetClock(fakeClock())
-	eng := dist.NewEngine(pathGraph(64), func(v graph.ID) dist.Protocol {
-		return &pingProtocol{rounds: 2}
-	})
-	eng.Observer = c
+	ix := graph.NewIndexed(pathGraph(64))
+	ping := dist.NodeFunc(func(int) dist.Protocol { return &pingProtocol{rounds: 2} })
 	proctest.With(1, func() {
-		if _, err := eng.Run(100); err != nil {
+		if _, _, err := dist.Run(ix, ping, dist.RunOpts{Observer: c}, 100); err != nil {
 			t.Fatalf("engine: %v", err)
 		}
 	})
@@ -242,74 +238,24 @@ func TestPeelTraceLayerEvents(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("msgs").Add(3)
-	r.Counter("msgs").Add(4)
-	r.Gauge("done").Set(17)
-	if got := r.Counter("msgs").Value(); got != 7 {
-		t.Errorf("counter=%d, want 7", got)
-	}
-	if got := r.Gauge("done").Value(); got != 17 {
-		t.Errorf("gauge=%d, want 17", got)
-	}
-
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var m map[string]int64
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if m["msgs"] != 7 || m["done"] != 17 {
-		t.Errorf("snapshot=%v, want msgs=7 done=17", m)
-	}
-	// Sorted keys: "done" before "msgs" in the raw bytes.
-	if d, ms := strings.Index(buf.String(), "done"), strings.Index(buf.String(), "msgs"); d > ms {
-		t.Errorf("keys not sorted: %s", buf.String())
-	}
-}
-
-func TestCollectorUpdatesRegistry(t *testing.T) {
-	r := NewRegistry()
-	c := NewCollector()
-	c.SetClock(fakeClock())
-	c.SetRegistry(r)
-	res := runPing(t, c, 6, 2)
-	if got := r.Counter("rounds_total").Value(); got != int64(res.Rounds+1) {
-		t.Errorf("rounds_total=%d, want %d", got, res.Rounds+1)
-	}
-	if got := r.Counter("messages_total").Value(); got != int64(res.Messages) {
-		t.Errorf("messages_total=%d, want %d", got, res.Messages)
-	}
-	if got := r.Gauge("nodes_done").Value(); got != 6 {
-		t.Errorf("nodes_done=%d, want 6", got)
-	}
-}
-
 func TestServePprofAndVars(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("hits").Add(1)
-	shutdown, addr, err := Serve("127.0.0.1:0", r)
+	shutdown, addr, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
 	defer shutdown()
 
-	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", path, resp.StatusCode)
-		}
-		if len(body) == 0 {
-			t.Errorf("GET %s: empty body", path)
-		}
+	resp, err := http.Get("http://" + addr + "/debug/pprof/")
+	if err != nil {
+		t.Fatalf("GET /debug/pprof/: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /debug/pprof/: status %d", resp.StatusCode)
+	}
+	if len(body) == 0 {
+		t.Errorf("GET /debug/pprof/: empty body")
 	}
 }
 

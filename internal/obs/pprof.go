@@ -45,22 +45,18 @@ func WriteHeapProfile(path string) error {
 }
 
 // Serve starts an HTTP server on addr exposing net/http/pprof under
-// /debug/pprof/ and, when reg is non-nil, the registry snapshot under
-// /debug/vars. The handlers are mounted on a private mux — importing
+// /debug/pprof/. The handlers are mounted on a private mux — importing
 // net/http/pprof pollutes http.DefaultServeMux, which this avoids — and
 // the server runs until the returned shutdown function is called. The
 // second return value is the bound address (useful with addr
 // "127.0.0.1:0").
-func Serve(addr string, reg *Registry) (shutdown func() error, bound string, err error) {
+func Serve(addr string) (shutdown func() error, bound string, err error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if reg != nil {
-		mux.Handle("/debug/vars", reg.Handler())
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("pprof server: %w", err)
