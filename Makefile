@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-budgets lint-bench lint-diff race fuzz-smoke bench-check ci bench-smoke bench bench-json bench-compare trace-smoke chaos-smoke tracestat-smoke partition-smoke experiments netloc
+.PHONY: all build test vet lint lint-budgets lint-bench lint-diff race fuzz-smoke bench-check ci bench-smoke bench trace-smoke chaos-smoke tracestat-smoke partition-smoke experiments netloc
 
 all: build test
 
@@ -59,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzGraphOps$$' -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzNewIndexedFromCSR$$' -fuzztime 10s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzElim$$' -fuzztime 10s ./internal/chordal
 	$(GO) test -run '^$$' -fuzz '^FuzzRecognize$$' -fuzztime 10s ./internal/interval
 	$(GO) test -run '^$$' -fuzz '^FuzzChordalPipeline$$' -fuzztime 10s ./internal/interval
 	$(GO) test -run '^$$' -fuzz '^FuzzIntervalDiameter$$' -fuzztime 10s ./internal/interval
@@ -88,7 +89,7 @@ bench-check:
 # concurrent core, run the whole test suite and the benchmark module's,
 # then the fault-injection and trace-analysis smokes.
 # .github/workflows/ci.yml runs exactly this target.
-ci: build vet lint lint-bench race test bench-check chaos-smoke tracestat-smoke partition-smoke bench-compare
+ci: build vet lint lint-bench race test bench-check chaos-smoke tracestat-smoke partition-smoke
 
 # Quick-mode benchmark smoke: one iteration of the substrate and
 # experiment benchmarks plus the 20k-node end-to-end pipeline, with
@@ -99,33 +100,6 @@ bench-smoke:
 # Full benchmark sweep (slow).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
-
-# Machine-readable benchmark record: the engine/flood/prune/peel
-# benchmarks plus the 100k-node stage benchmarks and the end-to-end
-# pipelines (20k smoke, 1M headline) through `go test -json`,
-# post-processed by cmd/benchjson into the repo's perf-trajectory
-# format. BENCH_7.json in the repo root is a recorded run of exactly
-# this target (it adds the BenchmarkPipelineN20kMetrics A/B row — the
-# 'BenchmarkPipelineN20k' pattern matches it by substring — so the
-# nil-observer vs -metrics delta is recorded alongside the trend).
-# The substrate and stage/pipeline sweeps run as two separate `go test`
-# processes (benchjson accepts the concatenated streams): the 10^6-node
-# pipeline leaves a multi-GB heap behind, and sharing a process would
-# taint the substrate numbers recorded under BENCH_5's conditions.
-BENCHJSON_OUT ?= BENCH_7.json
-bench-json:
-	( $(GO) test -run '^$$' -bench 'BenchmarkEngineRound|BenchmarkFloodRadius|BenchmarkFloodN100k|BenchmarkFloodBallCollection|BenchmarkDistributedPruneN256|BenchmarkPeelingN4096' \
-		-benchmem -json . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkPeelingN100k|BenchmarkMISStageN100k|BenchmarkCorrectionPhaseN100k|BenchmarkPipelineN20k|BenchmarkPipelineN1M' \
-		-benchmem -json -timeout 2h . ) | $(GO) run ./cmd/benchjson -out $(BENCHJSON_OUT)
-
-# Per-benchmark ns/op, B/op, allocs/op deltas between the two most
-# recent recorded runs. >10% regressions on any metric print a warning
-# to stderr but never fail the target — this is a trend report, not a
-# gate; missing record files skip the comparison cleanly.
-BENCHJSON_BASE ?= BENCH_6.json
-bench-compare:
-	$(GO) run ./cmd/benchjson compare $(BENCHJSON_BASE) $(BENCHJSON_OUT)
 
 # Observability smoke: run the tracing workload in quick mode with CPU
 # and heap profiling, leaving the artifacts in ./trace-smoke/, then

@@ -154,32 +154,29 @@ func run(quick bool, only, trace string, metrics bool, partitions int, faults st
 	if only == "" {
 		return exp.All(os.Stdout, quick)
 	}
+	known := make(map[string]bool, len(exp.Experiments))
+	for _, e := range exp.Experiments {
+		known[e.ID] = true
+	}
 	wanted := make(map[string]bool)
 	for _, id := range strings.Split(only, ",") {
-		wanted[strings.TrimSpace(strings.ToUpper(id))] = true
+		id = strings.TrimSpace(strings.ToUpper(id))
+		if !known[id] {
+			ids := make([]string, len(exp.Experiments))
+			for i, e := range exp.Experiments {
+				ids[i] = e.ID
+			}
+			return fmt.Errorf("-only: unknown experiment %q (known: %s)", id, strings.Join(ids, ", "))
+		}
+		wanted[id] = true
 	}
-	runs := map[string]func(bool) (*exp.Table, error){
-		"E1": exp.E1Fig12, "E2": exp.E2Fig34, "E3": exp.E3Fig56,
-		"E4": exp.E4PruningLayers, "E5": exp.E5MVCApproximation,
-		"E6": exp.E6MVCRounds, "E7": exp.E7ColIntGraph, "E8": exp.E8Recoloring,
-		"E9": exp.E9IntervalMIS, "E10": exp.E10IntervalMISRounds,
-		"E11": exp.E11ChordalMIS, "E12": exp.E12ChordalMISRounds,
-		"E13": exp.E13LowerBound, "E14": exp.E14Baselines,
-		"E15": exp.E15LocalViewCoherence, "E16": exp.E16BeyondChordal,
-		"E17": exp.E17MessageComplexity, "E18": exp.E18RoundTrace,
-		"E19": exp.E19PeelTrace, "E20": exp.E20FaultMatrix,
-		"E21": exp.E21RetransFlood,
-	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9",
-		"E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19",
-		"E20", "E21"}
-	for _, id := range order {
-		if !wanted[id] {
+	for _, e := range exp.Experiments {
+		if !wanted[e.ID] {
 			continue
 		}
-		tbl, err := runs[id](quick)
+		tbl, err := e.Run(quick)
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		tbl.Fprint(os.Stdout)
 	}

@@ -49,6 +49,10 @@ func TestOnlySelection(t *testing.T) {
 	if err := run(true, "E18, E19", "", false, 0, "", 7, "", "", ""); err != nil {
 		t.Fatal(err)
 	}
+	err := run(true, "E18,E99", "", false, 0, "", 7, "", "", "")
+	if err == nil || !strings.Contains(err.Error(), `unknown experiment "E99"`) || !strings.Contains(err.Error(), "E1, E2,") {
+		t.Fatalf("-only E18,E99: error %v, want an unknown-ID error listing the known IDs", err)
+	}
 }
 
 func TestFaultsRequireTrace(t *testing.T) {

@@ -22,8 +22,8 @@ import (
 // above the count would leave slack for a new site to fill silently, so
 // introducing a single new allocation site inside the decide kernel,
 // the peel workers, the engine round loop, or the view rebuild fails
-// `make lint` before it ever shows up as a B/op regression in
-// BENCH_N.json, and so does removing one without lowering the budget.
+// `make lint` before it ever shows up as a B/op regression in a
+// benchmark, and so does removing one without lowering the budget.
 // Likewise a coldpath directive on a function no hot-root traversal
 // reaches prunes nothing and is reported, so stale exemptions go.
 var HotAlloc = &Analyzer{

@@ -274,8 +274,6 @@ func MaximumIndependentSet(g *graph.Graph) (graph.Set, error) {
 }
 
 // IndependenceNumber returns α(g) for chordal g.
-//
-//chordalvet:coldpath α-rule helper, reference MIS over a materialized graph
 func IndependenceNumber(g *graph.Graph) (int, error) {
 	is, err := MaximumIndependentSet(g)
 	if err != nil {

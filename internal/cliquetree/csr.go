@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/chordal"
 	"repro/internal/graph"
 )
 
@@ -19,11 +20,10 @@ import (
 //
 //   - snapshot index order coincides with ID order (graph.Indexed), so
 //     every ID-based tie-break below is an index-based tie-break;
-//   - MCS pops (max weight, then min ID), reproduced by a packed max-heap
-//     on (weight<<32 | n-1-idx) with lazy deletion;
-//   - the PEO validity check is Tarjan–Yannakakis (the candidate parent
-//     absorbs the rest of the later neighborhood), which accepts exactly
-//     the orderings chordal.IsPEO accepts;
+//   - the elimination order and its PEO check come from chordal.Elim,
+//     whose MCS pops (max weight, then min index = min ID) like
+//     chordal.MCS and whose Tarjan–Yannakakis check accepts exactly the
+//     orderings chordal.IsPEO accepts;
 //   - candidate cliques, their maximality filter, the WCIG weights, the
 //     canonical edge order, and Kruskal's scan are literal translations,
 //     so the resulting clique list (in PEO-position order) and forest
@@ -67,14 +67,8 @@ type wedge struct {
 // Builder computes CSR clique forests over one snapshot, reusing all
 // working storage between builds. Not safe for concurrent use.
 type Builder struct {
-	ix *graph.Indexed
-
-	// MCS state.
-	heap    []uint64
-	weight  []int32
-	visited []bool
-	order   []int32
-	pos     []int32
+	ix   *graph.Indexed
+	elim chordal.Elim // the elimination order and its PEO check
 
 	mark  []bool // generic per-index marks, clean between uses
 	cand  []int32
@@ -103,116 +97,26 @@ func growInt32(s []int32, n int) []int32 {
 func (b *Builder) Build(alive []bool, nAlive int, out *CSRForest) error {
 	ix := b.ix
 	n := ix.NumNodes()
-	b.weight = growInt32(b.weight, n)
-	b.order = growInt32(b.order, nAlive)
-	b.pos = growInt32(b.pos, n)
-	if cap(b.visited) < n {
-		b.visited = make([]bool, n)
+	if cap(b.mark) < n {
 		b.mark = make([]bool, n)
 	}
-	b.visited = b.visited[:n]
 	b.mark = b.mark[:n]
-	for i := 0; i < n; i++ {
-		b.weight[i] = 0
-		b.visited[i] = false
-	}
 
-	// MCS with a packed max-heap: key = weight<<32 | (n-1-idx), so the
-	// max key is the max weight with the smallest index (= smallest ID),
-	// matching chordal.MCS's tie-break. Stale entries (an index whose
-	// weight has grown since the push) are skipped on pop.
-	// Seeding in ascending index order appends descending keys, so every
-	// push is already in heap position (O(1) sift).
-	h := b.heap[:0]
+	// The elimination order: MCS over the alive rows, verified to be a
+	// PEO (it is one iff the alive subgraph is chordal).
+	members := growInt32(b.cand, n)[:0]
 	for i := 0; i < n; i++ {
 		if alive == nil || alive[i] {
-			h = heapPush(h, uint64(n-1-i))
+			members = append(members, int32(i))
 		}
 	}
-	order := b.order
-	for i := nAlive - 1; i >= 0; i-- {
-		var v int32
-		for {
-			top := h[0]
-			h = heapPop(h)
-			w := int32(top >> 32)
-			idx := int32(n-1) - int32(top&0xffffffff)
-			if b.visited[idx] || b.weight[idx] != w {
-				continue
-			}
-			v = idx
-			break
-		}
-		order[i] = v
-		b.visited[v] = true
-		for _, u := range ix.NeighborIndices(int(v)) {
-			if (alive != nil && !alive[u]) || b.visited[u] {
-				continue
-			}
-			b.weight[u]++
-			h = heapPush(h, uint64(b.weight[u])<<32|uint64(int32(n-1)-u))
-		}
+	b.cand = members
+	_, rowPtr, cols := ix.CSR()
+	order := b.elim.MCS(rowPtr, cols, members)
+	if err := b.elim.CheckPEO(); err != nil {
+		return fmt.Errorf("clique forest: %w", err)
 	}
-	b.heap = h[:0]
-	pos := b.pos
-	for i, v := range order {
-		pos[v] = int32(i)
-	}
-
-	// Tarjan–Yannakakis PEO verification: for each vertex, its earliest
-	// later neighbor u must absorb the rest of the later neighborhood
-	// (L(v) \ {u} ⊆ Γ(u)). This accepts exactly the orderings IsPEO
-	// accepts, and order is a PEO iff the alive subgraph is chordal.
-	for i := 0; i < nAlive; i++ {
-		v := order[i]
-		var u int32 = -1
-		uPos := int32(1) << 30
-		row := ix.NeighborIndices(int(v))
-		for _, w := range row {
-			if alive != nil && !alive[w] {
-				continue
-			}
-			if pos[w] > int32(i) && pos[w] < uPos {
-				uPos = pos[w]
-				u = w
-			}
-		}
-		if u < 0 {
-			continue
-		}
-		for _, w := range ix.NeighborIndices(int(u)) {
-			if alive == nil || alive[w] {
-				b.mark[w] = true
-			}
-		}
-		ok := true
-		for _, w := range row {
-			if alive != nil && !alive[w] {
-				continue
-			}
-			if pos[w] > int32(i) && w != u && !b.mark[w] {
-				ok = false
-				break
-			}
-		}
-		for _, w := range ix.NeighborIndices(int(u)) {
-			b.mark[w] = false
-		}
-		if !ok {
-			m := 0
-			for idx := 0; idx < n; idx++ {
-				if alive != nil && !alive[idx] {
-					continue
-				}
-				for _, w := range ix.NeighborIndices(idx) {
-					if alive == nil || alive[w] {
-						m++
-					}
-				}
-			}
-			return fmt.Errorf("clique forest: graph is not chordal (n=%d, m=%d)", nAlive, m/2)
-		}
-	}
+	pos := b.elim.Positions()
 
 	// Maximal cliques in PEO-position order: C_i = {v_i} ∪ Γ_later(v_i),
 	// kept iff no earlier neighbor of v_i is adjacent to all of C_i
@@ -267,7 +171,9 @@ func (b *Builder) Build(alive []bool, nAlive int, out *CSRForest) error {
 	out.NumCliques = len(out.cliquePtr) - 1
 
 	// Phi CSR: clique ids per alive node, ascending (cliques are scanned
-	// in increasing id, so counting-sort fill preserves that order).
+	// in increasing id, so counting-sort fill preserves that order). The
+	// fill advances phiPtr[v] from v's start to its end, which is v+1's
+	// start, so one shift restores the row pointers.
 	out.phiPtr = growInt32(out.phiPtr, n+1)
 	for i := range out.phiPtr {
 		out.phiPtr[i] = 0
@@ -279,16 +185,14 @@ func (b *Builder) Build(alive []bool, nAlive int, out *CSRForest) error {
 		out.phiPtr[i+1] += out.phiPtr[i]
 	}
 	out.phi = growInt32(out.phi, len(out.cliqueMem))
-	fill := b.weight[:n] // reuse as cursor scratch; overwritten above
-	for i := 0; i < n; i++ {
-		fill[i] = 0
-	}
 	for c := 0; c < out.NumCliques; c++ {
 		for _, v := range out.Clique(int32(c)) {
-			out.phi[out.phiPtr[v]+fill[v]] = int32(c)
-			fill[v]++
+			out.phi[out.phiPtr[v]] = int32(c)
+			out.phiPtr[v]++
 		}
 	}
+	copy(out.phiPtr[1:], out.phiPtr[:n])
+	out.phiPtr[0] = 0
 
 	// WCIG: every pair of cliques sharing a node, weighted by shared
 	// count. Pairs are packed (a<<32|b) with a<b (phi rows ascend), so a
@@ -474,45 +378,6 @@ func ToForest(f *CSRForest, ids []graph.ID) *Forest {
 		out.adj[c] = adj
 	}
 	return out
-}
-
-// heapPush pushes a key onto the packed max-heap.
-func heapPush(h []uint64, key uint64) []uint64 {
-	h = append(h, key)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] >= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	return h
-}
-
-// heapPop removes the max key (inspect h[0] first).
-func heapPop(h []uint64) []uint64 {
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < last && h[l] > h[big] {
-			big = l
-		}
-		if r < last && h[r] > h[big] {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-	return h
 }
 
 // sortUint64 sorts in place (radix by byte: the pair lists are large and

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/chordal"
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/interval"
@@ -350,6 +351,34 @@ func TestMISChordalErrors(t *testing.T) {
 	}
 	if _, err := MISChordal(gen.Cycle(4), 0.3); err == nil {
 		t.Fatal("expected error for non-chordal input")
+	}
+}
+
+// TestDistributedPipelinesRejectNonChordal checks that both distributed
+// pipelines reject non-chordal input with the chordality error, on the
+// LOCAL engine and on a partition. Without the prune's up-front check,
+// GNP(60, 0.08, 1) stalls with "iteration 2 peeled nothing" and C6
+// completes the prune, failing only in the centralized cross-check.
+func TestDistributedPipelinesRejectNonChordal(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{"C6": gen.Cycle(6), "GNP": gen.GNP(60, 0.08, 1)} {
+		_, notChordal := chordal.PEO(g)
+		if notChordal == nil {
+			t.Fatalf("%s: reference accepted the graph", name)
+		}
+		want := "distributed prune: " + notChordal.Error()
+		for _, parts := range []int{0, 2} {
+			var part *dist.Partition
+			if parts > 0 {
+				part = dist.NewLocalPartition(graph.NewIndexed(g), parts)
+			}
+			_, errColor := ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, nil, part)
+			_, errMIS := MISChordalDistributedFaultyPart(g, 0.5, nil, nil, nil, part)
+			for pipeline, err := range map[string]error{"coloring": errColor, "MIS": errMIS} {
+				if err == nil || err.Error() != want {
+					t.Errorf("%s %s, %d partitions: error %v, want %q", name, pipeline, parts, err, want)
+				}
+			}
+		}
 	}
 }
 

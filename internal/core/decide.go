@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/chordal"
 	"repro/internal/cliquetree"
@@ -202,6 +201,8 @@ type decideScratch struct {
 	bfsDist  []int32
 	bfsQueue []int32
 	bfsStamp int32
+
+	elim chordal.Elim // the α rule's MCS and Gavril count, over ball rows
 }
 
 // beginCenter resets the scratch for a new center over the given ball.
@@ -593,14 +594,12 @@ func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, v grap
 		// independence number reaches the threshold. The walked portion
 		// suffices: paths cut at the frontier span enough distance that
 		// their α already exceeds the threshold, and fully visible
-		// paths are measured exactly.
-		rows := sc.memberRows(sc.walked)
-		sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-		alpha, err := chordal.IndependenceNumber(ball.InducedGraph(cache.ix.IDs(), rows))
-		if err != nil {
-			return false, -1, err
-		}
-		peelMe = alpha >= rule.alphaThreshold
+		// paths are measured exactly. The members induce a chordal
+		// subgraph (the prune rejects non-chordal input before its first
+		// flood), so MCS yields a PEO and Gavril's count is exact.
+		rowPtr, cols := ball.CSR()
+		sc.elim.MCS(rowPtr, cols, sc.memberRows(sc.walked))
+		peelMe = sc.elim.Alpha() >= rule.alphaThreshold
 	} else {
 		// Internal (or frontier-extended) path: peel iff anchored
 		// diameter reaches the threshold within the walked portion.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/chordal"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/peel"
@@ -87,6 +88,15 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 	// once and reuse the snapshot for every flood.
 	ix := graph.NewIndexed(g)
 	n := ix.NumNodes()
+	// The decide rules hold on chordal graphs only; on other input the
+	// prune stalls or completes with meaningless layers, so reject it
+	// before the first flood. BFSOrder lists every row once.
+	var elim chordal.Elim
+	_, rowPtr, cols := ix.CSR()
+	elim.MCS(rowPtr, cols, ix.BFSOrder())
+	if err := elim.CheckPEO(); err != nil {
+		return nil, err
+	}
 	out := &PruneOutcome{Snapshot: ix, Layer: make([]int32, n), Parent: make([]int32, n)}
 	for i := range out.Parent {
 		out.Parent[i] = -1

@@ -68,22 +68,31 @@ func (t *Table) Fprint(w io.Writer) {
 	}
 }
 
-// All runs every experiment in order. Expensive experiments honour the
-// quick flag by shrinking their sweeps.
+// Experiment is one experiment table: its ID and the function that
+// builds it. Expensive experiments honour the quick flag by shrinking
+// their sweeps.
+type Experiment struct {
+	ID  string
+	Run func(quick bool) (*Table, error)
+}
+
+// Experiments lists every experiment in table order, E1–E21.
+var Experiments = []Experiment{
+	{"E1", E1Fig12}, {"E2", E2Fig34}, {"E3", E3Fig56},
+	{"E4", E4PruningLayers}, {"E5", E5MVCApproximation}, {"E6", E6MVCRounds},
+	{"E7", E7ColIntGraph}, {"E8", E8Recoloring},
+	{"E9", E9IntervalMIS}, {"E10", E10IntervalMISRounds},
+	{"E11", E11ChordalMIS}, {"E12", E12ChordalMISRounds},
+	{"E13", E13LowerBound}, {"E14", E14Baselines}, {"E15", E15LocalViewCoherence},
+	{"E16", E16BeyondChordal}, {"E17", E17MessageComplexity},
+	{"E18", E18RoundTrace}, {"E19", E19PeelTrace},
+	{"E20", E20FaultMatrix}, {"E21", E21RetransFlood},
+}
+
+// All runs every experiment in order.
 func All(w io.Writer, quick bool) error {
-	runs := []func(bool) (*Table, error){
-		E1Fig12, E2Fig34, E3Fig56,
-		E4PruningLayers, E5MVCApproximation, E6MVCRounds,
-		E7ColIntGraph, E8Recoloring,
-		E9IntervalMIS, E10IntervalMISRounds,
-		E11ChordalMIS, E12ChordalMISRounds,
-		E13LowerBound, E14Baselines, E15LocalViewCoherence,
-		E16BeyondChordal, E17MessageComplexity,
-		E18RoundTrace, E19PeelTrace,
-		E20FaultMatrix, E21RetransFlood,
-	}
-	for _, run := range runs {
-		tbl, err := run(quick)
+	for _, e := range Experiments {
+		tbl, err := e.Run(quick)
 		if err != nil {
 			return err
 		}

@@ -29,7 +29,7 @@ func E18RoundTrace(quick bool) (*Table, error) {
 	if _, err := core.ColorChordalDistributedObserved(figures.Fig1(), 0.5, c, nil); err != nil {
 		return nil, fmt.Errorf("E18: %w", err)
 	}
-	for _, ph := range c.Phases() {
+	for _, ph := range obs.Summarize(c.Events()).Phases {
 		t.AddRow(ph.Phase, ph.Runs, ph.Rounds, ph.Messages, ph.Volume, ph.MaxInbox)
 	}
 	t.Notes = append(t.Notes,

@@ -139,7 +139,7 @@ type Event struct {
 	ShardStartNS []int64 `json:"shard_start_ns,omitempty"`
 
 	// Phase-event fields (schema v3): the span aggregates every round
-	// event the closed phase saw. Runs/Rounds mirror PhaseSummary;
+	// event the closed phase saw. Runs/Rounds mirror PhaseAgg;
 	// Messages and Volume reuse the round fields above; WallNS is the
 	// wall-clock width of the span (SetPhase to SetPhase, so centralized
 	// kernel time between engine runs is attributed too); P50NS/P99NS
@@ -157,17 +157,6 @@ type Event struct {
 	TotalAllocB  uint64 `json:"total_alloc_b,omitempty"`
 	NumGC        uint32 `json:"num_gc,omitempty"`
 	PauseTotalNS uint64 `json:"pause_total_ns,omitempty"`
-}
-
-// PhaseSummary aggregates every round event sharing one phase label.
-type PhaseSummary struct {
-	Phase    string
-	Runs     int // engine runs that contributed rounds to this phase
-	Rounds   int // round events (Init steps included)
-	Messages int
-	Volume   int
-	MaxInbox int // high-water mark across the phase's rounds
-	WallNS   int64
 }
 
 // Collector implements dist.RoundObserver (and dist.PhaseSetter): it
@@ -585,41 +574,6 @@ func (c *Collector) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Event(nil), c.events...)
-}
-
-// Phases aggregates the round events into one summary per phase label,
-// in order of first appearance.
-func (c *Collector) Phases() []PhaseSummary {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []PhaseSummary
-	index := make(map[string]int)
-	lastRun := make(map[string]int)
-	for _, ev := range c.events {
-		if ev.Kind != KindRound {
-			continue
-		}
-		i, ok := index[ev.Phase]
-		if !ok {
-			i = len(out)
-			index[ev.Phase] = i
-			out = append(out, PhaseSummary{Phase: ev.Phase})
-			lastRun[ev.Phase] = -1
-		}
-		s := &out[i]
-		if lastRun[ev.Phase] != ev.Run {
-			lastRun[ev.Phase] = ev.Run
-			s.Runs++
-		}
-		s.Rounds++
-		s.Messages += ev.Messages
-		s.Volume += ev.Volume
-		s.WallNS += ev.WallNS
-		if ev.MaxInbox > s.MaxInbox {
-			s.MaxInbox = ev.MaxInbox
-		}
-	}
-	return out
 }
 
 // Compile-time check: Collector is a dist observer, fault observer,

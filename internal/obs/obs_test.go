@@ -166,7 +166,7 @@ func TestCollectorPhasesAndRuns(t *testing.T) {
 	c.SetPhase("b")
 	res := runPing(t, c, 5, 3)
 
-	phases := c.Phases()
+	phases := Summarize(c.Events()).Phases
 	if len(phases) != 2 {
 		t.Fatalf("got %d phases, want 2: %+v", len(phases), phases)
 	}

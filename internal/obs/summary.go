@@ -7,9 +7,11 @@ import (
 	"time"
 )
 
-// PhaseAgg is one row of the per-phase aggregate table: the round
-// totals of PhaseSummary plus the latency view the v3 records add —
-// the wall-clock span of the phase (from "phase" timeline records when
+// PhaseAgg is one row of the per-phase aggregate table: the totals of
+// the round events sharing one phase label (Runs counts the engine runs
+// that contributed rounds, Rounds includes Init steps, MaxInbox is the
+// high-water mark) plus the latency view the v3 records add — the
+// wall-clock span of the phase (from "phase" timeline records when
 // present, else the sum of round walls) and p50/p99 round latency from
 // a streaming Hist over the phase's round events.
 type PhaseAgg struct {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/chordal"
 	"repro/internal/cliquetree"
 	"repro/internal/dist"
 	"repro/internal/graph"
@@ -43,14 +44,11 @@ type pathSlot struct {
 }
 
 // peelScratch is one worker's reusable state: epoch-stamped node and
-// clique marks, level-synchronous BFS storage, and the packed-heap MCS
-// used for path independence numbers.
+// clique marks, level-synchronous BFS storage, and the elimination
+// kernel used for path independence numbers.
 type peelScratch struct {
-	epoch    int32   // per-path epoch for nodeMark/visited/blocked
+	epoch    int32   // per-path epoch for nodeMark
 	nodeMark []int32 // path-membership marks by snapshot index
-	visited  []int32 // sub-MCS visited marks
-	blocked  []int32 // Gavril blocked marks
-	weight   []int32 // sub-MCS weights (reset via the member list)
 
 	seenEpoch int32 // per-BFS epoch for seen
 	seen      []int32
@@ -61,25 +59,17 @@ type peelScratch struct {
 	queue   []int32
 	members []int32
 	anchors []int32
-	order   []int32
-	heap    []uint64
 	out     []int32
+	elim    chordal.Elim
 }
 
 func (s *peelScratch) reset(n int) {
 	if len(s.nodeMark) < n {
 		s.nodeMark = make([]int32, n)
-		s.visited = make([]int32, n)
-		s.blocked = make([]int32, n)
-		s.weight = make([]int32, n)
 		s.seen = make([]int32, n)
 	}
 	if s.epoch == math.MaxInt32 {
-		for i := range s.nodeMark {
-			s.nodeMark[i] = 0
-			s.visited[i] = 0
-			s.blocked[i] = 0
-		}
+		clear(s.nodeMark)
 		s.epoch = 0
 	}
 	s.epoch++
@@ -204,7 +194,7 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 // assembles the iteration's layer. The take rules and recorded fields
 // mirror the reference peelOnce exactly.
 //
-//chordalvet:hotpath budget=44 peel workers: path measurement reuses per-worker scratch
+//chordalvet:hotpath budget=41 peel workers: path measurement reuses per-worker scratch
 func (e *engine) peelOnce(iteration int, opts Options, last bool) *Layer {
 	e.extractPaths()
 	diamCap := opts.InternalDiameter
@@ -419,92 +409,9 @@ func (e *engine) pathDiameter(cliques, members []int32, s *peelScratch, cap int)
 // chordal (the forest build verified the alive graph), so the value
 // matches the reference's PathIndependenceNumber.
 func (e *engine) alphaOf(members []int32, s *peelScratch) int {
-	n := e.ix.NumNodes()
-	if len(s.order) < len(members) {
-		s.order = make([]int32, len(members))
-	}
-	order := s.order[:len(members)]
-	h := s.heap[:0]
-	for _, v := range members {
-		s.weight[v] = 0
-		h = alphaHeapPush(h, uint64(n-1-int(v)))
-	}
-	stamp := s.epoch
-	for i := len(members) - 1; i >= 0; i-- {
-		var v int32
-		for {
-			top := h[0]
-			h = alphaHeapPop(h)
-			w := int32(top >> 32)
-			idx := int32(n-1) - int32(top&0xffffffff)
-			if s.visited[idx] == stamp || s.weight[idx] != w {
-				continue
-			}
-			v = idx
-			break
-		}
-		order[i] = v
-		s.visited[v] = stamp
-		for _, u := range e.ix.NeighborIndices(int(v)) {
-			if s.nodeMark[u] != s.epoch || s.visited[u] == stamp {
-				continue
-			}
-			s.weight[u]++
-			h = alphaHeapPush(h, uint64(s.weight[u])<<32|uint64(int32(n-1)-u))
-		}
-	}
-	s.heap = h[:0]
-	alpha := 0
-	for _, v := range order {
-		if s.blocked[v] == stamp {
-			continue
-		}
-		alpha++
-		s.blocked[v] = stamp
-		for _, u := range e.ix.NeighborIndices(int(v)) {
-			if s.nodeMark[u] == s.epoch {
-				s.blocked[u] = stamp
-			}
-		}
-	}
-	return alpha
-}
-
-func alphaHeapPush(h []uint64, key uint64) []uint64 {
-	h = append(h, key)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] >= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	return h
-}
-
-func alphaHeapPop(h []uint64) []uint64 {
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < last && h[l] > h[big] {
-			big = l
-		}
-		if r < last && h[r] > h[big] {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-	return h
+	_, rowPtr, cols := e.ix.CSR()
+	s.elim.MCS(rowPtr, cols, members)
+	return s.elim.Alpha()
 }
 
 // extractPaths computes the maximal binary paths of the current forest,

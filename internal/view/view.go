@@ -83,6 +83,11 @@ func (b *Ball) NodeAt(r int32) int32 { return b.nodes[r] }
 // the ball's storage: treat it as read-only.
 func (b *Ball) Row(r int32) []int32 { return b.cols[b.rowPtr[r]:b.rowPtr[r+1]] }
 
+// CSR returns the ball's compressed-sparse-row form over its rows: the
+// row pointers and the concatenated neighbor rows. Both are shared views
+// into the ball's storage: treat them as read-only.
+func (b *Ball) CSR() (rowPtr, cols []int32) { return b.rowPtr, b.cols }
+
 // RowOf returns the row of the node at snapshot index idx, or -1 when
 // the node is not in the ball.
 func (b *Ball) RowOf(idx int32) int32 {
@@ -161,31 +166,6 @@ func (b *Ball) BuildFromIndexed(ix *graph.Indexed, keep []bool) {
 		}
 		b.rowPtr = append(b.rowPtr, int32(len(b.cols)))
 	}
-}
-
-// InducedGraph materializes the subgraph of the ball induced by the
-// given member rows as a *graph.Graph over original node IDs (ids is
-// the snapshot's index -> ID table). The decide kernel uses it only on
-// the rare α-rule path, where the independence-number routine needs a
-// real graph; everything hot stays inside the CSR.
-//
-//chordalvet:coldpath α-rule materialization only, amortized over few paths per run
-func (b *Ball) InducedGraph(ids []graph.ID, rows []int32) *graph.Graph {
-	g := graph.New()
-	in := make([]bool, b.NumRows())
-	for _, r := range rows {
-		in[r] = true
-		g.AddNode(ids[b.nodes[r]])
-	}
-	for _, r := range rows {
-		u := ids[b.nodes[r]]
-		for _, nb := range b.Row(r) {
-			if nb > r && in[nb] {
-				g.AddEdge(u, ids[b.nodes[nb]])
-			}
-		}
-	}
-	return g
 }
 
 // Scratch bundles a worker-private Ball with the BFS working storage

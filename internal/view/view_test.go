@@ -132,26 +132,6 @@ func TestScratchBFSMatchesGraphBFS(t *testing.T) {
 	}
 }
 
-// TestInducedGraphMatchesInducedSubgraph checks the α-rule path's
-// materialization against graph.InducedSubgraph.
-func TestInducedGraphMatchesInducedSubgraph(t *testing.T) {
-	g := gen.RandomChordal(70, gen.ChordalOpts{MaxCliqueSize: 5, AttachFull: 0.4}, 19)
-	ix := graph.NewIndexed(g)
-	var b view.Ball
-	b.BuildFromIndexed(ix, nil)
-	var rows []int32
-	var members []graph.ID
-	for r := int32(0); r < int32(b.NumRows()); r += 2 {
-		rows = append(rows, r)
-		members = append(members, ix.IDs()[b.NodeAt(r)])
-	}
-	got := b.InducedGraph(ix.IDs(), rows)
-	want := g.InducedSubgraph(members)
-	if !got.Equal(want) {
-		t.Fatalf("InducedGraph mismatch:\n got %v\nwant %v", got, want)
-	}
-}
-
 // TestBallReuseAcrossBuilds checks that the epoch-stamped reset keeps
 // rebuilds independent: membership from a previous build must not leak.
 func TestBallReuseAcrossBuilds(t *testing.T) {
