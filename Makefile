@@ -76,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime 10s ./internal/dist
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrectionParams$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzCorrectionPayload$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzPostPeelStages$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEvents$$' -fuzztime 10s ./cmd/tracestat
 
 # The benchmark is its own Go module (bench/go.mod), so the root build,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/chordal"
@@ -50,9 +51,11 @@ type ChordalMISOptions struct {
 	// the design choice Section 7.1 motivates (experiment E14/ablation).
 	DisableAbsorbing bool
 	// Observer, when it implements dist.KernelObserver, receives
-	// per-worker kernel spans from the sharded stages: the peeling
-	// measurement and the per-component MIS computation. nil keeps the
-	// zero-cost fast path; the result is bit-identical either way.
+	// per-worker kernel spans from the sharded stages: "peel-measure"
+	// (the peeling path measurement) and one "mis-components" launch per
+	// peeled path (its components' independent sets, small ones in index
+	// space). nil keeps the zero-cost fast path; the result is
+	// bit-identical either way.
 	Observer dist.RoundObserver
 }
 
@@ -64,12 +67,14 @@ func MISChordalWithOptions(g *graph.Graph, eps float64, opts ChordalMISOptions) 
 	d, iterations := MISChordalParams(eps)
 	res := &ChordalMISResult{D: d, Iterations: iterations}
 	ko, _ := opts.Observer.(dist.KernelObserver)
+	ix := graph.NewIndexed(g)
 	peeled, err := peel.Run(g, peel.Options{
 		InternalDiameter: 2*d + 3,
 		MaxIterations:    iterations,
 		FinalAlpha:       d,
 		NoForests:        true,
 		Observer:         ko,
+		Snapshot:         ix,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("peeling: %w", err)
@@ -77,7 +82,7 @@ func MISChordalWithOptions(g *graph.Graph, eps float64, opts ChordalMISOptions) 
 	// LOCAL accounting: each iteration collects a Θ(d)-ball to identify
 	// paths and thresholds.
 	res.Rounds = len(peeled.Layers) * (2*d + 4)
-	if err := misFromPeel(g, graph.NewIndexed(g), peeled, d, eps, opts, res); err != nil {
+	if err := misFromPeel(ix, peeled, d, eps, opts, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -138,6 +143,7 @@ func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelT
 		Trace:            peelTrace,
 		NoForests:        true,
 		Observer:         ko,
+		Snapshot:         outcome.Snapshot,
 	})
 	if err != nil {
 		return nil, err
@@ -146,7 +152,7 @@ func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelT
 		return nil, err
 	}
 	res := &ChordalMISResult{D: d, Iterations: iterations, Rounds: outcome.Rounds}
-	if err := misFromPeel(g, outcome.Snapshot, peeled, d, eps, ChordalMISOptions{Observer: o}, res); err != nil {
+	if err := misFromPeel(outcome.Snapshot, peeled, d, eps, ChordalMISOptions{Observer: o}, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -154,20 +160,19 @@ func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelT
 
 // misFromPeel runs Algorithm 6's per-layer independent-set computation
 // over a peel result, accumulating into res. Per-record state lives in
-// index-keyed slices over ix, g's snapshot, instead of map-backed
-// induced subgraphs, and the per-component computations — pure
-// functions of (g, h, rec) that never consult the cross-record blocked
-// state — run sharded over CPUs with per-component result slots merged
-// in component order, so the output is bit-identical to the sequential
-// map-backed loop at every GOMAXPROCS.
-func misFromPeel(g *graph.Graph, ix *graph.Indexed, peeled *peel.Result, d int, eps float64, opts ChordalMISOptions, res *ChordalMISResult) error {
-	idBound := 1
-	for _, v := range g.Nodes() {
-		if int(v) >= idBound {
-			idBound = int(v) + 1
-		}
-	}
+// index-keyed slices over ix, the graph's snapshot, and the
+// per-component computations — pure functions of the component and rec
+// that never consult the cross-record blocked state — run sharded over
+// CPUs with per-component result slots merged in component order, so
+// the output is bit-identical to the sequential loop at every
+// GOMAXPROCS.
+func misFromPeel(ix *graph.Indexed, peeled *peel.Result, d int, eps float64, opts ChordalMISOptions, res *ChordalMISResult) error {
 	ids := ix.IDs()
+	idBound := 1
+	if n := len(ids); n > 0 {
+		// Snapshot IDs ascend, so the last one is the largest.
+		idBound = max(idBound, int(ids[n-1])+1)
+	}
 	ko, _ := opts.Observer.(dist.KernelObserver)
 	// Nodes excluded once a neighbor joins I (Γ_G[I] grows as we go),
 	// by snapshot index: IDs may be negative or far above n.
@@ -176,17 +181,20 @@ func misFromPeel(g *graph.Graph, ix *graph.Indexed, peeled *peel.Result, d int, 
 	inComp := make([]bool, ix.NumNodes())
 	var avail, queue []int32
 	var comps [][]int32
+	// A slot's set is scratches[shard].out[off:off+n], by snapshot index.
 	type compSlot struct {
-		ih     graph.Set
-		rounds int
-		exact  bool
-		err    error
+		shard, off, n int32
+		rounds        int
+		exact         bool
+		err           error
 	}
 	var slots []compSlot
+	var scratches []*misScratch
 	maxComponentRounds := 0
 	for li, layer := range peeled.Layers {
 		last := li == len(peeled.Layers)-1
-		for _, rec := range layer.Paths {
+		for ri := range layer.Paths {
+			rec := &layer.Paths[ri]
 			avail = avail[:0]
 			for _, v := range rec.Nodes {
 				if i, _ := ix.IndexOf(v); !blocked[i] {
@@ -215,31 +223,26 @@ func misFromPeel(g *graph.Graph, ix *graph.Indexed, peeled *peel.Result, d int, 
 				}
 				comp := make([]int32, len(queue))
 				copy(comp, queue)
-				sort.Slice(comp, func(a, b int) bool { return comp[a] < comp[b] })
+				slices.Sort(comp)
 				comps = append(comps, comp)
 			}
 			if cap(slots) < len(comps) {
 				slots = make([]compSlot, len(comps))
 			}
 			slots = slots[:len(comps)]
-			recLocal := rec
-			dist.RunKernel("mis-components", len(comps), dist.KernelShards(len(comps)), ko, func(_, lo, hi int) {
+			shards := dist.KernelShards(len(comps))
+			for len(scratches) < shards {
+				scratches = append(scratches, &misScratch{})
+			}
+			for _, s := range scratches[:shards] {
+				s.out = s.out[:0]
+			}
+			dist.RunKernel("mis-components", len(comps), shards, ko, func(shard, lo, hi int) {
+				s := scratches[shard]
 				for ci := lo; ci < hi; ci++ {
-					comp := comps[ci]
-					h := graph.New()
-					for _, i := range comp {
-						h.AddNode(ids[i])
-					}
-					for _, i := range comp {
-						for _, j := range ix.NeighborIndices(int(i)) {
-							// An available neighbor shares the component.
-							if inAvail[j] && j > i {
-								h.AddEdge(ids[i], ids[j])
-							}
-						}
-					}
-					ih, compRounds, exact, err := componentIS(g, h, recLocal, d, last, eps, idBound, opts)
-					slots[ci] = compSlot{ih: ih, rounds: compRounds, exact: exact, err: err}
+					off := len(s.out)
+					rounds, exact, err := s.componentIS(ix, comps[ci], rec, d, last, eps, idBound, opts)
+					slots[ci] = compSlot{shard: int32(shard), off: int32(off), n: int32(len(s.out) - off), rounds: rounds, exact: exact, err: err}
 				}
 			})
 			for ci := range slots {
@@ -252,14 +255,11 @@ func misFromPeel(g *graph.Graph, ix *graph.Indexed, peeled *peel.Result, d int, 
 				} else {
 					res.ApproxComponents++
 				}
-				if slot.rounds > maxComponentRounds {
-					maxComponentRounds = slot.rounds
-				}
-				for _, v := range slot.ih {
-					res.Set = append(res.Set, v)
-					i, _ := ix.IndexOf(v)
+				maxComponentRounds = max(maxComponentRounds, slot.rounds)
+				for _, i := range scratches[slot.shard].out[slot.off : slot.off+slot.n] {
+					res.Set = append(res.Set, ids[i])
 					blocked[i] = true
-					for _, u := range ix.NeighborIndices(i) {
+					for _, u := range ix.NeighborIndices(int(i)) {
 						blocked[u] = true
 					}
 				}
@@ -275,63 +275,38 @@ func misFromPeel(g *graph.Graph, ix *graph.Indexed, peeled *peel.Result, d int, 
 	return nil
 }
 
-// componentIS computes the independent set for one maximal connected
-// subgraph H of a peeled path's available nodes.
-func componentIS(g *graph.Graph, h *graph.Graph, rec peel.PathRecord, d int, last bool, eps float64, idBound int, opts ChordalMISOptions) (graph.Set, int, bool, error) {
-	alpha, err := chordal.IndependenceNumber(h)
-	if err != nil {
-		return nil, 0, false, err
+// componentIS computes the independent set of one maximal connected
+// subgraph H of a peeled path's available nodes, given as comp (its
+// snapshot indices, ascending), and appends it to s.out. A small
+// component (α < d) takes an exact maximum independent set, in index
+// space (absorbingComponent), which before the last iteration must also
+// absorb with respect to the outside clique the component touches; a
+// large one builds H as a graph.Graph for the interval algorithm.
+func (s *misScratch) componentIS(ix *graph.Indexed, comp []int32, rec *peel.PathRecord, d int, last bool, eps float64, idBound int, opts ChordalMISOptions) (int, bool, error) {
+	if s.absorbingComponent(ix, comp, rec, d, !last && !opts.DisableAbsorbing) < d {
+		return 2*(d-1) + 2, true, nil
 	}
-	if alpha < d {
-		// Small component: exact maximum independent set; before the last
-		// iteration it must additionally be absorbing w.r.t. the outside
-		// clique the component touches.
-		var anchor graph.Set
-		if !last && !opts.DisableAbsorbing {
-			anchor = componentAnchor(g, h, rec)
-		}
-		ih := AbsorbingMIS(h, g, anchor)
-		return ih, 2*(d-1) + 2, true, nil
-	}
-	// The record's clique path, restricted to H, is a model of H.
-	path := interval.RestrictCliquePath(peel.LayerCliquePath(rec), h.HasNode)
-	im, err := misInterval(h, path, eps/8, idBound)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return im.Set, im.Rounds, false, nil
-}
-
-// componentAnchor returns the attachment clique of the peeled path that
-// the component touches (at most one when α(H) < d, as argued in
-// Section 7.1), or nil. It walks adjacency via ForEachNeighbor, which
-// reads g without populating its neighbor cache, keeping the per-record
-// component stage safe to shard.
-func componentAnchor(g *graph.Graph, h *graph.Graph, rec peel.PathRecord) graph.Set {
-	touches := func(c graph.Set) bool {
-		if c == nil {
-			return false
-		}
-		found := false
-		for _, v := range h.Nodes() {
-			g.ForEachNeighbor(v, func(u graph.ID) {
-				if !found && c.Contains(u) {
-					found = true
-				}
-			})
-			if found {
-				return true
+	ids := ix.IDs()
+	h := graph.New()
+	for p, x := range comp {
+		h.AddNode(ids[x])
+		for _, q := range s.row(int32(p)) {
+			if int(q) > p {
+				h.AddEdge(ids[x], ids[comp[q]])
 			}
 		}
-		return false
 	}
-	if touches(rec.AttachStart) {
-		return rec.AttachStart
+	// The record's clique path, restricted to H, is a model of H.
+	path := interval.RestrictCliquePath(peel.LayerCliquePath(*rec), h.HasNode)
+	im, err := misInterval(h, path, eps/8, idBound)
+	if err != nil {
+		return 0, false, err
 	}
-	if touches(rec.AttachEnd) {
-		return rec.AttachEnd
+	for _, v := range im.Set {
+		x, _ := ix.IndexOf(v)
+		s.out = append(s.out, int32(x))
 	}
-	return nil
+	return im.Rounds, false, nil
 }
 
 // AbsorbingMIS computes a maximum independent set of h that, when h leans
@@ -339,7 +314,8 @@ func componentAnchor(g *graph.Graph, h *graph.Graph, rec peel.PathRecord) graph.
 // simplicial vertices are taken furthest-from-anchor first (Section 7.1).
 // Any simplicial vertex lies in some maximum independent set, so the
 // greedy is exact regardless of order; the ordering provides the
-// absorption property.
+// absorption property. It is the map-backed reference of the pipeline's
+// index-space elimination (misScratch.absorb).
 func AbsorbingMIS(h *graph.Graph, g *graph.Graph, anchor graph.Set) graph.Set {
 	// Distances from the anchor measured in g restricted to h's nodes
 	// plus the anchor clique, held in a slice keyed by position in the

@@ -1,0 +1,371 @@
+package core
+
+import (
+	"fmt"
+	"maps"
+	"reflect"
+	"testing"
+
+	"repro/internal/chordal"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/interval"
+	"repro/internal/peel"
+	"repro/internal/proctest"
+)
+
+// postPeelGraph is one differential-test input: family picks the
+// generator, n its size.
+func postPeelGraph(family uint8, n int, seed int64) *graph.Graph {
+	switch family % 6 {
+	case 0:
+		return gen.RandomChordal(n, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, seed)
+	case 1:
+		return gen.RandomChordalSubtree(n, 3, 6, seed)
+	case 2:
+		return gen.KTree(n, 3, seed)
+	case 3:
+		g, _ := gen.RelabelRandom(gen.HubTree(1+n%4, 3+n%9), seed)
+		return g
+	case 4:
+		return gen.Caterpillar(n/3+1, 2)
+	default:
+		return gen.RandomInterval(n, float64(n), 4, seed)
+	}
+}
+
+var postPeelEps = [...]float64{0.3, 0.5, 1, 2}
+
+// checkCorrection runs the index-space correction kernel and the
+// map-backed correctPath oracle layer by layer from the same colors —
+// the pipeline's provisional ones, with every perturb-th node's color
+// shifted when perturb > 0: inside the palette for odd perturb, possibly
+// outside it for even — and requires the same colors after every layer and the
+// same error text.
+func checkCorrection(t *testing.T, g *graph.Graph, eps float64, perturb int) {
+	t.Helper()
+	k := EffectiveK(eps)
+	col, err := ColorChordal(g, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := graph.NewIndexed(g)
+	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, NoForests: true, Snapshot: ix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := ix.IDs()
+	start := maps.Clone(col.Provisional)
+	for i, v := range ids {
+		switch {
+		case perturb == 0 || i%perturb != 0:
+		case perturb%2 == 1: // stays in the palette
+			start[v] = (start[v]+i)%col.Palette + 1
+		default:
+			start[v] = (start[v] + i) % (col.Palette + 2)
+		}
+	}
+	want := &ChordalColoring{Colors: maps.Clone(start), Palette: col.Palette}
+	layerOf := peeled.NodeLayers()
+	cr := newCorrector(ix, peeled, k, col.Palette)
+	for x, v := range ids {
+		cr.colors[x] = int32(start[v])
+	}
+	for li := len(peeled.Layers) - 2; li >= 0; li-- {
+		layer := peeled.Layers[li]
+		var wantErr error
+		for _, rec := range layer.Paths {
+			if wantErr = correctPath(g, rec, layer.Index, layerOf, k, want); wantErr != nil {
+				break
+			}
+		}
+		gotErr := cr.correctLayer(li, int32(layer.Index), nil)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("eps=%v perturb=%d layer %d: kernel error %v, oracle error %v", eps, perturb, layer.Index, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		for x, v := range ids {
+			if int(cr.colors[x]) != want.Colors[v] {
+				t.Fatalf("eps=%v perturb=%d layer %d: node %d colored %d, oracle %d", eps, perturb, layer.Index, v, cr.colors[x], want.Colors[v])
+			}
+		}
+	}
+	if perturb == 0 && !reflect.DeepEqual(want.Colors, col.Colors) {
+		t.Fatalf("eps=%v: ColorChordal's colors differ from the oracle correction of its provisional colors", eps)
+	}
+}
+
+// checkStripPaths compares the correction kernel's strip path with
+// interval.RestrictCliquePath on every peeled path's full path
+// (attachments included), restricted to its strip W ∪ W′ and to a
+// seed-chosen subset of its cliques' nodes, where nested restrictions
+// are common.
+func checkStripPaths(t *testing.T, g *graph.Graph, eps float64, seed int64) {
+	t.Helper()
+	ix := graph.NewIndexed(g)
+	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * EffectiveK(eps), NoForests: true, Snapshot: ix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layerOf := peeled.NodeLayers()
+	var s correctScratch
+	for _, layer := range peeled.Layers {
+		for ri := range layer.Paths {
+			rec := &layer.Paths[ri]
+			var full []graph.Set
+			if rec.AttachStart != nil {
+				full = append(full, rec.AttachStart)
+			}
+			full = append(full, rec.Cliques...)
+			if rec.AttachEnd != nil {
+				full = append(full, rec.AttachEnd)
+			}
+			strip := make(map[graph.ID]bool)
+			subset := make(map[graph.ID]bool)
+			for _, v := range rec.Nodes {
+				strip[v] = true
+				for _, u := range g.Neighbors(v) {
+					if layerOf[u] > layer.Index {
+						strip[u] = true
+					}
+				}
+			}
+			for _, c := range full {
+				for _, v := range c {
+					if (uint64(v)^uint64(seed))*0x9e3779b97f4a7c15>>62 != 0 {
+						subset[v] = true
+					}
+				}
+			}
+			for _, keep := range []map[graph.ID]bool{strip, subset} {
+				want := interval.RestrictCliquePath(full, func(v graph.ID) bool { return keep[v] })
+				kept := make([]graph.ID, 0, len(keep))
+				for v := range keep {
+					kept = append(kept, v)
+				}
+				kept = graph.NewSet(kept...)
+				s.nextEpoch(ix.NumNodes())
+				for p, v := range kept {
+					x, _ := ix.IndexOf(v)
+					s.stamp[x], s.loc[x] = s.epoch, int32(p)
+				}
+				s.stripPath(ix, rec)
+				got := make([]graph.Set, len(s.clOff)-1)
+				for i := range got {
+					for _, p := range s.cl[s.clOff[i]:s.clOff[i+1]] {
+						got[i] = append(got[i], kept[p])
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("eps=%v layer %d path %d: kernel strip path %v, RestrictCliquePath %v", eps, layer.Index, ri, got, want)
+				}
+			}
+		}
+	}
+}
+
+// checkMISComponents runs Algorithm 6's post-peel stage with the
+// map-backed oracles — IndependenceNumber, componentAnchor, AbsorbingMIS
+// — and checks the index-space component kernel against them on every
+// component on the way: α, the anchor, and the absorbing set with the
+// oracle's anchor and with none. The oracle's set and component counts
+// must then equal MISChordalWithOptions', with and without
+// DisableAbsorbing.
+func checkMISComponents(t *testing.T, g *graph.Graph, eps float64) {
+	t.Helper()
+	d, iterations := MISChordalParams(eps)
+	ix := graph.NewIndexed(g)
+	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 2*d + 3, MaxIterations: iterations, FinalAlpha: d, NoForests: true, Snapshot: ix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idBound := 1
+	if n := ix.NumNodes(); n > 0 {
+		idBound = max(idBound, int(ix.IDOf(n-1))+1)
+	}
+	var s misScratch
+	for _, disable := range []bool{false, true} {
+		var set graph.Set
+		blocked := make(map[graph.ID]bool)
+		exact, approx := 0, 0
+		for li, layer := range peeled.Layers {
+			last := li == len(peeled.Layers)-1
+			for ri := range layer.Paths {
+				rec := &layer.Paths[ri]
+				var avail []graph.ID
+				for _, v := range rec.Nodes {
+					if !blocked[v] {
+						avail = append(avail, v)
+					}
+				}
+				for _, comp := range g.InducedSubgraph(avail).Components() {
+					h := g.InducedSubgraph(comp)
+					idx := make([]int32, len(comp))
+					for i, v := range comp {
+						x, _ := ix.IndexOf(v)
+						idx[i] = int32(x)
+					}
+					alpha, err := chordal.IndependenceNumber(h)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.load(ix, idx)
+					if got := s.alpha(); got != alpha {
+						t.Fatalf("eps=%v component %v: kernel α %d, oracle %d", eps, comp, got, alpha)
+					}
+					var ih graph.Set
+					if alpha < d {
+						anchor := componentAnchor(g, h, *rec)
+						if got := s.anchorOf(ix, idx, rec); !reflect.DeepEqual(got, anchor) {
+							t.Fatalf("eps=%v component %v: kernel anchor %v, oracle %v", eps, comp, got, anchor)
+						}
+						for _, a := range []graph.Set{anchor, nil} {
+							s.out = s.out[:0]
+							s.absorb(ix, idx, a)
+							got := make(graph.Set, len(s.out))
+							for i, x := range s.out {
+								got[i] = ix.IDOf(int(x))
+							}
+							if want := AbsorbingMIS(h, g, a); !graph.NewSet(got...).Equal(want) {
+								t.Fatalf("eps=%v component %v anchor %v: kernel set %v, oracle %v", eps, comp, a, graph.NewSet(got...), want)
+							}
+						}
+						if last || disable {
+							anchor = nil
+						}
+						ih = AbsorbingMIS(h, g, anchor)
+						exact++
+					} else {
+						path := interval.RestrictCliquePath(peel.LayerCliquePath(*rec), h.HasNode)
+						im, err := misInterval(h, path, eps/8, idBound)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ih = im.Set
+						approx++
+					}
+					for _, v := range ih {
+						set = append(set, v)
+						blocked[v] = true
+						for _, u := range g.Neighbors(v) {
+							blocked[u] = true
+						}
+					}
+				}
+			}
+		}
+		res, err := MISChordalWithOptions(g, eps, ChordalMISOptions{DisableAbsorbing: disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !graph.NewSet(set...).Equal(res.Set) || res.ExactComponents != exact || res.ApproxComponents != approx {
+			t.Fatalf("eps=%v disable=%v: pipeline (|I|=%d exact=%d approx=%d) differs from the oracle (|I|=%d exact=%d approx=%d)",
+				eps, disable, len(res.Set), res.ExactComponents, res.ApproxComponents, len(set), exact, approx)
+		}
+	}
+}
+
+// FuzzPostPeelStages checks both index-space post-peel kernels against
+// their map-backed oracles on every generator family: the Lemma-10
+// correction at ε ∈ {0.3, 0.5, 1, 2}, from the pipeline's provisional
+// colors or perturbed ones, and the MIS components at ε/4, inside the
+// MIS domain (0, 1).
+func FuzzPostPeelStages(f *testing.F) {
+	for family := uint8(0); family < 6; family++ {
+		f.Add(family, uint8(60+family*11), int64(family)+1, family, uint8(0))
+	}
+	f.Add(uint8(1), uint8(150), int64(7), uint8(1), uint8(5))
+	f.Add(uint8(3), uint8(3), int64(2), uint8(0), uint8(3))
+	f.Add(uint8(0), uint8(90), int64(4), uint8(2), uint8(7))
+	f.Add(uint8(3), uint8(67), int64(5), uint8(3), uint8(0)) // chains longer than the zone
+	f.Fuzz(func(t *testing.T, family, size uint8, seed int64, epsSel, perturb uint8) {
+		g := postPeelGraph(family, int(size%160)+4, seed)
+		eps := postPeelEps[epsSel%uint8(len(postPeelEps))]
+		checkCorrection(t, g, eps, int(perturb%8))
+		checkStripPaths(t, g, eps, seed)
+		checkMISComponents(t, g, eps/4)
+	})
+}
+
+// TestPostPeelStagesMatchOracles runs the differential checks on inputs
+// the small fuzz sizes do not reach: the central workload's generator at
+// 3000 nodes, hub-tree chains longer than the recoloring zone, a
+// caterpillar whose one component takes the interval branch (α ≥ d),
+// and the spider where absorption decides the set.
+func TestPostPeelStagesMatchOracles(t *testing.T) {
+	subtree := gen.RandomChordalSubtree(3000, 3, 6, 1)
+	hubs, _ := gen.RelabelRandom(gen.HubTree(3, 14), 5)
+	for _, eps := range []float64{0.5, 2} {
+		checkCorrection(t, subtree, eps, 0)
+		checkCorrection(t, hubs, eps, 0)
+		checkCorrection(t, hubs, eps, 7)
+		checkStripPaths(t, subtree, eps, 1)
+	}
+	checkMISComponents(t, subtree, 0.5)
+	checkMISComponents(t, hubs, 0.3)
+	checkMISComponents(t, spiderK4(6), 0.45)
+	caterpillar := gen.Caterpillar(200, 1)
+	checkMISComponents(t, caterpillar, 0.9)
+	if res, err := MISChordal(caterpillar, 0.9); err != nil || res.ApproxComponents == 0 {
+		t.Fatalf("caterpillar MIS took no interval branch: %+v, %v", res, err)
+	}
+}
+
+// TestExtendColoringErrorsNameLowestOffender repeats each invalid
+// fixed coloring: whatever the map order, the error must name the
+// lowest-ID offender, and a conflict its lower end first.
+func TestExtendColoringErrorsNameLowestOffender(t *testing.T) {
+	g := gen.Path(6)
+	path := []graph.Set{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}
+	cases := []struct {
+		fixed map[graph.ID]int
+		want  string
+	}{
+		{map[graph.ID]int{5: 9, 1: 4, 3: 7, 0: 2}, "fixed color 4 of node 1 outside palette [1,3]"},
+		{map[graph.ID]int{4: 2, 5: 2, 0: 1, 1: 1, 2: 3, 3: 3}, "fixed colors conflict on edge 0-1"},
+	}
+	for _, c := range cases {
+		for range 50 {
+			_, err := ExtendColoring(g, path, c.fixed, 3)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("ExtendColoring(%v) = %v, want %q", c.fixed, err, c.want)
+			}
+		}
+	}
+}
+
+// TestCentralizedPipelinesDeterministicAcrossGOMAXPROCS sweeps the
+// centralized coloring and MIS at GOMAXPROCS 1, 2 and 4 on graphs large
+// enough that correction layers and MIS records shard: colors,
+// provisional colors and the set must be identical.
+func TestCentralizedPipelinesDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		g := gen.RandomChordalSubtree(3000, 3, 6, seed)
+		var refCol *ChordalColoring
+		var refMIS *ChordalMISResult
+		proctest.Sweep(func(procs int) {
+			col, err := ColorChordal(g, 0.5)
+			if err != nil {
+				t.Fatalf("seed %d procs=%d: %v", seed, procs, err)
+			}
+			mis, err := MISChordal(g, 0.5)
+			if err != nil {
+				t.Fatalf("seed %d procs=%d: %v", seed, procs, err)
+			}
+			if refCol == nil {
+				refCol, refMIS = col, mis
+				return
+			}
+			if !reflect.DeepEqual(col.Colors, refCol.Colors) || !reflect.DeepEqual(col.Provisional, refCol.Provisional) ||
+				col.ColorsUsed != refCol.ColorsUsed {
+				t.Fatalf("seed %d procs=%d: coloring differs from procs=1", seed, procs)
+			}
+			if !reflect.DeepEqual(mis.Set, refMIS.Set) || mis.ExactComponents != refMIS.ExactComponents ||
+				mis.ApproxComponents != refMIS.ApproxComponents || mis.Rounds != refMIS.Rounds {
+				t.Fatalf("seed %d procs=%d: MIS differs from procs=1", seed, procs)
+			}
+		})
+	}
+}

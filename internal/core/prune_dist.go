@@ -260,7 +260,7 @@ func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, pee
 	}
 	o := opts.Observer
 	ko, _ := o.(dist.KernelObserver)
-	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, Trace: peelTrace, NoForests: true, Observer: ko})
+	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, Trace: peelTrace, NoForests: true, Observer: ko, Snapshot: outcome.Snapshot})
 	if err != nil {
 		return nil, err
 	}

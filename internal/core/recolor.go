@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -31,17 +32,26 @@ func ExtendColoring(g *graph.Graph, path []graph.Set, fixed map[graph.ID]int, pa
 			free = append(free, v)
 		}
 	}
+	// Both checks walk the fixed nodes in ascending ID order, so an
+	// error names the lowest offender (and a conflict its lower end
+	// first), as the index-space correction kernel does.
+	fixedIDs := make([]graph.ID, 0, len(fixed))
+	for v := range fixed {
+		fixedIDs = append(fixedIDs, v)
+	}
+	slices.Sort(fixedIDs)
 	colors := make(map[graph.ID]int, len(order))
-	for v, c := range fixed {
+	for _, v := range fixedIDs {
+		c := fixed[v]
 		if c < 1 || c > palette {
 			return nil, fmt.Errorf("fixed color %d of node %d outside palette [1,%d]", c, v, palette)
 		}
 		colors[v] = c
 	}
 	// Fixed nodes must already be mutually consistent.
-	for v, c := range fixed {
+	for _, v := range fixedIDs {
 		for _, u := range g.Neighbors(v) {
-			if cu, ok := fixed[u]; ok && cu == c {
+			if cu, ok := fixed[u]; ok && cu == fixed[v] {
 				return nil, fmt.Errorf("fixed colors conflict on edge %d-%d", v, u)
 			}
 		}

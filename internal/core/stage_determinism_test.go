@@ -115,35 +115,40 @@ func TestCorrectionPhaseDeterministicAcrossStageWorkers(t *testing.T) {
 	}
 }
 
-// TestStagePipelinesRaceStress drives both full pipelines at GOMAXPROCS
-// 4 on a larger graph; under -race this is the data-race gate for the
-// sharded stage code paths (peeling measurement, per-path coloring,
-// correction setup, MIS components).
+// TestStagePipelinesRaceStress drives the full pipelines, distributed
+// and centralized, at GOMAXPROCS 4 on a larger graph; under -race this
+// is the data-race gate for the sharded stage code paths (peeling
+// measurement, per-path coloring, the correct-paths kernel, correction
+// setup, MIS components).
 func TestStagePipelinesRaceStress(t *testing.T) {
 	g := gen.RandomChordal(400, gen.ChordalOpts{MaxCliqueSize: 5, AttachFull: 0.5}, 39)
 	proctest.With(4, func() {
-		col, err := ColorChordalDistributed(g, 0.5)
-		if err != nil {
-			t.Fatal(err)
+		for _, color := range []func(*graph.Graph, float64) (*ChordalColoring, error){ColorChordalDistributed, ColorChordal} {
+			col, err := color(g, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if col.ColorsUsed > col.Palette {
+				t.Fatalf("coloring uses %d colors, palette %d", col.ColorsUsed, col.Palette)
+			}
 		}
-		if col.ColorsUsed > col.Palette {
-			t.Fatalf("coloring uses %d colors, palette %d", col.ColorsUsed, col.Palette)
-		}
-		res, err := MISChordalDistributed(g, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Set) == 0 {
-			t.Fatal("empty MIS")
-		}
-		seen := make(map[graph.ID]bool, len(res.Set))
-		for _, v := range res.Set {
-			seen[v] = true
-		}
-		for _, v := range res.Set {
-			for _, u := range g.Neighbors(v) {
-				if seen[u] {
-					t.Fatalf("MIS contains adjacent pair %d-%d", v, u)
+		for _, mis := range []func(*graph.Graph, float64) (*ChordalMISResult, error){MISChordalDistributed, MISChordal} {
+			res, err := mis(g, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Set) == 0 {
+				t.Fatal("empty MIS")
+			}
+			seen := make(map[graph.ID]bool, len(res.Set))
+			for _, v := range res.Set {
+				seen[v] = true
+			}
+			for _, v := range res.Set {
+				for _, u := range g.Neighbors(v) {
+					if seen[u] {
+						t.Fatalf("MIS contains adjacent pair %d-%d", v, u)
+					}
 				}
 			}
 		}

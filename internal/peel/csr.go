@@ -13,11 +13,11 @@ import (
 
 // This file is the CSR engine behind Run: the peeling process executed
 // entirely in snapshot-index space. One graph.Indexed snapshot is taken
-// up front; each iteration rebuilds the clique forest over an alive mask
-// (cliquetree.Builder), extracts the maximal binary paths with
-// plain-array versions of the paths.go routines, and measures every path
-// (capped diameter, independence number, subpath nodes) with per-worker
-// epoch-stamped scratch. Path measurement is a pure per-path function of
+// up front, or passed in as Options.Snapshot; each iteration rebuilds
+// the clique forest over an alive mask (cliquetree.Builder), extracts
+// the maximal binary paths with plain-array versions of the paths.go
+// routines, and measures every path (capped diameter, independence
+// number, subpath nodes) with per-worker epoch-stamped scratch. Path measurement is a pure per-path function of
 // the snapshot, the alive mask, and the forest, so paths shard over
 // CPUs (dist.RunKernel) into deterministic per-path result slots:
 // outputs are bit-identical at every GOMAXPROCS and match the map-backed
@@ -122,7 +122,10 @@ type engine struct {
 
 // Run executes the peeling process on a chordal graph.
 func Run(g *graph.Graph, opts Options) (*Result, error) {
-	ix := graph.NewIndexed(g)
+	ix := opts.Snapshot
+	if ix == nil {
+		ix = graph.NewIndexed(g)
+	}
 	n := ix.NumNodes()
 	e := &engine{
 		ix:      ix,

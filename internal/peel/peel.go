@@ -99,6 +99,10 @@ type Options struct {
 	// values built only for callers that inspect them; the peeling
 	// decisions never read them).
 	NoForests bool
+	// Snapshot, when non-nil, is a snapshot of the input graph that Run
+	// peels instead of taking its own, so a pipeline that already holds
+	// one takes it once. nil takes a fresh snapshot.
+	Snapshot *graph.Indexed
 }
 
 // runReference is the original map-backed implementation of Run, kept as
