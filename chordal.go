@@ -18,6 +18,8 @@
 package chordal
 
 import (
+	"fmt"
+
 	"repro/internal/chordal"
 	"repro/internal/cliquetree"
 	"repro/internal/core"
@@ -123,17 +125,22 @@ func ColorDistributed(g *Graph, eps float64) (*Coloring, error) {
 
 // ColorInterval computes a (1+ε)-approximate coloring of an interval
 // graph from its model, using the reimplementation of the
-// Halldórsson–Konrad ColIntGraph routine the paper builds on.
+// Halldórsson–Konrad ColIntGraph routine the paper builds on; ε must be
+// positive.
 func ColorInterval(ivs []Interval, eps float64) (*IntervalColoring, error) {
-	g := gen.FromIntervals(ivs)
-	path := interval.CliquePathFromModel(ivs)
-	idBound := 1
-	for _, v := range g.Nodes() {
-		if int(v) >= idBound {
-			idBound = int(v) + 1
-		}
+	k, err := intervalK(eps)
+	if err != nil {
+		return nil, err
 	}
-	return core.ColIntGraph(g, path, core.EffectiveK(eps), idBound)
+	return core.ColIntGraph(gen.FromIntervals(ivs), interval.CliquePathFromModel(ivs), k)
+}
+
+// intervalK is the ColIntGraph parameter k for ε, which must be positive.
+func intervalK(eps float64) (int, error) {
+	if !(eps > 0) { // NaN fails every comparison
+		return 0, fmt.Errorf("epsilon must be positive, got %v", eps)
+	}
+	return core.EffectiveK(eps), nil
 }
 
 // RecognizeInterval tests whether g is an interval graph and returns an
@@ -151,17 +158,15 @@ func IsIntervalGraph(g *Graph) bool { return interval.IsInterval(g) }
 // ColorIntervalGraph is the model-free variant of ColorInterval: it
 // recognizes g as an interval graph (constructing a model) and colors it.
 func ColorIntervalGraph(g *Graph, eps float64) (*IntervalColoring, error) {
+	k, err := intervalK(eps)
+	if err != nil {
+		return nil, err
+	}
 	path, _, err := interval.Recognize(g)
 	if err != nil {
 		return nil, err
 	}
-	idBound := 1
-	for _, v := range g.Nodes() {
-		if int(v) >= idBound {
-			idBound = int(v) + 1
-		}
-	}
-	return core.ColIntGraph(g, path, core.EffectiveK(eps), idBound)
+	return core.ColIntGraph(g, path, k)
 }
 
 // MaxIndependentSet computes a (1+ε)-approximate maximum independent set
@@ -182,13 +187,7 @@ func MaxIndependentSetDistributed(g *Graph, eps float64) (*MISResult, error) {
 // On a graph that is not interval it fails when removing the dominated
 // vertices leaves a component that is not proper interval.
 func MaxIndependentSetInterval(g *Graph, eps float64) (*IntervalMISResult, error) {
-	idBound := 1
-	for _, v := range g.Nodes() {
-		if int(v) >= idBound {
-			idBound = int(v) + 1
-		}
-	}
-	return core.MISInterval(g, eps, idBound)
+	return core.MISInterval(g, eps)
 }
 
 // Chordalize returns a chordal supergraph of g (a triangulation via

@@ -1,8 +1,44 @@
 package chordal
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
+
+// TestEpsilonRejected checks that every public entry point taking ε
+// rejects NaN, 0 and −1, and the chordal MIS ones also 1, before doing
+// any work: NaN fails every comparison, so a check phrased as "ε ≤ 0"
+// lets it through.
+func TestEpsilonRejected(t *testing.T) {
+	g, ivs := RandomIntervalGraph(40, 12, 3, 1)
+	const positive, unit = "epsilon must be positive, got ", "epsilon must be in (0,1), got "
+	entries := []struct {
+		name string
+		want string
+		run  func(eps float64) error
+	}{
+		{"Color", positive, func(eps float64) error { _, err := Color(g, eps); return err }},
+		{"ColorDistributed", positive, func(eps float64) error { _, err := ColorDistributed(g, eps); return err }},
+		{"ColorAny", positive, func(eps float64) error { _, err := ColorAny(g, eps); return err }},
+		{"ColorInterval", positive, func(eps float64) error { _, err := ColorInterval(ivs, eps); return err }},
+		{"ColorIntervalGraph", positive, func(eps float64) error { _, err := ColorIntervalGraph(g, eps); return err }},
+		{"MaxIndependentSetInterval", positive, func(eps float64) error { _, err := MaxIndependentSetInterval(g, eps); return err }},
+		{"MaxIndependentSet", unit, func(eps float64) error { _, err := MaxIndependentSet(g, eps); return err }},
+		{"MaxIndependentSetDistributed", unit, func(eps float64) error { _, err := MaxIndependentSetDistributed(g, eps); return err }},
+	}
+	for _, e := range entries {
+		bad := []float64{math.NaN(), 0, -1}
+		if e.want == unit {
+			bad = append(bad, 1)
+		}
+		for _, eps := range bad {
+			if err := e.run(eps); err == nil || !strings.HasPrefix(err.Error(), e.want) {
+				t.Errorf("%s(ε = %v): err = %v, want %q…", e.name, eps, err, e.want)
+			}
+		}
+	}
+}
 
 func TestPublicAPIColorAndMIS(t *testing.T) {
 	g := RandomChordalGraph(300, 5, 1)

@@ -320,8 +320,7 @@ func run(alg string, eps float64, in, out, genKind string, n, maxClique int, see
 		return reportMIS(g, res.Set, res.Rounds)
 
 	case "mis-interval":
-		idBound := maxID(g) + 1
-		res, err := core.MISInterval(g, eps, idBound)
+		res, err := core.MISInterval(g, eps)
 		if err != nil {
 			return err
 		}
@@ -408,14 +407,4 @@ func reportMIS(g *graph.Graph, is graph.Set, rounds int) error {
 		fmt.Printf("LOCAL rounds: %d\n", rounds)
 	}
 	return nil
-}
-
-func maxID(g *graph.Graph) int {
-	max := 0
-	for _, v := range g.Nodes() {
-		if int(v) > max {
-			max = int(v)
-		}
-	}
-	return max
 }

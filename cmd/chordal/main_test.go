@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -116,6 +117,9 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run("color", 0.5, "/does/not/exist.json", "", "", 0, 0, 0, 0, "", false, "", 7, "", "", ""); err == nil {
 		t.Error("missing input file accepted")
+	}
+	if err := run("mis", math.NaN(), "", "", "random", 10, 3, 1, 0, "", false, "", 7, "", "", ""); err == nil {
+		t.Error("-eps NaN accepted")
 	}
 }
 

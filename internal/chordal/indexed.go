@@ -3,25 +3,23 @@ package chordal
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/graph"
 )
 
 // Elim is the index-space elimination kernel: maximum cardinality search
 // over a member set of a CSR graph, the Tarjan–Yannakakis check that the
 // resulting order is a perfect elimination order, and Gavril's
-// independence number and the clique number over that order. It is the
-// one index-space implementation behind the clique-forest build,
-// CliqueNumberIndexed, the peel's path α and the decide kernel's α rule;
-// the map-backed MCS, PEO, IndependenceNumber and CliqueNumber are the
+// independence number over that order. It is the one index-space
+// implementation behind the clique-forest build (whose first forest also
+// yields ω for the coloring pipelines), the peel's path α and the decide
+// kernel's α rule; the map-backed MCS, PEO and IndependenceNumber are the
 // oracles it is tested against.
 //
-// A run starts with MCS; CheckPEO, Positions, Alpha and CliqueNumber read
-// the order it left, in any combination and order. Membership is an
-// epoch stamp, so a run touches only the members' rows, and the
-// per-row scratch is one allocation that grows to the largest graph seen
-// and is reused after that; positions get their own, made only by the
-// callers that need them. The zero value is ready to use; an Elim is not
+// A run starts with MCS; CheckPEO, Positions and Alpha read the order it
+// left, in any combination and order. Membership is an epoch stamp, so a
+// run touches only the members' rows, and the per-row scratch is one
+// allocation that grows to the largest graph seen and is reused after
+// that; positions get their own, made only by the callers that need
+// them. The zero value is ready to use; an Elim is not
 // safe for concurrent use.
 type Elim struct {
 	rowPtr, cols []int32
@@ -189,41 +187,6 @@ func (k *Elim) Alpha() int {
 		}
 	}
 	return alpha
-}
-
-// CliqueNumber returns the largest 1 + |later neighbors| over the current
-// order: ω of the member subgraph when the order is a perfect
-// elimination order, and 0 when there are no members.
-func (k *Elim) CliqueNumber() int {
-	pos := k.Positions()
-	best := 0
-	for i, v := range k.order {
-		size := 1
-		for _, u := range k.row(v) {
-			if k.stamp[u] == k.epoch && pos[u] > int32(i) {
-				size++
-			}
-		}
-		best = max(best, size)
-	}
-	return best
-}
-
-// CliqueNumberIndexed is CliqueNumber on a CSR snapshot, with the same
-// value and the same error text: ω is an invariant of the graph, and the
-// check accepts exactly the chordal graphs.
-func CliqueNumberIndexed(ix *graph.Indexed) (int, error) {
-	rows := make([]int32, ix.NumNodes())
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	var k Elim
-	_, rowPtr, cols := ix.CSR()
-	k.MCS(rowPtr, cols, rows)
-	if err := k.CheckPEO(); err != nil {
-		return 0, err
-	}
-	return k.CliqueNumber(), nil
 }
 
 // heapPush pushes a key onto the packed max-heap h.

@@ -8,53 +8,6 @@ import (
 	"repro/internal/view"
 )
 
-func TestCliqueNumberIndexedMatches(t *testing.T) {
-	cases := []*graph.Graph{
-		graph.New(),
-		gen.Path(1),
-		gen.Path(25),
-		gen.Star(9),
-		gen.Complete(7),
-		gen.Caterpillar(8, 3),
-	}
-	for seed := int64(0); seed < 8; seed++ {
-		cases = append(cases,
-			gen.RandomChordal(80, gen.ChordalOpts{MaxCliqueSize: 5, AttachFull: 0.4}, seed),
-			gen.KTree(50, 3, seed),
-			gen.Tree(60, seed),
-			gen.RandomChordalSubtree(120, 3, 5, seed),
-		)
-	}
-	for i, g := range cases {
-		want, err := CliqueNumber(g)
-		if err != nil {
-			t.Fatalf("case %d: reference: %v", i, err)
-		}
-		got, err := CliqueNumberIndexed(graph.NewIndexed(g))
-		if err != nil {
-			t.Fatalf("case %d: indexed: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("case %d: ω = %d, want %d", i, got, want)
-		}
-	}
-}
-
-func TestCliqueNumberIndexedNonChordal(t *testing.T) {
-	g := gen.Cycle(6)
-	_, wantErr := CliqueNumber(g)
-	if wantErr == nil {
-		t.Fatal("reference accepted C6")
-	}
-	_, err := CliqueNumberIndexed(graph.NewIndexed(g))
-	if err == nil {
-		t.Fatal("indexed accepted C6")
-	}
-	if err.Error() != wantErr.Error() {
-		t.Fatalf("error text %q vs %q", err, wantErr)
-	}
-}
-
 // elimGraph builds generator family f on n nodes: six chordal families,
 // then the non-chordal controls C_n and G(n, 0.15).
 func elimGraph(f uint8, n int, seed int64) *graph.Graph {
@@ -119,9 +72,9 @@ func checkElimCase(t *testing.T, k *Elim, g *graph.Graph, subset []byte) {
 // checkElim compares one kernel run over members of the CSR graph
 // (rowPtr, cols), whose row r is node id(r), with the oracles on h, the
 // subgraph the members induce: the order is MCS(h), the PEO verdict is
-// IsChordal(h) with PEO's error text, and on chordal h, α and ω match
-// IndependenceNumber and CliqueNumber. The scans run out of order (Alpha
-// before CheckPEO) to check that none depends on another's marks.
+// IsChordal(h) with PEO's error text, and on chordal h, α matches
+// IndependenceNumber. The scans run out of order (Alpha before CheckPEO)
+// to check that neither depends on the other's marks.
 func checkElim(t *testing.T, where string, k *Elim, rowPtr, cols, members []int32, id func(int32) graph.ID, h *graph.Graph) {
 	t.Helper()
 	order := k.MCS(rowPtr, cols, members)
@@ -154,9 +107,6 @@ func checkElim(t *testing.T, where string, k *Elim, rowPtr, cols, members []int3
 	}
 	if wantAlpha, _ := IndependenceNumber(h); alpha != wantAlpha {
 		t.Fatalf("%s: α = %d, want %d", where, alpha, wantAlpha)
-	}
-	if wantOmega, _ := CliqueNumber(h); k.CliqueNumber() != wantOmega {
-		t.Fatalf("%s: ω = %d, want %d", where, k.CliqueNumber(), wantOmega)
 	}
 }
 

@@ -2,154 +2,103 @@ package colorreduce
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
 
-// Chain is a disjoint union of paths with weighted edges, used as the
-// virtual "leader chain" over clique-path leaders: chain nodes are network
-// nodes, a chain edge means the endpoints are consecutive leaders, and the
-// edge weight is their distance in the communication graph (so segment
-// weights lower-bound block diameters).
-type Chain struct {
-	G      *graph.Graph
-	Weight map[[2]graph.ID]int // key has smaller ID first
-	// Dist, when set, overrides segment weights during contraction: the
-	// weight between two anchors becomes Dist(u, v) instead of the sum of
-	// edge weights between them. Used with communication-graph distances
-	// so anchor gaps lower-bound the recoloring separation directly.
-	Dist func(u, v graph.ID) int
-}
-
-// NewChain builds a chain from edges (u, v, weight).
-func NewChain() *Chain {
-	return &Chain{G: graph.New(), Weight: make(map[[2]graph.ID]int)}
-}
-
-// AddNode adds an isolated chain node.
-func (c *Chain) AddNode(v graph.ID) { c.G.AddNode(v) }
-
-// AddEdge links consecutive chain nodes with the given weight (>= 1).
-func (c *Chain) AddEdge(u, v graph.ID, w int) {
-	c.G.AddEdge(u, v)
-	if u > v {
-		u, v = v, u
-	}
-	if w < 1 {
-		w = 1
-	}
-	c.Weight[[2]graph.ID{u, v}] = w
-}
-
-func (c *Chain) edgeWeight(u, v graph.ID) int {
-	if u > v {
-		u, v = v, u
-	}
-	return c.Weight[[2]graph.ID{u, v}]
-}
-
-// Validate checks the chain is a disjoint union of paths.
-func (c *Chain) Validate() error {
-	if c.G.MaxDegree() > 2 {
-		return fmt.Errorf("chain has a node of degree > 2")
-	}
-	// No cycles: every component with e edges has e = n-1.
-	for _, comp := range c.G.Components() {
-		edges := 0
-		for _, v := range comp {
-			edges += c.G.Degree(v)
-		}
-		edges /= 2
-		if edges != len(comp)-1 {
-			return fmt.Errorf("chain component %v contains a cycle", comp)
-		}
-	}
-	return nil
-}
-
-// AnchorResult reports the anchors chosen on a chain and the
+// AnchorResult reports the anchors chosen on a path and the
 // communication rounds charged.
 type AnchorResult struct {
-	Anchors graph.Set
+	Anchors []int // positions on the path, ascending
 	Rounds  int
 	Phases  int
 }
 
-// SelectAnchors chooses a subset of chain nodes such that along every
-// chain path, the weighted distance between consecutive anchors is at
-// least minGap (segments facing a path end may be shorter — end blocks
-// have only one recoloring zone). Anchors delimit the blocks of the
-// interval coloring routine; minGap lower-bounds block diameters.
+// SelectAnchors chooses anchor positions on the path ids[0], …,
+// ids[len(ids)-1] such that the distance between consecutive anchors is
+// at least minGap (segments facing a path end may be shorter — end blocks
+// have only one recoloring zone). dist(i, j), called with positions
+// i < j, is the distance between the path nodes at i and j; a gap counts
+// as at least 1. ids are distinct chain IDs: they seed the priorities.
+// Anchors delimit the blocks of the interval coloring routine; minGap
+// lower-bounds block diameters.
 //
-// Structure: a single Linial 3-coloring of the chain (the O(log* n)
-// symmetry-breaking component) fixes per-node priorities (color, ID);
-// then drop phases run until stable: an anchor with a too-small
-// anchor-facing segment drops unless an adjacent droppable anchor has
-// higher priority, so adjacent anchors never drop simultaneously and
-// segments grow without cascading overshoot. Each phase costs a constant
-// number of exchanges at the current contracted hop distance.
-func SelectAnchors(ch *Chain, minGap, idBound int) (*AnchorResult, error) {
-	if err := ch.Validate(); err != nil {
-		return nil, err
-	}
+// Structure: every position starts as an anchor; drop phases run until
+// stable: an anchor with a too-small anchor-facing gap drops unless an
+// adjacent droppable anchor has higher priority, so adjacent anchors
+// never drop simultaneously and gaps grow without cascading overshoot.
+// Priorities are rehashed every phase (phaseHash over the chain ID and
+// the phase, ties broken by the larger ID), which makes adversarial ID
+// layouts (e.g. monotone runs) behave like random ones while staying
+// fully deterministic. Each phase costs three exchanges (gap measurement,
+// priority exchange, decision) at the current largest gap.
+func SelectAnchors(ids []graph.ID, dist func(i, j int) int, minGap int) (*AnchorResult, error) {
 	res := &AnchorResult{}
-	// priority orders droppable anchors strictly per phase; the hash makes
-	// adversarial ID layouts (e.g. monotone runs) behave like random ones
-	// while staying fully deterministic.
-	higher := func(a, b graph.ID, phase int) bool {
-		ha, hb := phaseHash(a, phase), phaseHash(b, phase)
+	// live holds the current anchors; gap[j] is the distance from live[j]
+	// to live[j+1]. A drop only changes the gap across the dropped anchor,
+	// so the other distances carry over between phases.
+	live := make([]int, len(ids))
+	for i := range live {
+		live[i] = i
+	}
+	gap := make([]int, max(len(ids)-1, 0))
+	for j := range gap {
+		gap[j] = max(dist(j, j+1), 1)
+	}
+	droppable := make([]bool, len(ids))
+	drop := make([]bool, len(ids))
+	higher := func(a, b int) bool {
+		ha, hb := phaseHash(ids[a], res.Phases), phaseHash(ids[b], res.Phases)
 		if ha != hb {
 			return ha > hb
 		}
-		return a > b
-	}
-	anchors := make(map[graph.ID]bool)
-	for _, v := range ch.G.Nodes() {
-		anchors[v] = true
+		return ids[a] > ids[b]
 	}
 	for {
-		contracted, hopCost := contractChain(ch, anchors)
-		segs := segments(contracted, anchors)
-		droppable := func(v graph.ID) bool {
-			return anchors[v] && segs[v][0] < minGap
+		hopCost := 1
+		for j := range live {
+			// A side facing a path end is unbounded: only anchor-to-anchor
+			// gaps must respect minGap.
+			droppable[j] = j > 0 && gap[j-1] < minGap || j+1 < len(live) && gap[j] < minGap
+			if j+1 < len(live) {
+				hopCost = max(hopCost, gap[j])
+			}
 		}
-		var drops []graph.ID
-		for _, v := range contracted.G.Nodes() {
-			if !droppable(v) {
-				continue
-			}
-			wins := true
-			for _, u := range contracted.G.Neighbors(v) {
-				if droppable(u) && higher(u, v, res.Phases) {
-					wins = false
-					break
-				}
-			}
-			if wins {
-				drops = append(drops, v)
+		drops := 0
+		for j, p := range live {
+			drop[j] = droppable[j] &&
+				!(j > 0 && droppable[j-1] && higher(live[j-1], p)) &&
+				!(j+1 < len(live) && droppable[j+1] && higher(live[j+1], p))
+			if drop[j] {
+				drops++
 			}
 		}
 		res.Phases++
-		res.Rounds += 3 * hopCost // segment measurement + priority exchange + decision
-		if len(drops) == 0 {
+		res.Rounds += 3 * hopCost
+		if drops == 0 {
 			break
 		}
-		for _, v := range drops {
-			anchors[v] = false
+		// Compact in place; dropped anchors are never adjacent, so the
+		// previous survivor of live[j] is live[j-1] or live[j-2].
+		n := 0
+		for j, p := range live {
+			if drop[j] {
+				continue
+			}
+			if n > 0 && drop[j-1] {
+				gap[n-1] = max(dist(live[n-1], p), 1)
+			} else if n > 0 {
+				gap[n-1] = gap[j-1]
+			}
+			live[n] = p
+			n++
 		}
-		if res.Phases > ch.G.NumNodes()+2 {
+		live, gap = live[:n], gap[:max(n-1, 0)]
+		if res.Phases > len(ids)+2 {
 			return nil, fmt.Errorf("anchor selection did not stabilize")
 		}
 	}
-	var out graph.Set
-	for v, on := range anchors {
-		if on {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	res.Anchors = out
+	res.Anchors = live
 	return res, nil
 }
 
@@ -162,86 +111,4 @@ func phaseHash(v graph.ID, phase int) uint64 {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return x
-}
-
-// contractChain builds the chain over current anchors: consecutive
-// anchors along each path become adjacent, weighted by the summed
-// original weights between them. hopCost is the maximum such weight
-// (communication cost of one contracted hop).
-func contractChain(ch *Chain, anchors map[graph.ID]bool) (*Chain, int) {
-	out := NewChain()
-	hopCost := 1
-	visitedEdge := make(map[[2]graph.ID]bool)
-	for _, v := range ch.G.Nodes() {
-		if !anchors[v] {
-			continue
-		}
-		out.AddNode(v)
-		// Walk in each chain direction until the next anchor.
-		for _, first := range ch.G.Neighbors(v) {
-			w := ch.edgeWeight(v, first)
-			prev, cur := v, first
-			for !anchors[cur] {
-				next := graph.ID(-1)
-				for _, nb := range ch.G.Neighbors(cur) {
-					if nb != prev {
-						next = nb
-						break
-					}
-				}
-				if next == -1 {
-					cur = -1 // dangling end, no anchor this way
-					break
-				}
-				w += ch.edgeWeight(cur, next)
-				prev, cur = cur, next
-			}
-			if cur == -1 || cur == v {
-				continue
-			}
-			a, b := v, cur
-			if a > b {
-				a, b = b, a
-			}
-			if visitedEdge[[2]graph.ID{a, b}] {
-				continue
-			}
-			visitedEdge[[2]graph.ID{a, b}] = true
-			if ch.Dist != nil {
-				w = ch.Dist(a, b)
-			}
-			out.AddEdge(a, b, w)
-			if w > hopCost {
-				hopCost = w
-			}
-		}
-	}
-	return out, hopCost
-}
-
-// segments returns, for every current anchor, its weighted distances
-// (smaller, larger) to the adjacent anchors. A side facing a path end
-// counts as unbounded: end blocks are delimited by the physical path end,
-// have only one recoloring zone, and so may be arbitrarily short — only
-// anchor-to-anchor gaps must respect minGap.
-func segments(contracted *Chain, anchors map[graph.ID]bool) map[graph.ID][2]int {
-	const unbounded = 1 << 30
-	out := make(map[graph.ID][2]int)
-	for _, v := range contracted.G.Nodes() {
-		if !anchors[v] {
-			continue
-		}
-		dists := []int{}
-		for _, nb := range contracted.G.Neighbors(v) {
-			if anchors[nb] {
-				dists = append(dists, contracted.edgeWeight(v, nb))
-			}
-		}
-		for len(dists) < 2 {
-			dists = append(dists, unbounded)
-		}
-		sort.Ints(dists)
-		out[v] = [2]int{dists[0], dists[1]}
-	}
-	return out
 }

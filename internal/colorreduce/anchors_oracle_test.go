@@ -1,33 +1,14 @@
 package colorreduce
 
 import (
+	"slices"
 	"testing"
-
-	"repro/internal/graph"
 )
-
-// oracleChain builds a unit chain of n nodes whose Dist oracle returns
-// position distance (so contracted gaps are exact).
-func oracleChain(n int) *Chain {
-	ch := NewChain()
-	ch.AddNode(0)
-	for i := 0; i+1 < n; i++ {
-		ch.AddEdge(graph.ID(i), graph.ID(i+1), 1)
-	}
-	ch.Dist = func(u, v graph.ID) int {
-		d := int(v) - int(u)
-		if d < 0 {
-			return -d
-		}
-		return d
-	}
-	return ch
-}
 
 func TestSelectAnchorsOracleGaps(t *testing.T) {
 	for _, n := range []int{100, 500, 2000} {
-		ch := oracleChain(n)
-		res, err := SelectAnchors(ch, 16, n)
+		ids, dist := unitChain(n)
+		res, err := SelectAnchors(ids, dist, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +16,7 @@ func TestSelectAnchorsOracleGaps(t *testing.T) {
 		maxGap := 0
 		for _, a := range res.Anchors {
 			if prev >= 0 {
-				gap := int(a) - prev
+				gap := a - prev
 				if gap < 16 {
 					t.Fatalf("n=%d: anchors %d,%d at gap %d < 16", n, prev, a, gap)
 				}
@@ -43,7 +24,7 @@ func TestSelectAnchorsOracleGaps(t *testing.T) {
 					maxGap = gap
 				}
 			}
-			prev = int(a)
+			prev = a
 		}
 		// Overshoot stays bounded: anchors never merge two already-valid
 		// segments, so gaps stay below ~4× the threshold in practice.
@@ -59,11 +40,13 @@ func TestSelectAnchorsOracleGaps(t *testing.T) {
 func TestSelectAnchorsPhaseCountStable(t *testing.T) {
 	// Phase count should not grow linearly with n (it is ~log in the
 	// anchor count with the hashed priorities).
-	small, err := SelectAnchors(oracleChain(200), 12, 200)
+	ids, dist := unitChain(200)
+	small, err := SelectAnchors(ids, dist, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := SelectAnchors(oracleChain(4000), 12, 4000)
+	ids, dist = unitChain(4000)
+	large, err := SelectAnchors(ids, dist, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,15 +56,16 @@ func TestSelectAnchorsPhaseCountStable(t *testing.T) {
 }
 
 func TestSelectAnchorsDeterministic(t *testing.T) {
-	a, err := SelectAnchors(oracleChain(300), 10, 300)
+	ids, dist := unitChain(300)
+	a, err := SelectAnchors(ids, dist, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SelectAnchors(oracleChain(300), 10, 300)
+	b, err := SelectAnchors(ids, dist, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Anchors.Equal(b.Anchors) {
+	if !slices.Equal(a.Anchors, b.Anchors) {
 		t.Fatal("anchor selection not deterministic")
 	}
 }

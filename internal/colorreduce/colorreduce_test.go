@@ -156,37 +156,45 @@ func TestMISFromColoringBadInput(t *testing.T) {
 	}
 }
 
-func buildChain(weights []int) *Chain {
-	ch := NewChain()
-	ch.AddNode(0)
+// weightedChain returns the IDs 0..len(weights) of a path whose
+// consecutive positions i, i+1 lie weights[i] apart, and its distance.
+func weightedChain(weights []int) ([]graph.ID, func(i, j int) int) {
+	prefix := make([]int, len(weights)+1)
+	ids := make([]graph.ID, len(prefix))
 	for i, w := range weights {
-		ch.AddEdge(graph.ID(i), graph.ID(i+1), w)
+		prefix[i+1] = prefix[i] + w
+		ids[i+1] = graph.ID(i + 1)
 	}
-	return ch
+	return ids, func(i, j int) int { return prefix[j] - prefix[i] }
+}
+
+// unitChain is weightedChain with n nodes one apart.
+func unitChain(n int) ([]graph.ID, func(i, j int) int) {
+	weights := make([]int, max(n-1, 0))
+	for i := range weights {
+		weights[i] = 1
+	}
+	return weightedChain(weights)
 }
 
 func TestSelectAnchorsGaps(t *testing.T) {
 	// A 60-node chain with unit weights and minGap 7: consecutive anchors
 	// must be at least 7 apart.
-	weights := make([]int, 59)
-	for i := range weights {
-		weights[i] = 1
-	}
-	ch := buildChain(weights)
-	res, err := SelectAnchors(ch, 7, 60)
+	ids, dist := unitChain(60)
+	res, err := SelectAnchors(ids, dist, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Anchors) == 0 {
 		t.Fatal("no anchors selected on a long chain")
 	}
-	checkAnchorGaps(t, ch, res.Anchors, 7)
+	checkAnchorGaps(t, dist, res.Anchors, 7)
 }
 
 func TestSelectAnchorsShortChain(t *testing.T) {
 	// Chains shorter than minGap keep at most one anchor.
-	ch := buildChain([]int{1, 1, 1})
-	res, err := SelectAnchors(ch, 10, 10)
+	ids, dist := weightedChain([]int{1, 1, 1})
+	res, err := SelectAnchors(ids, dist, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,67 +209,24 @@ func TestSelectAnchorsWeighted(t *testing.T) {
 	for i := range weights {
 		weights[i] = 1 + rng.Intn(3)
 	}
-	ch := buildChain(weights)
-	res, err := SelectAnchors(ch, 9, 100)
+	ids, dist := weightedChain(weights)
+	res, err := SelectAnchors(ids, dist, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAnchorGaps(t, ch, res.Anchors, 9)
+	checkAnchorGaps(t, dist, res.Anchors, 9)
 }
 
-func TestSelectAnchorsRejectsCycle(t *testing.T) {
-	ch := NewChain()
-	ch.AddEdge(0, 1, 1)
-	ch.AddEdge(1, 2, 1)
-	ch.AddEdge(2, 0, 1)
-	if _, err := SelectAnchors(ch, 2, 3); err == nil {
-		t.Fatal("expected error for cyclic chain")
-	}
-}
-
-// checkAnchorGaps verifies consecutive anchors along the chain are at
-// weighted distance >= minGap.
-func checkAnchorGaps(t *testing.T, ch *Chain, anchors graph.Set, minGap int) {
+// checkAnchorGaps verifies the anchor positions ascend and consecutive
+// anchors lie at distance >= minGap.
+func checkAnchorGaps(t *testing.T, dist func(i, j int) int, anchors []int, minGap int) {
 	t.Helper()
-	inAnchors := make(map[graph.ID]bool)
-	for _, a := range anchors {
-		inAnchors[a] = true
-	}
-	// Walk each path from an endpoint.
-	for _, comp := range ch.G.Components() {
-		var start graph.ID = -1
-		for _, v := range comp {
-			if ch.G.Degree(v) <= 1 {
-				start = v
-				break
-			}
+	for i := 1; i < len(anchors); i++ {
+		if anchors[i] <= anchors[i-1] {
+			t.Fatalf("anchor positions not ascending: %v", anchors)
 		}
-		if start == -1 {
-			t.Fatal("chain component has no endpoint")
-		}
-		prev := graph.ID(-1)
-		cur := start
-		lastAnchorDist := -1
-		dist := 0
-		for {
-			if inAnchors[cur] {
-				if lastAnchorDist >= 0 && dist-lastAnchorDist < minGap {
-					t.Fatalf("anchors at weighted distance %d < %d", dist-lastAnchorDist, minGap)
-				}
-				lastAnchorDist = dist
-			}
-			next := graph.ID(-1)
-			for _, nb := range ch.G.Neighbors(cur) {
-				if nb != prev {
-					next = nb
-					break
-				}
-			}
-			if next == -1 {
-				break
-			}
-			dist += ch.edgeWeight(cur, next)
-			prev, cur = cur, next
+		if d := dist(anchors[i-1], anchors[i]); d < minGap {
+			t.Fatalf("anchors at positions %d,%d lie %d < %d apart", anchors[i-1], anchors[i], d, minGap)
 		}
 	}
 }

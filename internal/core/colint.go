@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/colorreduce"
 	"repro/internal/graph"
@@ -22,20 +22,22 @@ type IntervalColoring struct {
 
 // ColIntGraph reimplements the Halldórsson–Konrad interval coloring
 // algorithm [21] the paper reuses: for k = ⌈2/ε⌉ it colors an interval
-// graph with at most ⌊(1+1/k)χ⌋+1 colors in O(k·log* n)-flavoured rounds.
+// graph with at most ⌊(1+1/k)χ⌋+1 colors. [21] takes O(k·log* n) rounds;
+// the rounds charged here grow with the largest anchor gap and block
+// diameter instead (experiment E7).
 //
 // Structure: a chain of per-clique leaders is derived from the clique
-// path; anchors at pairwise distance ≥ 2k+8 are selected on it via
-// Linial color reduction (the log* component); anchors cut the path into
-// blocks, each colored optimally by a local coordinator; boundary
-// conflicts between adjacent blocks are repaired inside a radius-(k+3)
-// zone by the Lemma-9 recoloring engine, which the distance between
-// anchors keeps collision-free.
+// path; anchors at pairwise distance ≥ 2k+8 are selected on it by
+// colorreduce.SelectAnchors' drop phases (hashed per-phase priorities
+// break the symmetry); anchors cut the path into blocks, each colored
+// optimally by a local coordinator; boundary conflicts between adjacent
+// blocks are repaired inside a radius-(k+3) zone by the Lemma-9
+// recoloring engine, which the distance between anchors keeps
+// collision-free.
 //
 // path must be a consecutive arrangement of the maximal cliques of g
-// (empty restrictions allowed to have been dropped); idBound bounds node
-// IDs for the symmetry-breaking palette.
-func ColIntGraph(g *graph.Graph, path []graph.Set, k, idBound int) (*IntervalColoring, error) {
+// (empty restrictions allowed to have been dropped).
+func ColIntGraph(g *graph.Graph, path []graph.Set, k int) (*IntervalColoring, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("k must be >= 1, got %d", k)
 	}
@@ -52,35 +54,30 @@ func ColIntGraph(g *graph.Graph, path []graph.Set, k, idBound int) (*IntervalCol
 	res.Omega = omega
 	res.Palette = (k+1)*omega/k + 1
 
-	cuts, anchorRounds, err := selectCuts(g, path, 2*k+8, idBound)
+	anchors, err := selectCuts(g, path, 2*k+8)
 	if err != nil {
 		return nil, err
 	}
+	cuts := anchors.Anchors
 	res.Rounds += 4 // chain construction from O(1)-radius local views
-	res.Rounds += anchorRounds
+	res.Rounds += anchors.Rounds
 
 	blocks := splitBlocks(len(path), cuts)
 	res.Blocks = len(blocks)
 
-	// Assign each node to the block containing its first clique.
-	firstClique := make(map[graph.ID]int)
-	for i, c := range path {
-		for _, v := range c {
-			if _, ok := firstClique[v]; !ok {
-				firstClique[v] = i
-			}
+	// Assign each node to the block containing its first clique, scanning
+	// the positions in order; each block's nodes end up sorted by ID.
+	blockNodes := make([][]graph.ID, len(blocks))
+	placed := make(map[graph.ID]bool, g.NumNodes())
+	b := 0
+	for p, c := range path {
+		for p > blocks[b][1] {
+			b++
 		}
-	}
-	blockOf := make(map[graph.ID]int)
-	for b, span := range blocks {
-		for p := span[0]; p <= span[1]; p++ {
-			for _, v := range path[p] {
-				if firstClique[v] == p {
-					// First occurrence decides; only record once.
-					if _, ok := blockOf[v]; !ok {
-						blockOf[v] = b
-					}
-				}
+		for _, v := range c {
+			if !placed[v] {
+				placed[v] = true
+				blockNodes[b] = append(blockNodes[b], v)
 			}
 		}
 	}
@@ -88,13 +85,9 @@ func ColIntGraph(g *graph.Graph, path []graph.Set, k, idBound int) (*IntervalCol
 	// Color every block optimally and independently (in the LOCAL run all
 	// block coordinators work concurrently; we charge the max cost once).
 	maxBlockCost := 0
-	blockNodes := make([][]graph.ID, len(blocks))
-	for v, b := range blockOf {
-		blockNodes[b] = append(blockNodes[b], v)
-	}
 	for b := range blocks {
 		nodes := blockNodes[b]
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+		slices.Sort(nodes)
 		sub := g.InducedSubgraph(nodes)
 		keep := make(map[graph.ID]bool, len(nodes))
 		for _, v := range nodes {
@@ -136,10 +129,11 @@ func ColIntGraph(g *graph.Graph, path []graph.Set, k, idBound int) (*IntervalCol
 }
 
 // selectCuts builds the leader chain over clique-path positions and runs
-// the anchor selection; it returns the cut positions (clique indices).
-func selectCuts(g *graph.Graph, path []graph.Set, minGap, idBound int) ([]int, int, error) {
+// the anchor selection; the anchors are the cut positions (clique
+// indices), ascending.
+func selectCuts(g *graph.Graph, path []graph.Set, minGap int) (*colorreduce.AnchorResult, error) {
 	if len(path) <= 1 {
-		return nil, 0, nil
+		return &colorreduce.AnchorResult{}, nil
 	}
 	// One chain vertex per clique position with a unique synthetic ID
 	// derived from (leader, per-leader occurrence index) — locally
@@ -147,44 +141,22 @@ func selectCuts(g *graph.Graph, path []graph.Set, minGap, idBound int) ([]int, i
 	leaders := make([]graph.ID, len(path))
 	occur := make(map[graph.ID]int)
 	chainID := make([]graph.ID, len(path))
-	maxPhi := 1
 	for i, c := range path {
 		leader := c[len(c)-1] // max ID in the sorted set
 		leaders[i] = leader
 		chainID[i] = graph.ID(int(leader)*(len(path)+1) + occur[leader])
 		occur[leader]++
-		if occur[leader] > maxPhi {
-			maxPhi = occur[leader]
+	}
+	res, err := colorreduce.SelectAnchors(chainID, func(i, j int) int {
+		if d := g.Distance(leaders[i], leaders[j]); d >= 0 {
+			return d
 		}
-	}
-	ch := colorreduce.NewChain()
-	pos := make(map[graph.ID]int, len(path))
-	for i := range path {
-		ch.AddNode(chainID[i])
-		pos[chainID[i]] = i
-	}
-	dist := func(a, b graph.ID) int {
-		d := g.Distance(leaders[pos[a]], leaders[pos[b]])
-		if d < 0 {
-			// Different components of the strip: a free cut.
-			return minGap
-		}
-		return d
-	}
-	ch.Dist = dist
-	for i := 0; i+1 < len(path); i++ {
-		ch.AddEdge(chainID[i], chainID[i+1], dist(chainID[i], chainID[i+1]))
-	}
-	resAnchors, err := colorreduce.SelectAnchors(ch, minGap, idBound*(len(path)+1)+maxPhi+1)
+		return minGap // different components of the strip: a free cut
+	}, minGap)
 	if err != nil {
-		return nil, 0, fmt.Errorf("anchor selection: %w", err)
+		return nil, fmt.Errorf("anchor selection: %w", err)
 	}
-	var cuts []int
-	for _, a := range resAnchors.Anchors {
-		cuts = append(cuts, pos[a])
-	}
-	sort.Ints(cuts)
-	return cuts, resAnchors.Rounds, nil
+	return res, nil
 }
 
 // splitBlocks partitions clique positions [0, n) into blocks delimited by

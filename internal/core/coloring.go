@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/chordal"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/peel"
@@ -59,7 +58,7 @@ func ColorChordal(g *graph.Graph, eps float64) (*ChordalColoring, error) {
 // engine rounds to observe; nil keeps the zero-cost fast path and the
 // result is bit-identical either way.
 func ColorChordalObserved(g *graph.Graph, eps float64, o dist.RoundObserver) (*ChordalColoring, error) {
-	if eps <= 0 {
+	if !(eps > 0) { // NaN fails every comparison
 		return nil, fmt.Errorf("epsilon must be positive, got %v", eps)
 	}
 	k := EffectiveK(eps)
@@ -78,29 +77,18 @@ func ColorChordalObserved(g *graph.Graph, eps float64, o dist.RoundObserver) (*C
 // non-nil, receives the per-path coloring stage as a "color-paths"
 // kernel span and each corrected layer as a "correct-paths" one.
 func colorLayers(g *graph.Graph, ix *graph.Indexed, k int, peeled *peel.Result, rounds *int, ko dist.KernelObserver) (*ChordalColoring, error) {
-	out := &ChordalColoring{K: k, Layers: len(peeled.Layers)}
-	omega, err := chordal.CliqueNumberIndexed(ix)
-	if err != nil {
-		return nil, err
-	}
-	out.Omega = omega
-	out.Palette = (k+1)*omega/k + 1
-	ids := ix.IDs()
-	idBound := 1
-	if n := len(ids); n > 0 {
-		// Snapshot IDs ascend, so the last one is the largest.
-		idBound = max(idBound, int(ids[n-1])+1)
-	}
+	out := &ChordalColoring{K: k, Layers: len(peeled.Layers), Omega: peeled.Omega}
+	out.Palette = (k+1)*out.Omega/k + 1
 
 	// Coloring phase: every peeled path is an interval graph, colored
 	// independently by ColIntGraph. Paths run concurrently in the LOCAL
 	// model; we charge the maximum cost. Each path's coloring is a pure
-	// function of (g, rec, k, idBound), so the paths shard over CPUs
-	// with per-path result slots merged in path order — bit-identical to
-	// the sequential loop at every GOMAXPROCS, including which error
-	// surfaces first. A slot keeps only the path's colors, aligned with
-	// rec.Nodes, so no coloring's map outlives its shard's loop; the
-	// merge lays them into the corrector's one index-space color slice.
+	// function of (g, rec, k), so the paths shard over CPUs with per-path
+	// result slots merged in path order — bit-identical to the sequential
+	// loop at every GOMAXPROCS, including which error surfaces first. A
+	// slot keeps only the path's colors, aligned with rec.Nodes, so no
+	// coloring's map outlives its shard's loop; the merge lays them into
+	// the corrector's one index-space color slice.
 	cr := newCorrector(ix, peeled, k, out.Palette)
 	refs := cr.refs
 	type colorSlot struct {
@@ -112,7 +100,7 @@ func colorLayers(g *graph.Graph, ix *graph.Indexed, k int, peeled *peel.Result, 
 	dist.RunKernel("color-paths", len(refs), dist.KernelShards(len(refs)), ko, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			rec := refs[i]
-			ic, err := ColIntGraph(g.InducedSubgraph(rec.Nodes), peel.LayerCliquePath(*rec), k, idBound)
+			ic, err := ColIntGraph(g.InducedSubgraph(rec.Nodes), peel.LayerCliquePath(*rec), k)
 			if err != nil {
 				slots[i] = colorSlot{err: err}
 				continue
@@ -154,8 +142,8 @@ func colorLayers(g *graph.Graph, ix *graph.Indexed, k int, peeled *peel.Result, 
 		}
 	}
 
-	out.Colors = colorMap(ids, cr.colors)
-	out.Provisional = colorMap(ids, provisional)
+	out.Colors = colorMap(ix.IDs(), cr.colors)
+	out.Provisional = colorMap(ix.IDs(), provisional)
 	used := make(map[int32]bool)
 	for _, c := range cr.colors {
 		if c != 0 {

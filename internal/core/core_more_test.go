@@ -159,7 +159,7 @@ func TestPropertyMISChordal(t *testing.T) {
 
 func TestMISIntervalEdgeCases(t *testing.T) {
 	// Empty.
-	res, err := MISInterval(graph.New(), 0.5, 1)
+	res, err := MISInterval(graph.New(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMISIntervalEdgeCases(t *testing.T) {
 		t.Fatal("empty graph must give empty set")
 	}
 	// Single clique: MIS = 1.
-	res, err = MISInterval(gen.Complete(5), 0.5, 5)
+	res, err = MISInterval(gen.Complete(5), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestMISIntervalEdgeCases(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		e.AddNode(graph.ID(i))
 	}
-	res, err = MISInterval(e, 0.5, 6)
+	res, err = MISInterval(e, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestMISIntervalEdgeCases(t *testing.T) {
 		t.Fatalf("edgeless MIS = %d, want 6", len(res.Set))
 	}
 	// Invalid epsilon.
-	if _, err := MISInterval(gen.Path(3), 0, 3); err == nil {
+	if _, err := MISInterval(gen.Path(3), 0); err == nil {
 		t.Fatal("expected error for eps=0")
 	}
 }
@@ -209,7 +209,7 @@ func TestMISIntervalRejectsNonIntervalInput(t *testing.T) {
 			prev = v
 		}
 	}
-	_, err := MISInterval(g, 0.5, g.NumNodes())
+	_, err := MISInterval(g, 0.5)
 	if err == nil || !strings.Contains(err.Error(), "not proper interval after reduction") {
 		t.Fatalf("MISInterval on a non-interval tree: err = %v, want the not-proper-interval error", err)
 	}
@@ -297,7 +297,7 @@ func TestColIntGraphMatchesLayerPipeline(t *testing.T) {
 			if err := interval.ValidCliquePath(sub, path); err != nil {
 				t.Fatalf("layer %d: %v", layer.Index, err)
 			}
-			ic, err := ColIntGraph(sub, path, 3, 200)
+			ic, err := ColIntGraph(sub, path, 3)
 			if err != nil {
 				t.Fatalf("layer %d: %v", layer.Index, err)
 			}

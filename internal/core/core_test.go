@@ -109,7 +109,7 @@ func TestColIntGraphQuality(t *testing.T) {
 		path := interval.CliquePathFromModel(ivs)
 		omega, _ := chordal.CliqueNumber(g)
 		for _, k := range []int{3, 5, 10} {
-			ic, err := ColIntGraph(g, path, k, 200)
+			ic, err := ColIntGraph(g, path, k)
 			if err != nil {
 				t.Fatalf("seed %d k %d: %v", seed, k, err)
 			}
@@ -132,7 +132,7 @@ func TestColIntGraphLongThinStrip(t *testing.T) {
 	for i := 0; i+1 < 400; i++ {
 		path = append(path, graph.NewSet(graph.ID(i), graph.ID(i+1)))
 	}
-	ic, err := ColIntGraph(g, path, 3, 400)
+	ic, err := ColIntGraph(g, path, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestColIntGraphLongThinStrip(t *testing.T) {
 }
 
 func TestColIntGraphEmpty(t *testing.T) {
-	ic, err := ColIntGraph(graph.New(), nil, 3, 10)
+	ic, err := ColIntGraph(graph.New(), nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestMISIntervalQuality(t *testing.T) {
 		g := gen.FromIntervals(ivs)
 		alpha, _ := chordal.IndependenceNumber(g)
 		for _, eps := range []float64{1, 0.5, 0.25} {
-			res, err := MISInterval(g, eps, 200)
+			res, err := MISInterval(g, eps)
 			if err != nil {
 				t.Fatalf("seed %d eps %v: %v", seed, eps, err)
 			}
@@ -259,7 +259,7 @@ func TestMISIntervalQuality(t *testing.T) {
 func TestMISIntervalOnLongPath(t *testing.T) {
 	g := gen.Path(500)
 	alpha := 250
-	res, err := MISInterval(g, 0.5, 500)
+	res, err := MISInterval(g, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ type ChordalMISOptions struct {
 
 // MISChordalWithOptions is MISChordal with ablation switches.
 func MISChordalWithOptions(g *graph.Graph, eps float64, opts ChordalMISOptions) (*ChordalMISResult, error) {
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) { // NaN fails every comparison
 		return nil, fmt.Errorf("epsilon must be in (0,1), got %v", eps)
 	}
 	d, iterations := MISChordalParams(eps)
@@ -119,7 +119,7 @@ func MISChordalDistributedFaultyPart(g *graph.Graph, eps float64, o dist.RoundOb
 }
 
 func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelTrace func(peel.LayerEvent)) (*ChordalMISResult, error) {
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) { // NaN fails every comparison
 		return nil, fmt.Errorf("epsilon must be in (0,1), got %v", eps)
 	}
 	d, iterations := MISChordalParams(eps)
@@ -168,11 +168,6 @@ func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelT
 // GOMAXPROCS.
 func misFromPeel(ix *graph.Indexed, peeled *peel.Result, d int, eps float64, opts ChordalMISOptions, res *ChordalMISResult) error {
 	ids := ix.IDs()
-	idBound := 1
-	if n := len(ids); n > 0 {
-		// Snapshot IDs ascend, so the last one is the largest.
-		idBound = max(idBound, int(ids[n-1])+1)
-	}
 	ko, _ := opts.Observer.(dist.KernelObserver)
 	// Nodes excluded once a neighbor joins I (Γ_G[I] grows as we go),
 	// by snapshot index: IDs may be negative or far above n.
@@ -241,7 +236,7 @@ func misFromPeel(ix *graph.Indexed, peeled *peel.Result, d int, eps float64, opt
 				s := scratches[shard]
 				for ci := lo; ci < hi; ci++ {
 					off := len(s.out)
-					rounds, exact, err := s.componentIS(ix, comps[ci], rec, d, last, eps, idBound, opts)
+					rounds, exact, err := s.componentIS(ix, comps[ci], rec, d, last, eps, opts)
 					slots[ci] = compSlot{shard: int32(shard), off: int32(off), n: int32(len(s.out) - off), rounds: rounds, exact: exact, err: err}
 				}
 			})
@@ -282,7 +277,7 @@ func misFromPeel(ix *graph.Indexed, peeled *peel.Result, d int, eps float64, opt
 // space (absorbingComponent), which before the last iteration must also
 // absorb with respect to the outside clique the component touches; a
 // large one builds H as a graph.Graph for the interval algorithm.
-func (s *misScratch) componentIS(ix *graph.Indexed, comp []int32, rec *peel.PathRecord, d int, last bool, eps float64, idBound int, opts ChordalMISOptions) (int, bool, error) {
+func (s *misScratch) componentIS(ix *graph.Indexed, comp []int32, rec *peel.PathRecord, d int, last bool, eps float64, opts ChordalMISOptions) (int, bool, error) {
 	if s.absorbingComponent(ix, comp, rec, d, !last && !opts.DisableAbsorbing) < d {
 		return 2*(d-1) + 2, true, nil
 	}
@@ -298,7 +293,7 @@ func (s *misScratch) componentIS(ix *graph.Indexed, comp []int32, rec *peel.Path
 	}
 	// The record's clique path, restricted to H, is a model of H.
 	path := interval.RestrictCliquePath(peel.LayerCliquePath(*rec), h.HasNode)
-	im, err := misInterval(h, path, eps/8, idBound)
+	im, err := misInterval(h, path, eps/8)
 	if err != nil {
 		return 0, false, err
 	}

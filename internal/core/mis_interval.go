@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/chordal"
 	"repro/internal/colorreduce"
@@ -38,13 +37,12 @@ func MISIntervalK(eps float64) int {
 // G^k), and exact maximum independent sets are computed in the segments
 // between consecutive members and beyond the extremes.
 //
-// idBound bounds node IDs (for the symmetry-breaking palette). Every
-// proper component needs an umbrella ordering, which also drives the
-// diameter test, so a component that is not proper interval after the
-// reduction (g was not an interval graph) is an error even when it is
-// small.
-func MISInterval(g *graph.Graph, eps float64, idBound int) (*IntervalMISResult, error) {
-	return misInterval(g, nil, eps, idBound)
+// Every proper component needs an umbrella ordering, which also drives
+// the diameter test, so a component that is not proper interval after
+// the reduction (g was not an interval graph) is an error even when it
+// is small.
+func MISInterval(g *graph.Graph, eps float64) (*IntervalMISResult, error) {
+	return misInterval(g, nil, eps)
 }
 
 // misInterval is MISInterval given path, a clique-path model of g, for
@@ -55,8 +53,8 @@ func MISInterval(g *graph.Graph, eps float64, idBound int) (*IntervalMISResult, 
 // node lies only in the first clique order[0..r(0)] of the ordering's
 // clique path, so its interval ends first and its eccentricity is the
 // diameter (the lemma at interval.Diameter).
-func misInterval(g *graph.Graph, path []graph.Set, eps float64, idBound int) (*IntervalMISResult, error) {
-	if eps <= 0 {
+func misInterval(g *graph.Graph, path []graph.Set, eps float64) (*IntervalMISResult, error) {
+	if !(eps > 0) { // NaN fails every comparison
 		return nil, fmt.Errorf("epsilon must be positive, got %v", eps)
 	}
 	k := MISIntervalK(eps)
@@ -97,7 +95,7 @@ func misInterval(g *graph.Graph, path []graph.Set, eps float64, idBound int) (*I
 				return nil, err
 			}
 		}
-		segRounds, err := misLargeComponent(sub, order, k, idBound, res)
+		segRounds, err := misLargeComponent(sub, order, k, res)
 		if err != nil {
 			return nil, err
 		}
@@ -121,37 +119,21 @@ func umbrellaOrder(sub *graph.Graph) ([]graph.ID, error) {
 
 // misLargeComponent handles one large proper-interval component, given
 // its umbrella ordering.
-func misLargeComponent(sub *graph.Graph, order []graph.ID, k, idBound int, res *IntervalMISResult) (int, error) {
-	pos := interval.PositionsOf(order)
-	rounds := 0
-
-	// Distance-k independent set I₁: anchors on the umbrella chain with
-	// pairwise graph distance ≥ k+1.
-	ch := colorreduce.NewChain()
-	ch.AddNode(order[0])
-	for i := 0; i+1 < len(order); i++ {
-		ch.AddEdge(order[i], order[i+1], 1)
-	}
-	ch.Dist = func(u, v graph.ID) int {
-		d := sub.Distance(u, v)
-		if d < 0 {
-			return k + 1
-		}
-		return d
-	}
-	anchorRes, err := colorreduce.SelectAnchors(ch, k+1, idBound)
+func misLargeComponent(sub *graph.Graph, order []graph.ID, k int, res *IntervalMISResult) (int, error) {
+	anchorRes, err := umbrellaAnchors(sub, order, k)
 	if err != nil {
 		return 0, fmt.Errorf("distance-k independent set: %w", err)
 	}
-	rounds += anchorRes.Rounds
-	i1 := anchorRes.Anchors
+	rounds := anchorRes.Rounds
+	members := anchorRes.Anchors // positions along the line, ascending
+	i1 := make([]graph.ID, len(members))
+	for i, p := range members {
+		i1[i] = order[p]
+	}
 	res.Anchors += len(i1)
-	res.Set = res.Set.Union(i1)
+	res.Set = res.Set.Union(graph.NewSet(i1...))
 
-	// Order I₁ along the line and solve each gap exactly.
-	members := append(graph.Set(nil), i1...)
-	sort.Slice(members, func(a, b int) bool { return pos[members[a]] < pos[members[b]] })
-
+	// Solve each gap of I₁ exactly.
 	blocked := make(map[graph.ID]bool)
 	for _, u := range i1 {
 		blocked[u] = true
@@ -177,20 +159,19 @@ func misLargeComponent(sub *graph.Graph, order []graph.ID, k, idBound int, res *
 		return nil
 	}
 	if len(members) > 0 {
-		if err := segmentMIS(0, pos[members[0]]-1); err != nil { // left of v_l
+		if err := segmentMIS(0, members[0]-1); err != nil { // left of v_l
 			return 0, err
 		}
-		if err := segmentMIS(pos[members[len(members)-1]]+1, len(order)-1); err != nil { // right of v_r
+		if err := segmentMIS(members[len(members)-1]+1, len(order)-1); err != nil { // right of v_r
 			return 0, err
 		}
 	}
 	maxGap := 0
 	for i := 0; i+1 < len(members); i++ {
-		lo, hi := pos[members[i]]+1, pos[members[i+1]]-1
-		if err := segmentMIS(lo, hi); err != nil {
+		if err := segmentMIS(members[i]+1, members[i+1]-1); err != nil {
 			return 0, err
 		}
-		if d := sub.Distance(members[i], members[i+1]); d > maxGap {
+		if d := sub.Distance(i1[i], i1[i+1]); d > maxGap {
 			maxGap = d
 		}
 	}
@@ -198,4 +179,15 @@ func misLargeComponent(sub *graph.Graph, order []graph.ID, k, idBound int, res *
 	// diameter; all segments run concurrently.
 	rounds += maxGap + 2
 	return rounds, nil
+}
+
+// umbrellaAnchors selects Algorithm 5's distance-k independent set I₁:
+// anchors on the umbrella chain at pairwise graph distance ≥ k+1.
+func umbrellaAnchors(sub *graph.Graph, order []graph.ID, k int) (*colorreduce.AnchorResult, error) {
+	return colorreduce.SelectAnchors(order, func(i, j int) int {
+		if d := sub.Distance(order[i], order[j]); d >= 0 {
+			return d
+		}
+		return k + 1
+	}, k+1)
 }

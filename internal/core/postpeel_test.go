@@ -181,10 +181,6 @@ func checkMISComponents(t *testing.T, g *graph.Graph, eps float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idBound := 1
-	if n := ix.NumNodes(); n > 0 {
-		idBound = max(idBound, int(ix.IDOf(n-1))+1)
-	}
 	var s misScratch
 	for _, disable := range []bool{false, true} {
 		var set graph.Set
@@ -239,7 +235,7 @@ func checkMISComponents(t *testing.T, g *graph.Graph, eps float64) {
 						exact++
 					} else {
 						path := interval.RestrictCliquePath(peel.LayerCliquePath(*rec), h.HasNode)
-						im, err := misInterval(h, path, eps/8, idBound)
+						im, err := misInterval(h, path, eps/8)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -250,7 +250,7 @@ func ColorChordalDistributedFaultyPart(g *graph.Graph, eps float64, o dist.Round
 }
 
 func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelTrace func(peel.LayerEvent)) (*ChordalColoring, error) {
-	if eps <= 0 {
+	if !(eps > 0) { // NaN fails every comparison
 		return nil, fmt.Errorf("epsilon must be positive, got %v", eps)
 	}
 	k := EffectiveK(eps)

@@ -148,7 +148,7 @@ func E7ColIntGraph(quick bool) (*Table, error) {
 		ID:      "E7",
 		Title:   "ColIntGraph [21]: interval coloring quality and rounds (k=4)",
 		Columns: []string{"n", "χ", "colors", "bound", "blocks", "rounds"},
-		Notes:   []string{"Rounds contain the Linial log* component plus Θ(k) block work; growth in n is ~log*."},
+		Notes:   []string{"Rounds: 4 for the leader chain, the anchor drop phases (3 exchanges each at the largest current anchor gap), the largest block diameter + 1, and k+5 for the cut repairs."},
 	}
 	for _, n := range sizes {
 		ivs := gen.RandomIntervals(n, float64(n)/8, 4, int64(n))
@@ -158,7 +158,7 @@ func E7ColIntGraph(quick bool) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ic, err := core.ColIntGraph(g, path, 4, n)
+		ic, err := core.ColIntGraph(g, path, 4)
 		if err != nil {
 			return nil, err
 		}

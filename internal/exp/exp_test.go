@@ -2,12 +2,26 @@ package exp
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this run")
+
+// quickGolden holds the rendered quick-mode tables. Every table row is a
+// deterministic function of the code (the counters are bit-for-bit
+// reproducible at every GOMAXPROCS), so a refactor that claims identical
+// behaviour must leave this file unchanged; rewrite it with
+// `go test ./internal/exp -run TestAllQuick -update` only for a change
+// that means to move a figure.
+var quickGolden = filepath.Join("testdata", "quick.golden")
+
 // TestAllQuick runs every experiment in quick mode end-to-end: the
-// harness is itself part of the deliverable, so it must stay runnable.
+// harness is itself part of the deliverable, so it must stay runnable,
+// and its output must match quickGolden byte for byte.
 func TestAllQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
@@ -29,6 +43,31 @@ func TestAllQuick(t *testing.T) {
 	}
 	if strings.Contains(out, "WARNING") {
 		t.Errorf("a coherence check failed:\n%s", out)
+	}
+	if *update {
+		if err := os.WriteFile(quickGolden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(quickGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		gotLines, wantLines := strings.Split(out, "\n"), strings.Split(string(want), "\n")
+		for i := range max(len(gotLines), len(wantLines)) {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Fatalf("quick tables differ from %s at line %d:\n got: %q\nwant: %q\n(rerun with -update if the change is intended)", quickGolden, i+1, g, w)
+			}
+		}
 	}
 }
 

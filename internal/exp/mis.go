@@ -32,7 +32,7 @@ func E9IntervalMIS(quick bool) (*Table, error) {
 		return nil, err
 	}
 	for _, eps := range []float64{1, 0.5, 0.25, 0.125} {
-		res, err := core.MISInterval(g, eps, n)
+		res, err := core.MISInterval(g, eps)
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +65,7 @@ func E10IntervalMISRounds(quick bool) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.MISInterval(g, eps, n)
+		res, err := core.MISInterval(g, eps)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package interval
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -151,18 +150,4 @@ func checkUmbrella(g *graph.Graph, order []graph.ID) error {
 		}
 	}
 	return nil
-}
-
-// PositionsOf returns the index of every node in order.
-func PositionsOf(order []graph.ID) map[graph.ID]int {
-	pos := make(map[graph.ID]int, len(order))
-	for i, v := range order {
-		pos[v] = i
-	}
-	return pos
-}
-
-// SortByPosition sorts ids in place by their umbrella position.
-func SortByPosition(ids []graph.ID, pos map[graph.ID]int) {
-	sort.Slice(ids, func(i, j int) bool { return pos[ids[i]] < pos[ids[j]] })
 }

@@ -11,10 +11,8 @@ package lowerbound
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/colorreduce"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/verify"
 )
@@ -40,39 +38,23 @@ func AnchorMIS(n, r int, seed int64) (*Result, error) {
 		return nil, fmt.Errorf("need n > 0, r >= 2 (got n=%d r=%d)", n, r)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	label := rng.Perm(n) // label[pos] = node ID at position pos
-
+	ids := make([]graph.ID, n) // ids[p] = label of the node at position p
 	g := graph.New()
-	g.AddNode(graph.ID(label[0]))
-	ch := colorreduce.NewChain()
-	ch.AddNode(graph.ID(label[0]))
-	for i := 0; i+1 < n; i++ {
-		g.AddEdge(graph.ID(label[i]), graph.ID(label[i+1]))
-		ch.AddEdge(graph.ID(label[i]), graph.ID(label[i+1]), 1)
-	}
-	posOf := make(map[graph.ID]int, n)
-	for p, id := range label {
-		posOf[graph.ID(id)] = p
-	}
-	ch.Dist = func(u, v graph.ID) int {
-		d := posOf[u] - posOf[v]
-		if d < 0 {
-			return -d
+	for p, id := range rng.Perm(n) {
+		ids[p] = graph.ID(id)
+		g.AddNode(ids[p])
+		if p > 0 {
+			g.AddEdge(ids[p-1], ids[p])
 		}
-		return d
 	}
-	anchorRes, err := colorreduce.SelectAnchors(ch, r, n)
+	// Positions i < j on the path are j − i apart.
+	anchorRes, err := colorreduce.SelectAnchors(ids, func(i, j int) int { return j - i }, r)
 	if err != nil {
 		return nil, err
 	}
-	positions := make([]int, 0, len(anchorRes.Anchors))
-	for _, a := range anchorRes.Anchors {
-		positions = append(positions, posOf[a])
-	}
-	sort.Ints(positions)
 
 	isAnchor := make([]bool, n)
-	for _, p := range positions {
+	for _, p := range anchorRes.Anchors {
 		isAnchor[p] = true
 	}
 	var out graph.Set
@@ -87,15 +69,14 @@ func AnchorMIS(n, r int, seed int64) (*Result, error) {
 			p++
 		}
 		for q := start; q < p; q += 2 {
-			out = append(out, graph.ID(label[q]))
+			out = append(out, ids[q])
 		}
 	}
 	out = graph.NewSet(out...)
 	if err := verify.IndependentSet(g, out); err != nil {
 		return nil, fmt.Errorf("anchor algorithm produced a dependent set: %w", err)
 	}
-	_ = gen.Path // keep gen linked for tests building paths
-	return &Result{Set: out, Rounds: anchorRes.Rounds + 2, Anchors: len(positions)}, nil
+	return &Result{Set: out, Rounds: anchorRes.Rounds + 2, Anchors: len(anchorRes.Anchors)}, nil
 }
 
 // MeasuredRatio runs AnchorMIS over trials seeds and returns the average

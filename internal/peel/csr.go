@@ -149,6 +149,11 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 		if !opts.NoForests {
 			res.Forests = append(res.Forests, cliquetree.ToForest(&e.f, ix.IDs()))
 		}
+		if iteration == 1 {
+			for c := range int32(e.f.NumCliques) {
+				res.Omega = max(res.Omega, len(e.f.Clique(c)))
+			}
+		}
 		last := opts.MaxIterations > 0 && iteration == opts.MaxIterations
 		layer := e.peelOnce(iteration, opts, last)
 		if len(layer.Nodes) == 0 && !last {

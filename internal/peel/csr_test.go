@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/chordal"
 	"repro/internal/figures"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -127,7 +128,8 @@ func equivalenceOptions() []Options {
 
 // TestCSREngineMatchesReference checks the CSR engine reproduces the
 // map-backed reference bit for bit — layers, path records, forests,
-// remaining set, and traces — across graph families and option shapes.
+// remaining set, and traces — across graph families and option shapes,
+// and that its Omega is the input's clique number.
 func TestCSREngineMatchesReference(t *testing.T) {
 	for name, g := range equivalenceCases() {
 		for oi, opts := range equivalenceOptions() {
@@ -149,6 +151,9 @@ func TestCSREngineMatchesReference(t *testing.T) {
 				continue
 			}
 			resultsEqual(t, label, want, got, true)
+			if omega, _ := chordal.CliqueNumber(g); got.Omega != omega {
+				t.Fatalf("%s: Omega = %d, want ω = %d", label, got.Omega, omega)
+			}
 			if len(gotTrace) != len(wantTrace) {
 				t.Fatalf("%s: %d trace events, want %d", label, len(gotTrace), len(wantTrace))
 			}

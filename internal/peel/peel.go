@@ -52,6 +52,10 @@ type Result struct {
 	// Forests[i] is the clique forest T_{i+1} of G[U_{i+1}] at the start
 	// of iteration i+1 (Forests[0] = T_1 = the input's forest).
 	Forests []*cliquetree.Forest
+	// Omega is the size of the largest clique of T_1. T_1's cliques are
+	// all the maximal cliques of the input, so this is its clique number
+	// ω (0 for an empty graph). Set by Run only.
+	Omega int
 }
 
 // LayerEvent is the per-iteration summary handed to Options.Trace after
