@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/colorreduce"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/interval"
 )
 
@@ -26,7 +27,10 @@ func checkAnchors(t *testing.T, where string, got *colorreduce.AnchorResult, anc
 func TestAnchorChainsPinned(t *testing.T) {
 	// ColIntGraph's leader chain on E7's n = 256 graph (k = 4).
 	ivs := gen.RandomIntervals(256, 256/8.0, 4, 256)
-	cuts, err := selectCuts(gen.FromIntervals(ivs), interval.CliquePathFromModel(ivs), 2*4+8)
+	ix := graph.NewIndexed(gen.FromIntervals(ivs))
+	var s correctScratch
+	s.layPath(ix, allIndices(ix.NumNodes()), interval.CliquePathFromModel(ivs))
+	cuts, err := s.selectCuts(ix, 2*4+8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,19 @@
+// Package core implements the paper's contribution: the centralized and
+// distributed (1+ε)-approximation algorithms for Minimum Vertex Coloring
+// (Algorithms 1–4, Theorems 3–4) and Maximum Independent Set
+// (Algorithms 5–6, Theorems 5–8) on chordal and interval graphs, built on
+// the clique-forest, peeling, LOCAL-simulation and symmetry-breaking
+// substrates.
 package core
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/colorreduce"
 	"repro/internal/graph"
-	"repro/internal/interval"
 )
 
 // IntervalColoring is the result of ColIntGraph.
@@ -33,7 +40,8 @@ type IntervalColoring struct {
 // optimally by a local coordinator; boundary conflicts between adjacent
 // blocks are repaired inside a radius-(k+3) zone by the Lemma-9
 // recoloring engine, which the distance between anchors keeps
-// collision-free.
+// collision-free. It runs on a snapshot of g with the strip kernel the
+// pipeline's "color-paths" stage runs on each peeled path.
 //
 // path must be a consecutive arrangement of the maximal cliques of g
 // (empty restrictions allowed to have been dropped).
@@ -41,69 +49,140 @@ func ColIntGraph(g *graph.Graph, path []graph.Set, k int) (*IntervalColoring, er
 	if k < 1 {
 		return nil, fmt.Errorf("k must be >= 1, got %d", k)
 	}
-	res := &IntervalColoring{Colors: make(map[graph.ID]int, g.NumNodes())}
 	if g.NumNodes() == 0 {
-		return res, nil
+		return &IntervalColoring{Colors: map[graph.ID]int{}}, nil
 	}
-	omega := 0
-	for _, c := range path {
-		if len(c) > omega {
-			omega = len(c)
-		}
-	}
-	res.Omega = omega
-	res.Palette = (k+1)*omega/k + 1
-
-	anchors, err := selectCuts(g, path, 2*k+8)
+	ix := graph.NewIndexed(g)
+	var s correctScratch
+	res, err := s.colIntGraph(ix, allIndices(ix.NumNodes()), path, k)
 	if err != nil {
 		return nil, err
 	}
-	cuts := anchors.Anchors
-	res.Rounds += 4 // chain construction from O(1)-radius local views
-	res.Rounds += anchors.Rounds
+	colors := s.color[:ix.NumNodes()]
+	res.Colors = colorMap(ix.IDs(), colors)
+	res.ColorsUsed = colorsUsed(colors)
+	return &res, nil
+}
 
-	blocks := splitBlocks(len(path), cuts)
-	res.Blocks = len(blocks)
-
-	// Assign each node to the block containing its first clique, scanning
-	// the positions in order; each block's nodes end up sorted by ID.
-	blockNodes := make([][]graph.ID, len(blocks))
-	placed := make(map[graph.ID]bool, g.NumNodes())
-	b := 0
-	for p, c := range path {
-		for p > blocks[b][1] {
-			b++
-		}
-		for _, v := range c {
-			if !placed[v] {
-				placed[v] = true
-				blockNodes[b] = append(blockNodes[b], v)
-			}
+// ExtendColoring implements the constructive side of Lemmas 9–10: given an
+// interval strip (nodes of g) where some nodes carry fixed colors (the
+// boundary cliques and the untouched interior), properly color the
+// remaining nodes with colors from [1, palette]. Nodes are processed in
+// left-endpoint order along the clique path; when plain greedy fails the
+// engine falls back to exhaustive backtracking, whose success within the
+// Lemma-9 palette is guaranteed whenever the fixed regions are at distance
+// at least k+3. It runs the pipeline's strip kernel on a snapshot of g.
+//
+// path must be a consecutive arrangement of the maximal cliques of g.
+// The kernel's colors are 32-bit: a palette above 2^31−1 acts as 2^31−1.
+func ExtendColoring(g *graph.Graph, path []graph.Set, fixed map[graph.ID]int, palette int) (map[graph.ID]int, error) {
+	// A fixed node outside g has no strip position, so the kernel's
+	// palette check, in ascending ID order, runs here for every one.
+	fixedIDs := make([]graph.ID, 0, len(fixed))
+	for v := range fixed {
+		fixedIDs = append(fixedIDs, v)
+	}
+	slices.Sort(fixedIDs)
+	for _, v := range fixedIDs {
+		if c := fixed[v]; c < 1 || c > palette {
+			return nil, fmt.Errorf("fixed color %d of node %d outside palette [1,%d]", c, v, palette)
 		}
 	}
+	ix := graph.NewIndexed(g)
+	var s correctScratch
+	s.layPath(ix, allIndices(ix.NumNodes()), path)
+	s.restrict(s.strip)
+	ids := ix.IDs()
+	for p, v := range ids {
+		if c, ok := fixed[v]; ok {
+			s.color[p] = int32(c)
+		} else {
+			s.reach[p] = 1
+		}
+	}
+	if err := s.recolor(ix, s.strip, int32(min(palette, math.MaxInt32))); err != nil {
+		return nil, err
+	}
+	colors := make(map[graph.ID]int, len(fixed)+len(s.free))
+	maps.Copy(colors, fixed)
+	for _, p := range s.free {
+		colors[ids[p]] = int(s.color[p])
+	}
+	return colors, nil
+}
 
-	// Color every block optimally and independently (in the LOCAL run all
-	// block coordinators work concurrently; we charge the max cost once).
+// backtrackBudget bounds the recoloring search. LOCAL allows unbounded
+// computation, but a library should fail loudly rather than hang; the
+// Lemma-9 instances the algorithms generate resolve in near-linear steps,
+// orders of magnitude below this cap (experiment E8).
+const backtrackBudget = 20_000_000
+
+// allIndices is 0, 1, …, n−1: every node of an n-node snapshot.
+func allIndices(n int) []int32 {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
+
+// colorPath runs ColIntGraph on one peeled path of the color-paths
+// launch, its W by snapshot index (ascending) and its cliques, and
+// appends W's colors to s.outIdx/s.outColor.
+//
+//chordalvet:hotpath budget=49 color-paths: per-path work reuses shard scratch
+func (s *correctScratch) colorPath(ix *graph.Indexed, w []int32, cliques []graph.Set, k int) (int, error) {
+	res, err := s.colIntGraph(ix, w, cliques, k)
+	if err != nil {
+		return 0, err
+	}
+	s.outIdx = append(s.outIdx, w...)
+	s.outColor = append(s.outColor, s.color[:len(w)]...)
+	return res.Rounds, nil
+}
+
+// colIntGraph is ColIntGraph on the strip w (snapshot indices,
+// ascending) along cliques restricted to w. It leaves the colors in
+// s.color (0 on no clique) and returns the rest of the result.
+func (s *correctScratch) colIntGraph(ix *graph.Indexed, w []int32, cliques []graph.Set, k int) (IntervalColoring, error) {
+	var res IntervalColoring
+	res.Omega = s.layPath(ix, w, cliques)
+	res.Palette = (k+1)*res.Omega/k + 1
+	palette := int32(res.Palette)
+
+	anchors, err := s.selectCuts(ix, 2*k+8)
+	if err != nil {
+		return res, err
+	}
+	cuts := anchors.Anchors
+	res.Rounds = 4 + anchors.Rounds // 4 for the chain, built from O(1)-radius local views
+	s.blocks = splitBlocks(s.blocks, len(s.wclOff)-1, cuts)
+	res.Blocks = len(s.blocks)
+
+	// Each node joins the block holding its first clique. Every block is
+	// colored optimally and independently, every node free (in the LOCAL
+	// run all block coordinators work concurrently; we charge the max
+	// cost once). Block b's nodes are bm[bmOff[b]:bmOff[b+1]], ascending.
+	s.bm, s.bmOff = s.bm[:0], append(s.bmOff[:0], 0)
 	maxBlockCost := 0
-	for b := range blocks {
-		nodes := blockNodes[b]
+	for b, bl := range s.blocks {
+		start := len(s.bm)
+		for i := bl[0]; i <= bl[1]; i++ {
+			for _, p := range s.wcl[s.wclOff[i]:s.wclOff[i+1]] {
+				if s.wfirst[p] == int32(i) {
+					s.bm = append(s.bm, s.strip[p])
+					s.reach[p] = 1
+				}
+			}
+		}
+		nodes := s.bm[start:]
 		slices.Sort(nodes)
-		sub := g.InducedSubgraph(nodes)
-		keep := make(map[graph.ID]bool, len(nodes))
-		for _, v := range nodes {
-			keep[v] = true
+		s.bmOff = append(s.bmOff, int32(len(s.bm)))
+		s.restrict(nodes)
+		if err := s.recolor(ix, nodes, palette); err != nil {
+			return res, fmt.Errorf("block %d: %w", b, err)
 		}
-		subPath := interval.RestrictCliquePath(path, func(v graph.ID) bool { return keep[v] })
-		colors, err := ExtendColoring(sub, subPath, nil, res.Palette)
-		if err != nil {
-			return nil, fmt.Errorf("block %d: %w", b, err)
-		}
-		for v, c := range colors {
-			res.Colors[v] = c
-		}
-		if cost := interval.Diameter(sub, subPath) + 1; cost > maxBlockCost {
-			maxBlockCost = cost
-		}
+		maxBlockCost = max(maxBlockCost, s.diameter(ix, nodes)+1)
 	}
 	res.Rounds += maxBlockCost
 
@@ -112,46 +191,88 @@ func ColIntGraph(g *graph.Graph, path []graph.Set, k int) (*IntervalColoring, er
 	// colors and the right block's untouched interior. Cuts are ≥ 2k+8
 	// apart, so zones do not collide and repairs run concurrently.
 	if len(cuts) > 0 {
-		for b := 1; b < len(blocks); b++ {
-			if err := repairCut(g, path, blocks, blockNodes, b, k, res); err != nil {
-				return nil, err
+		for b := 1; b < len(s.blocks); b++ {
+			if err := s.repairBlock(ix, b, k+3, palette); err != nil {
+				return res, fmt.Errorf("cut repair between blocks %d and %d: %w", b-1, b, err)
 			}
 		}
 		res.Rounds += k + 5
 	}
-
-	used := make(map[int]bool)
-	for _, c := range res.Colors {
-		used[c] = true
-	}
-	res.ColorsUsed = len(used)
 	return res, nil
 }
 
-// selectCuts builds the leader chain over clique-path positions and runs
-// the anchor selection; the anchors are the cut positions (clique
-// indices), ascending.
-func selectCuts(g *graph.Graph, path []graph.Set, minGap int) (*colorreduce.AnchorResult, error) {
-	if len(path) <= 1 {
+// layPath makes w (snapshot indices, ascending) the strip and the
+// current members, unreached and uncolored, lays cliques restricted to w
+// out in wcl with each node's first and last clique on them, and
+// returns the largest.
+func (s *correctScratch) layPath(ix *graph.Indexed, w []int32, cliques []graph.Set) int {
+	s.nextEpoch(ix.NumNodes())
+	s.grow(len(w))
+	if len(s.wfirst) < len(w) {
+		s.wfirst = make([]int32, len(w))
+		s.wlast = make([]int32, len(w))
+		s.occur = make([]int32, len(w))
+	}
+	s.strip = append(s.strip[:0], w...)
+	for p, x := range w {
+		s.stamp[x], s.loc[x] = s.epoch, int32(p)
+		s.reach[p], s.color[p] = -1, 0
+		s.wfirst[p], s.wlast[p] = -1, 0
+	}
+	s.resetPath()
+	for _, c := range cliques {
+		s.pushClique(ix, c)
+	}
+	s.cl, s.wcl = s.wcl[:0], s.cl
+	s.clOff, s.wclOff = s.wclOff[:0], s.clOff
+	omega := 0
+	for i := range len(s.wclOff) - 1 {
+		c := s.wcl[s.wclOff[i]:s.wclOff[i+1]]
+		omega = max(omega, len(c))
+		for _, p := range c {
+			if s.wfirst[p] < 0 {
+				s.wfirst[p] = int32(i)
+			}
+			s.wlast[p] = int32(i)
+		}
+	}
+	return omega
+}
+
+// selectCuts builds the leader chain over the positions of the path's
+// clique path and runs the anchor selection, with each gap a BFS over
+// the strip; the anchors are the cut positions (clique indices).
+func (s *correctScratch) selectCuts(ix *graph.Indexed, minGap int) (*colorreduce.AnchorResult, error) {
+	np := len(s.wclOff) - 1
+	if np <= 1 {
 		return &colorreduce.AnchorResult{}, nil
 	}
 	// One chain vertex per clique position with a unique synthetic ID
 	// derived from (leader, per-leader occurrence index) — locally
-	// computable since a node knows the order of its own cliques.
-	leaders := make([]graph.ID, len(path))
-	occur := make(map[graph.ID]int)
-	chainID := make([]graph.ID, len(path))
-	for i, c := range path {
-		leader := c[len(c)-1] // max ID in the sorted set
-		leaders[i] = leader
-		chainID[i] = graph.ID(int(leader)*(len(path)+1) + occur[leader])
-		occur[leader]++
+	// computable since a node knows the order of its own cliques. A
+	// clique's leader is its largest ID.
+	s.chain = s.chain[:0]
+	clear(s.occur[:len(s.strip)])
+	for i := range np {
+		leader := s.wcl[s.wclOff[i+1]-1]
+		s.chain = append(s.chain, graph.ID(int(ix.IDOf(int(s.strip[leader])))*(np+1)+int(s.occur[leader])))
+		s.occur[leader]++
 	}
-	res, err := colorreduce.SelectAnchors(chainID, func(i, j int) int {
-		if d := g.Distance(leaders[i], leaders[j]); d >= 0 {
-			return d
+	res, err := colorreduce.SelectAnchors(s.chain, func(i, j int) int {
+		a, b := s.wcl[s.wclOff[i+1]-1], s.wcl[s.wclOff[j+1]-1] // the leaders
+		if a == b {
+			return 0
 		}
-		return minGap // different components of the strip: a free cut
+		s.queue = append(s.queue[:0], s.strip[a])
+		s.reach[a] = 0
+		d := s.bfs(ix, math.MaxInt32, s.strip[b])
+		for _, x := range s.queue {
+			s.reach[s.loc[x]] = -1
+		}
+		if d < 0 {
+			return minGap // different components of the strip: a free cut
+		}
+		return int(d)
 	}, minGap)
 	if err != nil {
 		return nil, fmt.Errorf("anchor selection: %w", err)
@@ -159,10 +280,11 @@ func selectCuts(g *graph.Graph, path []graph.Set, minGap int) (*colorreduce.Anch
 	return res, nil
 }
 
-// splitBlocks partitions clique positions [0, n) into blocks delimited by
-// the cut positions: block boundaries fall after each cut position.
-func splitBlocks(n int, cuts []int) [][2]int {
-	var blocks [][2]int
+// splitBlocks sets blocks to the partition of clique positions [0, n)
+// into blocks delimited by the cut positions: block boundaries fall
+// after each cut position.
+func splitBlocks(blocks [][2]int, n int, cuts []int) [][2]int {
+	blocks = blocks[:0]
 	start := 0
 	for _, c := range cuts {
 		if c+1 <= n-1 && c >= start {
@@ -179,56 +301,72 @@ func splitBlocks(n int, cuts []int) [][2]int {
 	return blocks
 }
 
-// repairCut fixes coloring conflicts between block b-1 and block b: the
-// nodes crossing the cut keep their left-block colors; right-block nodes
-// within distance k+3 of them are recolored via ExtendColoring.
-func repairCut(g *graph.Graph, path []graph.Set, blocks [][2]int, blockNodes [][]graph.ID, b, k int, res *IntervalColoring) error {
-	cutPos := blocks[b-1][1]
-	if cutPos+1 >= len(path) {
-		return nil
+// restrict makes members, strip nodes by snapshot index, the current
+// members and lays out their restriction of wcl in cl, visiting only
+// the cliques from the members' first to their last.
+func (s *correctScratch) restrict(members []int32) {
+	s.nextEpoch(len(s.stamp))
+	lo, hi := int32(len(s.wclOff)), int32(-1)
+	for _, x := range members {
+		s.stamp[x] = s.epoch
+		if p := s.loc[x]; s.wfirst[p] >= 0 {
+			lo, hi = min(lo, s.wfirst[p]), max(hi, s.wlast[p])
+		}
 	}
-	crossing := path[cutPos].Intersect(path[cutPos+1])
+	s.resetPath()
+	for i := lo; i <= hi; i++ {
+		s.pushPositions(s.wcl[s.wclOff[i]:s.wclOff[i+1]])
+	}
+}
+
+// repairBlock recolors block b's nodes within horizon of the clique
+// crossing the cut before it against that clique's colors and the rest
+// of the block's. The crossing nodes' first cliques lie left of the cut,
+// so they belong to earlier blocks.
+func (s *correctScratch) repairBlock(ix *graph.Indexed, b, horizon int, palette int32) error {
+	cut := s.blocks[b-1][1]
+	left := s.wcl[s.wclOff[cut]:s.wclOff[cut+1]]
+	right := s.wcl[s.wclOff[cut+1]:s.wclOff[cut+2]]
+	crossing := s.queue[:0]
+	for _, p := range left {
+		if _, ok := slices.BinarySearch(right, p); ok {
+			crossing = append(crossing, s.strip[p])
+		}
+	}
+	s.queue = crossing
 	if len(crossing) == 0 {
 		return nil
 	}
-	// Restrict crossing to nodes actually assigned to earlier blocks.
-	var fixedBoundary graph.Set
-	for _, v := range crossing {
-		fixedBoundary = append(fixedBoundary, v)
+	s.members = append(append(s.members[:0], crossing...), s.bm[s.bmOff[b]:s.bmOff[b+1]]...)
+	slices.Sort(s.members)
+	s.restrict(s.members)
+	for _, x := range s.members {
+		s.reach[s.loc[x]] = -1
 	}
-	right := blockNodes[b]
-	inRight := make(map[graph.ID]bool, len(right))
-	for _, v := range right {
-		inRight[v] = true
-	}
-	// The repair strip: right-block nodes plus the crossing clique.
-	stripNodes := graph.NewSet(append(fixedBoundary.Clone(), right...)...)
-	strip := g.InducedSubgraph(stripNodes)
-	keep := make(map[graph.ID]bool, len(stripNodes))
-	for _, v := range stripNodes {
-		keep[v] = true
-	}
-	stripPath := interval.RestrictCliquePath(path, func(v graph.ID) bool { return keep[v] })
+	s.zone(ix, horizon)
+	return s.recolor(ix, s.members, palette)
+}
 
-	zone := RecolorZone(strip, fixedBoundary, k+3)
-	inZone := make(map[graph.ID]bool, len(zone))
-	for _, v := range zone {
-		if inRight[v] {
-			inZone[v] = true
+// diameter is interval.Diameter of the current members along the clique
+// path recolor last ordered: one BFS per component, from its node whose
+// last clique comes first (the largest ID on ties).
+func (s *correctScratch) diameter(ix *graph.Indexed, members []int32) int {
+	for _, x := range members {
+		s.reach[s.loc[x]] = -1
+	}
+	diam := 0
+	for i := range len(s.clOff) - 1 {
+		c := s.cl[s.clOff[i]:s.clOff[i+1]]
+		for j := len(c) - 1; j >= 0; j-- {
+			src := c[j]
+			if s.last[src] != int32(i) || s.reach[src] >= 0 {
+				continue
+			}
+			s.queue = append(s.queue[:0], s.strip[src])
+			s.reach[src] = 0
+			s.bfs(ix, math.MaxInt32, -1)
+			diam = max(diam, int(s.reach[s.loc[s.queue[len(s.queue)-1]]]))
 		}
 	}
-	fixed := make(map[graph.ID]int)
-	for _, v := range stripNodes {
-		if !inZone[v] {
-			fixed[v] = res.Colors[v]
-		}
-	}
-	colors, err := ExtendColoring(strip, stripPath, fixed, res.Palette)
-	if err != nil {
-		return fmt.Errorf("cut repair between blocks %d and %d: %w", b-1, b, err)
-	}
-	for v := range inZone {
-		res.Colors[v] = colors[v]
-	}
-	return nil
+	return diam
 }

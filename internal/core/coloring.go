@@ -68,64 +68,28 @@ func ColorChordalObserved(g *graph.Graph, eps float64, o dist.RoundObserver) (*C
 	if err != nil {
 		return nil, fmt.Errorf("pruning phase: %w", err)
 	}
-	return colorLayers(g, ix, k, res, nil, ko)
+	return colorLayers(ix, k, res, nil, ko)
 }
 
 // colorLayers runs the coloring and color-correction phases over a peel
-// result; ix is g's snapshot. rounds, when non-nil, accumulates the
+// result of the snapshot ix. rounds, when non-nil, accumulates the
 // LOCAL round cost of the coloring and correction phases. ko, when
 // non-nil, receives the per-path coloring stage as a "color-paths"
 // kernel span and each corrected layer as a "correct-paths" one.
-func colorLayers(g *graph.Graph, ix *graph.Indexed, k int, peeled *peel.Result, rounds *int, ko dist.KernelObserver) (*ChordalColoring, error) {
+func colorLayers(ix *graph.Indexed, k int, peeled *peel.Result, rounds *int, ko dist.KernelObserver) (*ChordalColoring, error) {
 	out := &ChordalColoring{K: k, Layers: len(peeled.Layers), Omega: peeled.Omega}
 	out.Palette = (k+1)*out.Omega/k + 1
 
 	// Coloring phase: every peeled path is an interval graph, colored
-	// independently by ColIntGraph. Paths run concurrently in the LOCAL
-	// model; we charge the maximum cost. Each path's coloring is a pure
-	// function of (g, rec, k), so the paths shard over CPUs with per-path
-	// result slots merged in path order — bit-identical to the sequential
-	// loop at every GOMAXPROCS, including which error surfaces first. A
-	// slot keeps only the path's colors, aligned with rec.Nodes, so no
-	// coloring's map outlives its shard's loop; the merge lays them into
-	// the corrector's one index-space color slice.
+	// independently by ColIntGraph as one "color-paths" launch into the
+	// corrector's index-space colors. Paths run concurrently in the LOCAL
+	// model; we charge the maximum cost.
 	cr := newCorrector(ix, peeled, k, out.Palette)
-	refs := cr.refs
-	type colorSlot struct {
-		colors []int32 // aligned with rec.Nodes
-		rounds int
-		err    error
-	}
-	slots := make([]colorSlot, len(refs))
-	dist.RunKernel("color-paths", len(refs), dist.KernelShards(len(refs)), ko, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rec := refs[i]
-			ic, err := ColIntGraph(g.InducedSubgraph(rec.Nodes), peel.LayerCliquePath(*rec), k)
-			if err != nil {
-				slots[i] = colorSlot{err: err}
-				continue
-			}
-			colors := make([]int32, len(rec.Nodes))
-			for j, v := range rec.Nodes {
-				colors[j] = int32(ic.Colors[v])
-			}
-			slots[i] = colorSlot{colors: colors, rounds: ic.Rounds}
-		}
+	maxColorRounds, failed, err := cr.launch("color-paths", 0, len(cr.refs), ko, func(s *correctScratch, p int) (int, error) {
+		return s.colorPath(ix, cr.w[cr.wOff[p]:cr.wOff[p+1]], cr.refs[p].Cliques, k)
 	})
-	li := 0
-	maxColorRounds := 0
-	for i := range slots {
-		for i == cr.layerStart[li+1] {
-			li++
-		}
-		if slots[i].err != nil {
-			return nil, fmt.Errorf("coloring layer %d: %w", peeled.Layers[li].Index, slots[i].err)
-		}
-		for j, x := range cr.w[cr.wOff[i]:cr.wOff[i+1]] {
-			cr.colors[x] = slots[i].colors[j]
-		}
-		slots[i].colors = nil
-		maxColorRounds = max(maxColorRounds, slots[i].rounds)
+	if err != nil {
+		return nil, fmt.Errorf("coloring layer %d: %w", cr.layerOf[cr.w[cr.wOff[failed]]], err)
 	}
 	if rounds != nil {
 		*rounds += maxColorRounds
@@ -144,13 +108,7 @@ func colorLayers(g *graph.Graph, ix *graph.Indexed, k int, peeled *peel.Result, 
 
 	out.Colors = colorMap(ix.IDs(), cr.colors)
 	out.Provisional = colorMap(ix.IDs(), provisional)
-	used := make(map[int32]bool)
-	for _, c := range cr.colors {
-		if c != 0 {
-			used[c] = true
-		}
-	}
-	out.ColorsUsed = len(used)
+	out.ColorsUsed = colorsUsed(cr.colors)
 	return out, nil
 }
 
@@ -164,4 +122,16 @@ func colorMap(ids []graph.ID, colors []int32) map[graph.ID]int {
 		}
 	}
 	return m
+}
+
+// colorsUsed counts the distinct nonzero colors of an index-space color
+// slice.
+func colorsUsed(colors []int32) int {
+	used := make(map[int32]bool)
+	for _, c := range colors {
+		if c != 0 {
+			used[c] = true
+		}
+	}
+	return len(used)
 }

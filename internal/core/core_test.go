@@ -92,12 +92,12 @@ func TestExtendColoringInfeasible(t *testing.T) {
 
 func TestRecolorZone(t *testing.T) {
 	g := gen.Path(10)
-	zone := RecolorZone(g, graph.Set{0}, 3)
+	zone := recolorZone(g, graph.Set{0}, 3)
 	if !zone.Equal(graph.NewSet(1, 2, 3)) {
 		t.Fatalf("zone = %v, want {1,2,3}", zone)
 	}
 	// Boundary nodes themselves are excluded.
-	if z := RecolorZone(g, graph.Set{5}, 0); len(z) != 0 {
+	if z := recolorZone(g, graph.Set{5}, 0); len(z) != 0 {
 		t.Fatalf("radius 0 should give empty zone, got %v", z)
 	}
 }

@@ -147,9 +147,11 @@ func checkStripPaths(t *testing.T, g *graph.Graph, eps float64, seed int64) {
 				}
 				kept = graph.NewSet(kept...)
 				s.nextEpoch(ix.NumNodes())
+				s.strip = s.strip[:0]
 				for p, v := range kept {
 					x, _ := ix.IndexOf(v)
 					s.stamp[x], s.loc[x] = s.epoch, int32(p)
+					s.strip = append(s.strip, int32(x))
 				}
 				s.stripPath(ix, rec)
 				got := make([]graph.Set, len(s.clOff)-1)
@@ -162,6 +164,179 @@ func checkStripPaths(t *testing.T, g *graph.Graph, eps float64, seed int64) {
 					t.Fatalf("eps=%v layer %d path %d: kernel strip path %v, RestrictCliquePath %v", eps, layer.Index, ri, got, want)
 				}
 			}
+		}
+	}
+}
+
+// checkColorPaths checks the strip kernel's ColIntGraph and Lemma-9
+// search against the map-backed oracles, which build a graph per path,
+// block and cut repair. On every path peeled from g at ε, at the
+// pipeline's k and at k = 1 (more blocks), the kernel must give the
+// oracle's coloring of G[W] along peel.LayerCliquePath — colors, Rounds,
+// Blocks, Omega, Palette, ColorsUsed and error text — and ColorChordal's
+// provisional colors must be the oracle's at the pipeline's k. Then
+// ColIntGraph runs on random interval models of n nodes, a dense and a
+// sparse one, at k = 1, …, 8, and ExtendColoring on E8-style strips
+// (checkExtendColoring), both against their oracles.
+func checkColorPaths(t *testing.T, g *graph.Graph, eps float64, n int, seed int64) {
+	t.Helper()
+	k := EffectiveK(eps)
+	ix := graph.NewIndexed(g)
+	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, NoForests: true, Snapshot: ix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := ColorChordal(g, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s correctScratch
+	for _, layer := range peeled.Layers {
+		for ri := range layer.Paths {
+			rec := &layer.Paths[ri]
+			w := make([]int32, len(rec.Nodes))
+			for j, v := range rec.Nodes {
+				x, _ := ix.IndexOf(v)
+				w[j] = int32(x)
+			}
+			for _, pk := range []int{k, 1} {
+				want, wantErr := colIntGraphOracle(g.InducedSubgraph(rec.Nodes), peel.LayerCliquePath(*rec), pk)
+				got, gotErr := s.colIntGraph(ix, w, rec.Cliques, pk)
+				where := fmt.Sprintf("eps=%v k=%d layer %d path %d", eps, pk, layer.Index, ri)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s: kernel error %v, oracle error %v", where, gotErr, wantErr)
+				}
+				if wantErr != nil {
+					continue
+				}
+				got.Colors = colorMap(rec.Nodes, s.color[:len(w)])
+				got.ColorsUsed = colorsUsed(s.color[:len(w)])
+				if !reflect.DeepEqual(&got, want) {
+					t.Fatalf("%s: kernel %+v, oracle %+v", where, got, *want)
+				}
+				if pk != k {
+					continue
+				}
+				for _, v := range rec.Nodes {
+					if col.Provisional[v] != want.Colors[v] {
+						t.Fatalf("%s: ColorChordal colored node %d %d, oracle %d", where, v, col.Provisional[v], want.Colors[v])
+					}
+				}
+			}
+		}
+	}
+
+	for _, span := range []float64{float64(n) / 8, float64(n) / 2} {
+		ivs := gen.RandomIntervals(n, span, 4, seed)
+		ig, path := gen.FromIntervals(ivs), interval.CliquePathFromModel(ivs)
+		for ik := 1; ik <= 8; ik++ {
+			want, wantErr := colIntGraphOracle(ig, path, ik)
+			got, gotErr := ColIntGraph(ig, path, ik)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d span=%v k=%d seed %d: ColIntGraph %+v, %v; oracle %+v, %v", n, span, ik, seed, got, gotErr, want, wantErr)
+			}
+		}
+	}
+	checkExtendColoring(t, seed)
+}
+
+// checkExtendColoring compares ExtendColoring with the map-backed
+// oracle on E8's strips — random interval graphs with both end cliques
+// fixed, the far one perturbed so the strip genuinely conflicts — at
+// k = 3, 5, 8, and on variants of each with a fixed color pushed out of
+// the palette, two fixed neighbors given one color, and fixed nodes
+// outside g; then on short windows of the same path at the tight
+// palette ω, with the last clique fixed alone or with the first, where
+// the search has to step back or fail, and at palette ω−1 with nothing
+// fixed where ω ≤ 5. The returned maps and error texts must be equal.
+func checkExtendColoring(t *testing.T, seed int64) {
+	t.Helper()
+	ivs := gen.RandomIntervals(80, 25, 3, seed)
+	g, path := gen.FromIntervals(ivs), interval.CliquePathFromModel(ivs)
+	if len(path) < 3 {
+		return
+	}
+	omega, err := chordal.CliqueNumber(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := chordal.OptimalColoring(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(g *graph.Graph, path []graph.Set, fixed map[graph.ID]int, palette int, where string) {
+		t.Helper()
+		want, wantErr := extendColoringOracle(g, path, fixed, palette)
+		got, gotErr := ExtendColoring(g, path, fixed, palette)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d %s: ExtendColoring %v, %v; oracle %v, %v", seed, where, got, gotErr, want, wantErr)
+		}
+	}
+	// ends fixes path's last clique to the optimal colors shifted by
+	// shift and, with both, its first to the optimal colors.
+	ends := func(path []graph.Set, palette, shift int, both bool) map[graph.ID]int {
+		fixed := make(map[graph.ID]int)
+		if both {
+			for _, v := range path[0] {
+				fixed[v] = opt[v]
+			}
+		}
+		for _, v := range path[len(path)-1] {
+			if _, dup := fixed[v]; !dup {
+				fixed[v] = (opt[v]+shift-1)%palette + 1
+			}
+		}
+		return fixed
+	}
+	last := path[len(path)-1]
+	for _, k := range []int{3, 5, 8} {
+		palette := (k+1)*omega/k + 1
+		fixed := ends(path, palette, 1, true)
+		variants := []map[graph.ID]int{fixed, nil}
+		outside := maps.Clone(fixed)
+		outside[1000], outside[-1] = palette, 1
+		variants = append(variants, outside)
+		if len(last) > 1 {
+			conflict := maps.Clone(fixed)
+			conflict[last[1]] = conflict[last[0]]
+			variants = append(variants, conflict)
+		}
+		for i, c := range []int{0, palette + 1, -3} {
+			bad := maps.Clone(fixed)
+			bad[last[i%len(last)]] = c
+			variants = append(variants, bad)
+		}
+		foreign := maps.Clone(fixed)
+		foreign[-7] = palette + 2
+		variants = append(variants, foreign)
+		for vi, f := range variants {
+			check(g, path, f, palette, fmt.Sprintf("k=%d variant %d", k, vi))
+		}
+	}
+	for m := 1; m < 6 && m < len(path); m++ {
+		window := make(map[graph.ID]bool)
+		for _, c := range path[:m+1] {
+			for _, v := range c {
+				window[v] = true
+			}
+		}
+		var nodes []graph.ID
+		for v := range window {
+			nodes = append(nodes, v)
+		}
+		sub := g.InducedSubgraph(nodes)
+		subPath := interval.RestrictCliquePath(path, func(v graph.ID) bool { return window[v] })
+		w := 0 // the window's ω
+		for _, c := range subPath {
+			w = max(w, len(c))
+		}
+		for shift := 1; shift < w; shift++ {
+			for _, both := range []bool{false, true} {
+				check(sub, subPath, ends(subPath, w, shift, both), w, fmt.Sprintf("window %d shift %d both %v", m, shift, both))
+			}
+		}
+		if w <= 5 { // the search runs through every coloring of a clique's first w−1 nodes
+			check(sub, subPath, nil, w-1, fmt.Sprintf("window %d palette ω−1", m))
 		}
 	}
 }
@@ -281,6 +456,7 @@ func FuzzPostPeelStages(f *testing.F) {
 		eps := postPeelEps[epsSel%uint8(len(postPeelEps))]
 		checkCorrection(t, g, eps, int(perturb%8))
 		checkStripPaths(t, g, eps, seed)
+		checkColorPaths(t, g, eps, int(size%160)+4, seed)
 		checkMISComponents(t, g, eps/4)
 	})
 }
@@ -298,6 +474,8 @@ func TestPostPeelStagesMatchOracles(t *testing.T) {
 		checkCorrection(t, hubs, eps, 0)
 		checkCorrection(t, hubs, eps, 7)
 		checkStripPaths(t, subtree, eps, 1)
+		checkColorPaths(t, subtree, eps, 400, 1)
+		checkColorPaths(t, hubs, eps, 120, 2)
 	}
 	checkMISComponents(t, subtree, 0.5)
 	checkMISComponents(t, hubs, 0.3)

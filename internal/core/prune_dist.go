@@ -268,7 +268,7 @@ func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, pee
 		return nil, err
 	}
 	rounds := outcome.Rounds
-	col, err := colorLayers(g, outcome.Snapshot, k, peeled, &rounds, ko)
+	col, err := colorLayers(outcome.Snapshot, k, peeled, &rounds, ko)
 	if err != nil {
 		return nil, err
 	}

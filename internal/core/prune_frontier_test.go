@@ -200,7 +200,7 @@ func TestCorrectionPhaseDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := colorLayers(g, outcome.Snapshot, k, peeled, nil, nil)
+	col, err := colorLayers(outcome.Snapshot, k, peeled, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,18 +34,29 @@ func Coloring(g *graph.Graph, colors map[graph.ID]int) (int, error) {
 }
 
 // IndependentSet checks that is ⊆ V(g) and that no two members are
-// adjacent.
+// adjacent. It walks each member's neighbours once and names the pair a
+// pairwise scan meets first — the smallest i, then the smallest j > i
+// with is[i] ~ is[j] — for unsorted or duplicated input too.
 func IndependentSet(g *graph.Graph, is graph.Set) error {
-	for _, v := range is {
+	at := make(map[graph.ID][]int, len(is)) // each member's positions, ascending
+	for p, v := range is {
 		if !g.HasNode(v) {
 			return fmt.Errorf("node %d not in graph", v)
 		}
+		at[v] = append(at[v], p)
 	}
-	for i := 0; i < len(is); i++ {
-		for j := i + 1; j < len(is); j++ {
-			if g.HasEdge(is[i], is[j]) {
-				return fmt.Errorf("members %d and %d are adjacent", is[i], is[j])
+	for i, v := range is {
+		j := len(is)
+		g.ForEachNeighbor(v, func(u graph.ID) {
+			for _, p := range at[u] {
+				if p > i {
+					j = min(j, p)
+					break
+				}
 			}
+		})
+		if j < len(is) {
+			return fmt.Errorf("members %d and %d are adjacent", v, is[j])
 		}
 	}
 	return nil

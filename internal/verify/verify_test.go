@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -41,6 +43,75 @@ func TestIndependentSetChecker(t *testing.T) {
 	}
 	if err := IndependentSet(g, nil); err != nil {
 		t.Fatal("empty set rejected")
+	}
+}
+
+// independentSetPairwise is the pairwise rule IndependentSet replaced,
+// kept as its oracle: every member in g, then the first adjacent pair
+// (is[i], is[j]) by smallest i, then smallest j > i.
+func independentSetPairwise(g *graph.Graph, is graph.Set) error {
+	for _, v := range is {
+		if !g.HasNode(v) {
+			return fmt.Errorf("node %d not in graph", v)
+		}
+	}
+	for i := 0; i < len(is); i++ {
+		for j := i + 1; j < len(is); j++ {
+			if g.HasEdge(is[i], is[j]) {
+				return fmt.Errorf("members %d and %d are adjacent", is[i], is[j])
+			}
+		}
+	}
+	return nil
+}
+
+// TestIndependentSetMatchesPairwise compares IndependentSet with the
+// pairwise oracle on random graphs and member lists that are sorted,
+// shuffled, duplicated or hold nodes outside g, independent or not:
+// both must return the same error text, naming the same pair.
+func TestIndependentSetMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 3000 {
+		n := 1 + rng.Intn(30)
+		g := graph.New()
+		for v := range n {
+			g.AddNode(graph.ID(v * 3))
+		}
+		for range rng.Intn(n * 2) {
+			g.AddEdge(graph.ID(rng.Intn(n)*3), graph.ID(rng.Intn(n)*3))
+		}
+		var is graph.Set
+		if trial%2 == 0 { // greedily independent, so most pass every check
+			for _, v := range g.Nodes() {
+				if independentSetPairwise(g, append(is, v)) == nil {
+					is = append(is, v)
+				}
+			}
+		} else {
+			for range rng.Intn(n + 1) {
+				is = append(is, graph.ID(rng.Intn(n)*3))
+			}
+		}
+		switch trial % 5 {
+		case 0: // sorted, deduplicated
+			is = graph.NewSet(is...)
+		case 1: // shuffled
+			rng.Shuffle(len(is), func(a, b int) { is[a], is[b] = is[b], is[a] })
+		case 2: // duplicated
+			for range 1 + rng.Intn(3) {
+				if len(is) > 0 {
+					is = append(is, is[rng.Intn(len(is))])
+				}
+			}
+			rng.Shuffle(len(is), func(a, b int) { is[a], is[b] = is[b], is[a] })
+		case 3: // a node outside g
+			is = append(is, graph.ID(rng.Intn(3*n+3)))
+			rng.Shuffle(len(is), func(a, b int) { is[a], is[b] = is[b], is[a] })
+		}
+		got, want := IndependentSet(g, is), independentSetPairwise(g, is)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d, set %v: IndependentSet = %v, pairwise = %v", trial, is, got, want)
+		}
 	}
 }
 
