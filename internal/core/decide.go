@@ -15,181 +15,41 @@ import (
 // alone whether its subtree lies on a peelable path. The kernel is
 // deterministic and parallel — centers are sharded over workers in
 // snapshot-index order, each worker reuses one decideScratch for every
-// center it processes, and results are merged in index order with
-// first-error-wins semantics, so the outcome is bit-identical to
-// running the centers one at a time.
+// center it processes, and results are merged in index order, so the
+// outcome is bit-identical to running the centers one at a time.
 //
-// The per-center machinery is the Section 3 lazy clique-forest view
-// that used to live in prune_dist.go, rebuilt on slice-backed,
-// epoch-stamped scratch state over a CSR ball (view.Ball) instead of
-// per-center map-backed graphs. Decisions are unchanged: local clique
-// ids are assigned in ensure order (independent of the shared cache's
-// intern numbering), forest adjacency is kept sorted by local id
-// exactly as the old sort of map keys produced, and the BFS facts the
-// rules consume — center distances, anchored diameters, induced-
-// subgraph independence numbers — are order-independent.
-
-// cliqueCache shares the per-node Section 3 computations — φ(u), the
-// maximal cliques containing u, and T(u), the MWSF of W_G restricted to
-// φ(u) (Lemma 2) — across all centers of one pruning iteration. Both
-// depend only on G_i[Γ[u]] (MaximalCliquesContaining computes from the
-// closed neighborhood; the forest restriction is a function of φ(u)
-// alone), and every center whose ball trusts u sees exactly that
-// neighborhood, so computing them once on G_i is bit-for-bit equivalent
-// to recomputing them inside each ball. Cliques are interned to integer
-// ids so per-center views dedup by id instead of hashing members; each
-// interned clique also carries its member list in snapshot-index space
-// (memberIdx) so the kernel's ball lookups are plain array reads.
-//
-// Concurrency: prepopulate computes every undecided node's view in a
-// deterministic two-phase pass (parallel pure compute, then sequential
-// interning in node order), after which the cache is read-only — the
-// parallel decide stage shares it without locks.
-type cliqueCache struct {
-	gi        *graph.Graph
-	ix        *graph.Indexed // the index space memberIdx lives in
-	idx       map[string]int
-	sets      []graph.Set // by interned id
-	memberIdx [][]int32   // by interned id, aligned with sets
-	views     map[graph.ID]*nodeCliques
-}
-
-// nodeCliques is one node's cached share: φ(u) in canonical order, the
-// interned id of each clique, T(u) as index pairs into phi, and the
-// computation error, if any — recorded rather than raised so the
-// parallel pre-populate reports failures at exactly the center walk
-// that would have tripped over them in the sequential lazy path.
-type nodeCliques struct {
-	phi   []graph.Set
-	ids   []int
-	edges [][2]int
-	err   error
-}
-
-func newCliqueCache(gi *graph.Graph, ix *graph.Indexed) *cliqueCache {
-	return &cliqueCache{
-		gi:    gi,
-		ix:    ix,
-		idx:   make(map[string]int),
-		views: make(map[graph.ID]*nodeCliques),
-	}
-}
-
-func (cc *cliqueCache) intern(c graph.Set) int {
-	b := make([]byte, 0, len(c)*4)
-	for _, v := range c {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	key := string(b)
-	if i, ok := cc.idx[key]; ok {
-		return i
-	}
-	i := len(cc.idx)
-	cc.idx[key] = i
-	cc.sets = append(cc.sets, c)
-	mi := make([]int32, len(c))
-	for j, v := range c {
-		r, _ := cc.ix.IndexOf(v)
-		mi[j] = int32(r)
-	}
-	cc.memberIdx = append(cc.memberIdx, mi)
-	return i
-}
-
-// computeNode is the pure part of a node's view: no cache mutation, so
-// prepopulate runs it concurrently.
-func (cc *cliqueCache) computeNode(u graph.ID) *nodeCliques {
-	phi, err := cliquetree.MaximalCliquesContaining(cc.gi, u)
-	if err != nil {
-		return &nodeCliques{err: err}
-	}
-	return &nodeCliques{
-		phi:   phi,
-		edges: cliquetree.MaxWeightSpanningForest(phi, cliquetree.WCIG(phi)),
-	}
-}
-
-func (cc *cliqueCache) internNode(nv *nodeCliques) {
-	nv.ids = make([]int, len(nv.phi))
-	for i, c := range nv.phi {
-		nv.ids[i] = cc.intern(c)
-	}
-}
-
-// prepopulate fills the cache for every given node: phase one computes
-// the views in parallel (each is a pure function of gi), phase two
-// interns cliques sequentially in node order so ids are deterministic.
-// After prepopulate the cache is read-only and safe to share across
-// decide workers.
-func (cc *cliqueCache) prepopulate(nodes []graph.ID) {
-	// The parallel phase reads gi through Graph.Neighbors, whose sorted-
-	// adjacency cache fills lazily; warm it sequentially first so the
-	// concurrent readers never write it.
-	for _, u := range nodes {
-		cc.gi.Neighbors(u)
-	}
-	computed := make([]*nodeCliques, len(nodes))
-	dist.RunKernel("clique-cache", len(nodes), dist.KernelShards(len(nodes)), nil, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			computed[i] = cc.computeNode(nodes[i])
-		}
-	})
-	for i, u := range nodes {
-		nv := computed[i]
-		if nv.err == nil {
-			cc.internNode(nv)
-		}
-		cc.views[u] = nv
-	}
-}
-
-// node returns u's prepopulated view. Every node a center walk reaches
-// is a node of gi, and prepopulate covered all of them. A recorded
-// error surfaces here, at the first center walk that needs the failed
-// node — the same attribution the sequential lazy computation produced.
-func (cc *cliqueCache) node(u graph.ID) (*nodeCliques, error) {
-	nv := cc.views[u]
-	if nv.err != nil {
-		return nil, nv.err
-	}
-	return nv, nil
-}
+// The per-center machinery is the Section 3 local view of the clique
+// forest, on slice-backed, epoch-stamped scratch state over a CSR ball
+// (view.Ball). The forest is G_i's canonical clique forest, built once
+// per iteration by DistributedPruneSpec; a center reads a clique's row
+// only after the trust gate (trusted) has found all of its members in
+// the ball within radius − 3. Lemma 2 makes that read local: φ(u) and
+// T(u), the forest edges among φ(u), are functions of G_i[Γ[u]], and a
+// trusted clique's forest edges are the union of its members' T(u),
+// because forest edges only join cliques that share a node. The BFS
+// facts the rules consume — center distances, anchored diameters,
+// induced-subgraph independence numbers — are order-independent.
 
 // decideScratch is one worker's reusable state for deciding centers: a
-// view.Scratch (private CSR ball + BFS storage) plus the slice-backed
-// lazy clique-forest view. All per-center maps of the old
-// implementation are replaced by epoch-stamped arrays, so starting the
-// next center is a counter increment, not a reallocation.
+// view.Scratch (private CSR ball + BFS storage) plus epoch-stamped
+// marks over the iteration's forest cliques and the ball's rows, so
+// starting the next center is a counter increment, not a reallocation.
 type decideScratch struct {
 	view.Scratch
 
 	// Per-center context, set by beginCenter.
-	cache   *cliqueCache
+	forest  *cliquetree.CSRForest
 	ball    *view.Ball
 	horizon int
 	epoch   int32
 
-	// localOf maps a cache clique id to its local id for the current
-	// center (valid when localMark holds the epoch). Local ids are
-	// assigned densely in ensure order — the quantity every walk
-	// comparison and sort key actually uses, which is why the cache's
-	// intern numbering never leaks into decisions.
-	localOf   []int32
-	localMark []int32
-	// ensMark marks already-ensured nodes by snapshot index.
-	ensMark []int32
-
-	// Per-local-id state, truncated per center and regrown by addClique.
-	cliqueIDs []int32   // local id -> cache clique id
-	adjRows   [][]int32 // local id -> forest neighbors, sorted by local id
-	inWalked  []int32   // walk membership, == epoch (includes consumed ends)
-	inDiam    []int32   // walkedDiameter membership, == epoch (walked only)
+	// Per-clique marks by forest clique id (epoch-stamped).
+	inWalked []int32 // walk membership, == epoch (includes consumed ends)
+	inDiam   []int32 // walkedDiameter membership, == epoch (walked only)
 
 	// Per-ball-row marks (epoch-stamped) and small reusable buffers.
 	memMark    []int32 // member dedup by row
 	anchorMark []int32 // anchor BFS dedup by row
-	phiBuf     []int32 // ensureNode's φ(u) -> local id mapping
-	own        []int32
 	walked     []int32
 	ends       []int32
 	memRows    []int32
@@ -206,17 +66,11 @@ type decideScratch struct {
 }
 
 // beginCenter resets the scratch for a new center over the given ball.
-func (sc *decideScratch) beginCenter(cache *cliqueCache, ball *view.Ball, horizon int) {
-	sc.cache = cache
+func (sc *decideScratch) beginCenter(forest *cliquetree.CSRForest, ball *view.Ball, horizon int) {
+	sc.forest = forest
 	sc.ball = ball
 	sc.horizon = horizon
 	if sc.epoch == math.MaxInt32 {
-		for i := range sc.localMark {
-			sc.localMark[i] = 0
-		}
-		for i := range sc.ensMark {
-			sc.ensMark[i] = 0
-		}
 		for i := range sc.inWalked {
 			sc.inWalked[i] = 0
 		}
@@ -238,11 +92,10 @@ func (sc *decideScratch) beginCenter(cache *cliqueCache, ball *view.Ball, horizo
 		sc.bfsStamp = 0
 	}
 	sc.epoch++
-	sc.cliqueIDs = sc.cliqueIDs[:0]
-	sc.own = sc.own[:0]
 	sc.walked = sc.walked[:0]
-	if n := len(cache.ix.IDs()); len(sc.ensMark) < n {
-		sc.ensMark = growMarks(sc.ensMark, n)
+	if nc := forest.NumCliques; len(sc.inWalked) < nc {
+		sc.inWalked = growMarks(sc.inWalked, nc)
+		sc.inDiam = growMarks(sc.inDiam, nc)
 	}
 	if nr := ball.NumRows(); len(sc.memMark) < nr {
 		sc.memMark = growMarks(sc.memMark, nr)
@@ -260,63 +113,13 @@ func growMarks(a []int32, n int) []int32 {
 	return na
 }
 
-// addClique assigns (or returns) the local id of an interned clique.
-func (sc *decideScratch) addClique(cacheID int) int32 {
-	if cacheID >= len(sc.localOf) {
-		sc.localOf = append(sc.localOf, make([]int32, cacheID+1-len(sc.localOf))...)
-		sc.localMark = growMarks(sc.localMark, cacheID+1)
-	}
-	if sc.localMark[cacheID] == sc.epoch {
-		return sc.localOf[cacheID]
-	}
-	i := int32(len(sc.cliqueIDs))
-	sc.localMark[cacheID] = sc.epoch
-	sc.localOf[cacheID] = i
-	sc.cliqueIDs = append(sc.cliqueIDs, int32(cacheID))
-	if int(i) < len(sc.adjRows) {
-		sc.adjRows[i] = sc.adjRows[i][:0]
-	} else {
-		sc.adjRows = append(sc.adjRows, make([]int32, 0, 4))
-	}
-	if int(i) >= len(sc.inWalked) {
-		sc.inWalked = append(sc.inWalked, 0)
-		sc.inDiam = append(sc.inDiam, 0)
-	}
-	return i
-}
-
-// insertNb inserts b into a's sorted forest-neighbor row, ignoring
-// duplicates — the slice equivalent of the old adjacency-set insert,
-// with the sort the old neighbors() accessor performed paid once here.
-func (sc *decideScratch) insertNb(a, b int32) {
-	row := sc.adjRows[a]
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if row[mid] < b {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(row) && row[lo] == b {
-		return
-	}
-	row = append(row, 0)
-	copy(row[lo+1:], row[lo:])
-	row[lo] = b
-	sc.adjRows[a] = row
-}
-
-func (sc *decideScratch) degree(i int32) int { return len(sc.adjRows[i]) }
-
-// trusted reports whether every member of the clique with local id i is
-// far enough from the knowledge horizon that its neighborhood (and
-// hence the clique's full forest adjacency) is known exactly. A member
-// outside the ball or unreachable from the center is untrusted, exactly
-// as the old BFS-distance map miss was.
-func (sc *decideScratch) trusted(i int32) bool {
-	for _, uIdx := range sc.cache.memberIdx[sc.cliqueIDs[i]] {
+// trusted reports whether every member of forest clique c is far enough
+// from the knowledge horizon that its neighborhood (and hence the
+// clique's full forest adjacency) is known exactly. A member outside the
+// ball or unreachable from the center is untrusted. The kernel reads a
+// clique's forest row (Nbrs, Deg) only after this gate has passed.
+func (sc *decideScratch) trusted(c int32) bool {
+	for _, uIdx := range sc.forest.Clique(c) {
 		r := sc.ball.RowOf(uIdx)
 		if r < 0 {
 			return false
@@ -329,60 +132,21 @@ func (sc *decideScratch) trusted(i int32) bool {
 	return true
 }
 
-// ensureNode merges φ(u) and the edges of T(u) (Lemma 2) into the view.
-// Only valid for nodes within the trusted zone.
-func (sc *decideScratch) ensureNode(u graph.ID, uIdx int32) error {
-	if sc.ensMark[uIdx] == sc.epoch {
-		return nil
-	}
-	sc.ensMark[uIdx] = sc.epoch
-	nc, err := sc.cache.node(u)
-	if err != nil {
-		return err
-	}
-	sc.phiBuf = sc.phiBuf[:0]
-	for _, cid := range nc.ids {
-		sc.phiBuf = append(sc.phiBuf, sc.addClique(cid))
-	}
-	for _, e := range nc.edges {
-		a, b := sc.phiBuf[e[0]], sc.phiBuf[e[1]]
-		sc.insertNb(a, b)
-		sc.insertNb(b, a)
-	}
-	return nil
-}
-
-// ensureClique expands T(u) for every member of the clique with local
-// id i, making its forest adjacency exact (requires trusted(i)).
-func (sc *decideScratch) ensureClique(i int32) error {
-	cid := sc.cliqueIDs[i]
-	set := sc.cache.sets[cid]
-	mi := sc.cache.memberIdx[cid]
-	for j, u := range set {
-		if err := sc.ensureNode(u, mi[j]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // pathEnds returns the (at most two) cliques of the own-path with fewer
 // than two neighbors inside it; for a single clique it returns it
-// twice. The center's own cliques hold local ids 0..len(own)-1 (they
-// are the first ensure), so own-membership is an id comparison, and the
-// ascending scan yields the ends already sorted.
-func (sc *decideScratch) pathEnds() []int32 {
-	own := sc.own
+// twice. It runs before either walk, when the own cliques are the only
+// ones marked walked, and scans them in ascending clique id, so the
+// ends come out in that order.
+func (sc *decideScratch) pathEnds(own []int32) []int32 {
 	sc.ends = sc.ends[:0]
 	if len(own) == 1 {
 		sc.ends = append(sc.ends, own[0], own[0])
 		return sc.ends
 	}
-	m := int32(len(own))
 	for _, ci := range own {
 		inside := 0
-		for _, nb := range sc.adjRows[ci] {
-			if nb < m {
+		for _, nb := range sc.forest.Nbrs(ci) {
+			if sc.inWalked[nb] == sc.epoch {
 				inside++
 			}
 		}
@@ -397,30 +161,29 @@ func (sc *decideScratch) pathEnds() []int32 {
 // trusted cliques, marking everything it visits (including the
 // terminating frontier or branch clique, consumed so the other
 // direction's walk skips it). It returns the end state (0 leaf,
-// 1 branch, 2 frontier) and the branch clique's local id (-1 if none).
-func (sc *decideScratch) walkDirection(start int32) (int, int32, error) {
+// 1 branch, 2 frontier) and the branch clique's id (-1 if none). Only
+// trusted cliques' rows are read: start is an own clique and every
+// later cur passed the gate.
+func (sc *decideScratch) walkDirection(start int32) (int, int32) {
 	cur := start
 	for {
 		next := int32(-1)
-		for _, nb := range sc.adjRows[cur] {
+		for _, nb := range sc.forest.Nbrs(cur) {
 			if sc.inWalked[nb] != sc.epoch {
 				next = nb
 				break
 			}
 		}
 		if next == -1 {
-			return 0, -1, nil // leaf end
+			return 0, -1 // leaf end
 		}
 		if !sc.trusted(next) {
 			sc.inWalked[next] = sc.epoch
-			return 2, -1, nil // frontier
+			return 2, -1 // frontier
 		}
-		if err := sc.ensureClique(next); err != nil {
-			return 0, -1, err
-		}
-		if sc.degree(next) > 2 {
+		if sc.forest.Deg(next) > 2 {
 			sc.inWalked[next] = sc.epoch
-			return 1, next, nil // branch vertex
+			return 1, next // branch vertex
 		}
 		sc.walked = append(sc.walked, next)
 		sc.inWalked[next] = sc.epoch
@@ -435,7 +198,7 @@ func (sc *decideScratch) walkDirection(start int32) (int, int32, error) {
 func (sc *decideScratch) memberRows(cliques []int32) []int32 {
 	sc.memRows = sc.memRows[:0]
 	for _, ci := range cliques {
-		for _, uIdx := range sc.cache.memberIdx[sc.cliqueIDs[ci]] {
+		for _, uIdx := range sc.forest.Clique(ci) {
 			r := sc.ball.RowOf(uIdx)
 			if r < 0 || sc.memMark[r] == sc.epoch {
 				continue
@@ -472,7 +235,7 @@ func (sc *decideScratch) walkedDiameter() int {
 	best := 0
 	for _, ci := range sc.walked {
 		inside := 0
-		for _, nb := range sc.adjRows[ci] {
+		for _, nb := range sc.forest.Nbrs(ci) {
 			if sc.inDiam[nb] == sc.epoch {
 				inside++
 			}
@@ -482,7 +245,7 @@ func (sc *decideScratch) walkedDiameter() int {
 		}
 		// Extreme clique: BFS from each member (deduplicated across
 		// cliques — the max over repeated anchors cannot change it).
-		for _, uIdx := range sc.cache.memberIdx[sc.cliqueIDs[ci]] {
+		for _, uIdx := range sc.forest.Clique(ci) {
 			r := sc.ball.RowOf(uIdx)
 			if r < 0 || sc.anchorMark[r] == sc.epoch {
 				continue
@@ -535,32 +298,16 @@ func (sc *decideScratch) memberBFS(src int32, members int) int {
 // view, whether it is peeled in the current iteration under the given
 // rule, and if so returns its parent's snapshot index (-1 = ⊥). ball
 // must contain the center at snapshot index vIdx.
-func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, v graph.ID, vIdx int32, rule decideRule, radius int) (bool, int32, error) {
-	sc.beginCenter(cache, ball, radius)
+func decideCenter(sc *decideScratch, forest *cliquetree.CSRForest, ball *view.Ball, vIdx int32, rule decideRule, radius int) (bool, int32) {
+	sc.beginCenter(forest, ball, radius)
 	sc.CenterBFS(ball, ball.RowOf(vIdx))
-	if err := sc.ensureNode(v, vIdx); err != nil {
-		return false, -1, err
-	}
-	// The center's ensure ran first, so φ(v) occupies local ids
-	// 0..len-1 in canonical order: exactly the old phi[v] snapshot.
-	for i := int32(0); i < int32(len(sc.cliqueIDs)); i++ {
-		sc.own = append(sc.own, i)
-	}
-	own := sc.own
-	// Every clique containing v sits within Γ[v]; ensure their members
-	// so degrees of φ(v) are exact, and require them all binary.
+	// φ(v), in ascending clique id. Every clique containing v sits
+	// within Γ[v], so for radius ≥ 4 each is trusted; require that all
+	// the same, and require every one binary.
+	own := forest.PhiRow(vIdx)
 	for _, ci := range own {
-		if !sc.trusted(ci) {
-			// Cannot happen for radius ≥ 4; be conservative.
-			return false, -1, nil
-		}
-		if err := sc.ensureClique(ci); err != nil {
-			return false, -1, err
-		}
-	}
-	for _, ci := range own {
-		if sc.degree(ci) > 2 {
-			return false, -1, nil
+		if !sc.trusted(ci) || forest.Deg(ci) > 2 {
+			return false, -1
 		}
 	}
 
@@ -571,15 +318,10 @@ func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, v grap
 	}
 	// endState: 0 leaf, 1 branch (deg>=3), 2 frontier (untrusted).
 	var ends [2]int
-	attach := [2]int32{-1, -1} // branch clique local id per end
+	attach := [2]int32{-1, -1} // branch clique id per end
 	endIdx := 0
-	for _, start := range sc.pathEnds() {
-		state, att, err := sc.walkDirection(start)
-		if err != nil {
-			return false, -1, err
-		}
-		ends[endIdx] = state
-		attach[endIdx] = att
+	for _, start := range sc.pathEnds(own) {
+		ends[endIdx], attach[endIdx] = sc.walkDirection(start)
 		endIdx++
 		if endIdx == 2 {
 			break
@@ -610,20 +352,22 @@ func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, v grap
 		peelMe = d >= rule.diamThreshold
 	}
 	if !peelMe {
-		return false, -1, nil
+		return false, -1
 	}
 
 	// Parent (Definition 1): the closest attachment clique within k+3,
-	// distances read off the center BFS already in DistC.
+	// distances read off the center BFS already in DistC. On an
+	// equal-distance tie the first end wins; the ends follow the forest's
+	// ascending clique ids (pathEnds, and Nbrs in walkDirection).
 	parent := int32(-1)
 	bestDist := 1 << 30
 	for e := 0; e < 2; e++ {
 		if attach[e] < 0 {
 			continue
 		}
-		cid := sc.cliqueIDs[attach[e]]
+		members := forest.Clique(attach[e])
 		d := 1 << 30
-		for _, uIdx := range cache.memberIdx[cid] {
+		for _, uIdx := range members {
 			if r := ball.RowOf(uIdx); r >= 0 {
 				if dd := int(sc.DistC[r]); dd >= 0 && dd < d {
 					d = dd
@@ -633,25 +377,25 @@ func decideCenter(sc *decideScratch, cache *cliqueCache, ball *view.Ball, v grap
 		if d <= rule.parentHorizon && d < bestDist {
 			bestDist = d
 			// The max-ID member: indices ascend with IDs.
-			parent = cache.memberIdx[cid][len(cache.memberIdx[cid])-1]
+			parent = members[len(members)-1]
 		}
 	}
-	return true, parent, nil
+	return true, parent
 }
 
 // decideOne decides a single center, choosing its view: the iteration-
 // shared G_i ball when the center's knowledge provably covers its
 // component, an index-space rebuild of its own ball otherwise.
-func decideOne(sc *decideScratch, cache *cliqueCache, sharedBall *view.Ball, ix *graph.Indexed, know *dist.Knowledge, undecidedIdx []bool, v graph.ID, vIdx int32, rule decideRule, radius int) (bool, int32, error) {
+func decideOne(sc *decideScratch, forest *cliquetree.CSRForest, sharedBall *view.Ball, ix *graph.Indexed, know *dist.Knowledge, undecidedIdx []bool, vIdx int32, rule decideRule, radius int) (bool, int32) {
 	if know.CoversComponent() {
 		// The ball provably covers v's entire component, so the shared
 		// remaining-graph view IS the component's share of G_i (other
 		// components stay invisible: they are unreachable in the center
 		// BFS, hence untrusted).
-		return decideCenter(sc, cache, sharedBall, v, vIdx, rule, radius)
+		return decideCenter(sc, forest, sharedBall, vIdx, rule, radius)
 	}
 	sc.Priv.BuildFromSource(know, ix.NumNodes(), radius, undecidedIdx)
-	return decideCenter(sc, cache, &sc.Priv, v, vIdx, rule, radius)
+	return decideCenter(sc, forest, &sc.Priv, vIdx, rule, radius)
 }
 
 // decideResult is one shard's per-center output slot.
@@ -664,30 +408,24 @@ type decideResult struct {
 // centers (snapshot indices of the undecided nodes, ascending) are
 // split into shards = dist.KernelShards(len(centers)) contiguous ranges,
 // one scratch each, decided concurrently, and merged in index order.
-// The returned results are aligned with centers; a non-nil error is the
-// error of the earliest-index failing center and means no result
-// should be applied — matching the sequential loop, which stopped at
-// its first error without mutating anything.
+// forest is G_i's clique forest, read-only here. The returned results
+// are aligned with centers.
 //
 // The observer (may be nil) sees the stage as a synthetic single-round
 // engine run under the caller's current phase label: RunStart,
 // RoundStart(0, shards), the per-shard Start/End brackets from the
 // workers, then RoundEnd with Done = the number of centers peeled, and
-// RunEnd — or no RoundEnd/RunEnd on error, like a failed engine run.
-// An observer implementing dist.KernelObserver additionally sees the
-// stage as one "decide" kernel span with per-shard busy/item counts
-// (the span closes even on error, so partial launches stay visible).
+// RunEnd. An observer implementing dist.KernelObserver additionally
+// sees the stage as one "decide" kernel span with per-shard busy/item
+// counts.
 //
-//chordalvet:hotpath budget=28 decide kernel: per-center work must stay on scratch reuse
-func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, cache *cliqueCache, sharedBall *view.Ball, scratches []*decideScratch, centers []int32, undecidedIdx []bool, rule decideRule, radius, shards int, o dist.RoundObserver, results []decideResult) ([]decideResult, error) {
+//chordalvet:hotpath budget=16 decide kernel: per-center work must stay on scratch reuse
+func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, forest *cliquetree.CSRForest, sharedBall *view.Ball, scratches []*decideScratch, centers []int32, undecidedIdx []bool, rule decideRule, radius, shards int, o dist.RoundObserver, results []decideResult) []decideResult {
 	n := len(centers)
 	if cap(results) < n {
 		results = make([]decideResult, n)
 	}
 	results = results[:n]
-	errPos := make([]int, shards)
-	errs := make([]error, shards)
-	ids := ix.IDs()
 	ko, _ := o.(dist.KernelObserver)
 	if o != nil {
 		o.RunStart(n, 0)
@@ -700,27 +438,13 @@ func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, cache *cliqueCach
 		sc := scratches[shard]
 		for pos := lo; pos < hi; pos++ {
 			vIdx := centers[pos]
-			v := ids[vIdx]
-			peel, parent, err := decideOne(sc, cache, sharedBall, ix, know[vIdx], undecidedIdx, v, vIdx, rule, radius)
-			if err != nil {
-				errPos[shard] = pos
-				errs[shard] = err
-				break
-			}
+			peel, parent := decideOne(sc, forest, sharedBall, ix, know[vIdx], undecidedIdx, vIdx, rule, radius)
 			results[pos] = decideResult{peel: peel, parent: parent}
 		}
 		if o != nil {
 			o.ShardEnd(shard)
 		}
 	})
-	// First-error-wins in center index order: shards cover ascending
-	// disjoint ranges, so the first shard with an error holds the
-	// earliest failing center.
-	for s := 0; s < shards; s++ {
-		if errs[s] != nil {
-			return results, &decideError{pos: errPos[s], node: ids[centers[errPos[s]]], err: errs[s]}
-		}
-	}
 	if o != nil {
 		done := 0
 		for i := range results {
@@ -731,16 +455,5 @@ func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, cache *cliqueCach
 		o.RoundEnd(dist.RoundStats{Round: 0, Nodes: n, Shards: shards, Done: done})
 		o.RunEnd(0)
 	}
-	return results, nil
+	return results
 }
-
-// decideError carries the failing center so the caller can reproduce
-// the sequential loop's "iteration %d node %d" wrapping.
-type decideError struct {
-	pos  int
-	node graph.ID
-	err  error
-}
-
-func (e *decideError) Error() string { return e.err.Error() }
-func (e *decideError) Unwrap() error { return e.err }

@@ -1,13 +1,15 @@
 package core
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/cliquetree"
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -83,62 +85,51 @@ func TestDecideKernelAlphaRuleDeterministicAcrossWorkers(t *testing.T) {
 	})
 }
 
-// TestDecideKernelErrorDeterministicAcrossWorkers checks first-error-
-// wins semantics: on a non-chordal input the failing center — and hence
-// the error text — must not depend on GOMAXPROCS. The graph is a
-// C4 wheel: node 4's closed neighborhood contains an induced 4-cycle,
-// so the first center in snapshot-index order whose walk ensures node 4
-// (center 0) reports the failure.
-func TestDecideKernelErrorDeterministicAcrossWorkers(t *testing.T) {
-	g := graph.FromEdges(nil, [][2]graph.ID{
+// c4Wheel is a C4 with a hub joined to all four cycle nodes: the
+// cycle is an induced 4-cycle, so the graph is not chordal.
+func c4Wheel() *graph.Graph {
+	return graph.FromEdges(nil, [][2]graph.ID{
 		{0, 1}, {1, 2}, {2, 3}, {3, 0}, // C4
 		{0, 4}, {1, 4}, {2, 4}, {3, 4}, // hub
 	})
-	var ref error
+}
+
+// c4WheelError is the text the prune's up-front chordality check gives
+// for c4Wheel.
+const c4WheelError = "graph is not chordal (n=5, m=8)"
+
+// TestDecideKernelErrorDeterministicAcrossWorkers checks that the
+// prune's error on non-chordal input does not depend on GOMAXPROCS.
+// The up-front chordality check rejects the C4 wheel before the first
+// flood, so no decide kernel runs; the test pins that check's text at
+// GOMAXPROCS 1, 2 and 4.
+func TestDecideKernelErrorDeterministicAcrossWorkers(t *testing.T) {
+	g := c4Wheel()
 	proctest.Sweep(func(procs int) {
 		_, err := DistributedPruneSpec(g, PruneSpec{DiamThreshold: 3, Radius: 10})
-		if err == nil {
-			t.Fatalf("procs=%d: expected a non-chordal error", procs)
-		}
-		if ref == nil {
-			ref = err
-			return
-		}
-		if err.Error() != ref.Error() {
-			t.Fatalf("procs=%d: error %q, want %q", procs, err, ref)
+		if err == nil || err.Error() != c4WheelError {
+			t.Fatalf("procs=%d: error %v, want %q", procs, err, c4WheelError)
 		}
 	})
 }
 
-// TestDecideErrorAppliesNothing checks the merge's two-pass contract: a
-// failing iteration must not commit any per-center result, exactly like
-// the sequential loop that stopped at its first error.
+// TestDecideErrorAppliesNothing checks that a rejected prune returns no
+// outcome alongside its error: the up-front chordality check fails the
+// C4 wheel before any layer or parent is assigned.
 func TestDecideErrorAppliesNothing(t *testing.T) {
-	g := graph.FromEdges(nil, [][2]graph.ID{
-		{0, 1}, {1, 2}, {2, 3}, {3, 0},
-		{0, 4}, {1, 4}, {2, 4}, {3, 4},
-	})
-	out, err := DistributedPruneSpec(g, PruneSpec{DiamThreshold: 3, Radius: 10})
-	if err == nil {
-		t.Fatal("expected error")
+	out, err := DistributedPruneSpec(c4Wheel(), PruneSpec{DiamThreshold: 3, Radius: 10})
+	if err == nil || err.Error() != c4WheelError {
+		t.Fatalf("error %v, want %q", err, c4WheelError)
 	}
 	if out != nil {
 		t.Fatalf("outcome must be nil on error, got %+v", out)
-	}
-	var de *decideError
-	if !errors.As(err, &de) {
-		// The public error is the wrapped form; the internal carrier
-		// must not leak.
-		_ = de
-	} else {
-		t.Fatalf("decideError leaked unwrapped: %v", err)
 	}
 }
 
 // TestDecideKernelRaceStress drives the parallel kernel at GOMAXPROCS
 // shards on a workload with several iterations; under `make race` this
-// is the dedicated stress entry for the shared cache, the shared G_i
-// ball, and the per-shard result slots.
+// is the dedicated stress entry for the iteration's shared clique
+// forest, the shared G_i ball, and the per-shard result slots.
 func TestDecideKernelRaceStress(t *testing.T) {
 	g := gen.RandomChordal(200, gen.ChordalOpts{MaxCliqueSize: 5, AttachFull: 0.3}, 21)
 	out, err := DistributedPrune(g, 2)
@@ -164,7 +155,7 @@ func wholeBallAnchoredDiameter(sc *decideScratch) int {
 	}
 	rowsOf := func(ci int32) []int32 {
 		var rows []int32
-		for _, uIdx := range sc.cache.memberIdx[sc.cliqueIDs[ci]] {
+		for _, uIdx := range sc.forest.Clique(ci) {
 			if r := sc.ball.RowOf(uIdx); r >= 0 {
 				rows = append(rows, r)
 			}
@@ -178,7 +169,7 @@ func wholeBallAnchoredDiameter(sc *decideScratch) int {
 	best := 0
 	for _, ci := range sc.walked {
 		inside := 0
-		for _, nb := range sc.adjRows[ci] {
+		for _, nb := range sc.forest.Nbrs(ci) {
 			if inWalk[nb] {
 				inside++
 			}
@@ -218,17 +209,7 @@ func wholeBallAnchoredDiameter(sc *decideScratch) int {
 // stress the clipped-view path; the prune may fail afterwards, but every
 // diameter it measured must still match).
 func TestAnchoredDiameterMatchesWholeBall(t *testing.T) {
-	hub, _ := gen.RelabelRandom(gen.HubTree(3, 12), 4)
-	families := map[string]*graph.Graph{
-		"chordal":     gen.RandomChordal(150, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 3),
-		"interval":    gen.RandomInterval(120, 60, 2.5, 5),
-		"tree":        gen.Tree(150, 7),
-		"path":        gen.Path(120),
-		"ktree":       gen.KTree(120, 3, 9),
-		"subtree":     gen.RandomChordalSubtree(150, 3, 6, 11),
-		"hubtree":     hub,
-		"caterpillar": gen.Caterpillar(60, 2),
-	}
+	families := decideFamilies()
 	faults, err := dist.ParseFaults("drop=0.2,dup=0.2,delay=2", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -264,6 +245,130 @@ func TestAnchoredDiameterMatchesWholeBall(t *testing.T) {
 		t.Fatal("no anchored diameter was measured")
 	}
 	t.Logf("%d anchored diameters checked", checked)
+}
+
+// decideFamilies is one graph of each generator family, sized so a
+// prune over each takes a fraction of a second.
+func decideFamilies() map[string]*graph.Graph {
+	hub, _ := gen.RelabelRandom(gen.HubTree(3, 12), 4)
+	return map[string]*graph.Graph{
+		"chordal":     gen.RandomChordal(150, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 3),
+		"interval":    gen.RandomInterval(120, 60, 2.5, 5),
+		"tree":        gen.Tree(150, 7),
+		"path":        gen.Path(120),
+		"ktree":       gen.KTree(120, 3, 9),
+		"subtree":     gen.RandomChordalSubtree(150, 3, 6, 11),
+		"hubtree":     hub,
+		"caterpillar": gen.Caterpillar(60, 2),
+	}
+}
+
+// TestPruneForestMatchesLocalCliques checks the clique forest the decide
+// kernel reads against Lemma 2's per-node computation, the rows a center
+// derives from its own ball. In every iteration i of a prune, G_i's
+// canonical forest (cliquetree.Builder over the nodes still undecided
+// in iteration i) must give every undecided u the cliques
+// φ(u) = MaximalCliquesContaining(G_i, u), and its edges among φ(u) must
+// be T(u) = MaxWeightSpanningForest(φ(u), WCIG(φ(u))). It runs over
+// every family of decideFamilies and the quick-size relabelled hub trees
+// of the coloring and MIS benchmarks, under Algorithm 2's diameter rule
+// and under an α-rule spec in the shape of Algorithm 6.
+func TestPruneForestMatchesLocalCliques(t *testing.T) {
+	families := decideFamilies()
+	for _, dc := range [][2]int{{4, 20}, {2, 160}} {
+		families[fmt.Sprintf("hubtree(%d,%d)", dc[0], dc[1])], _ = gen.RelabelRandom(gen.HubTree(dc[0], dc[1]), 1)
+	}
+	specs := map[string]PruneSpec{
+		"diameter": {DiamThreshold: 6, Radius: 20},
+		"alpha":    {DiamThreshold: 9, Radius: 30, MaxIterations: 3, FinalAlpha: 5},
+	}
+	checked := 0
+	for name, g := range families {
+		for rule, spec := range specs {
+			out, err := DistributedPruneSpec(g, spec)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, rule, err)
+			}
+			checked += checkPruneForests(t, name+"/"+rule, g, out)
+		}
+	}
+	t.Logf("%d node rows checked", checked)
+}
+
+// checkPruneForests rebuilds each iteration's forest from out.Layer,
+// compares every undecided node's rows with the per-node computation,
+// and returns the number of node rows it compared.
+func checkPruneForests(t *testing.T, name string, g *graph.Graph, out *PruneOutcome) int {
+	t.Helper()
+	checked := 0
+	ids := out.Snapshot.IDs()
+	builder := cliquetree.NewBuilder(out.Snapshot)
+	var f cliquetree.CSRForest
+	alive := make([]bool, len(ids))
+	for i := 1; i <= out.Iterations; i++ {
+		var undecided []int32
+		var undecidedIDs []graph.ID
+		for v, l := range out.Layer {
+			alive[v] = l == 0 || int(l) >= i
+			if alive[v] {
+				undecided = append(undecided, int32(v))
+				undecidedIDs = append(undecidedIDs, ids[v])
+			}
+		}
+		if err := builder.Build(alive, len(undecided), &f); err != nil {
+			t.Fatalf("%s iteration %d: %v", name, i, err)
+		}
+		gi := g.InducedSubgraph(undecidedIDs)
+		for _, u := range undecided {
+			phi, err := cliquetree.MaximalCliquesContaining(gi, ids[u])
+			if err != nil {
+				t.Fatalf("%s iteration %d node %d: %v", name, i, ids[u], err)
+			}
+			posOf := make(map[string]int, len(phi))
+			for j, c := range phi {
+				posOf[fmt.Sprint(c)] = j
+			}
+			// Forest clique id -> position in φ(u).
+			row := f.PhiRow(u)
+			local := make(map[int32]int, len(row))
+			for _, c := range row {
+				set := make(graph.Set, 0, len(f.Clique(c)))
+				for _, m := range f.Clique(c) {
+					set = append(set, ids[m])
+				}
+				j, ok := posOf[fmt.Sprint(set)]
+				if !ok {
+					t.Fatalf("%s iteration %d node %d: forest clique %v is not a maximal clique of G_i containing it", name, i, ids[u], set)
+				}
+				local[c] = j
+			}
+			if len(local) != len(phi) {
+				t.Fatalf("%s iteration %d node %d: forest has %d cliques, φ has %d", name, i, ids[u], len(local), len(phi))
+			}
+			var got [][2]int
+			for _, c := range row {
+				for _, nb := range f.Nbrs(c) {
+					if j, ok := local[nb]; ok && local[c] < j {
+						got = append(got, [2]int{local[c], j})
+					}
+				}
+			}
+			var want [][2]int
+			for _, e := range cliquetree.MaxWeightSpanningForest(phi, cliquetree.WCIG(phi)) {
+				want = append(want, [2]int{min(e[0], e[1]), max(e[0], e[1])})
+			}
+			for _, es := range [][][2]int{got, want} {
+				slices.SortFunc(es, func(a, b [2]int) int {
+					return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+				})
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s iteration %d node %d: forest edges among φ %v, T(u) %v", name, i, ids[u], got, want)
+			}
+			checked++
+		}
+	}
+	return checked
 }
 
 // TestPruneRejectsRadiusBelowTwo: the decide kernel needs a knowledge

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/chordal"
+	"repro/internal/cliquetree"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/peel"
@@ -64,7 +65,7 @@ type PruneSpec struct {
 // DistributedPrune runs the PruneTree subroutine of Algorithm 2 with
 // parameter k: per iteration, nodes flood their distance-10k
 // neighborhoods (genuine message passing, 10k rounds charged), undecided
-// nodes rebuild their local view of the clique forest of the remaining
+// nodes read their local view of the clique forest of the remaining
 // graph, and each decides from that view alone whether its subtree lies
 // on a peelable path (a pendant path, or a binary path of diameter ≥ 3k).
 func DistributedPrune(g *graph.Graph, k int) (*PruneOutcome, error) {
@@ -101,13 +102,13 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 	for i := range out.Parent {
 		out.Parent[i] = -1
 	}
-	nodes := ix.IDs()
-	// Decide-kernel state reused across iterations: the undecided-set
-	// views, the iteration-shared G_i ball, and one scratch per kernel
-	// shard (see decide.go).
+	// Decide-kernel state reused across iterations: the undecided mask,
+	// G_i's clique forest and its builder, the iteration-shared G_i ball,
+	// and one scratch per kernel shard (see decide.go).
 	undecidedIdx := make([]bool, n)
 	centers := make([]int32, 0, n)
-	undecidedAll := make([]graph.ID, 0, n)
+	builder := cliquetree.NewBuilder(ix)
+	var forest cliquetree.CSRForest
 	var sharedBall view.Ball
 	var scratches []*decideScratch
 	var results []decideResult
@@ -139,22 +140,23 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 			rule.alphaThreshold = spec.FinalAlpha
 		}
 		centers = centers[:0]
-		undecidedAll = undecidedAll[:0]
-		for i, v := range nodes {
+		for i := range undecidedIdx {
 			undecidedIdx[i] = out.Layer[i] == 0
 			if undecidedIdx[i] {
 				centers = append(centers, int32(i))
-				undecidedAll = append(undecidedAll, v)
 			}
 		}
-		// G_i, the global remaining graph, and the iteration-wide clique
-		// cache over it. Each node still decides from its own ball alone;
-		// the cache only shares the φ(u)/T(u) computations that every ball
-		// trusting u performs identically (see cliqueCache). The cache is
-		// pre-populated deterministically and the shared G_i ball built
-		// up front, so the decide workers only ever read them.
-		cache := newCliqueCache(g.InducedSubgraph(undecidedAll), ix)
-		cache.prepopulate(undecidedAll)
+		// G_i's canonical clique forest, over the undecided mask. Each
+		// node still decides from its own ball alone: the kernel reads a
+		// clique's row only when the trust gate finds all of its members
+		// well inside the ball, where Lemma 2 makes the row a function of
+		// the ball (see decide.go). The forest and the shared G_i ball are
+		// built up front, so the decide workers only ever read them. G_i
+		// is an induced subgraph of the chordal input, so the build
+		// cannot fail.
+		if err := builder.Build(undecidedIdx, len(centers), &forest); err != nil {
+			return nil, err
+		}
 		sharedBall.BuildFromIndexed(ix, undecidedIdx)
 		shards := dist.KernelShards(len(centers))
 		for len(scratches) < shards {
@@ -163,13 +165,8 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 		if ps, ok := spec.Observer.(dist.PhaseSetter); ok {
 			ps.SetPhase(fmt.Sprintf("decide-i%02d", iteration))
 		}
-		var derr error
-		results, derr = runDecideStage(ix, know, cache, &sharedBall, scratches,
+		results = runDecideStage(ix, know, &forest, &sharedBall, scratches,
 			centers, undecidedIdx, rule, spec.Radius, shards, spec.Observer, results)
-		if derr != nil {
-			de := derr.(*decideError)
-			return nil, fmt.Errorf("iteration %d node %d: %w", iteration, de.node, de.err)
-		}
 		peeled := 0
 		for pos, ci := range centers {
 			if results[pos].peel {

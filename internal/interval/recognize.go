@@ -2,6 +2,7 @@ package interval
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/chordal"
@@ -93,25 +94,14 @@ func (b *bitGraph) has(i, j int) bool {
 	return b.rows[i][j/64]&(1<<uint(j%64)) != 0
 }
 
-// forEachNeighbor iterates the set bits of row i.
+// forEachNeighbor iterates the set bits of row i, lowest first.
 func (b *bitGraph) forEachNeighbor(i int, fn func(j int)) {
 	for w, word := range b.rows[i] {
 		for word != 0 {
-			bit := word & (-word)
-			j := w*64 + trailingZeros(bit)
-			fn(j)
-			word ^= bit
+			fn(w*64 + bits.TrailingZeros64(word))
+			word &= word - 1
 		}
 	}
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // transitiveOrient computes a transitive orientation of the (undirected)

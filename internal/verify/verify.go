@@ -6,6 +6,7 @@ package verify
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 )
@@ -107,7 +108,7 @@ func BruteForceAlpha(g *graph.Graph) (int, error) {
 	best := 0
 	var rec func(cand uint64, size int)
 	rec = func(cand uint64, size int) {
-		if size+popcount(cand) <= best {
+		if size+bits.OnesCount64(cand) <= best {
 			return
 		}
 		if cand == 0 {
@@ -117,7 +118,7 @@ func BruteForceAlpha(g *graph.Graph) (int, error) {
 			return
 		}
 		// Branch on the lowest candidate bit: in or out.
-		i := lowestBit(cand)
+		i := bits.TrailingZeros64(cand)
 		rec(cand&^(1<<uint(i))&^adj[i], size+1)
 		rec(cand&^(1<<uint(i)), size)
 	}
@@ -172,22 +173,4 @@ func colorableWith(g *graph.Graph, nodes []graph.ID, k int) bool {
 		return false
 	}
 	return rec(0)
-}
-
-func popcount(x uint64) int {
-	count := 0
-	for x != 0 {
-		x &= x - 1
-		count++
-	}
-	return count
-}
-
-func lowestBit(x uint64) int {
-	i := 0
-	for x&1 == 0 {
-		x >>= 1
-		i++
-	}
-	return i
 }
