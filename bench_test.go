@@ -249,15 +249,9 @@ func correctionInputs(b *testing.B, g *graph.Graph) (*core.PruneOutcome, map[gra
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix := graph.NewIndexed(g)
+	ix := peeled.Snapshot
 	n := ix.NumNodes()
-	out := &core.PruneOutcome{Snapshot: ix, Layer: make([]int32, n), Parent: make([]int32, n)}
-	for _, layer := range peeled.Layers {
-		for _, v := range layer.Nodes {
-			i, _ := ix.IndexOf(v)
-			out.Layer[i] = int32(layer.Index)
-		}
-	}
+	out := &core.PruneOutcome{Snapshot: ix, Layer: peeled.NodeLayer, Parent: make([]int32, n)}
 	colors := make(map[graph.ID]int, n)
 	for i, v := range ix.IDs() {
 		colors[v] = int(v) % 5

@@ -18,8 +18,6 @@
 package chordal
 
 import (
-	"fmt"
-
 	"repro/internal/chordal"
 	"repro/internal/cliquetree"
 	"repro/internal/core"
@@ -128,19 +126,11 @@ func ColorDistributed(g *Graph, eps float64) (*Coloring, error) {
 // Halldórsson–Konrad ColIntGraph routine the paper builds on; ε must be
 // positive.
 func ColorInterval(ivs []Interval, eps float64) (*IntervalColoring, error) {
-	k, err := intervalK(eps)
+	k, err := core.ColoringK(eps)
 	if err != nil {
 		return nil, err
 	}
 	return core.ColIntGraph(gen.FromIntervals(ivs), interval.CliquePathFromModel(ivs), k)
-}
-
-// intervalK is the ColIntGraph parameter k for ε, which must be positive.
-func intervalK(eps float64) (int, error) {
-	if !(eps > 0) { // NaN fails every comparison
-		return 0, fmt.Errorf("epsilon must be positive, got %v", eps)
-	}
-	return core.EffectiveK(eps), nil
 }
 
 // RecognizeInterval tests whether g is an interval graph and returns an
@@ -158,7 +148,7 @@ func IsIntervalGraph(g *Graph) bool { return interval.IsInterval(g) }
 // ColorIntervalGraph is the model-free variant of ColorInterval: it
 // recognizes g as an interval graph (constructing a model) and colors it.
 func ColorIntervalGraph(g *Graph, eps float64) (*IntervalColoring, error) {
-	k, err := intervalK(eps)
+	k, err := core.ColoringK(eps)
 	if err != nil {
 		return nil, err
 	}

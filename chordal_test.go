@@ -9,10 +9,12 @@ import (
 // TestEpsilonRejected checks that every public entry point taking ε
 // rejects NaN, 0 and −1, and the chordal MIS ones also 1, before doing
 // any work: NaN fails every comparison, so a check phrased as "ε ≤ 0"
-// lets it through.
+// lets it through. A positive ε so small that the parameter it selects
+// would overflow the kernels' int32 distances is rejected too.
 func TestEpsilonRejected(t *testing.T) {
 	g, ivs := RandomIntervalGraph(40, 12, 3, 1)
 	const positive, unit = "epsilon must be positive, got ", "epsilon must be in (0,1), got "
+	const tooSmall = "epsilon too small, got "
 	entries := []struct {
 		name string
 		want string
@@ -29,12 +31,22 @@ func TestEpsilonRejected(t *testing.T) {
 	}
 	for _, e := range entries {
 		bad := []float64{math.NaN(), 0, -1}
+		// So small that the parameter, or a radius derived from it,
+		// overflows: 2/ε just below 2³¹ wraps the strip kernel's horizon
+		// k+3, and 2/ε = 2·10¹⁹ overflows int itself.
+		tiny := []float64{1e-300, 1e-19, 9.313225759165211e-10}
 		if e.want == unit {
 			bad = append(bad, 1)
+			tiny = append(tiny, 1e-18)
 		}
 		for _, eps := range bad {
 			if err := e.run(eps); err == nil || !strings.HasPrefix(err.Error(), e.want) {
 				t.Errorf("%s(ε = %v): err = %v, want %q…", e.name, eps, err, e.want)
+			}
+		}
+		for _, eps := range tiny {
+			if err := e.run(eps); err == nil || !strings.HasPrefix(err.Error(), tooSmall) {
+				t.Errorf("%s(ε = %v): err = %v, want %q…", e.name, eps, err, tooSmall)
 			}
 		}
 	}

@@ -121,6 +121,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run("mis", math.NaN(), "", "", "random", 10, 3, 1, 0, "", false, "", 7, "", "", ""); err == nil {
 		t.Error("-eps NaN accepted")
 	}
+	// k = ⌈2/ε⌉ = 2³¹−3 would wrap the strip kernel's int32 horizon.
+	err := run("color", 9.313225759165211e-10, "", "", "random", 200, 5, 1, 0, "", false, "", 7, "", "", "")
+	if err == nil || !strings.HasPrefix(err.Error(), "epsilon too small, got 9.313225759165211e-10") {
+		t.Errorf("-eps 9.313225759165211e-10: err = %v, want it rejected as too small", err)
+	}
 }
 
 func TestRunAllGenerators(t *testing.T) {

@@ -51,13 +51,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The records hold snapshot indices; print them as node IDs.
 	for _, rec := range peeled.Layers[0].Paths {
 		fmt.Printf("  %s path of %d cliques, diameter %d → removes nodes %v\n",
-			rec.Kind, len(rec.Cliques), rec.Diameter, rec.Nodes)
+			rec.Kind, len(rec.Cliques), rec.Diameter, peeled.Snapshot.IDSet(rec.Nodes))
 	}
 	fmt.Printf("  total layers: %d (bound ⌈log n⌉)\n", len(peeled.Layers))
 	for _, layer := range peeled.Layers {
-		fmt.Printf("  layer %d: %v\n", layer.Index, layer.Nodes)
+		var nodes []chordal.ID
+		for x, l := range peeled.NodeLayer {
+			if int(l) == layer.Index {
+				nodes = append(nodes, peeled.Snapshot.IDOf(x))
+			}
+		}
+		fmt.Printf("  layer %d: %v\n", layer.Index, nodes)
 	}
 }
 

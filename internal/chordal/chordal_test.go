@@ -1,6 +1,7 @@
 package chordal
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
@@ -318,5 +319,38 @@ func TestIndependenceNumber(t *testing.T) {
 	}
 	if got != 9 {
 		t.Fatalf("α(star10) = %d, want 9", got)
+	}
+}
+
+// TestAllLabeledCounts pins the enumeration to the labeled chordal graph
+// counts (OEIS A058862) for n ≤ 5, with every graph on nodes 1..n, no
+// edge set twice, and every graph accepted by the index-space kernel's
+// PEO check too: so it yields each labeled chordal graph exactly once.
+func TestAllLabeledCounts(t *testing.T) {
+	var k Elim
+	for n, want := range []int{1: 1, 2: 2, 3: 8, 4: 61, 5: 822} {
+		if n == 0 {
+			continue
+		}
+		seen := make(map[string]bool)
+		AllLabeled(n, func(g *graph.Graph) {
+			if g.NumNodes() != n || g.Nodes()[0] != 1 || g.Nodes()[n-1] != graph.ID(n) {
+				t.Fatalf("n=%d: nodes %v, want 1..%d", n, g.Nodes(), n)
+			}
+			ix := graph.NewIndexed(g)
+			_, rowPtr, cols := ix.CSR()
+			k.MCS(rowPtr, cols, ix.BFSOrder())
+			if err := k.CheckPEO(); err != nil {
+				t.Fatalf("n=%d edges %v: %v", n, g.Edges(), err)
+			}
+			key := fmt.Sprint(g.Edges())
+			if seen[key] {
+				t.Fatalf("n=%d: edges %v yielded twice", n, g.Edges())
+			}
+			seen[key] = true
+		})
+		if len(seen) != want {
+			t.Fatalf("n=%d: %d labeled chordal graphs, want %d", n, len(seen), want)
+		}
 	}
 }

@@ -29,7 +29,7 @@ func TestAnchorChainsPinned(t *testing.T) {
 	ivs := gen.RandomIntervals(256, 256/8.0, 4, 256)
 	ix := graph.NewIndexed(gen.FromIntervals(ivs))
 	var s correctScratch
-	s.layPath(ix, allIndices(ix.NumNodes()), interval.CliquePathFromModel(ivs))
+	s.layPath(ix, allIndices(ix.NumNodes()), indexPath(ix, interval.CliquePathFromModel(ivs)))
 	cuts, err := s.selectCuts(ix, 2*4+8)
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,7 @@ func ColIntGraph(g *graph.Graph, path []graph.Set, k int) (*IntervalColoring, er
 	}
 	ix := graph.NewIndexed(g)
 	var s correctScratch
-	res, err := s.colIntGraph(ix, allIndices(ix.NumNodes()), path, k)
+	res, err := s.colIntGraph(ix, allIndices(ix.NumNodes()), indexPath(ix, path), k)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func ExtendColoring(g *graph.Graph, path []graph.Set, fixed map[graph.ID]int, pa
 	}
 	ix := graph.NewIndexed(g)
 	var s correctScratch
-	s.layPath(ix, allIndices(ix.NumNodes()), path)
+	s.layPath(ix, allIndices(ix.NumNodes()), indexPath(ix, path))
 	s.restrict(s.strip)
 	ids := ix.IDs()
 	for p, v := range ids {
@@ -117,6 +117,20 @@ func ExtendColoring(g *graph.Graph, path []graph.Set, fixed map[graph.ID]int, pa
 // orders of magnitude below this cap (experiment E8).
 const backtrackBudget = 20_000_000
 
+// indexPath is the entry points' one conversion of their clique path to
+// snapshot indices; IDs that are not nodes drop out, as in the kernel.
+func indexPath(ix *graph.Indexed, path []graph.Set) [][]int32 {
+	out := make([][]int32, len(path))
+	for i, c := range path {
+		for _, v := range c {
+			if x, ok := ix.IndexOf(v); ok {
+				out[i] = append(out[i], int32(x))
+			}
+		}
+	}
+	return out
+}
+
 // allIndices is 0, 1, …, n−1: every node of an n-node snapshot.
 func allIndices(n int) []int32 {
 	idx := make([]int32, n)
@@ -127,11 +141,11 @@ func allIndices(n int) []int32 {
 }
 
 // colorPath runs ColIntGraph on one peeled path of the color-paths
-// launch, its W by snapshot index (ascending) and its cliques, and
+// launch, its W and its cliques by snapshot index (ascending), and
 // appends W's colors to s.outIdx/s.outColor.
 //
 //chordalvet:hotpath budget=49 color-paths: per-path work reuses shard scratch
-func (s *correctScratch) colorPath(ix *graph.Indexed, w []int32, cliques []graph.Set, k int) (int, error) {
+func (s *correctScratch) colorPath(ix *graph.Indexed, w []int32, cliques [][]int32, k int) (int, error) {
 	res, err := s.colIntGraph(ix, w, cliques, k)
 	if err != nil {
 		return 0, err
@@ -141,10 +155,10 @@ func (s *correctScratch) colorPath(ix *graph.Indexed, w []int32, cliques []graph
 	return res.Rounds, nil
 }
 
-// colIntGraph is ColIntGraph on the strip w (snapshot indices,
-// ascending) along cliques restricted to w. It leaves the colors in
-// s.color (0 on no clique) and returns the rest of the result.
-func (s *correctScratch) colIntGraph(ix *graph.Indexed, w []int32, cliques []graph.Set, k int) (IntervalColoring, error) {
+// colIntGraph is ColIntGraph on the strip w along cliques restricted to
+// w, all by snapshot index (ascending). It leaves the colors in s.color
+// (0 on no clique) and returns the rest of the result.
+func (s *correctScratch) colIntGraph(ix *graph.Indexed, w []int32, cliques [][]int32, k int) (IntervalColoring, error) {
 	var res IntervalColoring
 	res.Omega = s.layPath(ix, w, cliques)
 	res.Palette = (k+1)*res.Omega/k + 1
@@ -201,11 +215,11 @@ func (s *correctScratch) colIntGraph(ix *graph.Indexed, w []int32, cliques []gra
 	return res, nil
 }
 
-// layPath makes w (snapshot indices, ascending) the strip and the
-// current members, unreached and uncolored, lays cliques restricted to w
-// out in wcl with each node's first and last clique on them, and
-// returns the largest.
-func (s *correctScratch) layPath(ix *graph.Indexed, w []int32, cliques []graph.Set) int {
+// layPath makes w the strip and the current members, unreached and
+// uncolored, lays cliques restricted to w out in wcl with each node's
+// first and last clique on them, and returns the largest. w and the
+// cliques are snapshot indices, ascending.
+func (s *correctScratch) layPath(ix *graph.Indexed, w []int32, cliques [][]int32) int {
 	s.nextEpoch(ix.NumNodes())
 	s.grow(len(w))
 	if len(s.wfirst) < len(w) {
@@ -221,7 +235,7 @@ func (s *correctScratch) layPath(ix *graph.Indexed, w []int32, cliques []graph.S
 	}
 	s.resetPath()
 	for _, c := range cliques {
-		s.pushClique(ix, c)
+		s.pushClique(c)
 	}
 	s.cl, s.wcl = s.wcl[:0], s.cl
 	s.clOff, s.wclOff = s.wclOff[:0], s.clOff

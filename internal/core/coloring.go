@@ -40,6 +40,36 @@ func EffectiveK(eps float64) int {
 	return k
 }
 
+// maxParam bounds c/ε, the parameter k or d an ε selects before
+// rounding. Every radius, threshold and horizon derived from a parameter
+// p stays below 16p (the largest is Algorithm 2's radius 10k), so all of
+// them fit the kernels' int32 distances.
+const maxParam = math.MaxInt32 / 16
+
+// checkEpsilon is every entry point's ε check: ε must be positive, below
+// 1 when unit is set (Algorithm 6), and at least c/maxParam, c being 2
+// for Algorithm 1's k, 2.5 for Algorithm 5's and 64 for Algorithm 6's d.
+func checkEpsilon(eps, c float64, unit bool) error {
+	switch {
+	case unit && !(eps > 0 && eps < 1): // NaN fails every comparison
+		return fmt.Errorf("epsilon must be in (0,1), got %v", eps)
+	case !(eps > 0):
+		return fmt.Errorf("epsilon must be positive, got %v", eps)
+	case c/eps > maxParam:
+		return fmt.Errorf("epsilon too small, got %v: the parameter %v/ε exceeds %d", eps, c, maxParam)
+	}
+	return nil
+}
+
+// ColoringK returns EffectiveK(eps), or the ε check's error for an ε the
+// coloring entry points reject.
+func ColoringK(eps float64) (int, error) {
+	if err := checkEpsilon(eps, 2, false); err != nil {
+		return 0, err
+	}
+	return EffectiveK(eps), nil
+}
+
 // ColorChordal runs the centralized Algorithm 1: peel the clique forest
 // into interval layers, color each peeled path with ColIntGraph, then
 // correct inter-layer conflicts top-down with the Lemma-10 recoloring.
@@ -58,25 +88,26 @@ func ColorChordal(g *graph.Graph, eps float64) (*ChordalColoring, error) {
 // engine rounds to observe; nil keeps the zero-cost fast path and the
 // result is bit-identical either way.
 func ColorChordalObserved(g *graph.Graph, eps float64, o dist.RoundObserver) (*ChordalColoring, error) {
-	if !(eps > 0) { // NaN fails every comparison
-		return nil, fmt.Errorf("epsilon must be positive, got %v", eps)
+	k, err := ColoringK(eps)
+	if err != nil {
+		return nil, err
 	}
-	k := EffectiveK(eps)
 	ko, _ := o.(dist.KernelObserver)
-	ix := graph.NewIndexed(g)
-	res, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, NoForests: true, Observer: ko, Snapshot: ix})
+	res, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, NoForests: true, Observer: ko})
 	if err != nil {
 		return nil, fmt.Errorf("pruning phase: %w", err)
 	}
-	return colorLayers(ix, k, res, nil, ko)
+	return colorLayers(k, res, nil, ko)
 }
 
 // colorLayers runs the coloring and color-correction phases over a peel
-// result of the snapshot ix. rounds, when non-nil, accumulates the
-// LOCAL round cost of the coloring and correction phases. ko, when
-// non-nil, receives the per-path coloring stage as a "color-paths"
-// kernel span and each corrected layer as a "correct-paths" one.
-func colorLayers(ix *graph.Indexed, k int, peeled *peel.Result, rounds *int, ko dist.KernelObserver) (*ChordalColoring, error) {
+// result, in the index space of its snapshot. rounds, when non-nil,
+// accumulates the LOCAL round cost of the coloring and correction
+// phases. ko, when non-nil, receives the per-path coloring stage as a
+// "color-paths" kernel span and each corrected layer as a
+// "correct-paths" one.
+func colorLayers(k int, peeled *peel.Result, rounds *int, ko dist.KernelObserver) (*ChordalColoring, error) {
+	ix := peeled.Snapshot
 	out := &ChordalColoring{K: k, Layers: len(peeled.Layers), Omega: peeled.Omega}
 	out.Palette = (k+1)*out.Omega/k + 1
 
@@ -84,12 +115,12 @@ func colorLayers(ix *graph.Indexed, k int, peeled *peel.Result, rounds *int, ko 
 	// independently by ColIntGraph as one "color-paths" launch into the
 	// corrector's index-space colors. Paths run concurrently in the LOCAL
 	// model; we charge the maximum cost.
-	cr := newCorrector(ix, peeled, k, out.Palette)
+	cr := newCorrector(peeled, k, out.Palette)
 	maxColorRounds, failed, err := cr.launch("color-paths", 0, len(cr.refs), ko, func(s *correctScratch, p int) (int, error) {
-		return s.colorPath(ix, cr.w[cr.wOff[p]:cr.wOff[p+1]], cr.refs[p].Cliques, k)
+		return s.colorPath(ix, cr.refs[p].Nodes, cr.refs[p].Cliques, k)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("coloring layer %d: %w", cr.layerOf[cr.w[cr.wOff[failed]]], err)
+		return nil, fmt.Errorf("coloring layer %d: %w", cr.layerOf[cr.refs[failed].Nodes[0]], err)
 	}
 	if rounds != nil {
 		*rounds += maxColorRounds

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -292,8 +293,8 @@ func TestColIntGraphMatchesLayerPipeline(t *testing.T) {
 	}
 	for _, layer := range peeled.Layers {
 		for _, rec := range layer.Paths {
-			sub := g.InducedSubgraph(rec.Nodes)
-			path := peel.LayerCliquePath(rec)
+			sub := g.InducedSubgraph(peeled.Snapshot.IDSet(rec.Nodes))
+			path := peel.LayerCliquePath(peeled.Snapshot, rec)
 			if err := interval.ValidCliquePath(sub, path); err != nil {
 				t.Fatalf("layer %d: %v", layer.Index, err)
 			}
@@ -477,5 +478,39 @@ func TestDeterminism(t *testing.T) {
 	}
 	if d1.Rounds != d2.Rounds {
 		t.Fatalf("distributed rounds differ: %d vs %d", d1.Rounds, d2.Rounds)
+	}
+}
+
+// TestEpsilonBoundKeepsRadiiInInt32 checks checkEpsilon's margin: at
+// the smallest ε each parameter family accepts, every radius, threshold
+// and horizon the pipelines derive from it fits the kernels' int32
+// distances, and a slightly smaller ε is rejected.
+func TestEpsilonBoundKeepsRadiiInInt32(t *testing.T) {
+	for _, c := range []float64{2, 2.5, 64} {
+		smallest := c / maxParam * (1 + 1e-9)
+		unit := c == 64
+		if err := checkEpsilon(smallest, c, unit); err != nil {
+			t.Fatalf("c=%v: smallest ε %v rejected: %v", c, smallest, err)
+		}
+		if err := checkEpsilon(c/maxParam*(1-1e-9), c, unit); err == nil {
+			t.Fatalf("c=%v: ε below %v accepted", c, smallest)
+		}
+		var derived []int
+		switch c {
+		case 2: // Algorithms 1–2 and ColIntGraph
+			k := EffectiveK(smallest)
+			derived = []int{10 * k, 3 * k, 2*k + 8, k + 5}
+		case 2.5: // Algorithm 5
+			k := MISIntervalK(smallest)
+			derived = []int{10*k + 1, k + 1}
+		case 64: // Algorithm 6, with Algorithm 5 at ε/8 inside
+			d, _ := MISChordalParams(smallest)
+			derived = []int{3*(2*d+3) + 2, 2*d + 16, 10*MISIntervalK(smallest/8) + 1}
+		}
+		for _, v := range derived {
+			if v > math.MaxInt32 {
+				t.Fatalf("c=%v: ε = %v derives %d, beyond int32", c, smallest, v)
+			}
+		}
 	}
 }

@@ -22,48 +22,37 @@ import (
 // recolored with the global palette by the Lemma-9 search. The
 // map-backed oracles in the package tests check it byte for byte.
 
-// corrector is the state of one coloring's post-peel stages: the peeled
-// paths in layer order (layer li's are refs[layerStart[li]:
-// layerStart[li+1]]), every color by snapshot index (0 = uncolored),
-// each node's layer, and each path's W by index — path i's is
-// w[wOff[i]:wOff[i+1]], ascending.
+// corrector is the state of one coloring's post-peel stages over the
+// peel's snapshot: the peeled paths in layer order (layer li's are
+// refs[layerStart[li]:layerStart[li+1]], path p's W is refs[p].Nodes),
+// each node's layer (the peel's NodeLayer, read only) and every color
+// by snapshot index (0 = uncolored).
 type corrector struct {
 	ix              *graph.Indexed
 	refs            []*peel.PathRecord
 	layerStart      []int
 	layerOf, colors []int32
-	w, wOff         []int32
 	horizon         int
 	palette         int32
 	scratches       []*correctScratch
 	slots           []pathSlot
 }
 
-// newCorrector lays peeled out over ix, g's snapshot, with every node
-// uncolored, for parameter k and the given palette.
-func newCorrector(ix *graph.Indexed, peeled *peel.Result, k, palette int) *corrector {
-	n := ix.NumNodes()
+// newCorrector lays peeled out with every node uncolored, for parameter
+// k and the given palette.
+func newCorrector(peeled *peel.Result, k, palette int) *corrector {
 	cr := &corrector{
-		ix:         ix,
+		ix:         peeled.Snapshot,
 		layerStart: make([]int, len(peeled.Layers)+1),
-		layerOf:    make([]int32, n),
-		colors:     make([]int32, n),
-		w:          make([]int32, 0, n),
-		wOff:       []int32{0},
+		layerOf:    peeled.NodeLayer,
+		colors:     make([]int32, peeled.Snapshot.NumNodes()),
 		horizon:    k + 3,
 		palette:    int32(palette),
 	}
 	for li := range peeled.Layers {
 		layer := &peeled.Layers[li]
 		for pi := range layer.Paths {
-			rec := &layer.Paths[pi]
-			cr.refs = append(cr.refs, rec)
-			for _, v := range rec.Nodes {
-				x, _ := ix.IndexOf(v)
-				cr.layerOf[x] = int32(layer.Index)
-				cr.w = append(cr.w, int32(x))
-			}
-			cr.wOff = append(cr.wOff, int32(len(cr.w)))
+			cr.refs = append(cr.refs, &layer.Paths[pi])
 		}
 		cr.layerStart[li+1] = len(cr.refs)
 	}
@@ -123,7 +112,7 @@ func (cr *corrector) launch(kernel string, lo, np int, ko dist.KernelObserver, r
 func (cr *corrector) correctLayer(li int, layer int32, ko dist.KernelObserver) error {
 	lo := cr.layerStart[li]
 	_, _, err := cr.launch("correct-paths", lo, cr.layerStart[li+1]-lo, ko, func(s *correctScratch, p int) (int, error) {
-		return 0, s.correctPath(cr, cr.refs[p], cr.w[cr.wOff[p]:cr.wOff[p+1]], layer)
+		return 0, s.correctPath(cr, cr.refs[p], layer)
 	})
 	return err
 }
@@ -165,12 +154,11 @@ type correctScratch struct {
 
 // correctPath resolves the conflicts of one peeled path against its
 // higher-layer neighborhood W′ (Lemma 10), appending the zone's new
-// colors to s.outIdx/s.outColor. w is the path's W by snapshot index,
-// ascending. The error texts are ExtendColoring's.
+// colors to s.outIdx/s.outColor. The error texts are ExtendColoring's.
 //
 //chordalvet:hotpath budget=25 correct-paths: per-path work reuses shard scratch
-func (s *correctScratch) correctPath(cr *corrector, rec *peel.PathRecord, w []int32, layer int32) error {
-	ix := cr.ix
+func (s *correctScratch) correctPath(cr *corrector, rec *peel.PathRecord, layer int32) error {
+	ix, w := cr.ix, rec.Nodes
 	s.nextEpoch(ix.NumNodes())
 	ep := s.epoch
 	for _, x := range w {
@@ -205,7 +193,7 @@ func (s *correctScratch) correctPath(cr *corrector, rec *peel.PathRecord, w []in
 	if s.zone(ix, cr.horizon) == 0 {
 		return nil
 	}
-	s.stripPath(ix, rec)
+	s.stripPath(rec)
 	if err := s.recolor(ix, s.strip, cr.palette); err != nil {
 		return err
 	}
@@ -254,17 +242,13 @@ func (s *correctScratch) bfs(ix *graph.Indexed, horizon, target int32) int32 {
 // stripPath lays out the strip's clique path per Lemma 8 in s.cl and
 // s.clOff: the peeled path flanked by its attachment cliques, restricted
 // to the current members as interval.RestrictCliquePath restricts it.
-func (s *correctScratch) stripPath(ix *graph.Indexed, rec *peel.PathRecord) {
+func (s *correctScratch) stripPath(rec *peel.PathRecord) {
 	s.resetPath()
-	if rec.AttachStart != nil {
-		s.pushClique(ix, rec.AttachStart)
-	}
+	s.pushClique(rec.AttachStart)
 	for _, c := range rec.Cliques {
-		s.pushClique(ix, c)
+		s.pushClique(c)
 	}
-	if rec.AttachEnd != nil {
-		s.pushClique(ix, rec.AttachEnd)
-	}
+	s.pushClique(rec.AttachEnd)
 }
 
 // resetPath empties the clique path.
@@ -273,12 +257,12 @@ func (s *correctScratch) resetPath() {
 	s.clOff = append(s.clOff[:0], 0)
 }
 
-// pushClique appends clique c, by node ID, to the clique path,
-// restricted to the current members.
-func (s *correctScratch) pushClique(ix *graph.Indexed, c graph.Set) {
+// pushClique appends clique c, by snapshot index (ascending), to the
+// clique path, restricted to the current members.
+func (s *correctScratch) pushClique(c []int32) {
 	s.pos = s.pos[:0]
-	for _, v := range c {
-		if x, ok := ix.IndexOf(v); ok && s.stamp[x] == s.epoch {
+	for _, x := range c {
+		if s.stamp[x] == s.epoch {
 			s.pos = append(s.pos, s.loc[x])
 		}
 	}

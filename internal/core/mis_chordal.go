@@ -61,20 +61,18 @@ type ChordalMISOptions struct {
 
 // MISChordalWithOptions is MISChordal with ablation switches.
 func MISChordalWithOptions(g *graph.Graph, eps float64, opts ChordalMISOptions) (*ChordalMISResult, error) {
-	if !(eps > 0 && eps < 1) { // NaN fails every comparison
-		return nil, fmt.Errorf("epsilon must be in (0,1), got %v", eps)
+	if err := checkEpsilon(eps, 64, true); err != nil {
+		return nil, err
 	}
 	d, iterations := MISChordalParams(eps)
 	res := &ChordalMISResult{D: d, Iterations: iterations}
 	ko, _ := opts.Observer.(dist.KernelObserver)
-	ix := graph.NewIndexed(g)
 	peeled, err := peel.Run(g, peel.Options{
 		InternalDiameter: 2*d + 3,
 		MaxIterations:    iterations,
 		FinalAlpha:       d,
 		NoForests:        true,
 		Observer:         ko,
-		Snapshot:         ix,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("peeling: %w", err)
@@ -82,7 +80,7 @@ func MISChordalWithOptions(g *graph.Graph, eps float64, opts ChordalMISOptions) 
 	// LOCAL accounting: each iteration collects a Θ(d)-ball to identify
 	// paths and thresholds.
 	res.Rounds = len(peeled.Layers) * (2*d + 4)
-	if err := misFromPeel(ix, peeled, d, eps, opts, res); err != nil {
+	if err := misFromPeel(peeled, d, eps, opts, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -119,8 +117,8 @@ func MISChordalDistributedFaultyPart(g *graph.Graph, eps float64, o dist.RoundOb
 }
 
 func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelTrace func(peel.LayerEvent)) (*ChordalMISResult, error) {
-	if !(eps > 0 && eps < 1) { // NaN fails every comparison
-		return nil, fmt.Errorf("epsilon must be in (0,1), got %v", eps)
+	if err := checkEpsilon(eps, 64, true); err != nil {
+		return nil, err
 	}
 	d, iterations := MISChordalParams(eps)
 	spec := PruneSpec{
@@ -152,7 +150,7 @@ func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelT
 		return nil, err
 	}
 	res := &ChordalMISResult{D: d, Iterations: iterations, Rounds: outcome.Rounds}
-	if err := misFromPeel(outcome.Snapshot, peeled, d, eps, ChordalMISOptions{Observer: o}, res); err != nil {
+	if err := misFromPeel(peeled, d, eps, ChordalMISOptions{Observer: o}, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -160,13 +158,13 @@ func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelT
 
 // misFromPeel runs Algorithm 6's per-layer independent-set computation
 // over a peel result, accumulating into res. Per-record state lives in
-// index-keyed slices over ix, the graph's snapshot, and the
-// per-component computations — pure functions of the component and rec
-// that never consult the cross-record blocked state — run sharded over
-// CPUs with per-component result slots merged in component order, so
-// the output is bit-identical to the sequential loop at every
-// GOMAXPROCS.
-func misFromPeel(ix *graph.Indexed, peeled *peel.Result, d int, eps float64, opts ChordalMISOptions, res *ChordalMISResult) error {
+// index-keyed slices over the peel's snapshot, and the per-component
+// computations — pure functions of the component and rec that never
+// consult the cross-record blocked state — run sharded over CPUs with
+// per-component result slots merged in component order, so the output
+// is bit-identical to the sequential loop at every GOMAXPROCS.
+func misFromPeel(peeled *peel.Result, d int, eps float64, opts ChordalMISOptions, res *ChordalMISResult) error {
+	ix := peeled.Snapshot
 	ids := ix.IDs()
 	ko, _ := opts.Observer.(dist.KernelObserver)
 	// Nodes excluded once a neighbor joins I (Γ_G[I] grows as we go),
@@ -191,9 +189,9 @@ func misFromPeel(ix *graph.Indexed, peeled *peel.Result, d int, eps float64, opt
 		for ri := range layer.Paths {
 			rec := &layer.Paths[ri]
 			avail = avail[:0]
-			for _, v := range rec.Nodes {
-				if i, _ := ix.IndexOf(v); !blocked[i] {
-					avail = append(avail, int32(i))
+			for _, i := range rec.Nodes {
+				if !blocked[i] {
+					avail = append(avail, i)
 					inAvail[i] = true
 				}
 			}
@@ -292,8 +290,11 @@ func (s *misScratch) componentIS(ix *graph.Indexed, comp []int32, rec *peel.Path
 		}
 	}
 	// The record's clique path, restricted to H, is a model of H.
-	path := interval.RestrictCliquePath(peel.LayerCliquePath(*rec), h.HasNode)
-	im, err := misInterval(h, path, eps/8)
+	path := make([]graph.Set, len(rec.Cliques))
+	for i, c := range rec.Cliques {
+		path[i] = ix.IDSet(c)
+	}
+	im, err := misInterval(h, interval.RestrictCliquePath(path, h.HasNode), eps/8)
 	if err != nil {
 		return 0, false, err
 	}

@@ -51,7 +51,7 @@ func (s *misScratch) absorbingComponent(ix *graph.Indexed, comp []int32, rec *pe
 	if alpha >= d {
 		return alpha
 	}
-	var anchor graph.Set
+	var anchor []int32
 	if anchored {
 		anchor = s.anchorOf(ix, comp, rec)
 	}
@@ -106,7 +106,7 @@ func (s *misScratch) alpha() int {
 // anchorOf returns the attachment clique of rec that the component
 // touches — AttachStart when both do — or nil. When α < d it touches at
 // most one (Section 7.1).
-func (s *misScratch) anchorOf(ix *graph.Indexed, comp []int32, rec *peel.PathRecord) graph.Set {
+func (s *misScratch) anchorOf(ix *graph.Indexed, comp []int32, rec *peel.PathRecord) []int32 {
 	if s.touches(ix, comp, rec.AttachStart) {
 		return rec.AttachStart
 	}
@@ -116,12 +116,12 @@ func (s *misScratch) anchorOf(ix *graph.Indexed, comp []int32, rec *peel.PathRec
 	return nil
 }
 
-// touches reports whether a member of comp has a neighbor in c.
-func (s *misScratch) touches(ix *graph.Indexed, comp []int32, c graph.Set) bool {
+// touches reports whether a member of comp has a neighbor in clique c.
+func (s *misScratch) touches(ix *graph.Indexed, comp []int32, c []int32) bool {
 	if len(c) == 0 {
 		return false
 	}
-	s.markClique(ix, c)
+	s.markClique(c)
 	for _, x := range comp {
 		for _, u := range ix.NeighborIndices(int(x)) {
 			if s.mark[u] == s.markEpoch {
@@ -132,16 +132,14 @@ func (s *misScratch) touches(ix *graph.Indexed, comp []int32, c graph.Set) bool 
 	return false
 }
 
-func (s *misScratch) markClique(ix *graph.Indexed, c graph.Set) {
+func (s *misScratch) markClique(c []int32) {
 	if s.markEpoch == math.MaxInt32 {
 		clear(s.mark)
 		s.markEpoch = 0
 	}
 	s.markEpoch++
-	for _, v := range c {
-		if x, ok := ix.IndexOf(v); ok {
-			s.mark[x] = s.markEpoch
-		}
+	for _, x := range c {
+		s.mark[x] = s.markEpoch
 	}
 }
 
@@ -149,9 +147,9 @@ func (s *misScratch) markClique(ix *graph.Indexed, c graph.Set) {
 // takes on the loaded component: repeatedly the simplicial vertex
 // furthest from the anchor clique (smallest position on ties), with its
 // neighbors removed. Distances run over the snapshot restricted to the
-// component and the anchor; with no anchor, or where the anchor does not
-// reach, they are 0.
-func (s *misScratch) absorb(ix *graph.Indexed, comp []int32, anchor graph.Set) {
+// component and the anchor, given by snapshot index; with no anchor, or
+// where the anchor does not reach, they are 0.
+func (s *misScratch) absorb(ix *graph.Indexed, comp []int32, anchor []int32) {
 	m := len(comp)
 	if cap(s.dist) < m {
 		s.dist = make([]int32, m)
@@ -166,15 +164,11 @@ func (s *misScratch) absorb(ix *graph.Indexed, comp []int32, anchor graph.Set) {
 	clear(s.seen)
 	if len(anchor) > 0 {
 		queue := s.queue[:0]
-		for _, v := range anchor {
-			x, ok := ix.IndexOf(v)
-			if !ok {
-				continue
-			}
+		for _, x := range anchor {
 			if s.stamp[x] == s.epoch {
 				s.seen[s.loc[x]] = true
 			}
-			queue = append(queue, int32(x))
+			queue = append(queue, x)
 		}
 		for head := 0; head < len(queue); head++ {
 			x := queue[head]

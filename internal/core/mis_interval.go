@@ -54,8 +54,8 @@ func MISInterval(g *graph.Graph, eps float64) (*IntervalMISResult, error) {
 // clique path, so its interval ends first and its eccentricity is the
 // diameter (the lemma at interval.Diameter).
 func misInterval(g *graph.Graph, path []graph.Set, eps float64) (*IntervalMISResult, error) {
-	if !(eps > 0) { // NaN fails every comparison
-		return nil, fmt.Errorf("epsilon must be positive, got %v", eps)
+	if err := checkEpsilon(eps, 2.5, false); err != nil {
+		return nil, err
 	}
 	k := MISIntervalK(eps)
 	res := &IntervalMISResult{K: k}

@@ -13,19 +13,49 @@ import (
 
 // The map-backed post-peel stages, kept as the oracles of the
 // index-space kernels in colint.go, correct.go and mis_components.go.
+// They read a peel record by node ID, through the peel's snapshot ix.
+
+// idLayers is the peel's NodeLayer keyed by node ID, without the nodes
+// never peeled.
+func idLayers(peeled *peel.Result) map[graph.ID]int {
+	layerOf := make(map[graph.ID]int)
+	for x, l := range peeled.NodeLayer {
+		if l > 0 {
+			layerOf[peeled.Snapshot.IDOf(x)] = int(l)
+		}
+	}
+	return layerOf
+}
+
+// fullPath is a peeled path flanked by its attachment cliques, by node
+// ID: the strip's clique path per Lemma 8 before restriction.
+func fullPath(ix *graph.Indexed, rec *peel.PathRecord) []graph.Set {
+	full := make([]graph.Set, 0, len(rec.Cliques)+2)
+	if rec.AttachStart != nil {
+		full = append(full, ix.IDSet(rec.AttachStart))
+	}
+	for _, c := range rec.Cliques {
+		full = append(full, ix.IDSet(c))
+	}
+	if rec.AttachEnd != nil {
+		full = append(full, ix.IDSet(rec.AttachEnd))
+	}
+	return full
+}
 
 // correctPath resolves the conflicts of one peeled path against its
 // higher-layer neighborhood W′ (Lemma 10): W′ and the far interior of W
 // stay fixed, the zone within distance k+3 of W′ is recolored with the
 // global palette.
-func correctPath(g *graph.Graph, rec peel.PathRecord, layerIndex int, layerOf map[graph.ID]int, k int, out *ChordalColoring) error {
-	inW := make(map[graph.ID]bool, len(rec.Nodes))
-	for _, v := range rec.Nodes {
+func correctPath(g *graph.Graph, ix *graph.Indexed, rec *peel.PathRecord, layerIndex int, layerOf map[graph.ID]int, k int, out *ChordalColoring) error {
+	nodes := ix.IDSet(rec.Nodes)
+	inW := make(map[graph.ID]bool, len(nodes))
+	for _, v := range nodes {
 		inW[v] = true
 	}
 	var wPrime graph.Set
 	seen := make(map[graph.ID]bool)
-	for _, v := range rec.Nodes {
+	for _, v := range nodes {
 		for _, u := range g.Neighbors(v) {
 			if !inW[u] && !seen[u] && layerOf[u] > layerIndex {
 				seen[u] = true
@@ -38,23 +68,15 @@ func correctPath(g *graph.Graph, rec peel.PathRecord, layerIndex int, layerOf ma
 	}
 	wPrime = graph.NewSet(wPrime...)
 
-	stripNodes := graph.NewSet(append(rec.Nodes.Clone(), wPrime...)...)
+	stripNodes := graph.NewSet(append(nodes, wPrime...)...)
 	strip := g.InducedSubgraph(stripNodes)
 	// The strip's clique path per Lemma 8: the peeled path flanked by its
 	// attachment cliques, restricted to the strip's nodes.
-	full := make([]graph.Set, 0, len(rec.Cliques)+2)
-	if rec.AttachStart != nil {
-		full = append(full, rec.AttachStart)
-	}
-	full = append(full, rec.Cliques...)
-	if rec.AttachEnd != nil {
-		full = append(full, rec.AttachEnd)
-	}
 	keep := make(map[graph.ID]bool, len(stripNodes))
 	for _, v := range stripNodes {
 		keep[v] = true
 	}
-	stripPath := interval.RestrictCliquePath(full, func(v graph.ID) bool { return keep[v] })
+	stripPath := interval.RestrictCliquePath(fullPath(ix, rec), func(v graph.ID) bool { return keep[v] })
 
 	zone := recolorZone(strip, wPrime, k+3)
 	inZone := make(map[graph.ID]bool)
@@ -86,11 +108,8 @@ func correctPath(g *graph.Graph, rec peel.PathRecord, layerIndex int, layerOf ma
 // the component touches (at most one when α(H) < d, as argued in
 // Section 7.1), or nil. It walks adjacency via ForEachNeighbor, which
 // reads g without populating its neighbor cache.
-func componentAnchor(g *graph.Graph, h *graph.Graph, rec peel.PathRecord) graph.Set {
+func componentAnchor(g *graph.Graph, h *graph.Graph, ix *graph.Indexed, rec *peel.PathRecord) graph.Set {
 	touches := func(c graph.Set) bool {
-		if c == nil {
-			return false
-		}
 		found := false
 		for _, v := range h.Nodes() {
 			g.ForEachNeighbor(v, func(u graph.ID) {
@@ -104,11 +123,10 @@ func componentAnchor(g *graph.Graph, h *graph.Graph, rec peel.PathRecord) graph.
 		}
 		return false
 	}
-	if touches(rec.AttachStart) {
-		return rec.AttachStart
-	}
-	if touches(rec.AttachEnd) {
-		return rec.AttachEnd
+	for _, c := range [][]int32{rec.AttachStart, rec.AttachEnd} {
+		if set := ix.IDSet(c); touches(set) {
+			return set
+		}
 	}
 	return nil
 }

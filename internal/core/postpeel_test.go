@@ -49,11 +49,11 @@ func checkCorrection(t *testing.T, g *graph.Graph, eps float64, perturb int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := graph.NewIndexed(g)
-	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, NoForests: true, Snapshot: ix})
+	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, NoForests: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := peeled.Snapshot
 	ids := ix.IDs()
 	start := maps.Clone(col.Provisional)
 	for i, v := range ids {
@@ -66,16 +66,16 @@ func checkCorrection(t *testing.T, g *graph.Graph, eps float64, perturb int) {
 		}
 	}
 	want := &ChordalColoring{Colors: maps.Clone(start), Palette: col.Palette}
-	layerOf := peeled.NodeLayers()
-	cr := newCorrector(ix, peeled, k, col.Palette)
+	layerOf := idLayers(peeled)
+	cr := newCorrector(peeled, k, col.Palette)
 	for x, v := range ids {
 		cr.colors[x] = int32(start[v])
 	}
 	for li := len(peeled.Layers) - 2; li >= 0; li-- {
 		layer := peeled.Layers[li]
 		var wantErr error
-		for _, rec := range layer.Paths {
-			if wantErr = correctPath(g, rec, layer.Index, layerOf, k, want); wantErr != nil {
+		for ri := range layer.Paths {
+			if wantErr = correctPath(g, ix, &layer.Paths[ri], layer.Index, layerOf, k, want); wantErr != nil {
 				break
 			}
 		}
@@ -104,27 +104,20 @@ func checkCorrection(t *testing.T, g *graph.Graph, eps float64, perturb int) {
 // are common.
 func checkStripPaths(t *testing.T, g *graph.Graph, eps float64, seed int64) {
 	t.Helper()
-	ix := graph.NewIndexed(g)
-	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * EffectiveK(eps), NoForests: true, Snapshot: ix})
+	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * EffectiveK(eps), NoForests: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	layerOf := peeled.NodeLayers()
+	ix := peeled.Snapshot
+	layerOf := idLayers(peeled)
 	var s correctScratch
 	for _, layer := range peeled.Layers {
 		for ri := range layer.Paths {
 			rec := &layer.Paths[ri]
-			var full []graph.Set
-			if rec.AttachStart != nil {
-				full = append(full, rec.AttachStart)
-			}
-			full = append(full, rec.Cliques...)
-			if rec.AttachEnd != nil {
-				full = append(full, rec.AttachEnd)
-			}
+			full := fullPath(ix, rec)
 			strip := make(map[graph.ID]bool)
 			subset := make(map[graph.ID]bool)
-			for _, v := range rec.Nodes {
+			for _, v := range ix.IDSet(rec.Nodes) {
 				strip[v] = true
 				for _, u := range g.Neighbors(v) {
 					if layerOf[u] > layer.Index {
@@ -153,7 +146,7 @@ func checkStripPaths(t *testing.T, g *graph.Graph, eps float64, seed int64) {
 					s.stamp[x], s.loc[x] = s.epoch, int32(p)
 					s.strip = append(s.strip, int32(x))
 				}
-				s.stripPath(ix, rec)
+				s.stripPath(rec)
 				got := make([]graph.Set, len(s.clOff)-1)
 				for i := range got {
 					for _, p := range s.cl[s.clOff[i]:s.clOff[i+1]] {
@@ -181,11 +174,11 @@ func checkStripPaths(t *testing.T, g *graph.Graph, eps float64, seed int64) {
 func checkColorPaths(t *testing.T, g *graph.Graph, eps float64, n int, seed int64) {
 	t.Helper()
 	k := EffectiveK(eps)
-	ix := graph.NewIndexed(g)
-	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, NoForests: true, Snapshot: ix})
+	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, NoForests: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := peeled.Snapshot
 	col, err := ColorChordal(g, eps)
 	if err != nil {
 		t.Fatal(err)
@@ -194,13 +187,9 @@ func checkColorPaths(t *testing.T, g *graph.Graph, eps float64, n int, seed int6
 	for _, layer := range peeled.Layers {
 		for ri := range layer.Paths {
 			rec := &layer.Paths[ri]
-			w := make([]int32, len(rec.Nodes))
-			for j, v := range rec.Nodes {
-				x, _ := ix.IndexOf(v)
-				w[j] = int32(x)
-			}
+			w, nodes := rec.Nodes, ix.IDSet(rec.Nodes)
 			for _, pk := range []int{k, 1} {
-				want, wantErr := colIntGraphOracle(g.InducedSubgraph(rec.Nodes), peel.LayerCliquePath(*rec), pk)
+				want, wantErr := colIntGraphOracle(g.InducedSubgraph(nodes), peel.LayerCliquePath(ix, *rec), pk)
 				got, gotErr := s.colIntGraph(ix, w, rec.Cliques, pk)
 				where := fmt.Sprintf("eps=%v k=%d layer %d path %d", eps, pk, layer.Index, ri)
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -209,7 +198,7 @@ func checkColorPaths(t *testing.T, g *graph.Graph, eps float64, n int, seed int6
 				if wantErr != nil {
 					continue
 				}
-				got.Colors = colorMap(rec.Nodes, s.color[:len(w)])
+				got.Colors = colorMap(nodes, s.color[:len(w)])
 				got.ColorsUsed = colorsUsed(s.color[:len(w)])
 				if !reflect.DeepEqual(&got, want) {
 					t.Fatalf("%s: kernel %+v, oracle %+v", where, got, *want)
@@ -217,7 +206,7 @@ func checkColorPaths(t *testing.T, g *graph.Graph, eps float64, n int, seed int6
 				if pk != k {
 					continue
 				}
-				for _, v := range rec.Nodes {
+				for _, v := range nodes {
 					if col.Provisional[v] != want.Colors[v] {
 						t.Fatalf("%s: ColorChordal colored node %d %d, oracle %d", where, v, col.Provisional[v], want.Colors[v])
 					}
@@ -351,11 +340,11 @@ func checkExtendColoring(t *testing.T, seed int64) {
 func checkMISComponents(t *testing.T, g *graph.Graph, eps float64) {
 	t.Helper()
 	d, iterations := MISChordalParams(eps)
-	ix := graph.NewIndexed(g)
-	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 2*d + 3, MaxIterations: iterations, FinalAlpha: d, NoForests: true, Snapshot: ix})
+	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 2*d + 3, MaxIterations: iterations, FinalAlpha: d, NoForests: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := peeled.Snapshot
 	var s misScratch
 	for _, disable := range []bool{false, true} {
 		var set graph.Set
@@ -366,7 +355,7 @@ func checkMISComponents(t *testing.T, g *graph.Graph, eps float64) {
 			for ri := range layer.Paths {
 				rec := &layer.Paths[ri]
 				var avail []graph.ID
-				for _, v := range rec.Nodes {
+				for _, v := range ix.IDSet(rec.Nodes) {
 					if !blocked[v] {
 						avail = append(avail, v)
 					}
@@ -388,19 +377,20 @@ func checkMISComponents(t *testing.T, g *graph.Graph, eps float64) {
 					}
 					var ih graph.Set
 					if alpha < d {
-						anchor := componentAnchor(g, h, *rec)
-						if got := s.anchorOf(ix, idx, rec); !reflect.DeepEqual(got, anchor) {
-							t.Fatalf("eps=%v component %v: kernel anchor %v, oracle %v", eps, comp, got, anchor)
+						anchor := componentAnchor(g, h, ix, rec)
+						kernelAnchor := s.anchorOf(ix, idx, rec)
+						if (kernelAnchor == nil) != (anchor == nil) || !ix.IDSet(kernelAnchor).Equal(anchor) {
+							t.Fatalf("eps=%v component %v: kernel anchor %v, oracle %v", eps, comp, ix.IDSet(kernelAnchor), anchor)
 						}
 						for _, a := range []graph.Set{anchor, nil} {
 							s.out = s.out[:0]
-							s.absorb(ix, idx, a)
-							got := make(graph.Set, len(s.out))
-							for i, x := range s.out {
-								got[i] = ix.IDOf(int(x))
+							if a == nil {
+								kernelAnchor = nil
 							}
-							if want := AbsorbingMIS(h, g, a); !graph.NewSet(got...).Equal(want) {
-								t.Fatalf("eps=%v component %v anchor %v: kernel set %v, oracle %v", eps, comp, a, graph.NewSet(got...), want)
+							s.absorb(ix, idx, kernelAnchor)
+							got := graph.NewSet(ix.IDSet(s.out)...)
+							if want := AbsorbingMIS(h, g, a); !got.Equal(want) {
+								t.Fatalf("eps=%v component %v anchor %v: kernel set %v, oracle %v", eps, comp, a, got, want)
 							}
 						}
 						if last || disable {
@@ -409,7 +399,7 @@ func checkMISComponents(t *testing.T, g *graph.Graph, eps float64) {
 						ih = AbsorbingMIS(h, g, anchor)
 						exact++
 					} else {
-						path := interval.RestrictCliquePath(peel.LayerCliquePath(*rec), h.HasNode)
+						path := interval.RestrictCliquePath(peel.LayerCliquePath(ix, *rec), h.HasNode)
 						im, err := misInterval(h, path, eps/8)
 						if err != nil {
 							t.Fatal(err)

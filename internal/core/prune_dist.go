@@ -184,21 +184,14 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 }
 
 // checkLemma12 verifies Lemma 12 — the distributed prune produces
-// exactly the centralized layers of peeled — node by node in index
-// order, so a violation always names the lowest-index offender. Layer
-// 0 means never peeled on either side.
+// exactly the centralized layers of peeled, a peel of the same snapshot
+// — node by node in index order, so a violation always names the
+// lowest-index offender. Layer 0 means never peeled on either side.
 func (out *PruneOutcome) checkLemma12(peeled *peel.Result) error {
-	central := make([]int32, len(out.Layer))
-	for _, layer := range peeled.Layers {
-		for _, v := range layer.Nodes {
-			i, _ := out.Snapshot.IndexOf(v)
-			central[i] = int32(layer.Index)
-		}
-	}
 	for i, l := range out.Layer {
-		if l != central[i] {
+		if central := peeled.NodeLayer[i]; l != central {
 			return fmt.Errorf("Lemma 12 violation: node %d in distributed layer %d, centralized layer %d",
-				out.Snapshot.IDOf(i), l, central[i])
+				out.Snapshot.IDOf(i), l, central)
 		}
 	}
 	return nil
@@ -247,10 +240,10 @@ func ColorChordalDistributedFaultyPart(g *graph.Graph, eps float64, o dist.Round
 }
 
 func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelTrace func(peel.LayerEvent)) (*ChordalColoring, error) {
-	if !(eps > 0) { // NaN fails every comparison
-		return nil, fmt.Errorf("epsilon must be positive, got %v", eps)
+	k, err := ColoringK(eps)
+	if err != nil {
+		return nil, err
 	}
-	k := EffectiveK(eps)
 	outcome, err := DistributedPruneSpec(g, PruneSpec{DiamThreshold: 3 * k, Radius: 10 * k, RunOpts: opts})
 	if err != nil {
 		return nil, fmt.Errorf("distributed prune: %w", err)
@@ -265,7 +258,7 @@ func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, pee
 		return nil, err
 	}
 	rounds := outcome.Rounds
-	col, err := colorLayers(outcome.Snapshot, k, peeled, &rounds, ko)
+	col, err := colorLayers(k, peeled, &rounds, ko)
 	if err != nil {
 		return nil, err
 	}

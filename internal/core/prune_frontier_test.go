@@ -47,18 +47,21 @@ func barbell(chainLen int) *graph.Graph {
 
 // sameLayers fails the test unless the distributed prune decided
 // exactly the nodes the centralized peel layered, each in its
-// centralized layer. It reads the outcome through Snapshot.IndexOf, so
-// it checks Lemma 12 independently of checkLemma12.
+// centralized layer. It maps the peel's paths through node IDs into the
+// outcome's snapshot, so it checks Lemma 12 independently of
+// checkLemma12.
 func sameLayers(t *testing.T, at string, out *PruneOutcome, peeled *peel.Result) {
 	t.Helper()
 	layered := 0
 	for _, layer := range peeled.Layers {
-		for _, v := range layer.Nodes {
-			i, _ := out.Snapshot.IndexOf(v)
-			if int(out.Layer[i]) != layer.Index {
-				t.Fatalf("%snode %d: distributed layer %d, centralized %d", at, v, out.Layer[i], layer.Index)
+		for _, rec := range layer.Paths {
+			for _, v := range peeled.Snapshot.IDSet(rec.Nodes) {
+				i, _ := out.Snapshot.IndexOf(v)
+				if int(out.Layer[i]) != layer.Index {
+					t.Fatalf("%snode %d: distributed layer %d, centralized %d", at, v, out.Layer[i], layer.Index)
+				}
+				layered++
 			}
-			layered++
 		}
 	}
 	decided := 0
@@ -200,7 +203,7 @@ func TestCorrectionPhaseDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := colorLayers(outcome.Snapshot, k, peeled, nil, nil)
+	col, err := colorLayers(k, peeled, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,13 +120,14 @@ func E3Fig56(bool) (*Table, error) {
 		Title:   "Figures 5–6: peeling the internal path C6..C10",
 		Columns: []string{"quantity", "paper", "measured", "match"},
 	}
-	var internalNodes graph.Set
+	var internalNodes, peeled graph.Set
 	internalCliques := 0
 	for _, rec := range res.Layers[0].Paths {
 		if rec.Kind == cliquetree.Internal {
-			internalNodes = rec.Nodes
+			internalNodes = res.Snapshot.IDSet(rec.Nodes)
 			internalCliques = len(rec.Cliques)
 		}
+		peeled = append(peeled, res.Snapshot.IDSet(rec.Nodes)...)
 	}
 	t.AddRow("peeled internal-path nodes", fmt.Sprint(figures.Fig5PeeledNodes), fmt.Sprint(internalNodes),
 		matchWord(internalNodes.Equal(figures.Fig5PeeledNodes)))
@@ -135,7 +136,7 @@ func E3Fig56(bool) (*Table, error) {
 	// Lemma 3: the forest after removal is the clique forest of G − U:
 	// recompute from scratch and compare clique sets.
 	remaining := g.Clone()
-	remaining.RemoveNodes(res.Layers[0].Nodes)
+	remaining.RemoveNodes(peeled)
 	fresh, err := cliquetree.New(remaining)
 	if err != nil {
 		return nil, err

@@ -137,6 +137,16 @@ func (ix *Indexed) IDs() []ID { return ix.ids }
 // IDOf returns the ID of the node at index i.
 func (ix *Indexed) IDOf(i int) ID { return ix.ids[i] }
 
+// IDSet returns the IDs of the nodes at indices idxs, in the same order:
+// ascending indices give a Set, because indices ascend with IDs.
+func (ix *Indexed) IDSet(idxs []int32) Set {
+	s := make(Set, len(idxs))
+	for i, x := range idxs {
+		s[i] = ix.ids[x]
+	}
+	return s
+}
+
 // IndexOf returns the dense index of node v, and whether v is a node.
 func (ix *Indexed) IndexOf(v ID) (int, bool) {
 	i, ok := ix.index[v]

@@ -225,8 +225,12 @@ func TestPeelTraceLayerEvents(t *testing.T) {
 		if ev.Round != res.Layers[i].Index {
 			t.Errorf("event %d: iteration %d, want %d", i, ev.Round, res.Layers[i].Index)
 		}
-		if ev.NodesPeeled != len(res.Layers[i].Nodes) {
-			t.Errorf("event %d: peeled %d, want %d", i, ev.NodesPeeled, len(res.Layers[i].Nodes))
+		layerNodes := 0
+		for _, rec := range res.Layers[i].Paths {
+			layerNodes += len(rec.Nodes)
+		}
+		if ev.NodesPeeled != layerNodes {
+			t.Errorf("event %d: peeled %d, want %d", i, ev.NodesPeeled, layerNodes)
 		}
 		if got := ev.PendantPaths + ev.InternalPaths; got != len(res.Layers[i].Paths) {
 			t.Errorf("event %d: %d paths, want %d", i, got, len(res.Layers[i].Paths))

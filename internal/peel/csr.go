@@ -3,6 +3,7 @@ package peel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/chordal"
@@ -17,11 +18,13 @@ import (
 // the clique forest over an alive mask (cliquetree.Builder), extracts
 // the maximal binary paths with plain-array versions of the paths.go
 // routines, and measures every path (capped diameter, independence
-// number, subpath nodes) with per-worker epoch-stamped scratch. Path measurement is a pure per-path function of
-// the snapshot, the alive mask, and the forest, so paths shard over
-// CPUs (dist.RunKernel) into deterministic per-path result slots:
-// outputs are bit-identical at every GOMAXPROCS and match the map-backed
-// reference implementation (runReference) record for record.
+// number, subpath nodes) with per-worker epoch-stamped scratch. Path
+// measurement is a pure per-path function of the snapshot, the alive
+// mask, and the forest, so paths shard over CPUs (dist.RunKernel) into
+// deterministic per-path result slots: outputs are bit-identical at
+// every GOMAXPROCS and match the map-backed reference implementation
+// (runReference) record for record. The records stay in the snapshot's
+// index space, where they are computed.
 
 // pathIdx is a maximal binary path in clique-id space (cliquetree.Path
 // without the materialized int slices).
@@ -34,13 +37,8 @@ type pathIdx struct {
 
 // pathSlot is one path's measured result, written by exactly one worker.
 type pathSlot struct {
-	take        bool
-	diam, alpha int
-	cliques     []graph.Set
-	attachStart graph.Set
-	attachEnd   graph.Set
-	nodes       graph.Set
-	nodeIdxs    []int32
+	take bool
+	rec  PathRecord
 }
 
 // peelScratch is one worker's reusable state: epoch-stamped node and
@@ -116,6 +114,7 @@ type engine struct {
 	pathStore []int32
 	paths     []pathIdx
 	slots     []pathSlot
+	taken     []PathRecord // the iteration's taken records, before the copy
 
 	scratches []*peelScratch
 }
@@ -136,7 +135,7 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 	for i := range e.alive {
 		e.alive[i] = true
 	}
-	res := &Result{}
+	res := &Result{Snapshot: ix, NodeLayer: make([]int32, n)}
 	iteration := 0
 	for e.nAlive > 0 {
 		iteration++
@@ -156,25 +155,26 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 		}
 		last := opts.MaxIterations > 0 && iteration == opts.MaxIterations
 		layer := e.peelOnce(iteration, opts, last)
-		if len(layer.Nodes) == 0 && !last {
+		// The paths' W's are disjoint: a node's subtree lies on one path.
+		peeled := 0
+		for _, p := range layer.Paths {
+			for _, x := range p.Nodes {
+				e.alive[x] = false
+				res.NodeLayer[x] = int32(iteration)
+			}
+			peeled += len(p.Nodes)
+		}
+		if peeled == 0 && !last {
 			// A nonempty forest always has pendant paths, so this cannot
 			// happen; guard against looping forever.
 			return nil, fmt.Errorf("peel iteration %d removed nothing", iteration)
 		}
-		res.Layers = append(res.Layers, *layer)
-		for i := range e.slots {
-			if !e.slots[i].take {
-				continue
-			}
-			for _, idx := range e.slots[i].nodeIdxs {
-				e.alive[idx] = false
-			}
-			e.nAlive -= len(e.slots[i].nodeIdxs)
-		}
+		res.Layers = append(res.Layers, layer)
+		e.nAlive -= peeled
 		if opts.Trace != nil {
 			ev := LayerEvent{
 				Iteration:     iteration,
-				NodesPeeled:   len(layer.Nodes),
+				NodesPeeled:   peeled,
 				ForestCliques: e.f.NumCliques,
 				Remaining:     e.nAlive,
 			}
@@ -188,13 +188,6 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 			opts.Trace(ev)
 		}
 	}
-	remaining := make(graph.Set, 0, e.nAlive)
-	for i := 0; i < n; i++ {
-		if e.alive[i] {
-			remaining = append(remaining, ix.IDOf(i))
-		}
-	}
-	res.Remaining = graph.NewSet(remaining...)
 	return res, nil
 }
 
@@ -202,8 +195,8 @@ func Run(g *graph.Graph, opts Options) (*Result, error) {
 // assembles the iteration's layer. The take rules and recorded fields
 // mirror the reference peelOnce exactly.
 //
-//chordalvet:hotpath budget=41 peel workers: path measurement reuses per-worker scratch
-func (e *engine) peelOnce(iteration int, opts Options, last bool) *Layer {
+//chordalvet:hotpath budget=36 peel workers: path measurement reuses per-worker scratch
+func (e *engine) peelOnce(iteration int, opts Options, last bool) Layer {
 	e.extractPaths()
 	diamCap := opts.InternalDiameter
 	if diamCap < 8 {
@@ -224,27 +217,13 @@ func (e *engine) peelOnce(iteration int, opts Options, last bool) *Layer {
 	dist.RunKernel("peel-measure", nPaths, shards, opts.Observer, func(shard, lo, hi int) {
 		e.measureRange(lo, hi, e.scratches[shard], diamCap, opts, last)
 	})
-	layer := &Layer{Index: iteration}
-	var peeled []graph.ID
+	e.taken = e.taken[:0]
 	for i := range e.slots {
-		slot := &e.slots[i]
-		if !slot.take {
-			continue
+		if e.slots[i].take {
+			e.taken = append(e.taken, e.slots[i].rec)
 		}
-		layer.Paths = append(layer.Paths, PathRecord{
-			Cliques:     slot.cliques,
-			Kind:        e.paths[i].kind,
-			Nodes:       slot.nodes,
-			Diameter:    slot.diam,
-			Alpha:       slot.alpha,
-			AttachStart: slot.attachStart,
-			AttachEnd:   slot.attachEnd,
-		})
-		peeled = append(peeled, slot.nodes...)
 	}
-	// One sort+dedup over all peeled paths, as in the reference.
-	layer.Nodes = graph.NewSet(peeled...)
-	return layer
+	return Layer{Index: iteration, Paths: slices.Clone(e.taken)}
 }
 
 // measureRange measures paths [lo, hi) into their slots.
@@ -261,6 +240,7 @@ func (e *engine) measureRange(lo, hi int, s *peelScratch, diamCap int, opts Opti
 func (e *engine) measurePath(i int, s *peelScratch, diamCap int, opts Options, last bool) {
 	p := &e.paths[i]
 	slot := &e.slots[i]
+	rec := &slot.rec
 	cliques := e.pathStore[p.off : p.off+p.ln]
 	s.reset(e.ix.NumNodes())
 	s.resetCliques(e.f.NumCliques)
@@ -278,7 +258,8 @@ func (e *engine) measurePath(i int, s *peelScratch, diamCap int, opts Options, l
 	}
 	s.members = members
 
-	slot.diam = e.pathDiameter(cliques, members, s, diamCap)
+	rec.Kind = p.kind
+	rec.Diameter = e.pathDiameter(cliques, members, s, diamCap)
 	take := false
 	alphaDone := false
 	switch p.kind {
@@ -286,37 +267,23 @@ func (e *engine) measurePath(i int, s *peelScratch, diamCap int, opts Options, l
 		take = true
 	case cliquetree.Internal:
 		if last && opts.FinalAlpha > 0 {
-			slot.alpha = e.alphaOf(members, s)
+			rec.Alpha = e.alphaOf(members, s)
 			alphaDone = true
-			take = slot.alpha >= opts.FinalAlpha
+			take = rec.Alpha >= opts.FinalAlpha
 		} else {
-			take = opts.InternalDiameter > 0 && slot.diam >= opts.InternalDiameter
+			take = opts.InternalDiameter > 0 && rec.Diameter >= opts.InternalDiameter
 		}
 	}
 	if !take {
 		return
 	}
 	if !alphaDone {
-		slot.alpha = e.alphaOf(members, s)
+		rec.Alpha = e.alphaOf(members, s)
 	}
 	slot.take = true
 
-	// Materialize the record's sets. Snapshot index order is ID order, so
-	// filling from ascending index rows yields sorted graph.Sets directly.
-	ids := e.ix.IDs()
-	slot.cliques = make([]graph.Set, len(cliques))
-	for ci, c := range cliques {
-		slot.cliques[ci] = idxSet(e.f.Clique(c), ids)
-	}
-	if p.attachStart >= 0 {
-		slot.attachStart = idxSet(e.f.Clique(p.attachStart), ids)
-	}
-	if p.attachEnd >= 0 {
-		slot.attachEnd = idxSet(e.f.Clique(p.attachEnd), ids)
-	}
-
 	// Subpath nodes: members whose entire phi row lies on the path.
-	nodeIdxs := s.out[:0]
+	w := s.out[:0]
 	for _, v := range members {
 		all := true
 		for _, c := range e.f.PhiRow(v) {
@@ -326,21 +293,39 @@ func (e *engine) measurePath(i int, s *peelScratch, diamCap int, opts Options, l
 			}
 		}
 		if all {
-			nodeIdxs = append(nodeIdxs, v)
+			w = append(w, v)
 		}
 	}
-	sort.Slice(nodeIdxs, func(a, b int) bool { return nodeIdxs[a] < nodeIdxs[b] })
-	slot.nodeIdxs = append([]int32(nil), nodeIdxs...)
-	slot.nodes = idxSet(slot.nodeIdxs, ids)
-	s.out = nodeIdxs[:0]
-}
+	slices.Sort(w)
+	s.out = w
 
-func idxSet(idxs []int32, ids []graph.ID) graph.Set {
-	set := make(graph.Set, len(idxs))
-	for i, v := range idxs {
-		set[i] = ids[v]
+	// Copy the record's rows out of the forest, which the next iteration
+	// rebuilds, into one array: the cliques, the attachments, then W.
+	size := len(w)
+	for _, c := range cliques {
+		size += len(e.f.Clique(c))
 	}
-	return set
+	for _, a := range [2]int32{p.attachStart, p.attachEnd} {
+		if a >= 0 {
+			size += len(e.f.Clique(a))
+		}
+	}
+	rows := make([]int32, 0, size)
+	keep := func(row []int32) []int32 {
+		rows = append(rows, row...)
+		return rows[len(rows)-len(row) : len(rows) : len(rows)]
+	}
+	rec.Cliques = make([][]int32, len(cliques))
+	for ci, c := range cliques {
+		rec.Cliques[ci] = keep(e.f.Clique(c))
+	}
+	if p.attachStart >= 0 {
+		rec.AttachStart = keep(e.f.Clique(p.attachStart))
+	}
+	if p.attachEnd >= 0 {
+		rec.AttachEnd = keep(e.f.Clique(p.attachEnd))
+	}
+	rec.Nodes = keep(w)
 }
 
 // pathDiameter is PathDiameterCapped in index space: a level-synchronous

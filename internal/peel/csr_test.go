@@ -3,6 +3,7 @@ package peel
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/chordal"
@@ -13,10 +14,13 @@ import (
 )
 
 // resultsEqual compares two peel results field by field: layers (paths
-// with cliques, kind, nodes, diameter, alpha, attachments), remaining
-// set, forests, and traces when captured.
+// with cliques, kind, nodes, diameter, alpha, attachments, all by
+// snapshot index), node layers, and forests when asked.
 func resultsEqual(t *testing.T, label string, want, got *Result, wantForests bool) {
 	t.Helper()
+	if !slices.Equal(got.Snapshot.IDs(), want.Snapshot.IDs()) {
+		t.Fatalf("%s: snapshot IDs %v vs %v", label, got.Snapshot.IDs(), want.Snapshot.IDs())
+	}
 	if len(got.Layers) != len(want.Layers) {
 		t.Fatalf("%s: %d layers, want %d", label, len(got.Layers), len(want.Layers))
 	}
@@ -24,9 +28,6 @@ func resultsEqual(t *testing.T, label string, want, got *Result, wantForests boo
 		wl, gl := &want.Layers[li], &got.Layers[li]
 		if gl.Index != wl.Index {
 			t.Fatalf("%s layer %d: index %d vs %d", label, li, gl.Index, wl.Index)
-		}
-		if !gl.Nodes.Equal(wl.Nodes) {
-			t.Fatalf("%s layer %d: nodes %v vs %v", label, li, gl.Nodes, wl.Nodes)
 		}
 		if len(gl.Paths) != len(wl.Paths) {
 			t.Fatalf("%s layer %d: %d paths, want %d", label, li, len(gl.Paths), len(wl.Paths))
@@ -37,26 +38,20 @@ func resultsEqual(t *testing.T, label string, want, got *Result, wantForests boo
 				t.Fatalf("%s layer %d path %d: kind/diam/alpha (%v,%d,%d) vs (%v,%d,%d)",
 					label, li, pi, gp.Kind, gp.Diameter, gp.Alpha, wp.Kind, wp.Diameter, wp.Alpha)
 			}
-			if !gp.Nodes.Equal(wp.Nodes) {
+			if !slices.Equal(gp.Nodes, wp.Nodes) {
 				t.Fatalf("%s layer %d path %d: nodes %v vs %v", label, li, pi, gp.Nodes, wp.Nodes)
 			}
-			if len(gp.Cliques) != len(wp.Cliques) {
-				t.Fatalf("%s layer %d path %d: %d cliques, want %d", label, li, pi, len(gp.Cliques), len(wp.Cliques))
+			if !slices.EqualFunc(gp.Cliques, wp.Cliques, slices.Equal) {
+				t.Fatalf("%s layer %d path %d: cliques %v vs %v", label, li, pi, gp.Cliques, wp.Cliques)
 			}
-			for ci := range wp.Cliques {
-				if wp.Cliques[ci].Compare(gp.Cliques[ci]) != 0 {
-					t.Fatalf("%s layer %d path %d clique %d: %v vs %v",
-						label, li, pi, ci, gp.Cliques[ci], wp.Cliques[ci])
-				}
-			}
-			if !setsEqualNil(wp.AttachStart, gp.AttachStart) || !setsEqualNil(wp.AttachEnd, gp.AttachEnd) {
+			if !equalNil(wp.AttachStart, gp.AttachStart) || !equalNil(wp.AttachEnd, gp.AttachEnd) {
 				t.Fatalf("%s layer %d path %d: attachments (%v,%v) vs (%v,%v)",
 					label, li, pi, gp.AttachStart, gp.AttachEnd, wp.AttachStart, wp.AttachEnd)
 			}
 		}
 	}
-	if !got.Remaining.Equal(want.Remaining) {
-		t.Fatalf("%s: remaining %v vs %v", label, got.Remaining, want.Remaining)
+	if !slices.Equal(got.NodeLayer, want.NodeLayer) {
+		t.Fatalf("%s: node layers %v vs %v", label, got.NodeLayer, want.NodeLayer)
 	}
 	if wantForests {
 		if len(got.Forests) != len(want.Forests) {
@@ -85,13 +80,10 @@ func resultsEqual(t *testing.T, label string, want, got *Result, wantForests boo
 	}
 }
 
-// setsEqualNil is Set.Equal plus nil/non-nil agreement (a nil attachment
+// equalNil is slices.Equal plus nil/non-nil agreement (a nil attachment
 // means "absent" and must stay nil).
-func setsEqualNil(a, b graph.Set) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	return a.Equal(b)
+func equalNil(a, b []int32) bool {
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
 }
 
 func equivalenceCases() map[string]*graph.Graph {
@@ -127,42 +119,56 @@ func equivalenceOptions() []Options {
 }
 
 // TestCSREngineMatchesReference checks the CSR engine reproduces the
-// map-backed reference bit for bit — layers, path records, forests,
-// remaining set, and traces — across graph families and option shapes,
-// and that its Omega is the input's clique number.
+// map-backed reference bit for bit — layers, path records, node layers,
+// forests, and traces — across graph families and option shapes, and
+// that its Omega is the input's clique number.
 func TestCSREngineMatchesReference(t *testing.T) {
 	for name, g := range equivalenceCases() {
 		for oi, opts := range equivalenceOptions() {
-			label := fmt.Sprintf("%s/opt%d", name, oi)
-			var wantTrace, gotTrace []LayerEvent
-			wopts := opts
-			wopts.Trace = func(ev LayerEvent) { wantTrace = append(wantTrace, ev) }
-			want, wantErr := runReference(g, wopts)
-			gopts := opts
-			gopts.Trace = func(ev LayerEvent) { gotTrace = append(gotTrace, ev) }
-			got, gotErr := Run(g, gopts)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%s: error %v vs %v", label, gotErr, wantErr)
-			}
-			if wantErr != nil {
-				if wantErr.Error() != gotErr.Error() {
-					t.Fatalf("%s: error %q vs %q", label, gotErr, wantErr)
-				}
-				continue
-			}
-			resultsEqual(t, label, want, got, true)
-			if omega, _ := chordal.CliqueNumber(g); got.Omega != omega {
-				t.Fatalf("%s: Omega = %d, want ω = %d", label, got.Omega, omega)
-			}
-			if len(gotTrace) != len(wantTrace) {
-				t.Fatalf("%s: %d trace events, want %d", label, len(gotTrace), len(wantTrace))
-			}
-			for i := range wantTrace {
-				if gotTrace[i] != wantTrace[i] {
-					t.Fatalf("%s trace %d: %+v vs %+v", label, i, gotTrace[i], wantTrace[i])
-				}
-			}
+			matchesReference(t, fmt.Sprintf("%s/opt%d", name, oi), g, opts)
 		}
+	}
+}
+
+// TestCSREngineMatchesReferenceExhaustive runs the same check on every
+// labeled chordal graph with at most five nodes, under every option
+// shape: 894 graphs, every ID order and degenerate shape among them.
+func TestCSREngineMatchesReferenceExhaustive(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		chordal.AllLabeled(n, func(g *graph.Graph) {
+			for oi, opts := range equivalenceOptions() {
+				matchesReference(t, fmt.Sprintf("n=%d %v/opt%d", n, g.Edges(), oi), g, opts)
+			}
+		})
+	}
+}
+
+// matchesReference runs Run and runReference on g under opts and
+// requires equal results, errors and traces, and Omega = ω(g).
+func matchesReference(t *testing.T, label string, g *graph.Graph, opts Options) {
+	t.Helper()
+	var wantTrace, gotTrace []LayerEvent
+	wopts := opts
+	wopts.Trace = func(ev LayerEvent) { wantTrace = append(wantTrace, ev) }
+	want, wantErr := runReference(g, wopts)
+	gopts := opts
+	gopts.Trace = func(ev LayerEvent) { gotTrace = append(gotTrace, ev) }
+	got, gotErr := Run(g, gopts)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: error %v vs %v", label, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		if wantErr.Error() != gotErr.Error() {
+			t.Fatalf("%s: error %q vs %q", label, gotErr, wantErr)
+		}
+		return
+	}
+	resultsEqual(t, label, want, got, true)
+	if omega, _ := chordal.CliqueNumber(g); got.Omega != omega {
+		t.Fatalf("%s: Omega = %d, want ω = %d", label, got.Omega, omega)
+	}
+	if !slices.Equal(gotTrace, wantTrace) {
+		t.Fatalf("%s: trace %+v, want %+v", label, gotTrace, wantTrace)
 	}
 }
 

@@ -17,14 +17,15 @@ import (
 )
 
 // PathRecord captures one peeled path of L_i with everything later phases
-// need: its cliques in path order, its classification, the attachment
-// cliques in the surrounding forest (whose nodes land in higher layers and
-// are the only possible coloring conflicts, Lemma 8), and its measured
-// diameter and independence number.
+// need, in the index space of Result.Snapshot: its cliques in path order,
+// its classification, the attachment cliques in the surrounding forest
+// (whose nodes land in higher layers and are the only possible coloring
+// conflicts, Lemma 8), and its measured diameter and independence
+// number. Every clique and node set is ascending snapshot indices.
 type PathRecord struct {
-	Cliques []graph.Set
+	Cliques [][]int32
 	Kind    cliquetree.PathKind
-	Nodes   graph.Set // W: nodes whose subtree is a subpath of this path
+	Nodes   []int32 // W: nodes whose subtree is a subpath of this path
 	// Diameter is the path's diameter in the graph current at peeling
 	// time, measured exactly up to the peeling threshold and reported as
 	// the threshold when it is at least that large (the decision only
@@ -33,22 +34,26 @@ type PathRecord struct {
 	Alpha    int // α(G[V_P]) of the path's full vertex set
 	// AttachStart/AttachEnd are the forest vertices adjacent to the
 	// path's ends, nil when absent. Pendant paths have at most AttachEnd.
-	AttachStart, AttachEnd graph.Set
+	AttachStart, AttachEnd []int32
 }
 
-// Layer is one peeling iteration's result.
+// Layer is one peeling iteration's result. V_i is the union of its
+// paths' Nodes, which are disjoint.
 type Layer struct {
 	Index int // 1-based iteration number
 	Paths []PathRecord
-	Nodes graph.Set // V_i: union of path node sets
 }
 
 // Result is the outcome of the peeling process.
 type Result struct {
 	Layers []Layer
-	// Remaining holds U_{last+1}: nodes never peeled (empty for a full
-	// run, usually nonempty for a truncated MIS-style run).
-	Remaining graph.Set
+	// Snapshot is the snapshot of the input that the records' indices
+	// and NodeLayer refer to.
+	Snapshot *graph.Indexed
+	// NodeLayer is each node's 1-based layer, by snapshot index; 0 means
+	// never peeled (U_{last+1}: none for a full run, usually some for a
+	// truncated MIS-style run).
+	NodeLayer []int32
 	// Forests[i] is the clique forest T_{i+1} of G[U_{i+1}] at the start
 	// of iteration i+1 (Forests[0] = T_1 = the input's forest).
 	Forests []*cliquetree.Forest
@@ -110,9 +115,14 @@ type Options struct {
 }
 
 // runReference is the original map-backed implementation of Run, kept as
-// the oracle for equivalence tests of the CSR engine in csr.go.
+// the oracle for equivalence tests of the CSR engine in csr.go. It
+// computes on node IDs and converts each record to snapshot indices.
 func runReference(g *graph.Graph, opts Options) (*Result, error) {
-	res := &Result{}
+	ix := opts.Snapshot
+	if ix == nil {
+		ix = graph.NewIndexed(g)
+	}
+	res := &Result{Snapshot: ix, NodeLayer: make([]int32, ix.NumNodes())}
 	remaining := g.Clone()
 	iteration := 0
 	for remaining.NumNodes() > 0 {
@@ -126,21 +136,25 @@ func runReference(g *graph.Graph, opts Options) (*Result, error) {
 		}
 		res.Forests = append(res.Forests, forest)
 		last := opts.MaxIterations > 0 && iteration == opts.MaxIterations
-		layer, err := peelOnce(remaining, forest, iteration, opts, last)
+		layer, peeled, err := peelOnce(ix, remaining, forest, iteration, opts, last)
 		if err != nil {
 			return nil, err
 		}
-		if len(layer.Nodes) == 0 && !last {
+		if len(peeled) == 0 && !last {
 			// A nonempty forest always has pendant paths, so this cannot
 			// happen; guard against looping forever.
 			return nil, fmt.Errorf("peel iteration %d removed nothing", iteration)
 		}
 		res.Layers = append(res.Layers, *layer)
-		remaining.RemoveNodes(layer.Nodes)
+		remaining.RemoveNodes(peeled)
+		for _, v := range peeled {
+			x, _ := ix.IndexOf(v)
+			res.NodeLayer[x] = int32(iteration)
+		}
 		if opts.Trace != nil {
 			ev := LayerEvent{
 				Iteration:     iteration,
-				NodesPeeled:   len(layer.Nodes),
+				NodesPeeled:   len(peeled),
 				ForestCliques: forest.NumVertices(),
 				Remaining:     remaining.NumNodes(),
 			}
@@ -154,23 +168,24 @@ func runReference(g *graph.Graph, opts Options) (*Result, error) {
 			opts.Trace(ev)
 		}
 	}
-	res.Remaining = graph.NewSet(remaining.Nodes()...)
 	return res, nil
 }
 
-func peelOnce(current *graph.Graph, forest *cliquetree.Forest, iteration int, opts Options, last bool) (*Layer, error) {
+// peelOnce is one iteration of runReference: the layer, by snapshot
+// index of ix, and its node set V_i by ID.
+func peelOnce(ix *graph.Indexed, current *graph.Graph, forest *cliquetree.Forest, iteration int, opts Options, last bool) (*Layer, graph.Set, error) {
 	layer := &Layer{Index: iteration}
 	var peeled []graph.ID
 	for _, p := range forest.MaximalBinaryPaths() {
 		rec := PathRecord{Kind: p.Kind}
 		for _, ci := range p.Cliques {
-			rec.Cliques = append(rec.Cliques, forest.Clique(ci))
+			rec.Cliques = append(rec.Cliques, indices(ix, forest.Clique(ci)))
 		}
 		if p.AttachStart != -1 {
-			rec.AttachStart = forest.Clique(p.AttachStart)
+			rec.AttachStart = indices(ix, forest.Clique(p.AttachStart))
 		}
 		if p.AttachEnd != -1 {
-			rec.AttachEnd = forest.Clique(p.AttachEnd)
+			rec.AttachEnd = indices(ix, forest.Clique(p.AttachEnd))
 		}
 		diamCap := opts.InternalDiameter
 		if diamCap < 8 {
@@ -179,7 +194,7 @@ func peelOnce(current *graph.Graph, forest *cliquetree.Forest, iteration int, op
 		rec.Diameter = forest.PathDiameterCapped(current, p, diamCap)
 		alpha, err := forest.PathIndependenceNumber(current, p)
 		if err != nil {
-			return nil, fmt.Errorf("peel iteration %d: %w", iteration, err)
+			return nil, nil, fmt.Errorf("peel iteration %d: %w", iteration, err)
 		}
 		rec.Alpha = alpha
 
@@ -197,36 +212,40 @@ func peelOnce(current *graph.Graph, forest *cliquetree.Forest, iteration int, op
 		if !take {
 			continue
 		}
-		rec.Nodes = forest.SubpathNodes(p)
+		nodes := forest.SubpathNodes(p)
+		rec.Nodes = indices(ix, nodes)
 		layer.Paths = append(layer.Paths, rec)
-		peeled = append(peeled, rec.Nodes...)
+		peeled = append(peeled, nodes...)
 	}
 	// One sort+dedup over all peeled paths; equivalent to the pairwise
 	// unions it replaces, without the quadratic re-merging.
-	layer.Nodes = graph.NewSet(peeled...)
-	return layer, nil
+	return layer, graph.NewSet(peeled...), nil
+}
+
+// indices maps a set of node IDs to their snapshot indices, ascending
+// like the set.
+func indices(ix *graph.Indexed, s graph.Set) []int32 {
+	out := make([]int32, len(s))
+	for i, v := range s {
+		x, _ := ix.IndexOf(v)
+		out[i] = int32(x)
+	}
+	return out
 }
 
 // LayerCliquePath restricts a peeled path's cliques to its node set W,
-// yielding the clique path (consecutive arrangement of maximal cliques)
-// of the interval graph G[W]. Empty restrictions and restrictions
-// subsumed by a neighbor are dropped.
-func LayerCliquePath(rec PathRecord) []graph.Set {
+// yielding, by node ID of ix (the result's Snapshot), the clique path
+// (consecutive arrangement of maximal cliques) of the interval graph
+// G[W]. Empty restrictions and restrictions subsumed by a neighbor are
+// dropped.
+func LayerCliquePath(ix *graph.Indexed, rec PathRecord) []graph.Set {
 	w := make(map[graph.ID]bool, len(rec.Nodes))
-	for _, v := range rec.Nodes {
-		w[v] = true
+	for _, x := range rec.Nodes {
+		w[ix.IDOf(int(x))] = true
 	}
-	return interval.RestrictCliquePath(rec.Cliques, func(v graph.ID) bool { return w[v] })
-}
-
-// NodeLayers flattens a result into a per-node layer index (1-based).
-// Remaining nodes are absent from the map.
-func (r *Result) NodeLayers() map[graph.ID]int {
-	out := make(map[graph.ID]int)
-	for _, layer := range r.Layers {
-		for _, v := range layer.Nodes {
-			out[v] = layer.Index
-		}
+	path := make([]graph.Set, len(rec.Cliques))
+	for i, c := range rec.Cliques {
+		path[i] = ix.IDSet(c)
 	}
-	return out
+	return interval.RestrictCliquePath(path, func(v graph.ID) bool { return w[v] })
 }

@@ -2,6 +2,7 @@ package peel
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/chordal"
@@ -19,22 +20,22 @@ func TestRunPartitionsAllNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Remaining) != 0 {
-			t.Fatalf("seed %d: %d nodes never peeled", seed, len(res.Remaining))
-		}
-		seen := make(map[graph.ID]int)
-		total := 0
+		seen := make(map[int32]int)
 		for _, layer := range res.Layers {
-			for _, v := range layer.Nodes {
-				if prev, dup := seen[v]; dup {
-					t.Fatalf("seed %d: node %d in layers %d and %d", seed, v, prev, layer.Index)
+			for _, rec := range layer.Paths {
+				for _, x := range rec.Nodes {
+					if prev, dup := seen[x]; dup {
+						t.Fatalf("seed %d: node %d in layers %d and %d", seed, x, prev, layer.Index)
+					}
+					if res.NodeLayer[x] != int32(layer.Index) {
+						t.Fatalf("seed %d: node %d peeled in layer %d, NodeLayer %d", seed, x, layer.Index, res.NodeLayer[x])
+					}
+					seen[x] = layer.Index
 				}
-				seen[v] = layer.Index
-				total++
 			}
 		}
-		if total != g.NumNodes() {
-			t.Fatalf("seed %d: layers cover %d of %d nodes", seed, total, g.NumNodes())
+		if len(seen) != g.NumNodes() {
+			t.Fatalf("seed %d: layers cover %d of %d nodes", seed, len(seen), g.NumNodes())
 		}
 	}
 }
@@ -69,7 +70,7 @@ func TestLemma5ForestUpdate(t *testing.T) {
 		peeled := make(map[string]bool)
 		for _, rec := range res.Layers[i].Paths {
 			for _, c := range rec.Cliques {
-				peeled[setKey(c)] = true
+				peeled[setKey(res.Snapshot.IDSet(c))] = true
 			}
 		}
 		want := make(map[string]bool)
@@ -114,11 +115,11 @@ func TestLayersAreIntervalGraphs(t *testing.T) {
 		}
 		for _, layer := range res.Layers {
 			for _, rec := range layer.Paths {
-				sub := g.InducedSubgraph(rec.Nodes)
+				sub := g.InducedSubgraph(res.Snapshot.IDSet(rec.Nodes))
 				if !chordal.IsChordal(sub) {
 					t.Fatalf("seed %d layer %d: path subgraph not chordal", seed, layer.Index)
 				}
-				path := LayerCliquePath(rec)
+				path := LayerCliquePath(res.Snapshot, rec)
 				if err := interval.ValidCliquePath(sub, path); err != nil {
 					t.Fatalf("seed %d layer %d: %v", seed, layer.Index, err)
 				}
@@ -138,16 +139,15 @@ func TestLemma11NeighborsInHigherLayers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		layerOf := res.NodeLayers()
 		for _, layer := range res.Layers {
 			for _, rec := range layer.Paths {
-				inW := make(map[graph.ID]bool)
+				inW := make(map[int32]bool)
 				for _, v := range rec.Nodes {
 					inW[v] = true
 				}
 				for _, v := range rec.Nodes {
-					for _, u := range g.Neighbors(v) {
-						if !inW[u] && layerOf[u] == layer.Index {
+					for _, u := range res.Snapshot.NeighborIndices(int(v)) {
+						if !inW[u] && res.NodeLayer[u] == int32(layer.Index) {
 							t.Fatalf("seed %d: node %d of a layer-%d path neighbors %d in another layer-%d path",
 								seed, v, layer.Index, u, layer.Index)
 						}
@@ -169,23 +169,23 @@ func TestLemma8ConflictsInsideAttachments(t *testing.T) {
 		}
 		for _, layer := range res.Layers {
 			for _, rec := range layer.Paths {
-				inW := make(map[graph.ID]bool)
+				inW := make(map[int32]bool)
 				for _, v := range rec.Nodes {
 					inW[v] = true
 				}
-				boundary := rec.AttachStart.Union(rec.AttachEnd)
+				boundary := make(map[int32]bool)
+				for _, u := range append(slices.Clone(rec.AttachStart), rec.AttachEnd...) {
+					boundary[u] = true
+				}
 				for _, v := range rec.Nodes {
-					for _, u := range g.InducedSubgraph(append(rec.Nodes.Clone(), boundary...)).Neighbors(v) {
-						_ = u
-					}
-					for _, u := range g.Neighbors(v) {
+					for _, u := range res.Snapshot.NeighborIndices(int(v)) {
 						if inW[u] {
 							continue
 						}
 						// Outside neighbors still present at peel time
 						// must be inside the attachments. Nodes peeled in
 						// earlier iterations are exempt (they were gone).
-						if res.NodeLayers()[u] > layer.Index && !boundary.Contains(u) {
+						if res.NodeLayer[u] > int32(layer.Index) && !boundary[u] {
 							t.Fatalf("seed %d layer %d: outside neighbor %d not in attachments",
 								seed, layer.Index, u)
 						}
@@ -205,12 +205,19 @@ func TestTruncatedRun(t *testing.T) {
 	if len(res.Layers) > 2 {
 		t.Fatalf("truncated run produced %d layers", len(res.Layers))
 	}
-	covered := 0
+	covered, remaining := 0, 0
 	for _, l := range res.Layers {
-		covered += len(l.Nodes)
+		for _, rec := range l.Paths {
+			covered += len(rec.Nodes)
+		}
 	}
-	if covered+len(res.Remaining) != g.NumNodes() {
-		t.Fatalf("layers (%d) + remaining (%d) != n (%d)", covered, len(res.Remaining), g.NumNodes())
+	for _, l := range res.NodeLayer {
+		if l == 0 {
+			remaining++
+		}
+	}
+	if covered+remaining != g.NumNodes() {
+		t.Fatalf("layers (%d) + remaining (%d) != n (%d)", covered, remaining, g.NumNodes())
 	}
 }
 
@@ -278,8 +285,8 @@ func TestFig56Peel(t *testing.T) {
 	if internalRec == nil {
 		t.Fatal("internal path C6..C10 not peeled")
 	}
-	if !internalRec.Nodes.Equal(figures.Fig5PeeledNodes) {
-		t.Fatalf("internal path removed %v, want %v", internalRec.Nodes, figures.Fig5PeeledNodes)
+	if nodes := res.Snapshot.IDSet(internalRec.Nodes); !nodes.Equal(figures.Fig5PeeledNodes) {
+		t.Fatalf("internal path removed %v, want %v", nodes, figures.Fig5PeeledNodes)
 	}
 	if len(internalRec.Cliques) != len(figures.Fig5Path) {
 		t.Fatalf("internal path has %d cliques, want %d", len(internalRec.Cliques), len(figures.Fig5Path))
