@@ -45,12 +45,11 @@ lint-diff:
 # Race-detector gate for the concurrent simulation core and everything
 # that drives it: the engine (dist), the algorithm core, peeling, the
 # experiment harness, the public API, the graph substrate whose Indexed
-# snapshots are shared across the worker pool, the CSR ball views the
-# parallel decide kernel reads concurrently, the clique-tree stage
+# snapshots are shared across the worker pool, the clique-tree stage
 # the pipeline shards, and the color-reduction and baseline protocols
 # that step on concurrent engine ranges.
 race:
-	$(GO) test -race ./internal/dist ./internal/core ./internal/peel ./internal/exp ./internal/graph ./internal/view ./internal/cliquetree ./internal/obs ./internal/wire ./internal/colorreduce ./internal/baseline ./cmd/tracestat .
+	$(GO) test -race ./internal/dist ./internal/core ./internal/peel ./internal/exp ./internal/graph ./internal/cliquetree ./internal/obs ./internal/wire ./internal/colorreduce ./internal/baseline ./cmd/tracestat .
 
 # Short fuzz runs of every Fuzz* target (10s each) so the fuzzers
 # execute somewhere instead of shipping as dormant seed-corpus tests.

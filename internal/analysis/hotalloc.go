@@ -21,7 +21,7 @@ import (
 // count differs from the committed budget. Budgets are exact: a budget
 // above the count would leave slack for a new site to fill silently, so
 // introducing a single new allocation site inside the decide kernel,
-// the peel workers, the engine round loop, or the view rebuild fails
+// the peel workers, the engine round loop, or the flood round step fails
 // `make lint` before it ever shows up as a B/op regression in a
 // benchmark, and so does removing one without lowering the budget.
 // Likewise a coldpath directive on a function no hot-root traversal

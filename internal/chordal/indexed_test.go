@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/view"
 )
 
 // elimGraph builds generator family f on n nodes: six chordal families,
@@ -35,7 +34,7 @@ func elimGraph(f uint8, n int, seed int64) *graph.Graph {
 // checkElimCase runs the kernel over the member subset of g that the
 // subset bits pick (row i is a member iff bit i mod 8·len(subset) is
 // set; an empty subset keeps every row), once on g's snapshot and once
-// on a view.Ball holding the members and every third other row, and
+// on a compacted CSR holding the members and every third other row, and
 // compares each result with the map-backed oracles on the induced
 // subgraph.
 func checkElimCase(t *testing.T, k *Elim, g *graph.Graph, subset []byte) {
@@ -59,14 +58,31 @@ func checkElimCase(t *testing.T, k *Elim, g *graph.Graph, subset []byte) {
 	_, rowPtr, cols := ix.CSR()
 	checkElim(t, "snapshot", k, rowPtr, cols, members, func(r int32) graph.ID { return ix.IDOf(int(r)) }, h)
 
-	var ball view.Ball
-	ball.BuildFromIndexed(ix, keep)
+	// The kept rows renumbered densely in snapshot order, with each row's
+	// columns restricted to kept neighbors.
+	rowOf := make([]int32, n)
+	var nodes []int32
+	for i := range n {
+		rowOf[i] = -1
+		if keep[i] {
+			rowOf[i] = int32(len(nodes))
+			nodes = append(nodes, int32(i))
+		}
+	}
+	rowPtr, cols = []int32{0}, nil
+	for _, idx := range nodes {
+		for _, u := range ix.NeighborIndices(int(idx)) {
+			if rowOf[u] >= 0 {
+				cols = append(cols, rowOf[u])
+			}
+		}
+		rowPtr = append(rowPtr, int32(len(cols)))
+	}
 	rows := make([]int32, len(members))
 	for i, idx := range members {
-		rows[i] = ball.RowOf(idx)
+		rows[i] = rowOf[idx]
 	}
-	rowPtr, cols = ball.CSR()
-	checkElim(t, "ball", k, rowPtr, cols, rows, func(r int32) graph.ID { return ix.IDOf(int(ball.NodeAt(r))) }, h)
+	checkElim(t, "ball", k, rowPtr, cols, rows, func(r int32) graph.ID { return ix.IDOf(int(nodes[r])) }, h)
 }
 
 // checkElim compares one kernel run over members of the CSR graph

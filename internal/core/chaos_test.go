@@ -89,11 +89,11 @@ func TestMISChordalAbsorbsDupAndDelay(t *testing.T) {
 
 // TestMISChordalDropDiverges: drop corruption of the pruning floods is
 // diagnosable in the MIS pipeline too. There is no correction phase to
-// stall here, so the detection relies on Knowledge.CoversComponent
-// refusing to certify a drop-truncated ball (its known set is not
-// adjacency-closed): the affected nodes fall back to deciding from
-// their partial view, which either diverges from the centralized peel
-// or peels nothing and trips the prune's progress guard.
+// stall here, so the detection relies on the decide kernel reading a
+// drop-truncated ball as the clipped view it is: the affected nodes
+// decide from their partial view, which either diverges from the
+// centralized peel or peels nothing and trips the prune's progress
+// guard.
 func TestMISChordalDropDiverges(t *testing.T) {
 	g := gen.KTree(60, 1, 47)
 	f := &dist.Faults{Plan: fault.Plan{Seed: 8, Drop: 0.5}}

@@ -44,10 +44,15 @@ type IntervalColoring struct {
 // pipeline's "color-paths" stage runs on each peeled path.
 //
 // path must be a consecutive arrangement of the maximal cliques of g
-// (empty restrictions allowed to have been dropped).
+// (empty restrictions allowed to have been dropped). k must lie in
+// [1, maxParam], the bound that keeps the kernel's horizons within its
+// int32 distances.
 func ColIntGraph(g *graph.Graph, path []graph.Set, k int) (*IntervalColoring, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("k must be >= 1, got %d", k)
+	}
+	if k > maxParam {
+		return nil, fmt.Errorf("k must be <= %d, got %d", maxParam, k)
 	}
 	if g.NumNodes() == 0 {
 		return &IntervalColoring{Colors: map[graph.ID]int{}}, nil

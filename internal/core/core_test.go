@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/chordal"
@@ -154,6 +156,35 @@ func TestColIntGraphEmpty(t *testing.T) {
 	}
 	if len(ic.Colors) != 0 {
 		t.Fatal("empty graph should give empty coloring")
+	}
+}
+
+// TestColIntGraphBoundsK: k must lie in [1, maxParam]. Below it the
+// error keeps the k ≥ 1 text; above it the error names k, where at
+// 2^31−3 the strip kernel's int32 horizon k+3 would wrap. At k =
+// maxParam the coloring is proper and within the palette.
+func TestColIntGraphBoundsK(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		ivs := gen.RandomIntervals(200, 40, 4, seed)
+		g := gen.FromIntervals(ivs)
+		path := interval.CliquePathFromModel(ivs)
+		for _, k := range []int{0, -1, maxParam + 1, 1<<31 - 3} {
+			_, err := ColIntGraph(g, path, k)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("got %d", k)) {
+				t.Fatalf("seed %d k %d: error %v, want one naming k", seed, k, err)
+			}
+		}
+		ic, err := ColIntGraph(g, path, maxParam)
+		if err != nil {
+			t.Fatalf("seed %d k maxParam: %v", seed, err)
+		}
+		used, err := verify.Coloring(g, ic.Colors)
+		if err != nil {
+			t.Fatalf("seed %d k maxParam: %v", seed, err)
+		}
+		if used > ic.Palette {
+			t.Fatalf("seed %d k maxParam: %d colors, palette %d", seed, used, ic.Palette)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cliquetree"
 	"repro/internal/dist"
 	"repro/internal/graph"
-	"repro/internal/view"
 )
 
 // This file is the pruning phase's decide kernel: given one iteration's
@@ -18,78 +17,77 @@ import (
 // center it processes, and results are merged in index order, so the
 // outcome is bit-identical to running the centers one at a time.
 //
-// The per-center machinery is the Section 3 local view of the clique
-// forest, on slice-backed, epoch-stamped scratch state over a CSR ball
-// (view.Ball). The forest is G_i's canonical clique forest, built once
-// per iteration by DistributedPruneSpec; a center reads a clique's row
-// only after the trust gate (trusted) has found all of its members in
-// the ball within radius − 3. Lemma 2 makes that read local: φ(u) and
-// T(u), the forest edges among φ(u), are functions of G_i[Γ[u]], and a
-// trusted clique's forest edges are the union of its members' T(u),
-// because forest edges only join cliques that share a node. The BFS
-// facts the rules consume — center distances, anchored diameters,
-// induced-subgraph independence numbers — are order-independent.
+// A center's view is G_i restricted to K, the nodes its flood
+// delivered: the center BFS walks the snapshot's rows and enters a node
+// only when it is undecided and in K, stamping reach and distance by
+// snapshot index, and every later read goes through those stamps. The
+// forest is G_i's canonical clique forest, built once per iteration by
+// DistributedPruneSpec; a center reads a clique's row only after the
+// trust gate (trusted) has found all of its members reached within
+// radius − 3. Lemma 2 makes that read local: φ(u) and T(u), the forest
+// edges among φ(u), are functions of G_i[Γ[u]], and a trusted clique's
+// forest edges are the union of its members' T(u), because forest edges
+// only join cliques that share a node. The BFS facts the rules consume —
+// center distances, anchored diameters, induced-subgraph independence
+// numbers — are order-independent.
 
-// decideScratch is one worker's reusable state for deciding centers: a
-// view.Scratch (private CSR ball + BFS storage) plus epoch-stamped
-// marks over the iteration's forest cliques and the ball's rows, so
-// starting the next center is a counter increment, not a reallocation.
+// decideScratch is one worker's reusable state for deciding centers:
+// epoch-stamped marks over the snapshot's nodes and the iteration's
+// forest cliques, so starting the next center is a counter increment,
+// not a reallocation or a sweep.
 type decideScratch struct {
-	view.Scratch
-
-	// Per-center context, set by beginCenter.
-	forest  *cliquetree.CSRForest
-	ball    *view.Ball
-	horizon int
-	epoch   int32
+	// Per-center context, set by beginCenter: the view is G_i (the
+	// undecided mask) restricted to the center's knowledge.
+	ix        *graph.Indexed
+	forest    *cliquetree.CSRForest
+	know      *dist.Knowledge
+	undecided []bool
+	horizon   int
+	epoch     int32
 
 	// Per-clique marks by forest clique id (epoch-stamped).
 	inWalked []int32 // walk membership, == epoch (includes consumed ends)
 	inDiam   []int32 // walkedDiameter membership, == epoch (walked only)
 
-	// Per-ball-row marks (epoch-stamped) and small reusable buffers.
-	memMark    []int32 // member dedup by row
-	anchorMark []int32 // anchor BFS dedup by row
-	walked     []int32
-	ends       []int32
-	memRows    []int32
+	// Per-node marks by snapshot index (epoch-stamped): the center BFS's
+	// reach, with its distance valid where reach == epoch, and the
+	// member and anchor dedup.
+	reach      []int32
+	dist       []int32
+	memMark    []int32
+	anchorMark []int32
+
+	// Small reusable buffers.
+	queue   []int32 // the center BFS
+	walked  []int32
+	ends    []int32
+	members []int32
 
 	// The member-restricted anchor BFS: visited marks stamped per BFS
 	// (bfsStamp counts BFS runs across centers, so nothing is reset per
-	// BFS), distances by row, and the queue.
+	// BFS), distances by snapshot index, and the queue.
 	bfsMark  []int32
 	bfsDist  []int32
 	bfsQueue []int32
 	bfsStamp int32
 
-	elim chordal.Elim // the α rule's MCS and Gavril count, over ball rows
+	elim chordal.Elim // the α rule's MCS and Gavril count, over the snapshot's CSR
 }
 
-// beginCenter resets the scratch for a new center over the given ball.
-func (sc *decideScratch) beginCenter(forest *cliquetree.CSRForest, ball *view.Ball, horizon int) {
+// beginCenter resets the scratch for a new center.
+func (sc *decideScratch) beginCenter(ix *graph.Indexed, forest *cliquetree.CSRForest, know *dist.Knowledge, undecided []bool, horizon int) {
+	sc.ix = ix
 	sc.forest = forest
-	sc.ball = ball
+	sc.know = know
+	sc.undecided = undecided
 	sc.horizon = horizon
 	if sc.epoch == math.MaxInt32 {
-		for i := range sc.inWalked {
-			sc.inWalked[i] = 0
-		}
-		for i := range sc.inDiam {
-			sc.inDiam[i] = 0
-		}
-		for i := range sc.memMark {
-			sc.memMark[i] = 0
-		}
-		for i := range sc.anchorMark {
-			sc.anchorMark[i] = 0
-		}
+		clear(sc.inWalked)
+		clear(sc.inDiam)
+		clear(sc.reach)
+		clear(sc.memMark)
+		clear(sc.anchorMark)
 		sc.epoch = 0
-	}
-	if sc.bfsStamp == math.MaxInt32 {
-		for i := range sc.bfsMark {
-			sc.bfsMark[i] = 0
-		}
-		sc.bfsStamp = 0
 	}
 	sc.epoch++
 	sc.walked = sc.walked[:0]
@@ -97,11 +95,13 @@ func (sc *decideScratch) beginCenter(forest *cliquetree.CSRForest, ball *view.Ba
 		sc.inWalked = growMarks(sc.inWalked, nc)
 		sc.inDiam = growMarks(sc.inDiam, nc)
 	}
-	if nr := ball.NumRows(); len(sc.memMark) < nr {
-		sc.memMark = growMarks(sc.memMark, nr)
-		sc.anchorMark = growMarks(sc.anchorMark, nr)
-		sc.bfsMark = growMarks(sc.bfsMark, nr)
-		sc.bfsDist = growMarks(sc.bfsDist, nr)
+	if n := ix.NumNodes(); len(sc.reach) < n {
+		sc.reach = growMarks(sc.reach, n)
+		sc.dist = growMarks(sc.dist, n)
+		sc.memMark = growMarks(sc.memMark, n)
+		sc.anchorMark = growMarks(sc.anchorMark, n)
+		sc.bfsMark = growMarks(sc.bfsMark, n)
+		sc.bfsDist = growMarks(sc.bfsDist, n)
 	}
 }
 
@@ -113,19 +113,41 @@ func growMarks(a []int32, n int) []int32 {
 	return na
 }
 
+// centerBFS stamps the center's view: a BFS from vIdx over the
+// snapshot's rows that enters a node only when it is undecided and
+// known, so it reaches exactly the center's component of G_i restricted
+// to its knowledge. Neighbor order only affects queue order within a
+// level, never the distances.
+func (sc *decideScratch) centerBFS(vIdx int32) {
+	ep := sc.epoch
+	q := sc.queue
+	q = q[:0]
+	q = append(q, vIdx)
+	sc.reach[vIdx] = ep
+	sc.dist[vIdx] = 0
+	for h := 0; h < len(q); h++ {
+		v := q[h]
+		d := sc.dist[v] + 1
+		for _, u := range sc.ix.NeighborIndices(int(v)) {
+			if sc.reach[u] == ep || !sc.undecided[u] || !sc.know.KnownIdx(u) {
+				continue
+			}
+			sc.reach[u] = ep
+			sc.dist[u] = d
+			q = append(q, u)
+		}
+	}
+	sc.queue = q
+}
+
 // trusted reports whether every member of forest clique c is far enough
 // from the knowledge horizon that its neighborhood (and hence the
-// clique's full forest adjacency) is known exactly. A member outside the
-// ball or unreachable from the center is untrusted. The kernel reads a
-// clique's forest row (Nbrs, Deg) only after this gate has passed.
+// clique's full forest adjacency) is known exactly. A member the center
+// BFS did not reach is untrusted. The kernel reads a clique's forest
+// row (Nbrs, Deg) only after this gate has passed.
 func (sc *decideScratch) trusted(c int32) bool {
-	for _, uIdx := range sc.forest.Clique(c) {
-		r := sc.ball.RowOf(uIdx)
-		if r < 0 {
-			return false
-		}
-		d := sc.DistC[r]
-		if d < 0 || int(d) > sc.horizon-3 {
+	for _, u := range sc.forest.Clique(c) {
+		if sc.reach[u] != sc.epoch || int(sc.dist[u]) > sc.horizon-3 {
 			return false
 		}
 	}
@@ -191,33 +213,30 @@ func (sc *decideScratch) walkDirection(start int32) (int, int32) {
 	}
 }
 
-// memberRows collects the deduplicated ball rows of the members of the
-// given cliques. Walked cliques are trusted, so every member is in the
-// ball; the r < 0 skip mirrors the old InducedSubgraph's silent drop of
-// absent nodes all the same.
-func (sc *decideScratch) memberRows(cliques []int32) []int32 {
-	sc.memRows = sc.memRows[:0]
+// memberNodes collects the deduplicated snapshot indices of the
+// members of the given cliques. Walked cliques are trusted, so the
+// center BFS reached every member.
+func (sc *decideScratch) memberNodes(cliques []int32) []int32 {
+	sc.members = sc.members[:0]
 	for _, ci := range cliques {
-		for _, uIdx := range sc.forest.Clique(ci) {
-			r := sc.ball.RowOf(uIdx)
-			if r < 0 || sc.memMark[r] == sc.epoch {
+		for _, u := range sc.forest.Clique(ci) {
+			if sc.memMark[u] == sc.epoch {
 				continue
 			}
-			sc.memMark[r] = sc.epoch
-			sc.memRows = append(sc.memRows, r)
+			sc.memMark[u] = sc.epoch
+			sc.members = append(sc.members, u)
 		}
 	}
-	return sc.memRows
+	return sc.members
 }
 
 // walkedDiameter computes the anchored diameter of the walked path: the
 // maximum distance from a member of the two extreme cliques to any
-// member of the walked cliques, unreachable members ignored. For pairs
-// below the 3k threshold, ball distances equal true distances (shortest
-// paths fit inside the 10k ball). Membership is rebuilt from the walked
-// slice alone — the walk's inWalked marks also hold consumed
-// frontier/branch cliques, which are not part of the path being
-// measured.
+// member of the walked cliques. For pairs below the 3k threshold,
+// distances in the view equal true distances (shortest paths fit inside
+// the 10k ball). Membership is rebuilt from the walked slice alone —
+// the walk's inWalked marks also hold consumed frontier/branch cliques,
+// which are not part of the path being measured.
 //
 // Each anchor's BFS stays inside the members M (memberBFS): the walked
 // cliques are trusted, so they form a path W of the true clique forest
@@ -225,10 +244,10 @@ func (sc *decideScratch) memberRows(cliques []int32) []int32 {
 // the forest minus W, hanging off W through one separator clique S that
 // holds every M-neighbor of x. A member-to-member path that leaves M
 // therefore leaves and re-enters through S and shortcuts to one edge,
-// so member distances in the ball equal those in the ball restricted
+// so member distances in the view equal those in the view restricted
 // to M.
 func (sc *decideScratch) walkedDiameter() int {
-	members := len(sc.memberRows(sc.walked))
+	members := len(sc.memberNodes(sc.walked))
 	for _, ci := range sc.walked {
 		sc.inDiam[ci] = sc.epoch
 	}
@@ -245,13 +264,12 @@ func (sc *decideScratch) walkedDiameter() int {
 		}
 		// Extreme clique: BFS from each member (deduplicated across
 		// cliques — the max over repeated anchors cannot change it).
-		for _, uIdx := range sc.forest.Clique(ci) {
-			r := sc.ball.RowOf(uIdx)
-			if r < 0 || sc.anchorMark[r] == sc.epoch {
+		for _, u := range sc.forest.Clique(ci) {
+			if sc.anchorMark[u] == sc.epoch {
 				continue
 			}
-			sc.anchorMark[r] = sc.epoch
-			if d := sc.memberBFS(r, members); d > best {
+			sc.anchorMark[u] = sc.epoch
+			if d := sc.memberBFS(u, members); d > best {
 				best = d
 			}
 		}
@@ -262,14 +280,18 @@ func (sc *decideScratch) walkedDiameter() int {
 // anchoredDiameterProbe, when non-nil, receives every anchored diameter
 // the kernel measures, with the scratch still holding the walk that
 // produced it. Tests install it to check walkedDiameter against a
-// whole-ball BFS; it must be safe for concurrent use.
+// whole-view BFS; it must be safe for concurrent use.
 var anchoredDiameterProbe func(sc *decideScratch, d int)
 
-// memberBFS runs a BFS from the member row src over the ball rows of
-// the current member set (memMark) and returns the largest distance it
-// reaches. It stops as soon as all member rows are reached; visited
-// marks carry a per-BFS stamp, so no per-BFS reset is needed.
+// memberBFS runs a BFS from the member src over the snapshot's edges
+// among the current member set (memMark) and returns the largest
+// distance it reaches. It stops as soon as all members are reached;
+// visited marks carry a per-BFS stamp, so no per-BFS reset is needed.
 func (sc *decideScratch) memberBFS(src int32, members int) int {
+	if sc.bfsStamp == math.MaxInt32 {
+		clear(sc.bfsMark)
+		sc.bfsStamp = 0
+	}
 	sc.bfsStamp++
 	stamp := sc.bfsStamp
 	q := sc.bfsQueue
@@ -280,7 +302,7 @@ func (sc *decideScratch) memberBFS(src int32, members int) int {
 	for h := 0; h < len(q) && len(q) < members; h++ {
 		v := q[h]
 		d := sc.bfsDist[v] + 1
-		for _, u := range sc.ball.Row(v) {
+		for _, u := range sc.ix.NeighborIndices(int(v)) {
 			if sc.memMark[u] != sc.epoch || sc.bfsMark[u] == stamp {
 				continue
 			}
@@ -290,17 +312,18 @@ func (sc *decideScratch) memberBFS(src int32, members int) int {
 		}
 	}
 	sc.bfsQueue = q
-	// BFS appends rows in nondecreasing distance order.
+	// BFS appends nodes in nondecreasing distance order.
 	return int(sc.bfsDist[q[len(q)-1]])
 }
 
-// decideCenter determines, purely from the center's G_i-restricted ball
-// view, whether it is peeled in the current iteration under the given
-// rule, and if so returns its parent's snapshot index (-1 = ⊥). ball
-// must contain the center at snapshot index vIdx.
-func decideCenter(sc *decideScratch, forest *cliquetree.CSRForest, ball *view.Ball, vIdx int32, rule decideRule, radius int) (bool, int32) {
-	sc.beginCenter(forest, ball, radius)
-	sc.CenterBFS(ball, ball.RowOf(vIdx))
+// decideCenter determines, purely from the center's view — G_i
+// restricted to know, the center's flooded knowledge — whether the
+// center at snapshot index vIdx is peeled in the current iteration
+// under the given rule, and if so returns its parent's snapshot index
+// (-1 = ⊥). undecided is G_i's node mask by snapshot index.
+func decideCenter(sc *decideScratch, ix *graph.Indexed, forest *cliquetree.CSRForest, know *dist.Knowledge, undecided []bool, vIdx int32, rule decideRule, radius int) (bool, int32) {
+	sc.beginCenter(ix, forest, know, undecided, radius)
+	sc.centerBFS(vIdx)
 	// φ(v), in ascending clique id. Every clique containing v sits
 	// within Γ[v], so for radius ≥ 4 each is trusted; require that all
 	// the same, and require every one binary.
@@ -339,8 +362,8 @@ func decideCenter(sc *decideScratch, forest *cliquetree.CSRForest, ball *view.Ba
 		// paths are measured exactly. The members induce a chordal
 		// subgraph (the prune rejects non-chordal input before its first
 		// flood), so MCS yields a PEO and Gavril's count is exact.
-		rowPtr, cols := ball.CSR()
-		sc.elim.MCS(rowPtr, cols, sc.memberRows(sc.walked))
+		_, rowPtr, cols := ix.CSR()
+		sc.elim.MCS(rowPtr, cols, sc.memberNodes(sc.walked))
 		peelMe = sc.elim.Alpha() >= rule.alphaThreshold
 	} else {
 		// Internal (or frontier-extended) path: peel iff anchored
@@ -356,9 +379,10 @@ func decideCenter(sc *decideScratch, forest *cliquetree.CSRForest, ball *view.Ba
 	}
 
 	// Parent (Definition 1): the closest attachment clique within k+3,
-	// distances read off the center BFS already in DistC. On an
-	// equal-distance tie the first end wins; the ends follow the forest's
-	// ascending clique ids (pathEnds, and Nbrs in walkDirection).
+	// distances read off the center BFS. An attachment clique passed the
+	// trust gate, so the BFS reached every member. On an equal-distance
+	// tie the first end wins; the ends follow the forest's ascending
+	// clique ids (pathEnds, and Nbrs in walkDirection).
 	parent := int32(-1)
 	bestDist := 1 << 30
 	for e := 0; e < 2; e++ {
@@ -367,12 +391,8 @@ func decideCenter(sc *decideScratch, forest *cliquetree.CSRForest, ball *view.Ba
 		}
 		members := forest.Clique(attach[e])
 		d := 1 << 30
-		for _, uIdx := range members {
-			if r := ball.RowOf(uIdx); r >= 0 {
-				if dd := int(sc.DistC[r]); dd >= 0 && dd < d {
-					d = dd
-				}
-			}
+		for _, u := range members {
+			d = min(d, int(sc.dist[u]))
 		}
 		if d <= rule.parentHorizon && d < bestDist {
 			bestDist = d
@@ -381,21 +401,6 @@ func decideCenter(sc *decideScratch, forest *cliquetree.CSRForest, ball *view.Ba
 		}
 	}
 	return true, parent
-}
-
-// decideOne decides a single center, choosing its view: the iteration-
-// shared G_i ball when the center's knowledge provably covers its
-// component, an index-space rebuild of its own ball otherwise.
-func decideOne(sc *decideScratch, forest *cliquetree.CSRForest, sharedBall *view.Ball, ix *graph.Indexed, know *dist.Knowledge, undecidedIdx []bool, vIdx int32, rule decideRule, radius int) (bool, int32) {
-	if know.CoversComponent() {
-		// The ball provably covers v's entire component, so the shared
-		// remaining-graph view IS the component's share of G_i (other
-		// components stay invisible: they are unreachable in the center
-		// BFS, hence untrusted).
-		return decideCenter(sc, forest, sharedBall, vIdx, rule, radius)
-	}
-	sc.Priv.BuildFromSource(know, ix.NumNodes(), radius, undecidedIdx)
-	return decideCenter(sc, forest, &sc.Priv, vIdx, rule, radius)
 }
 
 // decideResult is one shard's per-center output slot.
@@ -419,8 +424,8 @@ type decideResult struct {
 // sees the stage as one "decide" kernel span with per-shard busy/item
 // counts.
 //
-//chordalvet:hotpath budget=16 decide kernel: per-center work must stay on scratch reuse
-func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, forest *cliquetree.CSRForest, sharedBall *view.Ball, scratches []*decideScratch, centers []int32, undecidedIdx []bool, rule decideRule, radius, shards int, o dist.RoundObserver, results []decideResult) []decideResult {
+//chordalvet:hotpath budget=7 decide kernel: per-center work must stay on scratch reuse
+func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, forest *cliquetree.CSRForest, scratches []*decideScratch, centers []int32, undecidedIdx []bool, rule decideRule, radius, shards int, o dist.RoundObserver, results []decideResult) []decideResult {
 	n := len(centers)
 	if cap(results) < n {
 		results = make([]decideResult, n)
@@ -438,7 +443,7 @@ func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, forest *cliquetre
 		sc := scratches[shard]
 		for pos := lo; pos < hi; pos++ {
 			vIdx := centers[pos]
-			peel, parent := decideOne(sc, forest, sharedBall, ix, know[vIdx], undecidedIdx, vIdx, rule, radius)
+			peel, parent := decideCenter(sc, ix, forest, know[vIdx], undecidedIdx, vIdx, rule, radius)
 			results[pos] = decideResult{peel: peel, parent: parent}
 		}
 		if o != nil {

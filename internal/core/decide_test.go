@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -19,14 +20,13 @@ import (
 // TestDecideKernelDeterministicAcrossWorkers requires the parallel
 // decide kernel to produce bit-identical outcomes — layers, parents,
 // iteration and round counts, traffic counters — at GOMAXPROCS 1 (the
-// sequential loop), 2 and 4, on workloads covering both view paths:
-// balls that cover their component (shared G_i ball) and balls clipped
-// by the radius (per-center index-space rebuild).
+// sequential loop), 2 and 4, on workloads whose balls cover their
+// component and on workloads whose balls the radius clips.
 func TestDecideKernelDeterministicAcrossWorkers(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		// Small diameter: every ball covers its component.
 		"chordal150": gen.RandomChordal(150, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 9),
-		// Diameter far beyond the radius: per-center ball rebuilds.
+		// Diameter far beyond the radius: clipped balls.
 		"tree400": gen.Tree(400, 11),
 		"path200": gen.Path(200),
 	}
@@ -129,7 +129,8 @@ func TestDecideErrorAppliesNothing(t *testing.T) {
 // TestDecideKernelRaceStress drives the parallel kernel at GOMAXPROCS
 // shards on a workload with several iterations; under `make race` this
 // is the dedicated stress entry for the iteration's shared clique
-// forest, the shared G_i ball, and the per-shard result slots.
+// forest, the shared knowledge and undecided mask, and the per-shard
+// result slots.
 func TestDecideKernelRaceStress(t *testing.T) {
 	g := gen.RandomChordal(200, gen.ChordalOpts{MaxCliqueSize: 5, AttachFull: 0.3}, 21)
 	out, err := DistributedPrune(g, 2)
@@ -143,28 +144,145 @@ func TestDecideKernelRaceStress(t *testing.T) {
 	}
 }
 
+// TestCenterBFSMatchesGraphBFS checks the center BFS against
+// graph.BFSDistances on the center's view, G_i restricted to its
+// knowledge, built as a map-backed induced subgraph: every node the
+// reference reaches carries its distance, and no other node is stamped.
+// The balls are clipped, a third of the nodes are decided, and a second
+// component stays unreachable.
+func TestCenterBFSMatchesGraphBFS(t *testing.T) {
+	g := gen.RandomChordal(90, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 13)
+	g.AddEdge(1000, 1001)
+	ix := graph.NewIndexed(g)
+	know, _, err := dist.Flood(ix, 3, dist.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := ix.IDs()
+	undecided := make([]bool, len(ids))
+	for i, v := range ids {
+		undecided[i] = v%3 != 1 || v >= 1000
+	}
+	var sc decideScratch // one scratch across centers, as in the kernel
+	var forest cliquetree.CSRForest
+	for c, v := range ids {
+		if !undecided[c] {
+			continue
+		}
+		sc.beginCenter(ix, &forest, know[c], undecided, 3)
+		sc.centerBFS(int32(c))
+		var view []graph.ID
+		for i, u := range ids {
+			if undecided[i] && know[c].KnownIdx(int32(i)) {
+				view = append(view, u)
+			}
+		}
+		want := g.InducedSubgraph(view).BFSDistances(v)
+		for i, u := range ids {
+			d, ok := want[u]
+			reached := sc.reach[i] == sc.epoch
+			if reached != ok || ok && int(sc.dist[i]) != d {
+				t.Fatalf("center %d node %d: reached %v at %d, want %v at %d", v, u, reached, sc.dist[i], ok, d)
+			}
+		}
+	}
+}
+
+// TestDecideScratchEpochCrossesInt32Boundary decides every center of a
+// prune's first iteration on a scratch whose epoch and BFS stamp sit at
+// the int32 ceiling and whose every mark holds 1, the value both wrap
+// back to (and every center distance 1). The decision must match the one before the marks went stale,
+// and every anchored diameter the whole-view BFS; a member BFS whose
+// stamp wraps onto stale marks must measure what it measured before.
+// None of that holds if a mark survives the wrap.
+func TestDecideScratchEpochCrossesInt32Boundary(t *testing.T) {
+	g, _ := gen.RelabelRandom(gen.HubTree(3, 12), 4)
+	ix := graph.NewIndexed(g)
+	const radius = 20
+	know, _, err := dist.Flood(ix, radius, dist.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := ix.NumNodes()
+	undecided := make([]bool, n)
+	for i := range undecided {
+		undecided[i] = true
+	}
+	var forest cliquetree.CSRForest
+	if err := cliquetree.NewBuilder(ix).Build(undecided, n, &forest); err != nil {
+		t.Fatal(err)
+	}
+	rule := decideRule{diamThreshold: 6, parentHorizon: 5}
+	decide := func(sc *decideScratch, c int) decideResult {
+		peel, parent := decideCenter(sc, ix, &forest, know[c], undecided, int32(c), rule, radius)
+		return decideResult{peel: peel, parent: parent}
+	}
+	stale := func(marks ...[]int32) {
+		for _, m := range marks {
+			for i := range m {
+				m[i] = 1
+			}
+		}
+	}
+	measured, mismatched := 0, 0
+	anchoredDiameterProbe = func(sc *decideScratch, d int) {
+		measured++
+		if d != wholeBallAnchoredDiameter(sc) {
+			mismatched++
+		}
+	}
+	defer func() { anchoredDiameterProbe = nil }()
+	peeled, bfsChecked := 0, 0
+	for c := range n {
+		var sc decideScratch
+		want := decide(&sc, c)
+		if want.peel {
+			peeled++
+		}
+		// A decision that measured a diameter leaves its walk's members
+		// marked: rerun one member BFS across the stamp's wrap.
+		if len(sc.members) > 0 {
+			src, k := sc.members[0], len(sc.members)
+			before := sc.memberBFS(src, k)
+			stale(sc.bfsMark)
+			sc.bfsStamp = math.MaxInt32
+			if after := sc.memberBFS(src, k); after != before {
+				t.Fatalf("center %d: member BFS from %d measures %d across the stamp wrap, %d before", ix.IDOf(c), ix.IDOf(int(src)), after, before)
+			}
+			bfsChecked++
+		}
+		stale(sc.inWalked, sc.inDiam, sc.reach, sc.dist, sc.memMark, sc.anchorMark, sc.bfsMark)
+		sc.epoch, sc.bfsStamp = math.MaxInt32, math.MaxInt32
+		if got := decide(&sc, c); got != want {
+			t.Fatalf("center %d: %+v across the epoch wrap, %+v before", ix.IDOf(c), got, want)
+		}
+		if sc.epoch != 1 {
+			t.Fatalf("center %d: epoch %d after the wrap, want 1", ix.IDOf(c), sc.epoch)
+		}
+	}
+	if mismatched > 0 {
+		t.Fatalf("%d of %d anchored diameters differ from the whole-view BFS", mismatched, measured)
+	}
+	if peeled == 0 || peeled == n || bfsChecked == 0 {
+		t.Fatalf("%d of %d centers peeled, %d member BFSs checked: want both decisions and a BFS", peeled, n, bfsChecked)
+	}
+}
+
 // wholeBallAnchoredDiameter is the reference walkedDiameter replaces:
-// a BFS over the whole ball from every member of the walk's extreme
+// a BFS over the center's whole view — the snapshot's rows filtered to
+// undecided, known nodes — from every member of the walk's extreme
 // cliques, maximized over the walked members it reaches. It reads only
-// the walk (sc.walked, the forest rows, the ball), never the kernel's
-// epoch marks.
+// the walk (sc.walked, the forest rows) and the view's definition
+// (sc.undecided, sc.know), never the kernel's epoch marks.
 func wholeBallAnchoredDiameter(sc *decideScratch) int {
+	inView := func(u int32) bool { return sc.undecided[u] && sc.know.KnownIdx(u) }
 	inWalk := make(map[int32]bool, len(sc.walked))
 	for _, ci := range sc.walked {
 		inWalk[ci] = true
 	}
-	rowsOf := func(ci int32) []int32 {
-		var rows []int32
-		for _, uIdx := range sc.forest.Clique(ci) {
-			if r := sc.ball.RowOf(uIdx); r >= 0 {
-				rows = append(rows, r)
-			}
-		}
-		return rows
-	}
 	var members []int32
 	for _, ci := range sc.walked {
-		members = append(members, rowsOf(ci)...)
+		members = append(members, sc.forest.Clique(ci)...)
 	}
 	best := 0
 	for _, ci := range sc.walked {
@@ -177,24 +295,23 @@ func wholeBallAnchoredDiameter(sc *decideScratch) int {
 		if inside > 1 {
 			continue
 		}
-		for _, src := range rowsOf(ci) {
-			dist := make([]int, sc.ball.NumRows())
-			for i := range dist {
-				dist[i] = -1
+		for _, src := range sc.forest.Clique(ci) {
+			if !inView(src) {
+				continue
 			}
-			dist[src] = 0
+			depth := map[int32]int{src: 0}
 			queue := []int32{src}
 			for h := 0; h < len(queue); h++ {
-				for _, u := range sc.ball.Row(queue[h]) {
-					if dist[u] < 0 {
-						dist[u] = dist[queue[h]] + 1
+				for _, u := range sc.ix.NeighborIndices(int(queue[h])) {
+					if _, seen := depth[u]; !seen && inView(u) {
+						depth[u] = depth[queue[h]] + 1
 						queue = append(queue, u)
 					}
 				}
 			}
-			for _, r := range members {
-				if dist[r] > best {
-					best = dist[r]
+			for _, u := range members {
+				if d, ok := depth[u]; ok && d > best {
+					best = d
 				}
 			}
 		}
@@ -203,10 +320,10 @@ func wholeBallAnchoredDiameter(sc *decideScratch) int {
 }
 
 // TestAnchoredDiameterMatchesWholeBall pins the member-restricted
-// anchored diameter to the whole-ball BFS it replaced, on every decide
+// anchored diameter to the whole-view BFS it replaced, on every decide
 // the pruning phase makes over each generator family, fault-free and
 // under a lossy, duplicating, delaying schedule (whose truncated balls
-// stress the clipped-view path; the prune may fail afterwards, but every
+// stress the clipped views; the prune may fail afterwards, but every
 // diameter it measured must still match).
 func TestAnchoredDiameterMatchesWholeBall(t *testing.T) {
 	families := decideFamilies()
@@ -223,7 +340,7 @@ func TestAnchoredDiameterMatchesWholeBall(t *testing.T) {
 		checked++
 		if d != want && mismatched < 5 {
 			mismatched++
-			t.Errorf("anchored diameter %d, whole-ball BFS says %d", d, want)
+			t.Errorf("anchored diameter %d, whole-view BFS says %d", d, want)
 		}
 	}
 	defer func() { anchoredDiameterProbe = nil }()

@@ -2,12 +2,78 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/chordal"
+	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/peel"
 	"repro/internal/verify"
 )
+
+// exhaustivePruneSpecs are the prune specs of the n ≤ 5 tier. Radius 4
+// clips balls on these graphs, so the trust gate and the frontier walk
+// both bind; MaxIterations 2 truncates the run, and the last two specs
+// switch its last iteration to the α rule.
+var exhaustivePruneSpecs = []PruneSpec{
+	{DiamThreshold: 1, Radius: 4},
+	{DiamThreshold: 2, Radius: 6},
+	{DiamThreshold: 3, Radius: 9},
+	{DiamThreshold: 1, Radius: 4, MaxIterations: 2},
+	{DiamThreshold: 5, Radius: 18, MaxIterations: 2, FinalAlpha: 1},
+	{DiamThreshold: 2, Radius: 20, MaxIterations: 2, FinalAlpha: 2},
+}
+
+// TestPruneExhaustive runs the distributed prune under every spec of
+// exhaustivePruneSpecs on every labeled chordal graph with at most five
+// nodes. Its layers must be the peel's under the same options (Lemma
+// 12), and every anchored diameter the decide kernel measures must
+// match the whole-view BFS.
+func TestPruneExhaustive(t *testing.T) {
+	var mu sync.Mutex
+	checked, mismatched := 0, 0
+	anchoredDiameterProbe = func(sc *decideScratch, d int) {
+		want := wholeBallAnchoredDiameter(sc)
+		mu.Lock()
+		defer mu.Unlock()
+		checked++
+		if d != want && mismatched < 5 {
+			mismatched++
+			t.Errorf("anchored diameter %d, whole-view BFS says %d", d, want)
+		}
+	}
+	defer func() { anchoredDiameterProbe = nil }()
+	for n := 1; n <= 5; n++ {
+		chordal.AllLabeled(n, func(g *graph.Graph) {
+			for _, spec := range exhaustivePruneSpecs {
+				where := fmt.Sprintf("n=%d edges %v spec %+v", n, g.Edges(), spec)
+				out, err := DistributedPruneSpec(g, spec)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				peeled, err := peel.Run(g, peel.Options{
+					InternalDiameter: spec.DiamThreshold,
+					MaxIterations:    spec.MaxIterations,
+					FinalAlpha:       spec.FinalAlpha,
+					NoForests:        true,
+					Snapshot:         out.Snapshot,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if err := out.checkLemma12(peeled); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+			}
+		})
+	}
+	if checked == 0 {
+		t.Fatal("no anchored diameter was measured")
+	}
+	t.Logf("%d anchored diameters checked", checked)
+}
 
 // TestPipelinesExhaustive runs every post-peel kernel against its
 // map-backed oracle, and both distributed pipelines end to end, on every
@@ -15,11 +81,24 @@ import (
 // and degenerate shape at that size. ColorChordalDistributed checks
 // Lemma 12 against the peel inside; its coloring must be legal, within
 // the palette, and report ω = χ. MISChordalDistributed's set must be
-// independent with |I|·(1+ε) ≥ α.
+// independent with |I|·(1+ε) ≥ α. Both pipelines must give the same
+// result on two in-process shards and under dup/delay as fault-free.
 func TestPipelinesExhaustive(t *testing.T) {
+	dupDelay, err := dist.ParseFaults("dup=0.3,delay=2", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for n := 1; n <= 5; n++ {
 		chordal.AllLabeled(n, func(g *graph.Graph) {
 			where := fmt.Sprintf("n=%d edges %v", n, g.Edges())
+			variants := []struct {
+				name string
+				f    *dist.Faults
+				part *dist.Partition
+			}{
+				{"2 shards", nil, dist.NewLocalPartition(graph.NewIndexed(g), 2)},
+				{"dup=0.3,delay=2", dupDelay, nil},
+			}
 			for _, eps := range []float64{0.5, 2} {
 				checkCorrection(t, g, eps, 0)
 				checkCorrection(t, g, eps, 3)
@@ -44,6 +123,15 @@ func TestPipelinesExhaustive(t *testing.T) {
 				if used > col.Palette || col.Omega != chi {
 					t.Fatalf("%s eps=%v: %d colors, palette %d, ω %d, χ %d", where, eps, used, col.Palette, col.Omega, chi)
 				}
+				for _, v := range variants {
+					got, err := ColorChordalDistributedFaultyPart(g, eps, nil, nil, v.f, v.part)
+					if err != nil {
+						t.Fatalf("%s eps=%v %s: %v", where, eps, v.name, err)
+					}
+					if !reflect.DeepEqual(got, col) {
+						t.Fatalf("%s eps=%v %s: coloring %+v, fault-free %+v", where, eps, v.name, got, col)
+					}
+				}
 			}
 			alpha, err := verify.BruteForceAlpha(g)
 			if err != nil {
@@ -59,6 +147,15 @@ func TestPipelinesExhaustive(t *testing.T) {
 				}
 				if float64(len(mis.Set))*(1+eps) < float64(alpha) {
 					t.Fatalf("%s eps=%v: |I| = %d, α = %d", where, eps, len(mis.Set), alpha)
+				}
+				for _, v := range variants {
+					got, err := MISChordalDistributedFaultyPart(g, eps, nil, nil, v.f, v.part)
+					if err != nil {
+						t.Fatalf("%s eps=%v %s: %v", where, eps, v.name, err)
+					}
+					if !reflect.DeepEqual(got, mis) {
+						t.Fatalf("%s eps=%v %s: MIS %+v, fault-free %+v", where, eps, v.name, got, mis)
+					}
 				}
 			}
 		})

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/peel"
-	"repro/internal/view"
 )
 
 // PruneOutcome is the result of the distributed pruning phase
@@ -103,13 +102,12 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 		out.Parent[i] = -1
 	}
 	// Decide-kernel state reused across iterations: the undecided mask,
-	// G_i's clique forest and its builder, the iteration-shared G_i ball,
-	// and one scratch per kernel shard (see decide.go).
+	// G_i's clique forest and its builder, and one scratch per kernel
+	// shard (see decide.go).
 	undecidedIdx := make([]bool, n)
 	centers := make([]int32, 0, n)
 	builder := cliquetree.NewBuilder(ix)
 	var forest cliquetree.CSRForest
-	var sharedBall view.Ball
 	var scratches []*decideScratch
 	var results []decideResult
 	for iteration, decided := 1, 0; decided < n; iteration++ {
@@ -150,14 +148,12 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 		// node still decides from its own ball alone: the kernel reads a
 		// clique's row only when the trust gate finds all of its members
 		// well inside the ball, where Lemma 2 makes the row a function of
-		// the ball (see decide.go). The forest and the shared G_i ball are
-		// built up front, so the decide workers only ever read them. G_i
-		// is an induced subgraph of the chordal input, so the build
-		// cannot fail.
+		// the ball (see decide.go). The forest is built up front, so the
+		// decide workers only ever read it. G_i is an induced subgraph of
+		// the chordal input, so the build cannot fail.
 		if err := builder.Build(undecidedIdx, len(centers), &forest); err != nil {
 			return nil, err
 		}
-		sharedBall.BuildFromIndexed(ix, undecidedIdx)
 		shards := dist.KernelShards(len(centers))
 		for len(scratches) < shards {
 			scratches = append(scratches, &decideScratch{})
@@ -165,7 +161,7 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 		if ps, ok := spec.Observer.(dist.PhaseSetter); ok {
 			ps.SetPhase(fmt.Sprintf("decide-i%02d", iteration))
 		}
-		results = runDecideStage(ix, know, &forest, &sharedBall, scratches,
+		results = runDecideStage(ix, know, &forest, scratches,
 			centers, undecidedIdx, rule, spec.Radius, shards, spec.Observer, results)
 		peeled := 0
 		for pos, ci := range centers {

@@ -224,47 +224,3 @@ func TestConcurrentPanicsReportLowestIndex(t *testing.T) {
 		t.Fatalf("partitioned: err = %v, want %q", err, want)
 	}
 }
-
-// TestCoversComponentBoundary is the regression table for the radius-0
-// boundary bug: a radius-0 flood on an isolated node covers its
-// component (maxDist == Radius == 0), and a ball that fills its
-// component on exactly the last hop does too.
-func TestCoversComponentBoundary(t *testing.T) {
-	isolated := graph.New()
-	isolated.AddNode(1)
-	edge := graph.New()
-	edge.AddEdge(1, 2)
-	path3 := graph.New()
-	path3.AddEdge(1, 2)
-	path3.AddEdge(2, 3)
-
-	cases := []struct {
-		name   string
-		g      *graph.Graph
-		radius int
-		want   map[graph.ID]bool
-	}{
-		{"isolated-r0", isolated, 0, map[graph.ID]bool{1: true}},
-		{"isolated-r1", isolated, 1, map[graph.ID]bool{1: true}},
-		{"edge-r0", edge, 0, map[graph.ID]bool{1: false, 2: false}},
-		{"edge-r1", edge, 1, map[graph.ID]bool{1: true, 2: true}},
-		{"edge-r2", edge, 2, map[graph.ID]bool{1: true, 2: true}},
-		// Radius 1 on a 3-path: the middle node sees the whole component
-		// on its last hop (covered); the endpoints' balls are clipped.
-		{"path3-r1", path3, 1, map[graph.ID]bool{1: false, 2: true, 3: false}},
-		{"path3-r2", path3, 2, map[graph.ID]bool{1: true, 2: true, 3: true}},
-	}
-	for _, tc := range cases {
-		ix := graph.NewIndexed(tc.g)
-		know, _, err := Flood(ix, tc.radius, RunOpts{})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		for v, want := range tc.want {
-			i, _ := ix.IndexOf(v)
-			if got := know[i].CoversComponent(); got != want {
-				t.Errorf("%s: node %d CoversComponent() = %v, want %v", tc.name, v, got, want)
-			}
-		}
-	}
-}

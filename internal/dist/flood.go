@@ -12,170 +12,44 @@ import (
 // snapshot indices stored in discovery order (distances nondecreasing,
 // center first) — in memory exactly as on the partitioned runtime's
 // wire — so a ball holds no pointers and the GC never scans one.
-// Identity and adjacency resolve through the snapshot; by-ID lookups go
-// through a position map that is built lazily, so flood-only workloads
-// never pay for it.
+// Identity and adjacency resolve through the snapshot; every accessor
+// works in snapshot-index space.
 // Knowledge is not safe for concurrent use.
 type Knowledge struct {
 	Center graph.ID
 	Radius int
 	recs   []int32 // snapshot indices, discovery order
 	dist   []int32 // aligned with recs
-	pos    map[graph.ID]int32
 	// Exactly one of seen and known is the membership set by snapshot
 	// index: seen is the plain flood's dense dedup bitmap, handed over to
 	// the knowledge it built at n ≤ seenBitmapMaxN; known is the sparse
 	// set it dedups with above that bound, and the one retransmitted
-	// knowledge carries at every n. KnownIdx and CoversComponent resolve
-	// through it, so index-space consumers never build the lazy position
-	// map.
+	// knowledge carries at every n. KnownIdx resolves through it.
 	seen  []uint64
 	known IdxSet
 	// snap is the snapshot the flood ran on: records resolve their
 	// identity and adjacency through it.
 	snap *graph.Indexed
-	// maxDist is the largest distance at which the flood still learned a
-	// new node.
-	maxDist int
-}
-
-// ensurePos returns the ID→record-index map, building it on first use.
-// All protocols dedup in index space (bitmap or IdxSet), so only the
-// ID-keyed accessors ever pay for this map.
-func (k *Knowledge) ensurePos() map[graph.ID]int32 {
-	if k.pos == nil {
-		k.pos = make(map[graph.ID]int32, len(k.recs))
-		for i, idx := range k.recs {
-			k.pos[k.snap.IDOf(int(idx))] = int32(i)
-		}
-	}
-	return k.pos
 }
 
 // Size returns the number of known nodes (the center counts).
 func (k *Knowledge) Size() int { return len(k.recs) }
 
-// RecordCount returns the number of records, implementing the decide
-// kernel's view.Source.
-func (k *Knowledge) RecordCount() int { return len(k.recs) }
-
-// RecordAt returns record i's snapshot index, its hop distance from the
-// center, and its adjacency row in snapshot-index space (a shared view —
-// read-only), implementing view.Source. Records are in nondecreasing-
-// distance discovery order with the center first.
-func (k *Knowledge) RecordAt(i int) (idx int32, dist int32, adj []int32) {
-	idx = k.recs[i]
-	return idx, k.dist[i], k.snap.NeighborIndices(int(idx))
+// RecordAt returns record i's snapshot index and its hop distance from
+// the center. Records are in nondecreasing-distance discovery order
+// with the center first.
+func (k *Knowledge) RecordAt(i int) (idx int32, dist int32) {
+	return k.recs[i], k.dist[i]
 }
 
 // KnownIdx reports whether the node at snapshot index i is within the
 // collected ball: a single bit test in the dense-bitmap regime, a single
-// probe in the sparse-set one, with no map build either way.
+// probe in the sparse-set one.
 func (k *Knowledge) KnownIdx(i int32) bool {
 	if k.seen != nil {
 		return k.seen[i>>6]&(1<<(uint(i)&63)) != 0
 	}
 	return k.known.Has(i)
-}
-
-// Known reports whether v is within the collected ball.
-func (k *Knowledge) Known(v graph.ID) bool {
-	_, ok := k.ensurePos()[v]
-	return ok
-}
-
-// DistOf returns the distance from the center to v, and whether v is
-// known.
-func (k *Knowledge) DistOf(v graph.ID) (int, bool) {
-	i, ok := k.ensurePos()[v]
-	if !ok {
-		return 0, false
-	}
-	return int(k.dist[i]), true
-}
-
-// CoversComponent reports whether the knowledge provably covers the
-// center's entire connected component: the known set is closed under
-// adjacency (every known node's full adjacency list is known), which
-// for a set containing the center means it IS the component. The
-// closure criterion handles the boundary cases a quiescence test
-// ("maxDist < Radius") gets wrong — a radius-0 flood on an isolated
-// node has maxDist == Radius == 0 yet covers its component, and a ball
-// that fills its component on exactly the last hop does too — and,
-// unlike quiescence, it stays sound when the flood ran under message
-// loss: a drop-truncated ball also quiesces early, but any strict
-// subset of a connected component has a member whose adjacency names
-// an absent node, so the closure scan reports it uncovered instead of
-// letting corrupted knowledge masquerade as complete. Records are
-// scanned frontier-first (reverse discovery order): a clipped ball's
-// unknown neighbors hang off the last hop, so the common negative
-// answer stays near-O(1). False means only that the ball was clipped,
-// never that coverage is uncertain.
-//
-// The scan runs in snapshot-index space against the flood's own
-// membership set, so the per-center position map is never built: the
-// pruning phase calls this once per undecided center per iteration, and
-// the index-space path keeps that allocation-free at every n.
-func (k *Knowledge) CoversComponent() bool {
-	if k.seen != nil {
-		for i := len(k.recs) - 1; i >= 0; i-- {
-			for _, u := range k.snap.NeighborIndices(int(k.recs[i])) {
-				if k.seen[u>>6]&(1<<(uint(u)&63)) == 0 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for i := len(k.recs) - 1; i >= 0; i-- {
-		for _, u := range k.snap.NeighborIndices(int(k.recs[i])) {
-			if !k.known.Has(u) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// BallGraph returns the subgraph induced by the known nodes at distance at
-// most r from the center. Because each known node's full adjacency list
-// resolves through the snapshot, the induced subgraph is exact for
-// r <= Radius.
-func (k *Knowledge) BallGraph(r int) *graph.Graph {
-	return k.FilteredBallGraph(r, func(graph.ID) bool { return true })
-}
-
-// FilteredBallGraph returns the subgraph induced by the known nodes at
-// distance at most r that satisfy keep — equivalent to
-// BallGraph(r).InducedSubgraph of the kept nodes, built in one pass.
-// Records are stored in nondecreasing distance order, so both passes stop
-// at the first record beyond r.
-func (k *Knowledge) FilteredBallGraph(r int, keep func(graph.ID) bool) *graph.Graph {
-	g := graph.New()
-	pos := k.ensurePos()
-	for i, idx := range k.recs {
-		if int(k.dist[i]) > r {
-			break
-		}
-		if v := k.snap.IDOf(int(idx)); keep(v) {
-			g.AddNode(v)
-		}
-	}
-	for i, idx := range k.recs {
-		if int(k.dist[i]) > r {
-			break
-		}
-		v := k.snap.IDOf(int(idx))
-		if !keep(v) {
-			continue
-		}
-		for _, u := range k.snap.NeighborIDs(int(idx)) {
-			if j, ok := pos[u]; ok && int(k.dist[j]) <= r && keep(u) {
-				g.AddEdge(v, u)
-			}
-		}
-	}
-	return g
 }
 
 // infoBatch is the flood message payload: the snapshot indices of the
@@ -229,12 +103,11 @@ func newFloodProtocol(v graph.ID, idx int, ix *graph.Indexed, radius, sizeHint i
 		p.seen = make([]uint64, (n+63)/64)
 		p.seen[idx>>6] |= 1 << (uint(idx) & 63)
 		// The knowledge shares the bitmap: after the run it serves as
-		// the index-space membership test (CoversComponent, KnownIdx).
+		// the index-space membership test (KnownIdx).
 		k.seen = p.seen
 	} else {
 		// Big-n regime: dedup with the knowledge's own sparse index set,
-		// which doubles as its membership test after the run. The lazy
-		// position map is built only if an ID-keyed accessor asks.
+		// which doubles as its membership test after the run.
 		k.known.Reserve(sizeHint)
 		k.known.Add(int32(idx))
 	}
@@ -273,13 +146,10 @@ func (p *floodProtocol) Round(ctx *Context, inbox []Message) {
 			k.dist = append(k.dist, int32(p.round))
 		}
 	}
-	if len(k.recs) > start {
-		k.maxDist = p.round
-		if p.round < p.radius {
-			cur := p.round % 2
-			p.batch[cur] = infoBatch(k.recs[start:len(k.recs):len(k.recs)])
-			ctx.Broadcast(&p.batch[cur])
-		}
+	if len(k.recs) > start && p.round < p.radius {
+		cur := p.round % 2
+		p.batch[cur] = infoBatch(k.recs[start:len(k.recs):len(k.recs)])
+		ctx.Broadcast(&p.batch[cur])
 	}
 }
 

@@ -43,15 +43,14 @@ func newPartRecorder() *partRecorder {
 	return r
 }
 
-// sameKnowledge requires a and b to agree on every observable field:
-// identity, record sequence (order matters — downstream ball decoding
-// walks records in discovery order), distances, and index-space
-// membership.
+// samePartKnowledge requires a and b to agree on every observable
+// field: identity, record sequence (order matters — readers walk
+// records in discovery order), distances, and index-space membership.
 func samePartKnowledge(t *testing.T, at string, a, b *Knowledge) {
 	t.Helper()
-	if a.Center != b.Center || a.Radius != b.Radius || a.maxDist != b.maxDist {
-		t.Fatalf("%s: knowledge header (%d, %d, %d) != (%d, %d, %d)",
-			at, a.Center, a.Radius, a.maxDist, b.Center, b.Radius, b.maxDist)
+	if a.Center != b.Center || a.Radius != b.Radius {
+		t.Fatalf("%s: knowledge header (%d, %d) != (%d, %d)",
+			at, a.Center, a.Radius, b.Center, b.Radius)
 	}
 	if len(a.recs) != len(b.recs) {
 		t.Fatalf("%s: %d records != %d records", at, len(a.recs), len(b.recs))
@@ -67,9 +66,6 @@ func samePartKnowledge(t *testing.T, at string, a, b *Knowledge) {
 		if a.KnownIdx(i) != b.KnownIdx(i) {
 			t.Fatalf("%s: KnownIdx(%d) %v != %v", at, i, a.KnownIdx(i), b.KnownIdx(i))
 		}
-	}
-	if a.CoversComponent() != b.CoversComponent() {
-		t.Fatalf("%s: CoversComponent %v != %v", at, a.CoversComponent(), b.CoversComponent())
 	}
 }
 

@@ -62,12 +62,11 @@ func readIdx(ix *graph.Indexed, b []byte) (int32, []byte, error) {
 	return idx, rest, err
 }
 
-// encodeKnowledge flattens a flood result to (maxDist, [idx, dist]...):
+// encodeKnowledge flattens a flood result to (count, [idx, dist]...):
 // everything else in a Knowledge is derivable from the snapshot and the
 // record regime.
 func encodeKnowledge(k *Knowledge) []byte {
-	out := make([]byte, 0, 8+8*len(k.recs))
-	out = appendI32(out, int32(k.maxDist))
+	out := make([]byte, 0, 4+8*len(k.recs))
 	out = appendI32(out, int32(len(k.recs)))
 	for i, idx := range k.recs {
 		out = appendI32(out, idx)
@@ -83,13 +82,9 @@ func encodeKnowledge(k *Knowledge) []byte {
 // downstream index-space consumers take the same code paths as on a
 // LOCAL run. It accepts only what a flood can produce — the center
 // first at distance 0, distinct in-range indices, distances
-// nondecreasing and at most radius, maxDist the last record's distance
-// — because the ball decoders downstream rely on that discovery order.
+// nondecreasing and at most radius — because the knowledge's readers
+// rely on that discovery order.
 func decodeKnowledge(ix *graph.Indexed, center, radius int, bitmapRegime bool, data []byte) (*Knowledge, error) {
-	maxDist, data, err := readI32(data)
-	if err != nil {
-		return nil, err
-	}
 	count, data, err := readI32(data)
 	if err != nil {
 		return nil, err
@@ -99,12 +94,11 @@ func decodeKnowledge(ix *graph.Indexed, center, radius int, bitmapRegime bool, d
 	}
 	n := ix.NumNodes()
 	k := &Knowledge{
-		Center:  ix.IDOf(center),
-		Radius:  radius,
-		recs:    make([]int32, 0, count),
-		dist:    make([]int32, 0, count),
-		snap:    ix,
-		maxDist: int(maxDist),
+		Center: ix.IDOf(center),
+		Radius: radius,
+		recs:   make([]int32, 0, count),
+		dist:   make([]int32, 0, count),
+		snap:   ix,
 	}
 	if bitmapRegime && n <= seenBitmapMaxN {
 		k.seen = make([]uint64, (n+63)/64)
@@ -140,9 +134,6 @@ func decodeKnowledge(ix *graph.Indexed, center, radius int, bitmapRegime bool, d
 		k.recs = append(k.recs, idx)
 		k.dist = append(k.dist, dist)
 		last = dist
-	}
-	if maxDist != last {
-		return nil, fmt.Errorf("dist: knowledge header maxDist %d, last record at distance %d", maxDist, last)
 	}
 	return k, nil
 }

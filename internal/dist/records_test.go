@@ -45,9 +45,9 @@ func TestFloodBytesPerRecord(t *testing.T) {
 }
 
 // knowledgeBytes encodes a knowledge record by record:
-// (maxDist, count, [idx, dist]...).
-func knowledgeBytes(maxDist int32, recs ...[2]int32) []byte {
-	b := appendI32(appendI32(nil, maxDist), int32(len(recs)))
+// (count, [idx, dist]...).
+func knowledgeBytes(recs ...[2]int32) []byte {
+	b := appendI32(nil, int32(len(recs)))
 	for _, r := range recs {
 		b = appendI32(appendI32(b, r[0]), r[1])
 	}
@@ -56,9 +56,8 @@ func knowledgeBytes(maxDist int32, recs ...[2]int32) []byte {
 
 // TestDecodeKnowledgeRejectsMalformed: a shard output that breaks the
 // discovery-order invariant — center first at distance 0, distinct
-// in-range indices, nondecreasing distances within the radius, maxDist
-// the last distance — is an error, not a knowledge that misleads the
-// ball decoders downstream.
+// in-range indices, nondecreasing distances within the radius — is an
+// error, not a knowledge that misleads its readers downstream.
 func TestDecodeKnowledgeRejectsMalformed(t *testing.T) {
 	ix := graph.NewIndexed(gen.Path(6))
 	const center, radius = 0, 2
@@ -67,18 +66,16 @@ func TestDecodeKnowledgeRejectsMalformed(t *testing.T) {
 		data       []byte
 	}{
 		{"center displaced, index repeated, distance decreasing", "starts with record 3",
-			knowledgeBytes(0, [2]int32{3, 0}, [2]int32{3, 1}, [2]int32{2, 0})},
-		{"no records", "0 records", knowledgeBytes(0)},
-		{"center at distance 1", "starts with record 0 at distance 1", knowledgeBytes(1, [2]int32{0, 1})},
-		{"index repeated", "repeats index 1", knowledgeBytes(1, [2]int32{0, 0}, [2]int32{1, 1}, [2]int32{1, 1})},
-		{"center repeated", "repeats index 0", knowledgeBytes(1, [2]int32{0, 0}, [2]int32{0, 1})},
-		{"distance decreasing", "distance 1 after 2", knowledgeBytes(2, [2]int32{0, 0}, [2]int32{2, 2}, [2]int32{1, 1})},
-		{"distance beyond radius", "distance 3", knowledgeBytes(3, [2]int32{0, 0}, [2]int32{1, 1}, [2]int32{3, 3})},
-		{"index out of range", "out of range", knowledgeBytes(1, [2]int32{0, 0}, [2]int32{6, 1})},
-		{"negative index", "out of range", knowledgeBytes(1, [2]int32{0, 0}, [2]int32{-1, 1})},
-		{"maxDist above the last distance", "maxDist 2", knowledgeBytes(2, [2]int32{0, 0}, [2]int32{1, 1})},
-		{"maxDist below the last distance", "maxDist 0", knowledgeBytes(0, [2]int32{0, 0}, [2]int32{1, 1})},
-		{"truncated", "bytes for 2 records", knowledgeBytes(1, [2]int32{0, 0}, [2]int32{1, 1})[:20]},
+			knowledgeBytes([2]int32{3, 0}, [2]int32{3, 1}, [2]int32{2, 0})},
+		{"no records", "0 records", knowledgeBytes()},
+		{"center at distance 1", "starts with record 0 at distance 1", knowledgeBytes([2]int32{0, 1})},
+		{"index repeated", "repeats index 1", knowledgeBytes([2]int32{0, 0}, [2]int32{1, 1}, [2]int32{1, 1})},
+		{"center repeated", "repeats index 0", knowledgeBytes([2]int32{0, 0}, [2]int32{0, 1})},
+		{"distance decreasing", "distance 1 after 2", knowledgeBytes([2]int32{0, 0}, [2]int32{2, 2}, [2]int32{1, 1})},
+		{"distance beyond radius", "distance 3", knowledgeBytes([2]int32{0, 0}, [2]int32{1, 1}, [2]int32{3, 3})},
+		{"index out of range", "out of range", knowledgeBytes([2]int32{0, 0}, [2]int32{6, 1})},
+		{"negative index", "out of range", knowledgeBytes([2]int32{0, 0}, [2]int32{-1, 1})},
+		{"truncated", "bytes for 2 records", knowledgeBytes([2]int32{0, 0}, [2]int32{1, 1})[:16]},
 	} {
 		for _, bitmap := range []bool{true, false} {
 			k, err := decodeKnowledge(ix, center, radius, bitmap, c.data)
@@ -90,7 +87,7 @@ func TestDecodeKnowledgeRejectsMalformed(t *testing.T) {
 			}
 		}
 	}
-	ok := knowledgeBytes(2, [2]int32{0, 0}, [2]int32{1, 1}, [2]int32{2, 2})
+	ok := knowledgeBytes([2]int32{0, 0}, [2]int32{1, 1}, [2]int32{2, 2})
 	k, err := decodeKnowledge(ix, center, radius, true, ok)
 	if err != nil {
 		t.Fatalf("well-formed knowledge rejected: %v", err)
@@ -100,8 +97,8 @@ func TestDecodeKnowledgeRejectsMalformed(t *testing.T) {
 
 // checkKnowledgeInvariants fails t unless k is ordered as a flood
 // discovers: center first at distance 0, distinct in-range indices,
-// nondecreasing distances within radius, maxDist the last distance,
-// and the membership structure agreeing with the records.
+// nondecreasing distances within radius, and the membership structure
+// agreeing with the records.
 func checkKnowledgeInvariants(t *testing.T, k *Knowledge, center, radius int) {
 	t.Helper()
 	n := k.snap.NumNodes()
@@ -120,9 +117,6 @@ func checkKnowledgeInvariants(t *testing.T, k *Knowledge, center, radius int) {
 		if i > 0 && k.dist[i] < k.dist[i-1] || int(k.dist[i]) > radius {
 			t.Fatalf("record %d: distance %d breaks the discovery order (radius %d)", i, k.dist[i], radius)
 		}
-	}
-	if k.maxDist != int(k.dist[len(k.dist)-1]) {
-		t.Fatalf("maxDist %d, last record at distance %d", k.maxDist, k.dist[len(k.dist)-1])
 	}
 	for i := range int32(n) {
 		if k.KnownIdx(i) != seen[i] {
@@ -297,7 +291,7 @@ func FuzzDecodeKnowledge(f *testing.F) {
 		f.Add(uint16(i), true, flood[i])
 		f.Add(uint16(i), false, retrans[i])
 	}
-	f.Add(uint16(0), true, knowledgeBytes(0, [2]int32{3, 0}, [2]int32{3, 1}, [2]int32{2, 0}))
+	f.Add(uint16(0), true, knowledgeBytes([2]int32{3, 0}, [2]int32{3, 1}, [2]int32{2, 0}))
 	f.Fuzz(func(t *testing.T, center uint16, bitmap bool, b []byte) {
 		c := int(center) % ix.NumNodes()
 		k, err := decodeKnowledge(ix, c, radius, bitmap, b)

@@ -226,10 +226,8 @@ func (p *retransProtocol) Done() bool { return p.pendingCount == 0 }
 
 // Output rebuilds a Knowledge equivalent to the fault-free flood's: the
 // records sorted by (hops, id) restore the nondecreasing-distance
-// invariant FilteredBallGraph relies on, with the center first. The
-// knowledge gets the sparse index set as its membership structure, so
-// CoversComponent and KnownIdx take the index-space path like the plain
-// flood's.
+// discovery order, with the center first. The knowledge gets the sparse
+// index set as its membership structure, which KnownIdx probes.
 func (p *retransProtocol) Output() any {
 	slots := make([]int32, len(p.infos))
 	for i := range slots {
@@ -253,9 +251,6 @@ func (p *retransProtocol) Output() any {
 		k.recs = append(k.recs, p.infos[s])
 		k.dist = append(k.dist, p.best[s])
 		k.known.Add(p.infos[s])
-		if int(p.best[s]) > k.maxDist {
-			k.maxDist = int(p.best[s])
-		}
 	}
 	return k
 }

@@ -13,7 +13,7 @@ import (
 // sameKnowledge compares two ball collections by content: same node
 // sets, same distances. Record order may legitimately differ between
 // the plain flood (discovery order) and the retransmitting one (sorted
-// by hops then ID), so the comparison goes through DistOf.
+// by hops then ID), so the comparison goes through a record scan.
 func sameKnowledge(t *testing.T, name string, want, got map[graph.ID]*Knowledge) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -28,8 +28,8 @@ func sameKnowledge(t *testing.T, name string, want, got map[graph.ID]*Knowledge)
 			t.Fatalf("%s node %d: ball size %d, want %d", name, v, gk.Size(), wk.Size())
 		}
 		for _, u := range recordIDs(wk) {
-			wd, _ := wk.DistOf(u)
-			gd, ok := gk.DistOf(u)
+			wd, _ := distByScan(wk, u)
+			gd, ok := distByScan(gk, u)
 			if !ok || gd != wd {
 				t.Fatalf("%s node %d: dist to %d = %d (known=%v), want %d", name, v, u, gd, ok, wd)
 			}

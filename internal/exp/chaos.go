@@ -134,6 +134,9 @@ func E21RetransFlood(quick bool) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E21 baseline: %w", err)
 	}
+	// wantDist holds one baseline ball's distances by snapshot index;
+	// only entries the baseline knows are read.
+	wantDist := make([]int32, ix.NumNodes())
 	cleanRounds := 0
 	for i, p := range []float64{0, 0.1, 0.3} {
 		var f *dist.Faults
@@ -149,21 +152,7 @@ func E21RetransFlood(quick bool) (*Table, error) {
 		}
 		match := "exact"
 		for i, w := range want {
-			k := know[i]
-			if k.Size() != w.Size() {
-				match = "DIVERGED"
-				break
-			}
-			ok := true
-			for _, u := range g.Nodes() {
-				dw, inW := w.DistOf(u)
-				dk, inK := k.DistOf(u)
-				if inW != inK || dw != dk {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if !sameBall(w, know[i], wantDist) {
 				match = "DIVERGED"
 				break
 			}
@@ -174,6 +163,24 @@ func E21RetransFlood(quick bool) (*Table, error) {
 		"\"knowledge\" compares every node's ball (membership and distances) against the lossless plain flood: the protocol trades rounds for exactness.",
 		"Extra rounds count from the protocol's own fault-free run; even that pays an ack round trip over the plain flood's radius+1 schedule.")
 	return t, nil
+}
+
+// sameBall reports whether k holds exactly w's nodes at w's distances,
+// in any record order; wantDist is scratch indexed by snapshot index.
+func sameBall(w, k *dist.Knowledge, wantDist []int32) bool {
+	if k.Size() != w.Size() {
+		return false
+	}
+	for j := range w.Size() {
+		idx, d := w.RecordAt(j)
+		wantDist[idx] = d
+	}
+	for j := range k.Size() {
+		if idx, d := k.RecordAt(j); !w.KnownIdx(idx) || wantDist[idx] != d {
+			return false
+		}
+	}
+	return true
 }
 
 // FaultTraceRun is the workload behind `cmd/experiments -trace -faults`:
