@@ -76,7 +76,8 @@ func TestPruneExhaustive(t *testing.T) {
 }
 
 // TestPipelinesExhaustive runs every post-peel kernel against its
-// map-backed oracle, and both distributed pipelines end to end, on every
+// map-backed oracle (correct-paths, the strip path, color-paths and the
+// MIS components), and both distributed pipelines end to end, on every
 // labeled chordal graph with at most five nodes: every ID order, tie
 // and degenerate shape at that size. ColorChordalDistributed checks
 // Lemma 12 against the peel inside; its coloring must be legal, within
@@ -88,6 +89,7 @@ func TestPipelinesExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	colorPaths := 0
 	for n := 1; n <= 5; n++ {
 		chordal.AllLabeled(n, func(g *graph.Graph) {
 			where := fmt.Sprintf("n=%d edges %v", n, g.Edges())
@@ -103,6 +105,7 @@ func TestPipelinesExhaustive(t *testing.T) {
 				checkCorrection(t, g, eps, 0)
 				checkCorrection(t, g, eps, 3)
 				checkStripPaths(t, g, eps, int64(n))
+				colorPaths += checkPeeledColorPaths(t, g, eps)
 			}
 			checkMISComponents(t, g, 0.5)
 			checkMISComponents(t, g, 0.9)
@@ -160,4 +163,8 @@ func TestPipelinesExhaustive(t *testing.T) {
 			}
 		})
 	}
+	if colorPaths == 0 {
+		t.Fatal("no peeled path reached the color-paths check")
+	}
+	t.Logf("%d peeled paths colored against colIntGraphOracle", colorPaths)
 }

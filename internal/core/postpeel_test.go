@@ -163,15 +163,35 @@ func checkStripPaths(t *testing.T, g *graph.Graph, eps float64, seed int64) {
 
 // checkColorPaths checks the strip kernel's ColIntGraph and Lemma-9
 // search against the map-backed oracles, which build a graph per path,
-// block and cut repair. On every path peeled from g at ε, at the
-// pipeline's k and at k = 1 (more blocks), the kernel must give the
-// oracle's coloring of G[W] along peel.LayerCliquePath — colors, Rounds,
-// Blocks, Omega, Palette, ColorsUsed and error text — and ColorChordal's
-// provisional colors must be the oracle's at the pipeline's k. Then
-// ColIntGraph runs on random interval models of n nodes, a dense and a
-// sparse one, at k = 1, …, 8, and ExtendColoring on E8-style strips
-// (checkExtendColoring), both against their oracles.
+// block and cut repair: on every path peeled from g at ε
+// (checkPeeledColorPaths), then on random interval models of n nodes, a
+// dense and a sparse one, at k = 1, …, 8, and ExtendColoring on E8-style
+// strips (checkExtendColoring).
 func checkColorPaths(t *testing.T, g *graph.Graph, eps float64, n int, seed int64) {
+	t.Helper()
+	checkPeeledColorPaths(t, g, eps)
+	for _, span := range []float64{float64(n) / 8, float64(n) / 2} {
+		ivs := gen.RandomIntervals(n, span, 4, seed)
+		ig, path := gen.FromIntervals(ivs), interval.CliquePathFromModel(ivs)
+		for ik := 1; ik <= 8; ik++ {
+			want, wantErr := colIntGraphOracle(ig, path, ik)
+			got, gotErr := ColIntGraph(ig, path, ik)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d span=%v k=%d seed %d: ColIntGraph %+v, %v; oracle %+v, %v", n, span, ik, seed, got, gotErr, want, wantErr)
+			}
+		}
+	}
+	checkExtendColoring(t, seed)
+}
+
+// checkPeeledColorPaths runs the strip kernel's ColIntGraph on every
+// path peeled from g at ε, at the pipeline's k and at k = 1 (more
+// blocks): it must give colIntGraphOracle's coloring of G[W] along
+// peel.LayerCliquePath — colors, Rounds, Blocks, Omega, Palette,
+// ColorsUsed and error text — and ColorChordal's provisional colors must
+// be the oracle's at the pipeline's k. It returns the number of paths
+// checked.
+func checkPeeledColorPaths(t *testing.T, g *graph.Graph, eps float64) int {
 	t.Helper()
 	k := EffectiveK(eps)
 	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, NoForests: true})
@@ -184,6 +204,7 @@ func checkColorPaths(t *testing.T, g *graph.Graph, eps float64, n int, seed int6
 		t.Fatal(err)
 	}
 	var s correctScratch
+	paths := 0
 	for _, layer := range peeled.Layers {
 		for ri := range layer.Paths {
 			rec := &layer.Paths[ri]
@@ -212,21 +233,10 @@ func checkColorPaths(t *testing.T, g *graph.Graph, eps float64, n int, seed int6
 					}
 				}
 			}
+			paths++
 		}
 	}
-
-	for _, span := range []float64{float64(n) / 8, float64(n) / 2} {
-		ivs := gen.RandomIntervals(n, span, 4, seed)
-		ig, path := gen.FromIntervals(ivs), interval.CliquePathFromModel(ivs)
-		for ik := 1; ik <= 8; ik++ {
-			want, wantErr := colIntGraphOracle(ig, path, ik)
-			got, gotErr := ColIntGraph(ig, path, ik)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d span=%v k=%d seed %d: ColIntGraph %+v, %v; oracle %+v, %v", n, span, ik, seed, got, gotErr, want, wantErr)
-			}
-		}
-	}
-	checkExtendColoring(t, seed)
+	return paths
 }
 
 // checkExtendColoring compares ExtendColoring with the map-backed

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -9,61 +10,54 @@ import (
 	"repro/internal/proctest"
 )
 
-// floodFingerprint captures everything observable about a flood run: the
-// engine counters and, per node, the exact record sequence (node, dist)
-// the flood produced. Record order is part of the determinism contract —
-// it is what downstream map-free iteration sees.
+// floodFingerprint captures everything observable about a flood run:
+// the engine counters and, per node, the member set (ascending snapshot
+// indices) and its regime.
 type floodFingerprint struct {
 	rounds, messages, volume int
-	recs                     map[graph.ID][]graph.ID
-	dists                    map[graph.ID][]int32
+	members                  map[graph.ID][]int32
+	dense                    map[graph.ID]bool
 }
 
-// recordIDs returns k's records as node IDs, in discovery order.
-func recordIDs(k *Knowledge) []graph.ID {
-	ids := make([]graph.ID, len(k.recs))
-	for i, idx := range k.recs {
-		ids[i] = k.snap.IDOf(int(idx))
+// fingerprint records a flood run's counters and every node's members.
+func fingerprint(res *Result, know map[graph.ID]*Knowledge) floodFingerprint {
+	fp := floodFingerprint{
+		rounds:   res.Rounds,
+		messages: res.Messages,
+		volume:   res.Volume,
+		members:  make(map[graph.ID][]int32, len(know)),
+		dense:    make(map[graph.ID]bool, len(know)),
 	}
-	return ids
+	for v, k := range know {
+		fp.members[v] = k.AppendMembers(nil)
+		fp.dense[v] = k.seen != nil
+	}
+	return fp
 }
 
 func floodRun(t *testing.T, g *graph.Graph, radius int) floodFingerprint {
 	t.Helper()
 	know, res := floodByID(t, g, radius, RunOpts{})
-	fp := floodFingerprint{
-		rounds:   res.Rounds,
-		messages: res.Messages,
-		volume:   res.Volume,
-		recs:     make(map[graph.ID][]graph.ID, len(know)),
-		dists:    make(map[graph.ID][]int32, len(know)),
-	}
-	for v, k := range know {
-		fp.recs[v] = recordIDs(k)
-		fp.dists[v] = k.dist
-	}
-	return fp
+	return fingerprint(res, know)
 }
 
-func compareFloodRuns(t *testing.T, name string, want, got floodFingerprint) {
+// compareFloodRuns requires equal counters and member sets; the regimes
+// are compared only when sameRegime is set.
+func compareFloodRuns(t *testing.T, name string, want, got floodFingerprint, sameRegime bool) {
 	t.Helper()
 	if want.rounds != got.rounds || want.messages != got.messages || want.volume != got.volume {
 		t.Fatalf("%s: result mismatch: (rounds,messages,volume) = (%d,%d,%d), want (%d,%d,%d)",
 			name, got.rounds, got.messages, got.volume, want.rounds, want.messages, want.volume)
 	}
-	if len(want.recs) != len(got.recs) {
-		t.Fatalf("%s: %d outputs, want %d", name, len(got.recs), len(want.recs))
+	if len(want.members) != len(got.members) {
+		t.Fatalf("%s: %d outputs, want %d", name, len(got.members), len(want.members))
 	}
-	for v, wr := range want.recs {
-		gr := got.recs[v]
-		if len(wr) != len(gr) {
-			t.Fatalf("%s node %d: %d records, want %d", name, v, len(gr), len(wr))
+	for v, wm := range want.members {
+		if gm := got.members[v]; !slices.Equal(wm, gm) {
+			t.Fatalf("%s node %d: members %v, want %v", name, v, gm, wm)
 		}
-		for i := range wr {
-			if wr[i] != gr[i] || want.dists[v][i] != got.dists[v][i] {
-				t.Fatalf("%s node %d record %d: (%d,d=%d), want (%d,d=%d)",
-					name, v, i, gr[i], got.dists[v][i], wr[i], want.dists[v][i])
-			}
+		if sameRegime && want.dense[v] != got.dense[v] {
+			t.Fatalf("%s node %d: dense regime %v, want %v", name, v, got.dense[v], want.dense[v])
 		}
 	}
 }
@@ -71,7 +65,7 @@ func compareFloodRuns(t *testing.T, name string, want, got floodFingerprint) {
 // TestFloodDeterministicAcrossModes checks the central engine guarantee:
 // one, two, and four concurrently stepped node ranges (GOMAXPROCS 1, 2,
 // 4) produce bit-for-bit identical results — same counters, same
-// per-node record sequences — on an E4/E6-style chordal workload.
+// per-node member sets — on an E4/E6-style chordal workload.
 func TestFloodDeterministicAcrossModes(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"chordal": gen.RandomChordal(200, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 11),
@@ -87,7 +81,7 @@ func TestFloodDeterministicAcrossModes(t *testing.T) {
 					ref = got
 					return
 				}
-				compareFloodRuns(t, fmt.Sprintf("%s/r%d/procs%d", name, radius, procs), ref, got)
+				compareFloodRuns(t, fmt.Sprintf("%s/r%d/procs%d", name, radius, procs), ref, got, true)
 			})
 		}
 	}
@@ -117,19 +111,15 @@ func TestFloodDedupModesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp := floodFingerprint{
-			rounds: res.Rounds, messages: res.Messages, volume: res.Volume,
-			recs:  make(map[graph.ID][]graph.ID),
-			dists: make(map[graph.ID][]int32),
-		}
-		for i, o := range outs {
-			k := o.(*Knowledge)
-			fp.recs[ix.IDOf(i)] = recordIDs(k)
-			fp.dists[ix.IDOf(i)] = k.dist
+		fp := fingerprint(res, byID(ix, knowledgeOf(outs)))
+		for v, dense := range fp.dense {
+			if dense == forceMap {
+				t.Fatalf("forceMap %v: node %d knowledge dense %v", forceMap, v, dense)
+			}
 		}
 		return fp
 	}
-	compareFloodRuns(t, "bitmap-vs-map", run(false), run(true))
+	compareFloodRuns(t, "bitmap-vs-map", run(false), run(true), false)
 }
 
 // countingProtocol is a tiny stress protocol: every node broadcasts its

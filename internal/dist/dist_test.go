@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
@@ -130,34 +131,25 @@ func byID(ix *graph.Indexed, ks []*Knowledge) map[graph.ID]*Knowledge {
 
 func TestCollectBallsExactBalls(t *testing.T) {
 	g := gen.RandomChordal(30, gen.ChordalOpts{MaxCliqueSize: 3, AttachFull: 0.5}, 3)
+	ix := graph.NewIndexed(g)
 	for _, radius := range []int{0, 1, 2, 4} {
-		know, res := floodByID(t, g, radius, RunOpts{})
+		ks, res, err := Flood(ix, radius, RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Rounds != radius {
 			t.Fatalf("radius %d: rounds = %d", radius, res.Rounds)
 		}
-		for _, v := range g.Nodes() {
-			k := know[v]
-			wantBall := g.Ball(v, radius)
-			if k.Size() != len(wantBall) {
-				t.Fatalf("radius %d node %d: knows %d nodes, want %d",
-					radius, v, k.Size(), len(wantBall))
-			}
-			for _, u := range wantBall {
-				wantDist := g.Distance(v, u)
-				if d, ok := distByScan(k, u); !ok || d != wantDist {
-					t.Fatalf("radius %d node %d: dist[%d] = %d (known %v), want %d",
-						radius, v, u, d, ok, wantDist)
-				}
-			}
-		}
+		checkBalls(t, fmt.Sprintf("radius %d", radius), g, ix, ks, radius)
 	}
 }
 
 func TestCollectBallsDisconnected(t *testing.T) {
 	g := gen.Path(4)
 	g.AddEdge(10, 11)
-	know, _ := floodByID(t, g, 5, RunOpts{})
-	if _, ok := distByScan(know[0], 10); ok {
+	ix := graph.NewIndexed(g)
+	know := floodIndexed(t, ix, 5)
+	if i, _ := ix.IndexOf(10); know[0].KnownIdx(int32(i)) {
 		t.Fatal("knowledge crossed components")
 	}
 	if know[10].Size() != 2 {

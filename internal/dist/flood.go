@@ -3,53 +3,60 @@ package dist
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 )
 
 // Knowledge is what a node has learned after r rounds of flooding: the
-// info of every node at distance at most r, with distances. Records are
-// snapshot indices stored in discovery order (distances nondecreasing,
-// center first) — in memory exactly as on the partitioned runtime's
-// wire — so a ball holds no pointers and the GC never scans one.
-// Identity and adjacency resolve through the snapshot; every accessor
-// works in snapshot-index space.
+// set of nodes it heard of, by snapshot index, with the center among
+// them. Fault-free that set is exactly the radius-r ball {u : d(v,u) ≤
+// r}. The knowledge is the flood's own dedup structure, handed over when
+// the run ends; it keeps no records, distances or discovery order,
+// because no reader needs them: the decide kernel tests membership and
+// recomputes every distance inside its own view.
 // Knowledge is not safe for concurrent use.
 type Knowledge struct {
 	Center graph.ID
 	Radius int
-	recs   []int32 // snapshot indices, discovery order
-	dist   []int32 // aligned with recs
+	size   int
 	// Exactly one of seen and known is the membership set by snapshot
-	// index: seen is the plain flood's dense dedup bitmap, handed over to
-	// the knowledge it built at n ≤ seenBitmapMaxN; known is the sparse
-	// set it dedups with above that bound, and the one retransmitted
-	// knowledge carries at every n. KnownIdx resolves through it.
+	// index: seen is the plain flood's dense dedup bitmap at n ≤
+	// seenBitmapMaxN; known is the sparse set it dedups with above that
+	// bound, and the one retransmitted knowledge carries at every n.
 	seen  []uint64
 	known IdxSet
-	// snap is the snapshot the flood ran on: records resolve their
-	// identity and adjacency through it.
-	snap *graph.Indexed
 }
 
 // Size returns the number of known nodes (the center counts).
-func (k *Knowledge) Size() int { return len(k.recs) }
-
-// RecordAt returns record i's snapshot index and its hop distance from
-// the center. Records are in nondecreasing-distance discovery order
-// with the center first.
-func (k *Knowledge) RecordAt(i int) (idx int32, dist int32) {
-	return k.recs[i], k.dist[i]
-}
+func (k *Knowledge) Size() int { return k.size }
 
 // KnownIdx reports whether the node at snapshot index i is within the
 // collected ball: a single bit test in the dense-bitmap regime, a single
-// probe in the sparse-set one.
+// probe in the sparse-set one. Both inline, so a caller's loop pays no
+// call per probe.
 func (k *Knowledge) KnownIdx(i int32) bool {
-	if k.seen != nil {
-		return k.seen[i>>6]&(1<<(uint(i)&63)) != 0
+	if k.seen == nil {
+		return k.known.has(i)
 	}
-	return k.known.Has(i)
+	return k.seen[i>>6]&(1<<(i&63)) != 0
+}
+
+// AppendMembers appends the snapshot indices of the known nodes to dst
+// in ascending order and returns the extended slice.
+func (k *Knowledge) AppendMembers(dst []int32) []int32 {
+	if k.seen == nil {
+		start := len(dst)
+		dst = k.known.appendTo(dst)
+		slices.Sort(dst[start:])
+		return dst
+	}
+	for w, word := range k.seen {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w<<6|bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
 }
 
 // infoBatch is the flood message payload: the snapshot indices of the
@@ -72,32 +79,23 @@ const seenBitmapMaxN = 1 << 14
 // floodProtocol implements incremental full-information flooding: each
 // round a node forwards only the records it learned in the previous
 // round, so total communication is proportional to the knowledge
-// gathered rather than quadratic in it. Fresh records are the tail of the
-// knowledge's record slice appended this round; the outgoing batch is a
-// capacity-capped view of that tail, so no separate fresh buffer exists.
-// The two batch headers alternate because a header written in round r is
-// read by neighbors in round r+1 and is dead by round r+2.
+// gathered rather than quadratic in it. A node logs nothing it learns:
+// its dedup structure is its knowledge. Round r's fresh records go to
+// the reused buffer buf[r&1], which the outgoing *infoBatch points at;
+// neighbors read it in round r+1, and round r+2 rewrites it.
 type floodProtocol struct {
 	radius int
 	round  int
 	know   *Knowledge
-	batch  [2]infoBatch
+	buf    [2]infoBatch
 	seen   []uint64 // dense dedup bitmap by snapshot index; nil for big n
 }
 
-// newFloodProtocol builds node v's flood, presizing its records for
-// sizeHint nodes.
+// newFloodProtocol builds node v's flood, presizing its sparse dedup set
+// (used only above seenBitmapMaxN) for sizeHint nodes.
 func newFloodProtocol(v graph.ID, idx int, ix *graph.Indexed, radius, sizeHint int) *floodProtocol {
 	n := ix.NumNodes()
-	k := &Knowledge{
-		Center: v,
-		Radius: radius,
-		recs:   make([]int32, 0, sizeHint),
-		dist:   make([]int32, 0, sizeHint),
-		snap:   ix,
-	}
-	k.recs = append(k.recs, int32(idx))
-	k.dist = append(k.dist, 0)
+	k := &Knowledge{Center: v, Radius: radius, size: 1}
 	p := &floodProtocol{radius: radius, know: k}
 	if n <= seenBitmapMaxN {
 		p.seen = make([]uint64, (n+63)/64)
@@ -111,26 +109,27 @@ func newFloodProtocol(v graph.ID, idx int, ix *graph.Indexed, radius, sizeHint i
 		k.known.Reserve(sizeHint)
 		k.known.Add(int32(idx))
 	}
-	p.batch[0] = infoBatch(k.recs[0:1:1])
+	p.buf[0] = infoBatch{int32(idx)}
 	return p
 }
 
 func (p *floodProtocol) Init(ctx *Context) {
 	if p.radius > 0 {
-		ctx.Broadcast(&p.batch[0])
+		ctx.Broadcast(&p.buf[0])
 	}
 }
 
 // Round accepts the unseen records of every batch and forwards them.
 //
-//chordalvet:hotpath budget=5 per-round flood step: record and distance appends, the broadcast, the sparse set's growth
+//chordalvet:hotpath budget=4 per-round flood step: the fresh-record append, the broadcast, the sparse set's growth
 func (p *floodProtocol) Round(ctx *Context, inbox []Message) {
 	if p.round >= p.radius {
 		return
 	}
 	p.round++
 	k := p.know
-	start := len(k.recs)
+	cur := p.round & 1
+	fresh := p.buf[cur][:0]
 	for _, m := range inbox {
 		for _, idx := range *m.Payload.(*infoBatch) {
 			if p.seen != nil {
@@ -142,14 +141,13 @@ func (p *floodProtocol) Round(ctx *Context, inbox []Message) {
 			} else if !k.known.Add(idx) {
 				continue
 			}
-			k.recs = append(k.recs, idx)
-			k.dist = append(k.dist, int32(p.round))
+			fresh = append(fresh, idx)
 		}
 	}
-	if len(k.recs) > start && p.round < p.radius {
-		cur := p.round % 2
-		p.batch[cur] = infoBatch(k.recs[start:len(k.recs):len(k.recs)])
-		ctx.Broadcast(&p.batch[cur])
+	k.size += len(fresh)
+	p.buf[cur] = fresh
+	if len(fresh) > 0 && p.round < p.radius {
+		ctx.Broadcast(&p.buf[cur])
 	}
 }
 
@@ -157,11 +155,11 @@ func (p *floodProtocol) Done() bool  { return p.round >= p.radius }
 func (p *floodProtocol) Output() any { return p.know }
 
 // maxBallHint caps the per-node presize so a mis-estimate can never
-// front-load more memory than the flood would actually gather; slices
-// and maps simply grow past it when balls really are larger.
+// front-load more memory than the flood would actually gather; the set
+// simply grows past it when balls really are larger.
 const maxBallHint = 1 << 12
 
-// ballSizeHint estimates |Γ^radius[v]| for presizing knowledge storage:
+// ballSizeHint estimates |Γ^radius[v]| for presizing the sparse dedup set:
 // the node's own degree for the first hop, average-degree growth after
 // that, capped at n and at maxBallHint. Using the average rather than
 // the maximum degree matters at scale — one hub must not inflate every

@@ -20,20 +20,18 @@ func idxSetHash(x int32, mask uint32) uint32 {
 }
 
 // Has reports whether x is in the set.
-func (s *IdxSet) Has(x int32) bool {
-	if s.n == 0 {
-		return false
-	}
+func (s *IdxSet) Has(x int32) bool { return s.n != 0 && s.has(x) }
+
+// has is Has on a non-empty set: the probe alone, small enough that
+// Knowledge.KnownIdx inlines with it.
+func (s *IdxSet) has(x int32) bool {
 	mask := uint32(len(s.table) - 1)
-	for h := idxSetHash(x, mask); ; h = (h + 1) & mask {
-		e := s.table[h]
-		if e == 0 {
-			return false
-		}
-		if e == x+1 {
+	for h := idxSetHash(x, mask); s.table[h] != 0; h = (h + 1) & mask {
+		if s.table[h] == x+1 {
 			return true
 		}
 	}
+	return false
 }
 
 // Add inserts x and reports whether it was newly added.
@@ -57,6 +55,17 @@ func (s *IdxSet) Add(x int32) bool {
 
 // Len returns the number of elements.
 func (s *IdxSet) Len() int { return s.n }
+
+// appendTo appends the elements to dst in table order and returns the
+// extended slice.
+func (s *IdxSet) appendTo(dst []int32) []int32 {
+	for _, e := range s.table {
+		if e != 0 {
+			dst = append(dst, e-1)
+		}
+	}
+	return dst
+}
 
 // Reserve presizes an empty set so n elements fit without rehashing; on
 // a non-empty set it is a no-op. A capacity hint only — the set still
@@ -107,10 +116,15 @@ func (s *IdxSet) grow() {
 // int32 values, the map counterpart of IdxSet. The zero value is an
 // empty map ready for use.
 type IdxMap struct {
-	keys []int32 // stored +1; 0 = empty
+	keys []int32 // an IdxSet table: stored +1, 0 = empty, same hash
 	vals []int32
 	n    int
 }
+
+// keySet returns the map's keys as an IdxSet sharing its table: the key
+// table is laid out, hashed and loaded exactly as a set's. The set is
+// valid until the map's next Put.
+func (m *IdxMap) keySet() IdxSet { return IdxSet{table: m.keys, n: m.n} }
 
 // Get returns the value for x and whether it is present.
 func (m *IdxMap) Get(x int32) (int32, bool) {

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,26 +44,22 @@ func newPartRecorder() *partRecorder {
 	return r
 }
 
-// samePartKnowledge requires a and b to agree on every observable
-// field: identity, record sequence (order matters — readers walk
-// records in discovery order), distances, and index-space membership.
-func samePartKnowledge(t *testing.T, at string, a, b *Knowledge) {
+// samePartKnowledge requires a and b, knowledge on ix, to agree on
+// every observable: identity, member set, regime, and index-space
+// membership.
+func samePartKnowledge(t *testing.T, at string, ix *graph.Indexed, a, b *Knowledge) {
 	t.Helper()
-	if a.Center != b.Center || a.Radius != b.Radius {
-		t.Fatalf("%s: knowledge header (%d, %d) != (%d, %d)",
-			at, a.Center, a.Radius, b.Center, b.Radius)
+	if a.Center != b.Center || a.Radius != b.Radius || a.Size() != b.Size() {
+		t.Fatalf("%s: knowledge header (%d, %d, %d) != (%d, %d, %d)",
+			at, a.Center, a.Radius, a.Size(), b.Center, b.Radius, b.Size())
 	}
-	if len(a.recs) != len(b.recs) {
-		t.Fatalf("%s: %d records != %d records", at, len(a.recs), len(b.recs))
+	if (a.seen == nil) != (b.seen == nil) {
+		t.Fatalf("%s: dense regime %v != %v", at, a.seen != nil, b.seen != nil)
 	}
-	for i, ra := range a.recs {
-		rb := b.recs[i]
-		if ra != rb || a.dist[i] != b.dist[i] {
-			t.Fatalf("%s: record %d (idx %d@%d) != (idx %d@%d)", at, i, ra, a.dist[i], rb, b.dist[i])
-		}
+	if am, bm := a.AppendMembers(nil), b.AppendMembers(nil); !slices.Equal(am, bm) {
+		t.Fatalf("%s: members %v != %v", at, am, bm)
 	}
-	n := int32(a.snap.NumNodes())
-	for i := int32(0); i < n; i++ {
+	for i := range int32(ix.NumNodes()) {
 		if a.KnownIdx(i) != b.KnownIdx(i) {
 			t.Fatalf("%s: KnownIdx(%d) %v != %v", at, i, a.KnownIdx(i), b.KnownIdx(i))
 		}
@@ -106,7 +103,7 @@ func TestPartitionedFloodMatchesLocal(t *testing.T) {
 				at := fmt.Sprintf("%s/r%d/parts%d", name, radius, parts)
 				sameResult(t, at, lRes, pRes)
 				for i := range lKs {
-					samePartKnowledge(t, at, lKs[i], pKs[i])
+					samePartKnowledge(t, at, ix, lKs[i], pKs[i])
 				}
 				if !reflect.DeepEqual(scheduleFree(lObs.rounds), scheduleFree(pObs.rounds)) {
 					t.Fatalf("%s: round stats diverge:\nlocal: %+v\npart:  %+v",
@@ -158,7 +155,7 @@ func TestPartitionedFloodFaultyMatchesLocal(t *testing.T) {
 			}
 			sameResult(t, spec, lRes, pRes)
 			for i := range lKs {
-				samePartKnowledge(t, spec, lKs[i], pKs[i])
+				samePartKnowledge(t, spec, ix, lKs[i], pKs[i])
 			}
 			if !reflect.DeepEqual(lObs.faults, pObs.faults) {
 				t.Fatalf("%q p=%d: fault stats diverge:\nlocal: %+v\npart:  %+v",
@@ -227,7 +224,7 @@ func TestPartitionedRetransMatchesLocal(t *testing.T) {
 		}
 		sameResult(t, spec, lRes, pRes)
 		for i := range lKs {
-			samePartKnowledge(t, spec, lKs[i], pKs[i])
+			samePartKnowledge(t, spec, ix, lKs[i], pKs[i])
 		}
 	}
 }

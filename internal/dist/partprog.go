@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -14,7 +15,8 @@ import (
 // adjacency come from the CSR snapshot every shard holds. So the
 // payload codecs move the records' int32s unchanged, a decoded payload
 // is bit-identical to the one the LOCAL engine would have delivered,
-// and the params are the radius alone.
+// and the params are the radius alone. A node's output is its member
+// set, sent once at the end of the run.
 
 // radiusParams implements Params for both floods: the program name and
 // the radius as one little-endian int32.
@@ -62,17 +64,36 @@ func readIdx(ix *graph.Indexed, b []byte) (int32, []byte, error) {
 	return idx, rest, err
 }
 
-// encodeKnowledge flattens a flood result to (count, [idx, dist]...):
-// everything else in a Knowledge is derivable from the snapshot and the
-// record regime.
+// encodeKnowledge flattens a flood result to its member set: the
+// count, then the members in ascending snapshot index as uvarint gaps,
+// the first measured from 0. Everything else in a Knowledge is
+// derivable from the snapshot, the params and the regime.
 func encodeKnowledge(k *Knowledge) []byte {
-	out := make([]byte, 0, 4+8*len(k.recs))
-	out = appendI32(out, int32(len(k.recs)))
-	for i, idx := range k.recs {
-		out = appendI32(out, idx)
-		out = appendI32(out, k.dist[i])
+	members := k.AppendMembers(make([]int32, 0, k.Size()))
+	out := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen32+2*len(members)), uint64(len(members)))
+	prev := int32(0)
+	for _, m := range members {
+		out = binary.AppendUvarint(out, uint64(m-prev))
+		prev = m
 	}
 	return out
+}
+
+// readUvarint reads one minimally encoded uvarint; its callers name the
+// field in the error. A padded encoding (a zero final byte after a
+// continuation) decodes to the value of a shorter one, so accepting it
+// would break the byte round trip.
+func readUvarint(b []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(b)
+	switch {
+	case n == 0:
+		return 0, nil, errors.New("truncated uvarint")
+	case n < 0:
+		return 0, nil, errors.New("uvarint overflows 64 bits")
+	case n > 1 && b[n-1] == 0:
+		return 0, nil, errors.New("uvarint is not minimally encoded")
+	}
+	return v, b[n:], nil
 }
 
 // decodeKnowledge rebuilds node center's flood result. bitmapRegime
@@ -80,60 +101,48 @@ func encodeKnowledge(k *Knowledge) []byte {
 // used: the plain flood's dense bitmap at n ≤ seenBitmapMaxN, the
 // sparse index set otherwise and for all retransmitted knowledge — so
 // downstream index-space consumers take the same code paths as on a
-// LOCAL run. It accepts only what a flood can produce — the center
-// first at distance 0, distinct in-range indices, distances
-// nondecreasing and at most radius — because the knowledge's readers
-// rely on that discovery order.
+// LOCAL run. It accepts exactly what encodeKnowledge writes for a set
+// holding the center: a count of 1 to n, that many members ascending
+// strictly within the snapshot, and no trailing bytes.
 func decodeKnowledge(ix *graph.Indexed, center, radius int, bitmapRegime bool, data []byte) (*Knowledge, error) {
-	count, data, err := readI32(data)
+	count, data, err := readUvarint(data)
 	if err != nil {
-		return nil, err
-	}
-	if count < 1 || len(data) != int(count)*8 {
-		return nil, fmt.Errorf("dist: knowledge record block has %d bytes for %d records", len(data), count)
+		return nil, fmt.Errorf("dist: knowledge count: %w", err)
 	}
 	n := ix.NumNodes()
-	k := &Knowledge{
-		Center: ix.IDOf(center),
-		Radius: radius,
-		recs:   make([]int32, 0, count),
-		dist:   make([]int32, 0, count),
-		snap:   ix,
+	if count < 1 || count > uint64(n) {
+		return nil, fmt.Errorf("dist: knowledge holds %d members, want 1 to %d", count, n)
 	}
+	k := &Knowledge{Center: ix.IDOf(center), Radius: radius, size: int(count)}
 	if bitmapRegime && n <= seenBitmapMaxN {
 		k.seen = make([]uint64, (n+63)/64)
 	} else {
 		k.known.Reserve(int(count))
 	}
-	last := int32(0)
+	prev := uint64(0)
 	for i := range int(count) {
-		var idx, dist int32
-		idx, data, err = readIdx(ix, data)
-		if err != nil {
-			return nil, err
-		}
-		dist, data, err = readI32(data)
-		if err != nil {
-			return nil, err
+		var gap uint64
+		if gap, data, err = readUvarint(data); err != nil {
+			return nil, fmt.Errorf("dist: knowledge member %d of %d: %w", i, count, err)
 		}
 		switch {
-		case i == 0 && (idx != int32(center) || dist != 0):
-			return nil, fmt.Errorf("dist: knowledge of %d starts with record %d at distance %d", center, idx, dist)
-		case dist < last || int(dist) > radius:
-			return nil, fmt.Errorf("dist: knowledge record %d has distance %d after %d (radius %d)", i, dist, last, radius)
+		case i > 0 && gap == 0:
+			return nil, fmt.Errorf("dist: knowledge member %d does not ascend past index %d", i, prev)
+		case gap >= uint64(n)-prev:
+			return nil, fmt.Errorf("dist: knowledge member %d lies %d past index %d, out of range [0, %d)", i, gap, prev, n)
 		}
+		prev += gap
 		if k.seen != nil {
-			w, b := idx>>6, uint64(1)<<(uint(idx)&63)
-			if k.seen[w]&b != 0 {
-				return nil, fmt.Errorf("dist: knowledge record %d repeats index %d", i, idx)
-			}
-			k.seen[w] |= b
-		} else if !k.known.Add(idx) {
-			return nil, fmt.Errorf("dist: knowledge record %d repeats index %d", i, idx)
+			k.seen[prev>>6] |= 1 << (prev & 63)
+		} else {
+			k.known.Add(int32(prev))
 		}
-		k.recs = append(k.recs, idx)
-		k.dist = append(k.dist, dist)
-		last = dist
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("dist: knowledge has %d trailing bytes after %d members", len(data), count)
+	}
+	if !k.KnownIdx(int32(center)) {
+		return nil, fmt.Errorf("dist: knowledge of %d does not hold its center", center)
 	}
 	return k, nil
 }
@@ -264,8 +273,8 @@ func (f *retransProgram) EncodeOutput(i int, p Protocol) ([]byte, error) {
 }
 
 func (f *retransProgram) DecodeOutput(i int, data []byte) (any, error) {
-	// Retransmitted knowledge always uses the sparse index set (the
-	// rebuild in Output does), regardless of n.
+	// Retransmitted knowledge always uses the sparse index set (Output
+	// shares the protocol's key table), regardless of n.
 	return decodeKnowledge(f.ix, i, f.radius, false, data)
 }
 

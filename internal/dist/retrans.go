@@ -1,9 +1,7 @@
 package dist
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/graph"
 )
@@ -17,9 +15,9 @@ import (
 // until the neighbor acknowledges each record; a node is Done exactly
 // when it owes nothing. Records carry their hop distance and are
 // accepted Bellman-Ford style (keep the smaller), so duplicated and
-// reordered deliveries are absorbed, and the final Knowledge is
-// identical to the fault-free flood's — the price of drops is paid in
-// extra rounds and messages, which FloodRetrans reports.
+// reordered deliveries are absorbed, and the final Knowledge holds the
+// fault-free flood's members — the price of drops is paid in extra
+// rounds and messages, which FloodRetrans reports.
 //
 // All per-record bookkeeping lives in slot space: each node numbers the
 // records it learns 0, 1, 2, … in acceptance order, an IdxMap resolves
@@ -80,7 +78,6 @@ func (q *retransQueue) ensure(n int) {
 
 type retransProtocol struct {
 	v      graph.ID
-	ix     *graph.Indexed
 	radius int
 	nbrs   []graph.ID
 	nbrPos map[graph.ID]int
@@ -100,7 +97,6 @@ func newRetransProtocol(v graph.ID, idx int, ix *graph.Indexed, radius int) *ret
 	adj := ix.NeighborIDs(idx)
 	p := &retransProtocol{
 		v:      v,
-		ix:     ix,
 		radius: radius,
 		nbrs:   adj,
 		nbrPos: make(map[graph.ID]int, len(adj)),
@@ -224,35 +220,11 @@ func (p *retransProtocol) retransmit(ctx *Context) {
 // nothing.
 func (p *retransProtocol) Done() bool { return p.pendingCount == 0 }
 
-// Output rebuilds a Knowledge equivalent to the fault-free flood's: the
-// records sorted by (hops, id) restore the nondecreasing-distance
-// discovery order, with the center first. The knowledge gets the sparse
-// index set as its membership structure, which KnownIdx probes.
+// Output returns the node's knowledge: every record it accepted, which
+// at termination is the fault-free flood's ball whatever the drops. Its
+// membership set shares slotOf's key table, which KnownIdx probes.
 func (p *retransProtocol) Output() any {
-	slots := make([]int32, len(p.infos))
-	for i := range slots {
-		slots[i] = int32(i)
-	}
-	slices.SortFunc(slots, func(a, b int32) int {
-		if p.best[a] != p.best[b] {
-			return int(p.best[a] - p.best[b])
-		}
-		return cmp.Compare(p.ix.IDOf(int(p.infos[a])), p.ix.IDOf(int(p.infos[b])))
-	})
-	k := &Knowledge{
-		Center: p.v,
-		Radius: p.radius,
-		recs:   make([]int32, 0, len(slots)),
-		dist:   make([]int32, 0, len(slots)),
-		snap:   p.ix,
-	}
-	k.known.Reserve(len(slots))
-	for _, s := range slots {
-		k.recs = append(k.recs, p.infos[s])
-		k.dist = append(k.dist, p.best[s])
-		k.known.Add(p.infos[s])
-	}
-	return k
+	return &Knowledge{Center: p.v, Radius: p.radius, size: len(p.infos), known: p.slotOf.keySet()}
 }
 
 // retransProgram is the retransmitting flood as a Program.

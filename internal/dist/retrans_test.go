@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,10 +11,8 @@ import (
 	"repro/internal/proctest"
 )
 
-// sameKnowledge compares two ball collections by content: same node
-// sets, same distances. Record order may legitimately differ between
-// the plain flood (discovery order) and the retransmitting one (sorted
-// by hops then ID), so the comparison goes through a record scan.
+// sameKnowledge requires two ball collections to hold the same member
+// sets, node by node.
 func sameKnowledge(t *testing.T, name string, want, got map[graph.ID]*Knowledge) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -24,15 +23,8 @@ func sameKnowledge(t *testing.T, name string, want, got map[graph.ID]*Knowledge)
 		if gk == nil {
 			t.Fatalf("%s: node %d missing", name, v)
 		}
-		if gk.Size() != wk.Size() {
-			t.Fatalf("%s node %d: ball size %d, want %d", name, v, gk.Size(), wk.Size())
-		}
-		for _, u := range recordIDs(wk) {
-			wd, _ := distByScan(wk, u)
-			gd, ok := distByScan(gk, u)
-			if !ok || gd != wd {
-				t.Fatalf("%s node %d: dist to %d = %d (known=%v), want %d", name, v, u, gd, ok, wd)
-			}
+		if wm, gm := wk.AppendMembers(nil), gk.AppendMembers(nil); !slices.Equal(wm, gm) {
+			t.Fatalf("%s node %d: members %v, want %v", name, v, gm, wm)
 		}
 	}
 }
@@ -149,6 +141,44 @@ func TestRetransDeterministicAcrossModes(t *testing.T) {
 		}
 		sameKnowledge(t, "procs", refK, gotK)
 	})
+}
+
+// TestRetransBestHopsUnderDrops pins the retransmitting flood's
+// distances, which its Knowledge no longer carries: on E21's quick graph
+// under drop rates 0.1 and 0.3, every node's accepted records must be
+// exactly its radius ball, each at its BFS distance (Bellman-Ford's
+// best hop count), so a record never travels past the radius on a
+// longer path's count.
+func TestRetransBestHopsUnderDrops(t *testing.T) {
+	g := gen.RandomChordal(200, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 29)
+	ix := graph.NewIndexed(g)
+	const radius, budget = 3, 200
+	for _, p := range []float64{0.1, 0.3} {
+		nodes := make([]*retransProtocol, ix.NumNodes())
+		_, res, err := Run(ix, NodeFunc(func(i int) Protocol {
+			nodes[i] = newRetransProtocol(ix.IDOf(i), i, ix, radius)
+			return nodes[i]
+		}), RunOpts{Faults: &Faults{Plan: fault.Plan{Seed: 5, Drop: p}}}, budget)
+		if err != nil {
+			t.Fatalf("drop=%.1f: %v", p, err)
+		}
+		if res.Dropped == 0 {
+			t.Fatalf("drop=%.1f dropped nothing", p)
+		}
+		for i, np := range nodes {
+			v := ix.IDOf(i)
+			dist := g.BFSDistances(v)
+			for slot, idx := range np.infos {
+				if d, ok := dist[ix.IDOf(int(idx))]; !ok || int(np.best[slot]) != d || d > radius {
+					t.Fatalf("drop=%.1f node %d: record %d at %d hops, BFS distance %d (reached %v), radius %d",
+						p, v, ix.IDOf(int(idx)), np.best[slot], d, ok, radius)
+				}
+			}
+			if want := len(bfsBall(g, ix, v, radius)); len(np.infos) != want {
+				t.Fatalf("drop=%.1f node %d: %d records, radius ball holds %d", p, v, len(np.infos), want)
+			}
+		}
+	}
 }
 
 // TestRetransBudgetExhaustion: an impossible budget fails with the

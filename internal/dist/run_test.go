@@ -55,7 +55,7 @@ func TestRunCodecBoundary(t *testing.T) {
 	}
 	sameResult(t, "part2", lRes, pRes)
 	for i := range lOuts {
-		samePartKnowledge(t, "part2", lOuts[i].(*Knowledge), pOuts[i].(*Knowledge))
+		samePartKnowledge(t, "part2", ix, lOuts[i].(*Knowledge), pOuts[i].(*Knowledge))
 	}
 
 	bad := &countingProgram{floodProgram: newFloodProgram(ix, radius), name: "no-such-program"}

@@ -134,9 +134,7 @@ func E21RetransFlood(quick bool) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("E21 baseline: %w", err)
 	}
-	// wantDist holds one baseline ball's distances by snapshot index;
-	// only entries the baseline knows are read.
-	wantDist := make([]int32, ix.NumNodes())
+	members := make([]int32, 0, ix.NumNodes())
 	cleanRounds := 0
 	for i, p := range []float64{0, 0.1, 0.3} {
 		var f *dist.Faults
@@ -152,7 +150,7 @@ func E21RetransFlood(quick bool) (*Table, error) {
 		}
 		match := "exact"
 		for i, w := range want {
-			if !sameBall(w, know[i], wantDist) {
+			if !sameBall(w, know[i], members) {
 				match = "DIVERGED"
 				break
 			}
@@ -160,23 +158,19 @@ func E21RetransFlood(quick bool) (*Table, error) {
 		t.AddRow(fmt.Sprintf("%.1f", p), res.Rounds, res.Rounds-cleanRounds, res.Messages, res.Dropped, match)
 	}
 	t.Notes = append(t.Notes,
-		"\"knowledge\" compares every node's ball (membership and distances) against the lossless plain flood: the protocol trades rounds for exactness.",
+		"\"knowledge\" compares every node's ball (membership) against the lossless plain flood: the protocol trades rounds for exactness.",
 		"Extra rounds count from the protocol's own fault-free run; even that pays an ack round trip over the plain flood's radius+1 schedule.")
 	return t, nil
 }
 
-// sameBall reports whether k holds exactly w's nodes at w's distances,
-// in any record order; wantDist is scratch indexed by snapshot index.
-func sameBall(w, k *dist.Knowledge, wantDist []int32) bool {
+// sameBall reports whether k holds exactly w's members; scratch is
+// reused to list them.
+func sameBall(w, k *dist.Knowledge, scratch []int32) bool {
 	if k.Size() != w.Size() {
 		return false
 	}
-	for j := range w.Size() {
-		idx, d := w.RecordAt(j)
-		wantDist[idx] = d
-	}
-	for j := range k.Size() {
-		if idx, d := k.RecordAt(j); !w.KnownIdx(idx) || wantDist[idx] != d {
+	for _, idx := range w.AppendMembers(scratch) {
+		if !k.KnownIdx(idx) {
 			return false
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -228,20 +229,16 @@ func servedPartition(t *testing.T, ix *graph.Indexed, parts int) (*dist.Partitio
 }
 
 // checkSameKnowledge compares two balls through the exported Knowledge
-// API (the dist package's own partition tests pin field-level
-// equality; here the wire transport must preserve it).
+// API (the dist package's own partition tests pin the regime too; here
+// the wire transport must preserve the member set).
 func checkSameKnowledge(t *testing.T, at string, n int, a, b *dist.Knowledge) {
 	t.Helper()
 	if a.Center != b.Center || a.Radius != b.Radius || a.Size() != b.Size() {
 		t.Fatalf("%s: knowledge header (%d, %d, %d) != (%d, %d, %d)", at,
 			a.Center, a.Radius, a.Size(), b.Center, b.Radius, b.Size())
 	}
-	for i := 0; i < a.Size(); i++ {
-		ai, ad := a.RecordAt(i)
-		bi, bd := b.RecordAt(i)
-		if ai != bi || ad != bd {
-			t.Fatalf("%s: record %d (idx %d dist %d) != (idx %d dist %d)", at, i, ai, ad, bi, bd)
-		}
+	if am, bm := a.AppendMembers(nil), b.AppendMembers(nil); !slices.Equal(am, bm) {
+		t.Fatalf("%s: members %v != %v", at, am, bm)
 	}
 	for i := int32(0); int(i) < n; i++ {
 		if a.KnownIdx(i) != b.KnownIdx(i) {
