@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-budgets lint-bench lint-diff race fuzz-smoke bench-check ci bench-smoke bench trace-smoke chaos-smoke tracestat-smoke partition-smoke experiments netloc
+.PHONY: all build test vet lint lint-budgets lint-bench lint-diff race exhaustive fuzz-smoke bench-check ci bench-smoke bench trace-smoke chaos-smoke tracestat-smoke partition-smoke experiments netloc
 
 all: build test
 
@@ -51,6 +51,13 @@ lint-diff:
 race:
 	$(GO) test -race ./internal/dist ./internal/core ./internal/peel ./internal/exp ./internal/graph ./internal/cliquetree ./internal/obs ./internal/wire ./internal/colorreduce ./internal/baseline ./cmd/tracestat .
 
+# The n = 6 tier of the exhaustive small-graph suite: the distributed
+# prune under six specs on all 18,154 labeled chordal graphs with six
+# nodes, against the peel (Lemma 12) and the whole-view anchored
+# diameter. `go test ./...` runs the n <= 5 tier.
+exhaustive:
+	$(GO) test -run '^TestPruneExhaustive$$' -count=1 ./internal/core -prune-n=6
+
 # Short fuzz runs of every Fuzz* target (10s each) so the fuzzers
 # execute somewhere instead of shipping as dormant seed-corpus tests.
 # go test -fuzz accepts exactly one target per invocation.
@@ -86,16 +93,17 @@ bench-check:
 
 # The full CI gate: compile, vet, chordalvet (with SARIF artifact and
 # baseline diff), the analysis wall-clock gate, race-detect the
-# concurrent core, run the whole test suite and the benchmark module's,
-# then the fault-injection and trace-analysis smokes.
+# concurrent core, run the whole test suite, its n = 6 exhaustive tier
+# and the benchmark module's tests, then the fault-injection and
+# trace-analysis smokes.
 # .github/workflows/ci.yml runs exactly this target.
-ci: build vet lint lint-bench race test bench-check chaos-smoke tracestat-smoke partition-smoke
+ci: build vet lint lint-bench race test exhaustive bench-check chaos-smoke tracestat-smoke partition-smoke
 
 # Quick-mode benchmark smoke: one iteration of the substrate and
-# experiment benchmarks plus the 20k-node end-to-end pipeline, with
-# allocation reporting. Finishes in minutes.
+# experiment benchmarks, the prune's GOMAXPROCS sweep, and the 20k-node
+# end-to-end pipeline, with allocation reporting. Finishes in minutes.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineRound|BenchmarkFloodRadius|BenchmarkFloodN100k|BenchmarkFloodBallCollection|BenchmarkDistributedPruneN256|BenchmarkPipelineN20k|BenchmarkE[0-9]+_' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineRound|BenchmarkFloodRadius|BenchmarkFloodN100k|BenchmarkFloodBallCollection|BenchmarkDistributedPruneN256|BenchmarkDistributedPruneWorkers|BenchmarkPipelineN20k|BenchmarkE[0-9]+_' -benchtime 1x -benchmem .
 
 # Full benchmark sweep (slow).
 bench:

@@ -148,22 +148,40 @@ func BenchmarkDistributedPruneN256(b *testing.B) {
 }
 
 // BenchmarkDistributedPruneWorkers sweeps GOMAXPROCS, which sets the
-// decide kernel's shard count, on the N256 workload; workers=1 is the
-// sequential schedule the parallel shards must match bit-for-bit (see
-// internal/core/decide.go).
+// engine's range count and the decide kernel's shard count, on two
+// inputs: the N256 workload, and the prune of the mis-local benchmark
+// workload (the relabelled HubTree(3,160) at seed 1 under
+// MISChordalDistributed's spec at ε = 0.9), which is almost all flood.
+// workers=1 is the sequential schedule the parallel ranges and shards
+// must match bit-for-bit (see internal/core/decide.go); its time over
+// the time at GOMAXPROCS (2, or the CPU count when larger) is the
+// prune's parallel speedup.
 func BenchmarkDistributedPruneWorkers(b *testing.B) {
-	g := RandomChordalGraph(256, 4, 8)
-	spec := core.PruneSpec{DiamThreshold: 9, Radius: 30}
-	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			proctest.With(w, func() {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.DistributedPruneSpec(g, spec); err != nil {
-						b.Fatal(err)
+	hub, _ := gen.RelabelRandom(gen.HubTree(3, 160), 1)
+	inputs := []struct {
+		name string
+		g    *graph.Graph
+		spec core.PruneSpec
+	}{
+		{"N256", RandomChordalGraph(256, 4, 8), core.PruneSpec{DiamThreshold: 9, Radius: 30}},
+		{"mis-local", hub, core.PruneSpec{DiamThreshold: 147, Radius: 443, MaxIterations: 9, FinalAlpha: 72}},
+	}
+	workers := []int{1, 2}
+	if p := runtime.GOMAXPROCS(0); p > 2 {
+		workers = append(workers, p)
+	}
+	for _, in := range inputs {
+		for _, w := range workers {
+			b.Run(fmt.Sprintf("%s/workers=%d", in.name, w), func(b *testing.B) {
+				proctest.With(w, func() {
+					for i := 0; i < b.N; i++ {
+						if _, err := core.DistributedPruneSpec(in.g, in.spec); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
+				})
 			})
-		})
+		}
 	}
 }
 

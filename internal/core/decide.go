@@ -21,6 +21,7 @@ import (
 // delivered: the center BFS walks the snapshot's rows and enters a node
 // only when it is undecided and in K, stamping reach and distance by
 // snapshot index, and every later read goes through those stamps. The
+// BFS is lazy: it grows only as far as the trust gate asks. The
 // forest is G_i's canonical clique forest, built once per iteration by
 // DistributedPruneSpec; a center reads a clique's row only after the
 // trust gate (trusted) has found all of its members reached within
@@ -57,8 +58,12 @@ type decideScratch struct {
 	memMark    []int32
 	anchorMark []int32
 
+	// The center BFS: every node stamped so far, in BFS order, and the
+	// position of the next one to expand.
+	queue []int32
+	head  int
+
 	// Small reusable buffers.
-	queue   []int32 // the center BFS
 	walked  []int32
 	ends    []int32
 	members []int32
@@ -102,6 +107,7 @@ func (sc *decideScratch) beginCenter(ix *graph.Indexed, forest *cliquetree.CSRFo
 		sc.anchorMark = growMarks(sc.anchorMark, n)
 		sc.bfsMark = growMarks(sc.bfsMark, n)
 		sc.bfsDist = growMarks(sc.bfsDist, n)
+		sc.queue = growMarks(sc.queue, n)
 	}
 }
 
@@ -113,41 +119,57 @@ func growMarks(a []int32, n int) []int32 {
 	return na
 }
 
-// centerBFS stamps the center's view: a BFS from vIdx over the
+// centerBFS starts the center's view: a BFS from vIdx over the
 // snapshot's rows that enters a node only when it is undecided and
-// known, so it reaches exactly the center's component of G_i restricted
-// to its knowledge. Neighbor order only affects queue order within a
-// level, never the distances.
+// known, so it can reach exactly the center's component of G_i
+// restricted to its knowledge. It only seeds the queue; reachWithin
+// expands it.
 func (sc *decideScratch) centerBFS(vIdx int32) {
+	sc.queue = sc.queue[:1]
+	sc.queue[0] = vIdx
+	sc.head = 0
+	sc.reach[vIdx] = sc.epoch
+	sc.dist[vIdx] = 0
+}
+
+// reachWithin reports whether u is in the center's view within distance
+// limit of the center. It expands the center BFS in BFS order until u
+// is stamped or every node closer than limit has been expanded, so the
+// BFS grows only as far as the questions asked of it. A node is stamped
+// once, at its final distance, so the answer and every stamped distance
+// are those of the whole BFS; neighbor order only affects queue order
+// within a level. The queue has room for every node (beginCenter) and
+// holds each at most once, so it is extended in place, never grown.
+func (sc *decideScratch) reachWithin(u int32, limit int) bool {
 	ep := sc.epoch
 	q := sc.queue
-	q = q[:0]
-	q = append(q, vIdx)
-	sc.reach[vIdx] = ep
-	sc.dist[vIdx] = 0
-	for h := 0; h < len(q); h++ {
+	h := sc.head
+	for ; h < len(q) && sc.reach[u] != ep && int(sc.dist[q[h]]) < limit; h++ {
 		v := q[h]
 		d := sc.dist[v] + 1
-		for _, u := range sc.ix.NeighborIndices(int(v)) {
-			if sc.reach[u] == ep || !sc.undecided[u] || !sc.know.KnownIdx(u) {
+		for _, w := range sc.ix.NeighborIndices(int(v)) {
+			if sc.reach[w] == ep || !sc.undecided[w] || !sc.know.KnownIdx(w) {
 				continue
 			}
-			sc.reach[u] = ep
-			sc.dist[u] = d
-			q = append(q, u)
+			sc.reach[w] = ep
+			sc.dist[w] = d
+			q = q[:len(q)+1]
+			q[len(q)-1] = w
 		}
 	}
-	sc.queue = q
+	sc.queue, sc.head = q, h
+	return sc.reach[u] == ep && int(sc.dist[u]) <= limit
 }
 
 // trusted reports whether every member of forest clique c is far enough
 // from the knowledge horizon that its neighborhood (and hence the
-// clique's full forest adjacency) is known exactly. A member the center
-// BFS did not reach is untrusted. The kernel reads a clique's forest
-// row (Nbrs, Deg) only after this gate has passed.
+// clique's full forest adjacency) is known exactly: within radius − 3
+// of the center in its view. A member the center BFS does not reach is
+// untrusted. The kernel reads a clique's forest row (Nbrs, Deg) only
+// after this gate has passed.
 func (sc *decideScratch) trusted(c int32) bool {
 	for _, u := range sc.forest.Clique(c) {
-		if sc.reach[u] != sc.epoch || int(sc.dist[u]) > sc.horizon-3 {
+		if !sc.reachWithin(u, sc.horizon-3) {
 			return false
 		}
 	}
@@ -380,7 +402,7 @@ func decideCenter(sc *decideScratch, ix *graph.Indexed, forest *cliquetree.CSRFo
 
 	// Parent (Definition 1): the closest attachment clique within k+3,
 	// distances read off the center BFS. An attachment clique passed the
-	// trust gate, so the BFS reached every member. On an equal-distance
+	// trust gate, so the BFS stamped every member. On an equal-distance
 	// tie the first end wins; the ends follow the forest's ascending
 	// clique ids (pathEnds, and Nbrs in walkDirection).
 	parent := int32(-1)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -144,17 +145,22 @@ func TestDecideKernelRaceStress(t *testing.T) {
 	}
 }
 
-// TestCenterBFSMatchesGraphBFS checks the center BFS against
+// TestCenterBFSMatchesGraphBFS drives the lazy center BFS against
 // graph.BFSDistances on the center's view, G_i restricted to its
-// knowledge, built as a map-backed induced subgraph: every node the
-// reference reaches carries its distance, and no other node is stamped.
-// The balls are clipped, a third of the nodes are decided, and a second
-// component stays unreachable.
+// knowledge, built as a map-backed induced subgraph. Every node is
+// asked about at limits 0…radius in three orders: ascending index at
+// each limit in turn, descending true distance (unreachable first) at
+// each limit in turn, and a seeded shuffle of all the (node, limit)
+// questions. After every question the answer and every stamped distance
+// must be the reference's, and no node farther than the largest limit
+// asked so far may be stamped. The balls are clipped, a third of the
+// nodes are decided, and a second component stays unreachable.
 func TestCenterBFSMatchesGraphBFS(t *testing.T) {
 	g := gen.RandomChordal(90, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 13)
 	g.AddEdge(1000, 1001)
 	ix := graph.NewIndexed(g)
-	know, _, err := dist.Flood(ix, 3, dist.RunOpts{})
+	const radius = 3
+	know, _, err := dist.Flood(ix, radius, dist.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,29 +169,132 @@ func TestCenterBFSMatchesGraphBFS(t *testing.T) {
 	for i, v := range ids {
 		undecided[i] = v%3 != 1 || v >= 1000
 	}
+	type question struct {
+		u     int32
+		limit int
+	}
+	atEachLimit := func(order []int32) []question {
+		var qs []question
+		for limit := 0; limit <= radius; limit++ {
+			for _, u := range order {
+				qs = append(qs, question{u, limit})
+			}
+		}
+		return qs
+	}
+	rng := rand.New(rand.NewSource(5))
 	var sc decideScratch // one scratch across centers, as in the kernel
 	var forest cliquetree.CSRForest
+	questions := 0
 	for c, v := range ids {
 		if !undecided[c] {
 			continue
 		}
-		sc.beginCenter(ix, &forest, know[c], undecided, 3)
-		sc.centerBFS(int32(c))
 		var view []graph.ID
 		for i, u := range ids {
 			if undecided[i] && know[c].KnownIdx(int32(i)) {
 				view = append(view, u)
 			}
 		}
-		want := g.InducedSubgraph(view).BFSDistances(v)
+		ref := g.InducedSubgraph(view).BFSDistances(v)
+		want := make([]int, len(ids)) // -1 = outside the center's view
+		ascending := make([]int32, len(ids))
 		for i, u := range ids {
-			d, ok := want[u]
-			reached := sc.reach[i] == sc.epoch
-			if reached != ok || ok && int(sc.dist[i]) != d {
-				t.Fatalf("center %d node %d: reached %v at %d, want %v at %d", v, u, reached, sc.dist[i], ok, d)
+			want[i] = -1
+			if d, ok := ref[u]; ok {
+				want[i] = d
+			}
+			ascending[i] = int32(i)
+		}
+		farness := func(i int32) int {
+			if want[i] < 0 {
+				return math.MaxInt
+			}
+			return want[i]
+		}
+		farFirst := slices.Clone(ascending)
+		slices.SortStableFunc(farFirst, func(a, b int32) int { return cmp.Compare(farness(b), farness(a)) })
+		shuffled := atEachLimit(ascending)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for k, qs := range [][]question{atEachLimit(ascending), atEachLimit(farFirst), shuffled} {
+			sc.beginCenter(ix, &forest, know[c], undecided, radius)
+			sc.centerBFS(int32(c))
+			asked := 0
+			for _, q := range qs {
+				asked = max(asked, q.limit)
+				got := sc.reachWithin(q.u, q.limit)
+				if d := want[q.u]; got != (d >= 0 && d <= q.limit) {
+					t.Fatalf("center %d order %d: node %d within %d is %v, reference distance %d", v, k, ids[q.u], q.limit, got, d)
+				}
+				for i := range ids {
+					if sc.reach[i] != sc.epoch {
+						continue
+					}
+					if d := int(sc.dist[i]); d != want[i] || d > asked {
+						t.Fatalf("center %d order %d: node %d stamped at %d after limits up to %d, reference distance %d", v, k, ids[i], d, asked, want[i])
+					}
+				}
+				questions++
 			}
 		}
 	}
+	t.Logf("%d questions checked", questions)
+}
+
+// TestCenterBFSIndependentOfRadius pins the center BFS's work to what
+// the decide rules read. On a relabelled hub tree, one diameter-rule
+// iteration at threshold 30 decides every center at radius 100 and at
+// radius 400: every walk ends at a leaf or a hub well inside both
+// radii, so the decisions must agree, and so must the number of nodes
+// the center BFSes stamp, summed over all centers. A BFS that walked
+// each center's whole known component would stamp more at the larger
+// radius.
+func TestCenterBFSIndependentOfRadius(t *testing.T) {
+	g, _ := gen.RelabelRandom(gen.HubTree(3, 40), 1)
+	ix := graph.NewIndexed(g)
+	n := ix.NumNodes()
+	undecided := make([]bool, n)
+	for i := range undecided {
+		undecided[i] = true
+	}
+	var forest cliquetree.CSRForest
+	if err := cliquetree.NewBuilder(ix).Build(undecided, n, &forest); err != nil {
+		t.Fatal(err)
+	}
+	rule := decideRule{diamThreshold: 30, parentHorizon: 13}
+	decideAll := func(radius int) ([]decideResult, int) {
+		know, _, err := dist.Flood(ix, radius, dist.RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := make([]decideResult, n)
+		var sc decideScratch
+		stamped := 0
+		for c := range n {
+			peel, parent := decideCenter(&sc, ix, &forest, know[c], undecided, int32(c), rule, radius)
+			results[c] = decideResult{peel: peel, parent: parent}
+			stamped += len(sc.queue)
+		}
+		return results, stamped
+	}
+	near, nearStamped := decideAll(100)
+	far, farStamped := decideAll(400)
+	peeled := 0
+	for c := range n {
+		if near[c] != far[c] {
+			t.Fatalf("center %d: %+v at radius 100, %+v at radius 400", ix.IDOf(c), near[c], far[c])
+		}
+		if near[c].peel {
+			peeled++
+		}
+	}
+	if peeled == 0 || peeled == n {
+		t.Fatalf("%d of %d centers peeled: want both decisions", peeled, n)
+	}
+	if nearStamped != farStamped {
+		t.Fatalf("center BFSes stamp %d nodes at radius 100 and %d at radius 400", nearStamped, farStamped)
+	}
+	t.Logf("%d nodes, %d peeled, %d stamped at both radii", n, peeled, nearStamped)
 }
 
 // TestDecideScratchEpochCrossesInt32Boundary decides every center of a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"reflect"
 	"sync"
@@ -26,11 +27,15 @@ var exhaustivePruneSpecs = []PruneSpec{
 	{DiamThreshold: 2, Radius: 20, MaxIterations: 2, FinalAlpha: 2},
 }
 
+// pruneMaxN is the largest node count TestPruneExhaustive enumerates:
+// five in `go test ./...`, six in `make exhaustive`.
+var pruneMaxN = flag.Int("prune-n", 5, "largest node count TestPruneExhaustive enumerates")
+
 // TestPruneExhaustive runs the distributed prune under every spec of
-// exhaustivePruneSpecs on every labeled chordal graph with at most five
-// nodes. Its layers must be the peel's under the same options (Lemma
-// 12), and every anchored diameter the decide kernel measures must
-// match the whole-view BFS.
+// exhaustivePruneSpecs on every labeled chordal graph with at most
+// -prune-n nodes (default five). Its layers must be the peel's under the
+// same options (Lemma 12), and every anchored diameter the decide
+// kernel measures must match the whole-view BFS.
 func TestPruneExhaustive(t *testing.T) {
 	var mu sync.Mutex
 	checked, mismatched := 0, 0
@@ -45,7 +50,7 @@ func TestPruneExhaustive(t *testing.T) {
 		}
 	}
 	defer func() { anchoredDiameterProbe = nil }()
-	for n := 1; n <= 5; n++ {
+	for n := 1; n <= *pruneMaxN; n++ {
 		chordal.AllLabeled(n, func(g *graph.Graph) {
 			for _, spec := range exhaustivePruneSpecs {
 				where := fmt.Sprintf("n=%d edges %v spec %+v", n, g.Edges(), spec)

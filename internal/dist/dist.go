@@ -513,7 +513,6 @@ func (e *engine) deliver(round, done int, crashed []graph.ID, res *Result) {
 	for k := range e.ranges {
 		r := &e.ranges[k]
 		msgs, vol, far = msgs+r.msgs, vol+r.vol, far || r.far
-		r.msgs, r.vol, r.far = 0, 0, false
 	}
 	var fs FaultStats
 	active := e.faults.active()

@@ -23,6 +23,13 @@ import (
 // carries its node's global snapshot index). A shard runner's range is
 // contiguous in index order; the LOCAL engine's ranges are chunks of
 // the snapshot's BFS order, starting at BFS position pos0.
+//
+// The engine keeps its ranges in one array, so neighboring ranges share
+// cache lines. Nothing in the per-node loop of a step writes a field of
+// the range, except recoverAt on a panic: the step accounts in a
+// stepAcc on its own stack and adds it to the range once, after the
+// last node, so ranges stepping in parallel do not write to each
+// other's lines per node.
 type nodeRange struct {
 	progs     []Protocol
 	ctxs      []Context
@@ -42,11 +49,21 @@ type nodeRange struct {
 	board  *pullBoard
 	pos0   int
 	pulled []Message
-	// msgs, vol and far are the board steps' sender-side accounting:
-	// the step's copies and their volume, and whether any node sent to
-	// itself or to a non-neighbor.
+	// msgs, vol and far are the last board step's sender-side
+	// accounting: the step's copies and their volume, and whether any
+	// node sent to itself or to a non-neighbor.
 	msgs, vol int
 	far       bool
+}
+
+// stepAcc is one range step's per-node accounting: the pull buffer,
+// the board's sender-side copies, volume and far flag, and the change
+// in the range's Done count.
+type stepAcc struct {
+	pulled    []Message
+	msgs, vol int
+	far       bool
+	done      int
 }
 
 // newNodeRange wraps progs, the protocols of global indices lo, lo+1,
@@ -96,15 +113,19 @@ func newContext(ix *graph.Indexed, i int32, round *int32) Context {
 //
 //chordalvet:hotpath budget=0 shared range step: runs every node program of both runtimes
 func (r *nodeRange) step(round int, inbox [][]Message, dead []bool) {
+	acc := stepAcc{pulled: r.pulled}
 	for at := 0; at < len(r.progs); {
-		at = r.stepFrom(at, round, inbox, dead)
+		at = r.stepFrom(&acc, at, round, inbox, dead)
 	}
+	r.pulled = acc.pulled
+	r.msgs, r.vol, r.far = acc.msgs, acc.vol, acc.far
+	r.doneCount += acc.done
 }
 
-// stepFrom steps the range's nodes from position at on and returns the
-// end position, or — when a node program panics — the position after
-// it, the panic recorded by recoverAt.
-func (r *nodeRange) stepFrom(at, round int, inbox [][]Message, dead []bool) (next int) {
+// stepFrom steps the range's nodes from position at on, accounting in
+// acc, and returns the end position, or — when a node program panics —
+// the position after it, the panic recorded by recoverAt.
+func (r *nodeRange) stepFrom(acc *stepAcc, at, round int, inbox [][]Message, dead []bool) (next int) {
 	defer r.recoverAt(&next)
 	par := round & 1
 	for next = at; next < len(r.progs); next++ {
@@ -122,15 +143,15 @@ func (r *nodeRange) stepFrom(at, round int, inbox [][]Message, dead []bool) (nex
 		} else {
 			var in []Message
 			if r.board != nil && r.board.pulling {
-				r.pulled = r.board.pull(r.pos0+next, round, r.pulled)
-				in = r.pulled
+				acc.pulled = r.board.pull(r.pos0+next, round, acc.pulled)
+				in = acc.pulled
 			} else {
 				in = inbox[next]
 				inbox[next] = in[:0]
 			}
 			if r.quiescent && len(in) == 0 {
 				if r.board != nil {
-					r.publish(r.pos0+next, c, par)
+					r.publish(acc, r.pos0+next, c, par)
 				}
 				continue
 			}
@@ -139,13 +160,13 @@ func (r *nodeRange) stepFrom(at, round int, inbox [][]Message, dead []bool) (nex
 		if d := p.Done(); d != r.done[next] {
 			r.done[next] = d
 			if d {
-				r.doneCount++
+				acc.done++
 			} else {
-				r.doneCount--
+				acc.done--
 			}
 		}
 		if r.board != nil {
-			r.publish(r.pos0+next, c, par)
+			r.publish(acc, r.pos0+next, c, par)
 		}
 	}
 	return next
@@ -166,10 +187,10 @@ func (r *nodeRange) recoverAt(at *int) {
 }
 
 // publish posts the step output of node c, at BFS position pos, to the
-// board's slot for this parity and charges its copies and volume
-// sender-side, exactly as the routing walk counts them without a fault
-// plan.
-func (r *nodeRange) publish(pos int, c *Context, par int) {
+// board's slot for this parity and charges its copies and volume to
+// acc, sender-side, exactly as the routing walk counts them without a
+// fault plan.
+func (r *nodeRange) publish(acc *stepAcc, pos int, c *Context, par int) {
 	q := &c.out[par]
 	s := &r.board.slots[par][pos]
 	switch {
@@ -185,11 +206,11 @@ func (r *nodeRange) publish(pos int, c *Context, par int) {
 		if q.targets[k] == broadcastTarget {
 			copies = len(c.nbrIdx)
 		}
-		r.msgs += copies
-		r.vol += copies * payloadSize(m.Payload)
+		acc.msgs += copies
+		acc.vol += copies * payloadSize(m.Payload)
 	}
 	if c.far {
-		r.far = true
+		acc.far = true
 		c.far = false
 	}
 }
