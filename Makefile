@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-budgets lint-bench lint-diff race exhaustive fuzz-smoke bench-check ci bench-smoke bench trace-smoke chaos-smoke tracestat-smoke partition-smoke experiments netloc
+.PHONY: all build fmt test vet lint lint-budgets lint-bench lint-diff race exhaustive fuzz-smoke bench-check ci bench-smoke bench trace-smoke chaos-smoke tracestat-smoke partition-smoke experiments netloc
 
 all: build test
 
 build:
 	$(GO) build ./...
+
+# gofmt gate: fails when a Go file is not gofmt-clean; `gofmt -l .`
+# lists the offenders.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -91,13 +96,13 @@ fuzz-smoke:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The full CI gate: compile, vet, chordalvet (with SARIF artifact and
-# baseline diff), the analysis wall-clock gate, race-detect the
-# concurrent core, run the whole test suite, its n = 6 exhaustive tier
-# and the benchmark module's tests, then the fault-injection and
-# trace-analysis smokes.
+# The full CI gate: the gofmt check, compile, vet, chordalvet (with
+# SARIF artifact and baseline diff), the analysis wall-clock gate,
+# race-detect the concurrent core, run the whole test suite, its n = 6
+# exhaustive tier and the benchmark module's tests, then the
+# fault-injection and trace-analysis smokes.
 # .github/workflows/ci.yml runs exactly this target.
-ci: build vet lint lint-bench race test exhaustive bench-check chaos-smoke tracestat-smoke partition-smoke
+ci: fmt build vet lint lint-bench race test exhaustive bench-check chaos-smoke tracestat-smoke partition-smoke
 
 # Quick-mode benchmark smoke: one iteration of the substrate and
 # experiment benchmarks, the prune's GOMAXPROCS sweep, and the 20k-node

@@ -261,7 +261,7 @@ func BenchmarkMISStageN100k(b *testing.B) {
 // correction horizon). Layers come from a real peel; each node's parent
 // is its smallest higher-layer neighbor, matching the Definition-1
 // parent's shape.
-func correctionInputs(b *testing.B, g *graph.Graph) (*core.PruneOutcome, map[graph.ID]int) {
+func correctionInputs(b *testing.B, g *graph.Graph) *core.PruneOutcome {
 	b.Helper()
 	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 12})
 	if err != nil {
@@ -270,9 +270,7 @@ func correctionInputs(b *testing.B, g *graph.Graph) (*core.PruneOutcome, map[gra
 	ix := peeled.Snapshot
 	n := ix.NumNodes()
 	out := &core.PruneOutcome{Snapshot: ix, Layer: peeled.NodeLayer, Parent: make([]int32, n)}
-	colors := make(map[graph.ID]int, n)
-	for i, v := range ix.IDs() {
-		colors[v] = int(v) % 5
+	for i := range n {
 		out.Parent[i] = -1
 		// Neighbor indices ascend with IDs: the first higher-layer
 		// neighbor is the smallest.
@@ -283,16 +281,16 @@ func correctionInputs(b *testing.B, g *graph.Graph) (*core.PruneOutcome, map[gra
 			}
 		}
 	}
-	return out, colors
+	return out
 }
 
 func BenchmarkCorrectionPhaseN100k(b *testing.B) {
 	g := gen.HubTree(11, 20) // ~98k nodes, diameter ≈ depth×chainLen
-	out, colors := correctionInputs(b, g)
+	out := correctionInputs(b, g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunCorrectionPhase(out, colors, 4, dist.RunOpts{}); err != nil {
+		if _, err := core.RunCorrectionPhase(out, 4, dist.RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -385,8 +385,11 @@ func reportColoring(g *graph.Graph, colors map[graph.ID]int, omega, palette, rou
 	if err != nil {
 		return fmt.Errorf("illegal coloring produced: %w", err)
 	}
-	fmt.Printf("coloring: %d colors, χ = %d, guarantee ≤ %d, ratio = %.4f\n",
-		used, omega, palette, float64(used)/float64(omega))
+	fmt.Printf("coloring: %d colors, χ = %d, guarantee ≤ %d", used, omega, palette)
+	if omega > 0 {
+		fmt.Printf(", ratio = %.4f", float64(used)/float64(omega))
+	}
+	fmt.Println()
 	if rounds > 0 {
 		fmt.Printf("LOCAL rounds: %d\n", rounds)
 	}
@@ -401,8 +404,11 @@ func reportMIS(g *graph.Graph, is graph.Set, rounds int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("independent set: %d nodes, α = %d, ratio = %.4f\n",
-		len(is), alpha, float64(alpha)/float64(len(is)))
+	fmt.Printf("independent set: %d nodes, α = %d", len(is), alpha)
+	if alpha > 0 {
+		fmt.Printf(", ratio = %.4f", float64(alpha)/float64(len(is)))
+	}
+	fmt.Println()
 	if rounds > 0 {
 		fmt.Printf("LOCAL rounds: %d\n", rounds)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -164,10 +165,45 @@ func TestRunPartitioned(t *testing.T) {
 	if err := run("color-dist", 0.7, "", "", "random", 50, 4, 2, 2, "", false, "dup=0.2,delay=2", 7, "", "", ""); err != nil {
 		t.Errorf("color-dist -partitions 2 under dup+delay: %v", err)
 	}
+	// On the empty graph a 2-shard partition is one empty range, and
+	// with χ = α = 0 the reports print no ratio.
+	empty := filepath.Join(t.TempDir(), "empty.json")
+	if err := os.WriteFile(empty, []byte(`{"nodes":[],"edges":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []string{"color-dist", "mis-dist"} {
+		out, err := stdoutOf(t, func() error {
+			return run(alg, 0.5, empty, "", "", 0, 0, 0, 2, "", false, "", 7, "", "", "")
+		})
+		if err != nil || strings.Contains(out, "ratio") {
+			t.Errorf("%s -partitions 2 on the empty graph: err = %v, stdout %q", alg, err, out)
+		}
+	}
 	// -partitions on a non-distributed algorithm is a usage error.
 	if err := run("color", 0.5, "", "", "random", 30, 4, 1, 2, "", false, "", 7, "", "", ""); err == nil {
 		t.Error("-partitions accepted for a centralized algorithm")
 	}
+}
+
+// stdoutOf runs f with os.Stdout redirected to a pipe and returns what
+// it printed.
+func stdoutOf(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		printed <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	err = f()
+	os.Stdout = stdout
+	w.Close()
+	return string(<-printed), err
 }
 
 func TestRunFaultFlags(t *testing.T) {

@@ -109,20 +109,16 @@ func TestMISChordalDropDiverges(t *testing.T) {
 // change the measured schedule length or the choreography's success.
 func TestCorrectionPhaseAbsorbsDup(t *testing.T) {
 	g := figures.Fig1()
-	want, err := ColorChordalDistributed(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	outcome, err := DistributedPrune(g, EffectiveK(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanRounds, err := RunCorrectionPhase(outcome, want.Colors, EffectiveK(0.5), dist.RunOpts{})
+	cleanRounds, err := RunCorrectionPhase(outcome, EffectiveK(0.5), dist.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := &dist.Faults{Plan: fault.Plan{Seed: 14, Dup: 0.4}}
-	faultRounds, err := RunCorrectionPhase(outcome, want.Colors, EffectiveK(0.5), dist.RunOpts{Faults: f})
+	faultRounds, err := RunCorrectionPhase(outcome, EffectiveK(0.5), dist.RunOpts{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}

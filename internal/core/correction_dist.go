@@ -5,17 +5,18 @@ import (
 	"sort"
 
 	"repro/internal/dist"
-	"repro/internal/graph"
 )
 
 // The correction-phase choreography of Algorithms 2/4: after the coloring
 // phase, nodes without parents are final immediately and announce it;
 // every parent waits until (a) it is final itself and (b) every
 // higher-layer neighbor of its layer-l children is final, then sends
-// SetColor to those children (Lemma 10's recoloring, computed from the
-// parent's (k+5)-ball knowledge), which finalizes them in turn. The
-// engine measures the real asynchronous schedule length (the induction of
-// Lemma 12).
+// SetColor to those children, which finalizes them in turn. The engine
+// measures the real asynchronous schedule length (the induction of
+// Lemma 12). A SetColor names its child and carries no color: the
+// colors are the correct-paths kernel's (colorLayers), which Lemma 12
+// makes equal to the ones each parent would compute from its own
+// (k+5)-ball.
 //
 // Protocol state is precomputed into shared index-space slabs resolved
 // through the engine's CSR snapshot: messages carry int32 snapshot
@@ -43,7 +44,6 @@ type finalMsg struct {
 
 type setColorMsg struct {
 	Target int32 // snapshot index of the recolored child
-	Color  int
 	Expire int32
 }
 
@@ -51,17 +51,16 @@ type setColorMsg struct {
 // and the finality gate, both as ranges into the shared slabs.
 type corrGroup struct {
 	layer            int32
-	kidOff, kidEnd   int32 // range into corrShared.kidIdx / kidColor
+	kidOff, kidEnd   int32 // range into corrShared.kidIdx
 	gateOff, gateEnd int32 // range into corrShared.gates
 }
 
 // corrShared is the read-only precomputed state shared by every
 // correctionNode of one engine run.
 type corrShared struct {
-	groups   []corrGroup
-	kidIdx   []int32 // children, ascending index within each group
-	kidColor []int   // the Lemma-10 color each child receives
-	gates    []int32 // sorted, deduped gate node indices per group
+	groups []corrGroup
+	kidIdx []int32 // children, ascending index within each group
+	gates  []int32 // sorted, deduped gate node indices per group
 }
 
 // correctionNode is one node's state machine for the correction phase.
@@ -143,7 +142,7 @@ func (c *correctionNode) tryCorrect(ctx *dist.Context) {
 			}
 		}
 		for j := grp.kidOff; j < grp.kidEnd; j++ {
-			ctx.Broadcast(setColorMsg{Target: c.sh.kidIdx[j], Color: c.sh.kidColor[j], Expire: int32(ctx.Round()) + int32(c.ttl) + 1})
+			ctx.Broadcast(setColorMsg{Target: c.sh.kidIdx[j], Expire: int32(ctx.Round()) + int32(c.ttl) + 1})
 		}
 		c.pendingAt++
 	}
@@ -153,19 +152,18 @@ func (c *correctionNode) Done() bool  { return c.final && c.pendingAt >= c.gEnd-
 func (c *correctionNode) Output() any { return c.final }
 
 // RunCorrectionPhase executes the correction choreography on the
-// pruning outcome's snapshot, with its layers and parents and the final
-// colors (each parent's local Lemma-10 result). opts attaches an
-// observer and a fault schedule and picks the runtime. The
+// pruning outcome's snapshot, with its layers and parents. opts
+// attaches an observer and a fault schedule and picks the runtime. The
 // choreography dedups every message kind (seenFinal/seenSet), so
 // duplication and delay leave the corrected coloring untouched; dropped
 // messages stall it and surface as the did-not-terminate error. It
 // returns the measured rounds of the asynchronous schedule.
-func RunCorrectionPhase(out *PruneOutcome, finalColors map[graph.ID]int, k int, opts dist.RunOpts) (int, error) {
+func RunCorrectionPhase(out *PruneOutcome, k int, opts dist.RunOpts) (int, error) {
 	if err := out.checkParents(); err != nil {
 		return 0, fmt.Errorf("correction phase: %w", err)
 	}
 	ix := out.Snapshot
-	prog := correctionPrecompute(out, finalColors, k, opts.Observer)
+	prog := correctionPrecompute(out, k, opts.Observer)
 	outs, res, err := dist.Run(ix, prog, opts, 20*(ix.NumNodes()+10)*(k+5))
 	if err != nil {
 		return 0, fmt.Errorf("correction phase: %w", err)
@@ -242,12 +240,11 @@ func (out *PruneOutcome) checkParents() error {
 	return nil
 }
 
-// correctionPrecompute lays the outcome's parents and the final colors
-// out as the shared index-space slabs the choreography runs on.
-func correctionPrecompute(out *PruneOutcome, finalColors map[graph.ID]int, k int, o dist.RoundObserver) *correctionProgram {
+// correctionPrecompute lays the outcome's parents out as the shared
+// index-space slabs the choreography runs on.
+func correctionPrecompute(out *PruneOutcome, k int, o dist.RoundObserver) *correctionProgram {
 	ix := out.Snapshot
 	n := ix.NumNodes()
-	ids := ix.IDs()
 	layerOf := out.Layer
 
 	// Flatten the parent relation into (parent, layer desc, child asc)
@@ -277,10 +274,8 @@ func correctionPrecompute(out *PruneOutcome, finalColors map[graph.ID]int, k int
 		return kids[i].c < kids[j].c
 	})
 	kidIdx := make([]int32, len(kids))
-	kidColor := make([]int, len(kids))
 	for i, kr := range kids {
 		kidIdx[i] = kr.c
-		kidColor[i] = finalColors[ids[kr.c]]
 	}
 	var groups []corrGroup
 	var groupOwner []int32
@@ -341,6 +336,6 @@ func correctionPrecompute(out *PruneOutcome, finalColors map[graph.ID]int, k int
 		gates = append(gates, gateSlots[gi]...)
 		groups[gi].gateEnd = int32(len(gates))
 	}
-	sh := &corrShared{groups: groups, kidIdx: kidIdx, kidColor: kidColor, gates: gates}
+	sh := &corrShared{groups: groups, kidIdx: kidIdx, gates: gates}
 	return &correctionProgram{sh: sh, hasParent: hasParent, nodeGOff: nodeGOff, ttl: k + 5}
 }

@@ -28,7 +28,6 @@ type corrGroupWire struct {
 type corrParamsWire struct {
 	Groups    []corrGroupWire
 	KidIdx    []int32
-	KidColor  []int
 	Gates     []int32
 	HasParent []bool
 	NodeGOff  []int32
@@ -40,7 +39,6 @@ func (p *correctionProgram) Params() (string, []byte, error) {
 	w := corrParamsWire{
 		Groups:    make([]corrGroupWire, len(p.sh.groups)),
 		KidIdx:    p.sh.kidIdx,
-		KidColor:  p.sh.kidColor,
 		Gates:     p.sh.gates,
 		HasParent: p.hasParent,
 		NodeGOff:  p.nodeGOff,
@@ -65,10 +63,9 @@ func newCorrectionProgram(ix *graph.Indexed, params []byte) (dist.Program, error
 		return nil, err
 	}
 	sh := &corrShared{
-		groups:   make([]corrGroup, len(w.Groups)),
-		kidIdx:   w.KidIdx,
-		kidColor: w.KidColor,
-		gates:    w.Gates,
+		groups: make([]corrGroup, len(w.Groups)),
+		kidIdx: w.KidIdx,
+		gates:  w.Gates,
 	}
 	for i, g := range w.Groups {
 		sh.groups[i] = corrGroup{layer: g.Layer, kidOff: g.KidOff, kidEnd: g.KidEnd, gateOff: g.GateOff, gateEnd: g.GateEnd}
@@ -84,9 +81,6 @@ func (w *corrParamsWire) validate(n int) error {
 	if len(w.HasParent) != n || len(w.NodeGOff) != n+1 {
 		return fmt.Errorf("correction: params describe %d/%d nodes, snapshot has %d",
 			len(w.HasParent), len(w.NodeGOff), n)
-	}
-	if len(w.KidIdx) != len(w.KidColor) {
-		return fmt.Errorf("correction: %d children but %d child colors", len(w.KidIdx), len(w.KidColor))
 	}
 	if w.TTL < 0 {
 		return fmt.Errorf("correction: negative TTL %d", w.TTL)
@@ -113,54 +107,44 @@ func (w *corrParamsWire) validate(n int) error {
 	return nil
 }
 
-// Payload wire format: a kind byte, then fixed-width little-endian
-// int32 fields.
+// Payload wire format: both kinds are 9 bytes, a kind byte and then
+// two little-endian int32s, the node index (Origin or Target) and the
+// expiry step.
 const (
 	corrKindFinal    = 0
 	corrKindSetColor = 1
 )
 
-func corrI32(b []byte, v int32) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }
-
 func (p *correctionProgram) EncodePayload(pl any) ([]byte, error) {
+	var kind byte
+	var idx, expire int32
 	switch m := pl.(type) {
 	case finalMsg:
-		out := make([]byte, 1, 9)
-		out[0] = corrKindFinal
-		out = corrI32(out, m.Origin)
-		out = corrI32(out, m.Expire)
-		return out, nil
+		kind, idx, expire = corrKindFinal, m.Origin, m.Expire
 	case setColorMsg:
-		out := make([]byte, 1, 13)
-		out[0] = corrKindSetColor
-		out = corrI32(out, m.Target)
-		out = corrI32(out, int32(m.Color))
-		out = corrI32(out, m.Expire)
-		return out, nil
+		kind, idx, expire = corrKindSetColor, m.Target, m.Expire
 	default:
 		return nil, fmt.Errorf("correction: payload is %T, want finalMsg or setColorMsg", pl)
 	}
+	out := make([]byte, 1, 9)
+	out[0] = kind
+	out = binary.LittleEndian.AppendUint32(out, uint32(idx))
+	return binary.LittleEndian.AppendUint32(out, uint32(expire)), nil
 }
 
 func (p *correctionProgram) DecodePayload(data []byte) (any, error) {
-	if len(data) < 1 {
-		return nil, fmt.Errorf("correction: empty payload")
+	if len(data) != 9 {
+		return nil, fmt.Errorf("correction: payload has %d bytes, want 9", len(data))
 	}
-	kind, body := data[0], data[1:]
-	i32 := func(off int) int32 { return int32(binary.LittleEndian.Uint32(body[off:])) }
-	switch kind {
+	idx := int32(binary.LittleEndian.Uint32(data[1:]))
+	expire := int32(binary.LittleEndian.Uint32(data[5:]))
+	switch data[0] {
 	case corrKindFinal:
-		if len(body) != 8 {
-			return nil, fmt.Errorf("correction: final payload has %d bytes, want 8", len(body))
-		}
-		return finalMsg{Origin: i32(0), Expire: i32(4)}, nil
+		return finalMsg{Origin: idx, Expire: expire}, nil
 	case corrKindSetColor:
-		if len(body) != 12 {
-			return nil, fmt.Errorf("correction: setcolor payload has %d bytes, want 12", len(body))
-		}
-		return setColorMsg{Target: i32(0), Color: int(i32(4)), Expire: i32(8)}, nil
+		return setColorMsg{Target: idx, Expire: expire}, nil
 	default:
-		return nil, fmt.Errorf("correction: payload kind %d unknown", kind)
+		return nil, fmt.Errorf("correction: payload kind %d unknown", data[0])
 	}
 }
 

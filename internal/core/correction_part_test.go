@@ -42,7 +42,6 @@ func TestCorrectionParamsRejectOutOfRangeGroup(t *testing.T) {
 	blob := encodeParamsWire(t, corrParamsWire{
 		Groups:    []corrGroupWire{{Layer: 1, KidOff: 0, KidEnd: 5}},
 		KidIdx:    []int32{1},
-		KidColor:  []int{2},
 		HasParent: []bool{false, true, false},
 		NodeGOff:  []int32{0, 1, 1, 1},
 		TTL:       5,
@@ -63,7 +62,6 @@ func TestCorrectionParamsValidation(t *testing.T) {
 		return corrParamsWire{
 			Groups:    []corrGroupWire{{Layer: 1, KidOff: 0, KidEnd: 1, GateOff: 0, GateEnd: 1}},
 			KidIdx:    []int32{0},
-			KidColor:  []int{2},
 			Gates:     []int32{2},
 			HasParent: []bool{true, false, false},
 			NodeGOff:  []int32{0, 0, 1, 1},
@@ -81,7 +79,6 @@ func TestCorrectionParamsValidation(t *testing.T) {
 		"reversed kid range":  func(w *corrParamsWire) { w.Groups[0].KidOff, w.Groups[0].KidEnd = 1, 0 },
 		"gate range past":     func(w *corrParamsWire) { w.Groups[0].GateEnd = 2 },
 		"negative gate start": func(w *corrParamsWire) { w.Groups[0].GateOff = -1 },
-		"color count":         func(w *corrParamsWire) { w.KidColor = nil },
 		"kid index":           func(w *corrParamsWire) { w.KidIdx[0] = 3 },
 		"gate index":          func(w *corrParamsWire) { w.Gates[0] = -1 },
 		"negative TTL":        func(w *corrParamsWire) { w.TTL = -1 },
@@ -101,15 +98,11 @@ func realCorrectionRun(t testing.TB) (*graph.Indexed, []byte, [][]byte) {
 	t.Helper()
 	g := gen.RandomChordal(40, gen.ChordalOpts{MaxCliqueSize: 3, AttachFull: 0.4}, 3)
 	k := EffectiveK(0.5)
-	col, err := ColorChordalDistributed(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	outcome, err := DistributedPrune(g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, prog := outcome.Snapshot, correctionPrecompute(outcome, col.Colors, k, nil)
+	ix, prog := outcome.Snapshot, correctionPrecompute(outcome, k, nil)
 	_, params, err := prog.Params()
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +159,7 @@ func blockPayloads(t testing.TB, b []byte) [][]byte {
 
 // FuzzCorrectionParams: whatever params blob a shard host is handed,
 // either the program rejects it at construction or every node's Init —
-// the step that reads the child groups, gates and colors — completes
+// the step that reads the child groups and gates — completes
 // without a node-program panic.
 func FuzzCorrectionParams(f *testing.F) {
 	ix, params, _ := realCorrectionRun(f)
@@ -174,7 +167,6 @@ func FuzzCorrectionParams(f *testing.F) {
 	f.Add(encodeParamsWire(f, corrParamsWire{
 		Groups:    []corrGroupWire{{Layer: 1, KidOff: 0, KidEnd: 5}},
 		KidIdx:    []int32{1},
-		KidColor:  []int{2},
 		HasParent: make([]bool, ix.NumNodes()),
 		NodeGOff:  make([]int32, ix.NumNodes()+1),
 	}))

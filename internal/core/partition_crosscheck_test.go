@@ -112,6 +112,65 @@ func TestPartitionedColoringMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestPartitionedEmptyGraphMatchesLocal: on the empty graph a 2-shard
+// partition is one empty range, [0, 0), as SplitRange gives it. Flood,
+// both pipelines and the correction phase must run on it and give the
+// LOCAL results and trace.
+func TestPartitionedEmptyGraphMatchesLocal(t *testing.T) {
+	g := graph.New()
+	ix := graph.NewIndexed(g)
+	lObs, pObs := &traceRecorder{}, &traceRecorder{}
+	part := func() *dist.Partition { return dist.NewLocalPartition(ix, 2) }
+	wantBalls, wantRes, err := dist.Flood(ix, 3, dist.RunOpts{Observer: lObs})
+	if err != nil {
+		t.Fatalf("local flood: %v", err)
+	}
+	gotBalls, gotRes, err := dist.Flood(ix, 3, dist.RunOpts{Observer: pObs, Part: part()})
+	if err != nil {
+		t.Fatalf("partitioned flood: %v", err)
+	}
+	if len(gotBalls) != len(wantBalls) || *gotRes != *wantRes {
+		t.Fatalf("flood: %d balls, %+v; want %d, %+v", len(gotBalls), *gotRes, len(wantBalls), *wantRes)
+	}
+	wantCol, err := ColorChordalDistributedFaultyPart(g, 0.5, lObs, nil, nil, nil)
+	if err != nil {
+		t.Fatalf("local coloring: %v", err)
+	}
+	gotCol, err := ColorChordalDistributedFaultyPart(g, 0.5, pObs, nil, nil, part())
+	if err != nil {
+		t.Fatalf("partitioned coloring: %v", err)
+	}
+	if len(gotCol.Colors) != 0 || gotCol.ColorsUsed != wantCol.ColorsUsed || gotCol.Rounds != wantCol.Rounds {
+		t.Fatalf("coloring: %d colors, %d used, %d rounds; want none, %d, %d",
+			len(gotCol.Colors), gotCol.ColorsUsed, gotCol.Rounds, wantCol.ColorsUsed, wantCol.Rounds)
+	}
+	wantMIS, err := MISChordalDistributedFaultyPart(g, 0.5, lObs, nil, nil, nil)
+	if err != nil {
+		t.Fatalf("local MIS: %v", err)
+	}
+	gotMIS, err := MISChordalDistributedFaultyPart(g, 0.5, pObs, nil, nil, part())
+	if err != nil {
+		t.Fatalf("partitioned MIS: %v", err)
+	}
+	if len(gotMIS.Set) != 0 || gotMIS.Rounds != wantMIS.Rounds || gotMIS.Iterations != wantMIS.Iterations {
+		t.Fatalf("MIS: %d nodes, %d rounds, %d iterations; want none, %d, %d",
+			len(gotMIS.Set), gotMIS.Rounds, gotMIS.Iterations, wantMIS.Rounds, wantMIS.Iterations)
+	}
+	outcome := &PruneOutcome{Snapshot: ix}
+	want, err := RunCorrectionPhase(outcome, 3, dist.RunOpts{Observer: lObs})
+	if err != nil {
+		t.Fatalf("local correction: %v", err)
+	}
+	got, err := RunCorrectionPhase(outcome, 3, dist.RunOpts{Observer: pObs, Part: part()})
+	if err != nil {
+		t.Fatalf("partitioned correction: %v", err)
+	}
+	if got != want {
+		t.Fatalf("correction: %d rounds, want %d", got, want)
+	}
+	sameTrace(t, "empty graph", lObs, pObs)
+}
+
 // TestPartitionedColoringDropDivergesIdentically: a drop schedule that
 // corrupts the pruning floods must produce one diagnosis — same
 // deterministic schedule, same truncated balls, same error string — on
@@ -203,10 +262,6 @@ func TestPartitionedMISMatchesLocal(t *testing.T) {
 func TestPartitionedCorrectionMatchesLocal(t *testing.T) {
 	g := gen.RandomChordal(80, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 31)
 	k := EffectiveK(0.5)
-	col, err := ColorChordalDistributed(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	outcome, err := DistributedPrune(g, k)
 	if err != nil {
 		t.Fatal(err)
@@ -216,11 +271,11 @@ func TestPartitionedCorrectionMatchesLocal(t *testing.T) {
 			at := fmt.Sprintf("%q/parts=%d", spec, parts)
 			lf, pf := parseFaultsPair(t, spec, 14)
 			lObs, pObs := &traceRecorder{}, &traceRecorder{}
-			want, err := RunCorrectionPhase(outcome, col.Colors, k, dist.RunOpts{Observer: lObs, Faults: lf})
+			want, err := RunCorrectionPhase(outcome, k, dist.RunOpts{Observer: lObs, Faults: lf})
 			if err != nil {
 				t.Fatalf("%s: local: %v", at, err)
 			}
-			got, err := RunCorrectionPhase(outcome, col.Colors, k, dist.RunOpts{Observer: pObs, Faults: pf, Part: dist.NewLocalPartition(outcome.Snapshot, parts)})
+			got, err := RunCorrectionPhase(outcome, k, dist.RunOpts{Observer: pObs, Faults: pf, Part: dist.NewLocalPartition(outcome.Snapshot, parts)})
 			if err != nil {
 				t.Fatalf("%s: partitioned: %v", at, err)
 			}

@@ -271,7 +271,7 @@ func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, pee
 	if ps, ok := o.(dist.PhaseSetter); ok {
 		ps.SetPhase("correction")
 	}
-	corrRounds, err := RunCorrectionPhase(outcome, col.Colors, k, opts)
+	corrRounds, err := RunCorrectionPhase(outcome, k, opts)
 	if err != nil {
 		return nil, err
 	}

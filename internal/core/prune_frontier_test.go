@@ -199,15 +199,7 @@ func TestCorrectionPhaseDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := colorLayers(k, peeled, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds, err := RunCorrectionPhase(outcome, col.Colors, k, dist.RunOpts{})
+	rounds, err := RunCorrectionPhase(outcome, k, dist.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +240,7 @@ func TestCorrectionPhaseRejectsMalformedOutcome(t *testing.T) {
 	}
 	for _, tc := range cases {
 		obs := &traceRecorder{}
-		_, err := RunCorrectionPhase(tc.out, map[graph.ID]int{}, 3, dist.RunOpts{Observer: obs})
+		_, err := RunCorrectionPhase(tc.out, 3, dist.RunOpts{Observer: obs})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}

@@ -93,14 +93,10 @@ func TestCorrectionPhaseDeterministicAcrossStageWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := ColorChordal(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, f := range []*dist.Faults{nil, absorbablePlan()} {
 		refRounds := -1
 		proctest.Sweep(func(procs int) {
-			rounds, err := RunCorrectionPhase(out, col.Colors, 3, dist.RunOpts{Faults: f})
+			rounds, err := RunCorrectionPhase(out, 3, dist.RunOpts{Faults: f})
 			if err != nil {
 				t.Fatalf("faults=%v procs=%d: %v", f != nil, procs, err)
 			}

@@ -154,12 +154,12 @@ func TestSendToNonNodeAllModes(t *testing.T) {
 	g := gen.Path(50)
 	proctest.Sweep(func(procs int) {
 		_, _, err := runIDs(graph.NewIndexed(g), RunOpts{}, 10, func(v graph.ID) Protocol {
-			return &badSenderProtocol{}
+			return &sendToProtocol{to: 999}
 		})
 		if err == nil {
 			t.Fatalf("procs %d: send to a non-node did not error", procs)
 		}
-		if !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "not a node of the network") {
+		if !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "which is not a neighbor") {
 			t.Errorf("procs %d: error %q does not describe the panic", procs, err)
 		}
 	})

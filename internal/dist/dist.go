@@ -18,12 +18,13 @@
 // (sender, queue position) order, built without sorting. At the start of
 // a run the snapshot's BFS order is split into GOMAXPROCS contiguous
 // ranges, stepped concurrently every round by the same range kernel
-// (kernel.go) that the partitioned runtime runs once per shard. On a
-// fault-free round each node pulls its inbox from its neighbors'
-// previous-round output inside that step; rounds with a fault plan or a
-// send beyond the neighborhood are delivered by the shared routing walk
-// instead. Node programs interact only through messages delivered at
-// round boundaries, so every range count produces identical results.
+// (kernel.go) that the partitioned runtime runs once per shard. A node
+// sends only to its neighbors. The delivery mode is fixed per run: on a
+// run without a fault plan each node pulls its inbox from its
+// neighbors' previous-round output inside that step, every round; a
+// run with one is delivered by the shared routing walk every round.
+// Node programs interact only through messages delivered at round
+// boundaries, so every range count produces identical results.
 package dist
 
 import (
@@ -179,15 +180,11 @@ type Context struct {
 	idx    int32 // own dense index in the snapshot
 	nbrIDs []graph.ID
 	nbrIdx []int32
-	ix     *graph.Indexed
 	round  *int32 // engine's current step, shared by all contexts
 	// out holds the node's queues by step parity: step r appends to
 	// out[r&1], which neighbors pulling in step r+1 read while that step
 	// appends to the other one.
 	out [2]outQueue
-	// far records a Send to the node itself or to a non-neighbor, which
-	// the engine must deliver by pushing rather than by pulls.
-	far bool
 }
 
 // outQueue is one step's queued entries: messages and their targets.
@@ -217,30 +214,19 @@ func (c *Context) Neighbors() []graph.ID { return c.nbrIDs }
 // Degree returns the number of neighbors.
 func (c *Context) Degree() int { return len(c.nbrIDs) }
 
-// Send queues a message to node to, delivered next round. The hot path —
-// sending to a neighbor, the only kind of send the LOCAL model grants for
-// free — resolves the target index by binary search over the node's own
-// sorted neighbor row instead of the snapshot-wide ID→index map; self
-// sends use the precomputed own index; only sends to distant nodes fall
-// back to the map lookup.
+// Send queues a message to neighbor to, delivered next round. The LOCAL
+// model lets a node message its neighbors only, so any other target —
+// the node itself, a distant node, a non-node — panics, and Run returns
+// that as the node program's error on every runtime. The target's index
+// is found by binary search over the node's own sorted neighbor row.
 func (c *Context) Send(to graph.ID, payload any) {
-	var j int32
-	if p, ok := slices.BinarySearch(c.nbrIDs, to); ok {
-		j = c.nbrIdx[p]
-	} else if to == c.id {
-		j = c.idx
-		c.far = true
-	} else {
-		ji, ok := c.ix.IndexOf(to)
-		if !ok {
-			panic(fmt.Sprintf("dist: node %d sent to %d, which is not a node of the network", c.id, to))
-		}
-		j = int32(ji)
-		c.far = true
+	p, ok := slices.BinarySearch(c.nbrIDs, to)
+	if !ok {
+		panic(fmt.Sprintf("dist: node %d sent to %d, which is not a neighbor", c.id, to))
 	}
 	q := &c.out[*c.round&1]
 	q.msgs = append(q.msgs, Message{From: c.id, Payload: payload})
-	q.targets = append(q.targets, j)
+	q.targets = append(q.targets, c.nbrIdx[p])
 }
 
 // Broadcast queues the same payload to every neighbor. It stores a
@@ -300,10 +286,10 @@ type engine struct {
 	// order: ctxs, steps (the protocols) and done (their Done flags)
 	// are by BFS position, and pos maps a snapshot index to its
 	// position. ranges are contiguous chunks of positions, stepped each
-	// round; curRound is the step index the contexts report. On a
-	// fault-free run, board carries each step's output to the next
-	// step's pulls; in holds the inboxes the push path fills instead (by
-	// position, allocated on first use).
+	// round; curRound is the step index the contexts report. A run
+	// without a fault plan delivers through board, which carries each
+	// step's output to the next step's pulls; a run with one through in,
+	// the inboxes the routing walk fills (by position, nil otherwise).
 	ctxs     []Context
 	steps    []Protocol
 	done     []bool
@@ -496,46 +482,35 @@ func (e *engine) finish() ([]any, error) {
 	return outs, nil
 }
 
-// deliver completes step round's delivery. When the step ran without a
-// fault plan and every send went to a neighbor, the next step pulls
-// each inbox from the board inside its range step, so all that is left
-// here is to charge the counters the ranges summed sender-side.
-// Otherwise — a fault plan, a self-send, or a send to a non-neighbor —
-// every copy is pushed into the next step's inboxes by the shared
-// routing walk, on this single driving goroutine, in the (sender, queue
-// position) order the shard runners use, so each message's fault
-// coordinates — and hence the whole schedule — are identical for every
-// range count and runtime. Both paths deliver each inbox in (sender,
-// queue position) order. With an observer attached it also reports the
-// round's message/volume deltas and the inbox high-water mark.
+// deliver completes step round's delivery. Without a fault plan the
+// next step pulls each inbox from the board inside its range step, so
+// all that is left here is to charge the counters the ranges summed
+// sender-side. With one, every copy is pushed into the next step's
+// inboxes by the shared routing walk, on this single driving goroutine,
+// in the (sender, queue position) order the shard runners use, so each
+// message's fault coordinates — and hence the whole schedule — are
+// identical for every range count and runtime. Both paths deliver each
+// inbox in (sender, queue position) order. With an observer attached it
+// also reports the round's message/volume deltas and the inbox
+// high-water mark.
 func (e *engine) deliver(round, done int, crashed []graph.ID, res *Result) {
-	msgs, vol, far := 0, 0, false
-	for k := range e.ranges {
-		r := &e.ranges[k]
-		msgs, vol, far = msgs+r.msgs, vol+r.vol, far || r.far
-	}
-	var fs FaultStats
-	active := e.faults.active()
-	e.board.pulling = !active && !far
-	if !e.board.pulling {
-		if e.in == nil {
-			e.in = make([][]Message, len(e.ctxs))
+	msgs, vol := 0, 0
+	fs := FaultStats{Round: round, Crashed: crashed}
+	if e.in == nil {
+		for k := range e.ranges {
+			msgs, vol = msgs+e.ranges[k].msgs, vol+e.ranges[k].vol
 		}
-		fs.Round = round
-		fs.Crashed = crashed
+	} else {
 		in, pos := e.in, e.pos
-		m, v := routeWalk(e.ctxs, pos, round, e.faults, &e.crash, &fs, func(_ int, to int32, msg Message, _ int) {
+		msgs, vol = routeWalk(e.ctxs, pos, round, e.faults, &e.crash, &fs, func(_ int, to int32, msg Message, _ int) {
 			in[pos[to]] = append(in[pos[to]], msg)
 		})
-		if active {
-			msgs, vol = m, v
-		}
 	}
 	obs := e.obs
 	chargeStep(obs, res, msgs, vol, &fs)
 	if obs != nil {
 		maxInbox := 0
-		if e.board.pulling {
+		if e.in == nil {
 			maxInbox = e.board.maxInbox(round)
 		} else {
 			for _, in := range e.in {

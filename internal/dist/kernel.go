@@ -14,7 +14,7 @@ import (
 // that runs node programs (nodeRange.step), the fail-stop crash table,
 // the sender-order routing walk in which the fault schedule is decided,
 // the synchronous run loop, and the pull board through which the LOCAL
-// engine's fault-free steps deliver inside the range step. LOCAL and
+// engine's fault-free runs deliver inside the range step. LOCAL and
 // partitioned runs are byte-identical because they run this code, not
 // two copies of it.
 
@@ -45,24 +45,22 @@ type nodeRange struct {
 
 	// board is the LOCAL engine's in-step delivery board on fault-free
 	// runs (nil otherwise): every step publishes each node's output to
-	// it, and a pulling step builds each inbox from it, in pulled.
+	// it, and every step after Init builds each inbox from it, in
+	// pulled.
 	board  *pullBoard
 	pos0   int
 	pulled []Message
-	// msgs, vol and far are the last board step's sender-side
-	// accounting: the step's copies and their volume, and whether any
-	// node sent to itself or to a non-neighbor.
+	// msgs and vol are the last board step's sender-side accounting:
+	// the step's copies and their volume.
 	msgs, vol int
-	far       bool
 }
 
 // stepAcc is one range step's per-node accounting: the pull buffer,
-// the board's sender-side copies, volume and far flag, and the change
-// in the range's Done count.
+// the board's sender-side copies and volume, and the change in the
+// range's Done count.
 type stepAcc struct {
 	pulled    []Message
 	msgs, vol int
-	far       bool
 	done      int
 }
 
@@ -95,14 +93,13 @@ func newContext(ix *graph.Indexed, i int32, round *int32) Context {
 		idx:    i,
 		nbrIDs: ix.NeighborIDs(int(i)),
 		nbrIdx: ix.NeighborIndices(int(i)),
-		ix:     ix,
 		round:  round,
 	}
 }
 
 // step runs step round (0 = Init) on every live node of the range in
 // array order: Init, or Round with the node's inbox — pulled from the
-// board when it is pulling, otherwise inbox[j], truncated as it is
+// board when the range has one, otherwise inbox[j], truncated as it is
 // consumed so delivery never needs a truncation pass. Crashed nodes
 // (dead, by global index; nil without crashes) are skipped, and so are
 // empty-inbox nodes of a quiescent range, whose call would be a no-op.
@@ -118,7 +115,7 @@ func (r *nodeRange) step(round int, inbox [][]Message, dead []bool) {
 		at = r.stepFrom(&acc, at, round, inbox, dead)
 	}
 	r.pulled = acc.pulled
-	r.msgs, r.vol, r.far = acc.msgs, acc.vol, acc.far
+	r.msgs, r.vol = acc.msgs, acc.vol
 	r.doneCount += acc.done
 }
 
@@ -142,7 +139,7 @@ func (r *nodeRange) stepFrom(acc *stepAcc, at, round int, inbox [][]Message, dea
 			p.Init(c)
 		} else {
 			var in []Message
-			if r.board != nil && r.board.pulling {
+			if r.board != nil {
 				acc.pulled = r.board.pull(r.pos0+next, round, acc.pulled)
 				in = acc.pulled
 			} else {
@@ -209,19 +206,15 @@ func (r *nodeRange) publish(acc *stepAcc, pos int, c *Context, par int) {
 		acc.msgs += copies
 		acc.vol += copies * payloadSize(m.Payload)
 	}
-	if c.far {
-		acc.far = true
-		c.far = false
-	}
 }
 
 // pullBoard is the LOCAL engine's in-step delivery state on fault-free
 // runs, laid out by BFS position. Every step writes each node's output
-// to the slots of its round parity; when that step's sends all went to
-// neighbors, the next step pulls each node's inbox from its neighbors'
-// slots of the other parity inside the range step, so no delivery pass
-// runs between steps. The slots and queues a step reads are never the
-// ones it writes, which is what lets the ranges pull concurrently.
+// to the slots of its round parity, and the next step pulls each node's
+// inbox from its neighbors' slots of the other parity inside the range
+// step, so no delivery pass runs between steps. The slots and queues a
+// step reads are never the ones it writes, which is what lets the
+// ranges pull concurrently.
 type pullBoard struct {
 	// slots[p][x] is the output of the node at position x in the last
 	// step of parity p.
@@ -231,8 +224,6 @@ type pullBoard struct {
 	nbrPtr, nbr []int32
 	// ctxs are the engine's contexts, by position.
 	ctxs []Context
-	// pulling reports that the step about to run pulls its inboxes.
-	pulling bool
 	// counted is maxInbox's scratch inbox.
 	counted []Message
 }
@@ -276,10 +267,10 @@ type outSlot struct {
 // ascending index order (which is ascending ID order) and each
 // neighbor's entries addressed to the node — Broadcasts and Sends to
 // it — in queue order. That is exactly the (sender, queue position)
-// order the routing walk delivers, because on a pulling step every copy
-// went to a neighbor.
+// order the routing walk delivers, because every copy goes to a
+// neighbor.
 //
-//chordalvet:hotpath budget=0 in-step pull delivery: runs for every node of every pulling step
+//chordalvet:hotpath budget=0 in-step pull delivery: runs for every node of every fault-free step
 func (b *pullBoard) pull(x, round int, buf []Message) []Message {
 	buf = buf[:0]
 	par := (round - 1) & 1
@@ -397,9 +388,9 @@ func payloadSize(p any) int {
 }
 
 // routeWalk is the sender-order delivery pass of one step, shared by the
-// engine's push path and the shard runner. It walks the step's queues of
-// ctxs in ascending sender index — ctxs[walk[0]], ctxs[walk[1]], …, or
-// ctxs in order when walk is nil — expands every
+// engine's runs with a fault plan and the shard runner. It walks the
+// step's queues of ctxs in ascending sender index — ctxs[walk[0]],
+// ctxs[walk[1]], …, or ctxs in order when walk is nil — expands every
 // Broadcast over the neighbor row, and routes each copy through the
 // crash table and the fault plan at global (round, sender index, queue
 // position) coordinates, positions counted over the expanded sequence.

@@ -6,9 +6,9 @@ import (
 )
 
 // This file is the launcher of the sharded compute kernels that run
-// outside the round engine: the pruning decide kernel and its clique-
-// cache fill, the peeling path measurement, the per-path coloring, the
-// MIS components and the correction setup. In the LOCAL model a node's
+// outside the round engine: the pruning decide kernel, the peeling path
+// measurement, the per-path coloring, the per-path correction, the MIS
+// components and the correction setup. In the LOCAL model a node's
 // local computation is free; these stages are that computation, split
 // over the host's CPUs exactly as the engine splits its rounds — by
 // GOMAXPROCS, with no knob — and written into per-item slots, so every

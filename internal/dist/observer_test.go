@@ -2,6 +2,7 @@ package dist
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -210,92 +211,86 @@ func TestResultVolumeMixedPayloads(t *testing.T) {
 	}
 }
 
-// sendEverywhereProtocol exercises every Send target class: self
-// (precomputed index), neighbors (binary search on the sorted row), and
-// a distant node (map fallback).
-type sendEverywhereProtocol struct {
-	far    graph.ID
-	got    map[graph.ID]int
-	rounds int
+// sendToProtocol sends one message in Init, to node to, and finishes
+// in round 1.
+type sendToProtocol struct {
+	to   graph.ID
+	done bool
 }
 
-func (p *sendEverywhereProtocol) Init(ctx *Context) {
-	ctx.Send(ctx.ID(), 1)
-	for _, u := range ctx.Neighbors() {
-		ctx.Send(u, 1)
-	}
-	ctx.Send(p.far, 1)
-}
-func (p *sendEverywhereProtocol) Round(ctx *Context, inbox []Message) {
-	if p.rounds++; p.rounds > 1 {
-		return
-	}
-	for _, m := range inbox {
-		p.got[m.From]++
-	}
-}
-func (p *sendEverywhereProtocol) Done() bool  { return p.rounds >= 1 }
-func (p *sendEverywhereProtocol) Output() any { return p.got }
+func (p *sendToProtocol) Init(ctx *Context)                   { ctx.Send(p.to, 1) }
+func (p *sendToProtocol) Round(ctx *Context, inbox []Message) { p.done = true }
+func (p *sendToProtocol) Done() bool                          { return p.done }
+func (p *sendToProtocol) Output() any                         { return nil }
 
-// TestSendTargetClasses pins the Send fast path's correctness: self and
-// distant sends must deliver exactly like neighbor sends.
-func TestSendTargetClasses(t *testing.T) {
-	g := gen.Path(6) // IDs 0..5 in a path; 0 and 5 are not adjacent
-	outs, _, err := runIDs(graph.NewIndexed(g), RunOpts{}, 10, func(v graph.ID) Protocol {
-		far := graph.ID(5)
-		if v == 5 {
-			far = 0
-		}
-		return &sendEverywhereProtocol{far: far, got: make(map[graph.ID]int)}
+// sendToProgram runs sendToProtocol on every node of ix, each sending
+// to its own ID plus offset, on either runtime. Its nodes output
+// nothing and the runs fail in Init, so the codecs are trivial.
+type sendToProgram struct {
+	ix     *graph.Indexed
+	offset graph.ID
+}
+
+func (p sendToProgram) NewNode(i int) Protocol {
+	return &sendToProtocol{to: p.ix.IDOf(i) + p.offset}
+}
+func (p sendToProgram) Params() (string, []byte, error) {
+	return "sendto-test", []byte(strconv.Itoa(int(p.offset))), nil
+}
+func (sendToProgram) EncodePayload(any) ([]byte, error)          { return nil, nil }
+func (sendToProgram) DecodePayload([]byte) (any, error)          { return nil, nil }
+func (sendToProgram) EncodeOutput(int, Protocol) ([]byte, error) { return nil, nil }
+func (sendToProgram) DecodeOutput(int, []byte) (any, error)      { return nil, nil }
+
+func init() {
+	RegisterProgram("sendto-test", func(ix *graph.Indexed, params []byte) (Program, error) {
+		offset, err := strconv.Atoi(string(params))
+		return sendToProgram{ix: ix, offset: graph.ID(offset)}, err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, out := range outs {
-		got := out.(map[graph.ID]int)
-		// Self delivery.
-		if got[v] != 1 {
-			t.Errorf("node %d: self message count %d, want 1", v, got[v])
-		}
-		// Neighbor delivery.
-		for _, u := range g.Neighbors(v) {
-			if got[u] < 1 {
-				t.Errorf("node %d: missing message from neighbor %d", v, u)
+}
+
+// TestSendOnlyToNeighbors pins the Send contract of the LOCAL model: a
+// node sends to its neighbors only. A self-send and a send two hops
+// away each fail with one text, naming the lowest-index sender, under
+// every GOMAXPROCS and on two shards.
+func TestSendOnlyToNeighbors(t *testing.T) {
+	ix := graph.NewIndexed(gen.Path(50)) // IDs 0..49 in a path
+	for _, tc := range []struct {
+		name   string
+		offset graph.ID
+		want   string
+	}{
+		{"self", 0, "dist: node program panicked: dist: node 0 sent to 0, which is not a neighbor"},
+		{"distant", 2, "dist: node program panicked: dist: node 0 sent to 2, which is not a neighbor"},
+	} {
+		prog := sendToProgram{ix: ix, offset: tc.offset}
+		proctest.Sweep(func(procs int) {
+			if _, _, err := Run(ix, prog, RunOpts{}, 5); err == nil || err.Error() != tc.want {
+				t.Fatalf("%s, procs %d: err = %v, want %q", tc.name, procs, err, tc.want)
 			}
-		}
-	}
-	// Distant sends: node 0 heard from 5 and vice versa (each node sent
-	// to its far endpoint).
-	for _, pair := range [][2]graph.ID{{0, 5}, {5, 0}} {
-		got := outs[pair[0]].(map[graph.ID]int)
-		if got[pair[1]] != 1 {
-			t.Errorf("node %d: distant message count from %d = %d, want 1", pair[0], pair[1], got[pair[1]])
+		})
+		if _, _, err := Run(ix, prog, RunOpts{Part: NewLocalPartition(ix, 2)}, 5); err == nil || err.Error() != tc.want {
+			t.Fatalf("%s, 2 shards: err = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }
 
-// TestSendUnknownTarget pins the Send error contract: the node-program
+// TestSendUnknownTarget pins the Send error contract for a target that
+// is not a node at all: it is just a non-neighbor, and the node-program
 // panic is recovered by the engine and surfaced as an error from Run
 // (adversarial_test.go repeats it under the GOMAXPROCS sweep).
 func TestSendUnknownTarget(t *testing.T) {
 	g := gen.Path(3)
 	_, _, err := runIDs(graph.NewIndexed(g), RunOpts{}, 10, func(v graph.ID) Protocol {
-		return &badSenderProtocol{}
+		return &sendToProtocol{to: 999}
 	})
 	if err == nil {
 		t.Fatal("send to a non-node did not surface an error from Run")
 	}
-	if !strings.Contains(err.Error(), "not a node of the network") {
+	if !strings.Contains(err.Error(), "sent to 999, which is not a neighbor") {
 		t.Errorf("error %q does not name the bad target", err)
 	}
 }
-
-type badSenderProtocol struct{ done bool }
-
-func (p *badSenderProtocol) Init(ctx *Context)                   { ctx.Send(graph.ID(999), 1) }
-func (p *badSenderProtocol) Round(ctx *Context, inbox []Message) { p.done = true }
-func (p *badSenderProtocol) Done() bool                          { return p.done }
-func (p *badSenderProtocol) Output() any                         { return nil }
 
 // oscillatingProtocol reports Done on even rounds and not-done on odd
 // rounds until it finally settles: the engine's done counter must track

@@ -156,8 +156,12 @@ type Partition struct {
 func (p *Partition) Parts() int { return len(p.Links) }
 
 // checkRanges verifies that ranges are non-empty, contiguous, ascending
-// and exhaustive over [0, n).
+// and exhaustive over [0, n). The empty snapshot has exactly one range,
+// [0, 0), as SplitRange gives it.
 func checkRanges(ranges []PartRange, n int) error {
+	if n == 0 && len(ranges) == 1 && ranges[0] == (PartRange{}) {
+		return nil
+	}
 	want := int32(0)
 	for s, rg := range ranges {
 		if rg.Lo != want || rg.Hi <= rg.Lo {

@@ -13,9 +13,8 @@ import (
 
 // inboxLogProtocol sends a round-dependent mix — nothing, one Broadcast
 // (the board's inline slot), or several Broadcasts and neighbor Sends
-// (its queue path), plus self-sends in round 3, which make the engine
-// push round 3's delivery between pulled rounds — and logs every inbox
-// it receives, sender and payload, in delivery order.
+// (its queue path) — and logs every inbox it receives, sender and
+// payload, in delivery order.
 type inboxLogProtocol struct {
 	rounds, limit int
 	log           []string
@@ -40,9 +39,6 @@ func (p *inboxLogProtocol) send(ctx *Context) {
 		ctx.Broadcast(3000)
 		ctx.Broadcast(3001)
 	}
-	if ctx.Round() == 3 && ctx.ID()%5 == 0 {
-		ctx.Send(ctx.ID(), "self")
-	}
 }
 
 func (p *inboxLogProtocol) Init(ctx *Context) { p.send(ctx) }
@@ -61,13 +57,12 @@ func (p *inboxLogProtocol) Done() bool  { return p.rounds >= p.limit }
 func (p *inboxLogProtocol) Output() any { return p.log }
 
 // TestPullDeliveryMatchesPush pins the in-step pull delivery to the
-// routing walk's push delivery: a delay-only fault plan, which changes
-// neither the content nor the order of any inbox, forces every round
-// through the push path, and the inbox logs and RoundStats (MaxInbox
-// included) must match the fault-free run's — pulled rounds around one
-// pushed round — exactly, under every GOMAXPROCS of the sweep. The
-// graph is relabelled, so the BFS order the engine steps in is far
-// from index order.
+// routing walk's push delivery: the fault-free run pulls every round,
+// and a delay-only fault plan, which changes neither the content nor
+// the order of any inbox, pushes every round. The inbox logs and
+// RoundStats (MaxInbox included) of the two runs must match exactly,
+// under every GOMAXPROCS of the sweep. The graph is relabelled, so the
+// BFS order the engine steps in is far from index order.
 func TestPullDeliveryMatchesPush(t *testing.T) {
 	g, _ := gen.RelabelRandom(gen.RandomChordal(90, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 5), 8)
 	g.AddNode(10_000) // an isolated node, which never sends

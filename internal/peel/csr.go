@@ -233,10 +233,8 @@ func (e *engine) measureRange(lo, hi int, s *peelScratch, diamCap int, opts Opti
 	}
 }
 
-// measurePath decides and records one path. The reference computes the
-// independence number for every path but only records it on taken paths,
-// so this version skips α for internal paths the diameter rule rejects:
-// the recorded output is identical.
+// measurePath decides and records one path. α is computed only where
+// the α rule decides, for internal paths of the last iteration.
 func (e *engine) measurePath(i int, s *peelScratch, diamCap int, opts Options, last bool) {
 	p := &e.paths[i]
 	slot := &e.slots[i]
@@ -261,24 +259,18 @@ func (e *engine) measurePath(i int, s *peelScratch, diamCap int, opts Options, l
 	rec.Kind = p.kind
 	rec.Diameter = e.pathDiameter(cliques, members, s, diamCap)
 	take := false
-	alphaDone := false
 	switch p.kind {
 	case cliquetree.Pendant:
 		take = true
 	case cliquetree.Internal:
 		if last && opts.FinalAlpha > 0 {
-			rec.Alpha = e.alphaOf(members, s)
-			alphaDone = true
-			take = rec.Alpha >= opts.FinalAlpha
+			take = e.alphaOf(members, s) >= opts.FinalAlpha
 		} else {
 			take = opts.InternalDiameter > 0 && rec.Diameter >= opts.InternalDiameter
 		}
 	}
 	if !take {
 		return
-	}
-	if !alphaDone {
-		rec.Alpha = e.alphaOf(members, s)
 	}
 	slot.take = true
 

@@ -14,8 +14,8 @@ import (
 )
 
 // resultsEqual compares two peel results field by field: layers (paths
-// with cliques, kind, nodes, diameter, alpha, attachments, all by
-// snapshot index), node layers, and forests when asked.
+// with cliques, kind, nodes, diameter, attachments, all by snapshot
+// index), node layers, and forests when asked.
 func resultsEqual(t *testing.T, label string, want, got *Result, wantForests bool) {
 	t.Helper()
 	if !slices.Equal(got.Snapshot.IDs(), want.Snapshot.IDs()) {
@@ -34,9 +34,9 @@ func resultsEqual(t *testing.T, label string, want, got *Result, wantForests boo
 		}
 		for pi := range wl.Paths {
 			wp, gp := &wl.Paths[pi], &gl.Paths[pi]
-			if gp.Kind != wp.Kind || gp.Diameter != wp.Diameter || gp.Alpha != wp.Alpha {
-				t.Fatalf("%s layer %d path %d: kind/diam/alpha (%v,%d,%d) vs (%v,%d,%d)",
-					label, li, pi, gp.Kind, gp.Diameter, gp.Alpha, wp.Kind, wp.Diameter, wp.Alpha)
+			if gp.Kind != wp.Kind || gp.Diameter != wp.Diameter {
+				t.Fatalf("%s layer %d path %d: kind/diam (%v,%d) vs (%v,%d)",
+					label, li, pi, gp.Kind, gp.Diameter, wp.Kind, wp.Diameter)
 			}
 			if !slices.Equal(gp.Nodes, wp.Nodes) {
 				t.Fatalf("%s layer %d path %d: nodes %v vs %v", label, li, pi, gp.Nodes, wp.Nodes)

@@ -20,8 +20,8 @@ import (
 // need, in the index space of Result.Snapshot: its cliques in path order,
 // its classification, the attachment cliques in the surrounding forest
 // (whose nodes land in higher layers and are the only possible coloring
-// conflicts, Lemma 8), and its measured diameter and independence
-// number. Every clique and node set is ascending snapshot indices.
+// conflicts, Lemma 8), and its measured diameter. Every clique and node
+// set is ascending snapshot indices.
 type PathRecord struct {
 	Cliques [][]int32
 	Kind    cliquetree.PathKind
@@ -31,7 +31,6 @@ type PathRecord struct {
 	// the threshold when it is at least that large (the decision only
 	// needs the comparison).
 	Diameter int
-	Alpha    int // α(G[V_P]) of the path's full vertex set
 	// AttachStart/AttachEnd are the forest vertices adjacent to the
 	// path's ends, nil when absent. Pendant paths have at most AttachEnd.
 	AttachStart, AttachEnd []int32
@@ -192,11 +191,6 @@ func peelOnce(ix *graph.Indexed, current *graph.Graph, forest *cliquetree.Forest
 			diamCap = 8
 		}
 		rec.Diameter = forest.PathDiameterCapped(current, p, diamCap)
-		alpha, err := forest.PathIndependenceNumber(current, p)
-		if err != nil {
-			return nil, nil, fmt.Errorf("peel iteration %d: %w", iteration, err)
-		}
-		rec.Alpha = alpha
 
 		take := false
 		switch p.Kind {
@@ -204,7 +198,11 @@ func peelOnce(ix *graph.Indexed, current *graph.Graph, forest *cliquetree.Forest
 			take = true
 		case cliquetree.Internal:
 			if last && opts.FinalAlpha > 0 {
-				take = rec.Alpha >= opts.FinalAlpha
+				alpha, err := forest.PathIndependenceNumber(current, p)
+				if err != nil {
+					return nil, nil, fmt.Errorf("peel iteration %d: %w", iteration, err)
+				}
+				take = alpha >= opts.FinalAlpha
 			} else {
 				take = opts.InternalDiameter > 0 && rec.Diameter >= opts.InternalDiameter
 			}

@@ -253,8 +253,19 @@ func TestFinalAlphaRule(t *testing.T) {
 	for _, rec := range res.Layers[0].Paths {
 		if rec.Kind == cliquetree.Internal {
 			foundInternal = true
-			if rec.Alpha < 3 {
-				t.Fatalf("internal path peeled with α = %d < 3", rec.Alpha)
+			// α(G[V_P]) over the path's full vertex set, the union of
+			// its cliques, in the input graph this single iteration
+			// peeled.
+			var vp graph.Set
+			for _, c := range rec.Cliques {
+				vp = vp.Union(res.Snapshot.IDSet(c))
+			}
+			alpha, err := chordal.IndependenceNumber(g.InducedSubgraph(vp))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if alpha < 3 {
+				t.Fatalf("internal path peeled with α = %d < 3", alpha)
 			}
 		}
 	}
