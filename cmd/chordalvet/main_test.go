@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +31,75 @@ func TestShippedTreeIsClean(t *testing.T) {
 	diags := analysis.Run(pkgs, analysis.All())
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// testSupport names the internal packages and functions that may have
+// no caller outside tests, each with the reason it stays.
+var testSupport = map[string]string{
+	"repro/internal/gen":                    "graph generators shared by tests, experiments and the bench module",
+	"repro/internal/verify":                 "output checkers and brute-force references shared by tests, experiments and the CLI",
+	"repro/internal/proctest":               "the GOMAXPROCS sweep shared by the determinism tests",
+	"repro/internal/chordal.AllLabeled":     "the exhaustive tiers' enumerator, used by tests in chordal, peel and core",
+	"repro/internal/dist.NewLocalPartition": "the in-process reference transport for the partition tests in dist and core",
+	"repro/internal/peel.LayerCliquePath":   "used by tests in core and peel",
+	"repro/internal/colorreduce.MISChain":   "the log*-round chain MIS, kept until ColIntGraph and MISInterval at their published round bounds use it or drop it",
+}
+
+// TestInternalFuncsHaveCallers keeps test-only code out of the
+// production packages: every top-level function declared in a non-test
+// file under internal/ must be used by some non-test file of the module,
+// outside its own declaration, unless testSupport names it or its
+// package. A function only tests call belongs in a _test.go file.
+func TestInternalFuncsHaveCallers(t *testing.T) {
+	pkgs, err := analysis.LoadModule("../..")
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	type decl struct {
+		pos, end token.Pos
+		name     string
+	}
+	decls := make(map[types.Object]decl)
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path, "repro/internal/") || testSupport[p.Path] != "" {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Recv != nil || fd.Name.Name == "init" {
+					continue
+				}
+				name := p.Path + "." + fd.Name.Name
+				if testSupport[name] != "" {
+					continue
+				}
+				decls[p.Info.Defs[fd.Name]] = decl{fd.Pos(), fd.End(), name}
+			}
+		}
+	}
+	used := make(map[types.Object]bool)
+	for _, p := range pkgs {
+		for id, obj := range p.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+			}
+			if d, ok := decls[obj]; ok && (id.Pos() < d.pos || id.Pos() >= d.end) {
+				used[obj] = true
+			}
+		}
+	}
+	var unused []decl
+	for obj, d := range decls {
+		if !used[obj] {
+			unused = append(unused, d)
+		}
+	}
+	sort.Slice(unused, func(i, j int) bool { return unused[i].name < unused[j].name })
+	for _, d := range unused {
+		t.Errorf("%s: %s has no caller outside tests; move it beside its tests or delete it",
+			pkgs[0].Fset.Position(d.pos), d.name)
 	}
 }
 

@@ -42,12 +42,12 @@ var sharedViewAccessors = map[[3]string]bool{
 	{"graph", "Indexed", "NeighborIDs"}:     true,
 	{"graph", "Indexed", "NeighborIndices"}: true,
 	{"dist", "Context", "Neighbors"}:        true,
-	// The decide kernel's CSR ball views: an iteration-shared Ball is
-	// read concurrently by every decide worker, and even a
-	// worker-private Ball hands out aliases into storage the next
-	// rebuild reuses.
-	{"view", "Ball", "Nodes"}: true,
-	{"view", "Ball", "Row"}:   true,
+	// The CSR clique forest's rows: each pruning iteration builds one
+	// forest that every decide worker reads concurrently, and the next
+	// Builder.Build rewrites the storage these rows alias.
+	{"cliquetree", "CSRForest", "Clique"}: true,
+	{"cliquetree", "CSRForest", "Nbrs"}:   true,
+	{"cliquetree", "CSRForest", "PhiRow"}: true,
 }
 
 func runSnapshotMut(pass *Pass) {

@@ -6,10 +6,10 @@ import (
 	"slices"
 	"sort"
 
+	"snapfix/cliquetree"
 	"snapfix/dist"
 	"snapfix/graph"
 	"snapfix/mut"
-	"snapfix/view"
 )
 
 func sortsView(g *graph.Graph, v graph.ID) {
@@ -67,34 +67,34 @@ func sumView(ix *graph.Indexed, i int) graph.ID {
 	return total
 }
 
-// The decide kernel's CSR ball views are shared exactly like the graph
-// snapshot accessors: the iteration-wide ball is read by every worker.
+// The CSR clique forest's rows are shared exactly like the graph
+// snapshot accessors: every decide worker reads the iteration's forest.
 
-func writesBallNodes(b *view.Ball) {
-	b.Nodes()[0] = 3 // want `writes into the shared snapshot view from view.Ball.Nodes`
+func writesForestClique(f *cliquetree.CSRForest) {
+	f.Clique(0)[0] = 3 // want `writes into the shared snapshot view from cliquetree.CSRForest.Clique`
 }
 
-func sortsBallRow(b *view.Ball, r int32) {
-	row := b.Row(r)
-	slices.Sort(row) // want `sorts the shared snapshot view from view.Ball.Row`
+func sortsForestNbrs(f *cliquetree.CSRForest, c int32) {
+	nb := f.Nbrs(c)
+	slices.Sort(nb) // want `sorts the shared snapshot view from cliquetree.CSRForest.Nbrs`
 }
 
-func appendsBallRowAlias(b *view.Ball, r int32) []int32 {
-	row := b.Row(r)
-	return append(row, 9) // want `appends onto the shared snapshot view from view.Ball.Row`
+func appendsPhiRowAlias(f *cliquetree.CSRForest, v int32) []int32 {
+	row := f.PhiRow(v)
+	return append(row, 9) // want `appends onto the shared snapshot view from cliquetree.CSRForest.PhiRow`
 }
 
-// copyBallRow is the blessed idiom: clone the row before mutating.
-func copyBallRow(b *view.Ball, r int32) []int32 {
-	cp := append([]int32(nil), b.Row(r)...)
+// copyForestClique is the blessed idiom: clone the row before mutating.
+func copyForestClique(f *cliquetree.CSRForest, c int32) []int32 {
+	cp := append([]int32(nil), f.Clique(c)...)
 	slices.Sort(cp)
 	return cp
 }
 
 // walking a row read-only is always fine.
-func sumBallRow(b *view.Ball, r int32) int32 {
+func sumForestNbrs(f *cliquetree.CSRForest, c int32) int32 {
 	var total int32
-	for _, nb := range b.Row(r) {
+	for _, nb := range f.Nbrs(c) {
 		total += nb
 	}
 	return total

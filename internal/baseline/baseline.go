@@ -1,6 +1,6 @@
 // Package baseline implements the comparator algorithms the paper's
-// introduction cites: sequential greedy (Δ+1) coloring, a distributed
-// (Δ+1) coloring via Linial reduction, Luby's randomized maximal
+// introduction cites: sequential greedy (Δ+1) coloring, Johansson's
+// randomized distributed (Δ+1) coloring, Luby's randomized maximal
 // independent set, and the sequential greedy maximal independent set.
 // None of these carry approximation guarantees for MVC/MIS — they are the
 // yardsticks our (1+ε) algorithms are measured against (experiment E14).
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/colorreduce"
 	"repro/internal/dist"
 	"repro/internal/graph"
 )
@@ -34,21 +33,6 @@ func GreedyColoring(g *graph.Graph) map[graph.ID]int {
 		colors[v] = c
 	}
 	return colors
-}
-
-// DistributedDeltaPlusOne colors g with Δ+1 colors via Linial color
-// reduction (O(log* n + Δ²)-flavoured rounds). Colors are 1-based.
-func DistributedDeltaPlusOne(g *graph.Graph, idBound int) (map[graph.ID]int, int, error) {
-	delta := g.MaxDegree()
-	colors, rounds, err := colorreduce.ReduceToDeltaPlusOne(g, delta, idBound)
-	if err != nil {
-		return nil, 0, fmt.Errorf("distributed (Δ+1)-coloring: %w", err)
-	}
-	shifted := make(map[graph.ID]int, len(colors))
-	for v, c := range colors {
-		shifted[v] = c + 1
-	}
-	return shifted, rounds, nil
 }
 
 // GreedyMIS returns the maximal independent set obtained by scanning

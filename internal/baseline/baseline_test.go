@@ -22,24 +22,6 @@ func TestGreedyColoringLegal(t *testing.T) {
 	}
 }
 
-func TestDistributedDeltaPlusOne(t *testing.T) {
-	g := gen.RandomChordal(60, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, 2)
-	colors, rounds, err := DistributedDeltaPlusOne(g, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	used, err := verify.Coloring(g, colors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used > g.MaxDegree()+1 {
-		t.Fatalf("used %d > Δ+1", used)
-	}
-	if rounds <= 0 {
-		t.Fatal("no rounds reported")
-	}
-}
-
 func TestGreedyMISMaximal(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := gen.RandomChordal(70, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.4}, seed)

@@ -282,22 +282,6 @@ func IndependenceNumber(g *graph.Graph) (int, error) {
 	return len(is), nil
 }
 
-// IsSimplicial reports whether v's neighborhood is a clique.
-func IsSimplicial(g *graph.Graph, v graph.ID) bool {
-	return g.IsClique(g.Neighbors(v))
-}
-
-// SimplicialVertices returns all simplicial vertices of g, sorted by ID.
-func SimplicialVertices(g *graph.Graph) []graph.ID {
-	var out []graph.ID
-	for _, v := range g.Nodes() {
-		if IsSimplicial(g, v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // AllLabeled calls fn once with every labeled chordal graph on the nodes
 // 1, …, n, in the order of its edge set read as a binary number (bit i
 // is the i-th pair u < v in lexicographic order). There are 1, 2, 8, 61,

@@ -296,22 +296,6 @@ func TestGavrilMISOnPath(t *testing.T) {
 	}
 }
 
-func TestSimplicial(t *testing.T) {
-	// Triangle with a pendant: 4 is simplicial (deg 1), 1 and 2 are
-	// simplicial (their neighborhoods are edges), 3 is not.
-	g := graph.FromEdges(nil, [][2]graph.ID{{1, 2}, {2, 3}, {1, 3}, {3, 4}})
-	if !IsSimplicial(g, 4) || !IsSimplicial(g, 1) || !IsSimplicial(g, 2) {
-		t.Fatal("expected simplicial vertices missing")
-	}
-	if IsSimplicial(g, 3) {
-		t.Fatal("3 should not be simplicial")
-	}
-	sv := SimplicialVertices(g)
-	if len(sv) != 3 {
-		t.Fatalf("SimplicialVertices = %v", sv)
-	}
-}
-
 func TestIndependenceNumber(t *testing.T) {
 	got, err := IndependenceNumber(gen.Star(10))
 	if err != nil {

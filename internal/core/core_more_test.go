@@ -416,23 +416,6 @@ func TestMISChordalDistributedOnSpider(t *testing.T) {
 	}
 }
 
-func TestDistributedDominatedMatchesCentralized(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		g := gen.RandomInterval(60, 15, 3, seed)
-		distSet, rounds, err := DistributedDominated(g)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		central := interval.Dominated(g)
-		if !distSet.Equal(central) {
-			t.Fatalf("seed %d: distributed %v != centralized %v", seed, distSet, central)
-		}
-		if rounds != 1 {
-			t.Fatalf("seed %d: rounds = %d, want 1", seed, rounds)
-		}
-	}
-}
-
 // TestDeterminism: the canonical tie-breaking order exists so that all
 // nodes (and all runs) agree on one clique forest; end to end, both
 // algorithms must be bit-for-bit deterministic, including under the

@@ -439,12 +439,11 @@ type decideResult struct {
 // are aligned with centers.
 //
 // The observer (may be nil) sees the stage as a synthetic single-round
-// engine run under the caller's current phase label: RunStart,
-// RoundStart(0, shards), the per-shard Start/End brackets from the
-// workers, then RoundEnd with Done = the number of centers peeled, and
-// RunEnd. An observer implementing dist.KernelObserver additionally
-// sees the stage as one "decide" kernel span with per-shard busy/item
-// counts.
+// engine run under the caller's current phase label: RoundStart(0,
+// shards), the per-shard Start/End brackets from the workers, then
+// RoundEnd with Done = the number of centers peeled, and RunEnd. An
+// observer implementing dist.KernelObserver additionally sees the stage
+// as one "decide" kernel span with per-shard busy/item counts.
 //
 //chordalvet:hotpath budget=7 decide kernel: per-center work must stay on scratch reuse
 func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, forest *cliquetree.CSRForest, scratches []*decideScratch, centers []int32, undecidedIdx []bool, rule decideRule, radius, shards int, o dist.RoundObserver, results []decideResult) []decideResult {
@@ -455,7 +454,6 @@ func runDecideStage(ix *graph.Indexed, know []*dist.Knowledge, forest *cliquetre
 	results = results[:n]
 	ko, _ := o.(dist.KernelObserver)
 	if o != nil {
-		o.RunStart(n, 0)
 		o.RoundStart(0, shards)
 	}
 	dist.RunKernel("decide", n, shards, ko, func(shard, lo, hi int) {

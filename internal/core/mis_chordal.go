@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
-	"repro/internal/chordal"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/interval"
@@ -303,88 +301,4 @@ func (s *misScratch) componentIS(ix *graph.Indexed, comp []int32, rec *peel.Path
 		s.out = append(s.out, int32(x))
 	}
 	return im.Rounds, false, nil
-}
-
-// AbsorbingMIS computes a maximum independent set of h that, when h leans
-// on an outside clique anchor, absorbs its own closed neighborhood:
-// simplicial vertices are taken furthest-from-anchor first (Section 7.1).
-// Any simplicial vertex lies in some maximum independent set, so the
-// greedy is exact regardless of order; the ordering provides the
-// absorption property. It is the map-backed reference of the pipeline's
-// index-space elimination (misScratch.absorb).
-func AbsorbingMIS(h *graph.Graph, g *graph.Graph, anchor graph.Set) graph.Set {
-	// Distances from the anchor measured in g restricted to h's nodes
-	// plus the anchor clique, held in a slice keyed by position in the
-	// sorted scope set (the region subgraph is never materialized; BFS
-	// walks g's adjacency filtered to the scope). Unreached scope nodes
-	// keep distance 0, matching the zero value the map-backed version
-	// reported for them.
-	var scope graph.Set
-	var dist []int32
-	if len(anchor) > 0 {
-		scope = graph.NewSet(append(anchor.Clone(), h.Nodes()...)...)
-		dist = make([]int32, len(scope))
-		seen := make([]bool, len(scope))
-		queue := make([]int32, 0, len(scope))
-		for _, a := range anchor {
-			if li, ok := scopeIndex(scope, a); ok && g.HasNode(a) && !seen[li] {
-				seen[li] = true
-				queue = append(queue, int32(li))
-			}
-		}
-		for head := 0; head < len(queue); head++ {
-			li := queue[head]
-			g.ForEachNeighbor(scope[li], func(u graph.ID) {
-				if uj, ok := scopeIndex(scope, u); ok && !seen[uj] {
-					seen[uj] = true
-					dist[uj] = dist[li] + 1
-					queue = append(queue, int32(uj))
-				}
-			})
-		}
-	}
-	distOf := func(v graph.ID) int32 {
-		if dist == nil {
-			return 0
-		}
-		if li, ok := scopeIndex(scope, v); ok {
-			return dist[li]
-		}
-		return 0
-	}
-	work := h.Clone()
-	var out graph.Set
-	for work.NumNodes() > 0 {
-		// The furthest-first, smallest-ID-on-ties pick: scanning the
-		// sorted node list with a strict > keeps the smallest ID among
-		// the maximum-distance simplicial vertices.
-		best := graph.ID(0)
-		var bestDist int32
-		found := false
-		for _, v := range work.Nodes() {
-			if !chordal.IsSimplicial(work, v) {
-				continue
-			}
-			if dv := distOf(v); !found || dv > bestDist {
-				found = true
-				best = v
-				bestDist = dv
-			}
-		}
-		out = append(out, best)
-		for _, u := range work.Neighbors(best) {
-			work.RemoveNode(u)
-		}
-		work.RemoveNode(best)
-	}
-	return graph.NewSet(out...)
-}
-
-// scopeIndex locates v in the sorted set by binary search.
-func scopeIndex(scope graph.Set, v graph.ID) (int, bool) {
-	i := sort.Search(len(scope), func(j int) bool { return scope[j] >= v })
-	if i < len(scope) && scope[i] == v {
-		return i, true
-	}
-	return 0, false
 }

@@ -12,8 +12,8 @@ import (
 // in snapshot-index space: a component's CSR over its own positions,
 // α from the elimination kernel, the anchor clique found by index marks,
 // and the furthest-from-anchor simplicial elimination. The map-backed
-// chordal.IndependenceNumber, componentAnchor (in the package tests)
-// and AbsorbingMIS are the oracles it is checked against.
+// chordal.IndependenceNumber, and componentAnchor and AbsorbingMIS in
+// the package tests, are the oracles it is checked against.
 
 // misScratch is one mis-components shard's reusable state. Component
 // membership is an epoch stamp by snapshot index, with loc giving a

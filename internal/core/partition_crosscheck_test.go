@@ -25,12 +25,11 @@ type traceRecorder struct {
 	events []string
 }
 
-func (o *traceRecorder) SetPhase(name string)      { o.phase = name }
-func (o *traceRecorder) RunStart(nodes, edges int) { o.add("run-start %d %d", nodes, edges) }
-func (o *traceRecorder) RoundStart(round, _ int)   { o.add("round-start %d", round) }
-func (o *traceRecorder) ShardStart(shard int)      {}
-func (o *traceRecorder) ShardEnd(shard int)        {}
-func (o *traceRecorder) RunEnd(rounds int)         { o.add("run-end %d", rounds) }
+func (o *traceRecorder) SetPhase(name string)    { o.phase = name }
+func (o *traceRecorder) RoundStart(round, _ int) { o.add("round-start %d", round) }
+func (o *traceRecorder) ShardStart(shard int)    {}
+func (o *traceRecorder) ShardEnd(shard int)      {}
+func (o *traceRecorder) RunEnd(rounds int)       { o.add("run-end %d", rounds) }
 func (o *traceRecorder) RoundEnd(s dist.RoundStats) {
 	o.add("round-end %d n=%d m=%d v=%d done=%d inbox=%d",
 		s.Round, s.Nodes, s.Messages, s.Volume, s.Done, s.MaxInbox)

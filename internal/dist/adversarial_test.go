@@ -38,7 +38,6 @@ type shardsObserver struct {
 	endByRnd   map[int]int
 }
 
-func (o *shardsObserver) RunStart(nodes, edges int) {}
 func (o *shardsObserver) RoundStart(round, shards int) {
 	o.mu.Lock()
 	o.startByRnd[round] = shards

@@ -108,15 +108,13 @@ type RoundStats struct {
 // an observer that wants wall times stamps these callbacks itself — see
 // internal/obs for the canonical implementation.
 //
-// Concurrency contract: RunStart, RoundStart, RoundEnd, and RunEnd are
-// called from the goroutine driving Run. ShardStart/ShardEnd are
-// called from worker goroutines — calls with distinct shard indices may
-// be concurrent, and each shard index is used by exactly one goroutine
-// per round. Observers are never invoked when RunOpts.Observer is nil,
+// Concurrency contract: RoundStart, RoundEnd, and RunEnd are called
+// from the goroutine driving Run. ShardStart/ShardEnd are called from
+// worker goroutines — calls with distinct shard indices may be
+// concurrent, and each shard index is used by exactly one goroutine per
+// round. Observers are never invoked when RunOpts.Observer is nil,
 // and a nil observer adds no per-node work to the round loop.
 type RoundObserver interface {
-	// RunStart fires once before the Init step.
-	RunStart(nodes, edges int)
 	// RoundStart fires before the round's node programs run. shards is
 	// the worker-shard count of RoundStats.Shards.
 	RoundStart(round, shards int)

@@ -22,7 +22,6 @@ type faultRecorder struct {
 	faults []FaultStats
 }
 
-func (r *faultRecorder) RunStart(nodes, edges int) {}
 func (r *faultRecorder) RoundStart(round, shards int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

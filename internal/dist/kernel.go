@@ -490,7 +490,7 @@ type stepState struct {
 // stepper is one runtime as the run loop drives it.
 type stepper interface {
 	// start validates the run configuration, builds the per-run state
-	// and returns the run's crash table. It runs before RunStart.
+	// and returns the run's crash table.
 	start() (*crashTable, error)
 	// step executes step round (0 = Init) and delivers its messages,
 	// adding its counters to res; crashed lists the nodes that crash at
@@ -511,9 +511,6 @@ func runLoop(ix *graph.Indexed, obs RoundObserver, maxRounds int, s stepper) ([]
 		return nil, nil, err
 	}
 	n := ix.NumNodes()
-	if obs != nil {
-		obs.RunStart(n, ix.NumEdges())
-	}
 	res := &Result{}
 	st, err := s.step(0, crash.mark(0), res)
 	for err == nil && st.done != n {

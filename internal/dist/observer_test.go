@@ -16,8 +16,6 @@ import (
 // package dist needs no import of internal/obs (which imports dist).
 type recordingObserver struct {
 	mu          sync.Mutex
-	runNodes    int
-	runEdges    int
 	rounds      []RoundStats
 	roundStarts []int
 	shardStarts map[int]int // shard index -> count
@@ -30,9 +28,6 @@ func newRecordingObserver() *recordingObserver {
 	return &recordingObserver{shardStarts: make(map[int]int), shardEnds: make(map[int]int)}
 }
 
-func (r *recordingObserver) RunStart(nodes, edges int) {
-	r.runNodes, r.runEdges = nodes, edges
-}
 func (r *recordingObserver) RoundStart(round, shards int) {
 	r.roundStarts = append(r.roundStarts, round)
 }
@@ -80,9 +75,6 @@ func TestObserverDeterministicAcrossModes(t *testing.T) {
 			return &echoProtocol{target: 4}
 		}); err != nil {
 			t.Fatal(err)
-		}
-		if rec.runNodes != g.NumNodes() || rec.runEdges != g.NumEdges() {
-			t.Errorf("procs %d: RunStart saw n=%d m=%d, want n=%d m=%d", procs, rec.runNodes, rec.runEdges, g.NumNodes(), g.NumEdges())
 		}
 		if len(rec.runEnds) != 1 {
 			t.Fatalf("procs %d: RunEnd fired %d times, want 1", procs, len(rec.runEnds))

@@ -7,11 +7,11 @@ import (
 )
 
 // LocalLink hosts a ShardRunner in-process behind the ShardLink
-// interface. It exists for two reasons: it is the partitioned runtime's
-// reference transport — every codec and ordering rule is exercised
-// without sockets, so the equality tests against the LOCAL engine
-// isolate the runtime's semantics from the wire — and it is the
-// fallback when a caller asks for a partitioned run without child
+// interface. It is the partitioned runtime's reference transport: every
+// codec and ordering rule is exercised without sockets, so the equality
+// tests against the LOCAL engine, in this package and in core, isolate
+// the runtime's semantics from the wire. Only those tests build it,
+// through NewLocalPartition; the CLIs partition over shard-host
 // processes. It deliberately does not implement WireMeter: no bytes
 // move.
 type LocalLink struct {

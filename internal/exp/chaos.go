@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/core"
@@ -22,7 +21,6 @@ type faultTally struct {
 	dropped, duplicated, deadLetters, stall int
 }
 
-func (t *faultTally) RunStart(nodes, edges int)    {}
 func (t *faultTally) RoundStart(round, shards int) {}
 func (t *faultTally) ShardStart(shard int)         {}
 func (t *faultTally) ShardEnd(shard int)           {}
@@ -177,20 +175,6 @@ func sameBall(w, k *dist.Knowledge, scratch []int32) bool {
 	return true
 }
 
-// FaultTraceRun is the workload behind `cmd/experiments -trace -faults`:
-// it streams a JSONL round trace (schema v2, fault fields populated) for
-// (1) the full distributed coloring of the Figure-1 graph under the
-// absorbable projection of the plan — drop and crash stripped, because
-// the plain floods have no retransmission and E20 already tables those
-// error paths — and (2) a retransmitting flood on a random chordal
-// graph under the full plan, message loss included, exercising the
-// recovery machinery end to end.
-func FaultTraceRun(w io.Writer, quick bool, f *dist.Faults) error {
-	c := obs.NewCollector()
-	c.SetTrace(w)
-	return FaultTraceRunCollector(c, quick, f, nil)
-}
-
 // defaultFaultSpec and defaultFaultSeed are the plan FaultTraceRunCollector
 // runs when given none.
 const (
@@ -198,14 +182,19 @@ const (
 	defaultFaultSeed uint64 = 7
 )
 
-// FaultTraceRunCollector runs the fault-trace workload under a
-// caller-configured Collector (see TraceRunCollector), with the
-// message-passing stages on partitions supplied by partFor (nil = the
-// in-process engine). Partitioned schedules must come from
-// dist.ParseFaults — the spec is what ships to the shard processes — so
-// the absorbable projection carries the spec with drop and crash
-// stripped along with the plan. It finishes the collector; the caller
-// must not reuse it.
+// FaultTraceRunCollector is the workload behind `cmd/experiments -trace
+// -faults`: it records, under a caller-configured Collector (see
+// TraceRunCollector), (1) the full distributed coloring of the Figure-1
+// graph under the absorbable projection of the plan — drop and crash
+// stripped, because the plain floods have no retransmission and E20
+// already tables those error paths — and (2) a retransmitting flood on a
+// random chordal graph under the full plan, message loss included,
+// exercising the recovery machinery end to end. The message-passing
+// stages run on partitions supplied by partFor (nil = the in-process
+// engine). Partitioned schedules must come from dist.ParseFaults — the
+// spec is what ships to the shard processes — so the absorbable
+// projection carries the spec with drop and crash stripped along with
+// the plan. It finishes the collector; the caller must not reuse it.
 func FaultTraceRunCollector(c *obs.Collector, quick bool, f *dist.Faults, partFor Partitioner) error {
 	if f == nil {
 		var err error

@@ -94,7 +94,9 @@ func TestFaultTraceRunSchema(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	f := &dist.Faults{Plan: fault.Plan{Seed: 7, Drop: 0.2, Dup: 0.2, MaxDelay: 2}}
-	if err := FaultTraceRun(&buf, true, f); err != nil {
+	c := obs.NewCollector()
+	c.SetTrace(&buf)
+	if err := FaultTraceRunCollector(c, true, f, nil); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -65,18 +64,6 @@ func E19PeelTrace(quick bool) (*Table, error) {
 	return t, nil
 }
 
-// TraceRun is the workload behind `cmd/experiments -trace`: it streams a
-// JSONL trace (one event per engine round, plus one per peel layer) for
-// (1) the full distributed coloring of the paper's Figure-1 graph and
-// (2) flooding plus peeling on a 10^4-node random chordal graph (10^3
-// under -quick). The same run is what the profiling flags are expected
-// to wrap, so traces and profiles describe one workload.
-func TraceRun(w io.Writer, quick bool) error {
-	c := obs.NewCollector()
-	c.SetTrace(w)
-	return TraceRunCollector(c, quick, nil)
-}
-
 // Partitioner supplies a fresh dist.Partition for a graph snapshot —
 // typically (*wire.Cluster).Partition, which re-sessions the shard-host
 // fleet for each graph a workload visits. It lives here as a plain
@@ -93,14 +80,18 @@ func (p Partitioner) of(ix *graph.Indexed) (*dist.Partition, error) {
 	return p(ix)
 }
 
-// TraceRunCollector runs the trace workload under a caller-configured
-// Collector — `cmd/experiments -metrics` passes one with mem snapshots
-// enabled and renders the aggregate report afterwards — with the
-// message-passing stages on partitions supplied by partFor. The
-// workload visits two graphs, so a cluster-backed partitioner
-// re-sessions its fleet between them; the peel stage is centralized
-// either way. It finishes the collector (closing the last phase span),
-// so the caller must not reuse it for further runs.
+// TraceRunCollector is the workload behind `cmd/experiments -trace`: it
+// records, under a caller-configured Collector, (1) the full distributed
+// coloring of the paper's Figure-1 graph and (2) flooding plus peeling
+// on a 10^4-node random chordal graph (10^3 under -quick). The same run
+// is what the profiling flags are expected to wrap, so traces and
+// profiles describe one workload; `cmd/experiments -metrics` passes a
+// Collector with mem snapshots enabled and renders the aggregate report
+// afterwards. The message-passing stages run on partitions supplied by
+// partFor. The workload visits two graphs, so a cluster-backed
+// partitioner re-sessions its fleet between them; the peel stage is
+// centralized either way. It finishes the collector (closing the last
+// phase span), so the caller must not reuse it for further runs.
 func TraceRunCollector(c *obs.Collector, quick bool, partFor Partitioner) error {
 	// Figure-1 graph: the pruning floods label themselves prune-iNN and
 	// the correction choreography labels itself "correction".

@@ -21,7 +21,9 @@ func TestTraceRunSchema(t *testing.T) {
 		t.Skip("trace workload is slow")
 	}
 	var buf bytes.Buffer
-	if err := TraceRun(&buf, true); err != nil {
+	c := obs.NewCollector()
+	c.SetTrace(&buf)
+	if err := TraceRunCollector(c, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -76,7 +78,7 @@ func TestTraceRunSchema(t *testing.T) {
 				t.Errorf("line %d: phase span with wall_ns=%d", i, ev.WallNS)
 			}
 		case obs.KindMem:
-			// Opt-in; TraceRun does not enable mem snapshots.
+			// Opt-in; this Collector does not enable mem snapshots.
 			t.Errorf("line %d: mem event without SetMemStats", i)
 		default:
 			t.Errorf("line %d: unknown event kind %q", i, ev.Kind)

@@ -1,8 +1,8 @@
 // Package interval implements the interval-graph substrate the paper's
 // layers reduce to: interval models, clique paths (consecutive
 // arrangements of maximal cliques), LexBFS and the 3-sweep umbrella
-// ordering for proper interval graphs, exact maximum independent sets and
-// optimal colorings, and the dominated-vertex reduction from Algorithm 5.
+// ordering for proper interval graphs, and the dominated-vertex reduction
+// from Algorithm 5.
 package interval
 
 import (
@@ -194,75 +194,6 @@ func RestrictCliquePath(path []graph.Set, keep func(graph.ID) bool) []graph.Set 
 	return out
 }
 
-// ExactMIS computes a maximum independent set of the interval graph given
-// by its model, using the classical greedy-by-right-endpoint sweep.
-func ExactMIS(ivs []gen.Interval) graph.Set {
-	sorted := make([]gen.Interval, len(ivs))
-	copy(sorted, ivs)
-	sort.Slice(sorted, func(i, j int) bool {
-		switch {
-		case sorted[i].Hi < sorted[j].Hi:
-			return true
-		case sorted[j].Hi < sorted[i].Hi:
-			return false
-		}
-		return sorted[i].Node < sorted[j].Node
-	})
-	var out graph.Set
-	lastEnd := 0.0
-	haveLast := false
-	for _, iv := range sorted {
-		if !haveLast || iv.Lo > lastEnd {
-			out = append(out, iv.Node)
-			lastEnd = iv.Hi
-			haveLast = true
-		}
-	}
-	return graph.NewSet(out...)
-}
-
-// ExactColoring computes an optimal coloring of the interval graph given
-// by its model: greedy by left endpoint uses exactly ω colors. Colors are
-// 1-based.
-func ExactColoring(ivs []gen.Interval) map[graph.ID]int {
-	sorted := make([]gen.Interval, len(ivs))
-	copy(sorted, ivs)
-	sort.Slice(sorted, func(i, j int) bool {
-		switch {
-		case sorted[i].Lo < sorted[j].Lo:
-			return true
-		case sorted[j].Lo < sorted[i].Lo:
-			return false
-		}
-		return sorted[i].Node < sorted[j].Node
-	})
-	colors := make(map[graph.ID]int, len(sorted))
-	type active struct {
-		hi    float64
-		color int
-	}
-	var live []active
-	for _, iv := range sorted {
-		// Drop intervals that ended before this one starts.
-		kept := live[:0]
-		used := make(map[int]bool)
-		for _, a := range live {
-			if a.hi >= iv.Lo {
-				kept = append(kept, a)
-				used[a.color] = true
-			}
-		}
-		live = kept
-		c := 1
-		for used[c] {
-			c++
-		}
-		colors[iv.Node] = c
-		live = append(live, active{hi: iv.Hi, color: c})
-	}
-	return colors
-}
-
 // Dominated returns the nodes v of g for which some node u has
 // Γ[v] ⊋ Γ[u] — the nodes Algorithm 5 discards. Removing them leaves a
 // proper interval graph whose independence number equals α(g).
@@ -292,13 +223,6 @@ func RemoveDominated(g *graph.Graph) *graph.Graph {
 	out := g.Clone()
 	out.RemoveNodes(Dominated(g))
 	return out
-}
-
-// IsProperInterval reports whether the umbrella ordering construction
-// succeeds on g, i.e. g is a proper (= unit) interval graph.
-func IsProperInterval(g *graph.Graph) bool {
-	_, err := UmbrellaOrder(g)
-	return err == nil
 }
 
 // Diameter returns the diameter of the interval graph g — the largest

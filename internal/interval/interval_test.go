@@ -6,7 +6,6 @@ import (
 	"repro/internal/chordal"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/verify"
 )
 
 func TestCliquePathFromModelSimple(t *testing.T) {
@@ -64,43 +63,6 @@ func TestModelFromCliquePathRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExactMISMatchesGavril(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		ivs := gen.RandomIntervals(50, 15, 3, seed)
-		g := gen.FromIntervals(ivs)
-		is := ExactMIS(ivs)
-		if err := verify.IndependentSet(g, is); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		alpha, err := chordal.IndependenceNumber(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(is) != alpha {
-			t.Fatalf("seed %d: |IS| = %d, α = %d", seed, len(is), alpha)
-		}
-	}
-}
-
-func TestExactColoringOptimal(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		ivs := gen.RandomIntervals(50, 12, 3, seed)
-		g := gen.FromIntervals(ivs)
-		colors := ExactColoring(ivs)
-		used, err := verify.Coloring(g, colors)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		omega, err := chordal.CliqueNumber(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if used != omega {
-			t.Fatalf("seed %d: used %d colors, χ = %d", seed, used, omega)
-		}
-	}
-}
-
 func TestDominatedRemovalKeepsAlpha(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g := gen.RandomInterval(40, 10, 3, seed)
@@ -127,6 +89,13 @@ func TestDominatedOnStar(t *testing.T) {
 	if !dom.Equal(graph.NewSet(0)) {
 		t.Fatalf("Dominated(star) = %v, want {0}", dom)
 	}
+}
+
+// IsProperInterval reports whether the umbrella ordering construction
+// succeeds on g, i.e. g is a proper (= unit) interval graph.
+func IsProperInterval(g *graph.Graph) bool {
+	_, err := UmbrellaOrder(g)
+	return err == nil
 }
 
 func TestRemoveDominatedYieldsProperInterval(t *testing.T) {

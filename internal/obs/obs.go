@@ -356,9 +356,6 @@ func (c *Collector) Err() error {
 	return c.encErr
 }
 
-// RunStart implements dist.RoundObserver.
-func (c *Collector) RunStart(nodes, edges int) {}
-
 // RoundStart implements dist.RoundObserver: it stamps the round's start
 // time and pre-sizes the per-shard busy slots.
 func (c *Collector) RoundStart(round, shards int) {

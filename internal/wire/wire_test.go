@@ -253,7 +253,6 @@ type wireRecorder struct {
 	wire   [][3]int64
 }
 
-func (o *wireRecorder) RunStart(nodes, edges int)    {}
 func (o *wireRecorder) RoundStart(round, shards int) {}
 func (o *wireRecorder) ShardStart(shard int)         {}
 func (o *wireRecorder) ShardEnd(shard int)           {}
