@@ -164,31 +164,38 @@ tracestat-smoke:
 
 # Partitioned-runtime smoke: the byte-identity gate for out-of-process
 # execution. The same-seed quick workload runs once on the in-process
-# LOCAL engine and once each on 2 and 3 shard-host child processes;
+# LOCAL engine and once each on 2, 3 and 4 shard-host child processes;
 # `tracestat diff` must find zero divergence in the deterministic
 # round/layer records (the partitioned traces legitimately differ in
-# timings and wire_in_b/wire_out_b, which diff excludes). With 3 shards
-# the middle shard splices blocks from both sides around its own
-# copies. A second set of faulted runs pins the same identity under an
+# timings and wire_in_b/wire_out_b, which diff excludes). Each shard
+# hosts a chunk of the BFS order; at 3 and 4 shards some nodes have
+# neighbors on three shards, so their inboxes are merged from several
+# blocks. A second set of faulted runs pins the same identity under an
 # active dup/delay/drop schedule.
 partition-smoke:
 	mkdir -p partition-smoke
 	$(GO) run ./cmd/experiments -quick -trace partition-smoke/local.jsonl
 	$(GO) run ./cmd/experiments -quick -trace partition-smoke/part2.jsonl -partitions 2
 	$(GO) run ./cmd/experiments -quick -trace partition-smoke/part3.jsonl -partitions 3
-	$(GO) run ./cmd/tracestat check partition-smoke/local.jsonl partition-smoke/part2.jsonl partition-smoke/part3.jsonl
+	$(GO) run ./cmd/experiments -quick -trace partition-smoke/part4.jsonl -partitions 4
+	$(GO) run ./cmd/tracestat check partition-smoke/local.jsonl partition-smoke/part2.jsonl partition-smoke/part3.jsonl \
+		partition-smoke/part4.jsonl
 	$(GO) run ./cmd/tracestat diff partition-smoke/local.jsonl partition-smoke/part2.jsonl
 	$(GO) run ./cmd/tracestat diff partition-smoke/local.jsonl partition-smoke/part3.jsonl
+	$(GO) run ./cmd/tracestat diff partition-smoke/local.jsonl partition-smoke/part4.jsonl
 	$(GO) run ./cmd/experiments -quick -trace partition-smoke/local-faulty.jsonl \
 		-faults drop=0.2,dup=0.2,delay=2 -fault-seed 7
 	$(GO) run ./cmd/experiments -quick -trace partition-smoke/part2-faulty.jsonl \
 		-faults drop=0.2,dup=0.2,delay=2 -fault-seed 7 -partitions 2
 	$(GO) run ./cmd/experiments -quick -trace partition-smoke/part3-faulty.jsonl \
 		-faults drop=0.2,dup=0.2,delay=2 -fault-seed 7 -partitions 3
+	$(GO) run ./cmd/experiments -quick -trace partition-smoke/part4-faulty.jsonl \
+		-faults drop=0.2,dup=0.2,delay=2 -fault-seed 7 -partitions 4
 	$(GO) run ./cmd/tracestat check partition-smoke/local-faulty.jsonl partition-smoke/part2-faulty.jsonl \
-		partition-smoke/part3-faulty.jsonl
+		partition-smoke/part3-faulty.jsonl partition-smoke/part4-faulty.jsonl
 	$(GO) run ./cmd/tracestat diff partition-smoke/local-faulty.jsonl partition-smoke/part2-faulty.jsonl
 	$(GO) run ./cmd/tracestat diff partition-smoke/local-faulty.jsonl partition-smoke/part3-faulty.jsonl
+	$(GO) run ./cmd/tracestat diff partition-smoke/local-faulty.jsonl partition-smoke/part4-faulty.jsonl
 
 # Full experiment tables as recorded in EXPERIMENTS.md (slow).
 experiments:

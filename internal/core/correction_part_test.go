@@ -93,7 +93,9 @@ func TestCorrectionParamsValidation(t *testing.T) {
 
 // realCorrectionRun returns the snapshot and the params blob that
 // RunCorrectionPhase ships to a partition for a real pipeline run, plus the payload
-// bytes its shards put on the wire in the first two steps.
+// bytes its shards put on the wire in the first two steps. It runs four
+// shards: two BFS chunks of this graph share so few arcs that only two
+// payloads would cross.
 func realCorrectionRun(t testing.TB) (*graph.Indexed, []byte, [][]byte) {
 	t.Helper()
 	g := gen.RandomChordal(40, gen.ChordalOpts{MaxCliqueSize: 3, AttachFull: 0.4}, 3)
@@ -107,7 +109,7 @@ func realCorrectionRun(t testing.TB) (*graph.Indexed, []byte, [][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranges := dist.SplitRange(ix.NumNodes(), 2)
+	ranges := dist.SplitRange(ix.NumNodes(), 4)
 	var payloads [][]byte
 	for shard := range ranges {
 		r, err := dist.NewShardRunner(ix, dist.ShardConfig{Shard: shard, Ranges: ranges, Program: "correction", Params: params})

@@ -208,18 +208,28 @@ func init() {
 // TestConcurrentPanicsReportLowestIndex: when nodes in different ranges
 // panic in the same round, Run reports the lower-index node's panic —
 // the same error text for every GOMAXPROCS setting and for the
-// partitioned runtime, because range errors merge in range order.
+// partitioned runtime, because range and shard errors merge by index.
+// On the path, BFS order is index order; on its relabelling, index 10
+// sits on a higher shard than index 90, so merging in shard order would
+// report the wrong node.
 func TestConcurrentPanicsReportLowestIndex(t *testing.T) {
-	ix := graph.NewIndexed(gen.Path(100))
-	want := fmt.Sprintf("dist: node program panicked: node %d exploded", ix.IDOf(10))
-	proctest.Sweep(func(procs int) {
-		for attempt := 0; attempt < 20; attempt++ {
-			if _, _, err := Run(ix, panicProgram{ix: ix}, RunOpts{}, 5); err == nil || err.Error() != want {
-				t.Fatalf("procs %d: err = %v, want %q", procs, err, want)
-			}
+	relabelled, _ := gen.RelabelRandom(gen.Path(100), 6)
+	for name, g := range map[string]*graph.Graph{"path": gen.Path(100), "relabelled": relabelled} {
+		ix := graph.NewIndexed(g)
+		shard := shardOf(ix, 3)
+		if name == "relabelled" && shard[10] <= shard[90] {
+			t.Fatalf("relabelled: index 10 on shard %d, index 90 on shard %d; want 10 on the higher shard", shard[10], shard[90])
 		}
-	})
-	if _, _, err := Run(ix, panicProgram{ix: ix}, RunOpts{Part: NewLocalPartition(ix, 3)}, 5); err == nil || err.Error() != want {
-		t.Fatalf("partitioned: err = %v, want %q", err, want)
+		want := fmt.Sprintf("dist: node program panicked: node %d exploded", ix.IDOf(10))
+		proctest.Sweep(func(procs int) {
+			for attempt := 0; attempt < 20; attempt++ {
+				if _, _, err := Run(ix, panicProgram{ix: ix}, RunOpts{}, 5); err == nil || err.Error() != want {
+					t.Fatalf("%s procs %d: err = %v, want %q", name, procs, err, want)
+				}
+			}
+		})
+		if _, _, err := Run(ix, panicProgram{ix: ix}, RunOpts{Part: NewLocalPartition(ix, 3)}, 5); err == nil || err.Error() != want {
+			t.Fatalf("%s partitioned: err = %v, want %q", name, err, want)
+		}
 	}
 }

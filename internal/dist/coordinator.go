@@ -28,7 +28,7 @@ type coordinator struct {
 }
 
 // newCoordinator prepares a partitioned run of prog over ix. The
-// partition's ranges must cover [0, n) contiguously.
+// partition's ranges must cover the BFS positions [0, n) contiguously.
 func newCoordinator(ix *graph.Indexed, prog Program, opts RunOpts) (*coordinator, error) {
 	part := opts.Part
 	if len(part.Links) == 0 || len(part.Links) != len(part.Ranges) {
@@ -115,9 +115,7 @@ func (c *coordinator) step(round int, crashed []graph.ID, res *Result) (stepStat
 			switch {
 			case err != nil:
 				return err
-			case r.Err != "":
-				return errors.New(r.Err)
-			case len(r.Blocks) != len(links):
+			case r.Err == "" && len(r.Blocks) != len(links):
 				return fmt.Errorf("dist: shard %d returned %d blocks for %d shards", s, len(r.Blocks), len(links))
 			}
 			results[s] = r
@@ -126,13 +124,24 @@ func (c *coordinator) step(round int, crashed []graph.ID, res *Result) (stepStat
 	if err != nil {
 		return st, err
 	}
+	// Like the engine over its ranges, report the lowest panicking index
+	// over all shards; a failure no node caused (ErrIdx −1) comes first.
+	var failed *ShardStepResult
+	for _, r := range results {
+		if r.Err != "" && (failed == nil || r.ErrIdx < failed.ErrIdx) {
+			failed = r
+		}
+	}
+	if failed != nil {
+		return st, errors.New(failed.Err)
+	}
 
 	msgs, vol := 0, 0
 	fs := FaultStats{Round: round, Crashed: crashed}
 	for _, r := range results {
 		st.done += r.Done
 		st.deadNotDone += r.DeadNotDone
-		if r.BlockedIdx >= 0 && st.blockedIdx < 0 {
+		if r.BlockedIdx >= 0 && (st.blockedIdx < 0 || r.BlockedIdx < st.blockedIdx) {
 			st.blockedIdx, st.blockedRound = r.BlockedIdx, r.BlockedRound
 		}
 		msgs += r.Messages
@@ -187,8 +196,7 @@ func (c *coordinator) step(round int, crashed []graph.ID, res *Result) (stepStat
 // link in shard order, stopping at the first send failure, then await
 // the reply of every link that was sent a request, in shard order — so
 // a failure never leaves a reply queued on a link for the next run to
-// misread. It returns the lowest shard's error, the rule node-program
-// panics follow too.
+// misread. It returns the lowest shard's error.
 func exchange(links []ShardLink, send, await func(s int, l ShardLink) error) error {
 	sent, sendErr := len(links), error(nil)
 	for s, l := range links {
@@ -210,9 +218,11 @@ func exchange(links []ShardLink, send, await func(s int, l ShardLink) error) err
 }
 
 // finish implements stepper: gather every shard's outputs and decode
-// them with the caller's program, by snapshot index.
+// them with the caller's program, by snapshot index. Shard s returns
+// the outputs of BFS positions Ranges[s] in order, its local offsets.
 func (c *coordinator) finish() ([]any, error) {
 	outs := make([]any, c.ix.NumNodes())
+	order := c.ix.BFSOrder()
 	for s, l := range c.opts.Part.Links {
 		data, err := l.Outputs()
 		if err != nil {
@@ -220,14 +230,15 @@ func (c *coordinator) finish() ([]any, error) {
 		}
 		rg := c.opts.Part.Ranges[s]
 		if len(data) != int(rg.Hi-rg.Lo) {
-			return nil, fmt.Errorf("dist: shard %d returned %d outputs for range [%d, %d)", s, len(data), rg.Lo, rg.Hi)
+			return nil, fmt.Errorf("dist: shard %d returned %d outputs for BFS positions [%d, %d)", s, len(data), rg.Lo, rg.Hi)
 		}
 		for j, d := range data {
-			out, err := c.prog.DecodeOutput(int(rg.Lo)+j, d)
+			i := int(order[int(rg.Lo)+j])
+			out, err := c.prog.DecodeOutput(i, d)
 			if err != nil {
-				return nil, fmt.Errorf("dist: output decoding failed for index %d: %w", int(rg.Lo)+j, err)
+				return nil, fmt.Errorf("dist: output decoding failed for index %d: %w", i, err)
 			}
-			outs[int(rg.Lo)+j] = out
+			outs[i] = out
 		}
 	}
 	return outs, nil

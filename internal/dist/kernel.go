@@ -20,9 +20,9 @@ import (
 
 // nodeRange is one range of a run's nodes, stepped in array order: the
 // nodes' protocols, contexts and Done flags, aligned (each context
-// carries its node's global snapshot index). A shard runner's range is
-// contiguous in index order; the LOCAL engine's ranges are chunks of
-// the snapshot's BFS order, starting at BFS position pos0.
+// carries its node's global snapshot index). Every range is a chunk of
+// the snapshot's BFS order: the LOCAL engine's start at BFS position
+// pos0, and a shard runner hosts one.
 //
 // The engine keeps its ranges in one array, so neighboring ranges share
 // cache lines. Nothing in the per-node loop of a step writes a field of
@@ -64,13 +64,13 @@ type stepAcc struct {
 	done      int
 }
 
-// newNodeRange wraps progs, the protocols of global indices lo, lo+1,
-// …, into a range, filling ctxs (one per protocol) with their network
-// contexts. done holds the range's Done flags, all false; round is the
-// step counter the contexts report.
-func newNodeRange(ix *graph.Indexed, lo int, progs []Protocol, ctxs []Context, done []bool, round *int32) nodeRange {
-	for j := range progs {
-		ctxs[j] = newContext(ix, int32(lo+j), round)
+// newNodeRange wraps progs, the protocols of global indices idx[0],
+// idx[1], …, into a range, filling ctxs (one per protocol) with their
+// network contexts. done holds the range's Done flags, all false; round
+// is the step counter the contexts report.
+func newNodeRange(ix *graph.Indexed, idx []int32, progs []Protocol, ctxs []Context, done []bool, round *int32) nodeRange {
+	for j, i := range idx {
+		ctxs[j] = newContext(ix, i, round)
 	}
 	return nodeRange{progs: progs, ctxs: ctxs, done: done, quiescent: allQuiescent(progs)}
 }
@@ -390,10 +390,10 @@ func payloadSize(p any) int {
 // routeWalk is the sender-order delivery pass of one step, shared by the
 // engine's runs with a fault plan and the shard runner. It walks the
 // step's queues of ctxs in ascending sender index — ctxs[walk[0]],
-// ctxs[walk[1]], …, or ctxs in order when walk is nil — expands every
-// Broadcast over the neighbor row, and routes each copy through the
-// crash table and the fault plan at global (round, sender index, queue
-// position) coordinates, positions counted over the expanded sequence.
+// ctxs[walk[1]], … — expands every Broadcast over the neighbor row,
+// and routes each copy through the crash table and the fault plan at
+// global (round, sender index, queue position) coordinates, positions
+// counted over the expanded sequence.
 // sink receives every delivered copy, twice in a row for a duplicate;
 // entry numbers the queue entry a copy came from, so sinks can share
 // per-entry work. Drops, duplicates, dead letters and stall go to fs and
@@ -409,11 +409,8 @@ func routeWalk(ctxs []Context, walk []int32, round int, f *Faults, crash *crashT
 	var one [1]int32
 	entry := 0
 	par := round & 1
-	for j := range ctxs {
-		c := &ctxs[j]
-		if walk != nil {
-			c = &ctxs[walk[j]]
-		}
+	for _, x := range walk {
+		c := &ctxs[x]
 		q := &c.out[par]
 		sender := int(c.idx)
 		pos := 0

@@ -8,25 +8,29 @@ import (
 )
 
 // This file defines the partitioned runtime's transport abstraction: the
-// engine's nodes are split into contiguous snapshot-index ranges, each
+// engine's nodes are split into contiguous ranges of the snapshot's BFS
+// order — the chunks the LOCAL engine steps as its node ranges — each
 // range is hosted by a ShardRunner (in-process or in a child OS process
 // behind internal/wire), and when Run is given a partition, a
 // coordinator (coordinator.go) drives the engine's run loop over
 // ShardLinks. Both sides run the round kernel of kernel.go, the one the
-// LOCAL engine runs.
+// LOCAL engine runs. A BFS chunk keeps most of its nodes' neighbors
+// with it, so only the copies sent along the few arcs between chunks —
+// the cut — cross the wire, as the LOCAL model's neighbor-only traffic
+// would have it.
 //
 // Determinism is preserved by construction. The LOCAL engine delivers
 // each inbox sorted by (sender index, queue position), achieved by
 // walking senders in index order. Here every shard routes its own
-// senders in index order into one block per destination shard, the
-// coordinator relays every block unread to its destination, and the
-// receiving shard splices its own locally-staged copies between the
-// lower- and higher-shard blocks (shards are contiguous ascending
-// ranges, so shard order IS sender-index order). Fault schedules are
-// decided sender-side, by the routing walk the LOCAL engine uses, at
-// global (round, sender index, queue position) coordinates, so a
-// partitioned run produces byte-identical outputs, fault counters, and
-// round stats.
+// senders in index order, local copies straight into the inboxes and
+// remote ones into one block per destination shard; the coordinator
+// relays every block unread to its destination, and the receiving
+// shard appends each block's copies and merges back, by a stable sort
+// on the sender, the few inboxes whose senders sit on several shards.
+// Fault schedules are decided sender-side, by the routing walk the
+// LOCAL engine uses, at global (round, sender index, queue position)
+// coordinates, so a partitioned run produces byte-identical outputs,
+// fault counters, and round stats.
 //
 // Block format. A block is a sequence of entries, one per outbox entry
 // (one Send or Broadcast call) with at least one copy for the
@@ -45,11 +49,12 @@ import (
 // payload across the copies of a broadcast.
 
 // ShardConfig configures one program run on a shard: which shard of the
-// partition it is (Ranges[Shard] is its node range; the other ranges
-// map a target index to the shard hosting it), the registered program
-// to instantiate, its opaque parameters, and the fault schedule as the
-// (spec, seed) pair it is a pure function of — each side re-parses
-// locally, so no schedule state crosses the wire.
+// partition it is (it hosts the nodes at BFS positions Ranges[Shard];
+// the other ranges tell it which shard hosts every other node), the
+// registered program to instantiate, its opaque parameters, and the
+// fault schedule as the (spec, seed) pair it is a pure function of —
+// each side re-parses locally, so no schedule state crosses the wire.
+// The shard rebuilds the BFS order from its own copy of the snapshot.
 type ShardConfig struct {
 	Shard     int
 	Ranges    []PartRange
@@ -70,8 +75,9 @@ type ShardStepResult struct {
 	Done int
 	// DeadNotDone counts crashed-but-unfinished local nodes; BlockedIdx
 	// is the smallest such global index (-1 when none) and BlockedRound
-	// its crash round — crashTable.blocked over the shard's range, summed
-	// by the coordinator into the run loop's crash-blocked diagnosis.
+	// its crash round — crashTable.blocked over the shard's nodes, which
+	// the coordinator merges (sum, smallest index) into the run loop's
+	// crash-blocked diagnosis.
 	DeadNotDone  int
 	BlockedIdx   int32
 	BlockedRound int
@@ -88,8 +94,11 @@ type ShardStepResult struct {
 	// valid until the shard's next Step, and must not be modified.
 	Blocks [][]byte
 	// Err carries a node-program panic ("dist: node program panicked:
-	// ..."), formatted exactly like the LOCAL engine's failure.
-	Err string
+	// ..."), formatted exactly like the LOCAL engine's failure, and
+	// ErrIdx the panicking node's index: the lowest one, when several
+	// panic. ErrIdx is -1 when Err is empty or no node caused it.
+	Err    string
+	ErrIdx int32
 }
 
 // ShardLink is the coordinator's handle on one shard. Begin/await pairs
@@ -107,15 +116,15 @@ type ShardLink interface {
 	// StepResult awaits the result of the step begun by Step.
 	StepResult() (*ShardStepResult, error)
 	// Deliver hands the shard the blocks addressed to it, one per
-	// source shard in shard order (its own entry empty), for splicing
-	// with its locally staged copies. The link does not retain blocks
-	// after Deliver returns.
+	// source shard in shard order (its own entry empty), for merging
+	// into the inboxes that hold its local copies. The link does not
+	// retain blocks after Deliver returns.
 	Deliver(round int, blocks [][]byte) error
 	// DeliverResult awaits the delivery ack and returns the shard's
 	// post-delivery inbox high-water mark.
 	DeliverResult() (maxInbox int, err error)
 	// Outputs returns the program-encoded output of each local node,
-	// by local offset.
+	// by local offset: in the BFS order of the shard's range.
 	Outputs() ([][]byte, error)
 	// Close releases the link (and, for process transports, the child).
 	Close() error
@@ -139,14 +148,18 @@ type WireObserver interface {
 	WireRound(round int, bytesIn, bytesOut int64)
 }
 
-// PartRange is one shard's contiguous snapshot-index range [Lo, Hi).
+// PartRange is one shard's contiguous range [Lo, Hi) of positions in
+// the snapshot's BFS order (graph.Indexed.BFSOrder): the shard hosts
+// the nodes BFSOrder()[Lo:Hi].
 type PartRange struct {
 	Lo, Hi int32
 }
 
 // Partition is a set of shard links covering a snapshot: Links[i] hosts
-// Ranges[i], and ranges are contiguous, ascending, and exhaustive over
-// [0, n).
+// the nodes at BFS positions Ranges[i], and ranges are contiguous,
+// ascending, and exhaustive over [0, n). With SplitRange's ranges, the
+// shards host exactly the chunks the LOCAL engine steps at as many
+// ranges.
 type Partition struct {
 	Links  []ShardLink
 	Ranges []PartRange

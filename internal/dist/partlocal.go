@@ -25,7 +25,7 @@ type LocalLink struct {
 }
 
 // NewLocalPartition builds an all-in-process partition of ix into parts
-// shards.
+// shards, hosting SplitRange's chunks of the BFS order.
 func NewLocalPartition(ix *graph.Indexed, parts int) *Partition {
 	ranges := SplitRange(ix.NumNodes(), parts)
 	p := &Partition{Ranges: ranges}

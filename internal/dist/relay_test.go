@@ -209,15 +209,18 @@ func TestRelaySharesDecodedPayload(t *testing.T) {
 }
 
 // floodShards sets up a 3-shard flood of radius 2 over a small chordal
-// graph and returns a function that starts fresh runners for it.
-func floodShards(t testing.TB) func(t testing.TB) []*ShardRunner {
+// graph and returns a function that starts fresh runners for it, and
+// hostedBy, which names a node that shard s hosts.
+func floodShards(t testing.TB) (start func(t testing.TB) []*ShardRunner, hostedBy func(s int) uint64) {
 	ix := graph.NewIndexed(gen.RandomChordal(30, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 7))
 	_, params, err := radiusParams("flood", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ranges := SplitRange(ix.NumNodes(), 3)
-	return func(t testing.TB) []*ShardRunner { return newRunners(t, ix, ranges, "flood", params, "") }
+	start = func(t testing.TB) []*ShardRunner { return newRunners(t, ix, ranges, "flood", params, "") }
+	hostedBy = func(s int) uint64 { return uint64(ix.BFSOrder()[ranges[s].Lo]) }
+	return start, hostedBy
 }
 
 // block builds a block from uvarint fields, then raw payload bytes.
@@ -229,23 +232,26 @@ func block(payload []byte, fields ...uint64) []byte {
 	return append(b, payload...)
 }
 
+// TestShardDeliverRejectsMalformedBlocks hands shard 1 of 3 a block
+// from shard 0: the sender must be a node shard 0 hosts, and every
+// target one that shard 1 hosts.
 func TestShardDeliverRejectsMalformedBlocks(t *testing.T) {
-	start := floodShards(t)
-	r := start(t)[1]
-	lo, hi := uint64(r.lo), uint64(r.hi)
-	src := uint64(r.ranges[0].Lo)
+	start, hostedBy := floodShards(t)
+	src, mine, other := hostedBy(0), hostedBy(1), hostedBy(2)
 	payload := binary.LittleEndian.AppendUint32(nil, uint32(src))
 	for _, c := range []struct {
 		name, want string
 		blocks     [][]byte
 	}{
-		{"sender beyond the snapshot", "sender outside", [][]byte{block(payload, 1<<20, 1, lo, 4), nil, nil}},
-		{"sender in the runner's range", "sender outside", [][]byte{block(payload, lo, 1, lo, 4), nil, nil}},
+		{"sender beyond the snapshot", "sender that shard does not host", [][]byte{block(payload, 1<<20, 1, mine, 4), nil, nil}},
+		{"sender hosted by the receiver", "sender that shard does not host", [][]byte{block(payload, mine, 1, mine, 4), nil, nil}},
+		{"sender hosted by a third shard", "sender that shard does not host", [][]byte{block(payload, other, 1, mine, 4), nil, nil}},
 		{"zero targets", "bad target count", [][]byte{block(payload, src, 0, 4), nil, nil}},
-		{"target below the range", "outside shard range", [][]byte{block(payload, src, 1, lo-1, 4), nil, nil}},
-		{"target above the range", "outside shard range", [][]byte{block(payload, src, 1, hi, 4), nil, nil}},
-		{"truncated payload", "truncated payload", [][]byte{block(payload[:2], src, 1, lo, 4), nil, nil}},
-		{"truncated entry", "truncated payload", [][]byte{block(nil, src, 1, lo), nil, nil}},
+		{"target beyond the snapshot", "targets a node shard 1 does not host", [][]byte{block(payload, src, 1, 1<<20, 4), nil, nil}},
+		{"target hosted by the source", "targets a node shard 1 does not host", [][]byte{block(payload, src, 1, src, 4), nil, nil}},
+		{"target hosted by a third shard", "targets a node shard 1 does not host", [][]byte{block(payload, src, 1, other, 4), nil, nil}},
+		{"truncated payload", "truncated payload", [][]byte{block(payload[:2], src, 1, mine, 4), nil, nil}},
+		{"truncated entry", "truncated payload", [][]byte{block(nil, src, 1, mine), nil, nil}},
 		{"block from itself", "from itself", [][]byte{nil, {0}, nil}},
 		{"short block list", "2 blocks for 3 shards", [][]byte{nil, nil}},
 	} {
@@ -258,15 +264,20 @@ func TestShardDeliverRejectsMalformedBlocks(t *testing.T) {
 }
 
 // FuzzShardDeliverBlock feeds arbitrary bytes to a started flood shard
-// as the block of the shard below it: Deliver must return an error or
-// succeed, never panic. The corpus starts from the blocks a real flood
-// sends across that boundary.
+// as the block of shard 0: Deliver must return an error or succeed,
+// never panic. The corpus starts from the blocks a real flood sends
+// from shard 0 to shard 1, and from hand-built entries whose sender or
+// target a shard other than the expected one hosts.
 func FuzzShardDeliverBlock(f *testing.F) {
-	start := floodShards(f)
+	start, hostedBy := floodShards(f)
 	runners := start(f)
 	for round := range 3 {
 		f.Add(slices.Clone(relayRound(f, runners, round)[0].Blocks[1]))
 	}
+	src, mine, other := hostedBy(0), hostedBy(1), hostedBy(2)
+	payload := binary.LittleEndian.AppendUint32(nil, uint32(src))
+	f.Add(block(payload, other, 1, mine, 4))
+	f.Add(block(payload, src, 2, mine, other, 4))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := start(t)[1]
 		r.Step(0)

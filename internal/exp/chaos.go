@@ -175,13 +175,6 @@ func sameBall(w, k *dist.Knowledge, scratch []int32) bool {
 	return true
 }
 
-// defaultFaultSpec and defaultFaultSeed are the plan FaultTraceRunCollector
-// runs when given none.
-const (
-	defaultFaultSpec        = "drop=0.2,dup=0.2,delay=2"
-	defaultFaultSeed uint64 = 7
-)
-
 // FaultTraceRunCollector is the workload behind `cmd/experiments -trace
 // -faults`: it records, under a caller-configured Collector (see
 // TraceRunCollector), (1) the full distributed coloring of the Figure-1
@@ -194,14 +187,10 @@ const (
 // engine). Partitioned schedules must come from dist.ParseFaults — the
 // spec is what ships to the shard processes — so the absorbable
 // projection carries the spec with drop and crash stripped along with
-// the plan. It finishes the collector; the caller must not reuse it.
+// the plan. f must be non-nil: `cmd/experiments` passes the plan it
+// parsed from -faults. It finishes the collector; the caller must not
+// reuse it.
 func FaultTraceRunCollector(c *obs.Collector, quick bool, f *dist.Faults, partFor Partitioner) error {
-	if f == nil {
-		var err error
-		if f, err = dist.ParseFaults(defaultFaultSpec, defaultFaultSeed); err != nil {
-			return fmt.Errorf("fault trace: %w", err)
-		}
-	}
 	absorbable := &dist.Faults{Plan: f.Plan, Spec: stripDropCrash(f.Spec), Seed: f.Seed}
 	absorbable.Plan.Drop = 0
 

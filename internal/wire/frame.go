@@ -189,7 +189,7 @@ func decodeGob(body []byte, msg any) error {
 //
 //	step        round
 //	stepResult  Round Done DeadNotDone BlockedIdx BlockedRound Messages
-//	            Volume Dropped Duplicated DeadLetters Stall, Err,
+//	            Volume Dropped Duplicated DeadLetters Stall, Err, ErrIdx,
 //	            block count, blocks (by destination shard)
 //	deliver     round, block count, blocks (by source shard)
 //	deliverOK   MaxInbox, Err
@@ -213,21 +213,19 @@ func appendStepResult(b []byte, res *dist.ShardStepResult) []byte {
 		b = binary.AppendVarint(b, int64(v))
 	}
 	b = appendString(b, res.Err)
+	b = binary.AppendVarint(b, int64(res.ErrIdx))
 	return binary.AppendUvarint(b, uint64(len(res.Blocks)))
 }
 
 func decodeStepResult(body []byte) (*dist.ShardStepResult, error) {
 	d := decoder{b: body}
 	res := &dist.ShardStepResult{Round: d.int(), Done: d.int(), DeadNotDone: d.int()}
-	if idx := d.int(); idx < math.MinInt32 || idx > math.MaxInt32 {
-		d.fail("blocked index out of range")
-	} else {
-		res.BlockedIdx = int32(idx)
-	}
+	res.BlockedIdx = d.int32("blocked index")
 	res.BlockedRound = d.int()
 	res.Messages, res.Volume = d.int(), d.int()
 	res.Dropped, res.Duplicated, res.DeadLetters, res.Stall = d.int(), d.int(), d.int(), d.int()
 	res.Err = d.string()
+	res.ErrIdx = d.int32("panic index")
 	res.Blocks = d.blocks()
 	return res, d.end()
 }
@@ -297,6 +295,17 @@ func (d *decoder) int() int {
 	}
 	d.b = d.b[n:]
 	return int(v)
+}
+
+// int32 reads a varint that must fit an int32; what names it in the
+// failure.
+func (d *decoder) int32(what string) int32 {
+	v := d.int()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		d.fail(what + " out of range")
+		return 0
+	}
+	return int32(v)
 }
 
 // bytes reads a uvarint-length-prefixed byte string, aliasing the body.

@@ -114,6 +114,9 @@ func FuzzDecodeStepResult(f *testing.F) {
 	for _, b := range realBodies(f)[kindStepResult] {
 		f.Add(b)
 	}
+	panicked := &dist.ShardStepResult{Round: 3, BlockedIdx: -1,
+		Err: "dist: node program panicked: boom", ErrIdx: 17}
+	f.Add(frameBytes(f, kindStepResult, appendStepResult(nil, panicked), nil)[5:])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		res, err := decodeStepResult(body)
 		if err != nil {

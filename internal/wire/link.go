@@ -307,8 +307,9 @@ func StartCluster(parts int, spawn SpawnFunc) (*Cluster, error) {
 }
 
 // Partition ships ix to every shard host and returns the partition for
-// it. When ix has fewer nodes than the cluster has shards, only the
-// first NumNodes links participate (the rest stay idle for this graph).
+// it: shard s hosts the s-th of SplitRange's chunks of ix's BFS order.
+// When ix has fewer nodes than the cluster has shards, only the first
+// NumNodes links participate (the rest stay idle for this graph).
 func (c *Cluster) Partition(ix *graph.Indexed) (*dist.Partition, error) {
 	ids, rowPtr, colIdx := ix.CSR()
 	ranges := dist.SplitRange(ix.NumNodes(), c.parts)

@@ -67,7 +67,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	blocks := [][]byte{{1, 2, 3}, nil, bytes.Repeat([]byte{7}, 300)}
 	res := &dist.ShardStepResult{Round: 4, Done: 9, DeadNotDone: 1, BlockedIdx: -1, BlockedRound: 2,
 		Messages: 1 << 40, Volume: 77, Dropped: 3, Duplicated: 4, DeadLetters: 5, Stall: 6,
-		Err: "boom", Blocks: blocks}
+		Err: "boom", ErrIdx: 300, Blocks: blocks}
 	var stream bytes.Buffer
 	var sizes []int
 	for _, f := range [][]byte{
