@@ -34,8 +34,9 @@ func TestShippedTreeIsClean(t *testing.T) {
 	}
 }
 
-// testSupport names the internal packages and functions that may have
-// no caller outside tests, each with the reason it stays.
+// testSupport names the internal packages, functions and methods that
+// may have no caller outside tests, each with the reason it stays. A
+// method is named by its receiver's type name: "pkg.Type.Method".
 var testSupport = map[string]string{
 	"repro/internal/gen":                    "graph generators shared by tests, experiments and the bench module",
 	"repro/internal/verify":                 "output checkers and brute-force references shared by tests, experiments and the CLI",
@@ -44,13 +45,30 @@ var testSupport = map[string]string{
 	"repro/internal/dist.NewLocalPartition": "the in-process reference transport for the partition tests in dist and core",
 	"repro/internal/peel.LayerCliquePath":   "used by tests in core and peel",
 	"repro/internal/colorreduce.MISChain":   "the log*-round chain MIS, kept until ColIntGraph and MISInterval at their published round bounds use it or drop it",
+	"repro/internal/graph.Graph.Equal":      "graph equality for the tests in graph, gen and interval",
+	"repro/internal/obs.Collector.SetClock": "the fake clock of the obs and tracestat tests",
+	// The map-backed clique forest's path layer and the accessors it
+	// reads: the reference internal/peel/reference_test.go checks the
+	// index-space peel against.
+	"repro/internal/cliquetree.Forest.MaximalBinaryPaths":     "the peel reference's path enumeration",
+	"repro/internal/cliquetree.Forest.SubpathNodes":           "the peel reference's path members",
+	"repro/internal/cliquetree.Forest.PathDiameter":           "the peel reference's path diameter",
+	"repro/internal/cliquetree.Forest.PathIndependenceNumber": "the peel reference's path independence number",
+	"repro/internal/cliquetree.Forest.Cliques":                "read by the peel reference",
+	"repro/internal/cliquetree.Forest.Degree":                 "read by the peel reference",
+	"repro/internal/cliquetree.Forest.Neighbors":              "read by the peel reference",
+	"repro/internal/cliquetree.Forest.Phi":                    "read by the peel reference",
 }
 
 // TestInternalFuncsHaveCallers keeps test-only code out of the
-// production packages: every top-level function declared in a non-test
+// production packages: every function and method declared in a non-test
 // file under internal/ must be used by some non-test file of the module,
 // outside its own declaration, unless testSupport names it or its
-// package. A function only tests call belongs in a _test.go file.
+// package. Calls through an interface name the interface's method, so a
+// method also counts as used when its receiver implements an interface
+// that the module's code uses and that declares the method; String and
+// Error count as used because fmt calls them. A function or method only
+// tests use belongs in a _test.go file of its package.
 func TestInternalFuncsHaveCallers(t *testing.T) {
 	pkgs, err := analysis.LoadModule("../..")
 	if err != nil {
@@ -68,10 +86,16 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Recv != nil || fd.Name.Name == "init" {
+				if !ok || fd.Name.Name == "init" {
 					continue
 				}
 				name := p.Path + "." + fd.Name.Name
+				if fd.Recv != nil {
+					if fd.Name.Name == "String" || fd.Name.Name == "Error" {
+						continue
+					}
+					name = p.Path + "." + recvTypeName(p.Info.Defs[fd.Name]) + "." + fd.Name.Name
+				}
 				if testSupport[name] != "" {
 					continue
 				}
@@ -80,6 +104,7 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 		}
 	}
 	used := make(map[types.Object]bool)
+	ifaces := make(map[*types.Interface]bool)
 	for _, p := range pkgs {
 		for id, obj := range p.Info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
@@ -88,6 +113,17 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 			if d, ok := decls[obj]; ok && (id.Pos() < d.pos || id.Pos() >= d.end) {
 				used[obj] = true
 			}
+			if v, ok := obj.(*types.Var); ok {
+				collectInterfaces(v.Type(), ifaces)
+			}
+		}
+		for _, tv := range p.Info.Types {
+			collectInterfaces(tv.Type, ifaces)
+		}
+	}
+	for obj := range decls {
+		if !used[obj] && implementsUsedInterface(obj.(*types.Func), ifaces) {
+			used[obj] = true
 		}
 	}
 	var unused []decl
@@ -101,6 +137,63 @@ func TestInternalFuncsHaveCallers(t *testing.T) {
 		t.Errorf("%s: %s has no caller outside tests; move it beside its tests or delete it",
 			pkgs[0].Fset.Position(d.pos), d.name)
 	}
+}
+
+// recvTypeName returns the name of a method's receiver type, pointer
+// stripped.
+func recvTypeName(obj types.Object) string {
+	t := obj.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	return t.(*types.Named).Obj().Name()
+}
+
+// collectInterfaces adds to set every interface with methods that t is
+// or that a signature t takes or returns.
+func collectInterfaces(t types.Type, set map[*types.Interface]bool) {
+	if t == nil {
+		return
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Interface:
+		if u.NumMethods() > 0 {
+			set[u] = true
+		}
+	case *types.Signature:
+		for _, tuple := range []*types.Tuple{u.Params(), u.Results()} {
+			for i := 0; i < tuple.Len(); i++ {
+				pt := tuple.At(i).Type()
+				if sl, ok := pt.(*types.Slice); ok && u.Variadic() {
+					pt = sl.Elem()
+				}
+				collectInterfaces(pt, set)
+			}
+		}
+	}
+}
+
+// implementsUsedInterface reports whether fn's receiver type, or a
+// pointer to it, implements an interface of set that declares fn.
+func implementsUsedInterface(fn *types.Func, set map[*types.Interface]bool) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	for iface := range set {
+		declares := false
+		for i := 0; i < iface.NumMethods(); i++ {
+			declares = declares || iface.Method(i).Name() == fn.Name()
+		}
+		if declares && (types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestListAndBadFlags(t *testing.T) {

@@ -36,7 +36,7 @@ func us(ns int64) float64 { return float64(ns) / 1e3 }
 // engine rounds, and kernel launches each get a lane, and every
 // kernel's per-worker shard spans fan out onto per-worker lanes — the
 // visual form of the imbalance tables. Records without timing offsets
-// (v1/v2 or canonical traces) contribute nothing; mem snapshots become
+// (v1/v2 traces) contribute nothing; mem snapshots become
 // counter samples.
 func writeChrome(w io.Writer, events []obs.Event) error {
 	var out []chromeEvent

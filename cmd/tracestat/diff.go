@@ -8,94 +8,8 @@ import (
 	"repro/internal/obs"
 )
 
-// deterministicFields lists the fields of a round/layer record that are
-// pure functions of (graph, protocol, seed, fault plan) — exactly the
-// fields canonical mode keeps, plus run/round identity. Timings, shard
-// schedules, t_ns, and the wire_in_b/wire_out_b transport counters of
-// partitioned runs describe the hardware/deployment and are excluded,
-// as are the v3 kernel/phase/mem measurement records entirely, so diff
-// answers "did the computation diverge", never "did the machine (or
-// process layout) differ" — a LOCAL trace and a partitioned trace of
-// the same inputs diff clean.
-var deterministicFields = []struct {
-	name string
-	get  func(ev obs.Event) any
-}{
-	{"kind", func(ev obs.Event) any { return ev.Kind }},
-	{"phase", func(ev obs.Event) any { return ev.Phase }},
-	{"run", func(ev obs.Event) any { return ev.Run }},
-	{"round", func(ev obs.Event) any { return ev.Round }},
-	{"nodes", func(ev obs.Event) any { return ev.Nodes }},
-	{"messages", func(ev obs.Event) any { return ev.Messages }},
-	{"volume", func(ev obs.Event) any { return ev.Volume }},
-	{"done", func(ev obs.Event) any { return ev.Done }},
-	{"max_inbox", func(ev obs.Event) any { return ev.MaxInbox }},
-	{"dropped", func(ev obs.Event) any { return ev.Dropped }},
-	{"duplicated", func(ev obs.Event) any { return ev.Duplicated }},
-	{"dead_letters", func(ev obs.Event) any { return ev.DeadLetters }},
-	{"stall", func(ev obs.Event) any { return ev.Stall }},
-	{"crashed", func(ev obs.Event) any { return fmt.Sprint(ev.Crashed) }},
-	{"pendant_paths", func(ev obs.Event) any { return ev.PendantPaths }},
-	{"internal_paths", func(ev obs.Event) any { return ev.InternalPaths }},
-	{"nodes_peeled", func(ev obs.Event) any { return ev.NodesPeeled }},
-	{"forest_cliques", func(ev obs.Event) any { return ev.ForestCliques }},
-	{"remaining", func(ev obs.Event) any { return ev.Remaining }},
-}
-
-// deterministicRecords filters a trace down to the records diff
-// compares: round and layer events.
-func deterministicRecords(events []obs.Event) []obs.Event {
-	var out []obs.Event
-	for _, ev := range events {
-		if ev.Kind == obs.KindRound || ev.Kind == obs.KindLayer {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// diffTraces locates the first diverging deterministic record of two
-// traces. The returned description names the record's position, phase,
-// run, round, and every differing field with both values; empty when
-// the traces agree.
-func diffTraces(a, b []obs.Event) (diverged bool, desc string) {
-	da, db := deterministicRecords(a), deterministicRecords(b)
-	n := len(da)
-	if len(db) < n {
-		n = len(db)
-	}
-	for i := 0; i < n; i++ {
-		var diffs []string
-		for _, f := range deterministicFields {
-			va, vb := f.get(da[i]), f.get(db[i])
-			if va != vb {
-				diffs = append(diffs, fmt.Sprintf("%s: %v vs %v", f.name, va, vb))
-			}
-		}
-		if len(diffs) > 0 {
-			desc = fmt.Sprintf("record %d (kind %q, phase %q, run %d, round %d) diverges:",
-				i, da[i].Kind, da[i].Phase, da[i].Run, da[i].Round)
-			for _, d := range diffs {
-				desc += "\n  " + d
-			}
-			return true, desc
-		}
-	}
-	if len(da) != len(db) {
-		longer, name := da, "A"
-		if len(db) > len(da) {
-			longer, name = db, "B"
-		}
-		ev := longer[n]
-		return true, fmt.Sprintf(
-			"record counts differ: %d vs %d deterministic records; first extra record in %s is %d (kind %q, phase %q, run %d, round %d)",
-			len(da), len(db), name, n, ev.Kind, ev.Phase, ev.Run, ev.Round)
-	}
-	return false, ""
-}
-
 // runDiff loads both traces and prints either the first divergence
-// (exit 1) or a match summary (exit 0).
+// obs.DiffDeterministic finds (exit 1) or a match summary (exit 0).
 func runDiff(pathA, pathB string, w io.Writer) (int, error) {
 	load := func(path string) ([]obs.Event, error) {
 		f, err := os.Open(path)
@@ -117,12 +31,11 @@ func runDiff(pathA, pathB string, w io.Writer) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-	diverged, desc := diffTraces(a, b)
-	if diverged {
-		fmt.Fprintf(w, "%s vs %s: %s\n", pathA, pathB, desc)
+	if err := obs.DiffDeterministic(a, b); err != nil {
+		fmt.Fprintf(w, "%s vs %s: %v\n", pathA, pathB, err)
 		return 1, nil
 	}
 	fmt.Fprintf(w, "%s vs %s: %d deterministic records, no divergence\n",
-		pathA, pathB, len(deterministicRecords(a)))
+		pathA, pathB, len(obs.DeterministicRecords(a)))
 	return 0, nil
 }

@@ -47,8 +47,8 @@ func FuzzReadEvents(f *testing.F) {
 		if err := writeChrome(io.Discard, events); err != nil {
 			t.Fatalf("chrome export: %v", err)
 		}
-		if diverged, desc := diffTraces(events, events); diverged {
-			t.Fatalf("trace diverges from itself: %s", desc)
+		if err := obs.DiffDeterministic(events, events); err != nil {
+			t.Fatalf("trace diverges from itself: %v", err)
 		}
 	})
 }

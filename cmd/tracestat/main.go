@@ -10,10 +10,11 @@
 //	tracestat chrome [trace.jsonl]   chrome://tracing JSON to stdout
 //
 // report and chrome read stdin when no file is given. diff compares only
-// the deterministic fields of round/layer records — timings, shard
-// schedules, and the v3 kernel/phase/mem measurement records are
-// ignored — so two same-seed runs diff clean regardless of machine,
-// worker count, or whether -metrics was on.
+// the deterministic fields of round/layer records, as
+// obs.DiffDeterministic defines them — timings, shard schedules, wire
+// bytes, and the v3 kernel/phase/mem measurement records are ignored —
+// so two same-seed runs diff clean regardless of machine, worker count,
+// process layout, or whether -metrics was on.
 package main
 
 import (

@@ -106,8 +106,8 @@ func TestDiffSameSeedClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diverged, desc := diffTraces(a, b); diverged {
-		t.Fatalf("same-seed traces diverged:\n%s", desc)
+	if err := obs.DiffDeterministic(a, b); err != nil {
+		t.Fatalf("same-seed traces diverged:\n%v", err)
 	}
 }
 
@@ -120,15 +120,15 @@ func TestDiffDifferentSeedsLocatesDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diverged, desc := diffTraces(a, b)
-	if !diverged {
+	err = obs.DiffDeterministic(a, b)
+	if err == nil {
 		t.Fatal("different seeds did not diverge")
 	}
 	// The description must carry the acceptance-criteria context:
 	// which record, its phase/round identity, and the differing field.
 	for _, want := range []string{"phase", "round", "vs"} {
-		if !strings.Contains(desc, want) {
-			t.Errorf("divergence description missing %q:\n%s", want, desc)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("divergence description missing %q:\n%v", want, err)
 		}
 	}
 }
@@ -142,14 +142,11 @@ func TestDiffFieldAndLengthDivergence(t *testing.T) {
 		{V: 3, Kind: obs.KindRound, Phase: "p", Run: 0, Round: 0, Messages: 10},
 		{V: 3, Kind: obs.KindRound, Phase: "p", Run: 0, Round: 1, Messages: 6},
 	}
-	diverged, desc := diffTraces(base, mut)
-	if !diverged || !strings.Contains(desc, "messages: 5 vs 6") {
-		t.Errorf("field divergence: diverged=%v desc=%q", diverged, desc)
+	if err := obs.DiffDeterministic(base, mut); err == nil || !strings.Contains(err.Error(), "messages: 5 vs 6") {
+		t.Errorf("field divergence: %v", err)
 	}
-	short := base[:1]
-	diverged, desc = diffTraces(base, short)
-	if !diverged || !strings.Contains(desc, "record counts differ") {
-		t.Errorf("length divergence: diverged=%v desc=%q", diverged, desc)
+	if err := obs.DiffDeterministic(base, base[:1]); err == nil || !strings.Contains(err.Error(), "record counts differ") {
+		t.Errorf("length divergence: %v", err)
 	}
 	// Timings and v3 measurement records never count as divergence.
 	noisy := []obs.Event{
@@ -158,8 +155,8 @@ func TestDiffFieldAndLengthDivergence(t *testing.T) {
 		{V: 3, Kind: obs.KindRound, Phase: "p", Run: 0, Round: 1, Messages: 5, WallNS: 111},
 		{V: 3, Kind: obs.KindPhase, Phase: "p", Runs: 1, Rounds: 2, WallNS: 1234},
 	}
-	if diverged, desc := diffTraces(base, noisy); diverged {
-		t.Errorf("timing noise flagged as divergence:\n%s", desc)
+	if err := obs.DiffDeterministic(base, noisy); err != nil {
+		t.Errorf("timing noise flagged as divergence:\n%v", err)
 	}
 }
 

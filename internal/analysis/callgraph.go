@@ -136,16 +136,8 @@ type CallGraph struct {
 	flows map[types.Object][]*FuncNode
 }
 
-// NodeOf returns the graph node of a declared function, or nil when the
-// function has no body in the module (external, interface method).
-func (cg *CallGraph) NodeOf(fn *types.Func) *FuncNode { return cg.Funcs[fn] }
-
 // LitNode returns the graph node of a function literal.
 func (cg *CallGraph) LitNode(lit *ast.FuncLit) *FuncNode { return cg.Lits[lit] }
-
-// FlowsInto returns every function node recorded as flowing into obj (a
-// variable or struct field), in first-occurrence order.
-func (cg *CallGraph) FlowsInto(obj types.Object) []*FuncNode { return cg.flows[obj] }
 
 // BuildCallGraph constructs the module call graph over the loaded
 // packages. The packages must share one *token.FileSet (LoadModule

@@ -1,7 +1,6 @@
 package cliquetree
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/chordal"
@@ -483,43 +482,5 @@ func TestCanonicalLessTotalOrder(t *testing.T) {
 				t.Fatalf("order not total/antisymmetric for edges %v, %v", edges[i], edges[j])
 			}
 		}
-	}
-}
-
-func TestForestWriteDOT(t *testing.T) {
-	f := mustForest(t, figures.Fig1())
-	var buf strings.Builder
-	if err := f.WriteDOT(&buf, ""); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "graph CliqueForest {") {
-		t.Fatalf("missing header: %s", out[:50])
-	}
-	if strings.Count(out, " -- ") != 14 {
-		t.Fatalf("expected 14 forest edges in DOT, got %d", strings.Count(out, " -- "))
-	}
-	if !strings.Contains(out, "{1,2,3}") {
-		t.Fatal("missing clique label {1,2,3}")
-	}
-}
-
-func TestLocalViewForestAssembly(t *testing.T) {
-	g := figures.Fig1()
-	ball := g.InducedSubgraph(g.Ball(figures.Fig3Center, figures.Fig3Radius))
-	lv, err := ComputeLocalView(ball, figures.Fig3Center, figures.Fig3Radius)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := lv.Forest()
-	if f.NumVertices() != len(lv.Cliques) {
-		t.Fatalf("view forest has %d vertices, want %d", f.NumVertices(), len(lv.Cliques))
-	}
-	if len(f.Edges()) != len(lv.Edges) {
-		t.Fatalf("view forest has %d edges, want %d", len(f.Edges()), len(lv.Edges))
-	}
-	// φ(10) within the view: node 10 is in C6 and C7.
-	if got := len(f.Phi(10)); got != 2 {
-		t.Fatalf("view φ(10) has %d cliques, want 2", got)
 	}
 }

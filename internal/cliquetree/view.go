@@ -107,31 +107,6 @@ func cliqueKey(c graph.Set) string {
 	return string(b)
 }
 
-// Forest assembles the view into a Forest-shaped structure so that the
-// path machinery can run on it. Degrees of cliques near the knowledge
-// horizon are underestimates of their global forest degree; callers must
-// keep a safety margin, as the distributed algorithms do.
-func (lv *LocalView) Forest() *Forest {
-	f := &Forest{
-		cliques: lv.Cliques,
-		adj:     make([][]int, len(lv.Cliques)),
-		phi:     make(map[graph.ID][]int),
-	}
-	for i, c := range lv.Cliques {
-		for _, v := range c {
-			f.phi[v] = append(f.phi[v], i)
-		}
-	}
-	for _, e := range lv.Edges {
-		f.adj[e[0]] = append(f.adj[e[0]], e[1])
-		f.adj[e[1]] = append(f.adj[e[1]], e[0])
-	}
-	for i := range f.adj {
-		sort.Ints(f.adj[i])
-	}
-	return f
-}
-
 // FindClique returns the index of the clique with exactly the given
 // members, or -1.
 func (lv *LocalView) FindClique(c graph.Set) int {

@@ -79,34 +79,33 @@ func ColorChordal(g *graph.Graph, eps float64) (*ChordalColoring, error) {
 	return ColorChordalObserved(g, eps, nil)
 }
 
-// ColorChordalObserved is ColorChordal with metrics hooks: an observer
-// implementing dist.KernelObserver receives per-worker kernel spans
-// from the centralized pipeline's sharded stages: "peel-measure" (the
-// peeling path measurement), "color-paths" (the per-path coloring) and
-// one "correct-paths" launch per corrected layer (the Lemma-10
-// recoloring). Unlike ColorChordalDistributedObserved there are no
-// engine rounds to observe; nil keeps the zero-cost fast path and the
-// result is bit-identical either way.
+// ColorChordalObserved is ColorChordal with metrics hooks: o receives
+// per-worker kernel spans from the centralized pipeline's sharded
+// stages: "peel-measure" (the peeling path measurement), "color-paths"
+// (the per-path coloring) and one "correct-paths" launch per corrected
+// layer (the Lemma-10 recoloring). Unlike
+// ColorChordalDistributedObserved there are no engine rounds to
+// observe; nil keeps the zero-cost fast path and the result is
+// bit-identical either way.
 func ColorChordalObserved(g *graph.Graph, eps float64, o dist.RoundObserver) (*ChordalColoring, error) {
 	k, err := ColoringK(eps)
 	if err != nil {
 		return nil, err
 	}
-	ko, _ := o.(dist.KernelObserver)
-	res, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, NoForests: true, Observer: ko})
+	res, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, NoForests: true, Observer: o})
 	if err != nil {
 		return nil, fmt.Errorf("pruning phase: %w", err)
 	}
-	return colorLayers(k, res, nil, ko)
+	return colorLayers(k, res, nil, o)
 }
 
 // colorLayers runs the coloring and color-correction phases over a peel
 // result, in the index space of its snapshot. rounds, when non-nil,
 // accumulates the LOCAL round cost of the coloring and correction
-// phases. ko, when non-nil, receives the per-path coloring stage as a
+// phases. o, when non-nil, receives the per-path coloring stage as a
 // "color-paths" kernel span and each corrected layer as a
 // "correct-paths" one.
-func colorLayers(k int, peeled *peel.Result, rounds *int, ko dist.KernelObserver) (*ChordalColoring, error) {
+func colorLayers(k int, peeled *peel.Result, rounds *int, o dist.RoundObserver) (*ChordalColoring, error) {
 	ix := peeled.Snapshot
 	out := &ChordalColoring{K: k, Layers: len(peeled.Layers), Omega: peeled.Omega}
 	out.Palette = (k+1)*out.Omega/k + 1
@@ -116,7 +115,7 @@ func colorLayers(k int, peeled *peel.Result, rounds *int, ko dist.KernelObserver
 	// corrector's index-space colors. Paths run concurrently in the LOCAL
 	// model; we charge the maximum cost.
 	cr := newCorrector(peeled, k, out.Palette)
-	maxColorRounds, failed, err := cr.launch("color-paths", 0, len(cr.refs), ko, func(s *correctScratch, p int) (int, error) {
+	maxColorRounds, failed, err := cr.launch("color-paths", 0, len(cr.refs), o, func(s *correctScratch, p int) (int, error) {
 		return s.colorPath(ix, cr.refs[p].Nodes, cr.refs[p].Cliques, k)
 	})
 	if err != nil {
@@ -132,7 +131,7 @@ func colorLayers(k int, peeled *peel.Result, rounds *int, ko dist.KernelObserver
 	// higher-layer neighbors via the Lemma-10 engine, one layer at a
 	// time from the top.
 	for li := len(peeled.Layers) - 2; li >= 0; li-- {
-		if err := cr.correctLayer(li, int32(peeled.Layers[li].Index), ko); err != nil {
+		if err := cr.correctLayer(li, int32(peeled.Layers[li].Index), o); err != nil {
 			return nil, fmt.Errorf("correcting layer %d: %w", peeled.Layers[li].Index, err)
 		}
 	}

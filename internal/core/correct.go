@@ -73,7 +73,7 @@ type pathSlot struct {
 // writes, so the slots, merged into cr.colors in path order, give the
 // sequential loop's colors and first error (with its path) at every
 // GOMAXPROCS. It returns the largest round count.
-func (cr *corrector) launch(kernel string, lo, np int, ko dist.KernelObserver, run func(s *correctScratch, p int) (int, error)) (rounds, failed int, err error) {
+func (cr *corrector) launch(kernel string, lo, np int, o dist.RoundObserver, run func(s *correctScratch, p int) (int, error)) (rounds, failed int, err error) {
 	shards := dist.KernelShards(np)
 	for len(cr.scratches) < shards {
 		cr.scratches = append(cr.scratches, &correctScratch{})
@@ -85,7 +85,7 @@ func (cr *corrector) launch(kernel string, lo, np int, ko dist.KernelObserver, r
 		cr.slots = make([]pathSlot, np)
 	}
 	cr.slots = cr.slots[:np]
-	dist.RunKernel(kernel, np, shards, ko, func(shard, plo, phi int) {
+	dist.RunKernel(kernel, np, shards, o, func(shard, plo, phi int) {
 		s := cr.scratches[shard]
 		for i := plo; i < phi; i++ {
 			off := len(s.outIdx)
@@ -109,9 +109,9 @@ func (cr *corrector) launch(kernel string, lo, np int, ko dist.KernelObserver, r
 // correctLayer corrects the paths of layer li, whose index is layer,
 // against the colors of the layers above it, which are final by then,
 // as one "correct-paths" launch.
-func (cr *corrector) correctLayer(li int, layer int32, ko dist.KernelObserver) error {
+func (cr *corrector) correctLayer(li int, layer int32, o dist.RoundObserver) error {
 	lo := cr.layerStart[li]
-	_, _, err := cr.launch("correct-paths", lo, cr.layerStart[li+1]-lo, ko, func(s *correctScratch, p int) (int, error) {
+	_, _, err := cr.launch("correct-paths", lo, cr.layerStart[li+1]-lo, o, func(s *correctScratch, p int) (int, error) {
 		return 0, s.correctPath(cr, cr.refs[p], layer)
 	})
 	return err

@@ -303,8 +303,7 @@ func correctionPrecompute(out *PruneOutcome, k int, o dist.RoundObserver) *corre
 	// are pure per-group computations over the snapshot: shard them with
 	// per-group result slots, then flatten in group order.
 	gateSlots := make([][]int32, len(groups))
-	ko, _ := o.(dist.KernelObserver)
-	dist.RunKernel("correction-setup", len(groups), dist.KernelShards(len(groups)), ko, func(_, lo, hi int) {
+	dist.RunKernel("correction-setup", len(groups), dist.KernelShards(len(groups)), o, func(_, lo, hi int) {
 		var buf []int32
 		for gi := lo; gi < hi; gi++ {
 			grp := &groups[gi]

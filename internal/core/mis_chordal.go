@@ -48,11 +48,10 @@ type ChordalMISOptions struct {
 	// small components with arbitrary maximum independent sets, ablating
 	// the design choice Section 7.1 motivates (experiment E14/ablation).
 	DisableAbsorbing bool
-	// Observer, when it implements dist.KernelObserver, receives
-	// per-worker kernel spans from the sharded stages: "peel-measure"
-	// (the peeling path measurement) and one "mis-components" launch per
-	// peeled path (its components' independent sets, small ones in index
-	// space). nil keeps the zero-cost fast path; the result is
+	// Observer, when non-nil, receives per-worker kernel spans from the
+	// sharded stages: "peel-measure" (the peeling path measurement) and
+	// one "mis-components" launch per peeled path (its components'
+	// independent sets, small ones in index space). nil keeps the zero-cost fast path; the result is
 	// bit-identical either way.
 	Observer dist.RoundObserver
 }
@@ -64,13 +63,12 @@ func MISChordalWithOptions(g *graph.Graph, eps float64, opts ChordalMISOptions) 
 	}
 	d, iterations := MISChordalParams(eps)
 	res := &ChordalMISResult{D: d, Iterations: iterations}
-	ko, _ := opts.Observer.(dist.KernelObserver)
 	peeled, err := peel.Run(g, peel.Options{
 		InternalDiameter: 2*d + 3,
 		MaxIterations:    iterations,
 		FinalAlpha:       d,
 		NoForests:        true,
-		Observer:         ko,
+		Observer:         opts.Observer,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("peeling: %w", err)
@@ -131,14 +129,13 @@ func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelT
 		return nil, fmt.Errorf("distributed prune: %w", err)
 	}
 	o := opts.Observer
-	ko, _ := o.(dist.KernelObserver)
 	peeled, err := peel.Run(g, peel.Options{
 		InternalDiameter: 2*d + 3,
 		MaxIterations:    iterations,
 		FinalAlpha:       d,
 		Trace:            peelTrace,
 		NoForests:        true,
-		Observer:         ko,
+		Observer:         o,
 		Snapshot:         outcome.Snapshot,
 	})
 	if err != nil {
@@ -164,7 +161,6 @@ func misChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, peelT
 func misFromPeel(peeled *peel.Result, d int, eps float64, opts ChordalMISOptions, res *ChordalMISResult) error {
 	ix := peeled.Snapshot
 	ids := ix.IDs()
-	ko, _ := opts.Observer.(dist.KernelObserver)
 	// Nodes excluded once a neighbor joins I (Γ_G[I] grows as we go),
 	// by snapshot index: IDs may be negative or far above n.
 	blocked := make([]bool, ix.NumNodes())
@@ -228,7 +224,7 @@ func misFromPeel(peeled *peel.Result, d int, eps float64, opts ChordalMISOptions
 			for _, s := range scratches[:shards] {
 				s.out = s.out[:0]
 			}
-			dist.RunKernel("mis-components", len(comps), shards, ko, func(shard, lo, hi int) {
+			dist.RunKernel("mis-components", len(comps), shards, opts.Observer, func(shard, lo, hi int) {
 				s := scratches[shard]
 				for ci := lo; ci < hi; ci++ {
 					off := len(s.out)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // This file is the headline cross-check of the partitioned runtime: the
@@ -16,43 +17,14 @@ import (
 // the message-passing phases run on the in-process engine or on a
 // partition, fault-free and under dup/delay/drop schedules.
 
-// traceRecorder flattens every deterministic observer event into a
-// string stream. Shards (legitimately different between modes) and
-// anything wall-clock are exactly what it leaves out — the same fields
-// the tracestat diff treats as deterministic.
-type traceRecorder struct {
-	phase  string
-	events []string
-}
-
-func (o *traceRecorder) SetPhase(name string)    { o.phase = name }
-func (o *traceRecorder) RoundStart(round, _ int) { o.add("round-start %d", round) }
-func (o *traceRecorder) ShardStart(shard int)    {}
-func (o *traceRecorder) ShardEnd(shard int)      {}
-func (o *traceRecorder) RunEnd(rounds int)       { o.add("run-end %d", rounds) }
-func (o *traceRecorder) RoundEnd(s dist.RoundStats) {
-	o.add("round-end %d n=%d m=%d v=%d done=%d inbox=%d",
-		s.Round, s.Nodes, s.Messages, s.Volume, s.Done, s.MaxInbox)
-}
-func (o *traceRecorder) FaultRound(fs dist.FaultStats) {
-	o.add("faults %d drop=%d dup=%d dead=%d stall=%d crashed=%v",
-		fs.Round, fs.Dropped, fs.Duplicated, fs.DeadLetters, fs.Stall, fs.Crashed)
-}
-func (o *traceRecorder) add(format string, args ...any) {
-	o.events = append(o.events, o.phase+": "+fmt.Sprintf(format, args...))
-}
-
-func sameTrace(t *testing.T, at string, local, part *traceRecorder) {
+// sameTrace fails when the deterministic records of two collectors'
+// traces diverge. Shard counts, wall-clock fields and wire bytes, which
+// legitimately differ between the runtimes, are exactly what
+// obs.DiffDeterministic leaves out.
+func sameTrace(t *testing.T, at string, local, part *obs.Collector) {
 	t.Helper()
-	for i := 0; i < len(local.events) && i < len(part.events); i++ {
-		if local.events[i] != part.events[i] {
-			t.Fatalf("%s: trace event %d diverges:\n  local: %s\n  part:  %s",
-				at, i, local.events[i], part.events[i])
-		}
-	}
-	if len(local.events) != len(part.events) {
-		t.Fatalf("%s: trace lengths diverge: %d local events, %d partitioned",
-			at, len(local.events), len(part.events))
+	if err := obs.DiffDeterministic(local.Events(), part.Events()); err != nil {
+		t.Fatalf("%s: LOCAL and partitioned traces diverge: %v", at, err)
 	}
 }
 
@@ -83,7 +55,7 @@ func TestPartitionedColoringMatchesLocal(t *testing.T) {
 		for _, parts := range []int{2, 4} {
 			at := fmt.Sprintf("%q/parts=%d", spec, parts)
 			lf, pf := parseFaultsPair(t, spec, 29)
-			lObs, pObs := &traceRecorder{}, &traceRecorder{}
+			lObs, pObs := obs.NewCollector(), obs.NewCollector()
 			want, err := ColorChordalDistributedFaultyPart(g, 0.5, lObs, nil, lf, nil)
 			if err != nil {
 				t.Fatalf("%s: local: %v", at, err)
@@ -118,7 +90,7 @@ func TestPartitionedColoringMatchesLocal(t *testing.T) {
 func TestPartitionedEmptyGraphMatchesLocal(t *testing.T) {
 	g := graph.New()
 	ix := graph.NewIndexed(g)
-	lObs, pObs := &traceRecorder{}, &traceRecorder{}
+	lObs, pObs := obs.NewCollector(), obs.NewCollector()
 	part := func() *dist.Partition { return dist.NewLocalPartition(ix, 2) }
 	wantBalls, wantRes, err := dist.Flood(ix, 3, dist.RunOpts{Observer: lObs})
 	if err != nil {
@@ -233,7 +205,7 @@ func TestPartitionedMISMatchesLocal(t *testing.T) {
 		for _, parts := range []int{2, 4} {
 			at := fmt.Sprintf("%q/parts=%d", spec, parts)
 			lf, pf := parseFaultsPair(t, spec, 33)
-			lObs, pObs := &traceRecorder{}, &traceRecorder{}
+			lObs, pObs := obs.NewCollector(), obs.NewCollector()
 			want, err := MISChordalDistributedFaultyPart(g, 0.5, lObs, nil, lf, nil)
 			if err != nil {
 				t.Fatalf("%s: local: %v", at, err)
@@ -269,7 +241,7 @@ func TestPartitionedCorrectionMatchesLocal(t *testing.T) {
 		for _, parts := range []int{1, 2, 5} {
 			at := fmt.Sprintf("%q/parts=%d", spec, parts)
 			lf, pf := parseFaultsPair(t, spec, 14)
-			lObs, pObs := &traceRecorder{}, &traceRecorder{}
+			lObs, pObs := obs.NewCollector(), obs.NewCollector()
 			want, err := RunCorrectionPhase(outcome, k, dist.RunOpts{Observer: lObs, Faults: lf})
 			if err != nil {
 				t.Fatalf("%s: local: %v", at, err)

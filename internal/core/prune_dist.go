@@ -50,14 +50,14 @@ type PruneSpec struct {
 	// iteration's internal-path rule to "independence number ≥ FinalAlpha"
 	// (Algorithm 6's last iteration).
 	FinalAlpha int
-	// RunOpts is passed to every flood. An Observer that also implements
-	// dist.PhaseSetter sees each iteration's flood labeled "prune-iNN",
-	// so traces resolve the phase structure. The plain flood tolerates
-	// duplicated and delayed messages; dropped ones shrink balls and
-	// typically surface as a Lemma-12 divergence in the callers'
-	// centralized cross-check. With a Part, the floods run on its shards
-	// and the results are identical by construction: the decide kernel
-	// and all other stages stay in this process.
+	// RunOpts is passed to every flood. Its Observer sees each
+	// iteration's flood labeled "prune-iNN" and its decide stage
+	// "decide-iNN", so traces resolve the phase structure. The plain
+	// flood tolerates duplicated and delayed messages; dropped ones
+	// shrink balls and typically surface as a Lemma-12 divergence in the
+	// callers' centralized cross-check. With a Part, the floods run on
+	// its shards and the results are identical by construction: the
+	// decide kernel and all other stages stay in this process.
 	dist.RunOpts
 }
 
@@ -119,8 +119,8 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 		}
 		out.Iterations = iteration
 		last := spec.MaxIterations > 0 && iteration == spec.MaxIterations
-		if ps, ok := spec.Observer.(dist.PhaseSetter); ok {
-			ps.SetPhase(fmt.Sprintf("prune-i%02d", iteration))
+		if spec.Observer != nil {
+			spec.Observer.SetPhase(fmt.Sprintf("prune-i%02d", iteration))
 		}
 		know, stats, err := dist.Flood(ix, spec.Radius, spec.RunOpts)
 		if err != nil {
@@ -158,8 +158,8 @@ func DistributedPruneSpec(g *graph.Graph, spec PruneSpec) (*PruneOutcome, error)
 		for len(scratches) < shards {
 			scratches = append(scratches, &decideScratch{})
 		}
-		if ps, ok := spec.Observer.(dist.PhaseSetter); ok {
-			ps.SetPhase(fmt.Sprintf("decide-i%02d", iteration))
+		if spec.Observer != nil {
+			spec.Observer.SetPhase(fmt.Sprintf("decide-i%02d", iteration))
 		}
 		results = runDecideStage(ix, know, &forest, scratches,
 			centers, undecidedIdx, rule, spec.Radius, shards, spec.Observer, results)
@@ -245,8 +245,7 @@ func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, pee
 		return nil, fmt.Errorf("distributed prune: %w", err)
 	}
 	o := opts.Observer
-	ko, _ := o.(dist.KernelObserver)
-	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, Trace: peelTrace, NoForests: true, Observer: ko, Snapshot: outcome.Snapshot})
+	peeled, err := peel.Run(g, peel.Options{InternalDiameter: 3 * k, Trace: peelTrace, NoForests: true, Observer: o, Snapshot: outcome.Snapshot})
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +253,7 @@ func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, pee
 		return nil, err
 	}
 	rounds := outcome.Rounds
-	col, err := colorLayers(k, peeled, &rounds, ko)
+	col, err := colorLayers(k, peeled, &rounds, o)
 	if err != nil {
 		return nil, err
 	}
@@ -268,8 +267,8 @@ func colorChordalDistributed(g *graph.Graph, eps float64, opts dist.RunOpts, pee
 	}
 	// Run the correction choreography with real messages and charge its
 	// measured asynchronous schedule length.
-	if ps, ok := o.(dist.PhaseSetter); ok {
-		ps.SetPhase("correction")
+	if o != nil {
+		o.SetPhase("correction")
 	}
 	corrRounds, err := RunCorrectionPhase(outcome, k, opts)
 	if err != nil {

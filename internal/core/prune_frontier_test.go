@@ -8,6 +8,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/peel"
 	"repro/internal/verify"
 )
@@ -239,13 +240,13 @@ func TestCorrectionPhaseRejectsMalformedOutcome(t *testing.T) {
 		{"short", short, "outcome has 500 layers and 499 parents for 500 nodes"},
 	}
 	for _, tc := range cases {
-		obs := &traceRecorder{}
-		_, err := RunCorrectionPhase(tc.out, 3, dist.RunOpts{Observer: obs})
+		c := obs.NewCollector()
+		_, err := RunCorrectionPhase(tc.out, 3, dist.RunOpts{Observer: c})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
-		if len(obs.events) != 0 {
-			t.Fatalf("%s: %d observer events before the error, want none", tc.name, len(obs.events))
+		if evs := c.Events(); len(evs) != 0 {
+			t.Fatalf("%s: %d observer events before the error, want none", tc.name, len(evs))
 		}
 	}
 }

@@ -33,6 +33,7 @@ func TestEmptyGraphAllModes(t *testing.T) {
 // shardsObserver records the shard count RoundStart announces and the
 // one RoundEnd reports, per round.
 type shardsObserver struct {
+	nopObserver
 	mu         sync.Mutex
 	startByRnd map[int]int
 	endByRnd   map[int]int
@@ -43,14 +44,11 @@ func (o *shardsObserver) RoundStart(round, shards int) {
 	o.startByRnd[round] = shards
 	o.mu.Unlock()
 }
-func (o *shardsObserver) ShardStart(shard int) {}
-func (o *shardsObserver) ShardEnd(shard int)   {}
 func (o *shardsObserver) RoundEnd(stats RoundStats) {
 	o.mu.Lock()
 	o.endByRnd[stats.Round] = stats.Shards
 	o.mu.Unlock()
 }
-func (o *shardsObserver) RunEnd(rounds int) {}
 
 // gomaxprocsProtocol shrinks GOMAXPROCS mid-run (from node 0, round 2).
 type gomaxprocsProtocol struct {

@@ -174,10 +174,8 @@ func (c *coordinator) step(round int, crashed []graph.ID, res *Result) (stepStat
 
 	chargeStep(obs, res, msgs, vol, &fs)
 	if obs != nil {
-		if wo, ok := obs.(WireObserver); ok {
-			if dIn, dOut, metered := c.meterDelta(); metered {
-				wo.WireRound(round, dIn, dOut)
-			}
+		if dIn, dOut, metered := c.meterDelta(); metered {
+			obs.WireRound(round, dIn, dOut)
 		}
 		obs.RoundEnd(RoundStats{
 			Round:    round,

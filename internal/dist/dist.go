@@ -102,19 +102,34 @@ type RoundStats struct {
 	MaxInbox int
 }
 
-// RoundObserver receives engine lifecycle events at round boundaries.
-// The engine itself never reads the wall clock (the LOCAL model measures
-// time in rounds, and the chordalvet wallclock invariant enforces it);
-// an observer that wants wall times stamps these callbacks itself — see
-// internal/obs for the canonical implementation.
+// RoundObserver is the one observer contract: it receives the engine's
+// round events, the fault and wire counters that annotate them, the
+// caller's phase labels and the spans of the sharded compute kernels
+// RunKernel launches outside the engine. internal/obs.Collector is the
+// production implementation. The simulation core never reads the wall
+// clock (the LOCAL model measures time in rounds, and the chordalvet
+// wallclock invariant enforces it); an observer that wants wall times
+// stamps these callbacks itself.
 //
-// Concurrency contract: RoundStart, RoundEnd, and RunEnd are called
-// from the goroutine driving Run. ShardStart/ShardEnd are called from
-// worker goroutines — calls with distinct shard indices may be
-// concurrent, and each shard index is used by exactly one goroutine per
-// round. Observers are never invoked when RunOpts.Observer is nil,
-// and a nil observer adds no per-node work to the round loop.
+// A nil observer is the zero-cost fast path: every call site tests
+// o != nil, a nil observer adds no per-node work to the round loop,
+// and the kernels' hotalloc budgets are unaffected.
+//
+// Concurrency contract: SetPhase, RoundStart, FaultRound, WireRound,
+// RoundEnd, RunEnd, KernelStart and KernelEnd are called from the
+// goroutine driving the run or the launch. ShardStart/ShardEnd and
+// KernelShardStart/KernelShardEnd are called from worker goroutines:
+// calls with distinct shard indices may be concurrent, each shard index
+// is used by exactly one goroutine per round or launch, and the
+// WaitGroup of the round or launch orders every shard callback before
+// RoundEnd or KernelEnd. Kernel launches never nest under one observer.
 type RoundObserver interface {
+	// SetPhase labels subsequent events with a caller-defined phase
+	// (e.g. "prune-i03", "correction"). Code that drives several runs
+	// under one observer sets it between runs; the engine never calls
+	// it.
+	SetPhase(name string)
+
 	// RoundStart fires before the round's node programs run. shards is
 	// the worker-shard count of RoundStats.Shards.
 	RoundStart(round, shards int)
@@ -122,44 +137,29 @@ type RoundObserver interface {
 	// round (LOCAL engine runs only).
 	ShardStart(shard int)
 	ShardEnd(shard int)
+	// FaultRound fires just before the matching RoundEnd, for every
+	// round in which the fault schedule did something. Rounds without
+	// fault events produce no call, so fault-free traces are unchanged.
+	FaultRound(stats FaultStats)
+	// WireRound fires just before the matching RoundEnd of a
+	// partitioned run whose links meter their bytes (see WireMeter),
+	// with the round's bytes on the wire summed over all links. LOCAL
+	// runs never fire it.
+	WireRound(round int, bytesIn, bytesOut int64)
 	// RoundEnd fires after the round's messages are delivered.
 	RoundEnd(stats RoundStats)
 	// RunEnd fires after the final round, with the total round count.
 	RunEnd(rounds int)
-}
 
-// PhaseSetter is optionally implemented by observers that label trace
-// events with caller-defined phases (e.g. "prune-i03", "correction").
-// Code that drives several engine runs under one observer sets the phase
-// between runs; the engine itself never calls it.
-type PhaseSetter interface {
-	SetPhase(name string)
-}
-
-// KernelObserver is optionally implemented by RoundObservers that want
-// per-worker spans from the sharded compute kernels RunKernel launches
-// *outside* the round engine: the pruning decide kernel, the per-path
-// coloring and MIS-component stages, the correction gate-set setup, and
-// the peeling path measurement. Kernels type-assert their
-// RoundObserver — a nil or non-implementing observer keeps the
-// documented zero-cost fast path, and the assertion itself never
-// allocates, so the hotalloc budgets of the kernels are unaffected.
-//
-// Like RoundObserver, the kernel never reads the wall clock; the
-// observer stamps the callbacks itself. items is the number of work
-// items (centers, paths, components, groups) the shard processed, so
-// imbalance ratios can separate skewed schedules from skewed items.
-//
-// Concurrency contract: KernelStart and KernelEnd are called from the
-// goroutine driving the kernel; KernelShardStart/KernelShardEnd are
-// called from worker goroutines — calls with distinct shard indices may
-// be concurrent, each shard index used by exactly one goroutine per
-// launch, and the kernel's WaitGroup orders every shard callback before
-// KernelEnd. Kernel launches never nest under one observer.
-type KernelObserver interface {
-	// KernelStart fires once per launch, before any shard runs.
+	// KernelStart fires once per RunKernel launch, before any shard
+	// runs. The kernel spans cover the pruning decide kernel, the
+	// peeling path measurement, the per-path coloring and correction,
+	// the MIS components and the correction setup.
 	KernelStart(kernel string, shards int)
-	// KernelShardStart/KernelShardEnd bracket one worker shard's work.
+	// KernelShardStart/KernelShardEnd bracket one worker shard's work;
+	// items is the number of work items (centers, paths, components,
+	// groups) the shard processed, so imbalance ratios can separate
+	// skewed schedules from skewed items.
 	KernelShardStart(shard int)
 	KernelShardEnd(shard, items int)
 	// KernelEnd fires after every shard has finished.
@@ -328,8 +328,9 @@ func (f NodeFunc) NewNode(i int) Protocol { return f(i) }
 // RunOpts groups what every run of a message-passing program takes
 // besides the program itself.
 type RunOpts struct {
-	// Observer, when non-nil, receives per-round events (see
-	// RoundObserver).
+	// Observer, when non-nil, receives the run's round events, with
+	// the fault and wire counters of each round (see RoundObserver).
+	// nil is the zero-cost fast path.
 	Observer RoundObserver
 	// Faults, when non-nil, attaches a deterministic fault-injection
 	// schedule (see Faults).

@@ -14,26 +14,20 @@ import (
 	"repro/internal/proctest"
 )
 
-// faultRecorder implements RoundObserver + FaultObserver, capturing the
-// per-round fault stats alongside the regular round stream.
+// faultRecorder captures the per-round fault stats alongside the
+// regular round stream.
 type faultRecorder struct {
+	nopObserver
 	mu     sync.Mutex
 	rounds []RoundStats
 	faults []FaultStats
 }
 
-func (r *faultRecorder) RoundStart(round, shards int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-}
-func (r *faultRecorder) ShardStart(shard int) {}
-func (r *faultRecorder) ShardEnd(shard int)   {}
 func (r *faultRecorder) RoundEnd(stats RoundStats) {
 	r.mu.Lock()
 	r.rounds = append(r.rounds, stats)
 	r.mu.Unlock()
 }
-func (r *faultRecorder) RunEnd(rounds int) {}
 func (r *faultRecorder) FaultRound(stats FaultStats) {
 	r.mu.Lock()
 	r.faults = append(r.faults, stats)

@@ -110,8 +110,8 @@ func isBlank(spec string) bool {
 }
 
 // FaultStats summarizes the fault events of one round boundary. A stats
-// value is only reported (via FaultObserver) when at least one field is
-// non-zero.
+// value is only reported (via RoundObserver.FaultRound) when at least
+// one field is non-zero.
 type FaultStats struct {
 	// Round matches RoundStats.Round: 0 for the Init step, then the
 	// 1-based communication round whose outboxes were delivered.
@@ -131,13 +131,4 @@ type FaultStats struct {
 func (fs *FaultStats) any() bool {
 	return fs.Dropped != 0 || fs.Duplicated != 0 || fs.DeadLetters != 0 ||
 		fs.Stall != 0 || len(fs.Crashed) != 0
-}
-
-// FaultObserver is an optional extension of RoundObserver: observers
-// that also implement it receive a FaultRound callback — from the
-// goroutine driving Run, just before the matching RoundEnd — for every
-// round in which the fault schedule did something. Rounds without fault
-// events produce no callback, so fault-free traces are unchanged.
-type FaultObserver interface {
-	FaultRound(stats FaultStats)
 }

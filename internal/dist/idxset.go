@@ -53,9 +53,6 @@ func (s *IdxSet) Add(x int32) bool {
 	}
 }
 
-// Len returns the number of elements.
-func (s *IdxSet) Len() int { return s.n }
-
 // appendTo appends the elements to dst in table order and returns the
 // extended slice.
 func (s *IdxSet) appendTo(dst []int32) []int32 {
@@ -81,14 +78,6 @@ func (s *IdxSet) Reserve(n int) {
 	if need > len(s.table) {
 		s.table = make([]int32, need)
 	}
-}
-
-// Reset empties the set, keeping the table for reuse.
-func (s *IdxSet) Reset() {
-	for i := range s.table {
-		s.table[i] = 0
-	}
-	s.n = 0
 }
 
 func (s *IdxSet) grow() {
@@ -163,9 +152,6 @@ func (m *IdxMap) Put(x, v int32) bool {
 		}
 	}
 }
-
-// Len returns the number of entries.
-func (m *IdxMap) Len() int { return m.n }
 
 func (m *IdxMap) grow() {
 	oldKeys, oldVals := m.keys, m.vals

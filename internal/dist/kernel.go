@@ -458,7 +458,7 @@ func routeWalk(ctxs []Context, walk []int32, round int, f *Faults, crash *crashT
 }
 
 // chargeStep adds one delivered step's message counters and fault
-// counters to res, and reports the fault counters to a FaultObserver
+// counters to res, and reports the fault counters to obs, when non-nil,
 // when the schedule did something this step.
 func chargeStep(obs RoundObserver, res *Result, msgs, vol int, fs *FaultStats) {
 	res.Messages += msgs
@@ -470,8 +470,8 @@ func chargeStep(obs RoundObserver, res *Result, msgs, vol int, fs *FaultStats) {
 	res.Duplicated += fs.Duplicated
 	res.DeadLetters += fs.DeadLetters
 	res.Stall += fs.Stall
-	if fo, ok := obs.(FaultObserver); ok {
-		fo.FaultRound(*fs)
+	if obs != nil {
+		obs.FaultRound(*fs)
 	}
 }
 

@@ -8,6 +8,10 @@ import (
 	"repro/internal/graph"
 )
 
+// Len returns the number of elements; the knowledge tests check it
+// against Knowledge.Size.
+func (s *IdxSet) Len() int { return s.n }
+
 // bfsBall is the reference ball: the snapshot indices of the nodes
 // within radius hops of v in g, ascending, from graph.BFSDistances.
 func bfsBall(g *graph.Graph, ix *graph.Indexed, v graph.ID, radius int) []int32 {

@@ -35,32 +35,32 @@ func KernelShards(n int) int {
 // the calling goroutine when there is one chunk. body may write only
 // state its shard or range owns.
 //
-// ko, when non-nil, sees the launch as one span named kernel:
+// o, when non-nil, sees the launch as one span named kernel:
 // KernelStart(kernel, shards) before any chunk runs, each chunk
 // bracketed by KernelShardStart and KernelShardEnd(shard, hi−lo) on its
 // own goroutine, and KernelEnd after every chunk has returned. n = 0
 // runs nothing and emits no span. The launcher never reads the wall
 // clock; the observer stamps the hooks, as with engine rounds.
-func RunKernel(kernel string, n, shards int, ko KernelObserver, body func(shard, lo, hi int)) {
+func RunKernel(kernel string, n, shards int, o RoundObserver, body func(shard, lo, hi int)) {
 	if n == 0 {
 		return
 	}
-	if ko != nil {
-		ko.KernelStart(kernel, shards)
+	if o != nil {
+		o.KernelStart(kernel, shards)
 	}
 	if shards == 1 {
-		runKernelShard(ko, body, 0, 0, n, nil)
+		runKernelShard(o, body, 0, 0, n, nil)
 	} else {
 		chunk := (n + shards - 1) / shards
 		var wg sync.WaitGroup
 		wg.Add(shards)
 		for s := 0; s < shards; s++ {
-			go runKernelShard(ko, body, s, s*chunk, min(s*chunk+chunk, n), &wg)
+			go runKernelShard(o, body, s, s*chunk, min(s*chunk+chunk, n), &wg)
 		}
 		wg.Wait()
 	}
-	if ko != nil {
-		ko.KernelEnd()
+	if o != nil {
+		o.KernelEnd()
 	}
 }
 
@@ -68,15 +68,15 @@ func RunKernel(kernel string, n, shards int, ko KernelObserver, body func(shard,
 // when non-nil, is signalled at the end. Spawning this named function
 // with explicit arguments, as engine.stepRanges spawns stepRange, keeps
 // the launcher free of a capturing closure.
-func runKernelShard(ko KernelObserver, body func(shard, lo, hi int), shard, lo, hi int, wg *sync.WaitGroup) {
+func runKernelShard(o RoundObserver, body func(shard, lo, hi int), shard, lo, hi int, wg *sync.WaitGroup) {
 	if wg != nil {
 		defer wg.Done()
 	}
-	if ko != nil {
-		ko.KernelShardStart(shard)
+	if o != nil {
+		o.KernelShardStart(shard)
 	}
 	body(shard, lo, hi)
-	if ko != nil {
-		ko.KernelShardEnd(shard, hi-lo)
+	if o != nil {
+		o.KernelShardEnd(shard, hi-lo)
 	}
 }

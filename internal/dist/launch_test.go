@@ -7,8 +7,9 @@ import (
 	"repro/internal/proctest"
 )
 
-// spanRecorder is a KernelObserver recording one launch's span.
+// spanRecorder is an observer recording one launch's span.
 type spanRecorder struct {
+	nopObserver
 	mu             sync.Mutex
 	starts, ends   int
 	kernel         string

@@ -12,9 +12,27 @@ import (
 	"repro/internal/proctest"
 )
 
+// nopObserver implements RoundObserver with no-ops, for test observers
+// to embed and override only the callbacks they record.
+type nopObserver struct{}
+
+func (nopObserver) SetPhase(string)             {}
+func (nopObserver) RoundStart(int, int)         {}
+func (nopObserver) ShardStart(int)              {}
+func (nopObserver) ShardEnd(int)                {}
+func (nopObserver) FaultRound(FaultStats)       {}
+func (nopObserver) WireRound(int, int64, int64) {}
+func (nopObserver) RoundEnd(RoundStats)         {}
+func (nopObserver) RunEnd(int)                  {}
+func (nopObserver) KernelStart(string, int)     {}
+func (nopObserver) KernelShardStart(int)        {}
+func (nopObserver) KernelShardEnd(int, int)     {}
+func (nopObserver) KernelEnd()                  {}
+
 // recordingObserver captures every engine callback. It is test-local so
 // package dist needs no import of internal/obs (which imports dist).
 type recordingObserver struct {
+	nopObserver
 	mu          sync.Mutex
 	rounds      []RoundStats
 	roundStarts []int

@@ -132,20 +132,12 @@ type ShardLink interface {
 
 // WireMeter is optionally implemented by ShardLinks that move bytes
 // over a real transport. The coordinator samples it at round
-// boundaries and reports the deltas to observers implementing
-// WireObserver; in-process links simply do not implement it.
+// boundaries and reports the deltas through RoundObserver.WireRound;
+// in-process links simply do not implement it.
 type WireMeter interface {
 	// WireBytes returns the cumulative bytes received from and sent to
 	// the shard over the link's lifetime.
 	WireBytes() (in, out int64)
-}
-
-// WireObserver is an optional extension of RoundObserver for the
-// partitioned runtime: observers that implement it receive per-round
-// bytes-on-wire totals (summed over all shard links), immediately
-// before the matching RoundEnd. LOCAL runs never fire it.
-type WireObserver interface {
-	WireRound(round int, bytesIn, bytesOut int64)
 }
 
 // PartRange is one shard's contiguous range [Lo, Hi) of positions in
@@ -165,9 +157,6 @@ type Partition struct {
 	Ranges []PartRange
 }
 
-// Parts returns the number of shards.
-func (p *Partition) Parts() int { return len(p.Links) }
-
 // checkRanges verifies that ranges are non-empty, contiguous, ascending
 // and exhaustive over [0, n). The empty snapshot has exactly one range,
 // [0, 0), as SplitRange gives it.
@@ -186,17 +175,6 @@ func checkRanges(ranges []PartRange, n int) error {
 		return fmt.Errorf("dist: partition covers [0, %d), snapshot has %d nodes", want, n)
 	}
 	return nil
-}
-
-// Close closes every link, returning the first error.
-func (p *Partition) Close() error {
-	var first error
-	for _, l := range p.Links {
-		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // SplitRange divides [0, n) into parts contiguous near-equal ranges

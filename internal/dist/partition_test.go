@@ -21,9 +21,8 @@ import (
 // has its own tests, and the cross-check suite in internal/core runs
 // real child processes).
 
-// partRecorder extends recordingObserver with the FaultObserver and
-// WireObserver extensions, capturing everything a partitioned run can
-// report.
+// partRecorder extends recordingObserver with the fault and wire
+// callbacks, capturing everything a partitioned run can report.
 type partRecorder struct {
 	recordingObserver
 	faults    []FaultStats

@@ -6,33 +6,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/figures"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
-
-// faultTally is a minimal RoundObserver whose only job is to aggregate
-// the engine's per-round FaultStats across every engine run of a
-// pipeline, so experiment tables can report fault counters without the
-// full obs.Collector machinery.
-type faultTally struct {
-	dropped, duplicated, deadLetters, stall int
-}
-
-func (t *faultTally) RoundStart(round, shards int) {}
-func (t *faultTally) ShardStart(shard int)         {}
-func (t *faultTally) ShardEnd(shard int)           {}
-func (t *faultTally) RoundEnd(dist.RoundStats)     {}
-func (t *faultTally) RunEnd(rounds int)            {}
-
-func (t *faultTally) FaultRound(fs dist.FaultStats) {
-	t.dropped += fs.Dropped
-	t.duplicated += fs.Duplicated
-	t.deadLetters += fs.DeadLetters
-	t.stall += fs.Stall
-}
 
 // classifyFaultErr maps a pipeline error under fault injection to a
 // stable outcome label, so the E20 table stays byte-reproducible while
@@ -73,21 +51,31 @@ func E20FaultMatrix(quick bool) (*Table, error) {
 		return nil, fmt.Errorf("E20 baseline: %w", err)
 	}
 	scenarios := []struct {
-		name string
-		f    *dist.Faults
+		name, spec string
+		seed       uint64
 	}{
-		{"fault-free", nil},
-		{"dup p=0.30", &dist.Faults{Plan: fault.Plan{Seed: 21, Dup: 0.3}}},
-		{"delay ≤2", &dist.Faults{Plan: fault.Plan{Seed: 21, MaxDelay: 2}}},
-		{"dup+delay", &dist.Faults{Plan: fault.Plan{Seed: 21, Dup: 0.3, MaxDelay: 2}}},
-		{"drop p=0.30", &dist.Faults{Plan: fault.Plan{Seed: 2, Drop: 0.3}}},
-		{"crash 7@2", &dist.Faults{Crash: map[graph.ID]int{7: 2}}},
+		{"fault-free", "", 0},
+		{"dup p=0.30", "dup=0.3", 21},
+		{"delay ≤2", "delay=2", 21},
+		{"dup+delay", "dup=0.3,delay=2", 21},
+		{"drop p=0.30", "drop=0.3", 2},
+		{"crash 7@2", "crash=7@2", 0},
 	}
 	for _, sc := range scenarios {
-		tally := &faultTally{}
-		got, err := core.ColorChordalDistributedFaultyPart(g, 0.5, tally, nil, sc.f, nil)
+		f, err := dist.ParseFaults(sc.spec, sc.seed)
 		if err != nil {
-			t.AddRow(sc.name, classifyFaultErr(err), "—", "—", tally.dropped, tally.duplicated, tally.stall)
+			return nil, fmt.Errorf("E20 %s: %w", sc.name, err)
+		}
+		c := obs.NewCollector()
+		got, err := core.ColorChordalDistributedFaultyPart(g, 0.5, c, nil, f, nil)
+		var dropped, duplicated, stall int
+		for _, ev := range c.Events() {
+			dropped += ev.Dropped
+			duplicated += ev.Duplicated
+			stall += ev.Stall
+		}
+		if err != nil {
+			t.AddRow(sc.name, classifyFaultErr(err), "—", "—", dropped, duplicated, stall)
 			continue
 		}
 		outcome := "identical"
@@ -101,7 +89,7 @@ func E20FaultMatrix(quick bool) (*Table, error) {
 				}
 			}
 		}
-		t.AddRow(sc.name, outcome, got.ColorsUsed, got.Rounds, tally.dropped, tally.duplicated, tally.stall)
+		t.AddRow(sc.name, outcome, got.ColorsUsed, got.Rounds, dropped, duplicated, stall)
 	}
 	t.Notes = append(t.Notes,
 		"The fault schedule is a pure function of (seed, round, sender, queue position), so every cell is reproducible.",
@@ -137,7 +125,9 @@ func E21RetransFlood(quick bool) (*Table, error) {
 	for i, p := range []float64{0, 0.1, 0.3} {
 		var f *dist.Faults
 		if p > 0 {
-			f = &dist.Faults{Plan: fault.Plan{Seed: 5, Drop: p}}
+			if f, err = dist.ParseFaults(fmt.Sprintf("drop=%g", p), 5); err != nil {
+				return nil, fmt.Errorf("E21 drop=%.1f: %w", p, err)
+			}
 		}
 		know, res, err := dist.FloodRetrans(ix, radius, budget, dist.RunOpts{Faults: f})
 		if err != nil {
@@ -184,15 +174,17 @@ func sameBall(w, k *dist.Knowledge, scratch []int32) bool {
 // random chordal graph under the full plan, message loss included,
 // exercising the recovery machinery end to end. The message-passing
 // stages run on partitions supplied by partFor (nil = the in-process
-// engine). Partitioned schedules must come from dist.ParseFaults — the
-// spec is what ships to the shard processes — so the absorbable
-// projection carries the spec with drop and crash stripped along with
-// the plan. f must be non-nil: `cmd/experiments` passes the plan it
-// parsed from -faults. It finishes the collector; the caller must not
-// reuse it.
+// engine). f must come from dist.ParseFaults, as `cmd/experiments`
+// parses -faults: the absorbable projection is parsed from f.Spec with
+// drop and crash stripped, so the plan and the spec shipped to shard
+// processes are one schedule, and a projection that perturbs nothing
+// runs fault-free. It finishes the collector; the caller must not reuse
+// it.
 func FaultTraceRunCollector(c *obs.Collector, quick bool, f *dist.Faults, partFor Partitioner) error {
-	absorbable := &dist.Faults{Plan: f.Plan, Spec: stripDropCrash(f.Spec), Seed: f.Seed}
-	absorbable.Plan.Drop = 0
+	absorbable, err := dist.ParseFaults(stripDropCrash(f.Spec), f.Seed)
+	if err != nil && !dist.IsInactive(err) {
+		return fmt.Errorf("fault trace: %w", err)
+	}
 
 	c.SetPhase("fig1-faulty")
 	fig := figures.Fig1()

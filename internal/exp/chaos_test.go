@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -93,7 +92,10 @@ func TestFaultTraceRunSchema(t *testing.T) {
 		t.Skip("fault trace workload is slow")
 	}
 	var buf bytes.Buffer
-	f := &dist.Faults{Plan: fault.Plan{Seed: 7, Drop: 0.2, Dup: 0.2, MaxDelay: 2}}
+	f, err := dist.ParseFaults("drop=0.2,dup=0.2,delay=2", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := obs.NewCollector()
 	c.SetTrace(&buf)
 	if err := FaultTraceRunCollector(c, true, f, nil); err != nil {

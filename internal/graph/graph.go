@@ -81,21 +81,6 @@ func (g *Graph) AddEdge(u, v ID) {
 	g.invalidate(v)
 }
 
-// RemoveEdge deletes the edge uv if present.
-func (g *Graph) RemoveEdge(u, v ID) {
-	nb, ok := g.adj[u]
-	if !ok {
-		return
-	}
-	if _, ok := nb[v]; !ok {
-		return
-	}
-	delete(nb, v)
-	delete(g.adj[v], u)
-	g.invalidate(u)
-	g.invalidate(v)
-}
-
 // RemoveNode deletes node v and all incident edges.
 func (g *Graph) RemoveNode(v ID) {
 	for u := range g.adj[v] {
@@ -387,23 +372,6 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return max
-}
-
-// Power returns g^k: same node set, with an edge uv whenever
-// 0 < dist_g(u, v) <= k.
-func (g *Graph) Power(k int) *Graph {
-	p := New()
-	for v := range g.adj {
-		p.AddNode(v)
-	}
-	for v := range g.adj {
-		for _, u := range g.Ball(v, k) {
-			if u != v {
-				p.AddEdge(v, u)
-			}
-		}
-	}
-	return p
 }
 
 // Equal reports whether g and h have identical node and edge sets.

@@ -158,17 +158,6 @@ func (ix *Indexed) Degree(i int) int {
 	return int(ix.rowPtr[i+1] - ix.rowPtr[i])
 }
 
-// MaxDegree returns the maximum degree over all nodes (0 when empty).
-func (ix *Indexed) MaxDegree() int {
-	max := 0
-	for i := range ix.ids {
-		if d := ix.Degree(i); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // NeighborIndices returns the neighbor indices of node i in ascending
 // index order. The slice is shared with the snapshot and must not be
 // modified.
@@ -181,17 +170,6 @@ func (ix *Indexed) NeighborIndices(i int) []int32 {
 // with the snapshot and must not be modified.
 func (ix *Indexed) NeighborIDs(i int) []ID {
 	return ix.colID[ix.rowPtr[i]:ix.rowPtr[i+1]]
-}
-
-// HasEdge reports whether nodes at indices i and j are adjacent, by
-// binary search over the shorter of the two rows.
-func (ix *Indexed) HasEdge(i, j int) bool {
-	if ix.Degree(i) > ix.Degree(j) {
-		i, j = j, i
-	}
-	row := ix.NeighborIndices(i)
-	_, found := slices.BinarySearch(row, int32(j))
-	return found
 }
 
 // BFSOrder returns every node index once, in breadth-first order:

@@ -5,6 +5,31 @@ import (
 	"testing"
 )
 
+// MaxDegree and HasEdge read a snapshot the way the tests check it;
+// production code walks NeighborIndices rows instead.
+
+// MaxDegree returns the maximum degree over all nodes (0 when empty).
+func (ix *Indexed) MaxDegree() int {
+	max := 0
+	for i := range ix.ids {
+		if d := ix.Degree(i); d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// HasEdge reports whether nodes at indices i and j are adjacent, by
+// binary search over the shorter of the two rows.
+func (ix *Indexed) HasEdge(i, j int) bool {
+	if ix.Degree(i) > ix.Degree(j) {
+		i, j = j, i
+	}
+	row := ix.NeighborIndices(i)
+	_, found := slices.BinarySearch(row, int32(j))
+	return found
+}
+
 func buildTestGraph() *Graph {
 	g := New()
 	// Deliberately non-contiguous, unordered IDs.

@@ -36,17 +36,3 @@ func TestReadJSONErrors(t *testing.T) {
 		t.Fatal("expected decode error")
 	}
 }
-
-func TestWriteDOT(t *testing.T) {
-	g := FromEdges(nil, [][2]ID{{1, 2}, {2, 3}})
-	var buf bytes.Buffer
-	if err := g.WriteDOT(&buf, "", map[ID]string{1: "alpha"}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"graph G {", `n1 [label="alpha"]`, `n3 [label="3"]`, "n1 -- n2;", "n2 -- n3;"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-}

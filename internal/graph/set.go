@@ -131,22 +131,6 @@ func (s Set) Equal(t Set) bool {
 	return true
 }
 
-// Intersects reports whether s ∩ t is nonempty.
-func (s Set) Intersects(t Set) bool {
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			i++
-		case s[i] > t[j]:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
-}
-
 // Clone returns a copy of s.
 func (s Set) Clone() Set {
 	out := make(Set, len(s))

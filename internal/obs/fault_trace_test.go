@@ -12,27 +12,27 @@ import (
 	"repro/internal/proctest"
 )
 
-// canonicalFaultTrace runs a faulty flood and returns the canonical
-// JSONL trace bytes.
-func canonicalFaultTrace(t *testing.T, g *graph.Graph, radius int, f *dist.Faults) []byte {
+// faultTrace runs a faulty flood under a fresh Collector and returns
+// its JSONL trace bytes and its events.
+func faultTrace(t *testing.T, g *graph.Graph, radius int, f *dist.Faults) ([]byte, []Event) {
 	t.Helper()
 	var buf bytes.Buffer
 	c := NewCollector()
 	c.SetTrace(&buf)
-	c.SetCanonical(true)
 	if _, _, err := dist.Flood(graph.NewIndexed(g), radius, dist.RunOpts{Observer: c, Faults: f}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Err(); err != nil {
+	if err := c.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), c.Events()
 }
 
 // TestFaultTraceByteIdenticalAcrossModes is the acceptance gate for
 // deterministic fault injection: the same (graph, protocol, seed, plan)
-// must yield byte-identical canonical JSONL traces under GOMAXPROCS 1,
-// 2, and 4, i.e. one, two, and four concurrently stepped node ranges.
+// must yield traces whose deterministic records (DiffDeterministic)
+// agree under GOMAXPROCS 1, 2, and 4, i.e. one, two, and four
+// concurrently stepped node ranges.
 func TestFaultTraceByteIdenticalAcrossModes(t *testing.T) {
 	g := gen.RandomChordal(180, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 37)
 	plans := map[string]*dist.Faults{
@@ -41,17 +41,17 @@ func TestFaultTraceByteIdenticalAcrossModes(t *testing.T) {
 		"mixed":      {Plan: fault.Plan{Seed: 7, Drop: 0.1, Dup: 0.2, MaxDelay: 3}},
 	}
 	for name, f := range plans {
-		var ref []byte
+		var ref []Event
 		proctest.Sweep(func(procs int) {
-			got := canonicalFaultTrace(t, g, 3, f)
+			_, got := faultTrace(t, g, 3, f)
 			if procs == 1 {
-				if ref = got; len(ref) == 0 {
+				if ref = got; len(DeterministicRecords(ref)) == 0 {
 					t.Fatalf("%s: empty trace", name)
 				}
 				return
 			}
-			if !bytes.Equal(ref, got) {
-				t.Errorf("%s: trace under GOMAXPROCS %d differs from GOMAXPROCS 1:\n%s\nvs\n%s", name, procs, got, ref)
+			if err := DiffDeterministic(ref, got); err != nil {
+				t.Errorf("%s: trace under GOMAXPROCS %d diverges from GOMAXPROCS 1: %v", name, procs, err)
 			}
 		})
 	}
@@ -63,7 +63,7 @@ func TestFaultTraceByteIdenticalAcrossModes(t *testing.T) {
 func TestFaultTraceSchema(t *testing.T) {
 	g := gen.KTree(120, 3, 41)
 	f := &dist.Faults{Plan: fault.Plan{Seed: 3, Drop: 0.3, Dup: 0.3, MaxDelay: 2}}
-	raw := canonicalFaultTrace(t, g, 3, f)
+	raw, _ := faultTrace(t, g, 3, f)
 
 	sawFault := false
 	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
@@ -82,7 +82,7 @@ func TestFaultTraceSchema(t *testing.T) {
 		t.Error("no trace event carried the dropped field under drop=0.3")
 	}
 
-	clean := canonicalFaultTrace(t, g, 3, nil)
+	clean, _ := faultTrace(t, g, 3, nil)
 	for _, key := range []string{"dropped", "duplicated", "dead_letters", "stall", "crashed"} {
 		if bytes.Contains(clean, []byte(key)) {
 			t.Errorf("fault-free trace contains %q — fault fields must be omitted", key)
@@ -94,7 +94,6 @@ func TestFaultTraceSchema(t *testing.T) {
 // matching round event, including the crash list.
 func TestCollectorFaultRoundMerge(t *testing.T) {
 	c := NewCollector()
-	c.SetCanonical(true)
 	c.RoundStart(0, 1)
 	c.FaultRound(dist.FaultStats{Round: 0, Dropped: 2, Stall: 3, Crashed: []graph.ID{5}})
 	c.RoundEnd(dist.RoundStats{Round: 0, Nodes: 4})

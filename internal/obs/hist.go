@@ -10,10 +10,10 @@ const histBuckets = 64
 
 // Hist is a fixed-size log₂-bucketed streaming histogram of non-negative
 // int64 samples (nanosecond latencies in this package). The zero value
-// is ready to use, Record touches only the embedded arrays — no
-// allocation, ever — and Merge/Quantile make it suitable both for the
-// Collector's in-flight per-phase aggregation and for cmd/tracestat's
-// offline reduction over many traces. Negative samples clamp to 0.
+// is ready to use and Record touches only the embedded arrays — no
+// allocation, ever — so it serves the Collector's in-flight per-phase
+// aggregation and Summarize's per-phase round-latency quantiles alike.
+// Negative samples clamp to 0.
 //
 // Quantile interpolates linearly inside the winning bucket and clamps to
 // the observed [Min, Max], so it is exact for 0-, 1-, and 2-sample
@@ -45,58 +45,9 @@ func (h *Hist) Record(v int64) {
 	h.sum += v
 }
 
-// Count returns the number of recorded samples.
-func (h *Hist) Count() int64 { return h.n }
-
-// Sum returns the sum of recorded samples.
-func (h *Hist) Sum() int64 { return h.sum }
-
-// Min returns the smallest recorded sample (0 when empty).
-func (h *Hist) Min() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest recorded sample (0 when empty).
-func (h *Hist) Max() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// Mean returns the arithmetic mean (0 when empty).
-func (h *Hist) Mean() int64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / h.n
-}
-
 // Reset returns the histogram to its empty state without allocating.
 func (h *Hist) Reset() {
 	*h = Hist{}
-}
-
-// Merge folds o's samples into h. Merging histograms recorded from
-// disjoint streams is equivalent to recording the concatenated stream.
-func (h *Hist) Merge(o *Hist) {
-	if o.n == 0 {
-		return
-	}
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.n += o.n
-	h.sum += o.sum
-	for b := range h.counts {
-		h.counts[b] += o.counts[b]
-	}
 }
 
 // bucketBounds returns the value range [lo, hi] covered by bucket b.

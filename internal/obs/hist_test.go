@@ -5,6 +5,39 @@ import (
 	"testing"
 )
 
+// The accessors below read back what Record keeps; only these tests
+// use them.
+
+// Count returns the number of recorded samples.
+func (h *Hist) Count() int64 { return h.n }
+
+// Sum returns the sum of recorded samples.
+func (h *Hist) Sum() int64 { return h.sum }
+
+// Min returns the smallest recorded sample (0 when empty).
+func (h *Hist) Min() int64 {
+	if h.n == 0 {
+		return 0
+	}
+	return h.min
+}
+
+// Max returns the largest recorded sample (0 when empty).
+func (h *Hist) Max() int64 {
+	if h.n == 0 {
+		return 0
+	}
+	return h.max
+}
+
+// Mean returns the arithmetic mean (0 when empty).
+func (h *Hist) Mean() int64 {
+	if h.n == 0 {
+		return 0
+	}
+	return h.sum / h.n
+}
+
 func TestHistEmpty(t *testing.T) {
 	var h Hist
 	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 {
@@ -79,42 +112,6 @@ func TestHistBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestHistMergeDisjointRanges merges a low-range and a high-range
-// histogram and checks the merged distribution places low quantiles in
-// the low range and high quantiles in the high range.
-func TestHistMergeDisjointRanges(t *testing.T) {
-	var lo, hi Hist
-	for i := int64(1); i <= 100; i++ {
-		lo.Record(i)
-	}
-	for i := int64(1_000_000); i < 1_000_100; i++ {
-		hi.Record(i)
-	}
-	merged := lo // copy
-	merged.Merge(&hi)
-	if merged.Count() != 200 {
-		t.Fatalf("merged count=%d, want 200", merged.Count())
-	}
-	if merged.Min() != 1 || merged.Max() != 1_000_099 {
-		t.Fatalf("merged min=%d max=%d", merged.Min(), merged.Max())
-	}
-	if want := lo.Sum() + hi.Sum(); merged.Sum() != want {
-		t.Fatalf("merged sum=%d, want %d", merged.Sum(), want)
-	}
-	if q := merged.Quantile(0.25); q > 128 {
-		t.Errorf("Quantile(0.25)=%d, want in the low range (≤128)", q)
-	}
-	if q := merged.Quantile(0.75); q < 524288 {
-		t.Errorf("Quantile(0.75)=%d, want in the high range (≥2^19)", q)
-	}
-	// Merging into an empty histogram preserves min/max.
-	var empty Hist
-	empty.Merge(&lo)
-	if empty.Min() != 1 || empty.Max() != 100 || empty.Count() != 100 {
-		t.Errorf("merge into empty: min=%d max=%d count=%d", empty.Min(), empty.Max(), empty.Count())
-	}
-}
-
 // TestHistExtremeValues drives Record and Quantile through the int64
 // extremes: MinInt64 must clamp to bucket 0 like any negative span, and
 // MaxInt64 must land in the top bucket (63) with no overflow anywhere —
@@ -165,32 +162,19 @@ func TestHistQuantileArgumentClamps(t *testing.T) {
 	}
 }
 
-// TestHistResetAndEmptyMerges: Reset returns to the ready zero state,
-// merging an empty histogram is the identity, and merging into an empty
-// one copies the source — the three identities the per-phase collector
-// relies on when a phase records nothing.
+// TestHistResetAndEmptyMerges: Reset returns to the ready zero state
+// the per-phase collector relies on between phases, and a reset hist
+// records afresh.
 func TestHistResetAndEmptyMerges(t *testing.T) {
 	var h Hist
 	h.Record(42)
 	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h != (Hist{}) || h.Quantile(0.5) != 0 {
 		t.Fatalf("reset hist not empty: count=%d sum=%d", h.Count(), h.Sum())
 	}
 	h.Record(9)
-	var empty Hist
-	before := h
-	h.Merge(&empty) // identity
-	if h != before {
-		t.Errorf("merging an empty hist changed state: %+v vs %+v", h, before)
-	}
-	var both, alsoEmpty Hist
-	both.Merge(&alsoEmpty) // empty ∪ empty stays empty and quiet
-	if both.Count() != 0 || both.Quantile(0.5) != 0 {
-		t.Errorf("empty-empty merge: count=%d q50=%d", both.Count(), both.Quantile(0.5))
-	}
-	both.Merge(&h) // empty target copies source, including exact min
-	if both.Count() != 1 || both.Min() != 9 || both.Max() != 9 {
-		t.Errorf("merge into empty: count=%d min=%d max=%d", both.Count(), both.Min(), both.Max())
+	if h.Count() != 1 || h.Min() != 9 || h.Max() != 9 || h.Quantile(0.5) != 9 {
+		t.Errorf("record after reset: count=%d min=%d max=%d", h.Count(), h.Min(), h.Max())
 	}
 }
 

@@ -4,8 +4,9 @@
 // The simulation core (internal/dist, internal/core, internal/peel)
 // never reads the wall clock — the LOCAL model measures time in rounds,
 // and the chordalvet wallclock analyzer enforces the invariant. All
-// timing therefore lives here: dist.Run invokes a caller-supplied
-// RoundObserver at round boundaries, and the Collector in this package
+// timing therefore lives here: the core reports rounds, faults, wire
+// bytes, phase labels and kernel spans through the one observer
+// contract, dist.RoundObserver, and the Collector in this package
 // stamps those callbacks with wall times itself. internal/obs is the one
 // package under internal/ that chordalvet sanctions as a clock user.
 //
@@ -14,6 +15,11 @@
 // round to a JSONL trace writer. Attaching a nil observer to an engine
 // is the documented zero-cost fast path; attaching a Collector costs a
 // handful of clock reads per round, never per node.
+//
+// This package is also the one place that decides which parts of a
+// trace are deterministic: DeterministicRecords and DiffDeterministic
+// (diff.go) compare two traces on the fields that are pure functions of
+// (graph, protocol, seed, fault plan).
 package obs
 
 import (
@@ -44,9 +50,8 @@ import (
 // heap/GC snapshots at phase boundaries — plus the optional t_ns offset
 // on round events. Every new field is omitempty and every new kind is
 // additive, so a v2 reader that ignores unknown kinds and fields reads
-// v3 traces correctly; canonical mode suppresses all three new kinds
-// (they are schedule/hardware measurements by definition), keeping the
-// cross-mode byte-identical guarantee exactly as narrow as in v2.
+// v3 traces correctly. All three new kinds are schedule/hardware
+// measurements by definition, so DiffDeterministic ignores them.
 const SchemaVersion = 3
 
 // Event kinds. One "round" event is emitted per engine step (the Init
@@ -101,16 +106,15 @@ type Event struct {
 	// Wire fields (schema v3, additive): bytes moved between the
 	// coordinator and its shard hosts during this round, present only on
 	// partitioned runs with metered links (see dist.WireMeter). They
-	// measure the transport, not the protocol, so canonical mode drops
-	// them — a partitioned canonical trace stays byte-identical to the
+	// measure the transport, not the protocol, so DiffDeterministic
+	// ignores them and a partitioned trace diffs clean against the
 	// LOCAL one.
 	WireInB  int64 `json:"wire_in_b,omitempty"`
 	WireOutB int64 `json:"wire_out_b,omitempty"`
 
 	// WallNS is the wall time of the step: node programs plus message
 	// delivery, RoundStart to RoundEnd. BusyNS[s] is worker shard s's
-	// busy time within the step (absent in per-node mode). Both are
-	// zeroed (and wall_ns omitted) in canonical mode.
+	// busy time within the step (absent in per-node mode).
 	WallNS int64   `json:"wall_ns,omitempty"`
 	BusyNS []int64 `json:"busy_ns,omitempty"`
 
@@ -124,7 +128,7 @@ type Event struct {
 	// TNS (schema v3) is the event's start offset in nanoseconds from
 	// the Collector's creation: the round start for round events, the
 	// launch for kernel events, the span start for phase events, the
-	// snapshot instant for mem events. Omitted in canonical mode.
+	// snapshot instant for mem events.
 	TNS int64 `json:"t_ns,omitempty"`
 
 	// Kernel-event fields (schema v3): one event per sharded-kernel
@@ -159,9 +163,9 @@ type Event struct {
 	PauseTotalNS uint64 `json:"pause_total_ns,omitempty"`
 }
 
-// Collector implements dist.RoundObserver (and dist.PhaseSetter): it
-// stamps engine callbacks with wall times, keeps every event in memory,
-// and optionally streams them as JSONL.
+// Collector implements dist.RoundObserver: it stamps engine and kernel
+// callbacks with wall times, keeps every event in memory, and
+// optionally streams them as JSONL.
 //
 // One Collector may observe many engine runs sequentially (calls to
 // SetPhase between runs label the trace); a single run's ShardStart and
@@ -176,11 +180,6 @@ type Collector struct {
 	phase  string
 	run    int // ordinal of the current/next engine run
 	events []Event
-
-	// canonical strips the schedule/hardware fields (shards, wall and
-	// busy times) from events so traces of the same (graph, protocol,
-	// seed, plan) are byte-identical across range counts and machines.
-	canonical bool
 
 	// In-flight round state. Written by the engine's driving goroutine;
 	// shard slots are written by worker goroutines (distinct indices).
@@ -216,8 +215,8 @@ type Collector struct {
 	phEvents   int // round/layer/kernel events seen in this phase
 	phHist     Hist
 
-	// In-flight kernel launch (implements dist.KernelObserver; launches
-	// never nest, see the interface's concurrency contract). Shard slots
+	// In-flight kernel launch (launches never nest, see the
+	// dist.RoundObserver concurrency contract). Shard slots
 	// are written lock-free by worker goroutines, exactly like the
 	// engine-round shard slots above.
 	kernelName  string
@@ -254,12 +253,11 @@ func (c *Collector) SetClock(now func() time.Time) {
 	c.phaseStart = c.start
 }
 
-// SetPhase labels subsequent events with a phase name (implements
-// dist.PhaseSetter). Callers set it between engine runs. A transition
+// SetPhase implements dist.RoundObserver: it labels subsequent events
+// with a phase name. Callers set it between engine runs. A transition
 // closes the previous phase's timeline span: if that phase produced any
 // events, one "phase" record (and, with SetMemStats on, one "mem"
-// snapshot) is emitted before the label changes — suppressed in
-// canonical mode, where wall-clock spans have no meaning.
+// snapshot) is emitted before the label changes.
 func (c *Collector) SetPhase(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -296,7 +294,7 @@ func (c *Collector) Finish() error {
 // the per-phase aggregation. Callers hold c.mu.
 func (c *Collector) closePhaseLocked() {
 	now := c.now()
-	if c.phEvents > 0 && !c.canonical {
+	if c.phEvents > 0 {
 		c.emit(Event{
 			V:        SchemaVersion,
 			Kind:     KindPhase,
@@ -337,25 +335,6 @@ func (c *Collector) closePhaseLocked() {
 	c.phHist.Reset()
 }
 
-// SetCanonical switches the Collector to canonical traces: shard counts
-// and wall/busy timings are zeroed in every subsequent event, leaving
-// only fields that are pure functions of (graph, protocol, seed, fault
-// plan). Two canonical traces of the same inputs are byte-identical
-// regardless of GOMAXPROCS (the engine's range count), runtime, or
-// hardware — this is what the determinism gates diff.
-func (c *Collector) SetCanonical(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.canonical = on
-}
-
-// Err reports the first trace-write error, if any.
-func (c *Collector) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.encErr
-}
-
 // RoundStart implements dist.RoundObserver: it stamps the round's start
 // time and pre-sizes the per-shard busy slots.
 func (c *Collector) RoundStart(round, shards int) {
@@ -387,7 +366,7 @@ func (c *Collector) ShardEnd(shard int) {
 	c.shardBusy[shard] = c.now().Sub(c.shardStart[shard]).Nanoseconds()
 }
 
-// FaultRound implements dist.FaultObserver: the engine reports the
+// FaultRound implements dist.RoundObserver: the engine reports the
 // round's fault activity just before the matching RoundEnd, on the same
 // goroutine, so the stats are parked until the round event materializes.
 func (c *Collector) FaultRound(stats dist.FaultStats) {
@@ -397,7 +376,7 @@ func (c *Collector) FaultRound(stats dist.FaultStats) {
 	c.pendingFault = &s
 }
 
-// WireRound implements dist.WireObserver: a partitioned coordinator
+// WireRound implements dist.RoundObserver: a partitioned coordinator
 // reports the round's coordinator↔shard byte traffic just before the
 // matching RoundEnd, on the same goroutine, so the deltas are parked
 // until the round event materializes (exactly like FaultRound).
@@ -445,15 +424,7 @@ func (c *Collector) RoundEnd(stats dist.RoundStats) {
 		ev.WireOutB = w[2]
 		c.pendingWire = nil
 	}
-	if c.canonical {
-		ev.Shards = 0
-		ev.WallNS = 0
-		ev.BusyNS = nil
-		ev.WireInB = 0
-		ev.WireOutB = 0
-	} else {
-		ev.TNS = c.roundStart.Sub(c.start).Nanoseconds()
-	}
+	ev.TNS = c.roundStart.Sub(c.start).Nanoseconds()
 	// Per-phase aggregation for the v3 phase timeline span.
 	if c.phLastRun != c.run {
 		c.phLastRun = c.run
@@ -474,7 +445,7 @@ func (c *Collector) RunEnd(rounds int) {
 	c.run++
 }
 
-// KernelStart implements dist.KernelObserver: it stamps the launch and
+// KernelStart implements dist.RoundObserver: it stamps the launch and
 // pre-sizes the per-shard slots, exactly as RoundStart does for engine
 // rounds.
 func (c *Collector) KernelStart(kernel string, shards int) {
@@ -497,7 +468,7 @@ func (c *Collector) KernelStart(kernel string, shards int) {
 	}
 }
 
-// KernelShardStart implements dist.KernelObserver. Like ShardStart it
+// KernelShardStart implements dist.RoundObserver. Like ShardStart it
 // may be called from worker goroutines; distinct shard indices touch
 // distinct slots sized under the lock in KernelStart, and the kernel's
 // WaitGroup orders these writes before KernelEnd's reads.
@@ -507,7 +478,7 @@ func (c *Collector) KernelShardStart(shard int) {
 	c.kShardStart[shard] = c.now()
 }
 
-// KernelShardEnd implements dist.KernelObserver; see KernelShardStart
+// KernelShardEnd implements dist.RoundObserver; see KernelShardStart
 // for the concurrency argument.
 //
 //chordalvet:hotpath budget=0 per-shard kernel hooks must stay allocation-free
@@ -516,15 +487,11 @@ func (c *Collector) KernelShardEnd(shard, items int) {
 	c.kItems[shard] = int64(items)
 }
 
-// KernelEnd implements dist.KernelObserver: it materializes the
-// launch's "kernel" event. Canonical mode drops kernel events entirely
-// — shard counts and busy times are schedule/hardware measurements.
+// KernelEnd implements dist.RoundObserver: it materializes the
+// launch's "kernel" event.
 func (c *Collector) KernelEnd() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.canonical {
-		return
-	}
 	end := c.now()
 	ev := Event{
 		V:      SchemaVersion,
@@ -573,12 +540,5 @@ func (c *Collector) Events() []Event {
 	return append([]Event(nil), c.events...)
 }
 
-// Compile-time check: Collector is a dist observer, fault observer,
-// phase setter, kernel observer, and wire observer.
-var (
-	_ dist.RoundObserver  = (*Collector)(nil)
-	_ dist.FaultObserver  = (*Collector)(nil)
-	_ dist.PhaseSetter    = (*Collector)(nil)
-	_ dist.KernelObserver = (*Collector)(nil)
-	_ dist.WireObserver   = (*Collector)(nil)
-)
+// Compile-time check: Collector is a dist observer.
+var _ dist.RoundObserver = (*Collector)(nil)

@@ -65,6 +65,14 @@ func fakeClock() func() time.Time {
 	}
 }
 
+// Err reports the first trace-write error, if any, without closing
+// the phase span as Finish does.
+func (c *Collector) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.encErr
+}
+
 func runPing(t *testing.T, c *Collector, n, rounds int) *dist.Result {
 	t.Helper()
 	_, res, err := dist.Run(graph.NewIndexed(pathGraph(n)), dist.NodeFunc(func(int) dist.Protocol {

@@ -172,40 +172,6 @@ func TestMemStatsEvents(t *testing.T) {
 	}
 }
 
-func TestCanonicalSuppressesV3Records(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewCollector()
-	c.SetClock(fakeClock())
-	c.SetTrace(&buf)
-	c.SetCanonical(true)
-	c.SetMemStats(true)
-	c.SetPhase("p")
-	runPing(t, c, 6, 2)
-	c.KernelStart("decide", 1)
-	c.KernelShardStart(0)
-	c.KernelShardEnd(0, 6)
-	c.KernelEnd()
-	if err := c.Finish(); err != nil {
-		t.Fatalf("finish: %v", err)
-	}
-	for i, ev := range c.Events() {
-		if ev.Kind != KindRound {
-			t.Errorf("event %d: kind %q leaked into canonical trace", i, ev.Kind)
-		}
-		if ev.TNS != 0 || ev.WallNS != 0 || len(ev.BusyNS) != 0 {
-			t.Errorf("event %d: timing fields in canonical trace: t=%d wall=%d busy=%v",
-				i, ev.TNS, ev.WallNS, ev.BusyNS)
-		}
-	}
-	for i, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-		for _, key := range []string{"t_ns", "wall_ns", "kernel", "heap_alloc_b"} {
-			if strings.Contains(line, key) {
-				t.Errorf("canonical line %d contains %q: %s", i, key, line)
-			}
-		}
-	}
-}
-
 func TestV3TraceOmitsEmptyFields(t *testing.T) {
 	// v2 readers must keep parsing v3 traces: round records gain only
 	// t_ns, and kernel/phase/mem fields never appear on them.

@@ -100,7 +100,7 @@ type Options struct {
 	// per iteration: per-worker busy times and path counts from the
 	// sharded path-measurement loop. Observability never changes the
 	// schedule or the result.
-	Observer dist.KernelObserver
+	Observer dist.RoundObserver
 	// NoForests skips materializing Result.Forests (map-backed Forest
 	// values built only for callers that inspect them; the peeling
 	// decisions never read them).

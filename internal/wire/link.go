@@ -42,9 +42,6 @@ func newLink(conn net.Conn) *Link {
 	}
 }
 
-// Shard returns the shard index the peer announced in its hello.
-func (l *Link) Shard() int { return l.shard }
-
 // wrap labels err with the link's shard; nil stays nil.
 func (l *Link) wrap(err error) error {
 	if err == nil {

@@ -247,17 +247,23 @@ func checkSameKnowledge(t *testing.T, at string, n int, a, b *dist.Knowledge) {
 	}
 }
 
-// wireRecorder captures round stats plus the WireRound extension.
+// wireRecorder captures round stats and the WireRound calls.
 type wireRecorder struct {
 	rounds []dist.RoundStats
 	wire   [][3]int64
 }
 
+func (o *wireRecorder) SetPhase(string)              {}
 func (o *wireRecorder) RoundStart(round, shards int) {}
 func (o *wireRecorder) ShardStart(shard int)         {}
 func (o *wireRecorder) ShardEnd(shard int)           {}
+func (o *wireRecorder) FaultRound(dist.FaultStats)   {}
 func (o *wireRecorder) RoundEnd(s dist.RoundStats)   { o.rounds = append(o.rounds, s) }
 func (o *wireRecorder) RunEnd(rounds int)            {}
+func (o *wireRecorder) KernelStart(string, int)      {}
+func (o *wireRecorder) KernelShardStart(int)         {}
+func (o *wireRecorder) KernelShardEnd(int, int)      {}
+func (o *wireRecorder) KernelEnd()                   {}
 func (o *wireRecorder) WireRound(round int, in, out int64) {
 	o.wire = append(o.wire, [3]int64{int64(round), in, out})
 }
@@ -302,10 +308,10 @@ func TestServedLinksMatchLocal(t *testing.T) {
 				t.Fatalf("%q: round %d moved (%d in, %d out) bytes on the wire", spec, w[0], w[1], w[2])
 			}
 		}
-		for _, l := range links {
+		for s, l := range links {
 			in, out := l.WireBytes()
 			if in <= 0 || out <= 0 {
-				t.Fatalf("%q: shard %d meter (%d, %d)", spec, l.Shard(), in, out)
+				t.Fatalf("%q: shard %d meter (%d, %d)", spec, s, in, out)
 			}
 		}
 		cleanup()
