@@ -148,9 +148,6 @@ func run(alg string, eps float64, in, out, genKind string, n, maxClique int, see
 		}
 		var err error
 		if faultPlan, err = dist.ParseFaults(faults, faultSeed); err != nil {
-			if dist.IsInactive(err) {
-				return fmt.Errorf("-faults %q parses to a schedule that can never fire (all rates zero, no crashes); fix the spec or drop the flag for a fault-free run", faults)
-			}
 			return err
 		}
 	}

@@ -10,18 +10,25 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
 )
 
+// loadModule loads and type-checks the module once for the tests that
+// only read it; TestModuleAnalysisUnderBudget times a load of its own.
+var loadModule = sync.OnceValues(func() ([]*analysis.Package, error) {
+	return analysis.LoadModule("../..")
+})
+
 // TestShippedTreeIsClean is the gate behind `make lint`: the repo's own
 // source must produce zero diagnostics from the full analyzer suite.
 // Violations either get fixed or carry an explicit chordalvet:ignore
 // justification; silent regressions fail CI here.
 func TestShippedTreeIsClean(t *testing.T) {
-	pkgs, err := analysis.LoadModule("../..")
+	pkgs, err := loadModule()
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
@@ -70,7 +77,7 @@ var testSupport = map[string]string{
 // Error count as used because fmt calls them. A function or method only
 // tests use belongs in a _test.go file of its package.
 func TestInternalFuncsHaveCallers(t *testing.T) {
-	pkgs, err := analysis.LoadModule("../..")
+	pkgs, err := loadModule()
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}

@@ -127,14 +127,7 @@ func run(quick bool, only, trace string, metrics bool, partitions int, faults st
 			}
 		}
 		if faults != "" {
-			plan, err := dist.ParseFaults(faults, faultSeed)
-			if err != nil {
-				if dist.IsInactive(err) {
-					return fmt.Errorf("-faults %q parses to a schedule that can never fire (all rates zero, no crashes); fix the spec or drop the flag for a fault-free run", faults)
-				}
-				return err
-			}
-			if err := exp.FaultTraceRunCollector(c, quick, plan, partFor); err != nil {
+			if err := exp.FaultTraceRunCollector(c, quick, faults, faultSeed, partFor); err != nil {
 				return err
 			}
 		} else if err := exp.TraceRunCollector(c, quick, partFor); err != nil {

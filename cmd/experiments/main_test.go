@@ -1,11 +1,13 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/wire"
 )
 
@@ -58,6 +60,19 @@ func TestOnlySelection(t *testing.T) {
 func TestFaultsRequireTrace(t *testing.T) {
 	if err := run(true, "", "", false, 0, "drop=0.2", 7, "", "", ""); err == nil {
 		t.Error("-faults without -trace accepted")
+	}
+}
+
+// TestFaultSpecEdges: an inactive -faults spec fails with the error
+// dist.ParseFaults wraps around ErrFaultsInactive, and an all-blank one
+// runs the fault-trace workload fault-free.
+func TestFaultSpecEdges(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "out.jsonl")
+	if err := run(true, "", trace, false, 0, "drop=0,dup=0", 7, "", "", ""); !errors.Is(err, dist.ErrFaultsInactive) {
+		t.Errorf("inactive -faults: %v, want an ErrFaultsInactive error", err)
+	}
+	if err := run(true, "", trace, false, 0, " ", 7, "", "", ""); err != nil {
+		t.Errorf("blank -faults: %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // This file is the interprocedural half of chordalvet: a module-wide
@@ -296,24 +297,6 @@ func (cg *CallGraph) collectLitFlows(pkg *Package, lit *ast.CompositeLit) {
 	}
 }
 
-// callTargetFunc resolves a call expression to its static *types.Func
-// callee: a plain function, a concrete method, or an interface method
-// (the caller distinguishes via the receiver type). Indirect calls and
-// builtins return nil.
-func callTargetFunc(pkg *Package, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pkg.Info.ObjectOf(id).(*types.Func)
-	return fn
-}
-
 // isInterfaceMethod reports whether fn is declared on an interface.
 func isInterfaceMethod(fn *types.Func) bool {
 	recv := fn.Type().(*types.Signature).Recv()
@@ -374,7 +357,7 @@ func collectInterfaceImpls(pkgs []*Package, cg *CallGraph) map[implKey][]*FuncNo
 			if !ok {
 				return
 			}
-			fn := callTargetFunc(pkg, call)
+			fn := calleeFunc(pkg.Info, call)
 			if fn == nil || !isInterfaceMethod(fn) {
 				return
 			}
@@ -427,7 +410,7 @@ func (cg *CallGraph) buildEdges(node *FuncNode, impls map[implKey][]*FuncNode) {
 			addUnique(static, cg.Lits[lit])
 			return
 		}
-		fn := callTargetFunc(node.Pkg, call)
+		fn := calleeFunc(node.Pkg.Info, call)
 		if fn != nil {
 			if isInterfaceMethod(fn) {
 				if iface, ok := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface); ok {
@@ -508,7 +491,7 @@ func HotEdges(n *FuncNode) []*FuncNode {
 
 // shortFile trims a path to its last two segments for display.
 func shortFile(path string) string {
-	segs := splitSlash(path)
+	segs := strings.FieldsFunc(path, isSlash)
 	if len(segs) <= 2 {
 		return path
 	}

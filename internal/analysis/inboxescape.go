@@ -90,7 +90,7 @@ func checkInboxEscapes(pass *Pass, body *ast.BlockStmt, inbox types.Object) {
 				if !isInboxSlice(as.Rhs[i]) {
 					continue
 				}
-				if obj := identObj(pass, as.Lhs[i]); obj != nil && !tainted[obj] {
+				if obj := identObj(pass.Info, as.Lhs[i]); obj != nil && !tainted[obj] {
 					tainted[obj] = true
 					changed = true
 				}

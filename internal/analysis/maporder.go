@@ -59,7 +59,7 @@ func sortTargetKey(pass *Pass, e ast.Expr) (sortKey, bool) {
 			return sortKey{obj: obj}, true
 		}
 	case *ast.SelectorExpr:
-		if base := identObj(pass, v.X); base != nil {
+		if base := identObj(pass.Info, v.X); base != nil {
 			return sortKey{obj: base, field: v.Sel.Name}, true
 		}
 	}
@@ -77,7 +77,7 @@ func collectSortEvents(pass *Pass, body *ast.BlockStmt) []sortEvent {
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
-		if !isInPlaceSort(pass, call) && !isNewSetCall(pass, call) {
+		if !isInPlaceSort(pass.Info, call) && !isNewSetCall(pass, call) {
 			return true
 		}
 		if key, ok := sortTargetKey(pass, call.Args[0]); ok {
@@ -91,7 +91,7 @@ func collectSortEvents(pass *Pass, body *ast.BlockStmt) []sortEvent {
 // isNewSetCall reports whether call builds a canonical sorted set via
 // the graph package's NewSet constructor.
 func isNewSetCall(pass *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(pass, call)
+	fn := calleeFunc(pass.Info, call)
 	return fn != nil && fn.Name() == "NewSet" &&
 		fn.Pkg() != nil && fn.Pkg().Name() == "graph" &&
 		fn.Type().(*types.Signature).Recv() == nil
@@ -129,7 +129,7 @@ func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, sorts []sortEvent) {
 		case *ast.AssignStmt:
 			checkMapRangeAppend(pass, rs, v, sortedLater)
 		case *ast.CallExpr:
-			if isPkgCall(pass, v, "fmt", "Print", "Printf", "Println", "Fprint", "Fprintf", "Fprintln") {
+			if isPkgCall(pass.Info, v, "fmt", "Print", "Printf", "Println", "Fprint", "Fprintf", "Fprintln") {
 				pass.Reportf(v.Pos(), "writes output inside a range over a map; iteration order is randomized — iterate a sorted key slice instead")
 				return true
 			}

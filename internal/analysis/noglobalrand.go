@@ -44,7 +44,7 @@ func runNoGlobalRand(pass *Pass) {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(pass, call)
+			fn := calleeFunc(pass.Info, call)
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
@@ -52,7 +52,7 @@ func runNoGlobalRand(pass *Pass) {
 			if path != "math/rand" && path != "math/rand/v2" {
 				return true
 			}
-			if isPkgCall(pass, call, path) && !randConstructors[fn.Name()] {
+			if isPkgCall(pass.Info, call, path) && !randConstructors[fn.Name()] {
 				pass.Reportf(call.Pos(), "calls %s.%s on the shared global source; thread an explicit seed through rand.New(rand.NewSource(seed)) so runs reproduce", path, fn.Name())
 				return true
 			}
@@ -71,7 +71,7 @@ func callContainsWallClock(pass *Pass, call *ast.CallExpr) bool {
 	for _, arg := range call.Args {
 		ast.Inspect(arg, func(n ast.Node) bool {
 			inner, ok := n.(*ast.CallExpr)
-			if ok && isPkgCall(pass, inner, "time", "Now") {
+			if ok && isPkgCall(pass.Info, inner, "time", "Now") {
 				found = true
 				return false
 			}

@@ -178,7 +178,7 @@ func workerLocalObjects(n *FuncNode) map[types.Object]bool {
 				return
 			}
 			for i := range as.Lhs {
-				lhsObj := identObjInfo(info, as.Lhs[i])
+				lhsObj := identObj(info, as.Lhs[i])
 				if lhsObj == nil || local[lhsObj] {
 					continue
 				}

@@ -77,7 +77,7 @@ func runSnapshotMut(pass *Pass) {
 				if len(v.Args) == 0 {
 					return true
 				}
-				if isInPlaceSort(pass, v) {
+				if isInPlaceSort(pass.Info, v) {
 					if src, ok := viewExpr(v.Args[0]); ok {
 						pass.Reportf(v.Pos(), "sorts the shared snapshot view from %s in place; these slices are read-only — copy before sorting", src)
 					}
@@ -144,7 +144,7 @@ func collectViewTaints(pass *Pass, body *ast.BlockStmt) map[types.Object]string 
 				if !isView {
 					continue
 				}
-				obj := identObj(pass, as.Lhs[i])
+				obj := identObj(pass.Info, as.Lhs[i])
 				if obj == nil {
 					continue
 				}

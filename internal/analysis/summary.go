@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // This file computes per-function dataflow summaries over the call
@@ -198,7 +199,7 @@ func localSummary(n *FuncNode) *Summary {
 		case *ast.FuncLit:
 			s.Allocs = appendClosureSite(info, s.Allocs, v)
 		case *ast.CallExpr:
-			if i, ok := pidx[identObjInfo(info, v.Fun)]; ok {
+			if i, ok := pidx[identObj(info, v.Fun)]; ok {
 				s.CallsParam[i] = true
 			}
 			summarizeCall(n, s, derived, markAliasMutation, v)
@@ -250,7 +251,7 @@ func collectParamDerived(n *FuncNode, pidx map[types.Object]int) map[types.Objec
 				return
 			}
 			for i := range as.Lhs {
-				lhsObj := identObjInfo(info, as.Lhs[i])
+				lhsObj := identObj(info, as.Lhs[i])
 				if lhsObj == nil {
 					continue
 				}
@@ -279,15 +280,6 @@ func containsInt(s []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// identObjInfo is identObj without a Pass.
-func identObjInfo(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	return info.ObjectOf(id)
 }
 
 // writeTargets returns the parameter indices a write to lhs mutates in
@@ -343,7 +335,7 @@ func summarizeCall(n *FuncNode, s *Summary, derived map[types.Object][]int, mark
 			return
 		}
 	}
-	if isInPlaceSortInfo(info, call) && len(call.Args) > 0 {
+	if isInPlaceSort(info, call) && len(call.Args) > 0 {
 		markAlias(call.Args[0])
 	}
 	s.Allocs = appendBoxSites(info, s.Allocs, call)
@@ -499,7 +491,7 @@ func hasPreallocEvidence(n *FuncNode, key preallocKey) bool {
 // non-pointer-shaped arguments passed to interface-typed parameters
 // (including variadic ...any) escape to the heap when boxed.
 func appendBoxSites(info *types.Info, allocs []AllocSite, call *ast.CallExpr) []AllocSite {
-	fn := callTargetFuncInfo(info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil {
 		return allocs
 	}
@@ -552,42 +544,6 @@ func boxes(info *types.Info, arg ast.Expr, pt types.Type) bool {
 	return true
 }
 
-// callTargetFuncInfo is callTargetFunc with an explicit *types.Info.
-func callTargetFuncInfo(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.ObjectOf(id).(*types.Func)
-	return fn
-}
-
-// isInPlaceSortInfo is isInPlaceSort without a Pass.
-func isInPlaceSortInfo(info *types.Info, call *ast.CallExpr) bool {
-	fn := callTargetFuncInfo(info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
-		return false
-	}
-	switch fn.Pkg().Path() {
-	case "sort":
-		switch fn.Name() {
-		case "Slice", "SliceStable", "Sort", "Stable", "Ints", "Strings", "Float64s":
-			return true
-		}
-	case "slices":
-		switch fn.Name() {
-		case "Sort", "SortFunc", "SortStableFunc", "Reverse":
-			return true
-		}
-	}
-	return false
-}
-
 // returnsViewLocal reports whether the function directly returns a
 // shared-view accessor result (or a re-slice of one, possibly through a
 // local). Transitive wrappers are resolved in the fixpoint.
@@ -623,7 +579,7 @@ func returnsViewLocal(n *FuncNode) (bool, string) {
 				if !isView {
 					continue
 				}
-				if obj := identObjInfo(info, as.Lhs[i]); obj != nil {
+				if obj := identObj(info, as.Lhs[i]); obj != nil {
 					if _, seen := tainted[obj]; !seen {
 						tainted[obj] = src
 						changed = true
@@ -654,7 +610,7 @@ func returnsViewLocal(n *FuncNode) (bool, string) {
 // sharedAccessorCall reports whether call is a shared-view accessor
 // (see sharedViewAccessors in snapshotmut.go) and names it.
 func sharedAccessorCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	fn := callTargetFuncInfo(info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil {
 		return "", false
 	}
@@ -702,7 +658,7 @@ func (f *Facts) fixpoint() {
 // calleeSummary resolves a call to its in-module callee node and
 // summary; nil for external, dynamic, and unresolved calls.
 func (f *Facts) calleeSummary(pkg *Package, call *ast.CallExpr) (*FuncNode, *Summary) {
-	fn := callTargetFunc(pkg, call)
+	fn := calleeFunc(pkg.Info, call)
 	if fn == nil || isInterfaceMethod(fn) {
 		if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 			node := f.Graph.Lits[lit]
@@ -722,7 +678,7 @@ func (f *Facts) calleeSummary(pkg *Package, call *ast.CallExpr) (*FuncNode, *Sum
 // method calls, index 0 is the receiver expression. Variadic tails all
 // map to the last parameter index via argParamIndex.
 func callArgExprs(pkg *Package, call *ast.CallExpr) []ast.Expr {
-	fn := callTargetFunc(pkg, call)
+	fn := calleeFunc(pkg.Info, call)
 	var out []ast.Expr
 	if fn != nil && fn.Type().(*types.Signature).Recv() != nil {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
@@ -790,7 +746,7 @@ func (f *Facts) propagateNode(n *FuncNode) bool {
 					}
 				}
 			}
-			pi, ok := pidx[identObjInfo(info, arg)]
+			pi, ok := pidx[identObj(info, arg)]
 			if !ok {
 				continue
 			}
@@ -885,7 +841,7 @@ func directiveText(c *ast.Comment, prefix string) (string, bool) {
 
 // parseBudget extracts N from " budget=N ..." directive text.
 func parseBudget(rest string) (int, bool) {
-	fields := splitFields(rest)
+	fields := strings.FieldsFunc(rest, func(r rune) bool { return r == ' ' || r == '\t' })
 	for _, fd := range fields {
 		if len(fd) > 7 && fd[:7] == "budget=" {
 			n := 0
@@ -899,22 +855,6 @@ func parseBudget(rest string) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-func splitFields(s string) []string {
-	var out []string
-	start := -1
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ' ' || s[i] == '\t' {
-			if start >= 0 {
-				out = append(out, s[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
-		}
-	}
-	return out
 }
 
 func sortHotRoots(fset *token.FileSet, roots []*HotRoot) {

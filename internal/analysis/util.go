@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // forEachFunc invokes fn for every function or method body in the pass,
@@ -25,9 +26,11 @@ func forEachFunc(pass *Pass, fn func(decl *ast.FuncDecl, body *ast.BlockStmt)) {
 	}
 }
 
-// calleeFunc resolves a call expression to the function or method object
-// it invokes, or nil for indirect calls and builtins.
-func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
+// calleeFunc resolves a call expression to its static *types.Func
+// callee: a plain function, a concrete method, or an interface method
+// (the caller distinguishes via the receiver type). Indirect calls and
+// builtins return nil.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -37,15 +40,15 @@ func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
 	default:
 		return nil
 	}
-	fn, _ := pass.Info.ObjectOf(id).(*types.Func)
+	fn, _ := info.ObjectOf(id).(*types.Func)
 	return fn
 }
 
 // isPkgCall reports whether call invokes a package-level function of the
 // package with the given import path whose name is in names. An empty
 // names list matches any function of the package.
-func isPkgCall(pass *Pass, call *ast.CallExpr, pkgPath string, names ...string) bool {
-	fn := calleeFunc(pass, call)
+func isPkgCall(info *types.Info, call *ast.CallExpr, pkgPath string, names ...string) bool {
+	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
 		return false
 	}
@@ -69,7 +72,7 @@ func isPkgCall(pass *Pass, call *ast.CallExpr, pkgPath string, names ...string) 
 // identically on the real repo and on the self-contained stub packages in
 // testdata fixtures.
 func recvTypeName(pass *Pass, call *ast.CallExpr) (pkgName, typeName, method string) {
-	fn := calleeFunc(pass, call)
+	fn := calleeFunc(pass.Info, call)
 	if fn == nil {
 		return "", "", ""
 	}
@@ -102,20 +105,20 @@ func isFloat(t types.Type) bool {
 // identObj resolves an expression to the object of the identifier it
 // denotes, unwrapping parentheses; nil for anything but a plain
 // identifier.
-func identObj(pass *Pass, e ast.Expr) types.Object {
+func identObj(info *types.Info, e ast.Expr) types.Object {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return nil
 	}
-	return pass.Info.ObjectOf(id)
+	return info.ObjectOf(id)
 }
 
 // isInPlaceSort reports whether call is a standard-library call that
 // reorders its first argument in place (sort.Slice, slices.Sort, ...).
-func isInPlaceSort(pass *Pass, call *ast.CallExpr) bool {
-	return isPkgCall(pass, call, "sort",
+func isInPlaceSort(info *types.Info, call *ast.CallExpr) bool {
+	return isPkgCall(info, call, "sort",
 		"Slice", "SliceStable", "Sort", "Stable", "Ints", "Strings", "Float64s") ||
-		isPkgCall(pass, call, "slices",
+		isPkgCall(info, call, "slices",
 			"Sort", "SortFunc", "SortStableFunc", "Reverse")
 }
 
@@ -133,8 +136,8 @@ func isAppendCall(pass *Pass, call *ast.CallExpr) bool {
 // consecutive slash-separated segments ("internal/dist" matches
 // "repro/internal/dist" but not "repro/internal/distillery").
 func pathHasSegments(path, segments string) bool {
-	want := splitSlash(segments)
-	have := splitSlash(path)
+	want := strings.FieldsFunc(segments, isSlash)
+	have := strings.FieldsFunc(path, isSlash)
 	for i := 0; i+len(want) <= len(have); i++ {
 		match := true
 		for j, s := range want {
@@ -150,16 +153,5 @@ func pathHasSegments(path, segments string) bool {
 	return false
 }
 
-func splitSlash(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == '/' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
-}
+// isSlash separates the segments of an import or file path.
+func isSlash(r rune) bool { return r == '/' }

@@ -44,8 +44,8 @@ func runWallClock(pass *Pass) {
 			if !ok {
 				return true
 			}
-			if isPkgCall(pass, call, "time", "Now", "Since", "Until") {
-				fn := calleeFunc(pass, call)
+			if isPkgCall(pass.Info, call, "time", "Now", "Since", "Until") {
+				fn := calleeFunc(pass.Info, call)
 				pass.Reportf(call.Pos(), "calls time.%s in %s; the simulation core is deterministic and measures time in rounds — route wall-clock instrumentation through internal/obs", fn.Name(), pass.PkgPath)
 			}
 			return true

@@ -5,11 +5,20 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/figures"
 	"repro/internal/gen"
-	"repro/internal/graph"
 )
+
+// mustFaults builds the schedule of (spec, seed), failing the test on a
+// parse error.
+func mustFaults(t testing.TB, spec string, seed uint64) *dist.Faults {
+	t.Helper()
+	f, err := dist.ParseFaults(spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
 
 // TestColorChordalAbsorbsDupAndDelay: the round-synchronous model must
 // absorb duplication and delay — the full distributed coloring pipeline
@@ -21,7 +30,7 @@ func TestColorChordalAbsorbsDupAndDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &dist.Faults{Plan: fault.Plan{Seed: 21, Dup: 0.3, MaxDelay: 2}}
+	f := mustFaults(t, "dup=0.3,delay=2", 21)
 	got, err := ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +54,7 @@ func TestColorChordalAbsorbsDupAndDelay(t *testing.T) {
 // never a silently wrong coloring.
 func TestColorChordalDropDiverges(t *testing.T) {
 	g := figures.Fig1()
-	f := &dist.Faults{Plan: fault.Plan{Seed: 2, Drop: 0.3}}
+	f := mustFaults(t, "drop=0.3", 2)
 	col, err := ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 	if err == nil {
 		// An undetected-corruption escape would return a coloring built
@@ -59,7 +68,7 @@ func TestColorChordalDropDiverges(t *testing.T) {
 // an error naming the node, not hang or time out.
 func TestColorChordalCrashErrors(t *testing.T) {
 	g := figures.Fig1()
-	f := &dist.Faults{Crash: map[graph.ID]int{7: 2}}
+	f := mustFaults(t, "crash=7@2", 0)
 	_, err := ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 	if err == nil {
 		t.Fatal("crash of node 7 produced no error")
@@ -77,7 +86,7 @@ func TestMISChordalAbsorbsDupAndDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &dist.Faults{Plan: fault.Plan{Seed: 33, Dup: 0.25, MaxDelay: 3}}
+	f := mustFaults(t, "dup=0.25,delay=3", 33)
 	got, err := MISChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +105,7 @@ func TestMISChordalAbsorbsDupAndDelay(t *testing.T) {
 // guard.
 func TestMISChordalDropDiverges(t *testing.T) {
 	g := gen.KTree(60, 1, 47)
-	f := &dist.Faults{Plan: fault.Plan{Seed: 8, Drop: 0.5}}
+	f := mustFaults(t, "drop=0.5", 8)
 	res, err := MISChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
 	if err == nil {
 		t.Fatalf("50%% drop produced no error (got MIS of %d)", len(res.Set))
@@ -117,7 +126,7 @@ func TestCorrectionPhaseAbsorbsDup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &dist.Faults{Plan: fault.Plan{Seed: 14, Dup: 0.4}}
+	f := mustFaults(t, "dup=0.4", 14)
 	faultRounds, err := RunCorrectionPhase(outcome, EffectiveK(0.5), dist.RunOpts{Faults: f})
 	if err != nil {
 		t.Fatal(err)

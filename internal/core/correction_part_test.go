@@ -124,7 +124,7 @@ func realCorrectionRun(t testing.TB) (*graph.Indexed, []byte, [][]byte) {
 			for _, b := range res.Blocks {
 				payloads = append(payloads, blockPayloads(t, b)...)
 			}
-			if _, err := r.Deliver(make([][]byte, len(ranges))); err != nil {
+			if _, err := r.Deliver(round, make([][]byte, len(ranges))); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/proctest"
@@ -14,8 +13,8 @@ import (
 // absorbablePlan is an E20-style fault schedule the pipelines must
 // absorb byte-identically: duplication and delay perturb the message
 // schedule without corrupting it.
-func absorbablePlan() *dist.Faults {
-	return &dist.Faults{Plan: fault.Plan{Seed: 21, Dup: 0.3, MaxDelay: 2}}
+func absorbablePlan(t testing.TB) *dist.Faults {
+	return mustFaults(t, "dup=0.3,delay=2", 21)
 }
 
 // TestColoringPipelineDeterministicAcrossStageWorkers runs the full
@@ -25,7 +24,7 @@ func absorbablePlan() *dist.Faults {
 // layers, same provisional and final colors, same round counts.
 func TestColoringPipelineDeterministicAcrossStageWorkers(t *testing.T) {
 	g := gen.RandomChordal(220, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 33)
-	for _, f := range []*dist.Faults{nil, absorbablePlan()} {
+	for _, f := range []*dist.Faults{nil, absorbablePlan(t)} {
 		var ref *ChordalColoring
 		proctest.Sweep(func(procs int) {
 			col, err := ColorChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
@@ -58,7 +57,7 @@ func TestColoringPipelineDeterministicAcrossStageWorkers(t *testing.T) {
 // fault-free and under the absorbable plan.
 func TestMISPipelineDeterministicAcrossStageWorkers(t *testing.T) {
 	g := gen.RandomChordal(200, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 35)
-	for _, f := range []*dist.Faults{nil, absorbablePlan()} {
+	for _, f := range []*dist.Faults{nil, absorbablePlan(t)} {
 		var ref *ChordalMISResult
 		proctest.Sweep(func(procs int) {
 			res, err := MISChordalDistributedFaultyPart(g, 0.5, nil, nil, f, nil)
@@ -93,7 +92,7 @@ func TestCorrectionPhaseDeterministicAcrossStageWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []*dist.Faults{nil, absorbablePlan()} {
+	for _, f := range []*dist.Faults{nil, absorbablePlan(t)} {
 		refRounds := -1
 		proctest.Sweep(func(procs int) {
 			rounds, err := RunCorrectionPhase(out, 3, dist.RunOpts{Faults: f})

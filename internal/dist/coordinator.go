@@ -3,6 +3,8 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -24,6 +26,14 @@ type coordinator struct {
 	program string
 	params  []byte
 
+	// Per-link scratch for the run's exchanges, indexed by shard: each
+	// call's error, the step results, the deliver acks' inbox high-water
+	// marks, and the blocks relayed to each shard, by source shard.
+	errs     []error
+	results  []*ShardStepResult
+	maxInbox []int
+	inbound  [][][]byte
+
 	wireIn, wireOut int64
 }
 
@@ -31,8 +41,9 @@ type coordinator struct {
 // partition's ranges must cover the BFS positions [0, n) contiguously.
 func newCoordinator(ix *graph.Indexed, prog Program, opts RunOpts) (*coordinator, error) {
 	part := opts.Part
-	if len(part.Links) == 0 || len(part.Links) != len(part.Ranges) {
-		return nil, fmt.Errorf("dist: partition has %d links for %d ranges", len(part.Links), len(part.Ranges))
+	links := len(part.Links)
+	if links == 0 || links != len(part.Ranges) {
+		return nil, fmt.Errorf("dist: partition has %d links for %d ranges", links, len(part.Ranges))
 	}
 	if err := checkRanges(part.Ranges, ix.NumNodes()); err != nil {
 		return nil, err
@@ -41,7 +52,13 @@ func newCoordinator(ix *graph.Indexed, prog Program, opts RunOpts) (*coordinator
 	if err != nil {
 		return nil, err
 	}
-	return &coordinator{ix: ix, opts: opts, prog: prog, program: program, params: params}, nil
+	c := &coordinator{ix: ix, opts: opts, prog: prog, program: program, params: params,
+		errs: make([]error, links), results: make([]*ShardStepResult, links),
+		maxInbox: make([]int, links), inbound: make([][][]byte, links)}
+	for d := range c.inbound {
+		c.inbound[d] = make([][]byte, links)
+	}
+	return c, nil
 }
 
 // meterDelta samples every metered link and returns the bytes moved
@@ -61,17 +78,13 @@ func (c *coordinator) meterDelta() (dIn, dOut int64, metered bool) {
 	return dIn, dOut, metered
 }
 
-// start implements stepper: it rejects hand-built fault plans that did
-// not come from ParseFaults — without the (Spec, Seed) pair the
-// schedule cannot be reproduced on the shards — builds the crash table,
-// and starts the run on every shard.
+// start implements stepper: it builds the crash table and starts the
+// run on every shard, shipping the fault schedule as the (spec, seed)
+// pair it is a pure function of.
 func (c *coordinator) start() (*crashTable, error) {
 	faultSpec, faultSeed := "", uint64(0)
 	if f := c.opts.Faults; f.active() {
-		if f.Spec == "" {
-			return nil, fmt.Errorf("dist: partitioned runs need a ParseFaults-built schedule (hand-built Faults carry no spec to ship to shards)")
-		}
-		faultSpec, faultSeed = f.Spec, f.Seed
+		faultSpec, faultSeed = f.spec, f.seed
 	}
 	// The coordinator's crash table only feeds the per-round Crashed
 	// lists; the shards consult their own copies.
@@ -79,23 +92,22 @@ func (c *coordinator) start() (*crashTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	for s, l := range c.opts.Part.Links {
-		err := l.Start(ShardConfig{
+	err = exchange(c.opts.Part.Links, c.errs, func(s int, l ShardLink) error {
+		return l.Start(ShardConfig{
 			Shard: s, Ranges: c.opts.Part.Ranges,
 			Program: c.program, Params: c.params,
 			FaultSpec: faultSpec, FaultSeed: faultSeed,
 		})
-		if err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	c.meterDelta() // baseline: Start/Session traffic is not a round's
 	return &crash, nil
 }
 
-// step implements stepper for one partitioned step: broadcast Step to
-// every shard, await the results in shard order, relay every block to
-// its destination shard, and await the inbox high-water acks. The
+// step implements stepper for one partitioned step: Step every shard,
+// then relay every block to its destination shard with Deliver. The
 // coordinator never reads a block: results[s].Blocks[d] goes to shard d
 // as it came from shard s. It aggregates the shard counters into the
 // run result and fires the observer exactly like the LOCAL engine's
@@ -107,27 +119,26 @@ func (c *coordinator) step(round int, crashed []graph.ID, res *Result) (stepStat
 	if obs != nil {
 		obs.RoundStart(round, len(links))
 	}
-	results := make([]*ShardStepResult, len(links))
-	err := exchange(links,
-		func(_ int, l ShardLink) error { return l.Step(round) },
-		func(s int, l ShardLink) error {
-			r, err := l.StepResult()
-			switch {
-			case err != nil:
-				return err
-			case r.Err == "" && len(r.Blocks) != len(links):
-				return fmt.Errorf("dist: shard %d returned %d blocks for %d shards", s, len(r.Blocks), len(links))
-			}
-			results[s] = r
-			return nil
-		})
+	err := exchange(links, c.errs, func(s int, l ShardLink) error {
+		r, err := l.Step(round)
+		switch {
+		case err != nil:
+			return err
+		case r.Round != round:
+			return fmt.Errorf("dist: shard %d returned the result of round %d for round %d", s, r.Round, round)
+		case r.Err == "" && len(r.Blocks) != len(links):
+			return fmt.Errorf("dist: shard %d returned %d blocks for %d shards", s, len(r.Blocks), len(links))
+		}
+		c.results[s] = r
+		return nil
+	})
 	if err != nil {
 		return st, err
 	}
 	// Like the engine over its ranges, report the lowest panicking index
 	// over all shards; a failure no node caused (ErrIdx −1) comes first.
 	var failed *ShardStepResult
-	for _, r := range results {
+	for _, r := range c.results {
 		if r.Err != "" && (failed == nil || r.ErrIdx < failed.ErrIdx) {
 			failed = r
 		}
@@ -138,7 +149,7 @@ func (c *coordinator) step(round int, crashed []graph.ID, res *Result) (stepStat
 
 	msgs, vol := 0, 0
 	fs := FaultStats{Round: round, Crashed: crashed}
-	for _, r := range results {
+	for _, r := range c.results {
 		st.done += r.Done
 		st.deadNotDone += r.DeadNotDone
 		if r.BlockedIdx >= 0 && (st.blockedIdx < 0 || r.BlockedIdx < st.blockedIdx) {
@@ -154,20 +165,15 @@ func (c *coordinator) step(round int, crashed []graph.ID, res *Result) (stepStat
 		}
 	}
 
-	maxInbox := 0
-	inbound := make([][]byte, len(links)) // the blocks for one shard, by source
-	err = exchange(links,
-		func(d int, l ShardLink) error {
-			for s, r := range results {
-				inbound[s] = r.Blocks[d]
-			}
-			return l.Deliver(round, inbound)
-		},
-		func(_ int, l ShardLink) error {
-			mi, err := l.DeliverResult()
-			maxInbox = max(maxInbox, mi)
-			return err
-		})
+	err = exchange(links, c.errs, func(d int, l ShardLink) error {
+		in := c.inbound[d]
+		for s, r := range c.results {
+			in[s] = r.Blocks[d]
+		}
+		mi, err := l.Deliver(round, in)
+		c.maxInbox[d] = mi
+		return err
+	})
 	if err != nil {
 		return st, err
 	}
@@ -184,48 +190,60 @@ func (c *coordinator) step(round int, crashed []graph.ID, res *Result) (stepStat
 			Messages: msgs,
 			Volume:   vol,
 			Done:     st.done,
-			MaxInbox: maxInbox,
+			MaxInbox: slices.Max(c.maxInbox),
 		})
 	}
 	return st, nil
 }
 
-// exchange runs one request/reply phase over every link: send to each
-// link in shard order, stopping at the first send failure, then await
-// the reply of every link that was sent a request, in shard order — so
-// a failure never leaves a reply queued on a link for the next run to
-// misread. It returns the lowest shard's error.
-func exchange(links []ShardLink, send, await func(s int, l ShardLink) error) error {
-	sent, sendErr := len(links), error(nil)
+// exchange sends one request to every link: call runs once per link,
+// each on a goroutine of its own, and exchange returns once every call
+// has returned — with its reply read or its error — so a failure never
+// leaves a reply queued on a link for the next run to misread. A link
+// that blocks holds up only the exchange, never another link's reply.
+// errs is the calls' scratch, one slot per link. It returns the lowest
+// shard's error.
+func exchange(links []ShardLink, errs []error, call func(s int, l ShardLink) error) error {
+	var wg sync.WaitGroup
+	wg.Add(len(links))
 	for s, l := range links {
-		if err := send(s, l); err != nil {
-			sent, sendErr = s, err
-			break
+		go callLink(call, s, l, &errs[s], &wg)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	var first error
-	for s, l := range links[:sent] {
-		if err := await(s, l); err != nil && first == nil {
-			first = err
-		}
-	}
-	if first != nil {
-		return first
-	}
-	return sendErr
+	return nil
 }
 
-// finish implements stepper: gather every shard's outputs and decode
-// them with the caller's program, by snapshot index. Shard s returns
-// the outputs of BFS positions Ranges[s] in order, its local offsets.
+// callLink runs call on link s and stores its error in *err, then
+// signals wg. Spawning this named function with explicit arguments, as
+// RunKernel spawns runKernelShard, keeps exchange free of a capturing
+// closure.
+func callLink(call func(s int, l ShardLink) error, s int, l ShardLink, err *error, wg *sync.WaitGroup) {
+	defer wg.Done()
+	*err = call(s, l)
+}
+
+// finish implements stepper: gather every shard's outputs, then decode
+// them with the caller's program on the driving goroutine, in shard
+// order, by snapshot index. Shard s returns the outputs of BFS
+// positions Ranges[s] in order, its local offsets.
 func (c *coordinator) finish() ([]any, error) {
+	shardOuts := make([][][]byte, len(c.opts.Part.Links))
+	err := exchange(c.opts.Part.Links, c.errs, func(s int, l ShardLink) error {
+		data, err := l.Outputs()
+		shardOuts[s] = data
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	outs := make([]any, c.ix.NumNodes())
 	order := c.ix.BFSOrder()
-	for s, l := range c.opts.Part.Links {
-		data, err := l.Outputs()
-		if err != nil {
-			return nil, err
-		}
+	for s, data := range shardOuts {
 		rg := c.opts.Part.Ranges[s]
 		if len(data) != int(rg.Hi-rg.Lo) {
 			return nil, fmt.Errorf("dist: shard %d returned %d outputs for BFS positions [%d, %d)", s, len(data), rg.Lo, rg.Hi)

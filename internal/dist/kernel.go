@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
@@ -320,7 +319,7 @@ type crashTable struct {
 // table.
 func newCrashTable(ix *graph.Indexed, f *Faults) (crashTable, error) {
 	t := crashTable{ix: ix}
-	if !f.active() || len(f.Crash) == 0 {
+	if !f.active() || len(f.crash) == 0 {
 		return t, nil
 	}
 	t.at = make([]int, ix.NumNodes())
@@ -328,7 +327,7 @@ func newCrashTable(ix *graph.Indexed, f *Faults) (crashTable, error) {
 		t.at[i] = -1
 	}
 	t.dead = make([]bool, len(t.at))
-	for v, r := range f.Crash {
+	for v, r := range f.crash {
 		i, ok := ix.IndexOf(v)
 		if !ok {
 			return crashTable{}, fmt.Errorf("dist: fault plan crashes node %d, which is not a node of the network", v)
@@ -401,11 +400,7 @@ func payloadSize(p any) int {
 // reset.
 func routeWalk(ctxs []Context, walk []int32, round int, f *Faults, crash *crashTable, fs *FaultStats,
 	sink func(from int, to int32, msg Message, entry int)) (msgs, vol int) {
-	var plan fault.Plan
-	perturb := f != nil && f.Plan.Perturbs()
-	if perturb {
-		plan = f.Plan
-	}
+	perturb := f != nil && f.perturbs()
 	var one [1]int32
 	entry := 0
 	par := round & 1
@@ -428,19 +423,19 @@ func routeWalk(ctxs []Context, walk []int32, round int, f *Faults, crash *crashT
 					fs.DeadLetters++
 					continue
 				}
-				var act fault.Action
+				var act faultAction
 				if perturb {
-					act = plan.Decide(round, sender, p)
+					act = f.decide(round, sender, p)
 				}
-				if act.Drop {
+				if act.drop {
 					fs.Dropped++
 					continue
 				}
-				if act.Delay > fs.Stall {
-					fs.Stall = act.Delay
+				if act.delay > fs.Stall {
+					fs.Stall = act.delay
 				}
 				copies := 1
-				if act.Dup {
+				if act.dup {
 					fs.Duplicated++
 					copies = 2
 				}

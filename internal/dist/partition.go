@@ -70,6 +70,8 @@ type ShardConfig struct {
 // the LOCAL engine's counters), and the remote-bound copies as one
 // block per destination shard.
 type ShardStepResult struct {
+	// Round is the step executed; the coordinator rejects a result for
+	// another round than the one it asked for.
 	Round int
 	// Done is the shard's count of nodes whose protocol reports Done.
 	Done int
@@ -101,28 +103,27 @@ type ShardStepResult struct {
 	ErrIdx int32
 }
 
-// ShardLink is the coordinator's handle on one shard. Begin/await pairs
-// are split so a TCP transport pipelines: the coordinator broadcasts
-// Step to every shard before awaiting any result. Methods are called
-// from the single goroutine driving the coordinator, in a fixed
-// sequence per round: Step*, StepResult*, Deliver*, DeliverResult*.
+// ShardLink is the coordinator's handle on one shard. Every method is
+// one blocking request: it returns once the shard's reply is read, or
+// with the error that ended the call. The coordinator fans each
+// request out over the links through exchange, one goroutine per link,
+// so a link's methods are never called concurrently with each other,
+// but different links' are.
 type ShardLink interface {
 	// Start configures a fresh program run on the shard. A link is
 	// reused across runs (the pruning phase floods once per iteration);
 	// Start resets all run state.
 	Start(cfg ShardConfig) error
-	// Step begins step round (0 = Init) on the shard.
-	Step(round int) error
-	// StepResult awaits the result of the step begun by Step.
-	StepResult() (*ShardStepResult, error)
-	// Deliver hands the shard the blocks addressed to it, one per
-	// source shard in shard order (its own entry empty), for merging
-	// into the inboxes that hold its local copies. The link does not
+	// Step executes step round (0 = Init) on the shard. The result's
+	// blocks may alias the link's buffers: they stay valid until the
+	// link's next Step, and must not be modified.
+	Step(round int) (*ShardStepResult, error)
+	// Deliver hands the shard the blocks addressed to it in step round,
+	// one per source shard in shard order (its own entry empty), for
+	// merging into the inboxes that hold its local copies, and returns
+	// the shard's post-delivery inbox high-water mark. The link does not
 	// retain blocks after Deliver returns.
-	Deliver(round int, blocks [][]byte) error
-	// DeliverResult awaits the delivery ack and returns the shard's
-	// post-delivery inbox high-water mark.
-	DeliverResult() (maxInbox int, err error)
+	Deliver(round int, blocks [][]byte) (maxInbox int, err error)
 	// Outputs returns the program-encoded output of each local node,
 	// by local offset: in the BFS order of the shard's range.
 	Outputs() ([][]byte, error)

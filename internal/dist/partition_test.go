@@ -2,11 +2,14 @@ package dist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -281,21 +284,18 @@ func (c *cutCounter) count(ctx *Context) {
 	}
 }
 
-// blockSpy is a ShardLink that counts the copies its shard writes into
-// blocks.
+// blockSpy is a ShardLink that keeps a copy of every block its shard
+// writes; the test parses them once the run is over.
 type blockSpy struct {
 	ShardLink
-	t      *testing.T
-	copies int
+	blocks [][]byte
 }
 
-func (l *blockSpy) StepResult() (*ShardStepResult, error) {
-	res, err := l.ShardLink.StepResult()
+func (l *blockSpy) Step(round int) (*ShardStepResult, error) {
+	res, err := l.ShardLink.Step(round)
 	if err == nil {
 		for _, b := range res.Blocks {
-			for _, e := range parseBlock(l.t, b) {
-				l.copies += len(e.targets)
-			}
+			l.blocks = append(l.blocks, slices.Clone(b))
 		}
 	}
 	return res, err
@@ -340,7 +340,7 @@ func TestPartitionBlocksCarryOnlyTheCut(t *testing.T) {
 	part := NewLocalPartition(ix, 2)
 	spies := make([]*blockSpy, len(part.Links))
 	for s, l := range part.Links {
-		spies[s] = &blockSpy{ShardLink: l, t: t}
+		spies[s] = &blockSpy{ShardLink: l}
 		part.Links[s] = spies[s]
 	}
 	if _, _, err := Flood(ix, radius, RunOpts{Part: part}); err != nil {
@@ -348,7 +348,11 @@ func TestPartitionBlocksCarryOnlyTheCut(t *testing.T) {
 	}
 	blockCopies := 0
 	for _, s := range spies {
-		blockCopies += s.copies
+		for _, b := range s.blocks {
+			for _, e := range parseBlock(t, b) {
+				blockCopies += len(e.targets)
+			}
+		}
 	}
 	if cutCopies == 0 || blockCopies != cutCopies {
 		t.Fatalf("the flood wrote %d copies into blocks and sent %d along the %d cut arcs; want equal and nonzero",
@@ -384,16 +388,6 @@ func TestPartitionedRetransMatchesLocal(t *testing.T) {
 		for i := range lKs {
 			samePartKnowledge(t, spec, ix, lKs[i], pKs[i])
 		}
-	}
-}
-
-func TestPartitionedRejectsHandBuiltFaults(t *testing.T) {
-	ix := graph.NewIndexed(gen.Path(10))
-	part := NewLocalPartition(ix, 2)
-	f := &Faults{Crash: map[graph.ID]int{ix.IDOf(0): 1}} // no Spec
-	_, _, err := Flood(ix, 2, RunOpts{Faults: f, Part: part})
-	if err == nil || !strings.Contains(err.Error(), "ParseFaults-built") {
-		t.Fatalf("hand-built Faults accepted: %v", err)
 	}
 }
 
@@ -448,7 +442,9 @@ func TestSplitRange(t *testing.T) {
 	}
 }
 
-func TestShardRunnerDeliverBeforeStep(t *testing.T) {
+// floodShardRunner starts shard 0 of a 2-shard flood over a 6-node path.
+func floodShardRunner(t *testing.T) *ShardRunner {
+	t.Helper()
 	ix := graph.NewIndexed(gen.Path(6))
 	_, params, err := newFloodProgram(ix, 1).Params()
 	if err != nil {
@@ -458,8 +454,133 @@ func TestShardRunnerDeliverBeforeStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Deliver(nil); err == nil || !strings.Contains(err.Error(), "without a preceding Step") {
+	return r
+}
+
+func TestShardRunnerDeliverBeforeStep(t *testing.T) {
+	r := floodShardRunner(t)
+	if _, err := r.Deliver(0, make([][]byte, 2)); err == nil || !strings.Contains(err.Error(), "without a step to deliver them to") {
 		t.Fatalf("Deliver before Step: %v", err)
+	}
+}
+
+// TestShardRunnerRejectsStaleDeliver: a shard accepts the blocks of the
+// round it last stepped, once, and not those of an earlier or a later
+// round.
+func TestShardRunnerRejectsStaleDeliver(t *testing.T) {
+	r := floodShardRunner(t)
+	none := make([][]byte, 2)
+	for round := range 2 {
+		if res := r.Step(round); res.Err != "" {
+			t.Fatal(res.Err)
+		}
+		for _, stale := range []int{round - 1, round + 1} {
+			want := fmt.Sprintf("got the blocks of round %d after stepping round %d", stale, round)
+			if _, err := r.Deliver(stale, none); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Deliver of round %d after stepping round %d: %v", stale, round, err)
+			}
+		}
+		if _, err := r.Deliver(round, none); err != nil {
+			t.Fatalf("Deliver of round %d: %v", round, err)
+		}
+		if _, err := r.Deliver(round, none); err == nil || !strings.Contains(err.Error(), "without a step to deliver them to") {
+			t.Fatalf("second Deliver of round %d: %v", round, err)
+		}
+	}
+}
+
+// roundSpy is a ShardLink that reports every step result one round
+// ahead, as a shard out of step with the coordinator would.
+type roundSpy struct{ ShardLink }
+
+func (l roundSpy) Step(round int) (*ShardStepResult, error) {
+	res, err := l.ShardLink.Step(round)
+	if err == nil {
+		res.Round++
+	}
+	return res, err
+}
+
+// TestCoordinatorChecksStepRound: the coordinator rejects a step result
+// for another round than the one it asked for, naming the shard and both
+// rounds.
+func TestCoordinatorChecksStepRound(t *testing.T) {
+	ix := graph.NewIndexed(gen.Path(10))
+	part := NewLocalPartition(ix, 2)
+	part.Links[1] = roundSpy{part.Links[1]}
+	_, _, err := Flood(ix, 2, RunOpts{Part: part})
+	if err == nil || !strings.HasSuffix(err.Error(), "dist: shard 1 returned the result of round 1 for round 0") {
+		t.Fatalf("Flood over a shard out of step: %v", err)
+	}
+}
+
+// fakeLink is a ShardLink whose Start runs the test's hook; exchange
+// calls nothing else.
+type fakeLink struct {
+	ShardLink
+	start func() error
+}
+
+func (l *fakeLink) Start(ShardConfig) error { return l.start() }
+
+// TestExchange: exchange calls every link exactly once, runs the calls
+// concurrently — a call that waits for another link's call to start
+// does not deadlock — and returns the lowest failing shard's error even
+// when a higher shard fails first.
+func TestExchange(t *testing.T) {
+	const n = 4
+	var calls [n]atomic.Int32
+	started := make([]chan struct{}, n)
+	for s := range started {
+		started[s] = make(chan struct{})
+	}
+	links := make([]ShardLink, n)
+	for s := range links {
+		links[s] = &fakeLink{start: func() error {
+			calls[s].Add(1)
+			close(started[s])
+			// Each call waits for the next link's call to start, and the
+			// last for the first's: only concurrent calls get past this.
+			<-started[(s+1)%n]
+			return nil
+		}}
+	}
+	errs := make([]error, n)
+	call := func(_ int, l ShardLink) error { return l.Start(ShardConfig{}) }
+	done := make(chan error, 1)
+	go func() { done <- exchange(links, errs, call) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("exchange deadlocked: its calls do not run concurrently")
+	}
+	for s := range calls {
+		if got := calls[s].Load(); got != 1 {
+			t.Fatalf("link %d called %d times, want 1", s, got)
+		}
+	}
+
+	// Shard 3 fails at once, shard 1 only once shard 3 has failed: the
+	// error returned is still shard 1's.
+	failed3 := make(chan struct{})
+	for s := range links {
+		links[s] = &fakeLink{start: func() error {
+			switch s {
+			case 1:
+				<-failed3
+				return errors.New("shard 1 failed")
+			case 3:
+				defer close(failed3)
+				return errors.New("shard 3 failed")
+			}
+			return nil
+		}}
+	}
+	if err := exchange(links, errs, call); err == nil || err.Error() != "shard 1 failed" {
+		t.Fatalf("exchange returned %v, want shard 1's error", err)
 	}
 }
 

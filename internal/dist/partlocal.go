@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"fmt"
+	"errors"
 
 	"repro/internal/graph"
 )
@@ -17,11 +17,6 @@ import (
 type LocalLink struct {
 	ix     *graph.Indexed
 	runner *ShardRunner
-
-	stepRes   *ShardStepResult
-	deliverHi int
-	deliverEr error
-	delivered bool
 }
 
 // NewLocalPartition builds an all-in-process partition of ix into parts
@@ -42,54 +37,29 @@ func (l *LocalLink) Start(cfg ShardConfig) error {
 		return err
 	}
 	l.runner = r
-	l.stepRes = nil
-	l.delivered = false
 	return nil
 }
 
-// Step implements ShardLink. The work runs synchronously here; the
-// begin/await split only matters for transports that pipeline.
-func (l *LocalLink) Step(round int) error {
+// Step implements ShardLink.
+func (l *LocalLink) Step(round int) (*ShardStepResult, error) {
 	if l.runner == nil {
-		return fmt.Errorf("dist: link used before Start")
+		return nil, errLinkNotStarted
 	}
-	l.stepRes = l.runner.Step(round)
-	return nil
-}
-
-// StepResult implements ShardLink.
-func (l *LocalLink) StepResult() (*ShardStepResult, error) {
-	if l.stepRes == nil {
-		return nil, fmt.Errorf("dist: StepResult without a preceding Step")
-	}
-	res := l.stepRes
-	l.stepRes = nil
-	return res, nil
+	return l.runner.Step(round), nil
 }
 
 // Deliver implements ShardLink.
-func (l *LocalLink) Deliver(round int, blocks [][]byte) error {
+func (l *LocalLink) Deliver(round int, blocks [][]byte) (int, error) {
 	if l.runner == nil {
-		return fmt.Errorf("dist: link used before Start")
+		return 0, errLinkNotStarted
 	}
-	l.deliverHi, l.deliverEr = l.runner.Deliver(blocks)
-	l.delivered = true
-	return nil
-}
-
-// DeliverResult implements ShardLink.
-func (l *LocalLink) DeliverResult() (int, error) {
-	if !l.delivered {
-		return 0, fmt.Errorf("dist: DeliverResult without a preceding Deliver")
-	}
-	l.delivered = false
-	return l.deliverHi, l.deliverEr
+	return l.runner.Deliver(round, blocks)
 }
 
 // Outputs implements ShardLink.
 func (l *LocalLink) Outputs() ([][]byte, error) {
 	if l.runner == nil {
-		return nil, fmt.Errorf("dist: link used before Start")
+		return nil, errLinkNotStarted
 	}
 	return l.runner.Outputs()
 }
@@ -99,3 +69,5 @@ func (l *LocalLink) Close() error {
 	l.runner = nil
 	return nil
 }
+
+var errLinkNotStarted = errors.New("dist: link used before Start")

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/proctest"
@@ -78,7 +77,7 @@ func TestPullDeliveryMatchesPush(t *testing.T) {
 	}
 	proctest.Sweep(func(procs int) {
 		pullOut, pullStats := run(nil)
-		pushOut, pushStats := run(&Faults{Plan: fault.Plan{Seed: 3, MaxDelay: 1}})
+		pushOut, pushStats := run(mustParseFaults(t, "delay=1", 3))
 		if !reflect.DeepEqual(pullOut, pushOut) {
 			for v, want := range pushOut {
 				if got := pullOut[v]; !reflect.DeepEqual(got, want) {

@@ -123,7 +123,7 @@ func relayRound(t testing.TB, runners []*ShardRunner, round int) []*ShardStepRes
 		for s, res := range results {
 			in[s] = res.Blocks[d]
 		}
-		if _, err := r.Deliver(in); err != nil {
+		if _, err := r.Deliver(round, in); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,7 +257,7 @@ func TestShardDeliverRejectsMalformedBlocks(t *testing.T) {
 	} {
 		r := start(t)[1]
 		r.Step(0)
-		if _, err := r.Deliver(c.blocks); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := r.Deliver(0, c.blocks); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: Deliver = %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
@@ -281,6 +281,6 @@ func FuzzShardDeliverBlock(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := start(t)[1]
 		r.Step(0)
-		_, _ = r.Deliver([][]byte{b, nil, nil})
+		_, _ = r.Deliver(0, [][]byte{b, nil, nil})
 	})
 }

@@ -1,11 +1,11 @@
 package dist
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/proctest"
@@ -78,7 +78,7 @@ func TestRetransSurvivesDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []float64{0.1, 0.3, 0.5} {
-		f := &Faults{Plan: fault.Plan{Seed: 41, Drop: p}}
+		f := mustParseFaults(t, fmt.Sprintf("drop=%g", p), 41)
 		got, res, err := retransIDs(g, radius, 200, RunOpts{Faults: f})
 		if err != nil {
 			t.Fatalf("drop=%.1f: %v", p, err)
@@ -102,7 +102,7 @@ func TestRetransAbsorbsDupAndDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &Faults{Plan: fault.Plan{Seed: 5, Drop: 0.2, Dup: 0.3, MaxDelay: 2}}
+	f := mustParseFaults(t, "drop=0.2,dup=0.3,delay=2", 5)
 	got, res, err := retransIDs(g, radius, 200, RunOpts{Faults: f})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestRetransAbsorbsDupAndDelay(t *testing.T) {
 // as independent of the GOMAXPROCS setting as everything else.
 func TestRetransDeterministicAcrossModes(t *testing.T) {
 	g := gen.RandomChordal(100, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 31)
-	f := &Faults{Plan: fault.Plan{Seed: 13, Drop: 0.25}}
+	f := mustParseFaults(t, "drop=0.25", 13)
 	type fp struct {
 		rounds, messages, volume, dropped int
 	}
@@ -158,7 +158,7 @@ func TestRetransBestHopsUnderDrops(t *testing.T) {
 		_, res, err := Run(ix, NodeFunc(func(i int) Protocol {
 			nodes[i] = newRetransProtocol(ix.IDOf(i), i, ix, radius)
 			return nodes[i]
-		}), RunOpts{Faults: &Faults{Plan: fault.Plan{Seed: 5, Drop: p}}}, budget)
+		}), RunOpts{Faults: mustParseFaults(t, fmt.Sprintf("drop=%g", p), 5)}, budget)
 		if err != nil {
 			t.Fatalf("drop=%.1f: %v", p, err)
 		}
@@ -185,7 +185,7 @@ func TestRetransBestHopsUnderDrops(t *testing.T) {
 // engine's did-not-terminate error rather than returning short balls.
 func TestRetransBudgetExhaustion(t *testing.T) {
 	g := gen.Path(30)
-	f := &Faults{Plan: fault.Plan{Seed: 1, Drop: 0.5}}
+	f := mustParseFaults(t, "drop=0.5", 1)
 	_, _, err := retransIDs(g, 5, 3, RunOpts{Faults: f})
 	if err == nil {
 		t.Fatal("budget of 3 rounds under 50% drop succeeded")

@@ -40,7 +40,7 @@ type ShardRunner struct {
 	tgt      []int32     // Deliver's per-entry target scratch
 	unsorted []int32     // Deliver's inboxes that got a copy out of sender order
 
-	stepped bool // a step ran since the last Deliver (barrier misuse guard)
+	pending int // the round whose blocks Deliver accepts: the last Step's until delivered, else -1
 }
 
 // NewShardRunner builds a runner for shard cfg.Shard of the partition
@@ -60,7 +60,7 @@ func NewShardRunner(ix *graph.Indexed, cfg ShardConfig) (*ShardRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ShardRunner{ix: ix, shard: cfg.Shard, prog: prog, host: make([]int32, n)}
+	r := &ShardRunner{ix: ix, shard: cfg.Shard, prog: prog, host: make([]int32, n), pending: -1}
 	if cfg.FaultSpec != "" {
 		if r.faults, err = ParseFaults(cfg.FaultSpec, cfg.FaultSeed); err != nil {
 			return nil, err
@@ -106,7 +106,7 @@ func NewShardRunner(ix *graph.Indexed, cfg ShardConfig) (*ShardRunner, error) {
 // counters field for field.
 func (r *ShardRunner) Step(round int) *ShardStepResult {
 	r.curRound = int32(round)
-	r.stepped = true
+	r.pending = round
 	r.crash.mark(round)
 	res := &ShardStepResult{Round: round, BlockedIdx: -1, ErrIdx: -1}
 	r.nodes.step(round, r.inbox, r.crash.dead)
@@ -185,14 +185,17 @@ func (r *ShardRunner) route(round int, res *ShardStepResult) {
 // on several shards can get a copy out of order; each such inbox is
 // merged back into the (sender, queue position) order the LOCAL engine
 // delivers by a stable sort on the sender, which keeps each sender's
-// copies in queue order and a duplicate next to its original. Returns
-// the post-delivery inbox high-water mark. A malformed block is an
-// error, never a panic.
-func (r *ShardRunner) Deliver(blocks [][]byte) (int, error) {
-	if !r.stepped {
-		return 0, fmt.Errorf("dist: shard Deliver without a preceding Step")
+// copies in queue order and a duplicate next to its original. round
+// must be the last Step's, delivered once. Returns the post-delivery
+// inbox high-water mark. A malformed block is an error, never a panic.
+func (r *ShardRunner) Deliver(round int, blocks [][]byte) (int, error) {
+	if round != r.pending {
+		if r.pending < 0 {
+			return 0, fmt.Errorf("dist: shard %d got the blocks of round %d without a step to deliver them to", r.shard, round)
+		}
+		return 0, fmt.Errorf("dist: shard %d got the blocks of round %d after stepping round %d", r.shard, round, r.pending)
 	}
-	r.stepped = false
+	r.pending = -1
 	if len(blocks) != len(r.blocks) {
 		return 0, fmt.Errorf("dist: shard %d got %d blocks for %d shards", r.shard, len(blocks), len(r.blocks))
 	}

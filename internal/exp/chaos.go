@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -168,21 +169,23 @@ func sameBall(w, k *dist.Knowledge, scratch []int32) bool {
 // FaultTraceRunCollector is the workload behind `cmd/experiments -trace
 // -faults`: it records, under a caller-configured Collector (see
 // TraceRunCollector), (1) the full distributed coloring of the Figure-1
-// graph under the absorbable projection of the plan — drop and crash
-// stripped, because the plain floods have no retransmission and E20
-// already tables those error paths — and (2) a retransmitting flood on a
-// random chordal graph under the full plan, message loss included,
-// exercising the recovery machinery end to end. The message-passing
-// stages run on partitions supplied by partFor (nil = the in-process
-// engine). f must come from dist.ParseFaults, as `cmd/experiments`
-// parses -faults: the absorbable projection is parsed from f.Spec with
-// drop and crash stripped, so the plan and the spec shipped to shard
-// processes are one schedule, and a projection that perturbs nothing
-// runs fault-free. It finishes the collector; the caller must not reuse
-// it.
-func FaultTraceRunCollector(c *obs.Collector, quick bool, f *dist.Faults, partFor Partitioner) error {
-	absorbable, err := dist.ParseFaults(stripDropCrash(f.Spec), f.Seed)
-	if err != nil && !dist.IsInactive(err) {
+// graph under the absorbable projection of the schedule — drop and
+// crash stripped, because the plain floods have no retransmission and
+// E20 already tables those error paths — and (2) a retransmitting flood
+// on a random chordal graph under the full schedule, message loss
+// included, exercising the recovery machinery end to end. Both
+// schedules are parsed from (spec, seed), the projection with drop and
+// crash stripped from spec, so a projection that perturbs nothing runs
+// fault-free. The message-passing stages run on partitions supplied by
+// partFor (nil = the in-process engine). It finishes the collector; the
+// caller must not reuse it.
+func FaultTraceRunCollector(c *obs.Collector, quick bool, spec string, seed uint64, partFor Partitioner) error {
+	f, err := dist.ParseFaults(spec, seed)
+	if err != nil {
+		return err
+	}
+	absorbable, err := dist.ParseFaults(stripDropCrash(spec), seed)
+	if err != nil && !errors.Is(err, dist.ErrFaultsInactive) {
 		return fmt.Errorf("fault trace: %w", err)
 	}
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dist"
 	"repro/internal/obs"
 )
 
@@ -92,13 +91,9 @@ func TestFaultTraceRunSchema(t *testing.T) {
 		t.Skip("fault trace workload is slow")
 	}
 	var buf bytes.Buffer
-	f, err := dist.ParseFaults("drop=0.2,dup=0.2,delay=2", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := obs.NewCollector()
 	c.SetTrace(&buf)
-	if err := FaultTraceRunCollector(c, true, f, nil); err != nil {
+	if err := FaultTraceRunCollector(c, true, "drop=0.2,dup=0.2,delay=2", 7, nil); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/proctest"
@@ -28,6 +27,17 @@ func faultTrace(t *testing.T, g *graph.Graph, radius int, f *dist.Faults) ([]byt
 	return buf.Bytes(), c.Events()
 }
 
+// mustFaults builds the schedule of (spec, seed), failing the test on a
+// parse error; an empty spec is the fault-free nil schedule.
+func mustFaults(t testing.TB, spec string, seed uint64) *dist.Faults {
+	t.Helper()
+	f, err := dist.ParseFaults(spec, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestFaultTraceByteIdenticalAcrossModes is the acceptance gate for
 // deterministic fault injection: the same (graph, protocol, seed, plan)
 // must yield traces whose deterministic records (DiffDeterministic)
@@ -35,12 +45,13 @@ func faultTrace(t *testing.T, g *graph.Graph, radius int, f *dist.Faults) ([]byt
 // concurrently stepped node ranges.
 func TestFaultTraceByteIdenticalAcrossModes(t *testing.T) {
 	g := gen.RandomChordal(180, gen.ChordalOpts{MaxCliqueSize: 4, AttachFull: 0.5}, 37)
-	plans := map[string]*dist.Faults{
-		"fault-free": nil,
-		"drop":       {Plan: fault.Plan{Seed: 7, Drop: 0.2}},
-		"mixed":      {Plan: fault.Plan{Seed: 7, Drop: 0.1, Dup: 0.2, MaxDelay: 3}},
+	specs := map[string]string{
+		"fault-free": "",
+		"drop":       "drop=0.2",
+		"mixed":      "drop=0.1,dup=0.2,delay=3",
 	}
-	for name, f := range plans {
+	for name, spec := range specs {
+		f := mustFaults(t, spec, 7)
 		var ref []Event
 		proctest.Sweep(func(procs int) {
 			_, got := faultTrace(t, g, 3, f)
@@ -62,7 +73,7 @@ func TestFaultTraceByteIdenticalAcrossModes(t *testing.T) {
 // ignoring unknown keys sees a valid v1 round event).
 func TestFaultTraceSchema(t *testing.T) {
 	g := gen.KTree(120, 3, 41)
-	f := &dist.Faults{Plan: fault.Plan{Seed: 3, Drop: 0.3, Dup: 0.3, MaxDelay: 2}}
+	f := mustFaults(t, "drop=0.3,dup=0.3,delay=2", 3)
 	raw, _ := faultTrace(t, g, 3, f)
 
 	sawFault := false

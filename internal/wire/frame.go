@@ -3,13 +3,15 @@
 // exposes them to the coordinator as dist.ShardLinks over localhost
 // TCP.
 //
-// The protocol is strictly request/response per link with a
-// begin/await split (Step and Deliver broadcast to every shard before
-// any result is awaited), so one batched frame crosses the wire per
-// round per peer in each direction. Frames are length-prefixed: a
-// 4-byte big-endian length covering a kind byte plus the body. Children
-// dial the coordinator (with retry/backoff — the listener may come up
-// after the child), announce their shard index, and serve until
+// The protocol is strictly request/response per link: each Link call
+// writes its request frame and reads the reply, and the coordinator
+// makes one call per link at once, each on its own goroutine, so one
+// batched frame crosses the wire per round per peer in each direction.
+// Frames are length-prefixed: a 4-byte big-endian length covering a
+// kind byte plus the body. The coordinator listens on an ephemeral
+// localhost port and hands its address only to the children it spawns
+// (SelfSpawn); they dial it (with retry/backoff — the listener may
+// come up after the child), announce their shard index, and serve until
 // shutdown or disconnect.
 //
 // Frame bodies come in two encodings. The frames sent once per cluster,

@@ -44,7 +44,7 @@ func realBodies(t testing.TB) map[byte][][]byte {
 				in[s] = res.Blocks[d]
 			}
 			body(kindDeliver, appendDeliver(nil, round, len(in)), in)
-			maxInbox, err := r.Deliver(in)
+			maxInbox, err := r.Deliver(round, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +182,7 @@ func gobBody(t testing.TB, msg any) []byte {
 
 // FuzzHandshakeBodies feeds arbitrary hello, session and start bodies
 // through their decode paths: the hello through the coordinator's
-// readHello, the session and start through ServeConn, the shard side,
+// readHello, the session and start through serveConn, the shard side,
 // over net.Pipe. Nothing may panic, and the shard must answer each body
 // it reads with its ack or stop with an error.
 func FuzzHandshakeBodies(f *testing.F) {
@@ -209,7 +209,7 @@ func FuzzHandshakeBodies(f *testing.F) {
 		coord, host := net.Pipe()
 		served := make(chan error, 1)
 		go func() {
-			err := ServeConn(host, bufio.NewWriter(host))
+			err := serveConn(host, bufio.NewWriter(host))
 			host.Close()
 			served <- err
 		}()

@@ -16,9 +16,10 @@ import (
 
 // Link is the coordinator's handle on one shard-host process. It
 // implements dist.ShardLink over the framed protocol and dist.WireMeter
-// by counting every frame byte in both directions. All methods are
-// called from the single goroutine driving the coordinator, matching
-// the ShardLink contract, so no locking is needed.
+// by counting every frame byte in both directions. Each call sends its
+// request frame and reads the reply. The coordinator never calls one
+// link's methods concurrently (ShardLink's contract), and reads
+// WireBytes only between exchanges, so no locking is needed.
 type Link struct {
 	conn    net.Conn
 	br      *bufio.Reader
@@ -28,9 +29,10 @@ type Link struct {
 	closed  bool
 
 	// Frame buffers: stepBuf holds the last stepResult frame, whose
-	// blocks the coordinator relays after the link's next receive, so
-	// it is reused only by the next StepResult; buf serves every other
-	// reply. head is the scratch a binary frame's head is built in.
+	// blocks the coordinator relays to the other shards while this link
+	// reads its deliver ack, so it is reused only by the next Step; buf
+	// serves every other reply. head is the scratch a binary frame's
+	// head is built in.
 	stepBuf, buf, head []byte
 }
 
@@ -126,15 +128,13 @@ func (l *Link) Start(cfg dist.ShardConfig) error {
 	return nil
 }
 
-// Step implements dist.ShardLink.
-func (l *Link) Step(round int) error {
+// Step implements dist.ShardLink. The result's blocks alias the link's
+// step buffer, which the next Step reuses.
+func (l *Link) Step(round int) (*dist.ShardStepResult, error) {
 	l.head = appendStep(l.head[:0], round)
-	return l.send(kindStep, l.head, nil)
-}
-
-// StepResult implements dist.ShardLink. The result's blocks alias the
-// link's step buffer, which the next StepResult reuses.
-func (l *Link) StepResult() (*dist.ShardStepResult, error) {
+	if err := l.send(kindStep, l.head, nil); err != nil {
+		return nil, err
+	}
 	body, err := l.recv(kindStepResult, &l.stepBuf)
 	if err != nil {
 		return nil, err
@@ -147,14 +147,13 @@ func (l *Link) StepResult() (*dist.ShardStepResult, error) {
 }
 
 // Deliver implements dist.ShardLink: the blocks are written to the
-// socket as they are.
-func (l *Link) Deliver(round int, blocks [][]byte) error {
+// socket as they are, and the ack is read into the link's other buffer,
+// so the blocks of the link's own last Step stay valid.
+func (l *Link) Deliver(round int, blocks [][]byte) (int, error) {
 	l.head = appendDeliver(l.head[:0], round, len(blocks))
-	return l.send(kindDeliver, l.head, blocks)
-}
-
-// DeliverResult implements dist.ShardLink.
-func (l *Link) DeliverResult() (int, error) {
+	if err := l.send(kindDeliver, l.head, blocks); err != nil {
+		return 0, err
+	}
 	body, err := l.recv(kindDeliverOK, &l.buf)
 	if err != nil {
 		return 0, err
@@ -215,11 +214,11 @@ const (
 	acceptTimeout   = 60 * time.Second
 )
 
-// DialRetry dials the coordinator with linear backoff, retrying
+// dialRetry dials the coordinator with linear backoff, retrying
 // transient failures: a shard host typically races the coordinator's
 // listener coming up, and localhost dials also fail transiently under
 // fork storms.
-func DialRetry(addr string) (net.Conn, error) {
+func dialRetry(addr string) (net.Conn, error) {
 	var lastErr error
 	for attempt := 1; attempt <= dialAttempts; attempt++ {
 		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
@@ -413,7 +412,7 @@ func MaybeShardHost() {
 		fmt.Fprintf(os.Stderr, "wire: bad %s: %v\n", envShard, err)
 		os.Exit(1)
 	}
-	if err := RunShard(addr, shard); err != nil {
+	if err := runShard(addr, shard); err != nil {
 		fmt.Fprintf(os.Stderr, "wire: shard %d: %v\n", shard, err)
 		os.Exit(1)
 	}

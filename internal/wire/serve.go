@@ -11,13 +11,13 @@ import (
 	"repro/internal/graph"
 )
 
-// RunShard dials the coordinator at addr (with retry — the listener may
+// runShard dials the coordinator at addr (with retry — the listener may
 // not be up yet), announces the shard index, and serves the shard
 // protocol until shutdown or disconnect. This is the entire life of a
-// shard-host process; cmd/chordald-shard and MaybeShardHost are thin
-// wrappers around it.
-func RunShard(addr string, shard int) error {
-	conn, err := DialRetry(addr)
+// shard-host process, which MaybeShardHost starts in a child that
+// SelfSpawn launched.
+func runShard(addr string, shard int) error {
+	conn, err := dialRetry(addr)
 	if err != nil {
 		return err
 	}
@@ -26,16 +26,16 @@ func RunShard(addr string, shard int) error {
 	if _, err := writeGobFrame(bw, kindHello, helloMsg{Shard: shard}); err != nil {
 		return err
 	}
-	return ServeConn(conn, bw)
+	return serveConn(conn, bw)
 }
 
-// ServeConn runs the shard side of the protocol on an established
+// serveConn runs the shard side of the protocol on an established
 // connection: sessions swap in graph snapshots, starts build a
 // dist.ShardRunner for the configured range, and step/deliver/outputs
 // requests drive it. Everything runs on the calling goroutine — a shard
 // host is single-threaded by design, the coordinator is its scheduler.
 // A clean disconnect (EOF) is a normal shutdown.
-func ServeConn(conn net.Conn, bw *bufio.Writer) error {
+func serveConn(conn net.Conn, bw *bufio.Writer) error {
 	br := bufio.NewReaderSize(conn, 1<<16)
 	var ix *graph.Indexed
 	var runner *dist.ShardRunner
@@ -90,14 +90,14 @@ func ServeConn(conn net.Conn, bw *bufio.Writer) error {
 			head = appendStepResult(head[:0], res)
 			_, err = writeFrame(bw, kindStepResult, head, res.Blocks)
 		case kindDeliver:
-			_, blocks, derr := decodeDeliver(body)
+			round, blocks, derr := decodeDeliver(body)
 			if derr != nil {
 				return derr
 			}
 			if runner == nil {
 				return fmt.Errorf("wire: deliver before a start")
 			}
-			maxInbox, rerr := runner.Deliver(blocks)
+			maxInbox, rerr := runner.Deliver(round, blocks)
 			head = appendDeliverOK(head[:0], maxInbox, errStr(rerr))
 			_, err = writeFrame(bw, kindDeliverOK, head, nil)
 		case kindOutputs:

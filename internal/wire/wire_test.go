@@ -141,7 +141,7 @@ func TestReadFrameRejectsOversizedLength(t *testing.T) {
 }
 
 // A stream that ends inside a frame is a truncation, not the clean EOF
-// ServeConn treats as a shutdown; and a large announced length must not
+// serveConn treats as a shutdown; and a large announced length must not
 // be allocated before the bytes arrive.
 func TestReadFrameTruncatedIsNotEOF(t *testing.T) {
 	for _, raw := range [][]byte{
@@ -173,7 +173,7 @@ func servedPartition(t *testing.T, ix *graph.Indexed, parts int) (*dist.Partitio
 	done := make(chan error, parts)
 	for s := 0; s < parts; s++ {
 		go func(shard int) {
-			conn, err := DialRetry(ln.Addr().String())
+			conn, err := dialRetry(ln.Addr().String())
 			if err != nil {
 				done <- err
 				return
@@ -184,7 +184,7 @@ func servedPartition(t *testing.T, ix *graph.Indexed, parts int) (*dist.Partitio
 				done <- err
 				return
 			}
-			done <- ServeConn(conn, bw)
+			done <- serveConn(conn, bw)
 		}(s)
 	}
 	links := make([]*Link, parts)
@@ -374,7 +374,7 @@ func TestClusterProcessesMatchLocal(t *testing.T) {
 
 func TestDialRetryWaitsForListener(t *testing.T) {
 	// Reserve an address, close it, and bring the listener up only
-	// after a delay: DialRetry must ride its backoff schedule through
+	// after a delay: dialRetry must ride its backoff schedule through
 	// the gap.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -397,9 +397,9 @@ func TestDialRetryWaitsForListener(t *testing.T) {
 		}
 		accepted <- err
 	}()
-	conn, err := DialRetry(addr)
+	conn, err := dialRetry(addr)
 	if err != nil {
-		t.Fatalf("DialRetry: %v", err)
+		t.Fatalf("dialRetry: %v", err)
 	}
 	conn.Close()
 	if err := <-accepted; err != nil {
